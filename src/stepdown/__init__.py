@@ -11,8 +11,6 @@ from .boundary import (
     CalibrationError,
     CriticalFunction,
     GridError,
-    SpendingSpec,
-    calibrate,
     calibrate_levels,
     crossing_probability,
     normal_quantile,
@@ -24,7 +22,6 @@ from .core import (
     StageRecord,
     StatisticPaths,
     TrialResult,
-    validate_family,
 )
 from .harness import (
     PROCEDURES,
@@ -32,6 +29,7 @@ from .harness import (
     SimulationSummary,
     empty_summary,
     merge,
+    needed_levels,
     run_scenario,
     run_scenario_parallel,
 )
@@ -51,10 +49,11 @@ from .procedures import (
     holm_closed,
     holm_fixed,
     run_multistage,
+    stage_levels,
     stage_rejections,
     stage_sample_size,
 )
-from .trial import RngStream, ScenarioParams, compute_statistic, generate_paths
+from .trial import RngStream, ScenarioParams, generate_paths
 
 __version__ = "0.1.0"
 
@@ -62,8 +61,6 @@ __all__ = [
     "CalibrationError",
     "CriticalFunction",
     "GridError",
-    "SpendingSpec",
-    "calibrate",
     "calibrate_levels",
     "crossing_probability",
     "normal_quantile",
@@ -73,12 +70,12 @@ __all__ = [
     "StageRecord",
     "StatisticPaths",
     "TrialResult",
-    "validate_family",
     "PROCEDURES",
     "ScenarioSpec",
     "SimulationSummary",
     "empty_summary",
     "merge",
+    "needed_levels",
     "run_scenario",
     "run_scenario_parallel",
     "PaulsonConfig",
@@ -94,11 +91,11 @@ __all__ = [
     "holm_closed",
     "holm_fixed",
     "run_multistage",
+    "stage_levels",
     "stage_rejections",
     "stage_sample_size",
     "RngStream",
     "ScenarioParams",
-    "compute_statistic",
     "generate_paths",
     "__version__",
 ]

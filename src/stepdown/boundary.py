@@ -30,18 +30,21 @@ from .core import SampleSchedule, check_alpha
 __all__ = [
     "CalibrationError",
     "GridError",
-    "SpendingSpec",
     "CriticalFunction",
     "normal_quantile",
     "shape_multipliers",
     "crossing_probability",
-    "calibrate",
     "calibrate_levels",
 ]
 
 SHAPES = ("flat", "obrien-fleming")
 
 _SPAN_SD = 8.0  # grid half-width in standard deviations of S_n
+
+# Grid-size limits.  The doubled-grid check builds a (2 * grid_points)^2
+# float64 kernel, about 0.54 GB at the upper limit.
+MIN_GRID_POINTS = 8
+MAX_GRID_POINTS = 4096
 
 
 class CalibrationError(RuntimeError):
@@ -71,6 +74,14 @@ def _as_analyses(schedule: SampleSchedule | Sequence[int]) -> tuple[int, ...]:
     if isinstance(schedule, SampleSchedule):
         return schedule.analyses
     return SampleSchedule(tuple(schedule)).analyses
+
+
+def _check_grid_points(grid_points: int) -> None:
+    """Validate an integration grid size before anything is allocated."""
+    if not MIN_GRID_POINTS <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_points must lie in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}], got {grid_points}"
+        )
 
 
 def shape_multipliers(shape: str, schedule: SampleSchedule | Sequence[int]) -> np.ndarray:
@@ -119,8 +130,7 @@ def crossing_probability(
         raise ValueError(
             f"boundary must provide one value per analysis ({len(analyses)}), got shape {b.shape}"
         )
-    if grid_points < 8:
-        raise ValueError("grid_points must be at least 8")
+    _check_grid_points(grid_points)
     p = _crossing_recursion(analyses, b, grid_points)
     if tol is not None:
         p_fine = _crossing_recursion(analyses, b, 2 * grid_points)
@@ -175,25 +185,6 @@ def _trapezoid_mass(dens: np.ndarray, grid: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class SpendingSpec:
-    """What to calibrate: a schedule, a crossing probability, a shape."""
-
-    schedule: SampleSchedule
-    rho: float
-    shape: str = "flat"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.schedule, SampleSchedule):
-            object.__setattr__(self, "schedule", SampleSchedule(tuple(self.schedule)))
-        rho = float(self.rho)
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"crossing probability must lie strictly in (0, 1), got {rho}")
-        object.__setattr__(self, "rho", rho)
-        if self.shape not in SHAPES:
-            raise ValueError(f"unknown boundary shape {self.shape!r}; expected one of {SHAPES}")
-
-
-@dataclass(frozen=True)
 class CriticalFunction:
     """Critical values C_n(rho) on a schedule, for a set of levels rho.
 
@@ -224,6 +215,8 @@ class CriticalFunction:
                 raise ValueError(
                     f"level {rho} needs one critical value per analysis ({width}), got {len(vals)}"
                 )
+            if any(math.isnan(v) for v in vals):
+                raise ValueError(f"critical values for level {rho} must not be NaN")
         levels = sorted(table)
         for lo, hi in zip(levels, levels[1:]):
             if any(a < b for a, b in zip(table[lo], table[hi])):
@@ -274,35 +267,6 @@ class CriticalFunction:
         return vals[self.schedule.index(int(n))]
 
 
-def calibrate(
-    spec: SpendingSpec,
-    *,
-    grid_points: int = 512,
-    tol: float = 1e-4,
-) -> CriticalFunction:
-    """Calibrate one boundary so the null crossing probability hits rho.
-
-    Finds the scalar c with crossing_probability(schedule, c * g) = rho
-    by bracketed root-finding, then verifies the achieved probability on
-    a doubled grid.
-
-    Args:
-        spec: Schedule, target crossing probability, and shape.
-        grid_points: Integration grid size.
-        tol: Acceptable gap between achieved and requested probability.
-
-    Returns:
-        A CriticalFunction with a single calibrated level.
-
-    Raises:
-        CalibrationError: The root bracket failed.
-        GridError: The achieved probability misses rho by more than tol.
-    """
-    return calibrate_levels(
-        spec.schedule, [spec.rho], shape=spec.shape, grid_points=grid_points, tol=tol
-    )
-
-
 def calibrate_levels(
     schedule: SampleSchedule | Sequence[int],
     levels: Iterable[float],
@@ -311,7 +275,13 @@ def calibrate_levels(
     grid_points: int = 512,
     tol: float = 1e-4,
 ) -> CriticalFunction:
-    """Calibrate one boundary per level on a common schedule and shape."""
+    """Calibrate one boundary per level on a common schedule and shape.
+
+    Each level rho gets its own root c of crossing_probability(schedule,
+    c * g) = rho, verified on a doubled grid (GridError if it misses rho
+    by more than tol), so it does not depend on the other levels.
+    """
+    _check_grid_points(grid_points)
     if not isinstance(schedule, SampleSchedule):
         schedule = SampleSchedule(tuple(schedule))
     g = shape_multipliers(shape, schedule)

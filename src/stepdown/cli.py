@@ -42,6 +42,7 @@ from .harness import (
     PROCEDURES,
     ScenarioSpec,
     SimulationSummary,
+    needed_levels,
     run_scenario_parallel,
 )
 from .paulson import (
@@ -50,39 +51,13 @@ from .paulson import (
     run_paulson_direct,
     simulate_observations,
 )
-from .procedures import ProcedureVariant, run_multistage
+from .procedures import ProcedureVariant, run_multistage, stage_levels
 from .trial import RngStream, ScenarioParams
 
 WORKERS_ENV = "STEPDOWN_WORKERS"
 
-_CONFIG_KEYS = {
-    "boundary": {"schedule", "rho", "shape", "grid", "out"},
-    "analyze": {"statistics", "boundary", "alpha", "variant", "family", "out"},
-    "simulate": {
-        "scenarios",
-        "procedures",
-        "schedule",
-        "alpha",
-        "shape",
-        "reps",
-        "seed",
-        "grid",
-        "workers",
-        "continuity_correction",
-        "out",
-    },
-    "paulson": {
-        "thresholds",
-        "delta",
-        "critical_value",
-        "theta",
-        "reps",
-        "seed",
-        "horizon",
-        "method",
-        "out",
-    },
-}
+# Parser attributes that are not configuration keys.
+_NOT_KEYS = {"config", "handler", "subcommand"}
 
 
 def fmt(value: object) -> str:
@@ -95,8 +70,8 @@ def fmt(value: object) -> str:
 
 
 def _resolve(args: argparse.Namespace, subcommand: str) -> dict[str, str]:
-    """Merge config-file values and flags; flags win; unknown keys rejected."""
-    known = _CONFIG_KEYS[subcommand]
+    """Merge config-file values and flags; flags win; each key must name a flag."""
+    known = vars(args).keys() - _NOT_KEYS
     resolved: dict[str, str] = {}
     if getattr(args, "config", None):
         try:
@@ -123,52 +98,35 @@ def _require(resolved: dict[str, str], key: str) -> str:
     return resolved[key]
 
 
-def _parse_positive_int(resolved: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in resolved:
-        if default is None:
-            raise ValueError(f"missing required key {key!r}")
-        return default
-    try:
-        value = int(resolved[key])
-    except ValueError:
-        raise ValueError(f"key {key!r} must be an integer, got {resolved[key]!r}") from None
-    if value < 1:
-        raise ValueError(f"key {key!r} must be positive, got {value}")
-    return value
-
-
-def _parse_nonneg_int(resolved: dict[str, str], key: str, default: int) -> int:
-    if key not in resolved:
-        return default
-    try:
-        value = int(resolved[key])
-    except ValueError:
-        raise ValueError(f"key {key!r} must be an integer, got {resolved[key]!r}") from None
-    if value < 0:
-        raise ValueError(f"key {key!r} must be nonnegative, got {value}")
-    return value
-
-
-def _parse_float(resolved: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in resolved:
-        if default is None:
-            raise ValueError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(resolved[key])
-    except ValueError:
-        raise ValueError(f"key {key!r} must be numeric, got {resolved[key]!r}") from None
-
-
-def _parse_bool(resolved: dict[str, str], key: str, default: bool) -> bool:
-    if key not in resolved:
-        return default
-    text = resolved[key].strip().lower()
+def _boolean(text: str) -> bool:
+    text = text.strip().lower()
     if text in ("true", "1", "yes", "on"):
         return True
     if text in ("false", "0", "no", "off"):
         return False
-    raise ValueError(f"key {key!r} must be a boolean, got {resolved[key]!r}")
+    raise ValueError(text)
+
+
+_KINDS = {int: "an integer", float: "numeric", _boolean: "a boolean"}
+
+
+def _get(resolved: dict[str, str], key: str, kind, default=None, *, minimum: int | None = None):
+    """Convert ``resolved[key]`` with ``kind`` (int, float or _boolean).
+
+    A missing key yields ``default``, or is an error when there is none.
+    Every error names the key.
+    """
+    if key not in resolved:
+        if default is None:
+            raise ValueError(f"missing required key {key!r}")
+        return default
+    try:
+        value = kind(resolved[key])
+    except ValueError:
+        raise ValueError(f"key {key!r} must be {_KINDS[kind]}, got {resolved[key]!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"key {key!r} must be at least {minimum}, got {value}")
+    return value
 
 
 def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
@@ -224,7 +182,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     shape = resolved.get("shape", "flat")
     if shape not in SHAPES:
         raise ValueError(f"key 'shape' must be one of {SHAPES}, got {shape!r}")
-    grid = _parse_positive_int(resolved, "grid", 512)
+    grid = _get(resolved, "grid", int, 512, minimum=1)
     out = _require(resolved, "out")
 
     critical = calibrate_levels(schedule, levels, shape, grid_points=grid)
@@ -314,7 +272,10 @@ def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction
             value = float(row[2])
         except ValueError:
             raise ValueError(f"bad boundary row {row!r}") from None
-        table.setdefault(rho, {})[n] = value
+        per_n = table.setdefault(rho, {})
+        if n in per_n:
+            raise ValueError(f"duplicate critical value for level {rho!r} at n={n}")
+        per_n[n] = value
         shapes.add(row[3].strip())
     if not table:
         raise ValueError(f"boundary file {path} contains no data rows")
@@ -334,7 +295,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     resolved = _resolve(args, "analyze")
     paths, labels = _read_statistics_csv(_require(resolved, "statistics"))
     critical = _read_boundary_csv(_require(resolved, "boundary"), paths.analyses)
-    alpha = _parse_float(resolved, "alpha", 0.05)
+    alpha = _get(resolved, "alpha", float, 0.05)
     variant_tag = resolved.get("variant", "holm")
     if variant_tag not in ("holm", "mult", "closed"):
         raise ValueError(
@@ -354,12 +315,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         family = HypothesisFamily.simple(paths.k, labels)
 
     schedule = SampleSchedule(paths.analyses)
-    needed = {
-        "holm": [alpha / m for m in range(1, family.k + 1)],
-        "mult": [alpha / family.k],
-        "closed": [alpha],
-    }[variant_tag]
-    for level in needed:
+    for level in stage_levels(variant_tag, alpha, family.k):
         try:
             critical.boundary(level)
         except KeyError:
@@ -418,20 +374,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if proc not in PROCEDURES:
             raise ValueError(f"unknown procedure {proc!r}; expected one of {PROCEDURES}")
     schedule = SampleSchedule(parse_int_list(resolved.get("schedule", "26,29,35")))
-    alpha = _parse_float(resolved, "alpha", 0.05)
+    alpha = _get(resolved, "alpha", float, 0.05)
     shape = resolved.get("shape", "flat")
     if shape not in SHAPES:
         raise ValueError(f"key 'shape' must be one of {SHAPES}, got {shape!r}")
-    reps = _parse_positive_int(resolved, "reps", 50_000)
-    seed = _parse_nonneg_int(resolved, "seed", 1)
-    grid = _parse_positive_int(resolved, "grid", 512)
-    cc = _parse_bool(resolved, "continuity_correction", False)
+    reps = _get(resolved, "reps", int, 50_000, minimum=1)
+    seed = _get(resolved, "seed", int, 1, minimum=0)
+    grid = _get(resolved, "grid", int, 512, minimum=1)
+    cc = _get(resolved, "continuity_correction", _boolean, False)
     if "workers" in resolved:
-        workers = _parse_positive_int(resolved, "workers")
+        workers = _get(resolved, "workers", int, minimum=1)
     else:
-        workers = _parse_positive_int({WORKERS_ENV: os.environ.get(WORKERS_ENV, "1")}, WORKERS_ENV)
+        workers = _get({WORKERS_ENV: os.environ.get(WORKERS_ENV, "1")}, WORKERS_ENV, int, minimum=1)
     out = _require(resolved, "out")
 
+    # One calibration serves every cell: a level's boundary does not
+    # depend on the other levels calibrated with it.
+    levels = needed_levels(procedures, alpha)
+    critical = calibrate_levels(schedule, levels, shape, grid_points=grid) if levels else None
     rows = []
     for params in scenarios:
         for proc in procedures:
@@ -446,7 +406,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 continuity_correction=cc,
                 grid_points=grid,
             )
-            summary = run_scenario_parallel(spec, workers=workers)
+            summary = run_scenario_parallel(spec, workers=workers, critical=critical)
             rows.append(_summary_row(summary))
     _write_rows(
         out,
@@ -488,13 +448,13 @@ def _cmd_paulson(args: argparse.Namespace) -> int:
     resolved = _resolve(args, "paulson")
     config = PaulsonConfig(
         thresholds=parse_float_list(_require(resolved, "thresholds")),
-        delta=_parse_float(resolved, "delta"),
-        critical_value=_parse_float(resolved, "critical_value"),
-        horizon=_parse_positive_int(resolved, "horizon", 100_000),
+        delta=_get(resolved, "delta", float),
+        critical_value=_get(resolved, "critical_value", float),
+        horizon=_get(resolved, "horizon", int, 100_000, minimum=1),
     )
-    theta = _parse_float(resolved, "theta")
-    reps = _parse_positive_int(resolved, "reps", 10_000)
-    seed = _parse_nonneg_int(resolved, "seed", 1)
+    theta = _get(resolved, "theta", float)
+    reps = _get(resolved, "reps", int, 10_000, minimum=1)
+    seed = _get(resolved, "seed", int, 1, minimum=0)
     method = resolved.get("method", "direct")
     if method not in ("direct", "stepdown"):
         raise ValueError(f"key 'method' must be 'direct' or 'stepdown', got {method!r}")

@@ -9,7 +9,7 @@ independent of any concrete parameter space or trial model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,7 +20,6 @@ __all__ = [
     "StatisticPaths",
     "StageRecord",
     "TrialResult",
-    "validate_family",
     "check_alpha",
     "check_pvalues",
 ]
@@ -157,21 +156,6 @@ class HypothesisFamily:
             contains_complement=tuple(tuple(row) for row in rel),
             closed_monotone=closed == "true",
         )
-
-
-def validate_family(family: HypothesisFamily) -> HypothesisFamily:
-    """Check family invariants, returning the family unchanged.
-
-    Construction already enforces the invariants; this re-runs the same
-    checks so callers holding an instance of unknown provenance can gate
-    on it explicitly.
-    """
-    return HypothesisFamily(
-        k=family.k,
-        labels=family.labels,
-        contains_complement=family.contains_complement,
-        closed_monotone=family.closed_monotone,
-    )
 
 
 @dataclass(frozen=True)

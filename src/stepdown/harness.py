@@ -8,20 +8,26 @@ replicate ranges merge exactly: splitting the replicates across workers
 or machines and merging the pieces reproduces the serial result bit for
 bit.  Each replicate's draws depend only on (master seed, replicate
 index), never on execution order.
+
+A boundary depends only on the schedule, the levels, the shape and the
+grid, so one calibration covering ``needed_levels`` of every procedure
+in a study serves all of its cells; pass it as ``critical``.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from .boundary import CriticalFunction, calibrate_levels
 from .core import HypothesisFamily, SampleSchedule
-from .procedures import CLOSED, HOLM, MULT, ProcedureVariant, holm_fixed, run_multistage
+from .procedures import HOLM, MULT, ProcedureVariant, holm_fixed, run_multistage, stage_levels
 from .trial import RngStream, ScenarioParams, generate_paths
 
 __all__ = [
@@ -32,15 +38,24 @@ __all__ = [
     "run_scenario",
     "run_scenario_parallel",
     "merge",
+    "needed_levels",
 ]
 
-PROCEDURES = ("H", "Mult", "MultH", "MultH-closed")
+PROCEDURES = ("H", "Mult", "MultH")
 
 _VARIANTS: dict[str, ProcedureVariant] = {
     "Mult": MULT,
     "MultH": HOLM,
-    "MultH-closed": CLOSED,
 }
+
+# The trial model's three hypotheses carry no containment structure.
+_FAMILY = HypothesisFamily.simple(3)
+
+
+def needed_levels(procedures: Iterable[str], alpha: float) -> tuple[float, ...]:
+    """Boundary levels the named procedures look up, tightest first."""
+    rules = {_VARIANTS[proc].rule for proc in procedures if proc != "H"}
+    return tuple(sorted({x for rule in rules for x in stage_levels(rule, alpha, _FAMILY.k)}))
 
 
 @dataclass(frozen=True)
@@ -50,9 +65,9 @@ class ScenarioSpec:
     ``H`` is the fixed-sample reference: every endpoint runs to the
     largest analysis and a step-down test is applied to the final
     p-values (exact Gaussian tails for the mean endpoints, the exact
-    binomial tail for the binary endpoint).  The ``Mult``, ``MultH`` and
-    ``MultH-closed`` procedures are the multistage variants with fixed,
-    step-down, and plain-alpha stage levels respectively.
+    binomial tail for the binary endpoint).  The ``Mult`` and ``MultH``
+    procedures are the multistage variants with fixed and step-down stage
+    levels respectively.
     """
 
     params: ScenarioParams
@@ -64,7 +79,6 @@ class ScenarioSpec:
     shape: str = "flat"
     continuity_correction: bool = False
     grid_points: int = 512
-    family: HypothesisFamily | None = None
 
     def __post_init__(self) -> None:
         if self.procedure not in PROCEDURES:
@@ -75,28 +89,10 @@ class ScenarioSpec:
             raise ValueError(f"replicates must be a positive integer, got {self.replicates!r}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        family = self.family if self.family is not None else HypothesisFamily.simple(3)
-        if family.k != 3:
-            raise ValueError("the trial model tests exactly three hypotheses")
-        if self.procedure == "MultH-closed" and not family.closed_monotone:
-            raise ValueError(
-                "MultH-closed requires a family flagged closed_monotone"
-            )
-        object.__setattr__(self, "family", family)
 
     @property
     def label(self) -> str:
         return self.params.label()
-
-    def needed_levels(self) -> tuple[float, ...]:
-        """Boundary levels the procedure will look up, tightest first."""
-        if self.procedure == "H":
-            return ()
-        if self.procedure == "Mult":
-            return (self.alpha / 3.0,)
-        if self.procedure == "MultH-closed":
-            return (self.alpha,)
-        return (self.alpha / 3.0, self.alpha / 2.0, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,7 @@ def merge(a: SimulationSummary, b: SimulationSummary) -> SimulationSummary:
 
 def build_critical(spec: ScenarioSpec) -> CriticalFunction | None:
     """Calibrate the boundary levels the scenario's procedure needs."""
-    levels = spec.needed_levels()
+    levels = needed_levels((spec.procedure,), spec.alpha)
     if not levels:
         return None
     return calibrate_levels(
@@ -235,8 +231,9 @@ def run_scenario(
         rep_range: Half-open range of replicate indices to run; defaults
             to the full range (0, spec.replicates).  Draws for replicate
             r depend only on (spec.master_seed, r).
-        critical: Pre-calibrated critical values (saves recalibration
-            when splitting a scenario across workers).
+        critical: Critical values covering the procedure's
+            ``needed_levels``, typically one calibration shared by every
+            cell of a study; calibrated here when None.
 
     Returns:
         A SimulationSummary covering exactly rep_range.
@@ -249,28 +246,31 @@ def run_scenario(
     if critical is None:
         critical = build_critical(spec)
 
-    truth = np.asarray(spec.params.truth)
+    truth = spec.params.truth
     sup = spec.schedule.sup
-    k = 3
+    k = _FAMILY.k
 
     sum_n = 0
     sumsq_n = 0
-    reject_counts = [0, 0, 0]
+    reject_counts = [0] * k
     fwe_count = 0
 
-    if spec.procedure == "H":
+    fixed_sample = spec.procedure == "H"
+    if fixed_sample:
         # Fixed-sample reference: exact one-sided binomial tail for the
         # binary endpoint, Gaussian tails for the mean endpoints.
         tail = scipy_stats.binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
-        total = k * sup
-        total_sq = total * total
-        for r in range(lo, hi):
-            paths = generate_paths(
-                spec.params,
-                spec.schedule,
-                RngStream(spec.master_seed, r),
-                continuity_correction=spec.continuity_correction,
-            )
+    else:
+        variant = _VARIANTS[spec.procedure]
+        assert critical is not None
+    for r in range(lo, hi):
+        paths = generate_paths(
+            spec.params,
+            spec.schedule,
+            RngStream(spec.master_seed, r),
+            continuity_correction=spec.continuity_correction,
+        )
+        if fixed_sample:
             t1, t2 = paths.values[0, -1], paths.values[1, -1]
             s3 = int(round(paths.sums[2, -1]))
             p = (
@@ -279,38 +279,23 @@ def run_scenario(
                 float(tail[s3]),
             )
             rejected = holm_fixed(p, spec.alpha)
-            sum_n += total
-            sumsq_n += total_sq
-            for i in range(k):
-                if rejected[i]:
-                    reject_counts[i] += 1
-            if bool(np.any(rejected & truth)):
-                fwe_count += 1
-    else:
-        variant = _VARIANTS[spec.procedure]
-        family = spec.family
-        assert critical is not None
-        for r in range(lo, hi):
-            paths = generate_paths(
-                spec.params,
-                spec.schedule,
-                RngStream(spec.master_seed, r),
-                continuity_correction=spec.continuity_correction,
-            )
+            total = k * sup
+        else:
             result = run_multistage(
-                paths, family, spec.schedule, critical, spec.alpha, variant
+                paths, _FAMILY, spec.schedule, critical, spec.alpha, variant
             )
+            rejected = result.rejected
             total = result.total_measurements
-            sum_n += total
-            sumsq_n += total * total
-            hit_true = False
-            for i in range(k):
-                if result.rejected[i]:
-                    reject_counts[i] += 1
-                    if truth[i]:
-                        hit_true = True
-            if hit_true:
-                fwe_count += 1
+        sum_n += total
+        sumsq_n += total * total
+        hit_true = False
+        for i in range(k):
+            if rejected[i]:
+                reject_counts[i] += 1
+                if truth[i]:
+                    hit_true = True
+        if hit_true:
+            fwe_count += 1
 
     return SimulationSummary(
         spec=spec,
@@ -341,20 +326,28 @@ def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def run_scenario_parallel(spec: ScenarioSpec, workers: int = 1) -> SimulationSummary:
+def run_scenario_parallel(
+    spec: ScenarioSpec,
+    workers: int = 1,
+    critical: CriticalFunction | None = None,
+) -> SimulationSummary:
     """Run a scenario across worker processes and merge the pieces.
 
-    The result is bit-identical for any worker count: replicate draws
-    are keyed by index and the merged accumulators are integers.
+    The replicates are split into ``workers`` ranges, run by at most
+    ``os.cpu_count()`` processes.  The result is bit-identical for any
+    worker count: replicate draws are keyed by index and the merged
+    accumulators are integers.  ``critical`` is as for run_scenario.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    critical = build_critical(spec)
+    if critical is None:
+        critical = build_critical(spec)
     if workers == 1 or spec.replicates == 1:
         return run_scenario(spec, critical=critical)
     ranges = split_ranges(spec.replicates, workers)
     jobs = [(spec, rng, critical) for rng in ranges]
-    with multiprocessing.Pool(processes=len(ranges)) as pool:
+    processes = min(len(ranges), os.cpu_count() or 1)
+    with multiprocessing.Pool(processes=processes) as pool:
         parts = pool.map(_worker_run, jobs)
     summary = parts[0]
     for part in parts[1:]:

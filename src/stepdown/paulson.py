@@ -119,28 +119,15 @@ def simulate_observations(
         remaining -= size
 
 
-def _iter_chunks(observations: np.ndarray | Iterable) -> Iterator[np.ndarray]:
-    if isinstance(observations, (np.ndarray, list, tuple)):
-        arr = np.asarray(observations, dtype=float).ravel()
+def _iter_chunks(observations: np.ndarray | Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    # Blocks of at most CHUNK observations from one array or from an
+    # iterable of arrays; an array is never merged with its neighbours.
+    if isinstance(observations, np.ndarray):
+        observations = (observations,)
+    for item in observations:
+        arr = np.asarray(item, dtype=float).ravel()
         for start in range(0, arr.size, CHUNK):
             yield arr[start : start + CHUNK]
-        return
-    buffer: list[float] = []
-    for item in observations:
-        if isinstance(item, np.ndarray):
-            if buffer:
-                yield np.asarray(buffer, dtype=float)
-                buffer = []
-            arr = np.asarray(item, dtype=float).ravel()
-            for start in range(0, arr.size, CHUNK):
-                yield arr[start : start + CHUNK]
-        else:
-            buffer.append(float(item))
-            if len(buffer) >= CHUNK:
-                yield np.asarray(buffer, dtype=float)
-                buffer = []
-    if buffer:
-        yield np.asarray(buffer, dtype=float)
 
 
 def _resolve(
@@ -166,7 +153,7 @@ def _qualification(all_low: np.ndarray, all_up: np.ndarray) -> np.ndarray:
 
 
 def run_paulson_direct(
-    observations: np.ndarray | Iterable, config: PaulsonConfig
+    observations: np.ndarray | Iterable[np.ndarray], config: PaulsonConfig
 ) -> PaulsonResult:
     """Classify a mean by the shrinking-interval rule.
 
@@ -178,8 +165,8 @@ def run_paulson_direct(
 
     Args:
         observations: Array of observations, or an iterable yielding
-            values or blocks of values; only the first ``horizon``
-            observations are consumed.
+            blocks of them; only the first ``horizon`` observations are
+            consumed.
         config: Thresholds, delta, critical value, horizon.
 
     Returns:
@@ -233,7 +220,7 @@ def run_paulson_direct(
 
 
 def paulson_via_stepdown(
-    observations: np.ndarray | Iterable, config: PaulsonConfig
+    observations: np.ndarray | Iterable[np.ndarray], config: PaulsonConfig
 ) -> PaulsonResult:
     """Classify a mean by step-down testing of one-sided hypothesis pairs.
 

@@ -10,9 +10,9 @@ The multistage rule replays the step-down logic over a group-sequential
 schedule.  Each stage samples the active hypotheses until some active
 statistic meets its boundary, rejects the longest qualifying prefix of
 the statistics ordered top down, then either stops (schedule exhausted,
-nothing left, every survivor contains the complement of a rejected
-hypothesis, or an early-stop variant) or carries the survivors into the
-next stage with a relaxed boundary level.
+nothing left, or every survivor contains the complement of a rejected
+hypothesis) or carries the survivors into the next stage with a relaxed
+boundary level.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "stage_sample_size",
     "stage_rejections",
     "run_multistage",
+    "stage_levels",
 ]
 
 RULES = ("holm", "mult", "closed")
@@ -50,20 +51,16 @@ RULES = ("holm", "mult", "closed")
 
 @dataclass(frozen=True)
 class ProcedureVariant:
-    """How stage levels are chosen, plus the optional early-stop rule.
+    """How stage levels are chosen.
 
     ``holm`` divides alpha by the count of still-active hypotheses,
     tightening further within a stage as rejections accumulate.  ``mult``
     uses the fixed fraction alpha / k at every stage, k being the
     original family size.  ``closed`` tests at plain alpha and relies on
     implied acceptances; it requires a family flagged closed_monotone.
-
-    ``early_stop_on_first_rejection`` ends the run at the first stage
-    that rejects anything, accepting all remaining hypotheses.
     """
 
     rule: str = "holm"
-    early_stop_on_first_rejection: bool = False
 
     def __post_init__(self) -> None:
         if self.rule not in RULES:
@@ -154,6 +151,17 @@ def _stage_level(rule: str, alpha: float, active_size: int, k_total: int, reject
     if rule == "closed":
         return alpha
     return alpha / (active_size - rejected_so_far)
+
+
+def stage_levels(rule: str, alpha: float, k: int) -> tuple[float, ...]:
+    """Every boundary level the rule looks up for k hypotheses, tightest first.
+
+    These are the levels a CriticalFunction must cover for
+    run_multistage; ``holm`` needs alpha / m for m = k, ..., 1, ``mult``
+    alpha / k, and ``closed`` alpha.  The values are computed exactly as
+    the stage loop computes them, so lookups match without tolerance.
+    """
+    return tuple(sorted({_stage_level(rule, alpha, m, k) for m in range(1, k + 1)}))
 
 
 def stage_sample_size(
@@ -258,11 +266,10 @@ def run_multistage(
     the longest qualifying prefix of the top-down ordering is rejected,
     and survivors move to stage j+1.  The run stops when the schedule is
     exhausted before any crossing (survivors are accepted at the largest
-    analysis), when nothing survives, when every survivor contains the
-    complement of some rejected hypothesis, or immediately after the
-    first rejecting stage under the early-stop variant.  Decided
-    hypotheses never re-enter testing, so each data stream freezes at
-    the stage size where its hypothesis was decided.
+    analysis), when nothing survives, or when every survivor contains the
+    complement of some rejected hypothesis.  Decided hypotheses never
+    re-enter testing, so each data stream freezes at the stage size
+    where its hypothesis was decided.
 
     Args:
         paths: Statistics for every hypothesis at every analysis.
@@ -270,7 +277,7 @@ def run_multistage(
         schedule: Allowed analysis sizes; must match the paths.
         critical: Critical values covering every level the variant uses.
         alpha: Familywise error level.
-        variant: Stage-level rule plus the early-stop switch.
+        variant: Stage-level rule.
 
     Returns:
         A TrialResult with decisions, stages, per-endpoint final sizes,
@@ -295,6 +302,8 @@ def run_multistage(
     prev_n = 0
     rejected_any: list[int] = []
 
+    # Every stage that does not stop rejects at least one hypothesis, so
+    # the loop always ends in a break.
     for stage in range(1, k + 1):
         level = _stage_level(variant.rule, alpha, len(active), k)
         n_j = stage_sample_size(paths, active, prev_n, critical, level)
@@ -302,11 +311,7 @@ def run_multistage(
         if n_j is None:
             # No remaining analysis produces a crossing: accept the
             # survivors once the schedule is exhausted.
-            for i in active:
-                decided[i] = True
-                decision_stage[i] = stage
-                final_n[i] = schedule.sup
-            active = []
+            n_j, remaining = schedule.sup, active
             break
 
         stage_rej = stage_rejections(paths, active, n_j, critical, alpha, variant)
@@ -340,36 +345,19 @@ def run_multistage(
                         final_n[b] = n_j
 
         remaining = [i for i in active if not decided[i]]
-
-        def _accept_all(reason_n: int, reason_stage: int) -> None:
-            for i in remaining:
-                decided[i] = True
-                decision_stage[i] = reason_stage
-                final_n[i] = reason_n
-
-        if not remaining:
-            active = []
-            break
-        if n_j == schedule.sup:
-            _accept_all(n_j, stage)
-            active = []
-            break
-        if all(
+        if n_j == schedule.sup or all(
             any(family.contains_complement[r][b] for r in rejected_any) for b in remaining
         ):
-            _accept_all(n_j, stage)
-            active = []
             break
-        if variant.early_stop_on_first_rejection:
-            _accept_all(n_j, stage)
-            active = []
-            break
-
         active = remaining
         prev_n = n_j
 
-    if active:  # pragma: no cover - each stage decides at least one hypothesis
-        raise AssertionError("stage loop ended with undecided hypotheses")
+    # The run stops: the schedule is exhausted, nothing survives, or
+    # every survivor contains the complement of a rejected hypothesis.
+    # The survivors are accepted where it stops.
+    for i in remaining:
+        decision_stage[i] = stage
+        final_n[i] = n_j
 
     return TrialResult(
         rejected=tuple(rejected),

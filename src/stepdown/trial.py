@@ -22,7 +22,6 @@ from .core import SampleSchedule, StatisticPaths
 __all__ = [
     "ScenarioParams",
     "RngStream",
-    "compute_statistic",
     "generate_paths",
 ]
 
@@ -92,42 +91,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=[self.master_seed, self.replicate]))
 
 
-def compute_statistic(
-    endpoint: int,
-    cumulative_sum: float,
-    n: int,
-    *,
-    continuity_correction: bool = False,
-) -> float:
-    """Standardized test statistic for one endpoint at sample size n.
-
-    Endpoints 0 and 1 are the Gaussian endpoints with statistic
-    S_n / sqrt(n).  Endpoint 2 is the binary endpoint with statistic
-    (S_n - n/2) / sqrt(n/4), the count centered and scaled under success
-    probability one half; the optional continuity correction subtracts
-    another half success before scaling.
-
-    Args:
-        endpoint: 0, 1, or 2.
-        cumulative_sum: Sum of the first n measurements of the endpoint.
-        n: Sample size, at least 1.
-        continuity_correction: Apply the half-count correction on the
-            binary endpoint (ignored for the Gaussian ones).
-
-    Returns:
-        The standardized statistic.
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
-    s = float(cumulative_sum)
-    if endpoint in (0, 1):
-        return s / math.sqrt(n)
-    if endpoint == 2:
-        shift = 0.5 if continuity_correction else 0.0
-        return (s - n / 2.0 - shift) / math.sqrt(n / 4.0)
-    raise ValueError(f"endpoint index must be 0, 1, or 2, got {endpoint}")
-
-
 def generate_paths(
     params: ScenarioParams,
     schedule: SampleSchedule,
@@ -143,6 +106,11 @@ def generate_paths(
     are recorded at every analysis size; the statistics are computed
     from those sums alone, so recomputation from the stored sums
     reproduces the paths exactly.
+
+    The Gaussian endpoints' statistic is S_n / sqrt(n).  The binary
+    endpoint's is (S_n - n/2) / sqrt(n/4), the count centered and scaled
+    under success probability one half; the optional continuity
+    correction subtracts another half success before scaling.
 
     Args:
         params: True scenario parameters.

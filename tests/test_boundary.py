@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+import stepdown.boundary
 from stepdown.boundary import (
     CriticalFunction,
     GridError,
-    SpendingSpec,
-    calibrate,
     calibrate_levels,
     crossing_probability,
     normal_quantile,
@@ -131,8 +130,8 @@ def test_calibrated_boundary_monotone_in_level():
         assert crit.value(n, 0.05 / 3.0) > crit.value(n, 0.025) > crit.value(n, 0.05)
 
 
-def test_calibrate_spending_spec():
-    crit = calibrate(SpendingSpec(schedule=SCHED, rho=0.05, shape="obrien-fleming"))
+def test_calibrate_obrien_fleming_shape():
+    crit = calibrate_levels(SCHED, [0.05], "obrien-fleming")
     b = crit.boundary(0.05)
     # O'Brien-Fleming boundaries start high and fall toward the horizon.
     assert b[0] > b[1] > b[2]
@@ -150,6 +149,25 @@ def test_from_table_and_level_lookup():
 def test_table_must_be_monotone_in_level():
     with pytest.raises(ValueError, match="non-increasing"):
         CriticalFunction.from_table(SCHED, {0.05: (2.5, 2.5, 2.5), 0.025: (2.0, 2.0, 2.0)})
+
+
+def test_table_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        CriticalFunction.from_table(SCHED, {0.05: (2.0, float("nan"), 1.9)})
+    with pytest.raises(ValueError, match="NaN"):
+        CriticalFunction(SCHED, "flat", {0.05: (float("nan"),) * 3})
+
+
+def test_grid_points_checked_before_integration(monkeypatch):
+    def no_integration(*args):
+        raise AssertionError("the grid size must be checked before integrating")
+
+    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", no_integration)
+    for bad in (3, 7, 4097, 100_000):
+        with pytest.raises(ValueError, match="grid_points"):
+            calibrate_levels(SCHED, [0.05], grid_points=bad)
+        with pytest.raises(ValueError, match="grid_points"):
+            crossing_probability(SCHED, [2.0, 2.0, 2.0], grid_points=bad)
 
 
 def test_grid_error_when_tolerance_unmeetable():

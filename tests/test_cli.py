@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import stepdown.cli
+import stepdown.harness
 from stepdown.boundary import calibrate_levels
 from stepdown.cli import default_table_config, main, parse_scenarios
 from stepdown.core import SampleSchedule, parse_kv_text
@@ -299,3 +301,71 @@ def test_statistics_csv_validation(tmp_path, capsys):
     )
     assert code == 2
     assert "duplicate statistic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["3", "4097"])
+def test_grid_size_is_a_configuration_error(tmp_path, capsys, grid):
+    out = tmp_path / "b.csv"
+    code = main(
+        ["boundary", "--schedule", "26,29,35", "--rho", "0.05", "--grid", grid, "--out", str(out)]
+    )
+    assert code == 2
+    assert "grid_points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _analyze_with_boundary(tmp_path, boundary_text):
+    bound = tmp_path / "bound.csv"
+    bound.write_text("n,rho,critical_value,shape\n" + boundary_text)
+    stats = tmp_path / "stats.csv"
+    stats.write_text("hypothesis,n,statistic\nA,26,9.0\nA,29,9.0\nA,35,9.0\n")
+    out = tmp_path / "d.csv"
+    code = main(
+        ["analyze", "--statistics", str(stats), "--boundary", str(bound), "--out", str(out)]
+    )
+    return code, out
+
+
+def test_boundary_csv_rejects_nan(tmp_path, capsys):
+    code, out = _analyze_with_boundary(
+        tmp_path, "26,0.05,nan,flat\n29,0.05,nan,flat\n35,0.05,nan,flat\n"
+    )
+    assert code == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boundary_csv_rejects_duplicate_rows(tmp_path, capsys):
+    code, out = _analyze_with_boundary(
+        tmp_path, "26,0.05,1.0,flat\n29,0.05,1.0,flat\n35,0.05,1.0,flat\n26,0.05,99.0,flat\n"
+    )
+    assert code == 2
+    assert "duplicate critical value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _count_calibrations(monkeypatch):
+    calls = []
+
+    def counted(original):
+        def wrapper(schedule, levels, *args, **kwargs):
+            calls.append(tuple(levels))
+            return original(schedule, levels, *args, **kwargs)
+
+        return wrapper
+
+    for module in (stepdown.cli, stepdown.harness):
+        monkeypatch.setattr(module, "calibrate_levels", counted(module.calibrate_levels))
+    return calls
+
+
+def test_simulate_calibrates_once_per_run(tmp_path, monkeypatch):
+    calls = _count_calibrations(monkeypatch)
+    args = ["simulate", "--config", default_table_config(), "--reps", "3", "--workers", "1"]
+    assert main(args + ["--out", str(tmp_path / "all.csv")]) == 0
+    assert calls == [(0.05 / 3.0, 0.05 / 2.0, 0.05)]
+    assert len(read_csv(tmp_path / "all.csv")) == 1 + 8 * 3
+
+    calls.clear()
+    assert main(args + ["--procedure", "H", "--out", str(tmp_path / "h.csv")]) == 0
+    assert calls == []

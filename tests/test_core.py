@@ -11,7 +11,6 @@ from stepdown.core import (
     check_pvalues,
     parse_int_list,
     parse_kv_text,
-    validate_family,
 )
 
 
@@ -20,7 +19,6 @@ def test_simple_family_is_valid():
     assert fam.k == 3
     assert fam.labels == ("H1", "H2", "H3")
     assert all(not any(row) for row in fam.contains_complement)
-    assert validate_family(fam) == fam
 
 
 def test_empty_family_rejected():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import stepdown.harness
 from stepdown.core import SampleSchedule
 from stepdown.harness import (
     ScenarioSpec,
     build_critical,
     empty_summary,
     merge,
+    needed_levels,
     run_scenario,
     run_scenario_parallel,
     split_ranges,
@@ -28,14 +30,16 @@ def test_spec_validation():
         spec_for("Bonferroni")
     with pytest.raises(ValueError, match="replicates"):
         spec_for("MultH", reps=0)
-    with pytest.raises(ValueError, match="closed_monotone"):
+    with pytest.raises(ValueError, match="unknown procedure"):
         spec_for("MultH-closed")
 
 
 def test_needed_levels():
-    assert spec_for("H").needed_levels() == ()
-    assert spec_for("Mult").needed_levels() == (0.05 / 3.0,)
-    assert spec_for("MultH").needed_levels() == (0.05 / 3.0, 0.05 / 2.0, 0.05)
+    assert needed_levels(("H",), 0.05) == ()
+    assert needed_levels(("Mult",), 0.05) == (0.05 / 3.0,)
+    assert needed_levels(("MultH",), 0.05) == (0.05 / 3.0, 0.05 / 2.0, 0.05)
+    assert needed_levels(("H", "Mult", "MultH"), 0.05) == (0.05 / 3.0, 0.05 / 2.0, 0.05)
+    assert needed_levels(("Mult", "H"), 0.1) == (0.1 / 3.0,)
 
 
 def test_h_procedure_uses_full_sample():
@@ -128,6 +132,49 @@ def test_parallel_matches_serial():
     serial = run_scenario_parallel(spec, workers=1)
     parallel = run_scenario_parallel(spec, workers=4)
     assert serial == parallel
+
+
+def test_parallel_uses_given_critical(monkeypatch):
+    spec = spec_for("Mult", reps=60)
+    critical = build_critical(spec)
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("a supplied boundary must not be recalibrated")
+
+    monkeypatch.setattr(stepdown.harness, "calibrate_levels", no_calibration)
+    assert run_scenario_parallel(spec, workers=1, critical=critical) == run_scenario(
+        spec, critical=critical
+    )
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool and runs jobs in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+def test_pool_size_bounded_by_cpu_count(monkeypatch):
+    monkeypatch.setattr(stepdown.harness.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(stepdown.harness.os, "cpu_count", lambda: 3)
+    _RecordingPool.sizes = []
+    spec = spec_for("H", reps=100)
+    many = run_scenario_parallel(spec, workers=50_000)
+    assert _RecordingPool.sizes == [3]
+    assert many == run_scenario_parallel(spec, workers=1)
+    run_scenario_parallel(spec, workers=2)
+    assert _RecordingPool.sizes == [3, 2]
 
 
 def test_worker_count_cannot_change_counts():

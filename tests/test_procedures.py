@@ -12,6 +12,7 @@ from stepdown.procedures import (
     holm_closed,
     holm_fixed,
     run_multistage,
+    stage_levels,
     stage_rejections,
     stage_sample_size,
 )
@@ -193,6 +194,15 @@ def test_variant_validation():
         ProcedureVariant(rule="bonferroni")
 
 
+def test_stage_levels():
+    # Exact equality: these are the floats the stage loop looks up.
+    assert stage_levels("holm", ALPHA, 3) == (ALPHA / 3.0, ALPHA / 2.0, ALPHA)
+    assert stage_levels("mult", ALPHA, 3) == (ALPHA / 3.0,)
+    assert stage_levels("closed", ALPHA, 3) == (ALPHA,)
+    assert stage_levels("holm", ALPHA, 1) == (ALPHA,)
+    assert stage_levels("mult", ALPHA, 5) == (ALPHA / 5.0,)
+
+
 def test_run_multistage_hand_trace():
     # Only the third statistic ever crosses, at the first analysis; the
     # other two run to the horizon and are accepted.
@@ -252,17 +262,6 @@ def test_run_multistage_stepdown_relaxes_levels():
 
     mult = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA, MULT)
     assert mult.rejected == (True, False, False)
-
-
-def test_run_multistage_early_stop_variant():
-    crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
-    values = np.array([[2.9, 1.0, 1.0], [2.0, 2.65, 2.65], [0.0, 0.0, 0.0]])
-    paths = StatisticPaths((26, 29, 35), values)
-    early = ProcedureVariant(rule="holm", early_stop_on_first_rejection=True)
-    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA, early)
-    assert res.rejected == (True, False, False)
-    assert res.endpoint_final_n == (26, 26, 26)
-    assert res.total_measurements == 78
 
 
 def test_run_multistage_containment_stop():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stepdown.core import SampleSchedule
-from stepdown.trial import RngStream, ScenarioParams, compute_statistic, generate_paths
+from stepdown.trial import RngStream, ScenarioParams, generate_paths
 
 SCHED = SampleSchedule((26, 29, 35))
 
@@ -30,30 +30,35 @@ def test_scenario_label():
 
 
 def test_gaussian_statistic():
-    assert compute_statistic(0, 5.0, 25) == pytest.approx(1.0)
-    assert compute_statistic(1, -3.0, 9) == pytest.approx(-1.0)
+    # S_n / sqrt(n), recomputed from the recorded sums.
+    paths = generate_paths(ScenarioParams(0.3, -0.2, 0.6), SCHED, RngStream(9, 5))
+    for e in (0, 1):
+        for j, n in enumerate(SCHED):
+            assert paths.values[e, j] == pytest.approx(paths.sums[e, j] / math.sqrt(n))
 
 
 def test_binary_statistic():
-    # 20 successes out of 26 sits 7 above the null center 13, scaled by
-    # sqrt(26/4).
-    t = compute_statistic(2, 20.0, 26)
-    assert t == pytest.approx((20.0 - 13.0) / math.sqrt(6.5))
-    assert t == pytest.approx(2.745626, abs=1e-6)
+    # (S_n - n/2) / sqrt(n/4): the count centered and scaled under p = 1/2.
+    paths = generate_paths(ScenarioParams(0.3, -0.2, 0.6), SCHED, RngStream(9, 5))
+    for j, n in enumerate(SCHED):
+        expect = (paths.sums[2, j] - n / 2.0) / math.sqrt(n / 4.0)
+        assert paths.values[2, j] == pytest.approx(expect)
+    # Every trial a success: 26 successes sit 13 above the null center,
+    # scaled by sqrt(26/4), which is sqrt(26).
+    full = generate_paths(ScenarioParams(0.0, 0.0, 1.0), SCHED, RngStream(3, 0))
+    assert full.values[2, 0] == pytest.approx((26.0 - 13.0) / math.sqrt(6.5))
+    assert full.values[2, 0] == pytest.approx(math.sqrt(26.0))
 
 
 def test_binary_statistic_continuity_correction():
-    plain = compute_statistic(2, 20.0, 26)
-    corrected = compute_statistic(2, 20.0, 26, continuity_correction=True)
-    assert corrected == pytest.approx((20.0 - 13.0 - 0.5) / math.sqrt(6.5))
-    assert corrected < plain
-
-
-def test_statistic_validation():
-    with pytest.raises(ValueError, match="sample size"):
-        compute_statistic(0, 1.0, 0)
-    with pytest.raises(ValueError, match="endpoint"):
-        compute_statistic(3, 1.0, 10)
+    params = ScenarioParams(0.0, 0.5, 0.75)
+    plain = generate_paths(params, SCHED, RngStream(4, 2))
+    corrected = generate_paths(params, SCHED, RngStream(4, 2), continuity_correction=True)
+    ns = np.asarray(SCHED.analyses, dtype=float)
+    assert np.array_equal(plain.sums, corrected.sums)
+    assert np.array_equal(plain.values[:2], corrected.values[:2])
+    assert corrected.values[2] == pytest.approx(plain.values[2] - 0.5 / np.sqrt(ns / 4.0))
+    assert np.all(corrected.values[2] < plain.values[2])
 
 
 def test_rng_stream_validation():
@@ -73,15 +78,6 @@ def test_generate_paths_deterministic():
     assert not np.array_equal(a.values, c.values)
     d = generate_paths(params, SCHED, RngStream(2, 42))
     assert not np.array_equal(a.values, d.values)
-
-
-def test_generate_paths_consistent_with_compute_statistic():
-    params = ScenarioParams(0.3, -0.2, 0.6)
-    paths = generate_paths(params, SCHED, RngStream(9, 5))
-    for e in range(3):
-        for j, n in enumerate(SCHED):
-            expect = compute_statistic(e, paths.sums[e, j], n)
-            assert paths.values[e, j] == pytest.approx(expect)
 
 
 def test_generate_paths_degenerate_probability():
