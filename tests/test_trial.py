@@ -39,10 +39,6 @@ def test_gaussian_statistic():
 
 def test_binary_statistic():
     # (S_n - n/2) / sqrt(n/4): the count centered and scaled under p = 1/2.
-    paths = generate_paths(ScenarioParams(0.3, -0.2, 0.6), SCHED, RngStream(9, 5))
-    for j, n in enumerate(SCHED):
-        expect = (paths.sums[2, j] - n / 2.0) / math.sqrt(n / 4.0)
-        assert paths.values[2, j] == pytest.approx(expect)
     # Every trial a success: 26 successes sit 13 above the null center,
     # scaled by sqrt(26/4), which is sqrt(26).
     full = generate_paths(ScenarioParams(0.0, 0.0, 1.0), SCHED, RngStream(3, 0))
@@ -78,6 +74,19 @@ def test_generate_paths_deterministic():
     assert not np.array_equal(a.values, c.values)
     d = generate_paths(params, SCHED, RngStream(2, 42))
     assert not np.array_equal(a.values, d.values)
+
+
+def test_generate_paths_consistent_with_compute_statistic():
+    # Each recorded statistic is its endpoint's formula applied to the
+    # recorded sum: S_n / sqrt(n) for the Gaussian endpoints and
+    # (S_n - n/2) / sqrt(n/4) for the binary one.
+    params = ScenarioParams(0.3, -0.2, 0.6)
+    paths = generate_paths(params, SCHED, RngStream(9, 5))
+    for e in range(3):
+        for j, n in enumerate(SCHED):
+            s = paths.sums[e, j]
+            expect = s / math.sqrt(n) if e < 2 else (s - n / 2.0) / math.sqrt(n / 4.0)
+            assert paths.values[e, j] == pytest.approx(expect)
 
 
 def test_generate_paths_degenerate_probability():
