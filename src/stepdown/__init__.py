@@ -49,11 +49,12 @@ from .procedures import (
     holm_closed,
     holm_fixed,
     run_multistage,
+    run_multistage_batch,
     stage_levels,
     stage_rejections,
     stage_sample_size,
 )
-from .trial import RngStream, ScenarioParams, generate_paths
+from .trial import RngStream, ScenarioParams, generate_batch, generate_paths
 
 __version__ = "0.1.0"
 
@@ -91,11 +92,13 @@ __all__ = [
     "holm_closed",
     "holm_fixed",
     "run_multistage",
+    "run_multistage_batch",
     "stage_levels",
     "stage_rejections",
     "stage_sample_size",
     "RngStream",
     "ScenarioParams",
+    "generate_batch",
     "generate_paths",
     "__version__",
 ]

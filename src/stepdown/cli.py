@@ -28,12 +28,14 @@ from .boundary import (
     CalibrationError,
     CriticalFunction,
     GridError,
+    _check_grid_points,
     calibrate_levels,
 )
 from .core import (
     HypothesisFamily,
     SampleSchedule,
     StatisticPaths,
+    check_alpha,
     parse_float_list,
     parse_int_list,
     parse_kv_text,
@@ -295,7 +297,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     resolved = _resolve(args, "analyze")
     paths, labels = _read_statistics_csv(_require(resolved, "statistics"))
     critical = _read_boundary_csv(_require(resolved, "boundary"), paths.analyses)
-    alpha = _get(resolved, "alpha", float, 0.05)
+    alpha = check_alpha(_get(resolved, "alpha", float, 0.05))
     variant_tag = resolved.get("variant", "holm")
     if variant_tag not in ("holm", "mult", "closed"):
         raise ValueError(
@@ -381,6 +383,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     reps = _get(resolved, "reps", int, 50_000, minimum=1)
     seed = _get(resolved, "seed", int, 1, minimum=0)
     grid = _get(resolved, "grid", int, 512, minimum=1)
+    # Checked here too: with --procedure H alone nothing is calibrated.
+    _check_grid_points(grid)
     cc = _get(resolved, "continuity_correction", _boolean, False)
     if "workers" in resolved:
         workers = _get(resolved, "workers", int, minimum=1)
@@ -392,22 +396,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # depend on the other levels calibrated with it.
     levels = needed_levels(procedures, alpha)
     critical = calibrate_levels(schedule, levels, shape, grid_points=grid) if levels else None
-    rows = []
-    for params in scenarios:
-        for proc in procedures:
-            spec = ScenarioSpec(
-                params=params,
-                schedule=schedule,
-                procedure=proc,
-                alpha=alpha,
-                replicates=reps,
-                master_seed=seed,
-                shape=shape,
-                continuity_correction=cc,
-                grid_points=grid,
-            )
-            summary = run_scenario_parallel(spec, workers=workers, critical=critical)
-            rows.append(_summary_row(summary))
+    specs = [
+        ScenarioSpec(
+            params=params,
+            schedule=schedule,
+            procedure=proc,
+            alpha=alpha,
+            replicates=reps,
+            master_seed=seed,
+            shape=shape,
+            continuity_correction=cc,
+            grid_points=grid,
+        )
+        for params in scenarios
+        for proc in procedures
+    ]
+    summaries = run_scenario_parallel(specs, workers=workers, critical=critical)
+    rows = [_summary_row(summary) for summary in summaries]
     _write_rows(
         out,
         (

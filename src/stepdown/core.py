@@ -34,10 +34,14 @@ def check_alpha(alpha: float) -> float:
 
 
 def check_pvalues(p_values: Iterable[float]) -> np.ndarray:
-    """Validate a vector of p-values, returning it as a float array."""
+    """Validate p-values, returning them as a float array.
+
+    Accepts a nonempty vector, or a matrix holding one such vector per
+    row.
+    """
     p = np.asarray(list(p_values) if not isinstance(p_values, np.ndarray) else p_values, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("p-values must form a nonempty one-dimensional vector")
+    if p.ndim not in (1, 2) or p.shape[-1] == 0:
+        raise ValueError("p-values must form a nonempty vector or a matrix of such rows")
     if np.any(np.isnan(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("p-values must lie in [0, 1]")
     return p

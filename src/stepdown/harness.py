@@ -9,6 +9,13 @@ or machines and merging the pieces reproduces the serial result bit for
 bit.  Each replicate's draws depend only on (master seed, replicate
 index), never on execution order.
 
+Replicates run in blocks: one ``generate_batch`` call draws a block and
+one vectorised pass decides it (``run_multistage_batch`` for the staged
+procedures, ``holm_fixed`` on a p-value matrix for ``H``).  Both give
+every replicate exactly the numbers and decisions of the one-replicate
+functions ``generate_paths`` and ``run_multistage``, so the block size
+bounds memory and changes no result.
+
 A boundary depends only on the schedule, the levels, the shape and the
 grid, so one calibration covering ``needed_levels`` of every procedure
 in a study serves all of its cells; pass it as ``critical``.
@@ -20,15 +27,25 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from .boundary import CriticalFunction, calibrate_levels
 from .core import HypothesisFamily, SampleSchedule
-from .procedures import HOLM, MULT, ProcedureVariant, holm_fixed, run_multistage, stage_levels
-from .trial import RngStream, ScenarioParams, generate_paths
+# run_multistage and generate_paths are not called here; they stay bound
+# because bench/tracing.py wraps them on this module.
+from .procedures import (
+    HOLM,
+    MULT,
+    ProcedureVariant,
+    holm_fixed,
+    run_multistage,
+    run_multistage_batch,
+    stage_levels,
+)
+from .trial import ScenarioParams, generate_batch, generate_paths
 
 __all__ = [
     "PROCEDURES",
@@ -50,6 +67,15 @@ _VARIANTS: dict[str, ProcedureVariant] = {
 
 # The trial model's three hypotheses carry no containment structure.
 _FAMILY = HypothesisFamily.simple(3)
+
+# Observations drawn per endpoint in one block of replicates: 3,744
+# replicates on a 35-observation schedule, about 7 MB of draws.
+BLOCK_OBSERVATIONS = 1 << 17
+
+
+def block_replicates(schedule: SampleSchedule) -> int:
+    """Replicates per block for a schedule; results do not depend on it."""
+    return max(1, BLOCK_OBSERVATIONS // schedule.sup)
 
 
 def needed_levels(procedures: Iterable[str], alpha: float) -> tuple[float, ...]:
@@ -246,13 +272,13 @@ def run_scenario(
     if critical is None:
         critical = build_critical(spec)
 
-    truth = spec.params.truth
+    truth = np.asarray(spec.params.truth)
     sup = spec.schedule.sup
     k = _FAMILY.k
 
     sum_n = 0
     sumsq_n = 0
-    reject_counts = [0] * k
+    reject_counts = np.zeros(k, dtype=np.int64)
     fwe_count = 0
 
     fixed_sample = spec.procedure == "H"
@@ -263,39 +289,33 @@ def run_scenario(
     else:
         variant = _VARIANTS[spec.procedure]
         assert critical is not None
-    for r in range(lo, hi):
-        paths = generate_paths(
+    step = block_replicates(spec.schedule)
+    for start in range(lo, hi, step):
+        sums, values = generate_batch(
             spec.params,
             spec.schedule,
-            RngStream(spec.master_seed, r),
+            spec.master_seed,
+            (start, min(start + step, hi)),
             continuity_correction=spec.continuity_correction,
         )
         if fixed_sample:
-            t1, t2 = paths.values[0, -1], paths.values[1, -1]
-            s3 = int(round(paths.sums[2, -1]))
-            p = (
-                0.5 * math.erfc(t1 / math.sqrt(2.0)),
-                0.5 * math.erfc(t2 / math.sqrt(2.0)),
-                float(tail[s3]),
-            )
+            # math.erfc, not a vectorised erfc, keeps every p-value equal
+            # to the one-replicate computation.
+            p = np.empty((len(values), k))
+            for e in (0, 1):
+                p[:, e] = [0.5 * math.erfc(t / math.sqrt(2.0)) for t in values[:, e, -1].tolist()]
+            p[:, 2] = tail[np.rint(sums[:, 2, -1]).astype(np.int64)]
             rejected = holm_fixed(p, spec.alpha)
-            total = k * sup
+            total = np.full(len(values), k * sup, dtype=np.int64)
         else:
-            result = run_multistage(
-                paths, _FAMILY, spec.schedule, critical, spec.alpha, variant
+            rejected, final_n = run_multistage_batch(
+                values, _FAMILY, spec.schedule, critical, spec.alpha, variant
             )
-            rejected = result.rejected
-            total = result.total_measurements
-        sum_n += total
-        sumsq_n += total * total
-        hit_true = False
-        for i in range(k):
-            if rejected[i]:
-                reject_counts[i] += 1
-                if truth[i]:
-                    hit_true = True
-        if hit_true:
-            fwe_count += 1
+            total = final_n.sum(axis=1)
+        sum_n += int(total.sum())
+        sumsq_n += int((total * total).sum())
+        reject_counts += rejected.sum(axis=0)
+        fwe_count += int((rejected & truth).any(axis=1).sum())
 
     return SimulationSummary(
         spec=spec,
@@ -303,7 +323,7 @@ def run_scenario(
         replicates=hi - lo,
         sum_measurements=sum_n,
         sumsq_measurements=sumsq_n,
-        reject_counts=tuple(reject_counts),
+        reject_counts=tuple(int(c) for c in reject_counts),
         fwe_count=fwe_count,
     )
 
@@ -327,29 +347,38 @@ def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
 
 
 def run_scenario_parallel(
-    spec: ScenarioSpec,
+    specs: Sequence[ScenarioSpec],
     workers: int = 1,
     critical: CriticalFunction | None = None,
-) -> SimulationSummary:
-    """Run a scenario across worker processes and merge the pieces.
+) -> list[SimulationSummary]:
+    """Run scenarios across worker processes and merge each one's pieces.
 
-    The replicates are split into ``workers`` ranges, run by at most
-    ``os.cpu_count()`` processes.  The result is bit-identical for any
+    Each scenario's replicates are split into ``workers`` ranges, and all
+    ranges of all scenarios go through one pool of at most
+    ``os.cpu_count()`` processes.  The results are bit-identical for any
     worker count: replicate draws are keyed by index and the merged
-    accumulators are integers.  ``critical`` is as for run_scenario.
+    accumulators are integers.  ``critical`` is as for run_scenario and
+    serves every scenario; when None, each scenario calibrates its own.
+
+    Returns:
+        One summary per scenario, in order.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if critical is None:
-        critical = build_critical(spec)
-    if workers == 1 or spec.replicates == 1:
-        return run_scenario(spec, critical=critical)
-    ranges = split_ranges(spec.replicates, workers)
-    jobs = [(spec, rng, critical) for rng in ranges]
-    processes = min(len(ranges), os.cpu_count() or 1)
+    criticals = [critical if critical is not None else build_critical(spec) for spec in specs]
+    if workers == 1:
+        return [run_scenario(spec, critical=c) for spec, c in zip(specs, criticals)]
+    split = [split_ranges(spec.replicates, workers) for spec in specs]
+    jobs = [
+        (spec, rng, c) for spec, c, ranges in zip(specs, criticals, split) for rng in ranges
+    ]
+    processes = min(max((len(ranges) for ranges in split), default=1), os.cpu_count() or 1)
     with multiprocessing.Pool(processes=processes) as pool:
-        parts = pool.map(_worker_run, jobs)
-    summary = parts[0]
-    for part in parts[1:]:
-        summary = merge(summary, part)
-    return summary
+        parts = iter(pool.map(_worker_run, jobs))
+    summaries = []
+    for spec, ranges in zip(specs, split):
+        summary = empty_summary(spec)
+        for _ in ranges:
+            summary = merge(summary, next(parts))
+        summaries.append(summary)
+    return summaries

@@ -43,6 +43,7 @@ __all__ = [
     "stage_sample_size",
     "stage_rejections",
     "run_multistage",
+    "run_multistage_batch",
     "stage_levels",
 ]
 
@@ -72,7 +73,7 @@ MULT = ProcedureVariant("mult")
 CLOSED = ProcedureVariant("closed")
 
 
-def holm_fixed(p_values: Sequence[float], alpha: float) -> np.ndarray:
+def holm_fixed(p_values: Sequence[float] | np.ndarray, alpha: float) -> np.ndarray:
     """Step-down test of k p-values at familywise level alpha.
 
     Orders the p-values increasingly and rejects the j-th while it is
@@ -82,22 +83,22 @@ def holm_fixed(p_values: Sequence[float], alpha: float) -> np.ndarray:
     first.
 
     Args:
-        p_values: One p-value per hypothesis.
+        p_values: One p-value per hypothesis, shape ``(k,)``, or one row
+            of them per replicate, shape ``(R, k)``.
         alpha: Familywise error level in (0, 1).
 
     Returns:
-        Boolean array, True where the hypothesis is rejected.
+        Boolean array of the same shape, True where the hypothesis is
+        rejected.
     """
     p = check_pvalues(p_values)
     alpha = check_alpha(alpha)
-    k = p.size
-    rejected = np.zeros(k, dtype=bool)
-    order = np.lexsort((np.arange(k), p))
-    for j, idx in enumerate(order):
-        if p[idx] < alpha / (k - j):
-            rejected[idx] = True
-        else:
-            break
+    k = p.shape[-1]
+    order = np.argsort(p, axis=-1, kind="stable")
+    thresholds = alpha / (k - np.arange(k))
+    passed = np.take_along_axis(p, order, axis=-1) < thresholds
+    rejected = np.empty_like(passed)
+    np.put_along_axis(rejected, order, np.logical_and.accumulate(passed, axis=-1), axis=-1)
     return rejected
 
 
@@ -123,8 +124,8 @@ def holm_closed(
     """
     p = check_pvalues(p_values)
     alpha = check_alpha(alpha)
-    if p.size != family.k:
-        raise ValueError(f"expected {family.k} p-values, got {p.size}")
+    if p.shape != (family.k,):
+        raise ValueError(f"expected {family.k} p-values, got shape {p.shape}")
     if not family.closed_monotone:
         raise ValueError("the closed variant requires a family flagged closed_monotone")
     out_degree = [sum(family.contains_complement[a]) for a in range(family.k)]
@@ -365,3 +366,108 @@ def run_multistage(
         endpoint_final_n=tuple(final_n),
         stages=tuple(records),
     )
+
+
+def run_multistage_batch(
+    values: np.ndarray,
+    family: HypothesisFamily,
+    schedule: SampleSchedule,
+    critical: CriticalFunction,
+    alpha: float,
+    variant: ProcedureVariant = HOLM,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the multistage procedure on many replicates at once.
+
+    Replicate r's decisions and final sizes equal those of
+    ``run_multistage`` on ``StatisticPaths(schedule.analyses, values[r])``
+    exactly; the stage records are not kept.  Active sets are boolean
+    masks, stage boundaries are looked up by active count, the
+    within-stage order is a stable row-wise sort on (-statistic, index),
+    and a cumulative AND picks the rejected prefix.  The loop runs over
+    stages, at most k of them, not over replicates.
+
+    Args:
+        values: Statistics of shape ``(R, k, len(schedule))``.
+        family: The hypothesis family, including containment structure.
+        schedule: Allowed analysis sizes.
+        critical: Critical values covering every level the variant uses.
+        alpha: Familywise error level.
+        variant: Stage-level rule.
+
+    Returns:
+        ``(rejected, final_n)``, each of shape ``(R, k)``: True where a
+        hypothesis is rejected, and each endpoint's sample size when its
+        hypothesis was decided.
+    """
+    alpha = check_alpha(alpha)
+    values = np.asarray(values, dtype=float)
+    k, n_looks = family.k, len(schedule)
+    if values.ndim != 3 or values.shape[1:] != (k, n_looks):
+        raise ValueError(f"values must have shape (R, {k}, {n_looks}), got {values.shape}")
+    if np.isnan(values).any():
+        raise ValueError("statistic values must not be NaN")
+    if tuple(critical.schedule.analyses) != schedule.analyses:
+        raise ValueError("critical function and schedule disagree on the analysis sizes")
+    if variant.rule == "closed" and not family.closed_monotone:
+        raise ValueError("the closed variant requires a family flagged closed_monotone")
+
+    reps = values.shape[0]
+    analyses = np.asarray(schedule.analyses)
+    # bounds[m] is the boundary at the stage level for m active
+    # hypotheses.  Row 0 pads the lookup for positions past m, which the
+    # rank mask below excludes.
+    bounds = np.full((k + 1, n_looks), np.inf)
+    for m in range(1, k + 1):
+        bounds[m] = critical.boundary(_stage_level(variant.rule, alpha, m, k))
+    contains = np.asarray(family.contains_complement, dtype=bool)
+    rank = np.arange(k)
+
+    active = np.ones((reps, k), dtype=bool)
+    rejected = np.zeros((reps, k), dtype=bool)
+    final_n = np.zeros((reps, k), dtype=np.int64)
+    prev_col = np.full(reps, -1)
+
+    # A replicate stays in the loop while it has active hypotheses; every
+    # stage that does not stop rejects at least one, so k stages suffice.
+    for _ in range(k):
+        rows = np.flatnonzero(active.any(axis=1))
+        if rows.size == 0:
+            break
+        act, val, rej_before = active[rows], values[rows], rejected[rows]
+        m = act.sum(axis=1)
+
+        # Stage sample size: the first analysis past the previous stage
+        # where some active statistic meets the stage boundary.
+        top = np.where(act[:, :, None], val, -np.inf).max(axis=1)
+        cross = (top >= bounds[m]) & (np.arange(n_looks) > prev_col[rows, None])
+        hit = cross.any(axis=1)
+        col = np.where(hit, cross.argmax(axis=1), n_looks - 1)
+        n_j = analyses[col]
+
+        # Stage rejections: the longest prefix of the top-down order in
+        # which the l-th statistic clears the boundary for m - l + 1
+        # active hypotheses.  Rows without a crossing reject nothing.
+        stats = val[np.arange(rows.size), :, col]
+        order = np.lexsort((-stats, ~act), axis=1)
+        ranked = np.take_along_axis(stats, order, axis=1)
+        level_row = np.clip(m[:, None] - rank, 0, None)
+        passed = (ranked >= bounds[level_row, col[:, None]]) & (rank < m[:, None]) & hit[:, None]
+        stage_rej = np.empty_like(passed)
+        np.put_along_axis(stage_rej, order, np.logical_and.accumulate(passed, axis=1), axis=1)
+
+        decided = stage_rej.copy()
+        if variant.rule == "closed":
+            # Implied acceptances of this stage's rejections.
+            decided |= (stage_rej[:, :, None] & contains).any(axis=1)
+        rej_now = rej_before | stage_rej
+        remaining = act & ~decided
+        covered = (rej_now[:, :, None] & contains).any(axis=1)
+        stop = ~hit | (col == n_looks - 1) | ~(remaining & ~covered).any(axis=1)
+        # Decided hypotheses freeze at n_j; on a stop, so do the survivors.
+        settle = (act & decided) | (remaining & stop[:, None])
+        final_n[rows] = np.where(settle, n_j[:, None], final_n[rows])
+        rejected[rows] = rej_now
+        active[rows] = remaining & ~stop[:, None]
+        prev_col[rows] = col
+
+    return rejected, final_n

@@ -8,6 +8,12 @@ the binary endpoint.  All three statistics are standardized cumulative
 sums, so under the null boundary each behaves like a driftless
 standardized Gaussian walk (exactly for the Gaussian endpoints, by
 normal approximation for the binary one).
+
+Replicate r of a run with master seed s draws from its own Philox
+stream keyed ``[s, r]`` (``RngStream``).  ``generate_batch`` simulates a
+range of replicates at once and ``generate_paths`` one; both follow the
+same draw contract, so a replicate's numbers do not depend on which
+function drew it or on what else was drawn with it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .core import SampleSchedule, StatisticPaths
 __all__ = [
     "ScenarioParams",
     "RngStream",
+    "generate_batch",
     "generate_paths",
 ]
 
@@ -75,9 +82,13 @@ class ScenarioParams:
 class RngStream:
     """A counter-based random stream keyed by (master seed, replicate).
 
-    Each replicate owns an independent stream regardless of execution
-    order, so splitting replicates across workers, re-running a subset,
-    or merging partial runs all reproduce the same draws.
+    The stream is the Philox generator with key ``[master_seed,
+    replicate]`` and counter 0.  Each replicate owns an independent
+    stream regardless of execution order, so splitting replicates across
+    workers, re-running a subset, or merging partial runs all reproduce
+    the same draws.  ``generate_batch`` reproduces the same stream for
+    many replicates by re-keying one Philox bit generator instead of
+    building a generator per replicate.
     """
 
     master_seed: int
@@ -91,6 +102,86 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=[self.master_seed, self.replicate]))
 
 
+def generate_batch(
+    params: ScenarioParams,
+    schedule: SampleSchedule,
+    master_seed: int,
+    rep_range: tuple[int, int],
+    *,
+    continuity_correction: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate replicates ``lo <= r < hi`` and return their sums and statistics.
+
+    Replicate r draws from ``RngStream(master_seed, r)``, in this order:
+    first the two Gaussian endpoint rows (a standard normal matrix pushed
+    through the correlation factor), then the binary endpoint row.  The
+    draw order is part of the reproducibility contract.  Here one Philox
+    bit generator is re-keyed to ``[master_seed, r]`` with counter 0 for
+    each replicate, which yields exactly the draws of
+    ``RngStream(master_seed, r).generator()``; the transforms and
+    cumulative sums then run once over the whole range, element by
+    element and row by row, so every number equals what a one-replicate
+    call computes.
+
+    Cumulative sums are recorded at every analysis size and the
+    statistics are computed from those sums alone, so recomputation from
+    the stored sums reproduces the paths exactly.  The Gaussian
+    endpoints' statistic is S_n / sqrt(n).  The binary endpoint's is
+    (S_n - n/2) / sqrt(n/4), the count centered and scaled under success
+    probability one half; the optional continuity correction subtracts
+    another half success before scaling.
+
+    Args:
+        params: True scenario parameters.
+        schedule: Analysis sizes; sampling runs to the largest.
+        master_seed: Nonnegative master seed.
+        rep_range: Half-open range ``(lo, hi)`` of replicate indices.
+        continuity_correction: Applied to the binary statistic.
+
+    Returns:
+        ``(sums, values)``, each of shape ``(hi - lo, 3, len(schedule))``.
+    """
+    lo, hi = rep_range
+    if master_seed < 0 or lo < 0 or hi < lo:
+        raise ValueError(
+            f"seed must be nonnegative and {rep_range} a range of nonnegative indices"
+        )
+    reps = hi - lo
+    n_max = schedule.sup
+
+    z = np.empty((reps, 2, n_max))
+    u = np.empty((reps, n_max))
+    bit_gen = np.random.Philox(key=[master_seed, lo])
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    key = state["state"]["key"]
+    for i in range(reps):
+        # Counter 0 and an empty buffer: a fresh stream keyed [seed, r].
+        key[1] = lo + i
+        bit_gen.state = state
+        rng.standard_normal(out=z[i])
+        rng.random(out=u[i])
+
+    rho = params.rho12
+    x1 = z[:, 0] + params.mu1
+    x2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1] + params.mu2
+    x3 = (u < params.p).astype(float)
+
+    cols = np.asarray(schedule.analyses, dtype=int) - 1
+    sums = np.empty((reps, 3, len(schedule)), dtype=float)
+    sums[:, 0] = np.cumsum(x1, axis=1)[:, cols]
+    sums[:, 1] = np.cumsum(x2, axis=1)[:, cols]
+    sums[:, 2] = np.cumsum(x3, axis=1)[:, cols]
+
+    ns = np.asarray(schedule.analyses, dtype=float)
+    values = np.empty_like(sums)
+    values[:, 0] = sums[:, 0] / np.sqrt(ns)
+    values[:, 1] = sums[:, 1] / np.sqrt(ns)
+    shift = 0.5 if continuity_correction else 0.0
+    values[:, 2] = (sums[:, 2] - ns / 2.0 - shift) / np.sqrt(ns / 4.0)
+    return sums, values
+
+
 def generate_paths(
     params: ScenarioParams,
     schedule: SampleSchedule,
@@ -100,47 +191,21 @@ def generate_paths(
 ) -> StatisticPaths:
     """Simulate one replicate of the trial and return its statistic paths.
 
-    Draw order is part of the reproducibility contract: first the two
-    Gaussian endpoint rows (a standard normal matrix pushed through the
-    correlation factor), then the binary endpoint row.  Cumulative sums
-    are recorded at every analysis size; the statistics are computed
-    from those sums alone, so recomputation from the stored sums
-    reproduces the paths exactly.
-
-    The Gaussian endpoints' statistic is S_n / sqrt(n).  The binary
-    endpoint's is (S_n - n/2) / sqrt(n/4), the count centered and scaled
-    under success probability one half; the optional continuity
-    correction subtracts another half success before scaling.
+    The one-replicate view of ``generate_batch``: same draws, same sums,
+    same statistics.
 
     Args:
         params: True scenario parameters.
         schedule: Analysis sizes; sampling runs to the largest.
         stream: Per-replicate random stream.
-        continuity_correction: Forwarded to the binary statistic.
+        continuity_correction: Applied to the binary statistic.
 
     Returns:
         StatisticPaths with both the statistics and the raw sums.
     """
-    n_max = schedule.sup
-    rng = stream.generator()
-
-    z = rng.standard_normal((2, n_max))
-    rho = params.rho12
-    x1 = z[0] + params.mu1
-    x2 = rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1] + params.mu2
-    x3 = (rng.random(n_max) < params.p).astype(float)
-
-    cols = np.asarray(schedule.analyses, dtype=int) - 1
-    sums = np.empty((3, len(schedule)), dtype=float)
-    sums[0] = np.cumsum(x1)[cols]
-    sums[1] = np.cumsum(x2)[cols]
-    sums[2] = np.cumsum(x3)[cols]
-
-    ns = np.asarray(schedule.analyses, dtype=float)
-    values = np.empty_like(sums)
-    values[0] = sums[0] / np.sqrt(ns)
-    values[1] = sums[1] / np.sqrt(ns)
-    shift = 0.5 if continuity_correction else 0.0
-    values[2] = (sums[2] - ns / 2.0 - shift) / np.sqrt(ns / 4.0)
-
-    return StatisticPaths(analyses=schedule.analyses, values=values, sums=sums)
+    r = stream.replicate
+    sums, values = generate_batch(
+        params, schedule, stream.master_seed, (r, r + 1),
+        continuity_correction=continuity_correction,
+    )
+    return StatisticPaths(analyses=schedule.analyses, values=values[0], sums=sums[0])

@@ -1,0 +1,255 @@
+"""The block-of-replicates path against its one-replicate references.
+
+``run_scenario`` draws a block of replicates with ``generate_batch`` and
+decides it with ``run_multistage_batch`` or ``holm_fixed`` on a p-value
+matrix.  Each of these must reproduce its one-replicate reference
+exactly, number for number and decision for decision.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as scipy_stats
+
+from stepdown.boundary import CriticalFunction
+from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
+from stepdown.harness import (
+    PROCEDURES,
+    ScenarioSpec,
+    block_replicates,
+    build_critical,
+    merge,
+    run_scenario,
+)
+from stepdown.procedures import (
+    HOLM,
+    MULT,
+    RULES,
+    ProcedureVariant,
+    holm_fixed,
+    run_multistage,
+    run_multistage_batch,
+    stage_levels,
+)
+from stepdown.trial import RngStream, ScenarioParams, generate_batch, generate_paths
+
+ALPHA = 0.05
+SCHED = SampleSchedule((26, 29, 35))
+BLOCK = block_replicates(SCHED)
+
+
+def reference_paths(params, schedule, stream, continuity_correction):
+    """The draw contract for one replicate, written out step by step."""
+    n_max = schedule.sup
+    rng = stream.generator()
+    z = rng.standard_normal((2, n_max))
+    rho = params.rho12
+    x1 = z[0] + params.mu1
+    x2 = rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1] + params.mu2
+    x3 = (rng.random(n_max) < params.p).astype(float)
+    cols = np.asarray(schedule.analyses) - 1
+    sums = np.stack([np.cumsum(x1)[cols], np.cumsum(x2)[cols], np.cumsum(x3)[cols]])
+    ns = np.asarray(schedule.analyses, dtype=float)
+    shift = 0.5 if continuity_correction else 0.0
+    values = np.stack(
+        [
+            sums[0] / np.sqrt(ns),
+            sums[1] / np.sqrt(ns),
+            (sums[2] - ns / 2.0 - shift) / np.sqrt(ns / 4.0),
+        ]
+    )
+    return sums, values
+
+
+def reference_holm(p, alpha):
+    """The fixed-sample step-down rule as a loop over sorted p-values."""
+    k = len(p)
+    rejected = [False] * k
+    for j, idx in enumerate(sorted(range(k), key=lambda i: (p[i], i))):
+        if p[idx] < alpha / (k - j):
+            rejected[idx] = True
+        else:
+            break
+    return rejected
+
+
+def reference_counts(spec, rep_range, critical):
+    """run_scenario's accumulators from one replicate at a time."""
+    k, sup = 3, spec.schedule.sup
+    tail = scipy_stats.binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
+    family = HypothesisFamily.simple(k)
+    variant = {"Mult": MULT, "MultH": HOLM}.get(spec.procedure)
+    sum_n = sumsq_n = fwe = 0
+    counts = [0] * k
+    for r in range(*rep_range):
+        paths = generate_paths(
+            spec.params, spec.schedule, RngStream(spec.master_seed, r),
+            continuity_correction=spec.continuity_correction,
+        )
+        if variant is None:
+            p = [
+                0.5 * math.erfc(paths.values[0, -1] / math.sqrt(2.0)),
+                0.5 * math.erfc(paths.values[1, -1] / math.sqrt(2.0)),
+                float(tail[int(round(paths.sums[2, -1]))]),
+            ]
+            rejected, total = reference_holm(p, spec.alpha), k * sup
+        else:
+            result = run_multistage(
+                paths, family, spec.schedule, critical, spec.alpha, variant
+            )
+            rejected, total = result.rejected, result.total_measurements
+        sum_n += total
+        sumsq_n += total * total
+        counts = [c + bool(x) for c, x in zip(counts, rejected)]
+        fwe += any(x and t for x, t in zip(rejected, spec.params.truth))
+    return sum_n, sumsq_n, tuple(counts), fwe
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    looks=st.integers(1, 4),
+    rule=st.sampled_from(RULES),
+    ties=st.booleans(),
+    infinite=st.booleans(),
+)
+def test_batch_engine_matches_run_multistage(seed, k, looks, rule, ties, infinite):
+    rng = np.random.default_rng(seed)
+    analyses = tuple(int(n) for n in np.cumsum(rng.integers(1, 10, size=looks)))
+    schedule = SampleSchedule(analyses)
+    levels = stage_levels(rule, ALPHA, k)
+    # Critical values must not increase with the level; ties on a
+    # half-unit grid exercise the >= comparisons and the index tie-break.
+    raw = rng.uniform(0.5, 3.0, size=(len(levels), looks))
+    values = rng.normal(1.5, 1.2, size=(40, k, looks))
+    if ties:
+        raw, values = np.round(raw * 2.0) / 2.0, np.round(values * 2.0) / 2.0
+    if infinite:
+        # Infinite statistics always or never cross, wherever they sit.
+        spots = rng.random(values.shape) < 0.1
+        values[spots] = np.where(rng.random(values.shape) < 0.7, np.inf, -np.inf)[spots]
+    raw = np.sort(raw, axis=0)[::-1]
+    critical = CriticalFunction.from_table(
+        analyses, {level: tuple(row) for level, row in zip(levels, raw)}
+    )
+    relation = rng.random((k, k)) < 0.3
+    np.fill_diagonal(relation, False)
+    family = HypothesisFamily(
+        k=k,
+        contains_complement=tuple(tuple(row) for row in relation.tolist()),
+        closed_monotone=rule == "closed" or bool(rng.integers(2)),
+    )
+    variant = ProcedureVariant(rule)
+
+    rejected, final_n = run_multistage_batch(values, family, schedule, critical, ALPHA, variant)
+    assert rejected.shape == final_n.shape == (len(values), k)
+    for r, stats in enumerate(values):
+        ref = run_multistage(
+            StatisticPaths(analyses, stats), family, schedule, critical, ALPHA, variant
+        )
+        assert tuple(rejected[r].tolist()) == ref.rejected
+        assert tuple(final_n[r].tolist()) == ref.endpoint_final_n
+
+
+
+def test_batch_engine_rejects_bad_input():
+    critical = CriticalFunction.from_table(SCHED.analyses, {ALPHA: (2.0, 2.0, 2.0)})
+    family = HypothesisFamily.simple(2)
+    closed = ProcedureVariant("closed")
+    good = np.zeros((4, 2, 3))
+    with pytest.raises(ValueError, match="shape"):
+        run_multistage_batch(np.zeros((4, 3, 3)), family, SCHED, critical, ALPHA, closed)
+    with pytest.raises(ValueError, match="NaN"):
+        run_multistage_batch(np.full((4, 2, 3), np.nan), family, SCHED, critical, ALPHA, closed)
+    with pytest.raises(ValueError, match="closed_monotone"):
+        run_multistage_batch(good, family, SCHED, critical, ALPHA, closed)
+    with pytest.raises(ValueError, match="analysis sizes"):
+        run_multistage_batch(good, family, SampleSchedule((26, 29, 36)), critical, ALPHA, closed)
+    with pytest.raises(ValueError, match="alpha"):
+        run_multistage_batch(good, family, SCHED, critical, 1.5, closed)
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**40),
+    before=st.integers(1, 4),
+    after=st.integers(1, 4),
+    mu=st.floats(-1.0, 1.0),
+    rho=st.floats(-1.0, 1.0),
+    p=st.floats(0.0, 1.0),
+)
+def test_generate_batch_matches_one_replicate_streams(seed, before, after, mu, rho, p):
+    params = ScenarioParams(mu, -mu, p, rho12=rho)
+    lo, hi = BLOCK - before, BLOCK + after
+    sums, values = generate_batch(params, SCHED, seed, (lo, hi), continuity_correction=True)
+    assert sums.shape == values.shape == (hi - lo, 3, len(SCHED))
+    for i, r in enumerate(range(lo, hi)):
+        stream = RngStream(seed, r)
+        paths = generate_paths(params, SCHED, stream, continuity_correction=True)
+        ref_sums, ref_values = reference_paths(params, SCHED, stream, True)
+        assert np.array_equal(sums[i], paths.sums) and np.array_equal(sums[i], ref_sums)
+        assert np.array_equal(values[i], paths.values) and np.array_equal(values[i], ref_values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    reps=st.integers(1, 30),
+    ties=st.booleans(),
+    alpha=st.floats(0.001, 0.5),
+)
+def test_holm_fixed_rows_match_single_calls(seed, k, reps, ties, alpha):
+    p = np.random.default_rng(seed).uniform(0.0, 0.2, size=(reps, k))
+    if ties:
+        p = np.round(p, 2)
+    batch = holm_fixed(p, alpha)
+    assert batch.shape == p.shape
+    for row, got in zip(p, batch):
+        assert got.tolist() == holm_fixed(row, alpha).tolist() == reference_holm(row, alpha)
+
+
+def straddling_spec(procedure):
+    return ScenarioSpec(
+        params=ScenarioParams(0.0, 0.5, 0.75, rho12=0.75),
+        schedule=SCHED,
+        procedure=procedure,
+        replicates=BLOCK + 200,
+        master_seed=3,
+    )
+
+
+SPAN = (BLOCK - 120, BLOCK + 120)
+
+
+@functools.cache
+def straddling_critical(procedure):
+    return build_critical(straddling_spec(procedure))
+
+
+@pytest.mark.parametrize("procedure", PROCEDURES)
+@settings(max_examples=10, deadline=None)
+@given(cut=st.integers(*SPAN))
+def test_run_scenario_across_a_block_boundary_merges(procedure, cut):
+    spec = straddling_spec(procedure)
+    critical = straddling_critical(procedure)
+    lo, hi = SPAN
+    pieces = merge(run_scenario(spec, (lo, cut), critical), run_scenario(spec, (cut, hi), critical))
+    assert run_scenario(spec, SPAN, critical) == pieces
+
+
+@pytest.mark.parametrize("procedure", PROCEDURES)
+def test_run_scenario_matches_one_replicate_loop(procedure):
+    spec = straddling_spec(procedure)
+    critical = straddling_critical(procedure)
+    got = run_scenario(spec, SPAN, critical)
+    assert (
+        got.sum_measurements,
+        got.sumsq_measurements,
+        got.reject_counts,
+        got.fwe_count,
+    ) == reference_counts(spec, SPAN, critical)

@@ -369,3 +369,43 @@ def test_simulate_calibrates_once_per_run(tmp_path, monkeypatch):
     calls.clear()
     assert main(args + ["--procedure", "H", "--out", str(tmp_path / "h.csv")]) == 0
     assert calls == []
+
+
+def test_analyze_checks_alpha_before_levels(tmp_path, capsys):
+    code, out = _analyze_with_boundary(
+        tmp_path, "26,0.05,1.0,flat\n29,0.05,1.0,flat\n35,0.05,1.0,flat\n"
+    )
+    assert code == 0
+    code = main(
+        [
+            "analyze",
+            "--statistics",
+            str(tmp_path / "stats.csv"),
+            "--boundary",
+            str(tmp_path / "bound.csv"),
+            "--alpha",
+            "2",
+            "--out",
+            str(tmp_path / "bad.csv"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "alpha must lie strictly between 0 and 1, got 2.0" in err
+    assert "lacks critical values" not in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("procedure", ["H", "MultH"])
+def test_simulate_checks_grid_without_calibration(tmp_path, capsys, procedure):
+    out = tmp_path / "s.csv"
+    code = main(
+        [
+            "simulate", "--scenarios", "(0,0,.5)", "--procedure", procedure,
+            "--reps", "5", "--grid", "3", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "grid_points" in capsys.readouterr().err
+    assert not out.exists()
+

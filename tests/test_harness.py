@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stepdown.harness
+from stepdown.cli import main as cli_main
 from stepdown.core import SampleSchedule
 from stepdown.harness import (
     ScenarioSpec,
@@ -129,8 +130,8 @@ def test_split_ranges():
 
 def test_parallel_matches_serial():
     spec = spec_for("MultH", reps=120)
-    serial = run_scenario_parallel(spec, workers=1)
-    parallel = run_scenario_parallel(spec, workers=4)
+    serial = run_scenario_parallel([spec], workers=1)
+    parallel = run_scenario_parallel([spec], workers=4)
     assert serial == parallel
 
 
@@ -142,9 +143,9 @@ def test_parallel_uses_given_critical(monkeypatch):
         raise AssertionError("a supplied boundary must not be recalibrated")
 
     monkeypatch.setattr(stepdown.harness, "calibrate_levels", no_calibration)
-    assert run_scenario_parallel(spec, workers=1, critical=critical) == run_scenario(
-        spec, critical=critical
-    )
+    assert run_scenario_parallel([spec], workers=1, critical=critical) == [
+        run_scenario(spec, critical=critical)
+    ]
 
 
 class _RecordingPool:
@@ -170,17 +171,32 @@ def test_pool_size_bounded_by_cpu_count(monkeypatch):
     monkeypatch.setattr(stepdown.harness.os, "cpu_count", lambda: 3)
     _RecordingPool.sizes = []
     spec = spec_for("H", reps=100)
-    many = run_scenario_parallel(spec, workers=50_000)
+    many = run_scenario_parallel([spec], workers=50_000)
     assert _RecordingPool.sizes == [3]
-    assert many == run_scenario_parallel(spec, workers=1)
-    run_scenario_parallel(spec, workers=2)
+    assert many == run_scenario_parallel([spec], workers=1)
+    run_scenario_parallel([spec], workers=2)
     assert _RecordingPool.sizes == [3, 2]
+
+
+def test_simulate_opens_one_pool_per_run(tmp_path, monkeypatch):
+    # One pool serves every cell of a multi-cell run.
+    args = [
+        "simulate", "--scenarios", "(0,0,.5) (0,.5,.75,.75)", "--procedure", "H,Mult,MultH",
+        "--reps", "30", "--seed", "4",
+    ]
+    assert cli_main(args + ["--workers", "1", "--out", str(tmp_path / "w1.csv")]) == 0
+    monkeypatch.setattr(stepdown.harness.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(stepdown.harness.os, "cpu_count", lambda: 8)
+    _RecordingPool.sizes = []
+    assert cli_main(args + ["--workers", "3", "--out", str(tmp_path / "w3.csv")]) == 0
+    assert _RecordingPool.sizes == [3]
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
 
 
 def test_worker_count_cannot_change_counts():
     spec = spec_for("H", reps=90, params=ScenarioParams(0.0, 0.0, 0.5))
-    one = run_scenario_parallel(spec, workers=1)
-    three = run_scenario_parallel(spec, workers=3)
+    [one] = run_scenario_parallel([spec], workers=1)
+    [three] = run_scenario_parallel([spec], workers=3)
     assert one.reject_counts == three.reject_counts
     assert one.fwe_count == three.fwe_count
     assert one.sum_measurements == three.sum_measurements
