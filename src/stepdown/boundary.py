@@ -11,9 +11,12 @@ The integration works on the sum scale.  At each analysis the density of
 S_n restricted to {not yet crossed} is carried on a uniform grid spanning
 eight standard deviations either side of zero and propagated through the
 Gaussian increment to the next analysis with trapezoidal weights.  The
-crossing probability is one minus the surviving mass at the final
-analysis.  Grid error shrinks quadratically in the number of points, so
-doubling the grid gives a practical convergence check.
+propagation fills and applies the transition kernel block by block, a
+fixed number of rows at a time, so memory grows with the grid size, not
+with its square.  The crossing probability is one minus the surviving
+mass at the final analysis.  Grid error shrinks quadratically in the
+number of points, so doubling the grid gives a practical convergence
+check.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import optimize, special
 
-from .core import SampleSchedule, check_alpha
+from .core import SampleSchedule
 
 __all__ = [
     "CalibrationError",
@@ -41,10 +44,19 @@ SHAPES = ("flat", "obrien-fleming")
 
 _SPAN_SD = 8.0  # grid half-width in standard deviations of S_n
 
-# Grid-size limits.  The doubled-grid check builds a (2 * grid_points)^2
-# float64 kernel, about 0.54 GB at the upper limit.
+# Grid-size limits.  The doubled-grid check integrates on 2 * grid_points
+# points; its largest buffer is one (_KERNEL_ROWS, 2 * grid_points) float64
+# kernel block, 4 MiB at the upper limit.
 MIN_GRID_POINTS = 8
 MAX_GRID_POINTS = 4096
+
+# Rows of the transition kernel held in memory at once.  No result
+# depends on it: every block gives the same bits.
+_KERNEL_ROWS = 64
+
+# Levels closer than this are one level to a CriticalFunction lookup.
+_LEVEL_RTOL = 1e-12
+_LEVEL_ATOL = 1e-15
 
 
 class CalibrationError(RuntimeError):
@@ -82,6 +94,24 @@ def _check_grid_points(grid_points: int) -> None:
         raise ValueError(
             f"grid_points must lie in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}], got {grid_points}"
         )
+
+
+def _check_levels(levels: Iterable[float]) -> list[float]:
+    """Validate calibration levels before any of them is calibrated.
+
+    Every level must lie strictly in (0, 1), and no two may be so close
+    that a CriticalFunction lookup could not tell them apart.
+    """
+    checked: list[float] = []
+    for rho in levels:
+        rho = float(rho)
+        if not 0.0 < rho < 1.0:
+            raise ValueError(f"level must lie strictly between 0 and 1, got {rho}")
+        for seen in checked:
+            if math.isclose(seen, rho, rel_tol=_LEVEL_RTOL, abs_tol=_LEVEL_ATOL):
+                raise ValueError(f"levels {seen!r} and {rho!r} name the same level")
+        checked.append(rho)
+    return checked
 
 
 def shape_multipliers(shape: str, schedule: SampleSchedule | Sequence[int]) -> np.ndarray:
@@ -156,6 +186,13 @@ def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: i
     dens = np.exp(-0.5 * grid * grid / n1) / math.sqrt(2.0 * math.pi * n1)
     surviving = _trapezoid_mass(dens, grid)
 
+    # The Gaussian transition kernel is filled and applied one block of
+    # rows at a time in this buffer, never as a whole N x N matrix.  Each
+    # entry is exp(-0.5 * d * d / dn) / scale rounded exactly as in the
+    # whole-matrix expression (scaling by -0.5 is exact, so squaring first
+    # changes no bit), and each row's mat-vec sum is unchanged, so the
+    # result is bit-identical; tests compare against the whole matrix.
+    block = np.empty((_KERNEL_ROWS, grid_points))
     for j in range(1, len(analyses)):
         dn = analyses[j] - analyses[j - 1]
         lo = -_SPAN_SD * math.sqrt(analyses[j])
@@ -163,10 +200,18 @@ def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: i
         if hi <= lo:
             return 1.0
         new_grid = np.linspace(lo, hi, grid_points)
-        diff = new_grid[:, None] - grid[None, :]
-        kernel = np.exp(-0.5 * diff * diff / dn) / math.sqrt(2.0 * math.pi * dn)
-        w = _trapezoid_weights(grid)
-        dens = kernel @ (dens * w)
+        weighted = dens * _trapezoid_weights(grid)
+        scale = math.sqrt(2.0 * math.pi * dn)
+        for start in range(0, grid_points, _KERNEL_ROWS):
+            stop = min(start + _KERNEL_ROWS, grid_points)
+            rows = block[: stop - start]
+            np.subtract(new_grid[start:stop, None], grid[None, :], out=rows)
+            np.square(rows, out=rows)
+            rows *= -0.5
+            rows /= dn
+            np.exp(rows, out=rows)
+            rows /= scale
+            np.matmul(rows, weighted, out=dens[start:stop])
         grid = new_grid
         surviving = _trapezoid_mass(dens, grid)
 
@@ -250,7 +295,7 @@ class CriticalFunction:
         if rho in self.table:
             return rho
         for stored in self.table:
-            if math.isclose(stored, rho, rel_tol=1e-12, abs_tol=1e-15):
+            if math.isclose(stored, rho, rel_tol=_LEVEL_RTOL, abs_tol=_LEVEL_ATOL):
                 return stored
         raise KeyError(
             f"no critical values calibrated for level {rho!r}; "
@@ -279,16 +324,19 @@ def calibrate_levels(
 
     Each level rho gets its own root c of crossing_probability(schedule,
     c * g) = rho, verified on a doubled grid (GridError if it misses rho
-    by more than tol), so it does not depend on the other levels.
+    by more than tol), so it does not depend on the other levels.  Every
+    level is validated before any is calibrated.  A level listed twice is
+    calibrated once; two unequal levels a table lookup could not tell
+    apart raise ValueError.
     """
     _check_grid_points(grid_points)
+    levels = _check_levels(dict.fromkeys(float(rho) for rho in levels))
     if not isinstance(schedule, SampleSchedule):
         schedule = SampleSchedule(tuple(schedule))
     g = shape_multipliers(shape, schedule)
     table: dict[float, tuple[float, ...]] = {}
     constants: dict[float, float] = {}
     for rho in levels:
-        rho = check_alpha(rho)
         c = _solve_constant(schedule.analyses, g, rho, grid_points)
         achieved = _crossing_recursion(schedule.analyses, c * g, 2 * grid_points)
         if abs(achieved - rho) > tol:

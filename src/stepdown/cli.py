@@ -29,6 +29,7 @@ from .boundary import (
     CriticalFunction,
     GridError,
     _check_grid_points,
+    _check_levels,
     calibrate_levels,
 )
 from .core import (
@@ -180,7 +181,11 @@ def default_table_config() -> str:
 def _cmd_boundary(args: argparse.Namespace) -> int:
     resolved = _resolve(args, "boundary")
     schedule = SampleSchedule(parse_int_list(_require(resolved, "schedule")))
-    levels = parse_float_list(_require(resolved, "rho"))
+    rho = _require(resolved, "rho")
+    try:
+        levels = _check_levels(parse_float_list(rho))
+    except ValueError as exc:
+        raise ValueError(f"key 'rho': {exc}") from None
     shape = resolved.get("shape", "flat")
     if shape not in SHAPES:
         raise ValueError(f"key 'shape' must be one of {SHAPES}, got {shape!r}")

@@ -1,10 +1,18 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepdown.boundary
 from stepdown.boundary import (
+    _SPAN_SD,
     CriticalFunction,
     GridError,
+    _trapezoid_mass,
+    _trapezoid_weights,
     calibrate_levels,
     crossing_probability,
     normal_quantile,
@@ -173,3 +181,121 @@ def test_grid_points_checked_before_integration(monkeypatch):
 def test_grid_error_when_tolerance_unmeetable():
     with pytest.raises(GridError):
         calibrate_levels(SCHED, [0.05], grid_points=12, tol=1e-6)
+
+
+def _no_integration(*args):
+    raise AssertionError("the levels must be checked before integrating")
+
+
+def test_levels_checked_before_integration(monkeypatch):
+    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", _no_integration)
+    with pytest.raises(ValueError, match="between 0 and 1, got 2.0"):
+        calibrate_levels(SCHED, [0.05, 2.0])
+    twin = 0.05 * (1.0 + 1e-13)
+    with pytest.raises(ValueError, match=f"levels 0.05 and {twin!r} name the same level"):
+        calibrate_levels(SCHED, [0.05, 0.025, twin])
+
+
+def test_level_listed_twice_is_calibrated_once(monkeypatch):
+    calls = []
+    original = stepdown.boundary._solve_constant
+
+    def counted(analyses, g, rho, grid_points):
+        calls.append(rho)
+        return original(analyses, g, rho, grid_points)
+
+    monkeypatch.setattr(stepdown.boundary, "_solve_constant", counted)
+    crit = calibrate_levels(SCHED, [0.05, 0.025, 0.05])
+    assert calls == [0.05, 0.025]
+    assert crit.levels == (0.025, 0.05)
+
+
+def _reference_recursion(analyses, b, grid_points):
+    # The whole-matrix propagation: each transition builds the full
+    # N x N kernel before one mat-vec.  Oracle for the blocked kernel.
+    thresholds = b * np.sqrt(np.asarray(analyses, dtype=float))
+
+    n1 = analyses[0]
+    lo, hi = -_SPAN_SD * math.sqrt(n1), min(thresholds[0], _SPAN_SD * math.sqrt(n1))
+    if hi <= lo:
+        return 1.0
+    grid = np.linspace(lo, hi, grid_points)
+    dens = np.exp(-0.5 * grid * grid / n1) / math.sqrt(2.0 * math.pi * n1)
+    surviving = _trapezoid_mass(dens, grid)
+
+    for j in range(1, len(analyses)):
+        dn = analyses[j] - analyses[j - 1]
+        lo = -_SPAN_SD * math.sqrt(analyses[j])
+        hi = min(thresholds[j], _SPAN_SD * math.sqrt(analyses[j]))
+        if hi <= lo:
+            return 1.0
+        new_grid = np.linspace(lo, hi, grid_points)
+        diff = new_grid[:, None] - grid[None, :]
+        kernel = np.exp(-0.5 * diff * diff / dn) / math.sqrt(2.0 * math.pi * dn)
+        w = _trapezoid_weights(grid)
+        dens = kernel @ (dens * w)
+        grid = new_grid
+        surviving = _trapezoid_mass(dens, grid)
+
+    return min(1.0, max(0.0, 1.0 - surviving))
+
+
+# Standardized boundary constants: at or below -_SPAN_SD the grid is empty
+# (certain crossing), inside the span the recursion integrates, and above
+# it the boundary is clipped to the span.
+_constants = st.one_of(
+    st.floats(-12.0, -_SPAN_SD),
+    st.floats(-_SPAN_SD, _SPAN_SD),
+    st.floats(_SPAN_SD, 12.0),
+)
+
+
+@st.composite
+def _recursion_inputs(draw):
+    looks = draw(st.integers(1, 6))
+    first = draw(st.integers(1, 60))
+    steps = draw(st.lists(st.integers(1, 30), min_size=looks - 1, max_size=looks - 1))
+    analyses = tuple(int(n) for n in np.cumsum([first] + steps))
+    shape = draw(st.sampled_from(stepdown.boundary.SHAPES))
+    b = draw(_constants) * shape_multipliers(shape, analyses)
+    grid_points = draw(st.one_of(st.integers(8, 2100), st.sampled_from([63, 64, 65, 513, 2047])))
+    return analyses, b, grid_points
+
+
+@settings(max_examples=80, deadline=None)
+@given(_recursion_inputs())
+def test_blocked_recursion_matches_reference(inputs):
+    analyses, b, grid_points = inputs
+    got = stepdown.boundary._crossing_recursion(analyses, b, grid_points)
+    assert got == _reference_recursion(analyses, b, grid_points)
+
+
+# _reference_recursion's output at grids too large to rebuild in a test
+# run: the whole kernel needs 0.5 GB of temporaries at 4096 points and
+# 2 GB at 8192.
+_LARGE_GRID_REFERENCE = [
+    ((26, 29, 35), "flat", 2.2, 4096, 0.023473578034041598),
+    ((26, 29, 35), "flat", 2.2, 8192, 0.023473487397143056),
+    ((20, 31, 44, 60), "obrien-fleming", 2.1, 4096, 0.02057713180840215),
+    ((20, 31, 44, 60), "obrien-fleming", 2.1, 8192, 0.020577076143065476),
+]
+
+
+@pytest.mark.parametrize("analyses, shape, c, grid_points, expected", _LARGE_GRID_REFERENCE)
+def test_blocked_recursion_matches_reference_on_large_grids(
+    analyses, shape, c, grid_points, expected
+):
+    b = c * shape_multipliers(shape, analyses)
+    assert stepdown.boundary._crossing_recursion(analyses, b, grid_points) == expected
+
+
+def test_crossing_memory_bounded_at_largest_grid():
+    # The doubled-grid check integrates on 8192 points; a whole kernel
+    # there would be 512 MB, a block of kernel rows is 4 MiB.
+    tracemalloc.start()
+    try:
+        crossing_probability(SCHED, [2.2] * 3, grid_points=4096, tol=1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

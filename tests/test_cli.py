@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import stepdown.boundary
 import stepdown.cli
 import stepdown.harness
 from stepdown.boundary import calibrate_levels
@@ -311,6 +312,25 @@ def test_grid_size_is_a_configuration_error(tmp_path, capsys, grid):
     )
     assert code == 2
     assert "grid_points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        ("0.05,0.05", "levels 0.05 and 0.05 name the same level"),
+        ("0.05,2", "level must lie strictly between 0 and 1, got 2.0"),
+    ],
+)
+def test_boundary_checks_every_level_first(tmp_path, capsys, monkeypatch, rho, message):
+    def no_integration(*args):
+        raise AssertionError("every level must be checked before integrating")
+
+    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", no_integration)
+    out = tmp_path / "b.csv"
+    code = main(["boundary", "--schedule", "26,29,35", "--rho", rho, "--out", str(out)])
+    assert code == 2
+    assert f"key 'rho': {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
