@@ -51,8 +51,6 @@ from .procedures import (
     run_multistage,
     run_multistage_batch,
     stage_levels,
-    stage_rejections,
-    stage_sample_size,
 )
 from .trial import RngStream, ScenarioParams, generate_batch, generate_paths
 
@@ -94,8 +92,6 @@ __all__ = [
     "run_multistage",
     "run_multistage_batch",
     "stage_levels",
-    "stage_rejections",
-    "stage_sample_size",
     "RngStream",
     "ScenarioParams",
     "generate_batch",

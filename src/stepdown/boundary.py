@@ -282,13 +282,7 @@ class CriticalFunction:
         shape: str = "custom",
     ) -> "CriticalFunction":
         """Wrap externally supplied critical values (no calibration)."""
-        if not isinstance(schedule, SampleSchedule):
-            schedule = SampleSchedule(tuple(schedule))
-        return cls(schedule=schedule, shape=shape, table={r: tuple(v) for r, v in table.items()})
-
-    @property
-    def levels(self) -> tuple[float, ...]:
-        return tuple(sorted(self.table))
+        return cls(schedule=schedule, shape=shape, table=table)
 
     def _find_level(self, rho: float) -> float:
         rho = float(rho)
@@ -305,11 +299,6 @@ class CriticalFunction:
     def boundary(self, rho: float) -> np.ndarray:
         """The per-analysis critical values for one level."""
         return np.asarray(self.table[self._find_level(rho)], dtype=float)
-
-    def value(self, n: int, rho: float) -> float:
-        """C_n(rho) at one analysis size."""
-        vals = self.table[self._find_level(rho)]
-        return vals[self.schedule.index(int(n))]
 
 
 def calibrate_levels(

@@ -54,7 +54,7 @@ from .paulson import (
     run_paulson_direct,
     simulate_observations,
 )
-from .procedures import ProcedureVariant, run_multistage, stage_levels
+from .procedures import RULES, ProcedureVariant, run_multistage, stage_levels
 from .trial import RngStream, ScenarioParams
 
 WORKERS_ENV = "STEPDOWN_WORKERS"
@@ -304,10 +304,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     critical = _read_boundary_csv(_require(resolved, "boundary"), paths.analyses)
     alpha = check_alpha(_get(resolved, "alpha", float, 0.05))
     variant_tag = resolved.get("variant", "holm")
-    if variant_tag not in ("holm", "mult", "closed"):
-        raise ValueError(
-            f"key 'variant' must be one of ('holm', 'mult', 'closed'), got {variant_tag!r}"
-        )
+    if variant_tag not in RULES:
+        raise ValueError(f"key 'variant' must be one of {RULES}, got {variant_tag!r}")
     if "family" in resolved:
         try:
             with open(resolved["family"], "r", encoding="utf-8") as fh:
@@ -381,7 +379,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if proc not in PROCEDURES:
             raise ValueError(f"unknown procedure {proc!r}; expected one of {PROCEDURES}")
     schedule = SampleSchedule(parse_int_list(resolved.get("schedule", "26,29,35")))
-    alpha = _get(resolved, "alpha", float, 0.05)
+    alpha = check_alpha(_get(resolved, "alpha", float, 0.05))
     shape = resolved.get("shape", "flat")
     if shape not in SHAPES:
         raise ValueError(f"key 'shape' must be one of {SHAPES}, got {shape!r}")
@@ -397,10 +395,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         workers = _get({WORKERS_ENV: os.environ.get(WORKERS_ENV, "1")}, WORKERS_ENV, int, minimum=1)
     out = _require(resolved, "out")
 
-    # One calibration serves every cell: a level's boundary does not
-    # depend on the other levels calibrated with it.
-    levels = needed_levels(procedures, alpha)
-    critical = calibrate_levels(schedule, levels, shape, grid_points=grid) if levels else None
     specs = [
         ScenarioSpec(
             params=params,
@@ -416,6 +410,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for params in scenarios
         for proc in procedures
     ]
+    # One calibration serves every cell: a level's boundary does not
+    # depend on the other levels calibrated with it.
+    levels = needed_levels(procedures, alpha)
+    critical = calibrate_levels(schedule, levels, shape, grid_points=grid) if levels else None
     summaries = run_scenario_parallel(specs, workers=workers, critical=critical)
     rows = [_summary_row(summary) for summary in summaries]
     _write_rows(
@@ -522,9 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--statistics", help="CSV of hypothesis,n,statistic")
     p_analyze.add_argument("--boundary", help="CSV from the boundary subcommand")
     p_analyze.add_argument("--alpha", type=float, default=None, help="familywise level")
-    p_analyze.add_argument(
-        "--variant", choices=("holm", "mult", "closed"), default=None, help="stage-level rule"
-    )
+    p_analyze.add_argument("--variant", choices=RULES, default=None, help="stage-level rule")
     p_analyze.add_argument("--family", help="family description file (key = value lines)")
     p_analyze.add_argument("--out", help="output CSV path")
     p_analyze.set_defaults(handler=_cmd_analyze)

@@ -192,13 +192,6 @@ class SampleSchedule:
         """The largest allowed sample size."""
         return self.analyses[-1]
 
-    def after(self, n: int) -> tuple[int, ...]:
-        """Analysis sizes strictly beyond ``n``."""
-        return tuple(m for m in self.analyses if m > n)
-
-    def index(self, n: int) -> int:
-        return self.analyses.index(n)
-
     def to_text(self) -> str:
         return f"analyses = {','.join(str(n) for n in self.analyses)}\n"
 
@@ -251,10 +244,6 @@ class StatisticPaths:
     @property
     def k(self) -> int:
         return self.values.shape[0]
-
-    def statistic(self, i: int, n: int) -> float:
-        """The statistic for hypothesis ``i`` at sample size ``n``."""
-        return float(self.values[i, self.analyses.index(n)])
 
 
 @dataclass(frozen=True)

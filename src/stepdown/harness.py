@@ -69,7 +69,9 @@ _VARIANTS: dict[str, ProcedureVariant] = {
 _FAMILY = HypothesisFamily.simple(3)
 
 # Observations drawn per endpoint in one block of replicates: 3,744
-# replicates on a 35-observation schedule, about 7 MB of draws.
+# replicates on a 35-observation schedule, about 7 MB of draws.  It is
+# also the longest schedule a ScenarioSpec accepts, so a block always
+# holds a whole replicate and its memory stays bounded.
 BLOCK_OBSERVATIONS = 1 << 17
 
 
@@ -115,6 +117,11 @@ class ScenarioSpec:
             raise ValueError(f"replicates must be a positive integer, got {self.replicates!r}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        if self.schedule.sup > BLOCK_OBSERVATIONS:
+            raise ValueError(
+                f"schedule {','.join(map(str, self.schedule))} runs to {self.schedule.sup} "
+                f"observations per endpoint; at most {BLOCK_OBSERVATIONS} can be simulated"
+            )
 
     @property
     def label(self) -> str:

@@ -40,8 +40,6 @@ __all__ = [
     "CLOSED",
     "holm_fixed",
     "holm_closed",
-    "stage_sample_size",
-    "stage_rejections",
     "run_multistage",
     "run_multistage_batch",
     "stage_levels",
@@ -146,12 +144,12 @@ def holm_closed(
     return rejected
 
 
-def _stage_level(rule: str, alpha: float, active_size: int, k_total: int, rejected_so_far: int = 0) -> float:
+def _stage_level(rule: str, alpha: float, active_size: int, k_total: int) -> float:
     if rule == "mult":
         return alpha / k_total
     if rule == "closed":
         return alpha
-    return alpha / (active_size - rejected_so_far)
+    return alpha / active_size
 
 
 def stage_levels(rule: str, alpha: float, k: int) -> tuple[float, ...]:
@@ -165,91 +163,32 @@ def stage_levels(rule: str, alpha: float, k: int) -> tuple[float, ...]:
     return tuple(sorted({_stage_level(rule, alpha, m, k) for m in range(1, k + 1)}))
 
 
-def stage_sample_size(
-    paths: StatisticPaths,
-    active: Sequence[int],
-    prev_n: int,
-    critical: CriticalFunction,
-    level: float,
-) -> int | None:
-    """First analysis size past prev_n where some active statistic crosses.
+def _stage_bounds(critical: CriticalFunction, rule: str, alpha: float, k: int) -> np.ndarray:
+    """Row m is the stage boundary for m active hypotheses; row 0 is +inf.
 
-    Scans the schedule beyond ``prev_n`` for the smallest n at which
-    max over active i of [T_{i,n} - C_n(level)] >= 0.
-
-    Args:
-        paths: Statistic paths covering all hypotheses.
-        active: Indices of the hypotheses still under test.
-        prev_n: Sample size already consumed (0 before the first stage).
-        critical: Calibrated critical values on the paths' schedule.
-        level: The boundary level this stage tests at.
-
-    Returns:
-        The stage sample size, or None when no remaining analysis
-        produces a crossing (the infimum over an empty set).
+    A stage with m active finds its sample size on row m, and its l-th
+    statistic in top-down order must clear row m - l + 1.
     """
-    active = list(active)
-    if not active:
-        raise ValueError("at least one hypothesis must be active")
-    if tuple(critical.schedule.analyses) != paths.analyses:
-        raise ValueError("critical function and paths must share one schedule")
-    bound = critical.boundary(level)
-    for j, n in enumerate(paths.analyses):
-        if n <= prev_n:
-            continue
-        top = paths.values[active, j].max()
-        if top >= bound[j]:
-            return n
-    return None
+    bounds = np.full((k + 1, len(critical.schedule)), np.inf)
+    for m in range(1, k + 1):
+        bounds[m] = critical.boundary(_stage_level(rule, alpha, m, k))
+    return bounds
 
 
-def stage_rejections(
-    paths: StatisticPaths,
-    active: Sequence[int],
-    n_j: int,
+def _check_run(
+    family: HypothesisFamily,
+    schedule: SampleSchedule,
     critical: CriticalFunction,
     alpha: float,
     variant: ProcedureVariant,
-) -> list[int]:
-    """Hypotheses rejected at one stage, in rejection order.
-
-    Orders the active statistics at n_j top down and takes the longest
-    prefix in which the l-th statistic clears the boundary at the l-th
-    step-down level.  The top statistic must clear its boundary (that is
-    what made n_j the stage sample size), so the prefix is nonempty.
-
-    Args:
-        paths: Statistic paths covering all hypotheses.
-        active: Indices of the hypotheses still under test.
-        n_j: The stage sample size.
-        critical: Calibrated critical values on the paths' schedule.
-        alpha: Familywise error level.
-        variant: Sets how the step-down levels shrink within the stage.
-
-    Returns:
-        Rejected hypothesis indices, ordered by descending statistic
-        (ties by index).
-    """
+) -> float:
+    """The input checks both multistage engines make; returns alpha."""
     alpha = check_alpha(alpha)
-    active = list(active)
-    col = paths.analyses.index(int(n_j))
-    stats = paths.values[:, col]
-    ordered = sorted(active, key=lambda i: (-stats[i], i))
-    m = len(ordered)
-    k_total = paths.k
-    rejected: list[int] = []
-    for ell, idx in enumerate(ordered, start=1):
-        level = _stage_level(variant.rule, alpha, m, k_total, rejected_so_far=ell - 1)
-        if stats[idx] >= critical.value(n_j, level):
-            rejected.append(idx)
-        else:
-            break
-    if not rejected:
-        raise ValueError(
-            f"no active statistic clears its boundary at n={n_j}; "
-            "the stage sample size must come from stage_sample_size"
-        )
-    return rejected
+    if tuple(critical.schedule.analyses) != schedule.analyses:
+        raise ValueError("critical function and schedule disagree on the analysis sizes")
+    if variant.rule == "closed" and not family.closed_monotone:
+        raise ValueError("the closed variant requires a family flagged closed_monotone")
+    return alpha
 
 
 def run_multistage(
@@ -272,6 +211,11 @@ def run_multistage(
     re-enter testing, so each data stream freezes at the stage size
     where its hypothesis was decided.
 
+    This is the one-trial engine, a plain loop over Python floats; for
+    a block of replicates ``run_multistage_batch`` makes the same
+    decisions.  Both read their boundaries from one ``_stage_bounds``
+    table.
+
     Args:
         paths: Statistics for every hypothesis at every analysis.
         family: The hypothesis family, including containment structure.
@@ -284,74 +228,67 @@ def run_multistage(
         A TrialResult with decisions, stages, per-endpoint final sizes,
         and a record of each executed stage.
     """
-    alpha = check_alpha(alpha)
     if paths.k != family.k:
         raise ValueError(f"paths cover {paths.k} hypotheses, family has {family.k}")
     if paths.analyses != tuple(schedule.analyses):
         raise ValueError("paths and schedule disagree on the analysis sizes")
-    if variant.rule == "closed" and not family.closed_monotone:
-        raise ValueError("the closed variant requires a family flagged closed_monotone")
+    alpha = _check_run(family, schedule, critical, alpha, variant)
 
     k = family.k
-    rejected = [False] * k
-    decided = [False] * k
+    analyses = paths.analyses
+    last = len(analyses) - 1
+    bounds = _stage_bounds(critical, variant.rule, alpha, k).tolist()
+    values = paths.values.tolist()
+    contains = family.contains_complement
     decision_stage = [0] * k
     final_n = [0] * k
     records: list[StageRecord] = []
-
+    rejected: list[int] = []
     active = list(range(k))
-    prev_n = 0
-    rejected_any: list[int] = []
+    col = -1
 
     # Every stage that does not stop rejects at least one hypothesis, so
     # the loop always ends in a break.
     for stage in range(1, k + 1):
-        level = _stage_level(variant.rule, alpha, len(active), k)
-        n_j = stage_sample_size(paths, active, prev_n, critical, level)
-
-        if n_j is None:
+        m = len(active)
+        # Stage sample size: the first analysis past the previous stage
+        # where the top active statistic meets the stage boundary.
+        crossings = (
+            j for j in range(col + 1, last + 1) if max(values[i][j] for i in active) >= bounds[m][j]
+        )
+        col = next(crossings, None)
+        if col is None:
             # No remaining analysis produces a crossing: accept the
             # survivors once the schedule is exhausted.
-            n_j, remaining = schedule.sup, active
+            n_j, remaining = analyses[last], active
             break
+        n_j = analyses[col]
 
-        stage_rej = stage_rejections(paths, active, n_j, critical, alpha, variant)
-        col = paths.analyses.index(n_j)
-        stats = paths.values[:, col]
-        ordered = tuple(sorted(active, key=lambda i: (-stats[i], i)))
-        records.append(
-            StageRecord(
-                stage=stage,
-                n=n_j,
-                active=tuple(active),
-                ordered=ordered,
-                rejected=tuple(stage_rej),
-            )
-        )
-        for i in stage_rej:
-            rejected[i] = True
-            decided[i] = True
-            decision_stage[i] = stage
-            final_n[i] = n_j
-            rejected_any.append(i)
-
+        # Stage rejections: the longest prefix of the top-down order in
+        # which the l-th statistic clears the boundary for m - l + 1
+        # active hypotheses.  The top statistic made the crossing, so
+        # the prefix is nonempty.
+        ordered = sorted(active, key=lambda i: (-values[i][col], i))
+        stage_rej: list[int] = []
+        for rank, i in enumerate(ordered):
+            if values[i][col] < bounds[m - rank][col]:
+                break
+            stage_rej.append(i)
+        records.append(StageRecord(stage, n_j, tuple(active), tuple(ordered), tuple(stage_rej)))
+        rejected.extend(stage_rej)
+        decided = set(stage_rej)
         if variant.rule == "closed":
             # Implied acceptances: anything containing the complement of
             # a hypothesis just rejected is accepted on the spot.
-            for r in stage_rej:
-                for b in family.implied_acceptances(r):
-                    if not decided[b]:
-                        decided[b] = True
-                        decision_stage[b] = stage
-                        final_n[b] = n_j
+            decided.update(b for b in active if any(contains[r][b] for r in stage_rej))
+        for i in decided:
+            decision_stage[i] = stage
+            final_n[i] = n_j
 
-        remaining = [i for i in active if not decided[i]]
-        if n_j == schedule.sup or all(
-            any(family.contains_complement[r][b] for r in rejected_any) for b in remaining
-        ):
+        remaining = [i for i in active if i not in decided]
+        if col == last or all(any(contains[r][b] for r in rejected) for b in remaining):
             break
         active = remaining
-        prev_n = n_j
 
     # The run stops: the schedule is exhausted, nothing survives, or
     # every survivor contains the complement of a rejected hypothesis.
@@ -361,7 +298,7 @@ def run_multistage(
         final_n[i] = n_j
 
     return TrialResult(
-        rejected=tuple(rejected),
+        rejected=tuple(i in rejected for i in range(k)),
         decision_stage=tuple(decision_stage),
         endpoint_final_n=tuple(final_n),
         stages=tuple(records),
@@ -399,26 +336,19 @@ def run_multistage_batch(
         hypothesis is rejected, and each endpoint's sample size when its
         hypothesis was decided.
     """
-    alpha = check_alpha(alpha)
     values = np.asarray(values, dtype=float)
     k, n_looks = family.k, len(schedule)
     if values.ndim != 3 or values.shape[1:] != (k, n_looks):
         raise ValueError(f"values must have shape (R, {k}, {n_looks}), got {values.shape}")
     if np.isnan(values).any():
         raise ValueError("statistic values must not be NaN")
-    if tuple(critical.schedule.analyses) != schedule.analyses:
-        raise ValueError("critical function and schedule disagree on the analysis sizes")
-    if variant.rule == "closed" and not family.closed_monotone:
-        raise ValueError("the closed variant requires a family flagged closed_monotone")
+    alpha = _check_run(family, schedule, critical, alpha, variant)
 
     reps = values.shape[0]
     analyses = np.asarray(schedule.analyses)
-    # bounds[m] is the boundary at the stage level for m active
-    # hypotheses.  Row 0 pads the lookup for positions past m, which the
-    # rank mask below excludes.
-    bounds = np.full((k + 1, n_looks), np.inf)
-    for m in range(1, k + 1):
-        bounds[m] = critical.boundary(_stage_level(variant.rule, alpha, m, k))
+    # Row 0 pads the lookup for positions past m, which the rank mask
+    # below excludes.
+    bounds = _stage_bounds(critical, variant.rule, alpha, k)
     contains = np.asarray(family.contains_complement, dtype=bool)
     rank = np.arange(k)
 

@@ -20,7 +20,13 @@ from stepdown.cli import main
 from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
 from stepdown.harness import ScenarioSpec, run_scenario
 from stepdown.paulson import PaulsonConfig, paulson_via_stepdown, run_paulson_direct
-from stepdown.procedures import ProcedureVariant, holm_fixed, run_multistage
+from stepdown.procedures import (
+    CLOSED,
+    ProcedureVariant,
+    holm_fixed,
+    run_multistage,
+    run_multistage_batch,
+)
 from stepdown.trial import ScenarioParams
 
 ALPHA = 0.05
@@ -216,18 +222,10 @@ def test_criterion_3_familywise_error_control(sweep, capsys):
         increments = rng.standard_normal((REPS, sched[-1])) + cuts[j]
         sums = np.cumsum(increments, axis=1)[:, [n - 1 for n in sched]]
         stats = (sums[:, None, :] - drift[None, :, :]) / root_n
-        hits = 0
-        for r in range(REPS):
-            result = run_multistage(
-                StatisticPaths(sched, stats[r]),
-                family,
-                schedule,
-                criticals[sched],
-                ALPHA,
-                ProcedureVariant("closed"),
-            )
-            if any(result.rejected[i] for i in range(j, k)):
-                hits += 1
+        # One batched call decides every replicate exactly as one
+        # run_multistage call each would (tests/test_batch.py).
+        rejected, _ = run_multistage_batch(stats, family, schedule, criticals[sched], ALPHA, CLOSED)
+        hits = int(rejected[:, j:].any(axis=1).sum())
         fwe_hat = hits / REPS
         se = np.sqrt(fwe_hat * (1.0 - fwe_hat) / REPS)
         if fwe_hat > ALPHA + 3.0 * se:

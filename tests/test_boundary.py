@@ -134,8 +134,8 @@ def test_calibrate_hits_target_level():
 
 def test_calibrated_boundary_monotone_in_level():
     crit = calibrate_levels(SCHED, [0.05, 0.025, 0.05 / 3.0])
-    for n in SCHED:
-        assert crit.value(n, 0.05 / 3.0) > crit.value(n, 0.025) > crit.value(n, 0.05)
+    for j in range(len(SCHED)):
+        assert crit.boundary(0.05 / 3.0)[j] > crit.boundary(0.025)[j] > crit.boundary(0.05)[j]
 
 
 def test_calibrate_obrien_fleming_shape():
@@ -148,8 +148,8 @@ def test_calibrate_obrien_fleming_shape():
 
 def test_from_table_and_level_lookup():
     crit = CriticalFunction.from_table(SCHED, {0.05: (2.0, 2.0, 1.9)})
-    assert crit.value(35, 0.05) == 1.9
-    assert crit.value(26, 0.05000000000000001) == 2.0  # tolerant lookup
+    assert crit.boundary(0.05)[2] == 1.9
+    assert crit.boundary(0.05000000000000001)[0] == 2.0  # tolerant lookup
     with pytest.raises(KeyError):
         crit.boundary(0.01)
 
@@ -207,7 +207,7 @@ def test_level_listed_twice_is_calibrated_once(monkeypatch):
     monkeypatch.setattr(stepdown.boundary, "_solve_constant", counted)
     crit = calibrate_levels(SCHED, [0.05, 0.025, 0.05])
     assert calls == [0.05, 0.025]
-    assert crit.levels == (0.025, 0.05)
+    assert sorted(crit.table) == [0.025, 0.05]
 
 
 def _reference_recursion(analyses, b, grid_points):

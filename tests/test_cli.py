@@ -429,3 +429,32 @@ def test_simulate_checks_grid_without_calibration(tmp_path, capsys, procedure):
     assert "grid_points" in capsys.readouterr().err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("alpha", ["2", "nan"])
+def test_simulate_names_alpha_out_of_range(tmp_path, capsys, alpha):
+    out = tmp_path / "s.csv"
+    code = main(
+        [
+            "simulate", "--scenarios", "(0,0,.5)", "--procedure", "MultH",
+            "--alpha", alpha, "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_bounds_the_horizon_before_drawing(tmp_path, capsys, monkeypatch):
+    calls = _count_calibrations(monkeypatch)
+    out = tmp_path / "s.csv"
+    code = main(
+        [
+            "simulate", "--scenarios", "(0,0,.5)", "--procedure", "MultH",
+            "--schedule", "26,29,200000", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "schedule 26,29,200000" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()

@@ -13,8 +13,6 @@ from stepdown.procedures import (
     holm_fixed,
     run_multistage,
     stage_levels,
-    stage_rejections,
-    stage_sample_size,
 )
 
 ALPHA = 0.05
@@ -119,53 +117,65 @@ def test_holm_closed_contains_holm_fixed():
         assert np.all(closed[fixed])
 
 
+def first_stage(stats, critical, variant=HOLM, family=None):
+    """The first stage record of a run on statistics constant across analyses."""
+    paths = paths_from_stats(stats)
+    family = family or HypothesisFamily.simple(len(stats))
+    return run_multistage(paths, family, SCHED, critical, ALPHA, variant).stages[0]
+
+
 def test_stage_sample_size_first_crossing():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
     values = np.array([[2.9, 0.0, 0.0], [1.0, 1.1, 1.2], [0.0, 0.0, 0.0]])
     paths = StatisticPaths((26, 29, 35), values)
-    assert stage_sample_size(paths, [0, 1, 2], 0, crit, ALPHA / 3.0) == 26
+    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA)
+    assert res.stages[0].n == 26
+    assert res.stages[0].ordered == (0, 1, 2)
+    assert res.stages[0].rejected == (0,)
 
 
 def test_stage_sample_size_no_crossing():
+    # mult tests every stage at alpha/3, the one level in the table.
     crit = flat_table({ALPHA / 3.0: 2.8})
     paths = paths_from_stats([1.0, 2.0, 0.5])
-    assert stage_sample_size(paths, [0, 1, 2], 0, crit, ALPHA / 3.0) is None
+    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA, MULT)
+    assert res.stages == ()
+    assert res.endpoint_final_n == (35, 35, 35)
 
 
 def test_stage_sample_size_excludes_prev_n():
-    # The crossing at n=26 does not count once 26 observations are spent.
-    crit = flat_table({ALPHA / 3.0: 2.8})
-    values = np.array([[2.9, 1.0, 1.0]])
+    # Stage 1 ends at n=29.  At the relaxed level the survivor's 2.5 at
+    # n=26 would cross, but 29 observations are spent, so stage 2 looks
+    # only past 29 and crosses at 35.
+    crit = flat_table({ALPHA / 2.0: 2.8, ALPHA: 2.2})
+    values = np.array([[0.0, 3.0, 0.0], [2.5, 2.0, 2.7]])
     paths = StatisticPaths((26, 29, 35), values)
-    assert stage_sample_size(paths, [0], 26, crit, ALPHA / 3.0) is None
-    assert stage_sample_size(paths, [0], 0, crit, ALPHA / 3.0) == 26
-
-
-def test_stage_sample_size_requires_active():
-    crit = flat_table({ALPHA: 2.0})
-    with pytest.raises(ValueError, match="active"):
-        stage_sample_size(paths_from_stats([1.0]), [], 0, crit, ALPHA)
+    res = run_multistage(paths, HypothesisFamily.simple(2), SCHED, crit, ALPHA)
+    assert [(rec.n, rec.ordered, rec.rejected) for rec in res.stages] == [
+        (29, (0, 1), (0,)),
+        (35, (1,), (1,)),
+    ]
 
 
 def test_stage_rejections_prefix_stops_midway():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
-    paths = paths_from_stats([3.0, 2.5, 1.0])
-    rej = stage_rejections(paths, [0, 1, 2], 26, crit, ALPHA, HOLM)
-    assert rej == [0]  # 2.5 < 2.6 blocks the second position
+    rec = first_stage([3.0, 2.5, 1.0], crit)
+    assert (rec.n, rec.ordered) == (26, (0, 1, 2))
+    assert rec.rejected == (0,)  # 2.5 < 2.6 blocks the second position
 
 
 def test_stage_rejections_full_prefix():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
-    paths = paths_from_stats([3.0, 2.7, 2.3])
-    rej = stage_rejections(paths, [0, 1, 2], 26, crit, ALPHA, HOLM)
-    assert rej == [0, 1, 2]
+    rec = first_stage([3.0, 2.7, 2.3], crit)
+    assert (rec.n, rec.ordered) == (26, (0, 1, 2))
+    assert rec.rejected == (0, 1, 2)
 
 
 def test_stage_rejections_orders_by_statistic():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
-    paths = paths_from_stats([2.7, 3.0, 1.0])
-    rej = stage_rejections(paths, [0, 1, 2], 26, crit, ALPHA, HOLM)
-    assert rej == [1, 0]
+    rec = first_stage([2.7, 3.0, 1.0], crit)
+    assert (rec.n, rec.ordered) == (26, (1, 0, 2))
+    assert rec.rejected == (1, 0)
 
 
 def test_stage_rejections_variant_prefix_ordering():
@@ -174,19 +184,12 @@ def test_stage_rejections_variant_prefix_ordering():
     crit = flat_table(
         {ALPHA / 4.0: 2.9, ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2}
     )
-    paths = paths_from_stats([3.0, 2.85, 2.5, 2.4])
-    m = stage_rejections(paths, [0, 1, 2, 3], 26, crit, ALPHA, MULT)
-    h = stage_rejections(paths, [0, 1, 2, 3], 26, crit, ALPHA, HOLM)
-    c = stage_rejections(paths, [0, 1, 2, 3], 26, crit, ALPHA, CLOSED)
+    stats = [3.0, 2.85, 2.5, 2.4]
+    m = first_stage(stats, crit, MULT).rejected
+    h = first_stage(stats, crit, HOLM).rejected
+    c = first_stage(stats, crit, CLOSED, HypothesisFamily(k=4, closed_monotone=True)).rejected
     assert len(m) <= len(h) <= len(c)
-    assert m == [0] and h == [0, 1] and c == [0, 1, 2, 3]
-
-
-def test_stage_rejections_requires_crossing():
-    crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
-    paths = paths_from_stats([1.0, 0.5, 0.2])
-    with pytest.raises(ValueError, match="stage_sample_size"):
-        stage_rejections(paths, [0, 1, 2], 26, crit, ALPHA, HOLM)
+    assert m == (0,) and h == (0, 1) and c == (0, 1, 2, 3)
 
 
 def test_variant_validation():
