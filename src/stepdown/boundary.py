@@ -88,12 +88,13 @@ def _as_analyses(schedule: SampleSchedule | Sequence[int]) -> tuple[int, ...]:
     return SampleSchedule(tuple(schedule)).analyses
 
 
-def _check_grid_points(grid_points: int) -> None:
+def _check_grid_points(grid_points: int) -> int:
     """Validate an integration grid size before anything is allocated."""
     if not MIN_GRID_POINTS <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(
             f"grid_points must lie in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}], got {grid_points}"
         )
+    return grid_points
 
 
 def _check_levels(levels: Iterable[float]) -> list[float]:

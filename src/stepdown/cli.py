@@ -2,9 +2,13 @@
 
 Four subcommands share one configuration style: an optional flat
 ``key = value`` file (``#`` comments) whose values are overridden by
-command-line flags.  Unknown keys are rejected.  Every run writes its
-fully resolved configuration next to the output file (``<out>.meta.txt``)
-so any result can be reproduced from its sidecar alone.
+command-line flags.  Unknown keys are rejected.  Each key is declared
+once, in ``COMMANDS``; its flag, its config-file spelling, its checks and
+its default all derive from that declaration, so a key accepts the same
+text and fails with the same message either way.  Every run writes its
+resolved configuration next to the output file (``<out>.meta.txt``):
+each key as given, or its default when it has one, so any result can be
+reproduced from its sidecar alone.
 
 Exit status: 0 on success, 2 for configuration errors (bad keys, bad
 values, malformed input files), 1 for runtime failures (calibration
@@ -16,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +48,6 @@ from .core import (
     parse_kv_text,
 )
 from .harness import (
-    PROCEDURES,
     ScenarioSpec,
     SimulationSummary,
     needed_levels,
@@ -59,9 +64,6 @@ from .trial import RngStream, ScenarioParams
 
 WORKERS_ENV = "STEPDOWN_WORKERS"
 
-# Parser attributes that are not configuration keys.
-_NOT_KEYS = {"config", "handler", "subcommand"}
-
 
 def fmt(value: object) -> str:
     """Render a CSV field: floats via repr (round-trip exact)."""
@@ -72,64 +74,123 @@ def fmt(value: object) -> str:
     return str(value)
 
 
-def _resolve(args: argparse.Namespace, subcommand: str) -> dict[str, str]:
-    """Merge config-file values and flags; flags win; each key must name a flag."""
-    known = vars(args).keys() - _NOT_KEYS
-    resolved: dict[str, str] = {}
-    if getattr(args, "config", None):
+# Key kinds: each converts a key's text and raises ValueError on bad input.
+
+
+def _text(text: str) -> str:
+    if not text:
+        raise ValueError("must not be empty")
+    return text
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected true or false, got {text!r}")
+
+
+def _schedule(text: str) -> SampleSchedule:
+    return SampleSchedule(parse_int_list(text))
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+@dataclass(frozen=True)
+class Key:
+    """One configuration key, given as a ``--flag`` or a config-file line.
+
+    Both sources go through ``convert``.  A key without a ``default`` must
+    be given unless it is ``optional``; ``env`` names an environment
+    variable that, when set, replaces the default.
+    """
+
+    name: str
+    help: str
+    kind: Callable[[str], Any] = _text
+    default: str | None = None
+    choices: tuple[str, ...] = ()
+    minimum: int | None = None
+    flag: str = ""
+    env: str = ""
+    optional: bool = False
+
+    def convert(self, text: str, source: str) -> Any:
+        try:
+            if self.choices and text not in self.choices:
+                raise ValueError(f"expected one of {', '.join(self.choices)}, got {text!r}")
+            value = self.kind(text)
+            if self.minimum is not None and value < self.minimum:
+                raise ValueError(f"must be at least {self.minimum}, got {value}")
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+        return value
+
+    def describe(self) -> str:
+        notes = [self.help]
+        if self.choices:
+            notes.append("one of " + ", ".join(self.choices))
+        if self.default is not None:
+            notes.append("default " + (f"${self.env} or " if self.env else "") + self.default)
+        return "; ".join(notes)
+
+
+def _resolve(args: argparse.Namespace, keys: Sequence[Key]) -> tuple[dict[str, Any], dict[str, str]]:
+    """Merge config-file values and flags (flags win), then convert every key.
+
+    Returns the converted values and the text of every key that was given
+    or has a default: the sidecar records exactly that text.
+    """
+    names = {key.name for key in keys}
+    texts: dict[str, str] = {}
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 entries = parse_kv_text(fh.read())
         except OSError as exc:
             raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
-        for key, value in entries.items():
-            if key not in known:
-                raise ValueError(
-                    f"unknown config key {key!r} for subcommand {subcommand!r}"
-                )
-            resolved[key] = value
-    for key in known:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = str(flag_value)
-    return resolved
-
-
-def _require(resolved: dict[str, str], key: str) -> str:
-    if key not in resolved or resolved[key] == "":
-        raise ValueError(f"missing required key {key!r}")
-    return resolved[key]
-
-
-def _boolean(text: str) -> bool:
-    text = text.strip().lower()
-    if text in ("true", "1", "yes", "on"):
-        return True
-    if text in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
-_KINDS = {int: "an integer", float: "numeric", _boolean: "a boolean"}
-
-
-def _get(resolved: dict[str, str], key: str, kind, default=None, *, minimum: int | None = None):
-    """Convert ``resolved[key]`` with ``kind`` (int, float or _boolean).
-
-    A missing key yields ``default``, or is an error when there is none.
-    Every error names the key.
-    """
-    if key not in resolved:
-        if default is None:
-            raise ValueError(f"missing required key {key!r}")
-        return default
-    try:
-        value = kind(resolved[key])
-    except ValueError:
-        raise ValueError(f"key {key!r} must be {_KINDS[kind]}, got {resolved[key]!r}") from None
-    if minimum is not None and value < minimum:
-        raise ValueError(f"key {key!r} must be at least {minimum}, got {value}")
-    return value
+        for name, text in entries.items():
+            if name not in names:
+                raise ValueError(f"unknown config key {name!r} for subcommand {args.subcommand!r}")
+            texts[name] = text
+    for key in keys:
+        if getattr(args, key.name) is not None:
+            texts[key.name] = getattr(args, key.name)
+    values: dict[str, Any] = {}
+    for key in keys:
+        source = f"key {key.name!r}"
+        if key.name not in texts:
+            if key.env in os.environ:
+                texts[key.name], source = os.environ[key.env], key.env
+            elif key.default is not None:
+                texts[key.name] = key.default
+            elif key.optional:
+                continue
+            else:
+                raise ValueError(f"missing required key {key.name!r}")
+        values[key.name] = key.convert(texts[key.name], source)
+    return values, texts
 
 
 def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
@@ -156,18 +217,14 @@ def parse_scenarios(text: str) -> list[ScenarioParams]:
     tokens = [tok for tok in text.replace("(", " (").split() if tok]
     params: list[ScenarioParams] = []
     for token in tokens:
-        inner = token.strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
+        if not (token.startswith("(") and token.endswith(")")):
             raise ValueError(f"scenario token {token!r} must look like (mu1,mu2,p[,rho12])")
-        fields = parse_float_list(inner[1:-1])
-        if len(fields) == 3:
-            params.append(ScenarioParams(*fields))
-        elif len(fields) == 4:
-            params.append(ScenarioParams(fields[0], fields[1], fields[2], fields[3]))
-        else:
+        fields = parse_float_list(token[1:-1])
+        if len(fields) not in (3, 4):
             raise ValueError(
                 f"scenario token {token!r} needs 3 or 4 numbers, got {len(fields)}"
             )
+        params.append(ScenarioParams(*fields))
     if not params:
         raise ValueError("no scenarios given")
     return params
@@ -178,31 +235,15 @@ def default_table_config() -> str:
     return str(resources.files("stepdown").joinpath("configs/table1.cfg"))
 
 
-def _cmd_boundary(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "boundary")
-    schedule = SampleSchedule(parse_int_list(_require(resolved, "schedule")))
-    rho = _require(resolved, "rho")
-    try:
-        levels = _check_levels(parse_float_list(rho))
-    except ValueError as exc:
-        raise ValueError(f"key 'rho': {exc}") from None
-    shape = resolved.get("shape", "flat")
-    if shape not in SHAPES:
-        raise ValueError(f"key 'shape' must be one of {SHAPES}, got {shape!r}")
-    grid = _get(resolved, "grid", int, 512, minimum=1)
-    out = _require(resolved, "out")
-
-    critical = calibrate_levels(schedule, levels, shape, grid_points=grid)
-    rows = []
-    for rho in levels:
-        bound = critical.boundary(rho)
-        for n, value in zip(schedule.analyses, bound):
-            rows.append((n, float(rho), float(value), shape))
-    _write_rows(out, ("n", "rho", "critical_value", "shape"), rows)
-    resolved.setdefault("shape", shape)
-    resolved.setdefault("grid", str(grid))
-    _write_sidecar(out, "boundary", resolved)
-    return 0
+def _cmd_boundary(values: dict[str, Any]) -> None:
+    schedule, levels, shape = values["schedule"], values["rho"], values["shape"]
+    critical = calibrate_levels(schedule, levels, shape, grid_points=values["grid"])
+    rows = [
+        (n, float(rho), float(value), shape)
+        for rho in levels
+        for n, value in zip(schedule.analyses, critical.boundary(rho))
+    ]
+    _write_rows(values["out"], ("n", "rho", "critical_value", "shape"), rows)
 
 
 def _read_statistics_csv(path: str) -> tuple[StatisticPaths, tuple[str, ...]]:
@@ -298,20 +339,16 @@ def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction
     return CriticalFunction.from_table(analyses, full, shape=shape)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "analyze")
-    paths, labels = _read_statistics_csv(_require(resolved, "statistics"))
-    critical = _read_boundary_csv(_require(resolved, "boundary"), paths.analyses)
-    alpha = check_alpha(_get(resolved, "alpha", float, 0.05))
-    variant_tag = resolved.get("variant", "holm")
-    if variant_tag not in RULES:
-        raise ValueError(f"key 'variant' must be one of {RULES}, got {variant_tag!r}")
-    if "family" in resolved:
+def _cmd_analyze(values: dict[str, Any]) -> None:
+    paths, labels = _read_statistics_csv(values["statistics"])
+    critical = _read_boundary_csv(values["boundary"], paths.analyses)
+    alpha, rule = values["alpha"], values["variant"]
+    if "family" in values:
         try:
-            with open(resolved["family"], "r", encoding="utf-8") as fh:
+            with open(values["family"], "r", encoding="utf-8") as fh:
                 family = HypothesisFamily.from_text(fh.read())
         except OSError as exc:
-            raise ValueError(f"cannot read family file {resolved['family']}: {exc}") from exc
+            raise ValueError(f"cannot read family file {values['family']}: {exc}") from exc
         if family.k != paths.k:
             raise ValueError(
                 f"family has {family.k} hypotheses but statistics cover {paths.k}"
@@ -320,7 +357,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         family = HypothesisFamily.simple(paths.k, labels)
 
     schedule = SampleSchedule(paths.analyses)
-    for level in stage_levels(variant_tag, alpha, family.k):
+    for level in stage_levels(rule, alpha, family.k):
         try:
             critical.boundary(level)
         except KeyError:
@@ -329,10 +366,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"calibrate it with rho = {level!r}"
             ) from None
 
-    result = run_multistage(
-        paths, family, schedule, critical, alpha, ProcedureVariant(variant_tag)
-    )
-    out = _require(resolved, "out")
+    result = run_multistage(paths, family, schedule, critical, alpha, ProcedureVariant(rule))
     rows = [
         (
             labels[i],
@@ -342,11 +376,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         for i in range(paths.k)
     ]
-    _write_rows(out, ("hypothesis", "decision", "stage", "final_n"), rows)
-    resolved.setdefault("alpha", fmt(alpha))
-    resolved.setdefault("variant", variant_tag)
-    _write_sidecar(out, "analyze", resolved)
-    return 0
+    _write_rows(values["out"], ("hypothesis", "decision", "stage", "final_n"), rows)
 
 
 def _summary_row(summary: SimulationSummary) -> tuple[object, ...]:
@@ -370,54 +400,33 @@ def _summary_row(summary: SimulationSummary) -> tuple[object, ...]:
     )
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "simulate")
-    scenarios = parse_scenarios(_require(resolved, "scenarios"))
-    procedures_text = resolved.get("procedures", "MultH")
-    procedures = tuple(tok.strip() for tok in procedures_text.split(",") if tok.strip())
-    for proc in procedures:
-        if proc not in PROCEDURES:
-            raise ValueError(f"unknown procedure {proc!r}; expected one of {PROCEDURES}")
-    schedule = SampleSchedule(parse_int_list(resolved.get("schedule", "26,29,35")))
-    alpha = check_alpha(_get(resolved, "alpha", float, 0.05))
-    shape = resolved.get("shape", "flat")
-    if shape not in SHAPES:
-        raise ValueError(f"key 'shape' must be one of {SHAPES}, got {shape!r}")
-    reps = _get(resolved, "reps", int, 50_000, minimum=1)
-    seed = _get(resolved, "seed", int, 1, minimum=0)
-    grid = _get(resolved, "grid", int, 512, minimum=1)
-    # Checked here too: with --procedure H alone nothing is calibrated.
-    _check_grid_points(grid)
-    cc = _get(resolved, "continuity_correction", _boolean, False)
-    if "workers" in resolved:
-        workers = _get(resolved, "workers", int, minimum=1)
-    else:
-        workers = _get({WORKERS_ENV: os.environ.get(WORKERS_ENV, "1")}, WORKERS_ENV, int, minimum=1)
-    out = _require(resolved, "out")
-
+def _cmd_simulate(values: dict[str, Any]) -> None:
+    procedures, schedule, alpha = values["procedures"], values["schedule"], values["alpha"]
     specs = [
         ScenarioSpec(
             params=params,
             schedule=schedule,
             procedure=proc,
             alpha=alpha,
-            replicates=reps,
-            master_seed=seed,
-            shape=shape,
-            continuity_correction=cc,
-            grid_points=grid,
+            replicates=values["reps"],
+            master_seed=values["seed"],
+            continuity_correction=values["continuity_correction"],
         )
-        for params in scenarios
+        for params in values["scenarios"]
         for proc in procedures
     ]
     # One calibration serves every cell: a level's boundary does not
     # depend on the other levels calibrated with it.
     levels = needed_levels(procedures, alpha)
-    critical = calibrate_levels(schedule, levels, shape, grid_points=grid) if levels else None
-    summaries = run_scenario_parallel(specs, workers=workers, critical=critical)
+    critical = (
+        calibrate_levels(schedule, levels, values["shape"], grid_points=values["grid"])
+        if levels
+        else None
+    )
+    summaries = run_scenario_parallel(specs, workers=values["workers"], critical=critical)
     rows = [_summary_row(summary) for summary in summaries]
     _write_rows(
-        out,
+        values["out"],
         (
             "scenario",
             "procedure",
@@ -436,38 +445,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ),
         rows,
     )
-    for key, value in (
-        ("procedures", ",".join(procedures)),
-        ("schedule", ",".join(str(n) for n in schedule.analyses)),
-        ("alpha", fmt(alpha)),
-        ("shape", shape),
-        ("reps", str(reps)),
-        ("seed", str(seed)),
-        ("grid", str(grid)),
-        ("continuity_correction", fmt(cc)),
-        ("workers", str(workers)),
-    ):
-        resolved.setdefault(key, value)
-    _write_sidecar(out, "simulate", resolved)
-    return 0
 
 
-def _cmd_paulson(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "paulson")
+def _cmd_paulson(values: dict[str, Any]) -> None:
     config = PaulsonConfig(
-        thresholds=parse_float_list(_require(resolved, "thresholds")),
-        delta=_get(resolved, "delta", float),
-        critical_value=_get(resolved, "critical_value", float),
-        horizon=_get(resolved, "horizon", int, 100_000, minimum=1),
+        thresholds=values["thresholds"],
+        delta=values["delta"],
+        critical_value=values["critical_value"],
+        horizon=values["horizon"],
     )
-    theta = _get(resolved, "theta", float)
-    reps = _get(resolved, "reps", int, 10_000, minimum=1)
-    seed = _get(resolved, "seed", int, 1, minimum=0)
-    method = resolved.get("method", "direct")
-    if method not in ("direct", "stepdown"):
-        raise ValueError(f"key 'method' must be 'direct' or 'stepdown', got {method!r}")
-    out = _require(resolved, "out")
-    run = run_paulson_direct if method == "direct" else paulson_via_stepdown
+    theta, reps, seed = values["theta"], values["reps"], values["seed"]
+    run = run_paulson_direct if values["method"] == "direct" else paulson_via_stepdown
 
     decisions = np.zeros(config.k, dtype=int)
     stop_total = 0
@@ -480,16 +468,85 @@ def _cmd_paulson(args: argparse.Namespace) -> int:
         stop_total += result.stop_n
     freqs = ";".join(repr(int(decisions[i]) / reps) for i in range(config.k))
     rows.append(("summary", stop_total / reps, freqs))
-    _write_rows(out, ("decision", "stop_n", "fallback_used"), rows)
-    for key, value in (
-        ("horizon", str(config.horizon)),
-        ("reps", str(reps)),
-        ("seed", str(seed)),
-        ("method", method),
-    ):
-        resolved.setdefault(key, value)
-    _write_sidecar(out, "paulson", resolved)
-    return 0
+    _write_rows(values["out"], ("decision", "stop_n", "fallback_used"), rows)
+
+
+_OUT = Key("out", "output CSV path")
+_ALPHA = Key("alpha", "familywise level", lambda text: check_alpha(_number(text)), default="0.05")
+_SHAPE = Key("shape", "boundary shape", choices=SHAPES, default="flat")
+_GRID = Key(
+    "grid", "integration grid points", lambda text: _check_grid_points(_integer(text)), default="512"
+)
+_SEED = Key("seed", "master seed", _integer, default="1", minimum=0)
+
+# Subcommand -> (help, handler, keys).  The handlers look the package
+# functions they call up as module globals at call time, so a tracer can
+# wrap them on this module.
+COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], None], tuple[Key, ...]]] = {
+    "boundary": (
+        "calibrate group-sequential critical values to CSV",
+        _cmd_boundary,
+        (
+            Key("schedule", "analysis sizes, e.g. 26,29,35", _schedule),
+            Key(
+                "rho",
+                "crossing probabilities, e.g. 0.05 or 0.05,0.025",
+                lambda text: _check_levels(parse_float_list(text)),
+            ),
+            _SHAPE,
+            _GRID,
+            _OUT,
+        ),
+    ),
+    "analyze": (
+        "run the multistage procedure on staged statistics",
+        _cmd_analyze,
+        (
+            Key("statistics", "CSV of hypothesis,n,statistic"),
+            Key("boundary", "CSV from the boundary subcommand"),
+            _ALPHA,
+            Key("variant", "stage-level rule", choices=RULES, default="holm"),
+            Key("family", "family description file (key = value lines)", optional=True),
+            _OUT,
+        ),
+    ),
+    "simulate": (
+        "Monte Carlo evaluation of the procedures",
+        _cmd_simulate,
+        (
+            Key("scenarios", "tokens like (0,0,.5) (0,.5,.75,.75)", parse_scenarios),
+            # ScenarioSpec rejects an unknown procedure before anything runs.
+            Key("procedures", "comma list from H,Mult,MultH", _names, default="MultH",
+                flag="--procedure"),
+            Key("schedule", "analysis sizes", _schedule, default="26,29,35"),
+            _ALPHA,
+            _SHAPE,
+            Key("reps", "replicates per cell", _integer, default="50000", minimum=1),
+            _SEED,
+            _GRID,
+            Key("continuity_correction", "half-count correction on the binary endpoint",
+                _boolean, default="false"),
+            Key("workers", "worker processes", _integer, default="1", minimum=1, env=WORKERS_ENV),
+            _OUT,
+        ),
+    ),
+    "paulson": (
+        "sequential classification of a normal mean",
+        _cmd_paulson,
+        (
+            Key("thresholds", "interval cutpoints, e.g. 0,1,2", parse_float_list),
+            Key("delta", "target widening", _number),
+            Key("critical_value", "evidence threshold per one-sided test", _number),
+            Key("theta", "true mean", _number),
+            Key("reps", "simulated paths", _integer, default="10000", minimum=1),
+            _SEED,
+            Key("horizon", "max observations per path", _integer, default="100000", minimum=1),
+            Key("method", "implementation route", choices=("direct", "stepdown"),
+                default="direct"),
+            _OUT,
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,87 +558,29 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_boundary = sub.add_parser(
-        "boundary", help="calibrate group-sequential critical values to CSV"
-    )
-    p_boundary.add_argument("--config", help="flat key = value config file")
-    p_boundary.add_argument("--schedule", help="analysis sizes, e.g. 26,29,35")
-    p_boundary.add_argument("--rho", help="crossing probabilities, e.g. 0.05 or 0.05,0.025")
-    p_boundary.add_argument("--shape", choices=SHAPES, default=None, help="boundary shape")
-    p_boundary.add_argument("--grid", type=int, default=None, help="integration grid points")
-    p_boundary.add_argument("--out", help="output CSV path")
-    p_boundary.set_defaults(handler=_cmd_boundary)
-
-    p_analyze = sub.add_parser(
-        "analyze", help="run the multistage procedure on staged statistics"
-    )
-    p_analyze.add_argument("--config", help="flat key = value config file")
-    p_analyze.add_argument("--statistics", help="CSV of hypothesis,n,statistic")
-    p_analyze.add_argument("--boundary", help="CSV from the boundary subcommand")
-    p_analyze.add_argument("--alpha", type=float, default=None, help="familywise level")
-    p_analyze.add_argument("--variant", choices=RULES, default=None, help="stage-level rule")
-    p_analyze.add_argument("--family", help="family description file (key = value lines)")
-    p_analyze.add_argument("--out", help="output CSV path")
-    p_analyze.set_defaults(handler=_cmd_analyze)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo evaluation of the procedures")
-    p_sim.add_argument("--config", help="flat key = value config file")
-    p_sim.add_argument("--scenarios", help="tokens like (0,0,.5) (0,.5,.75,.75)")
-    p_sim.add_argument("--procedure", dest="procedures", help="comma list from H,Mult,MultH")
-    p_sim.add_argument("--schedule", help="analysis sizes, e.g. 26,29,35")
-    p_sim.add_argument("--alpha", type=float, default=None, help="familywise level")
-    p_sim.add_argument("--shape", choices=SHAPES, default=None, help="boundary shape")
-    p_sim.add_argument("--reps", type=int, default=None, help="replicates per cell")
-    p_sim.add_argument("--seed", type=int, default=None, help="master seed")
-    p_sim.add_argument("--grid", type=int, default=None, help="integration grid points")
-    p_sim.add_argument(
-        "--continuity-correction",
-        dest="continuity_correction",
-        choices=("true", "false"),
-        default=None,
-        help="half-count correction on the binary endpoint",
-    )
-    p_sim.add_argument(
-        "--workers", type=int, default=None, help=f"worker processes (default ${WORKERS_ENV} or 1)"
-    )
-    p_sim.add_argument("--out", help="output CSV path")
-    p_sim.set_defaults(handler=_cmd_simulate)
-
-    p_paulson = sub.add_parser(
-        "paulson", help="sequential classification of a normal mean"
-    )
-    p_paulson.add_argument("--config", help="flat key = value config file")
-    p_paulson.add_argument("--thresholds", help="interval cutpoints, e.g. 0,1,2")
-    p_paulson.add_argument("--delta", type=float, default=None, help="target widening")
-    p_paulson.add_argument(
-        "--critical-value", dest="critical_value", type=float, default=None,
-        help="evidence threshold per one-sided test",
-    )
-    p_paulson.add_argument("--theta", type=float, default=None, help="true mean")
-    p_paulson.add_argument("--reps", type=int, default=None, help="simulated paths")
-    p_paulson.add_argument("--seed", type=int, default=None, help="master seed")
-    p_paulson.add_argument("--horizon", type=int, default=None, help="max observations per path")
-    p_paulson.add_argument(
-        "--method", choices=("direct", "stepdown"), default=None, help="implementation route"
-    )
-    p_paulson.add_argument("--out", help="output CSV path")
-    p_paulson.set_defaults(handler=_cmd_paulson)
-
+    for name, (help_text, _handler, keys) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", help="flat key = value config file")
+        for key in keys:
+            flag = key.flag or "--" + key.name.replace("_", "-")
+            command.add_argument(flag, dest=key.name, help=key.describe())
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _help, handler, keys = COMMANDS[args.subcommand]
     try:
-        return args.handler(args)
+        values, texts = _resolve(args, keys)
+        handler(values)
+        _write_sidecar(values["out"], args.subcommand, texts)
     except ValueError as exc:
         print(f"stepdown {args.subcommand}: {exc}", file=sys.stderr)
         return 2
     except (OSError, CalibrationError, GridError) as exc:
         print(f"stepdown {args.subcommand}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -192,19 +192,6 @@ class SampleSchedule:
         """The largest allowed sample size."""
         return self.analyses[-1]
 
-    def to_text(self) -> str:
-        return f"analyses = {','.join(str(n) for n in self.analyses)}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SampleSchedule":
-        entries = parse_kv_text(text)
-        for key in entries:
-            if key != "analyses":
-                raise ValueError(f"unknown schedule key {key!r}")
-        if "analyses" not in entries:
-            raise ValueError("schedule text must define analyses")
-        return cls(parse_int_list(entries["analyses"]))
-
 
 @dataclass(frozen=True, eq=False)
 class StatisticPaths:

@@ -16,9 +16,10 @@ every replicate exactly the numbers and decisions of the one-replicate
 functions ``generate_paths`` and ``run_multistage``, so the block size
 bounds memory and changes no result.
 
-A boundary depends only on the schedule, the levels, the shape and the
-grid, so one calibration covering ``needed_levels`` of every procedure
-in a study serves all of its cells; pass it as ``critical``.
+The staged procedures need a boundary covering their ``needed_levels``,
+passed as ``critical``.  A boundary depends only on the schedule, the
+levels, the shape and the grid, so one calibration serves every cell of
+a study.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from scipy import stats as scipy_stats
 
 from .boundary import CriticalFunction, calibrate_levels
 from .core import HypothesisFamily, SampleSchedule
-# run_multistage and generate_paths are not called here; they stay bound
-# because bench/tracing.py wraps them on this module.
+# calibrate_levels, run_multistage and generate_paths are not called here;
+# they stay bound because bench/tracing.py wraps them on this module.
 from .procedures import (
     HOLM,
     MULT,
@@ -104,9 +105,7 @@ class ScenarioSpec:
     alpha: float = 0.05
     replicates: int = 50_000
     master_seed: int = 1
-    shape: str = "flat"
     continuity_correction: bool = False
-    grid_points: int = 512
 
     def __post_init__(self) -> None:
         if self.procedure not in PROCEDURES:
@@ -242,16 +241,6 @@ def merge(a: SimulationSummary, b: SimulationSummary) -> SimulationSummary:
     )
 
 
-def build_critical(spec: ScenarioSpec) -> CriticalFunction | None:
-    """Calibrate the boundary levels the scenario's procedure needs."""
-    levels = needed_levels((spec.procedure,), spec.alpha)
-    if not levels:
-        return None
-    return calibrate_levels(
-        spec.schedule, levels, spec.shape, grid_points=spec.grid_points
-    )
-
-
 def run_scenario(
     spec: ScenarioSpec,
     rep_range: tuple[int, int] | None = None,
@@ -266,7 +255,7 @@ def run_scenario(
             r depend only on (spec.master_seed, r).
         critical: Critical values covering the procedure's
             ``needed_levels``, typically one calibration shared by every
-            cell of a study; calibrated here when None.
+            cell of a study.  Required unless the procedure is ``H``.
 
     Returns:
         A SimulationSummary covering exactly rep_range.
@@ -276,8 +265,8 @@ def run_scenario(
         raise ValueError(
             f"rep_range {(lo, hi)} must lie within (0, {spec.replicates})"
         )
-    if critical is None:
-        critical = build_critical(spec)
+    if critical is None and spec.procedure != "H":
+        raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
 
     truth = np.asarray(spec.params.truth)
     sup = spec.schedule.sup
@@ -295,7 +284,6 @@ def run_scenario(
         tail = scipy_stats.binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
     else:
         variant = _VARIANTS[spec.procedure]
-        assert critical is not None
     step = block_replicates(spec.schedule)
     for start in range(lo, hi, step):
         sums, values = generate_batch(
@@ -365,20 +353,17 @@ def run_scenario_parallel(
     ``os.cpu_count()`` processes.  The results are bit-identical for any
     worker count: replicate draws are keyed by index and the merged
     accumulators are integers.  ``critical`` is as for run_scenario and
-    serves every scenario; when None, each scenario calibrates its own.
+    serves every scenario.
 
     Returns:
         One summary per scenario, in order.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    criticals = [critical if critical is not None else build_critical(spec) for spec in specs]
     if workers == 1:
-        return [run_scenario(spec, critical=c) for spec, c in zip(specs, criticals)]
+        return [run_scenario(spec, critical=critical) for spec in specs]
     split = [split_ranges(spec.replicates, workers) for spec in specs]
-    jobs = [
-        (spec, rng, c) for spec, c, ranges in zip(specs, criticals, split) for rng in ranges
-    ]
+    jobs = [(spec, rng, critical) for spec, ranges in zip(specs, split) for rng in ranges]
     processes = min(max((len(ranges) for ranges in split), default=1), os.cpu_count() or 1)
     with multiprocessing.Pool(processes=processes) as pool:
         parts = iter(pool.map(_worker_run, jobs))

@@ -65,15 +65,20 @@ class PaulsonConfig:
         thresholds = tuple(float(t) for t in self.thresholds)
         if not thresholds:
             raise ValueError("at least one threshold is required")
+        if not all(math.isfinite(t) for t in thresholds):
+            raise ValueError(f"thresholds must be finite, got {thresholds}")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "critical_value", float(self.critical_value))
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.critical_value <= 0.0:
-            raise ValueError(f"critical_value must be positive, got {self.critical_value}")
+        # Written so that NaN fails too.
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not 0.0 < self.critical_value < math.inf:
+            raise ValueError(
+                f"critical_value must be positive and finite, got {self.critical_value}"
+            )
         gaps = [b - a for a, b in zip(thresholds, thresholds[1:])]
         if gaps and self.delta >= min(gaps):
             raise ValueError(

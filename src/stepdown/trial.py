@@ -53,6 +53,9 @@ class ScenarioParams:
         object.__setattr__(self, "mu2", float(self.mu2))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "rho12", float(self.rho12))
+        for name in ("mu1", "mu2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"mean {name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"success probability must lie in [0, 1], got {self.p}")
         if not -1.0 <= self.rho12 <= 1.0:

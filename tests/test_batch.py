@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from stepdown.boundary import CriticalFunction
+from stepdown.boundary import CriticalFunction, calibrate_levels
 from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
 from stepdown.harness import (
     PROCEDURES,
     ScenarioSpec,
     block_replicates,
-    build_critical,
     merge,
+    needed_levels,
     run_scenario,
 )
 from stepdown.procedures import (
@@ -228,7 +228,8 @@ SPAN = (BLOCK - 120, BLOCK + 120)
 
 @functools.cache
 def straddling_critical(procedure):
-    return build_critical(straddling_spec(procedure))
+    levels = needed_levels((procedure,), ALPHA)
+    return calibrate_levels(SCHED, levels, "flat") if levels else None
 
 
 @pytest.mark.parametrize("procedure", PROCEDURES)

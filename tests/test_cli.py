@@ -458,3 +458,82 @@ def test_simulate_bounds_the_horizon_before_drawing(tmp_path, capsys, monkeypatc
     assert "schedule 26,29,200000" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+def _quick_start_keys(tmp_path, subcommand):
+    """The README quick-start keys, with fewer replicates."""
+    if subcommand == "boundary":
+        return {"schedule": "26,29,35", "rho": "0.05,0.025"}
+    if subcommand == "analyze":
+        stats = tmp_path / "stats.csv"
+        stats.write_text(
+            "hypothesis,n,statistic\nA,26,3.0\nA,29,3.0\nA,35,3.0\n"
+            "B,26,0.0\nB,29,0.5\nB,35,1.0\n"
+        )
+        bound = _write_boundary(tmp_path, "0.05,0.025")
+        return {"statistics": str(stats), "boundary": str(bound), "alpha": "0.05", "variant": "holm"}
+    if subcommand == "simulate":
+        return {
+            "scenarios": "(0,0,.5) (0,.5,.75,.75)", "procedures": "Mult,MultH", "reps": "200",
+            "seed": "1", "workers": "1", "continuity_correction": "yes",
+        }
+    return {"thresholds": "0,1", "delta": "0.15", "critical_value": "3", "theta": "0.5", "reps": "200"}
+
+
+def _run(tmp_path, subcommand, keys, way, out):
+    if way == "flags":
+        argv = [subcommand]
+        for key, value in keys.items():
+            argv += ["--" + ("procedure" if key == "procedures" else key.replace("_", "-")), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+        argv = [subcommand, "--config", str(cfg)]
+    return main(argv + ["--out", str(out)])
+
+
+@pytest.mark.parametrize(
+    "subcommand, bad_key, bad_value",
+    [
+        ("boundary", "shape", "bogus"),
+        ("analyze", "variant", "x"),
+        ("simulate", "grid", "abc"),
+        ("paulson", "method", "x"),
+    ],
+)
+def test_flags_and_config_file_agree(tmp_path, capsys, subcommand, bad_key, bad_value):
+    keys = _quick_start_keys(tmp_path, subcommand)
+    out = tmp_path / "out.csv"
+    outputs = []
+    for way in ("flags", "config"):
+        assert _run(tmp_path, subcommand, keys, way, out) == 0
+        outputs.append((out.read_bytes(), (tmp_path / "out.csv.meta.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+    bad = tmp_path / "bad.csv"
+    for way in ("flags", "config"):
+        assert _run(tmp_path, subcommand, {**keys, bad_key: bad_value}, way, bad) == 2
+        assert f"key {bad_key!r}: " in capsys.readouterr().err
+        assert not bad.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("thresholds", "0,nan"), ("delta", "nan"), ("critical_value", "inf"), ("theta", "nan")],
+)
+def test_paulson_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    keys = {**_quick_start_keys(tmp_path, "paulson"), key: value}
+    out = tmp_path / "p.csv"
+    assert _run(tmp_path, "paulson", keys, "flags", out) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_non_finite_mean_before_calibrating(tmp_path, capsys, monkeypatch):
+    calls = _count_calibrations(monkeypatch)
+    out = tmp_path / "s.csv"
+    code = main(["simulate", "--scenarios", "(0,0,.5) (nan,0,.5)", "--out", str(out)])
+    assert code == 2
+    assert "mean mu1 must be finite" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()

@@ -86,12 +86,6 @@ def test_schedule_validation():
         SampleSchedule((0, 5))
 
 
-def test_schedule_round_trip():
-    sched = SampleSchedule((26, 29, 35))
-    assert SampleSchedule.from_text(sched.to_text()) == sched
-    assert SampleSchedule.from_text("analyses = 17\n") == SampleSchedule((17,))
-
-
 def test_statistic_paths_lookup():
     values = np.array([[1.0, 2.0, 3.0], [0.5, 0.4, 0.3]])
     paths = StatisticPaths((26, 29, 35), values)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import stepdown.harness
+from stepdown.boundary import calibrate_levels
 from stepdown.cli import main as cli_main
 from stepdown.core import SampleSchedule
 from stepdown.harness import (
     ScenarioSpec,
-    build_critical,
     empty_summary,
     merge,
     needed_levels,
@@ -17,6 +17,8 @@ from stepdown.harness import (
 from stepdown.trial import ScenarioParams
 
 SCHED = SampleSchedule((26, 29, 35))
+# Covers the levels of both staged procedures at the default alpha.
+CRITICAL = calibrate_levels(SCHED, needed_levels(("MultH",), 0.05), "flat")
 
 
 def spec_for(procedure, reps=400, **kw):
@@ -51,37 +53,49 @@ def test_h_procedure_uses_full_sample():
 
 
 def test_multistage_saves_measurements():
-    s = run_scenario(spec_for("MultH", reps=400))
+    s = run_scenario(spec_for("MultH", reps=400), critical=CRITICAL)
     assert s.em < 105.0
     assert s.em_se > 0.0
 
 
 def test_fwe_none_when_no_true_null():
-    s = run_scenario(spec_for("MultH", reps=50, params=ScenarioParams(0.5, 0.5, 0.75)))
+    s = run_scenario(
+        spec_for("MultH", reps=50, params=ScenarioParams(0.5, 0.5, 0.75)), critical=CRITICAL
+    )
     assert not s.any_true_null
     assert s.fwe is None and s.fwe_se is None
 
 
 def test_fwe_at_most_sum_of_true_null_rejections():
-    s = run_scenario(spec_for("MultH", reps=400, params=ScenarioParams(0.0, 0.0, 0.5)))
+    s = run_scenario(
+        spec_for("MultH", reps=400, params=ScenarioParams(0.0, 0.0, 0.5)), critical=CRITICAL
+    )
     assert s.fwe is not None
     assert s.fwe <= (s.p_reject(0) + s.p_reject(1) + s.p_reject(2)) + 1e-12
+
+
+@pytest.mark.parametrize("procedure", ["Mult", "MultH"])
+def test_staged_procedures_need_a_boundary(procedure):
+    spec = spec_for(procedure, reps=10)
+    with pytest.raises(ValueError, match=f"procedure '{procedure}' needs"):
+        run_scenario(spec)
+    with pytest.raises(ValueError, match=f"procedure '{procedure}' needs"):
+        run_scenario_parallel([spec], workers=2)
 
 
 def test_rep_range_validation():
     spec = spec_for("MultH", reps=100)
     with pytest.raises(ValueError, match="rep_range"):
-        run_scenario(spec, rep_range=(50, 150))
+        run_scenario(spec, rep_range=(50, 150), critical=CRITICAL)
     with pytest.raises(ValueError, match="rep_range"):
-        run_scenario(spec, rep_range=(-1, 10))
+        run_scenario(spec, rep_range=(-1, 10), critical=CRITICAL)
 
 
 def test_merge_identity_and_halves():
     spec = spec_for("MultH", reps=300)
-    critical = build_critical(spec)
-    full = run_scenario(spec, critical=critical)
-    left = run_scenario(spec, rep_range=(0, 150), critical=critical)
-    right = run_scenario(spec, rep_range=(150, 300), critical=critical)
+    full = run_scenario(spec, critical=CRITICAL)
+    left = run_scenario(spec, rep_range=(0, 150), critical=CRITICAL)
+    right = run_scenario(spec, rep_range=(150, 300), critical=CRITICAL)
 
     merged = merge(left, right)
     assert merged == full  # integer accumulators make this exact
@@ -91,17 +105,16 @@ def test_merge_identity_and_halves():
 
 
 def test_merge_rejects_mismatched_specs():
-    a = run_scenario(spec_for("MultH", reps=10))
-    b = run_scenario(spec_for("Mult", reps=10))
+    a = run_scenario(spec_for("MultH", reps=10), critical=CRITICAL)
+    b = run_scenario(spec_for("Mult", reps=10), critical=CRITICAL)
     with pytest.raises(ValueError, match="different scenario specs"):
         merge(a, b)
 
 
 def test_merge_rejects_overlap():
     spec = spec_for("MultH", reps=100)
-    critical = build_critical(spec)
-    a = run_scenario(spec, rep_range=(0, 60), critical=critical)
-    b = run_scenario(spec, rep_range=(40, 100), critical=critical)
+    a = run_scenario(spec, rep_range=(0, 60), critical=CRITICAL)
+    b = run_scenario(spec, rep_range=(40, 100), critical=CRITICAL)
     with pytest.raises(ValueError, match="overlap"):
         merge(a, b)
 
@@ -109,11 +122,10 @@ def test_merge_rejects_overlap():
 def test_partition_invariance():
     # Any partition of the replicate range merges to the same summary.
     spec = spec_for("Mult", reps=240)
-    critical = build_critical(spec)
-    full = run_scenario(spec, critical=critical)
+    full = run_scenario(spec, critical=CRITICAL)
     cuts = [0, 17, 64, 100, 201, 240]
     parts = [
-        run_scenario(spec, rep_range=(lo, hi), critical=critical)
+        run_scenario(spec, rep_range=(lo, hi), critical=CRITICAL)
         for lo, hi in zip(cuts, cuts[1:])
     ]
     merged = parts[0]
@@ -130,21 +142,20 @@ def test_split_ranges():
 
 def test_parallel_matches_serial():
     spec = spec_for("MultH", reps=120)
-    serial = run_scenario_parallel([spec], workers=1)
-    parallel = run_scenario_parallel([spec], workers=4)
+    serial = run_scenario_parallel([spec], workers=1, critical=CRITICAL)
+    parallel = run_scenario_parallel([spec], workers=4, critical=CRITICAL)
     assert serial == parallel
 
 
 def test_parallel_uses_given_critical(monkeypatch):
     spec = spec_for("Mult", reps=60)
-    critical = build_critical(spec)
 
     def no_calibration(*args, **kwargs):
         raise AssertionError("a supplied boundary must not be recalibrated")
 
     monkeypatch.setattr(stepdown.harness, "calibrate_levels", no_calibration)
-    assert run_scenario_parallel([spec], workers=1, critical=critical) == [
-        run_scenario(spec, critical=critical)
+    assert run_scenario_parallel([spec], workers=1, critical=CRITICAL) == [
+        run_scenario(spec, critical=CRITICAL)
     ]
 
 
@@ -210,8 +221,8 @@ def test_continuity_correction_toggle_changes_binary_only():
         params=ScenarioParams(0.0, 0.0, 0.75),
         continuity_correction=True,
     )
-    s0 = run_scenario(base)
-    s1 = run_scenario(corrected)
+    s0 = run_scenario(base, critical=CRITICAL)
+    s1 = run_scenario(corrected, critical=CRITICAL)
     # The correction lowers the binary statistic, never raising its
     # rejection count.  Gaussian counts may shift slightly because the
     # binary rejections feed the step-down relaxation.

@@ -26,6 +26,23 @@ def test_config_validation():
     assert cfg.k == 3
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("thresholds", {"thresholds": (0.0, float("nan"))}),
+        ("thresholds", {"thresholds": (float("-inf"),)}),
+        ("delta", {"delta": float("nan")}),
+        ("delta", {"delta": float("inf")}),
+        ("critical_value", {"critical_value": float("nan")}),
+        ("critical_value", {"critical_value": float("inf")}),
+    ],
+)
+def test_config_rejects_non_finite(field, kwargs):
+    base = {"thresholds": (0.0, 1.0), "delta": 0.1, "critical_value": 2.0}
+    with pytest.raises(ValueError, match=field):
+        PaulsonConfig(**{**base, **kwargs})
+
+
 def test_classify_by_mean():
     th = (0.0, 1.0)
     assert classify_by_mean(-0.5, th) == 0
