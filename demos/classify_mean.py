@@ -4,16 +4,18 @@ Thresholds 0 and 1 split the line into three targets, widened by delta
 on each side.  The demo traces a few individual paths, then estimates
 how often each interval is chosen and how long sampling runs for a
 range of true means, comparing the direct evidence-interval rule with
-its step-down reformulation (the two always agree path by path).
+its step-down reformulation (the two always agree path by path).  The
+operating characteristics come from ``classify_paths``, which decides
+a group of simulated paths per pass.
 """
 
 import numpy as np
 
 from stepdown.paulson import (
     PaulsonConfig,
+    classify_paths,
     paulson_via_stepdown,
     run_paulson_direct,
-    simulate_observations,
 )
 
 
@@ -37,18 +39,11 @@ def main():
     print(f"\noperating characteristics ({reps} paths per mean):")
     print(f"{'mean':>6} {'below 0':>9} {'between':>9} {'above 1':>9} {'avg n':>8}")
     for theta in (-0.3, 0.0, 0.2, 0.5, 0.8, 1.0, 1.3):
-        counts = np.zeros(config.k, dtype=int)
-        total_n = 0
-        for rep in range(reps):
-            rng = np.random.Generator(np.random.Philox(key=[13, rep]))
-            result = run_paulson_direct(
-                simulate_observations(theta, config.horizon, rng), config
-            )
-            counts[result.decision] += 1
-            total_n += result.stop_n
-        freq = counts / reps
+        # Path r draws from the Philox stream keyed [13, r].
+        decision, stop_n, _fallback = classify_paths(theta, config, 13, reps)
+        freq = np.bincount(decision, minlength=config.k) / reps
         print(f"{theta:6.2f} {freq[0]:9.3f} {freq[1]:9.3f} {freq[2]:9.3f} "
-              f"{total_n / reps:8.1f}")
+              f"{stop_n.sum() / reps:8.1f}")
     print("\nmeans on a threshold may take either adjacent label; means")
     print("outside the widened targets are classified reliably.")
 

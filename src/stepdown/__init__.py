@@ -37,6 +37,7 @@ from .paulson import (
     PaulsonConfig,
     PaulsonResult,
     classify_by_mean,
+    classify_paths,
     paulson_via_stepdown,
     run_paulson_direct,
     simulate_observations,
@@ -80,6 +81,7 @@ __all__ = [
     "PaulsonConfig",
     "PaulsonResult",
     "classify_by_mean",
+    "classify_paths",
     "paulson_via_stepdown",
     "run_paulson_direct",
     "simulate_observations",

@@ -53,14 +53,18 @@ from .harness import (
     needed_levels,
     run_scenario_parallel,
 )
+# run_paulson_direct, paulson_via_stepdown and simulate_observations are
+# not called here; they stay bound because bench/tracing.py wraps them on
+# this module.
 from .paulson import (
     PaulsonConfig,
+    classify_paths,
     paulson_via_stepdown,
     run_paulson_direct,
     simulate_observations,
 )
 from .procedures import RULES, ProcedureVariant, run_multistage, stage_levels
-from .trial import RngStream, ScenarioParams
+from .trial import ScenarioParams
 
 WORKERS_ENV = "STEPDOWN_WORKERS"
 
@@ -114,7 +118,10 @@ def _schedule(text: str) -> SampleSchedule:
 
 
 def _names(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    if not names:
+        raise ValueError(f"expected at least one name, got {text!r}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -454,20 +461,16 @@ def _cmd_paulson(values: dict[str, Any]) -> None:
         critical_value=values["critical_value"],
         horizon=values["horizon"],
     )
-    theta, reps, seed = values["theta"], values["reps"], values["seed"]
-    run = run_paulson_direct if values["method"] == "direct" else paulson_via_stepdown
-
-    decisions = np.zeros(config.k, dtype=int)
-    stop_total = 0
-    rows: list[tuple[object, ...]] = []
-    for r in range(reps):
-        gen = RngStream(seed, r).generator()
-        result = run(simulate_observations(theta, config.horizon, gen), config)
-        rows.append((result.decision, result.stop_n, result.fallback_used))
-        decisions[result.decision] += 1
-        stop_total += result.stop_n
-    freqs = ";".join(repr(int(decisions[i]) / reps) for i in range(config.k))
-    rows.append(("summary", stop_total / reps, freqs))
+    reps = values["reps"]
+    decision, stop_n, fallback = classify_paths(
+        values["theta"], config, values["seed"], reps, values["method"]
+    )
+    rows: list[tuple[object, ...]] = list(
+        zip(decision.tolist(), stop_n.tolist(), fallback.tolist())
+    )
+    counts = np.bincount(decision, minlength=config.k)
+    freqs = ";".join(repr(int(counts[i]) / reps) for i in range(config.k))
+    rows.append(("summary", int(stop_n.sum()) / reps, freqs))
     _write_rows(values["out"], ("decision", "stop_n", "fallback_used"), rows)
 
 

@@ -23,27 +23,41 @@ n and rearranging gives exactly the u_n (respectively v_n) comparison.
 When the first qualifying time admits more than one interval, or the
 horizon is exhausted, the classification falls back to the interval
 containing S_n/n.
+
+Each route's rule is one kernel over a block whose rows are paths and
+whose columns are the paths' next CHUNK observations, with the route's
+state carried per row.  ``classify_paths`` runs it on a group of
+``GROUP_OBSERVATIONS // CHUNK`` simulated paths per pass, drawing path
+r's ``RngStream`` in CHUNK blocks from one re-keyed Philox bit generator
+and dropping each path as soon as it stops; ``run_paulson_direct`` and
+``paulson_via_stepdown`` are its one-path views.  The running sums are
+``total + cumsum(block)`` per CHUNK block on either side, so a path gets
+the same floats, and the same decision, alone or in a group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "CHUNK",
+    "GROUP_OBSERVATIONS",
     "PaulsonConfig",
     "PaulsonResult",
     "classify_by_mean",
+    "classify_paths",
     "simulate_observations",
     "run_paulson_direct",
     "paulson_via_stepdown",
 ]
 
 CHUNK = 256  # observations processed per vectorized block
+# Observations classify_paths decides per pass: 128 paths of one CHUNK.
+GROUP_OBSERVATIONS = 2**15
 
 
 @dataclass(frozen=True)
@@ -108,9 +122,12 @@ class PaulsonResult:
     fallback_used: bool
 
 
-def classify_by_mean(mean: float, thresholds: Sequence[float]) -> int:
-    """Index of the interval containing ``mean`` (ties go downward)."""
-    return int(np.searchsorted(np.asarray(thresholds, dtype=float), mean, side="left"))
+def classify_by_mean(mean: float | np.ndarray, thresholds: Sequence[float]) -> int | np.ndarray:
+    """Index of the interval containing ``mean`` (ties go downward).
+
+    Elementwise for an array of means.
+    """
+    return np.searchsorted(np.asarray(thresholds, dtype=float), mean, side="left")
 
 
 def simulate_observations(
@@ -135,26 +152,149 @@ def _iter_chunks(observations: np.ndarray | Iterable[np.ndarray]) -> Iterator[np
             yield arr[start : start + CHUNK]
 
 
-def _resolve(
-    qualified: np.ndarray, mean: float, thresholds: tuple[float, ...], stop_n: int
-) -> PaulsonResult:
-    if qualified.size == 1:
-        return PaulsonResult(int(qualified[0]), stop_n, False)
-    return PaulsonResult(classify_by_mean(mean, thresholds), stop_n, True)
-
-
-def _qualification(all_low: np.ndarray, all_up: np.ndarray) -> np.ndarray:
-    # all_low[t, i]: downward tests at thresholds 0..i all rejected by
-    # position t; all_up[t, i]: upward tests at thresholds i.. all
-    # rejected.  Interval i needs the downward tests below it and the
-    # upward tests above it.
-    length, k1 = all_low.shape
-    qual = np.empty((length, k1 + 1), dtype=bool)
-    qual[:, 0] = all_up[:, 0]
-    qual[:, k1] = all_low[:, k1 - 1]
-    for i in range(1, k1):
-        qual[:, i] = all_low[:, i - 1] & all_up[:, i]
+def _qualification(low: np.ndarray, up: np.ndarray) -> np.ndarray:
+    # low[t] and up[t] (shape (k - 1, paths, observations)): the
+    # downward and the upward test at threshold t have rejected by that
+    # observation.  Interval i needs the downward tests below it and the
+    # upward tests above it; returns qual[i], shape (k, paths,
+    # observations).  Both inputs are overwritten with their running
+    # conjunctions.
+    k1 = low.shape[0]
+    for t in range(1, k1):
+        low[t] &= low[t - 1]
+    for t in range(k1 - 2, -1, -1):
+        up[t] &= up[t + 1]
+    qual = np.empty((k1 + 1,) + low.shape[1:], dtype=bool)
+    qual[0] = up[0]
+    np.logical_and(low[:-1], up[1:], out=qual[1:k1])
+    qual[k1] = low[k1 - 1]
     return qual
+
+
+# Each route is a start and a kernel.  start(paths, k - 1) is the state a
+# path carries before its first observation, paths on the last axis.
+# kernel(s, m, carry, config) reads one block for a group of paths, where
+# s[r, j] and m[j] are path r's running sum and observation count at the
+# block's j-th observation and carry is the state before the block, and
+# returns the per-threshold test outcomes that _qualification reads plus
+# the state after the block.
+
+
+def _direct_start(paths: int, k1: int) -> np.ndarray:
+    # The running maximum u_n and minimum v_n before any observation.
+    return np.repeat([[-math.inf], [math.inf]], paths, axis=1)
+
+
+def _direct_kernel(
+    s: np.ndarray, m: np.ndarray, carry: np.ndarray, config: PaulsonConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    th = np.asarray(config.thresholds, dtype=float)
+    half = config.delta / 2.0
+    a = config.critical_value
+    u = np.maximum.accumulate(s / m - half - a / m, axis=1)
+    np.maximum(u, carry[0][:, None], out=u)
+    v = np.minimum.accumulate(s / m + half + a / m, axis=1)
+    np.minimum(v, carry[1][:, None], out=v)
+    low = u >= (th - config.delta)[:, None, None]  # u_n >= theta_t - delta
+    up = v <= (th + config.delta)[:, None, None]  # v_n <= theta_t + delta
+    return low, up, np.stack([u[:, -1], v[:, -1]])
+
+
+def _stepdown_start(paths: int, k1: int) -> np.ndarray:
+    # No downward (row 0) or upward (row 1) test has rejected yet.
+    return np.zeros((2, k1, paths), dtype=bool)
+
+
+def _stepdown_kernel(
+    s: np.ndarray, m: np.ndarray, carry: np.ndarray, config: PaulsonConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    th = np.asarray(config.thresholds, dtype=float)
+    half = config.delta / 2.0
+    a = config.critical_value
+    low = np.logical_or.accumulate(s - m * (th - half)[:, None, None] >= a, axis=2)
+    low |= carry[0][:, :, None]
+    up = np.logical_or.accumulate(s - m * (th + half)[:, None, None] <= -a, axis=2)
+    up |= carry[1][:, :, None]
+    return low, up, np.stack([low[:, :, -1], up[:, :, -1]])
+
+
+_ROUTES = {
+    "direct": (_direct_start, _direct_kernel),
+    "stepdown": (_stepdown_start, _stepdown_kernel),
+}
+
+def _decide(
+    method: str,
+    paths: int,
+    next_block: Callable[[np.ndarray, int], np.ndarray | None],
+    config: PaulsonConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide a group of paths by one route, one block of observations
+    per pass, dropping each path once it stops.
+
+    ``next_block(live, count)`` returns the next observations of the
+    live paths, row i for path live[i], each ``count`` observations in,
+    or None once none are left.  Row r's running sum is ``total[r] +
+    cumsum(block[r])`` per block, so every float equals what one path
+    computes on its own.  Returns the per-path decision, stopping time
+    and fallback flag.
+    """
+    start, kernel = _ROUTES[method]
+    decision = np.empty(paths, dtype=np.int64)
+    stop_n = np.empty(paths, dtype=np.int64)
+    fallback = np.empty(paths, dtype=bool)
+    live = np.arange(paths)
+    total = np.zeros(paths)
+    carry = start(paths, len(config.thresholds))
+    count = 0
+    while live.size:
+        block = next_block(live, count)
+        if block is None:
+            if count == 0:
+                raise ValueError("no observations supplied")
+            decision[live] = classify_by_mean(total / count, config.thresholds)
+            stop_n[live] = count
+            fallback[live] = True
+            break
+        s = total[:, None] + np.cumsum(block, axis=1)
+        m = count + np.arange(1, block.shape[1] + 1, dtype=float)
+        low, up, carry = kernel(s, m, carry, config)
+        qual = _qualification(low, up)
+        hits = qual.any(axis=0)
+        stopped = hits.any(axis=1)
+        if stopped.any():
+            # A path stops at its first qualifying observation; a pattern
+            # that admits several intervals falls back to S_n/n.
+            rows = np.flatnonzero(stopped)
+            t = hits[rows].argmax(axis=1)
+            chosen = qual[:, rows, t]
+            tie = chosen.sum(axis=0) != 1
+            by_mean = classify_by_mean(s[rows, t] / m[t], config.thresholds)
+            decision[live[rows]] = np.where(tie, by_mean, chosen.argmax(axis=0))
+            stop_n[live[rows]] = count + 1 + t
+            fallback[live[rows]] = tie
+        keep = ~stopped
+        live, total, carry = live[keep], s[keep, -1], carry[..., keep]
+        count += block.shape[1]
+    return decision, stop_n, fallback
+
+
+def _one_path(
+    method: str, observations: np.ndarray | Iterable[np.ndarray], config: PaulsonConfig
+) -> PaulsonResult:
+    chunks = _iter_chunks(observations)
+
+    def next_block(live: np.ndarray, count: int) -> np.ndarray | None:
+        if count >= config.horizon:
+            return None
+        for chunk in chunks:
+            chunk = chunk[: config.horizon - count]
+            if chunk.size:
+                return chunk[None, :]
+        return None
+
+    decision, stop_n, fallback = _decide(method, 1, next_block, config)
+    return PaulsonResult(int(decision[0]), int(stop_n[0]), bool(fallback[0]))
 
 
 def run_paulson_direct(
@@ -166,7 +306,8 @@ def run_paulson_direct(
     v_n = min over m <= n of (S_m/m + delta/2 + A/m) and stops the first
     time (u_n, v_n) fits inside a widened target interval.  If several
     targets fit at that moment, or the horizon runs out, the decision
-    falls back to the interval containing S_n/n.
+    falls back to the interval containing S_n/n.  This is the one-path
+    view of the kernel ``classify_paths`` runs over a group of paths.
 
     Args:
         observations: Array of observations, or an iterable yielding
@@ -177,51 +318,7 @@ def run_paulson_direct(
     Returns:
         The classification, its stopping time, and the fallback flag.
     """
-    th = np.asarray(config.thresholds, dtype=float)
-    half = config.delta / 2.0
-    a = config.critical_value
-    widened_low = th - config.delta  # u_n >= theta_t - delta
-    widened_up = th + config.delta  # v_n <= theta_t + delta
-
-    count = 0
-    total = 0.0
-    low_run = -math.inf
-    high_run = math.inf
-
-    for chunk in _iter_chunks(observations):
-        if count >= config.horizon:
-            break
-        chunk = chunk[: config.horizon - count]
-        if chunk.size == 0:
-            continue
-        s = total + np.cumsum(chunk)
-        m = count + np.arange(1, chunk.size + 1, dtype=float)
-        low = np.maximum.accumulate(s / m - half - a / m)
-        np.maximum(low, low_run, out=low)
-        high = np.minimum.accumulate(s / m + half + a / m)
-        np.minimum(high, high_run, out=high)
-
-        all_low = np.logical_and.accumulate(low[:, None] >= widened_low[None, :], axis=1)
-        all_up = np.logical_and.accumulate(
-            (high[:, None] <= widened_up[None, :])[:, ::-1], axis=1
-        )[:, ::-1]
-        qual = _qualification(all_low, all_up)
-        hits = qual.any(axis=1)
-        if hits.any():
-            t = int(np.argmax(hits))
-            stop_n = int(m[t])
-            return _resolve(
-                np.flatnonzero(qual[t]), s[t] / m[t], config.thresholds, stop_n
-            )
-
-        count = int(m[-1])
-        total = float(s[-1])
-        low_run = float(low[-1])
-        high_run = float(high[-1])
-
-    if count == 0:
-        raise ValueError("no observations supplied")
-    return PaulsonResult(classify_by_mean(total / count, config.thresholds), count, True)
+    return _one_path("direct", observations, config)
 
 
 def paulson_via_stepdown(
@@ -236,7 +333,9 @@ def paulson_via_stepdown(
     first time the rejection pattern singles out at least one interval:
     every downward test below it and every upward test above it
     rejected.  A pattern admitting several intervals at that moment, or
-    an exhausted horizon, falls back to the S_n/n classification.
+    an exhausted horizon, falls back to the S_n/n classification.  This
+    is the one-path view of the kernel ``classify_paths`` runs over a
+    group of paths.
 
     Args:
         observations: Same forms as run_paulson_direct.
@@ -246,48 +345,67 @@ def paulson_via_stepdown(
         The classification, its stopping time, and the fallback flag;
         identical to run_paulson_direct on the same observations.
     """
-    th = np.asarray(config.thresholds, dtype=float)
-    half = config.delta / 2.0
-    a = config.critical_value
-    drift_low = th - half
-    drift_up = th + half
+    return _one_path("stepdown", observations, config)
 
-    k1 = th.size
-    low_done = np.zeros(k1, dtype=bool)
-    up_done = np.zeros(k1, dtype=bool)
-    count = 0
-    total = 0.0
 
-    for chunk in _iter_chunks(observations):
-        if count >= config.horizon:
-            break
-        chunk = chunk[: config.horizon - count]
-        if chunk.size == 0:
-            continue
-        s = total + np.cumsum(chunk)
-        m = count + np.arange(1, chunk.size + 1, dtype=float)
+def _stream_blocks(
+    theta: float, horizon: int, seed: int, first: int
+) -> Callable[[np.ndarray, int], np.ndarray | None]:
+    # Path i of the group reads RngStream(seed, first + i) in CHUNK
+    # blocks: one Philox bit generator, re-keyed with counter 0 for a
+    # path's first block and restored to the state it left for the next.
+    bit_gen = np.random.Philox(key=[seed, first])
+    rng = np.random.Generator(bit_gen)
+    fresh = bit_gen.state
+    key = fresh["state"]["key"]
+    saved: dict[int, dict] = {}
 
-        low_cross = s[:, None] - m[:, None] * drift_low[None, :] >= a
-        up_cross = s[:, None] - m[:, None] * drift_up[None, :] <= -a
-        low_flag = np.logical_or.accumulate(low_cross, axis=0) | low_done[None, :]
-        up_flag = np.logical_or.accumulate(up_cross, axis=0) | up_done[None, :]
+    def next_block(live: np.ndarray, count: int) -> np.ndarray | None:
+        size = min(CHUNK, horizon - count)
+        if size <= 0:
+            return None
+        z = np.empty((live.size, size))
+        for row, path in enumerate(live.tolist()):
+            if count == 0:
+                key[1] = first + path
+                bit_gen.state = fresh
+            else:
+                bit_gen.state = saved[path]
+            rng.standard_normal(out=z[row])
+            saved[path] = bit_gen.state
+        return theta + z
 
-        all_low = np.logical_and.accumulate(low_flag, axis=1)
-        all_up = np.logical_and.accumulate(up_flag[:, ::-1], axis=1)[:, ::-1]
-        qual = _qualification(all_low, all_up)
-        hits = qual.any(axis=1)
-        if hits.any():
-            t = int(np.argmax(hits))
-            stop_n = int(m[t])
-            return _resolve(
-                np.flatnonzero(qual[t]), s[t] / m[t], config.thresholds, stop_n
-            )
+    return next_block
 
-        count = int(m[-1])
-        total = float(s[-1])
-        low_done = low_flag[-1]
-        up_done = up_flag[-1]
 
-    if count == 0:
-        raise ValueError("no observations supplied")
-    return PaulsonResult(classify_by_mean(total / count, config.thresholds), count, True)
+def classify_paths(
+    theta: float, config: PaulsonConfig, seed: int, reps: int, method: str = "direct"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify ``reps`` simulated paths with true mean ``theta``.
+
+    Path r observes ``simulate_observations(theta, config.horizon,
+    RngStream(seed, r).generator())`` and is decided by the route
+    ``method`` ("direct" or "stepdown"), so row r equals what
+    ``run_paulson_direct`` or ``paulson_via_stepdown`` returns on that
+    stream.  Paths are decided ``GROUP_OBSERVATIONS // CHUNK`` at a time,
+    one block of each live path's next observations per pass, so memory
+    does not grow with ``reps``.
+
+    Returns:
+        ``(decision, stop_n, fallback_used)``, one entry per path.
+    """
+    if method not in _ROUTES:
+        raise ValueError(f"method must be one of {sorted(_ROUTES)}, got {method!r}")
+    if seed < 0 or reps < 1:
+        raise ValueError(f"seed must be nonnegative and reps positive, got {seed}, {reps}")
+    group = GROUP_OBSERVATIONS // CHUNK
+    parts = [
+        _decide(
+            method,
+            min(group, reps - first),
+            _stream_blocks(theta, config.horizon, seed, first),
+            config,
+        )
+        for first in range(0, reps, group)
+    ]
+    return tuple(np.concatenate(column) for column in zip(*parts))

@@ -17,6 +17,7 @@ boundary level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,16 +164,19 @@ def stage_levels(rule: str, alpha: float, k: int) -> tuple[float, ...]:
     return tuple(sorted({_stage_level(rule, alpha, m, k) for m in range(1, k + 1)}))
 
 
-def _stage_bounds(critical: CriticalFunction, rule: str, alpha: float, k: int) -> np.ndarray:
+def _stage_bounds(
+    critical: CriticalFunction, rule: str, alpha: float, k: int
+) -> list[tuple[float, ...]]:
     """Row m is the stage boundary for m active hypotheses; row 0 is +inf.
 
     A stage with m active finds its sample size on row m, and its l-th
-    statistic in top-down order must clear row m - l + 1.
+    statistic in top-down order must clear row m - l + 1.  The rows are
+    the critical table's own tuples.
     """
-    bounds = np.full((k + 1, len(critical.schedule)), np.inf)
+    rows = [(math.inf,) * len(critical.schedule)]
     for m in range(1, k + 1):
-        bounds[m] = critical.boundary(_stage_level(rule, alpha, m, k))
-    return bounds
+        rows.append(critical.table[critical._find_level(_stage_level(rule, alpha, m, k))])
+    return rows
 
 
 def _check_run(
@@ -237,7 +241,7 @@ def run_multistage(
     k = family.k
     analyses = paths.analyses
     last = len(analyses) - 1
-    bounds = _stage_bounds(critical, variant.rule, alpha, k).tolist()
+    bounds = _stage_bounds(critical, variant.rule, alpha, k)
     values = paths.values.tolist()
     contains = family.contains_complement
     decision_stage = [0] * k
@@ -348,7 +352,7 @@ def run_multistage_batch(
     analyses = np.asarray(schedule.analyses)
     # Row 0 pads the lookup for positions past m, which the rank mask
     # below excludes.
-    bounds = _stage_bounds(critical, variant.rule, alpha, k)
+    bounds = np.asarray(_stage_bounds(critical, variant.rule, alpha, k))
     contains = np.asarray(family.contains_complement, dtype=bool)
     rank = np.arange(k)
 

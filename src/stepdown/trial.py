@@ -91,7 +91,9 @@ class RngStream:
     workers, re-running a subset, or merging partial runs all reproduce
     the same draws.  ``generate_batch`` reproduces the same stream for
     many replicates by re-keying one Philox bit generator instead of
-    building a generator per replicate.
+    building a generator per replicate; ``paulson.classify_paths`` does
+    the same for a group of classification paths, saving each path's
+    bit-generator state between its blocks of observations.
     """
 
     master_seed: int

@@ -12,7 +12,13 @@ import stepdown.harness
 from stepdown.boundary import calibrate_levels
 from stepdown.cli import default_table_config, main, parse_scenarios
 from stepdown.core import SampleSchedule, parse_kv_text
-from stepdown.trial import ScenarioParams
+from stepdown.paulson import (
+    PaulsonConfig,
+    paulson_via_stepdown,
+    run_paulson_direct,
+    simulate_observations,
+)
+from stepdown.trial import RngStream, ScenarioParams
 
 
 def read_csv(path):
@@ -219,6 +225,37 @@ def test_paulson_methods_agree(tmp_path):
     assert main(base + ["--method", "direct", "--out", str(out_d)]) == 0
     assert main(base + ["--method", "stepdown", "--out", str(out_s)]) == 0
     assert read_csv(out_d) == read_csv(out_s)
+
+
+@pytest.mark.parametrize("method", ["direct", "stepdown"])
+def test_paulson_writes_the_one_path_loops_bytes(tmp_path, method):
+    # 130 paths cross a path-group boundary; at a mean on a threshold,
+    # horizon 300 makes some of them fall back after a partial second
+    # block.
+    config = PaulsonConfig((0.0, 1.0), 0.05, 20.0, horizon=300)
+    theta, seed, reps = 0.0, 4, 130
+    route = run_paulson_direct if method == "direct" else paulson_via_stepdown
+    lines = ["decision,stop_n,fallback_used"]
+    counts = [0] * config.k
+    stop_total = 0
+    for r in range(reps):
+        observations = simulate_observations(theta, config.horizon, RngStream(seed, r).generator())
+        result = route(observations, config)
+        lines.append(f"{result.decision},{result.stop_n},{str(result.fallback_used).lower()}")
+        counts[result.decision] += 1
+        stop_total += result.stop_n
+    freqs = ";".join(repr(c / reps) for c in counts)
+    lines.append(f"summary,{stop_total / reps!r},{freqs}")
+    assert any(line.endswith(",300,true") for line in lines)
+
+    out = tmp_path / "p.csv"
+    argv = [
+        "paulson", "--thresholds", "0,1", "--delta", "0.05", "--critical-value", "20",
+        "--theta", "0", "--seed", "4", "--reps", "130", "--horizon", "300",
+        "--method", method, "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):
@@ -498,6 +535,7 @@ def _run(tmp_path, subcommand, keys, way, out):
         ("boundary", "shape", "bogus"),
         ("analyze", "variant", "x"),
         ("simulate", "grid", "abc"),
+        ("simulate", "procedures", ","),
         ("paulson", "method", "x"),
     ],
 )

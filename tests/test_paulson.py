@@ -1,14 +1,41 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stepdown.paulson import (
+    CHUNK,
+    GROUP_OBSERVATIONS,
     PaulsonConfig,
     PaulsonResult,
     classify_by_mean,
+    classify_paths,
     paulson_via_stepdown,
     run_paulson_direct,
     simulate_observations,
 )
+from stepdown.trial import RngStream
+
+ROUTES = {"direct": run_paulson_direct, "stepdown": paulson_via_stepdown}
+GROUP = GROUP_OBSERVATIONS // CHUNK  # paths classify_paths decides per pass
+
+
+def loop_paths(theta, config, seed, reps, method):
+    """The oracle for classify_paths: each path drawn and decided on its own."""
+    rows = []
+    for r in range(reps):
+        observations = simulate_observations(theta, config.horizon, RngStream(seed, r).generator())
+        result = ROUTES[method](observations, config)
+        rows.append((result.decision, result.stop_n, result.fallback_used))
+    return rows
+
+
+def grouped_rows(theta, config, seed, reps, method):
+    decision, stop_n, fallback = classify_paths(theta, config, seed, reps, method)
+    assert decision.shape == stop_n.shape == fallback.shape == (reps,)
+    return list(zip(decision.tolist(), stop_n.tolist(), fallback.tolist()))
 
 
 def test_config_validation():
@@ -175,3 +202,90 @@ def test_well_separated_mean_classified_correctly():
         if run_paulson_direct(path, cfg).decision == 1:
             hits += 1
     assert hits / reps >= 0.99
+
+
+@st.composite
+def path_group_cases(draw):
+    k1 = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.floats(0.2, 2.0), min_size=k1 - 1, max_size=k1 - 1))
+    thresholds = [draw(st.floats(-2.0, 2.0))]
+    for gap in gaps:
+        thresholds.append(thresholds[-1] + gap)
+    delta = draw(st.floats(0.05, 0.95)) * min(gaps, default=1.0)
+    critical_value = draw(st.floats(0.1, 8.0))
+    horizon = draw(
+        st.one_of(
+            st.integers(1, CHUNK - 1),
+            st.sampled_from([CHUNK, 2 * CHUNK, 3 * CHUNK]),
+            st.integers(CHUNK + 1, 4 * CHUNK),
+        )
+    )
+    config = PaulsonConfig(tuple(thresholds), delta, critical_value, horizon)
+    theta = draw(
+        st.one_of(st.floats(thresholds[0] - 1.0, thresholds[-1] + 1.0), st.sampled_from(thresholds))
+    )
+    reps = draw(st.integers(1, GROUP + 8))
+    seed = draw(st.integers(0, 2**32))
+    method = draw(st.sampled_from(sorted(ROUTES)))
+    return theta, config, seed, reps, method
+
+
+@settings(max_examples=40, deadline=None)
+@given(path_group_cases())
+@example((0.0, PaulsonConfig((0.0, 1.0), 0.02, 40.0, horizon=2 * CHUNK), 5, GROUP + 1, "direct"))
+@example((0.0, PaulsonConfig((0.0, 1.0), 0.02, 40.0, horizon=2 * CHUNK), 5, GROUP + 1, "stepdown"))
+def test_classify_paths_matches_one_path_loop(case):
+    theta, config, seed, reps, method = case
+    assert grouped_rows(theta, config, seed, reps, method) == loop_paths(
+        theta, config, seed, reps, method
+    )
+
+
+@pytest.mark.parametrize("method", sorted(ROUTES))
+@pytest.mark.parametrize(
+    "config, theta, fallback",
+    [
+        # A critical value no path can meet: every path runs out at the
+        # horizon, here three blocks and a part.
+        (PaulsonConfig((0.0,), 0.1, 1e6, horizon=3 * CHUNK + 44), 0.0, "horizon"),
+        # Slack wide against A: at a mean on the threshold, the first
+        # qualifying observation often admits both intervals.
+        (PaulsonConfig((0.0,), 0.5, 0.2, horizon=37), 0.0, "tie"),
+    ],
+)
+def test_classify_paths_fallbacks_across_a_group_boundary(method, config, theta, fallback):
+    reps = GROUP + 3
+    rows = grouped_rows(theta, config, 11, reps, method)
+    assert rows == loop_paths(theta, config, 11, reps, method)
+    horizon_hits = sum(f and n == config.horizon for _d, n, f in rows)
+    tie_hits = sum(f and n < config.horizon for _d, n, f in rows)
+    assert (horizon_hits if fallback == "horizon" else tie_hits) > 0
+
+
+def test_classify_paths_rejects_bad_input():
+    config = PaulsonConfig((0.0,), 0.1, 2.0)
+    with pytest.raises(ValueError, match="method"):
+        classify_paths(0.0, config, 1, 5, "bogus")
+    with pytest.raises(ValueError, match="seed"):
+        classify_paths(0.0, config, -1, 5)
+    with pytest.raises(ValueError, match="reps"):
+        classify_paths(0.0, config, 1, 0)
+
+
+def test_classify_paths_memory_does_not_grow_with_reps():
+    # A mean between the widened targets keeps most paths sampling for
+    # several blocks; classify_paths holds one group of them at a time.
+    config = PaulsonConfig((0.0, 1.0), 0.1, 5.0, horizon=4 * CHUNK)
+    peaks = []
+    for reps in (300, 3000):
+        tracemalloc.start()
+        try:
+            classify_paths(0.45, config, 2, reps, "stepdown")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # Ten times the paths: only the 17-byte-a-path results may add to
+    # the working set of one group.
+    assert peaks[1] < 1.25 * peaks[0]
+    assert peaks[1] < 8 * 2**20
