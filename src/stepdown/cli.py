@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -64,7 +65,7 @@ from .paulson import (
     simulate_observations,
 )
 from .procedures import RULES, ProcedureVariant, run_multistage, stage_levels
-from .trial import ScenarioParams
+from .trial import ScenarioParams, check_seed
 
 WORKERS_ENV = "STEPDOWN_WORKERS"
 
@@ -172,12 +173,7 @@ def _resolve(args: argparse.Namespace, keys: Sequence[Key]) -> tuple[dict[str, A
     names = {key.name for key in keys}
     texts: dict[str, str] = {}
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                entries = parse_kv_text(fh.read())
-        except OSError as exc:
-            raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
-        for name, text in entries.items():
+        for name, text in parse_kv_text(_read_text(args.config, "config")).items():
             if name not in names:
                 raise ValueError(f"unknown config key {name!r} for subcommand {args.subcommand!r}")
             texts[name] = text
@@ -198,6 +194,15 @@ def _resolve(args: argparse.Namespace, keys: Sequence[Key]) -> tuple[dict[str, A
                 raise ValueError(f"missing required key {key.name!r}")
         values[key.name] = key.convert(texts[key.name], source)
     return values, texts
+
+
+def _read_text(path: str, kind: str) -> str:
+    # Line endings are kept as written, which the csv module needs.
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
@@ -253,117 +258,99 @@ def _cmd_boundary(values: dict[str, Any]) -> None:
     _write_rows(values["out"], ("n", "rho", "critical_value", "shape"), rows)
 
 
-def _read_statistics_csv(path: str) -> tuple[StatisticPaths, tuple[str, ...]]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["hypothesis", "n", "statistic"]:
-                raise ValueError(
-                    f"statistics file {path} must start with header 'hypothesis,n,statistic'"
-                )
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise ValueError(f"cannot read statistics file {path}: {exc}") from exc
+def _read_long_csv(
+    path: str,
+    kind: str,
+    header: tuple[str, ...],
+    parse: Callable[[list[str]], tuple[Any, int, float]],
+    duplicate: str,
+    missing: str,
+    analyses: tuple[int, ...] | None = None,
+) -> tuple[tuple[int, ...], dict[Any, tuple[float, ...]], list[list[str]]]:
+    """Read a CSV of one value per (key, n) row; ``parse(row)`` returns them.
 
-    order: list[str] = []
-    cells: dict[tuple[str, int], float] = {}
-    ns: set[int] = set()
+    Every key needs a value at each of ``analyses`` (default: every n in
+    the file).  ``duplicate`` and ``missing`` word those errors.  Returns
+    the sizes, each key's values at them by first-seen key, and the rows.
+    """
+    reader = csv.reader(io.StringIO(_read_text(path, kind), newline=""))
+    first = next(reader, None)
+    if first is None or tuple(h.strip() for h in first) != header:
+        raise ValueError(f"{kind} file {path} must start with header '{','.join(header)}'")
+    rows = [row for row in reader if row]
+    cells: dict[Any, dict[int, float]] = {}
     for row in rows:
-        if len(row) != 3:
-            raise ValueError(f"statistics row {row!r} must have 3 fields")
-        label = row[0].strip()
+        if len(row) != len(header):
+            raise ValueError(f"{kind} row {row!r} in {path} must have {len(header)} fields")
         try:
-            n = int(row[1])
-            value = float(row[2])
+            key, n, value = parse(row)
         except ValueError:
-            raise ValueError(f"bad statistics row {row!r}") from None
-        if label not in order:
-            order.append(label)
-        if (label, n) in cells:
-            raise ValueError(f"duplicate statistic for hypothesis {label!r} at n={n}")
-        cells[(label, n)] = value
-        ns.add(n)
-    if not order:
-        raise ValueError(f"statistics file {path} contains no data rows")
-    analyses = tuple(sorted(ns))
-    values = np.empty((len(order), len(analyses)))
-    for i, label in enumerate(order):
-        for j, n in enumerate(analyses):
-            if (label, n) not in cells:
-                raise ValueError(
-                    f"statistics file {path} is missing hypothesis {label!r} at n={n}"
-                )
-            values[i, j] = cells[(label, n)]
-    return StatisticPaths(analyses=analyses, values=values), tuple(order)
+            raise ValueError(f"bad {kind} row {row!r} in {path}") from None
+        per_n = cells.setdefault(key, {})
+        if n in per_n:
+            raise ValueError(duplicate.format(key=key, n=n))
+        per_n[n] = value
+    if not cells:
+        raise ValueError(f"{kind} file {path} contains no data rows")
+    if analyses is None:
+        analyses = tuple(sorted({n for per_n in cells.values() for n in per_n}))
+    for key, per_n in cells.items():
+        ns = [n for n in analyses if n not in per_n]
+        if ns:
+            raise ValueError(f"{kind} file {path} " + missing.format(key=key, ns=ns))
+    table = {key: tuple(per_n[n] for n in analyses) for key, per_n in cells.items()}
+    return analyses, table, rows
+
+
+def _read_statistics_csv(path: str) -> tuple[tuple[int, ...], dict[str, tuple[float, ...]]]:
+    analyses, table, _rows = _read_long_csv(
+        path, "statistics", ("hypothesis", "n", "statistic"),
+        lambda row: (row[0].strip(), int(row[1]), float(row[2])),
+        "duplicate statistic for hypothesis {key!r} at n={n}",
+        "is missing hypothesis {key!r} at n={ns[0]}",
+    )
+    return analyses, table
 
 
 def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != [
-                "n",
-                "rho",
-                "critical_value",
-                "shape",
-            ]:
-                raise ValueError(
-                    f"boundary file {path} must start with header 'n,rho,critical_value,shape'"
-                )
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise ValueError(f"cannot read boundary file {path}: {exc}") from exc
-
-    table: dict[float, dict[int, float]] = {}
-    shapes = set()
-    for row in rows:
-        if len(row) != 4:
-            raise ValueError(f"boundary row {row!r} must have 4 fields")
-        try:
-            n = int(row[0])
-            rho = float(row[1])
-            value = float(row[2])
-        except ValueError:
-            raise ValueError(f"bad boundary row {row!r}") from None
-        per_n = table.setdefault(rho, {})
-        if n in per_n:
-            raise ValueError(f"duplicate critical value for level {rho!r} at n={n}")
-        per_n[n] = value
-        shapes.add(row[3].strip())
-    if not table:
-        raise ValueError(f"boundary file {path} contains no data rows")
-    full: dict[float, tuple[float, ...]] = {}
-    for rho, per_n in table.items():
-        missing = [n for n in analyses if n not in per_n]
-        if missing:
-            raise ValueError(
-                f"boundary file {path} lacks critical values at n={missing} for level {rho}"
-            )
-        full[rho] = tuple(per_n[n] for n in analyses)
+    _analyses, table, rows = _read_long_csv(
+        path, "boundary", ("n", "rho", "critical_value", "shape"),
+        lambda row: (float(row[1]), int(row[0]), float(row[2])),
+        "duplicate critical value for level {key!r} at n={n}",
+        "lacks critical values at n={ns} for level {key}",
+        analyses,
+    )
+    shapes = {row[3].strip() for row in rows}
     shape = shapes.pop() if len(shapes) == 1 else "custom"
-    return CriticalFunction.from_table(analyses, full, shape=shape)
+    return CriticalFunction.from_table(analyses, table, shape=shape)
 
 
 def _cmd_analyze(values: dict[str, Any]) -> None:
-    paths, labels = _read_statistics_csv(values["statistics"])
-    critical = _read_boundary_csv(values["boundary"], paths.analyses)
+    analyses, table = _read_statistics_csv(values["statistics"])
+    critical = _read_boundary_csv(values["boundary"], analyses)
     alpha, rule = values["alpha"], values["variant"]
+    labels = tuple(table)
     if "family" in values:
-        try:
-            with open(values["family"], "r", encoding="utf-8") as fh:
-                family = HypothesisFamily.from_text(fh.read())
-        except OSError as exc:
-            raise ValueError(f"cannot read family file {values['family']}: {exc}") from exc
-        if family.k != paths.k:
+        text = _read_text(values["family"], "family")
+        family = HypothesisFamily.from_text(text)
+        if family.k != len(labels):
             raise ValueError(
-                f"family has {family.k} hypotheses but statistics cover {paths.k}"
+                f"family has {family.k} hypotheses but statistics cover {len(labels)}"
             )
+        if parse_kv_text(text).get("labels"):
+            # A family that names its hypotheses is matched by label, and
+            # the hypotheses take the family's order.
+            if set(family.labels) != set(labels):
+                raise ValueError(
+                    f"family labels {','.join(family.labels)} do not match "
+                    f"the statistics hypotheses {','.join(labels)}"
+                )
+            labels = family.labels
     else:
-        family = HypothesisFamily.simple(paths.k, labels)
+        family = HypothesisFamily.simple(len(labels), labels)
+    paths = StatisticPaths(analyses=analyses, values=[table[label] for label in labels])
 
-    schedule = SampleSchedule(paths.analyses)
+    schedule = SampleSchedule(analyses)
     for level in stage_levels(rule, alpha, family.k):
         try:
             critical.boundary(level)
@@ -374,15 +361,7 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
             ) from None
 
     result = run_multistage(paths, family, schedule, critical, alpha, ProcedureVariant(rule))
-    rows = [
-        (
-            labels[i],
-            result.decisions[i],
-            result.decision_stage[i],
-            result.endpoint_final_n[i],
-        )
-        for i in range(paths.k)
-    ]
+    rows = zip(labels, result.decisions, result.decision_stage, result.endpoint_final_n)
     _write_rows(values["out"], ("hypothesis", "decision", "stage", "final_n"), rows)
 
 
@@ -480,7 +459,8 @@ _SHAPE = Key("shape", "boundary shape", choices=SHAPES, default="flat")
 _GRID = Key(
     "grid", "integration grid points", lambda text: _check_grid_points(_integer(text)), default="512"
 )
-_SEED = Key("seed", "master seed", _integer, default="1", minimum=0)
+_SEED = Key("seed", "master seed in [0, 2**64)", lambda text: check_seed(_integer(text)),
+            default="1")
 
 # Subcommand -> (help, handler, keys).  The handlers look the package
 # functions they call up as module globals at call time, so a tracer can

@@ -105,25 +105,11 @@ class HypothesisFamily:
         """Indices of hypotheses accepted outright once ``a`` is rejected."""
         return tuple(b for b in range(self.k) if self.contains_complement[a][b])
 
-    def to_text(self) -> str:
-        """Serialize as flat ``key = value`` lines (round-trips exactly)."""
-        pairs = [
-            f"{a + 1}>{b + 1}"
-            for a in range(self.k)
-            for b in range(self.k)
-            if self.contains_complement[a][b]
-        ]
-        lines = [
-            f"k = {self.k}",
-            f"labels = {','.join(self.labels)}",
-            f"contains_complement = {';'.join(pairs) if pairs else 'none'}",
-            f"closed_monotone = {'true' if self.closed_monotone else 'false'}",
-        ]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "HypothesisFamily":
-        """Parse the ``to_text`` format, rejecting unknown keys."""
+        """Parse ``key = value`` lines: ``k``, and optionally ``labels``,
+        ``contains_complement`` (1-based ``a>b;...`` or ``none``) and
+        ``closed_monotone``.  Unknown keys are rejected."""
         entries = parse_kv_text(text)
         known = {"k", "labels", "contains_complement", "closed_monotone"}
         for key in entries:

@@ -46,7 +46,7 @@ from .procedures import (
     run_multistage_batch,
     stage_levels,
 )
-from .trial import ScenarioParams, generate_batch, generate_paths
+from .trial import ScenarioParams, check_seed, generate_batch, generate_paths
 
 __all__ = [
     "PROCEDURES",
@@ -114,8 +114,7 @@ class ScenarioSpec:
             )
         if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
             raise ValueError(f"replicates must be a positive integer, got {self.replicates!r}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        check_seed(self.master_seed)
         if self.schedule.sup > BLOCK_OBSERVATIONS:
             raise ValueError(
                 f"schedule {','.join(map(str, self.schedule))} runs to {self.schedule.sup} "
@@ -294,8 +293,8 @@ def run_scenario(
             continuity_correction=spec.continuity_correction,
         )
         if fixed_sample:
-            # math.erfc, not a vectorised erfc, keeps every p-value equal
-            # to the one-replicate computation.
+            # math.erfc, not a vectorised erfc that may round differently,
+            # keeps the bytes of the H rows unchanged.
             p = np.empty((len(values), k))
             for e in (0, 1):
                 p[:, e] = [0.5 * math.erfc(t / math.sqrt(2.0)) for t in values[:, e, -1].tolist()]

@@ -30,18 +30,22 @@ state carried per row.  ``classify_paths`` runs it on a group of
 ``GROUP_OBSERVATIONS // CHUNK`` simulated paths per pass, drawing path
 r's ``RngStream`` in CHUNK blocks from one re-keyed Philox bit generator
 and dropping each path as soon as it stops; ``run_paulson_direct`` and
-``paulson_via_stepdown`` are its one-path views.  The running sums are
-``total + cumsum(block)`` per CHUNK block on either side, so a path gets
-the same floats, and the same decision, alone or in a group.
+``paulson_via_stepdown`` are its one-path views, reading one path given
+as a 1-D array.  Either way the blocks are cut CHUNK observations at a
+time from observation 0 and the running sums are ``total +
+cumsum(block)`` per block, so a path gets the same floats, and the same
+decision, alone or in a group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .trial import check_seed, philox
 
 __all__ = [
     "CHUNK",
@@ -130,26 +134,9 @@ def classify_by_mean(mean: float | np.ndarray, thresholds: Sequence[float]) -> i
     return np.searchsorted(np.asarray(thresholds, dtype=float), mean, side="left")
 
 
-def simulate_observations(
-    mean: float, horizon: int, generator: np.random.Generator, chunk: int = CHUNK
-) -> Iterator[np.ndarray]:
-    """Yield unit-variance Gaussian observations in blocks up to a horizon."""
-    remaining = int(horizon)
-    while remaining > 0:
-        size = min(chunk, remaining)
-        yield mean + generator.standard_normal(size)
-        remaining -= size
-
-
-def _iter_chunks(observations: np.ndarray | Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    # Blocks of at most CHUNK observations from one array or from an
-    # iterable of arrays; an array is never merged with its neighbours.
-    if isinstance(observations, np.ndarray):
-        observations = (observations,)
-    for item in observations:
-        arr = np.asarray(item, dtype=float).ravel()
-        for start in range(0, arr.size, CHUNK):
-            yield arr[start : start + CHUNK]
+def simulate_observations(mean: float, horizon: int, generator: np.random.Generator) -> np.ndarray:
+    """The first ``horizon`` unit-variance Gaussian observations of a path, one array."""
+    return mean + generator.standard_normal(int(horizon))
 
 
 def _qualification(low: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -226,18 +213,19 @@ _ROUTES = {
 def _decide(
     method: str,
     paths: int,
-    next_block: Callable[[np.ndarray, int], np.ndarray | None],
+    next_block: Callable[[np.ndarray, int, int], np.ndarray],
     config: PaulsonConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide a group of paths by one route, one block of observations
     per pass, dropping each path once it stops.
 
-    ``next_block(live, count)`` returns the next observations of the
-    live paths, row i for path live[i], each ``count`` observations in,
-    or None once none are left.  Row r's running sum is ``total[r] +
-    cumsum(block[r])`` per block, so every float equals what one path
-    computes on its own.  Returns the per-path decision, stopping time
-    and fallback flag.
+    ``next_block(live, count, size)`` returns the next ``size``
+    observations of the live paths, row i for path live[i], each
+    ``count`` observations in; fewer columns (or none) mean the paths
+    ran out.  Blocks are CHUNK observations up to the horizon, and row
+    r's running sum is ``total[r] + cumsum(block[r])`` per block, so
+    every float equals what one path computes on its own.  Returns the
+    per-path decision, stopping time and fallback flag.
     """
     start, kernel = _ROUTES[method]
     decision = np.empty(paths, dtype=np.int64)
@@ -248,8 +236,9 @@ def _decide(
     carry = start(paths, len(config.thresholds))
     count = 0
     while live.size:
-        block = next_block(live, count)
-        if block is None:
+        size = min(CHUNK, config.horizon - count)
+        block = next_block(live, count, size) if size else np.empty((live.size, 0))
+        if not block.shape[1]:
             if count == 0:
                 raise ValueError("no observations supplied")
             decision[live] = classify_by_mean(total / count, config.thresholds)
@@ -279,27 +268,18 @@ def _decide(
     return decision, stop_n, fallback
 
 
-def _one_path(
-    method: str, observations: np.ndarray | Iterable[np.ndarray], config: PaulsonConfig
-) -> PaulsonResult:
-    chunks = _iter_chunks(observations)
-
-    def next_block(live: np.ndarray, count: int) -> np.ndarray | None:
-        if count >= config.horizon:
-            return None
-        for chunk in chunks:
-            chunk = chunk[: config.horizon - count]
-            if chunk.size:
-                return chunk[None, :]
-        return None
-
-    decision, stop_n, fallback = _decide(method, 1, next_block, config)
+def _one_path(method: str, observations: np.ndarray, config: PaulsonConfig) -> PaulsonResult:
+    if not isinstance(observations, np.ndarray) or observations.ndim != 1:
+        got = getattr(observations, "shape", type(observations).__name__)
+        raise ValueError(f"observations must be a 1-D array, got {got}")
+    path = observations.astype(float, copy=False)
+    decision, stop_n, fallback = _decide(
+        method, 1, lambda live, count, size: path[None, count : count + size], config
+    )
     return PaulsonResult(int(decision[0]), int(stop_n[0]), bool(fallback[0]))
 
 
-def run_paulson_direct(
-    observations: np.ndarray | Iterable[np.ndarray], config: PaulsonConfig
-) -> PaulsonResult:
+def run_paulson_direct(observations: np.ndarray, config: PaulsonConfig) -> PaulsonResult:
     """Classify a mean by the shrinking-interval rule.
 
     Maintains u_n = max over m <= n of (S_m/m - delta/2 - A/m) and
@@ -310,10 +290,12 @@ def run_paulson_direct(
     view of the kernel ``classify_paths`` runs over a group of paths.
 
     Args:
-        observations: Array of observations, or an iterable yielding
-            blocks of them; only the first ``horizon`` observations are
-            consumed.
+        observations: The path, a 1-D array; only its first ``horizon``
+            observations are read.
         config: Thresholds, delta, critical value, horizon.
+
+    Raises:
+        ValueError: ``observations`` is not a 1-D array, or is empty.
 
     Returns:
         The classification, its stopping time, and the fallback flag.
@@ -321,9 +303,7 @@ def run_paulson_direct(
     return _one_path("direct", observations, config)
 
 
-def paulson_via_stepdown(
-    observations: np.ndarray | Iterable[np.ndarray], config: PaulsonConfig
-) -> PaulsonResult:
+def paulson_via_stepdown(observations: np.ndarray, config: PaulsonConfig) -> PaulsonResult:
     """Classify a mean by step-down testing of one-sided hypothesis pairs.
 
     For each threshold theta_t, a downward test rejects once
@@ -338,7 +318,7 @@ def paulson_via_stepdown(
     group of paths.
 
     Args:
-        observations: Same forms as run_paulson_direct.
+        observations: The path, a 1-D array, as for run_paulson_direct.
         config: Thresholds, delta, critical value, horizon.
 
     Returns:
@@ -349,21 +329,18 @@ def paulson_via_stepdown(
 
 
 def _stream_blocks(
-    theta: float, horizon: int, seed: int, first: int
-) -> Callable[[np.ndarray, int], np.ndarray | None]:
-    # Path i of the group reads RngStream(seed, first + i) in CHUNK
-    # blocks: one Philox bit generator, re-keyed with counter 0 for a
+    theta: float, seed: int, first: int
+) -> Callable[[np.ndarray, int, int], np.ndarray]:
+    # Path i of the group reads RngStream(seed, first + i) block by
+    # block: one Philox bit generator, re-keyed with counter 0 for a
     # path's first block and restored to the state it left for the next.
-    bit_gen = np.random.Philox(key=[seed, first])
+    bit_gen = philox(seed, first)
     rng = np.random.Generator(bit_gen)
     fresh = bit_gen.state
     key = fresh["state"]["key"]
     saved: dict[int, dict] = {}
 
-    def next_block(live: np.ndarray, count: int) -> np.ndarray | None:
-        size = min(CHUNK, horizon - count)
-        if size <= 0:
-            return None
+    def next_block(live: np.ndarray, count: int, size: int) -> np.ndarray:
         z = np.empty((live.size, size))
         for row, path in enumerate(live.tolist()):
             if count == 0:
@@ -396,14 +373,15 @@ def classify_paths(
     """
     if method not in _ROUTES:
         raise ValueError(f"method must be one of {sorted(_ROUTES)}, got {method!r}")
-    if seed < 0 or reps < 1:
-        raise ValueError(f"seed must be nonnegative and reps positive, got {seed}, {reps}")
+    check_seed(seed)
+    if reps < 1:
+        raise ValueError(f"reps must be positive, got {reps}")
     group = GROUP_OBSERVATIONS // CHUNK
     parts = [
         _decide(
             method,
             min(group, reps - first),
-            _stream_blocks(theta, config.horizon, seed, first),
+            _stream_blocks(theta, seed, first),
             config,
         )
         for first in range(0, reps, group)

@@ -10,7 +10,8 @@ standardized Gaussian walk (exactly for the Gaussian endpoints, by
 normal approximation for the binary one).
 
 Replicate r of a run with master seed s draws from its own Philox
-stream keyed ``[s, r]`` (``RngStream``).  ``generate_batch`` simulates a
+stream keyed ``[s, r]`` (``RngStream``); each seed in [0, 2**64) is one
+key word, so no two share a stream.  ``generate_batch`` simulates a
 range of replicates at once and ``generate_paths`` one; both follow the
 same draw contract, so a replicate's numbers do not depend on which
 function drew it or on what else was drawn with it.
@@ -28,9 +29,23 @@ from .core import SampleSchedule, StatisticPaths
 __all__ = [
     "ScenarioParams",
     "RngStream",
+    "check_seed",
     "generate_batch",
     "generate_paths",
 ]
+
+
+def check_seed(seed: int) -> int:
+    """Validate a master seed, one Philox key word: 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def philox(seed: int, index: int) -> np.random.Philox:
+    """The Philox bit generator keyed ``[seed, index]`` as uint64 words, counter 0."""
+    # A plain list would send ints of 2**63 and above through float64.
+    return np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -92,19 +107,20 @@ class RngStream:
     the same draws.  ``generate_batch`` reproduces the same stream for
     many replicates by re-keying one Philox bit generator instead of
     building a generator per replicate; ``paulson.classify_paths`` does
-    the same for a group of classification paths, saving each path's
-    bit-generator state between its blocks of observations.
+    the same for a group of classification paths, drawing the array
+    ``simulate_observations`` returns for each path a block at a time.
     """
 
     master_seed: int
     replicate: int
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0 or self.replicate < 0:
-            raise ValueError("seed and replicate index must be nonnegative")
+        check_seed(self.master_seed)
+        if self.replicate < 0:
+            raise ValueError("replicate index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.master_seed, self.replicate]))
+        return np.random.Generator(philox(self.master_seed, self.replicate))
 
 
 def generate_batch(
@@ -139,7 +155,7 @@ def generate_batch(
     Args:
         params: True scenario parameters.
         schedule: Analysis sizes; sampling runs to the largest.
-        master_seed: Nonnegative master seed.
+        master_seed: Master seed in [0, 2**64).
         rep_range: Half-open range ``(lo, hi)`` of replicate indices.
         continuity_correction: Applied to the binary statistic.
 
@@ -147,16 +163,15 @@ def generate_batch(
         ``(sums, values)``, each of shape ``(hi - lo, 3, len(schedule))``.
     """
     lo, hi = rep_range
-    if master_seed < 0 or lo < 0 or hi < lo:
-        raise ValueError(
-            f"seed must be nonnegative and {rep_range} a range of nonnegative indices"
-        )
+    check_seed(master_seed)
+    if lo < 0 or hi < lo:
+        raise ValueError(f"{rep_range} must be a range of nonnegative indices")
     reps = hi - lo
     n_max = schedule.sup
 
     z = np.empty((reps, 2, n_max))
     u = np.empty((reps, n_max))
-    bit_gen = np.random.Philox(key=[master_seed, lo])
+    bit_gen = philox(master_seed, lo)
     rng = np.random.Generator(bit_gen)
     state = bit_gen.state
     key = state["state"]["key"]

@@ -401,6 +401,76 @@ def test_boundary_csv_rejects_duplicate_rows(tmp_path, capsys):
     assert not out.exists()
 
 
+# A valid pair of analyze inputs, two hypotheses and the two levels holm
+# needs for them: the header line, then one line per (key, n) cell.
+_READER_INPUTS = {
+    "statistics": [
+        "hypothesis,n,statistic",
+        *(f"{h},{n},9.0" for h in "AB" for n in (26, 29, 35)),
+    ],
+    "boundary": [
+        "n,rho,critical_value,shape",
+        *(f"{n},{rho},1.0,flat" for rho in (0.025, 0.05) for n in (26, 29, 35)),
+    ],
+}
+_N_COLUMN = {"statistics": 1, "boundary": 0}
+
+
+def _with_field(line, column, text):
+    fields = line.split(",")
+    fields[column] = text
+    return ",".join(fields)
+
+
+_BREAK_READER_INPUT = {
+    "header": lambda lines, which: ["bogus," + lines[0]] + lines[1:],
+    "field count": lambda lines, which: lines[:2] + [lines[2] + ",extra"] + lines[3:],
+    "non-numeric n": lambda lines, which: lines[:2]
+    + [_with_field(lines[2], _N_COLUMN[which], "x")]
+    + lines[3:],
+    "non-numeric value": lambda lines, which: lines[:2]
+    + [_with_field(lines[2], 2, "abc")]
+    + lines[3:],
+    "missing cell": lambda lines, which: lines[:-1],
+    "no data rows": lambda lines, which: lines[:1],
+}
+
+
+def _analyze_inputs(tmp_path, broken=None, how=None):
+    paths = {}
+    for which, lines in _READER_INPUTS.items():
+        if which == broken:
+            lines = _BREAK_READER_INPUT[how](lines, which)
+        paths[which] = tmp_path / f"{which}.csv"
+        paths[which].write_text("\n".join(lines) + "\n")
+    return paths
+
+
+def test_analyze_reader_inputs_are_valid(tmp_path):
+    paths = _analyze_inputs(tmp_path)
+    out = tmp_path / "d.csv"
+    argv = ["analyze", "--statistics", str(paths["statistics"]), "--boundary",
+            str(paths["boundary"]), "--out", str(out)]
+    assert main(argv) == 0
+    assert read_csv(out)[1:] == [["A", "rejected", "1", "26"], ["B", "rejected", "1", "26"]]
+
+
+@pytest.mark.parametrize("how", sorted(_BREAK_READER_INPUT) + ["unreadable"])
+@pytest.mark.parametrize("which", sorted(_READER_INPUTS))
+def test_analyze_reader_errors_name_the_file(tmp_path, capsys, which, how):
+    if how == "unreadable":
+        paths = _analyze_inputs(tmp_path)
+        paths[which] = tmp_path / "absent" / f"{which}.csv"
+    else:
+        paths = _analyze_inputs(tmp_path, which, how)
+    out = tmp_path / "d.csv"
+    argv = ["analyze", "--statistics", str(paths["statistics"]), "--boundary",
+            str(paths["boundary"]), "--out", str(out)]
+    assert main(argv) == 2
+    assert str(paths[which]) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _count_calibrations(monkeypatch):
     calls = []
 
@@ -574,4 +644,70 @@ def test_simulate_rejects_non_finite_mean_before_calibrating(tmp_path, capsys, m
     assert code == 2
     assert "mean mu1 must be finite" in capsys.readouterr().err
     assert calls == []
+    assert not out.exists()
+
+
+_FAMILY_ROWS = {"A": "A,26,3.0\nA,29,3.0\nA,35,3.0\n", "B": "B,26,0.0\nB,29,0.5\nB,35,1.0\n"}
+
+
+def _analyze_family(tmp_path, order, family_text):
+    """Decisions by hypothesis under ``closed``, statistics rows in ``order``."""
+    bound = tmp_path / "bound.csv"
+    if not bound.exists():
+        _write_boundary(tmp_path, "0.05,0.025")
+    family = tmp_path / "family.txt"
+    family.write_text(family_text)
+    stats = tmp_path / f"{order}.csv"
+    stats.write_text("hypothesis,n,statistic\n" + "".join(_FAMILY_ROWS[h] for h in order))
+    out = tmp_path / f"{order}-decisions.csv"
+    argv = ["analyze", "--statistics", str(stats), "--boundary", str(bound),
+            "--variant", "closed", "--family", str(family), "--out", str(out)]
+    code = main(argv)
+    return code, ({row[0]: row[1:] for row in read_csv(out)[1:]} if code == 0 else None)
+
+
+def test_analyze_pairs_a_named_family_by_label(tmp_path):
+    # Rejecting A (family index 1) accepts B at once, whichever row
+    # order the statistics file uses.
+    text = "k = 2\nlabels = A,B\ncontains_complement = 1>2\nclosed_monotone = true\n"
+    by_order = [_analyze_family(tmp_path, order, text) for order in ("AB", "BA")]
+    assert by_order[0] == by_order[1] == (
+        0, {"A": ["rejected", "1", "26"], "B": ["accepted", "1", "26"]}
+    )
+
+
+def test_analyze_pairs_an_unnamed_family_by_position(tmp_path):
+    unnamed = "k = 2\ncontains_complement = 1>2\nclosed_monotone = true\n"
+    for order in ("AB", "BA"):
+        named = f"k = 2\nlabels = {','.join(order)}\ncontains_complement = 1>2\nclosed_monotone = true\n"
+        assert _analyze_family(tmp_path, order, unnamed) == _analyze_family(tmp_path, order, named)
+
+
+def test_analyze_rejects_family_labels_the_statistics_lack(tmp_path, capsys):
+    text = "k = 2\nlabels = A,C\nclosed_monotone = true\n"
+    assert _analyze_family(tmp_path, "AB", text) == (2, None)
+    assert "family labels A,C do not match" in capsys.readouterr().err
+    assert not (tmp_path / "AB-decisions.csv").exists()
+
+
+def _paulson_bytes(tmp_path, seed):
+    out = tmp_path / "p.csv"
+    argv = ["paulson", "--thresholds", "0,1", "--delta", "0.15", "--critical-value", "3",
+            "--theta", "0.5", "--reps", "20", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    return out.read_bytes()
+
+
+def test_paulson_seeds_at_and_above_two_to_the_63_are_distinct(tmp_path):
+    outputs = [_paulson_bytes(tmp_path, seed) for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+    assert len(set(outputs)) == len(outputs)
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "paulson"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+def test_out_of_range_seed_is_a_configuration_error(tmp_path, capsys, subcommand, seed):
+    keys = {**_quick_start_keys(tmp_path, subcommand), "seed": seed}
+    out = tmp_path / "o.csv"
+    assert _run(tmp_path, subcommand, keys, "flags", out) == 2
+    assert "key 'seed': seed must lie in [0, 2**64)" in capsys.readouterr().err
     assert not out.exists()

@@ -57,10 +57,16 @@ def test_family_round_trip():
     fam = HypothesisFamily(
         k=2, labels=("low dose", "high dose"), contains_complement=rel, closed_monotone=True
     )
-    assert HypothesisFamily.from_text(fam.to_text()) == fam
+    text = (
+        "k = 2\nlabels = low dose,high dose\n"
+        "contains_complement = 1>2\nclosed_monotone = true\n"
+    )
+    assert HypothesisFamily.from_text(text) == fam
 
     plain = HypothesisFamily.simple(4)
-    assert HypothesisFamily.from_text(plain.to_text()) == plain
+    text = "k = 4\nlabels = H1,H2,H3,H4\ncontains_complement = none\nclosed_monotone = false\n"
+    assert HypothesisFamily.from_text(text) == plain
+    assert HypothesisFamily.from_text("k = 4\n") == plain
 
 
 def test_family_text_rejects_garbage():

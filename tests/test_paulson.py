@@ -148,6 +148,29 @@ def test_routes_agree_on_random_paths():
             assert a == b
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize(
+    "observations, got",
+    [
+        ((0.1 * x for x in range(10)), "generator"),
+        ([0.1, 0.2, 0.3], "list"),
+        (np.zeros((2, 5)), r"\(2, 5\)"),
+        (np.float64(0.3), r"\(\)"),
+    ],
+)
+def test_routes_take_a_one_dimensional_array_only(route, observations, got):
+    cfg = PaulsonConfig(thresholds=(0.0,), delta=0.1, critical_value=2.0)
+    with pytest.raises(ValueError, match=f"observations must be a 1-D array, got {got}"):
+        ROUTES[route](observations, cfg)
+
+
+def test_simulate_observations_is_one_array_of_the_stream():
+    generator = RngStream(6, 2).generator()
+    path = simulate_observations(0.25, 3 * CHUNK + 5, generator)
+    assert isinstance(path, np.ndarray) and path.shape == (3 * CHUNK + 5,)
+    assert np.array_equal(path, 0.25 + RngStream(6, 2).generator().standard_normal(3 * CHUNK + 5))
+
+
 def test_routes_agree_on_generator_input():
     cfg = PaulsonConfig(thresholds=(0.0,), delta=0.2, critical_value=3.0, horizon=600)
     for rep in range(20):
@@ -270,6 +293,15 @@ def test_classify_paths_rejects_bad_input():
         classify_paths(0.0, config, -1, 5)
     with pytest.raises(ValueError, match="reps"):
         classify_paths(0.0, config, 1, 0)
+    with pytest.raises(ValueError, match="seed"):
+        classify_paths(0.0, config, 2**64, 5)
+
+
+def test_classify_paths_keys_seeds_above_two_to_the_63_apart():
+    config = PaulsonConfig((0.0, 1.0), 0.15, 3.0, horizon=2 * CHUNK)
+    rows = [grouped_rows(0.5, config, seed, 12, "direct") for seed in (2**63, 2**63 + 1, 2**64 - 1)]
+    assert rows[0] == loop_paths(0.5, config, 2**63, 12, "direct")
+    assert rows[0] != rows[1] and rows[2] != grouped_rows(0.5, config, 0, 12, "direct")
 
 
 def test_classify_paths_memory_does_not_grow_with_reps():

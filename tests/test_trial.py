@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stepdown.core import SampleSchedule
-from stepdown.trial import RngStream, ScenarioParams, generate_paths
+from stepdown.harness import ScenarioSpec
+from stepdown.trial import RngStream, ScenarioParams, generate_batch, generate_paths
 
 SCHED = SampleSchedule((26, 29, 35))
 
@@ -140,3 +141,33 @@ def test_correlation_does_not_change_first_endpoint():
     assert np.array_equal(flat.values[0], tilted.values[0])
     assert not np.array_equal(flat.values[1], tilted.values[1])
     assert np.array_equal(flat.values[2], tilted.values[2])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 7, 2**63 - 1])
+def test_seeds_below_two_to_the_63_keep_their_streams(seed):
+    # The streams a plain [seed, r] key gave before seeds were keyed as
+    # uint64 words.
+    want = np.random.Generator(np.random.Philox(key=[seed, 5])).standard_normal(8)
+    assert np.array_equal(RngStream(seed, 5).generator().standard_normal(8), want)
+
+
+def test_every_seed_below_two_to_the_64_has_its_own_stream():
+    seeds = (0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1)
+    draws = {RngStream(seed, 0).generator().standard_normal(4).tobytes() for seed in seeds}
+    assert len(draws) == len(seeds)
+    params, schedule = ScenarioParams(0.2, 0.0, 0.5), SampleSchedule((5, 9))
+    for seed in seeds[2:]:
+        sums, values = generate_batch(params, schedule, seed, (3, 5))
+        single = generate_paths(params, schedule, RngStream(seed, 4))
+        assert np.array_equal(values[1], single.values)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seeds_are_rejected(seed):
+    params, schedule = ScenarioParams(0.0, 0.0, 0.5), SampleSchedule((5,))
+    with pytest.raises(ValueError, match="seed"):
+        RngStream(seed, 0)
+    with pytest.raises(ValueError, match="seed"):
+        generate_batch(params, schedule, seed, (0, 2))
+    with pytest.raises(ValueError, match="seed"):
+        ScenarioSpec(params=params, schedule=schedule, master_seed=seed)
