@@ -288,7 +288,7 @@ def _read_long_csv(
             raise ValueError(f"bad {kind} row {row!r} in {path}") from None
         per_n = cells.setdefault(key, {})
         if n in per_n:
-            raise ValueError(duplicate.format(key=key, n=n))
+            raise ValueError(f"{duplicate.format(key=key, n=n)} in {path}")
         per_n[n] = value
     if not cells:
         raise ValueError(f"{kind} file {path} contains no data rows")
@@ -322,7 +322,10 @@ def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction
     )
     shapes = {row[3].strip() for row in rows}
     shape = shapes.pop() if len(shapes) == 1 else "custom"
-    return CriticalFunction.from_table(analyses, table, shape=shape)
+    try:
+        return CriticalFunction.from_table(analyses, table, shape=shape)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
 
 
 def _cmd_analyze(values: dict[str, Any]) -> None:
@@ -348,7 +351,10 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
             labels = family.labels
     else:
         family = HypothesisFamily.simple(len(labels), labels)
-    paths = StatisticPaths(analyses=analyses, values=[table[label] for label in labels])
+    try:
+        paths = StatisticPaths(analyses=analyses, values=[table[label] for label in labels])
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {values['statistics']}") from None
 
     schedule = SampleSchedule(analyses)
     for level in stage_levels(rule, alpha, family.k):

@@ -9,12 +9,17 @@ or machines and merging the pieces reproduces the serial result bit for
 bit.  Each replicate's draws depend only on (master seed, replicate
 index), never on execution order.
 
-Replicates run in blocks: one ``generate_batch`` call draws a block and
-one vectorised pass decides it (``run_multistage_batch`` for the staged
-procedures, ``holm_fixed`` on a p-value matrix for ``H``).  Both give
-every replicate exactly the numbers and decisions of the one-replicate
-functions ``generate_paths`` and ``run_multistage``, so the block size
-bounds memory and changes no result.
+Replicates run in blocks, and the cells of a run that share master
+seed, schedule and replicate count run together in one block loop
+(``run_cells``).  Each block is drawn once (``draw_replicates``), its
+sums and statistics are computed once per distinct scenario
+(``paths_from_draws``), and one vectorised pass per cell decides it
+(``run_multistage_batch`` for the staged procedures, ``holm_fixed`` on a
+p-value matrix for ``H``).  Every replicate gets exactly the numbers and
+decisions of the one-replicate functions ``generate_paths`` and
+``run_multistage``, so neither the block size nor which cells run
+together changes a result; only one block of draws is held at a time.
+``run_scenario`` is the one-cell view of the same loop.
 
 The staged procedures need a boundary covering their ``needed_levels``,
 passed as ``critical``.  A boundary depends only on the schedule, the
@@ -36,7 +41,9 @@ from scipy import stats as scipy_stats
 from .boundary import CriticalFunction, calibrate_levels
 from .core import HypothesisFamily, SampleSchedule
 # calibrate_levels, run_multistage and generate_paths are not called here;
-# they stay bound because bench/tracing.py wraps them on this module.
+# they stay bound because bench/tracing.py wraps them on this module.  It
+# also wraps run_scenario, which run_scenario_parallel no longer calls, so
+# a traced `stepdown simulate` reports 0 calls and replicates for it.
 from .procedures import (
     HOLM,
     MULT,
@@ -46,13 +53,14 @@ from .procedures import (
     run_multistage_batch,
     stage_levels,
 )
-from .trial import ScenarioParams, check_seed, generate_batch, generate_paths
+from .trial import ScenarioParams, check_seed, draw_replicates, generate_paths, paths_from_draws
 
 __all__ = [
     "PROCEDURES",
     "ScenarioSpec",
     "SimulationSummary",
     "empty_summary",
+    "run_cells",
     "run_scenario",
     "run_scenario_parallel",
     "merge",
@@ -240,91 +248,122 @@ def merge(a: SimulationSummary, b: SimulationSummary) -> SimulationSummary:
     )
 
 
+def _draw_key(spec: ScenarioSpec) -> tuple[SampleSchedule, int, int]:
+    # Cells with equal keys draw the same numbers for each replicate.
+    return spec.schedule, spec.master_seed, spec.replicates
+
+
+def run_cells(
+    specs: Sequence[ScenarioSpec],
+    rep_range: tuple[int, int] | None = None,
+    critical: CriticalFunction | None = None,
+) -> list[SimulationSummary]:
+    """Simulate (part of) several cells that share their draws.
+
+    The cells must share ``master_seed``, ``schedule`` and
+    ``replicates``, so replicate r draws the same numbers in each.  Each
+    block of replicates is drawn once; sums and statistics are computed
+    once per distinct ``(params, continuity_correction)``, and every
+    cell's procedure decides the block from them.
+
+    Args:
+        specs: The cells to simulate, at least one.
+        rep_range: Half-open range of replicate indices to run; defaults
+            to the full range (0, replicates).  Draws for replicate r
+            depend only on (master_seed, r).
+        critical: Critical values covering the procedures'
+            ``needed_levels``, typically one calibration shared by every
+            cell of a study.  Required unless every procedure is ``H``.
+
+    Returns:
+        One SimulationSummary per cell, in order, each covering exactly
+        rep_range.
+    """
+    if not specs:
+        raise ValueError("run_cells needs at least one cell")
+    schedule, master_seed, replicates = shared = _draw_key(specs[0])
+    for spec in specs:
+        if _draw_key(spec) != shared:
+            raise ValueError("cells run together must share schedule, master_seed and replicates")
+        if critical is None and spec.procedure != "H":
+            raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
+    lo, hi = rep_range if rep_range is not None else (0, replicates)
+    if not (0 <= lo <= hi <= replicates):
+        raise ValueError(f"rep_range {(lo, hi)} must lie within (0, {replicates})")
+
+    sup = schedule.sup
+    k = _FAMILY.k
+    summaries = [empty_summary(spec) for spec in specs]
+    # Cells with the same parameters and correction read the same paths.
+    by_paths: dict[tuple[ScenarioParams, bool], list[int]] = {}
+    for i, spec in enumerate(specs):
+        by_paths.setdefault((spec.params, spec.continuity_correction), []).append(i)
+    if any(spec.procedure == "H" for spec in specs):
+        # Fixed-sample reference: exact one-sided binomial tail for the
+        # binary endpoint, Gaussian tails for the mean endpoints.
+        tail = scipy_stats.binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
+    step = block_replicates(schedule)
+    for start in range(lo, hi, step):
+        block = (start, min(start + step, hi))
+        z, u = draw_replicates(master_seed, block, sup)
+        for (params, correction), members in by_paths.items():
+            sums, values = paths_from_draws(
+                params, schedule, z, u, continuity_correction=correction
+            )
+            truth = np.asarray(params.truth)
+            for i in members:
+                spec = specs[i]
+                if spec.procedure == "H":
+                    # math.erfc, not a vectorised erfc that may round
+                    # differently, keeps the bytes of the H rows unchanged.
+                    p = np.empty((len(values), k))
+                    for e in (0, 1):
+                        p[:, e] = [
+                            0.5 * math.erfc(t / math.sqrt(2.0)) for t in values[:, e, -1].tolist()
+                        ]
+                    p[:, 2] = tail[np.rint(sums[:, 2, -1]).astype(np.int64)]
+                    rejected = holm_fixed(p, spec.alpha)
+                    total = np.full(len(values), k * sup, dtype=np.int64)
+                else:
+                    rejected, final_n = run_multistage_batch(
+                        values, _FAMILY, schedule, critical, spec.alpha, _VARIANTS[spec.procedure]
+                    )
+                    total = final_n.sum(axis=1)
+                summaries[i] = merge(
+                    summaries[i],
+                    SimulationSummary(
+                        spec=spec,
+                        rep_ranges=(block,),
+                        replicates=len(total),
+                        sum_measurements=int(total.sum()),
+                        sumsq_measurements=int((total * total).sum()),
+                        reject_counts=tuple(int(c) for c in rejected.sum(axis=0)),
+                        fwe_count=int((rejected & truth).any(axis=1).sum()),
+                    ),
+                )
+    return summaries
+
+
 def run_scenario(
     spec: ScenarioSpec,
     rep_range: tuple[int, int] | None = None,
     critical: CriticalFunction | None = None,
 ) -> SimulationSummary:
-    """Simulate (part of) a scenario and return its summary.
+    """Simulate (part of) one scenario cell: the one-cell view of ``run_cells``.
 
-    Args:
-        spec: The scenario cell to simulate.
-        rep_range: Half-open range of replicate indices to run; defaults
-            to the full range (0, spec.replicates).  Draws for replicate
-            r depend only on (spec.master_seed, r).
-        critical: Critical values covering the procedure's
-            ``needed_levels``, typically one calibration shared by every
-            cell of a study.  Required unless the procedure is ``H``.
-
-    Returns:
-        A SimulationSummary covering exactly rep_range.
+    ``rep_range`` defaults to (0, spec.replicates), and ``critical`` is
+    required unless the procedure is ``H``.  Returns a summary covering
+    exactly rep_range.
     """
-    lo, hi = rep_range if rep_range is not None else (0, spec.replicates)
-    if not (0 <= lo <= hi <= spec.replicates):
-        raise ValueError(
-            f"rep_range {(lo, hi)} must lie within (0, {spec.replicates})"
-        )
-    if critical is None and spec.procedure != "H":
-        raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
-
-    truth = np.asarray(spec.params.truth)
-    sup = spec.schedule.sup
-    k = _FAMILY.k
-
-    sum_n = 0
-    sumsq_n = 0
-    reject_counts = np.zeros(k, dtype=np.int64)
-    fwe_count = 0
-
-    fixed_sample = spec.procedure == "H"
-    if fixed_sample:
-        # Fixed-sample reference: exact one-sided binomial tail for the
-        # binary endpoint, Gaussian tails for the mean endpoints.
-        tail = scipy_stats.binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
-    else:
-        variant = _VARIANTS[spec.procedure]
-    step = block_replicates(spec.schedule)
-    for start in range(lo, hi, step):
-        sums, values = generate_batch(
-            spec.params,
-            spec.schedule,
-            spec.master_seed,
-            (start, min(start + step, hi)),
-            continuity_correction=spec.continuity_correction,
-        )
-        if fixed_sample:
-            # math.erfc, not a vectorised erfc that may round differently,
-            # keeps the bytes of the H rows unchanged.
-            p = np.empty((len(values), k))
-            for e in (0, 1):
-                p[:, e] = [0.5 * math.erfc(t / math.sqrt(2.0)) for t in values[:, e, -1].tolist()]
-            p[:, 2] = tail[np.rint(sums[:, 2, -1]).astype(np.int64)]
-            rejected = holm_fixed(p, spec.alpha)
-            total = np.full(len(values), k * sup, dtype=np.int64)
-        else:
-            rejected, final_n = run_multistage_batch(
-                values, _FAMILY, spec.schedule, critical, spec.alpha, variant
-            )
-            total = final_n.sum(axis=1)
-        sum_n += int(total.sum())
-        sumsq_n += int((total * total).sum())
-        reject_counts += rejected.sum(axis=0)
-        fwe_count += int((rejected & truth).any(axis=1).sum())
-
-    return SimulationSummary(
-        spec=spec,
-        rep_ranges=_normalize_ranges(((lo, hi),)),
-        replicates=hi - lo,
-        sum_measurements=sum_n,
-        sumsq_measurements=sumsq_n,
-        reject_counts=tuple(int(c) for c in reject_counts),
-        fwe_count=fwe_count,
-    )
+    [summary] = run_cells([spec], rep_range, critical)
+    return summary
 
 
-def _worker_run(args: tuple[ScenarioSpec, tuple[int, int], CriticalFunction | None]) -> SimulationSummary:
-    spec, rep_range, critical = args
-    return run_scenario(spec, rep_range, critical)
+def _worker_run(
+    args: tuple[list[ScenarioSpec], tuple[int, int], CriticalFunction | None],
+) -> list[SimulationSummary]:
+    specs, rep_range, critical = args
+    return run_cells(specs, rep_range, critical)
 
 
 def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
@@ -347,29 +386,39 @@ def run_scenario_parallel(
 ) -> list[SimulationSummary]:
     """Run scenarios across worker processes and merge each one's pieces.
 
-    Each scenario's replicates are split into ``workers`` ranges, and all
-    ranges of all scenarios go through one pool of at most
-    ``os.cpu_count()`` processes.  The results are bit-identical for any
-    worker count: replicate draws are keyed by index and the merged
-    accumulators are integers.  ``critical`` is as for run_scenario and
-    serves every scenario.
+    Cells that share ``master_seed``, ``schedule`` and ``replicates``
+    form one group, run together by ``run_cells`` so each block is drawn
+    once for the whole group.  Each group's replicates are split into
+    ``workers`` ranges, and every (group, range) job goes through one
+    pool of at most ``os.cpu_count()`` processes.  The results are
+    bit-identical for any worker count: replicate draws are keyed by
+    index and the merged accumulators are integers.  ``critical`` is as
+    for run_cells and serves every scenario.
 
     Returns:
         One summary per scenario, in order.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    groups: dict[tuple[SampleSchedule, int, int], list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(_draw_key(spec), []).append(i)
+    members = list(groups.values())
+    split = [split_ranges(replicates, workers) for _, _, replicates in groups]
+    jobs = [
+        ([specs[i] for i in cells], rng, critical)
+        for cells, ranges in zip(members, split)
+        for rng in ranges
+    ]
     if workers == 1:
-        return [run_scenario(spec, critical=critical) for spec in specs]
-    split = [split_ranges(spec.replicates, workers) for spec in specs]
-    jobs = [(spec, rng, critical) for spec, ranges in zip(specs, split) for rng in ranges]
-    processes = min(max((len(ranges) for ranges in split), default=1), os.cpu_count() or 1)
-    with multiprocessing.Pool(processes=processes) as pool:
-        parts = iter(pool.map(_worker_run, jobs))
-    summaries = []
-    for spec, ranges in zip(specs, split):
-        summary = empty_summary(spec)
+        parts = iter(map(_worker_run, jobs))
+    else:
+        processes = min(max((len(ranges) for ranges in split), default=1), os.cpu_count() or 1)
+        with multiprocessing.Pool(processes=processes) as pool:
+            parts = iter(pool.map(_worker_run, jobs))
+    summaries: list[SimulationSummary] = [empty_summary(spec) for spec in specs]
+    for cells, ranges in zip(members, split):
         for _ in ranges:
-            summary = merge(summary, next(parts))
-        summaries.append(summary)
+            for i, piece in zip(cells, next(parts)):
+                summaries[i] = merge(summaries[i], piece)
     return summaries

@@ -11,10 +11,13 @@ normal approximation for the binary one).
 
 Replicate r of a run with master seed s draws from its own Philox
 stream keyed ``[s, r]`` (``RngStream``); each seed in [0, 2**64) is one
-key word, so no two share a stream.  ``generate_batch`` simulates a
-range of replicates at once and ``generate_paths`` one; both follow the
-same draw contract, so a replicate's numbers do not depend on which
-function drew it or on what else was drawn with it.
+key word, so no two share a stream.  ``draw_replicates`` draws a range
+of replicates and ``paths_from_draws`` turns the draws into one
+scenario's sums and statistics; the draws do not depend on the
+scenario, so scenarios run on the same seed share them (common random
+numbers).  ``generate_batch`` composes the two for a range of replicates
+and ``generate_paths`` for one.  A replicate's numbers do not depend on
+which function drew it or on what else was drawn with it.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ __all__ = [
     "ScenarioParams",
     "RngStream",
     "check_seed",
+    "draw_replicates",
     "generate_batch",
     "generate_paths",
+    "paths_from_draws",
 ]
 
 
@@ -104,10 +109,12 @@ class RngStream:
     replicate]`` and counter 0.  Each replicate owns an independent
     stream regardless of execution order, so splitting replicates across
     workers, re-running a subset, or merging partial runs all reproduce
-    the same draws.  ``generate_batch`` reproduces the same stream for
+    the same draws.  ``draw_replicates`` reproduces the same stream for
     many replicates by re-keying one Philox bit generator instead of
-    building a generator per replicate; ``paulson.classify_paths`` does
-    the same for a group of classification paths, drawing the array
+    building a generator per replicate; the simulation harness calls it
+    once per block of replicates for all the cells of a run that share
+    the seed.  ``paulson.classify_paths`` re-keys the same way for a
+    group of classification paths, drawing the array
     ``simulate_observations`` returns for each path a block at a time.
     """
 
@@ -123,54 +130,33 @@ class RngStream:
         return np.random.Generator(philox(self.master_seed, self.replicate))
 
 
-def generate_batch(
-    params: ScenarioParams,
-    schedule: SampleSchedule,
-    master_seed: int,
-    rep_range: tuple[int, int],
-    *,
-    continuity_correction: bool = False,
+def draw_replicates(
+    master_seed: int, rep_range: tuple[int, int], observations: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate replicates ``lo <= r < hi`` and return their sums and statistics.
+    """Draw the raw numbers of replicates ``lo <= r < hi``, ``observations`` per endpoint.
 
     Replicate r draws from ``RngStream(master_seed, r)``, in this order:
-    first the two Gaussian endpoint rows (a standard normal matrix pushed
-    through the correlation factor), then the binary endpoint row.  The
-    draw order is part of the reproducibility contract.  Here one Philox
-    bit generator is re-keyed to ``[master_seed, r]`` with counter 0 for
-    each replicate, which yields exactly the draws of
-    ``RngStream(master_seed, r).generator()``; the transforms and
-    cumulative sums then run once over the whole range, element by
-    element and row by row, so every number equals what a one-replicate
-    call computes.
+    a standard normal matrix for the two Gaussian endpoints, then a row
+    of uniforms for the binary endpoint.  The draw order is part of the
+    reproducibility contract.  One Philox bit generator is re-keyed to
+    ``[master_seed, r]`` with counter 0 for each replicate, which yields
+    exactly the draws of ``RngStream(master_seed, r).generator()``.
 
-    Cumulative sums are recorded at every analysis size and the
-    statistics are computed from those sums alone, so recomputation from
-    the stored sums reproduces the paths exactly.  The Gaussian
-    endpoints' statistic is S_n / sqrt(n).  The binary endpoint's is
-    (S_n - n/2) / sqrt(n/4), the count centered and scaled under success
-    probability one half; the optional continuity correction subtracts
-    another half success before scaling.
-
-    Args:
-        params: True scenario parameters.
-        schedule: Analysis sizes; sampling runs to the largest.
-        master_seed: Master seed in [0, 2**64).
-        rep_range: Half-open range ``(lo, hi)`` of replicate indices.
-        continuity_correction: Applied to the binary statistic.
+    The draws do not depend on the scenario, so one call serves every
+    scenario simulated on the same seed and replicates.
 
     Returns:
-        ``(sums, values)``, each of shape ``(hi - lo, 3, len(schedule))``.
+        ``(z, u)`` of shapes ``(hi - lo, 2, observations)`` and
+        ``(hi - lo, observations)``.
     """
     lo, hi = rep_range
     check_seed(master_seed)
     if lo < 0 or hi < lo:
         raise ValueError(f"{rep_range} must be a range of nonnegative indices")
     reps = hi - lo
-    n_max = schedule.sup
 
-    z = np.empty((reps, 2, n_max))
-    u = np.empty((reps, n_max))
+    z = np.empty((reps, 2, observations))
+    u = np.empty((reps, observations))
     bit_gen = philox(master_seed, lo)
     rng = np.random.Generator(bit_gen)
     state = bit_gen.state
@@ -181,14 +167,42 @@ def generate_batch(
         bit_gen.state = state
         rng.standard_normal(out=z[i])
         rng.random(out=u[i])
+    return z, u
 
+
+def paths_from_draws(
+    params: ScenarioParams,
+    schedule: SampleSchedule,
+    z: np.ndarray,
+    u: np.ndarray,
+    *,
+    continuity_correction: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Turn ``draw_replicates`` output into sums and statistics for one scenario.
+
+    The Gaussian rows go through the correlation factor and the mean
+    shift, the uniforms become successes ``u < p``, and the cumulative
+    sums are recorded at every analysis size.  Every step runs element
+    by element and row by row, so each replicate's numbers equal what a
+    one-replicate call computes.
+
+    The statistics are computed from the recorded sums alone, so
+    recomputation from the stored sums reproduces the paths exactly.
+    The Gaussian endpoints' statistic is S_n / sqrt(n).  The binary
+    endpoint's is (S_n - n/2) / sqrt(n/4), the count centered and scaled
+    under success probability one half; the optional continuity
+    correction subtracts another half success before scaling.
+
+    Returns:
+        ``(sums, values)``, each of shape ``(replicates, 3, len(schedule))``.
+    """
     rho = params.rho12
     x1 = z[:, 0] + params.mu1
     x2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1] + params.mu2
     x3 = (u < params.p).astype(float)
 
     cols = np.asarray(schedule.analyses, dtype=int) - 1
-    sums = np.empty((reps, 3, len(schedule)), dtype=float)
+    sums = np.empty((len(z), 3, len(schedule)), dtype=float)
     sums[:, 0] = np.cumsum(x1, axis=1)[:, cols]
     sums[:, 1] = np.cumsum(x2, axis=1)[:, cols]
     sums[:, 2] = np.cumsum(x3, axis=1)[:, cols]
@@ -200,6 +214,38 @@ def generate_batch(
     shift = 0.5 if continuity_correction else 0.0
     values[:, 2] = (sums[:, 2] - ns / 2.0 - shift) / np.sqrt(ns / 4.0)
     return sums, values
+
+
+def generate_batch(
+    params: ScenarioParams,
+    schedule: SampleSchedule,
+    master_seed: int,
+    rep_range: tuple[int, int],
+    *,
+    continuity_correction: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate replicates ``lo <= r < hi`` and return their sums and statistics.
+
+    ``draw_replicates`` for the schedule's largest analysis, then
+    ``paths_from_draws``; see those two for the draw contract and the
+    statistics.  A caller simulating several scenarios on the same seed
+    and replicates can draw once and call ``paths_from_draws`` per
+    scenario, with the same result.
+
+    Args:
+        params: True scenario parameters.
+        schedule: Analysis sizes; sampling runs to the largest.
+        master_seed: Master seed in [0, 2**64).
+        rep_range: Half-open range ``(lo, hi)`` of replicate indices.
+        continuity_correction: Applied to the binary statistic.
+
+    Returns:
+        ``(sums, values)``, each of shape ``(hi - lo, 3, len(schedule))``.
+    """
+    z, u = draw_replicates(master_seed, rep_range, schedule.sup)
+    return paths_from_draws(
+        params, schedule, z, u, continuity_correction=continuity_correction
+    )
 
 
 def generate_paths(

@@ -433,6 +433,8 @@ _BREAK_READER_INPUT = {
     + lines[3:],
     "missing cell": lambda lines, which: lines[:-1],
     "no data rows": lambda lines, which: lines[:1],
+    "duplicate row": lambda lines, which: lines + [lines[1]],
+    "NaN value": lambda lines, which: lines[:2] + [_with_field(lines[2], 2, "nan")] + lines[3:],
 }
 
 

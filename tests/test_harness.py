@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepdown.harness
 from stepdown.boundary import calibrate_levels
@@ -10,6 +12,7 @@ from stepdown.harness import (
     empty_summary,
     merge,
     needed_levels,
+    run_cells,
     run_scenario,
     run_scenario_parallel,
     split_ranges,
@@ -228,3 +231,94 @@ def test_continuity_correction_toggle_changes_binary_only():
     # binary rejections feed the step-down relaxation.
     assert s1.reject_counts[2] <= s0.reject_counts[2]
     assert s1.reject_counts[2] < s0.reject_counts[2] or s1 == s0
+
+
+# Cells that can share a block: every procedure on uncorrelated and
+# correlated scenarios, with and without the continuity correction.
+_CELL_PARAMS = (
+    ScenarioParams(0.0, 0.0, 0.5),
+    ScenarioParams(0.0, 0.5, 0.75),
+    ScenarioParams(0.0, 0.5, 0.75, 0.75),
+    ScenarioParams(0.4, 0.4, 0.75),
+)
+_CELLS = [
+    spec_for(procedure, reps=90, params=params, continuity_correction=correction)
+    for params in _CELL_PARAMS
+    for procedure in ("H", "Mult", "MultH")
+    for correction in (False, True)
+]
+
+
+@st.composite
+def _grouped_runs(draw):
+    cells = draw(st.lists(st.sampled_from(_CELLS), min_size=1, max_size=6, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, 89), max_size=5)))
+    pieces = list(zip([0] + cuts, cuts + [90]))
+    order = draw(st.permutations(range(len(pieces))))
+    block = draw(st.sampled_from([35 * 7, 35 * 32, stepdown.harness.BLOCK_OBSERVATIONS]))
+    return cells, pieces, order, block
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grouped_runs())
+def test_grouped_run_matches_each_cell_alone(run):
+    # Cells run together over any partition of the replicates, merged in
+    # any order and at any block size, give each cell's own summary.
+    cells, pieces, order, block = run
+    alone = [run_scenario(cell, critical=CRITICAL) for cell in cells]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stepdown.harness, "BLOCK_OBSERVATIONS", block)
+        parts = [run_cells(cells, pieces[i], CRITICAL) for i in order]
+    merged = [empty_summary(cell) for cell in cells]
+    for part in parts:
+        merged = [merge(a, b) for a, b in zip(merged, part)]
+    assert merged == alone
+
+
+def test_run_cells_rejects_cells_that_cannot_share_draws():
+    with pytest.raises(ValueError, match="at least one cell"):
+        run_cells([])
+    for other in (
+        spec_for("H", reps=91),
+        spec_for("H", reps=90, master_seed=2),
+        ScenarioSpec(ScenarioParams(0.0, 0.5, 0.75), SampleSchedule((26, 35)), "H", replicates=90),
+    ):
+        with pytest.raises(ValueError, match="must share"):
+            run_cells([spec_for("H", reps=90), other])
+
+
+def test_parallel_groups_cells_by_seed_and_replicates(monkeypatch):
+    # Cells of different seeds and replicate counts, interleaved, come
+    # back in order, each as if run alone.
+    monkeypatch.setattr(stepdown.harness.multiprocessing, "Pool", _RecordingPool)
+    specs = [
+        spec_for("MultH", reps=70, master_seed=2),
+        spec_for("H", reps=50),
+        spec_for("Mult", reps=70, master_seed=2, params=ScenarioParams(0.4, 0.4, 0.75)),
+        spec_for("MultH", reps=50),
+    ]
+    alone = [run_scenario(spec, critical=CRITICAL) for spec in specs]
+    for workers in (1, 3):
+        assert run_scenario_parallel(specs, workers=workers, critical=CRITICAL) == alone
+
+
+def test_simulate_draws_each_block_once(tmp_path, monkeypatch):
+    # A 3 x 3 run draws each block of replicates once, for all nine
+    # cells, not once per cell; the block size changes no byte.
+    args = [
+        "simulate", "--scenarios", "(0,0,.5) (0,.5,.75) (0,.5,.75,.75)",
+        "--procedure", "H,Mult,MultH", "--reps", "120", "--seed", "4", "--workers", "1",
+    ]
+    assert cli_main(args + ["--out", str(tmp_path / "whole.csv")]) == 0
+    calls = []
+    original = stepdown.harness.draw_replicates
+
+    def counted(master_seed, rep_range, observations):
+        calls.append(rep_range)
+        return original(master_seed, rep_range, observations)
+
+    monkeypatch.setattr(stepdown.harness, "draw_replicates", counted)
+    monkeypatch.setattr(stepdown.harness, "BLOCK_OBSERVATIONS", 35 * 50)
+    assert cli_main(args + ["--out", str(tmp_path / "blocks.csv")]) == 0
+    assert calls == [(0, 50), (50, 100), (100, 120)]
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
