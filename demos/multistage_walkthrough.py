@@ -11,7 +11,7 @@ import numpy as np
 
 from stepdown.boundary import calibrate_levels
 from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
-from stepdown.procedures import ProcedureVariant, run_multistage
+from stepdown.procedures import run_multistage
 
 ALPHA = 0.05
 
@@ -43,13 +43,11 @@ def main():
     critical = calibrate_levels(schedule, (ALPHA / 3.0, ALPHA / 2.0, ALPHA), "flat")
 
     print("step-down thresholds (relax as hypotheses fall):")
-    result = run_multistage(paths, family, schedule, critical,
-                            ALPHA, ProcedureVariant("holm"))
+    result = run_multistage(paths, family, schedule, critical, ALPHA, "holm")
     describe(result, labels)
 
     print("\nsingle-level thresholds (always alpha / 3):")
-    result = run_multistage(paths, family, schedule, critical,
-                            ALPHA, ProcedureVariant("mult"))
+    result = run_multistage(paths, family, schedule, critical, ALPHA, "mult")
     describe(result, labels)
 
 

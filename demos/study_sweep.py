@@ -12,7 +12,7 @@ import time
 
 from stepdown.boundary import calibrate_levels
 from stepdown.core import SampleSchedule
-from stepdown.harness import ScenarioSpec, run_scenario
+from stepdown.harness import ScenarioSpec, run_scenario_parallel
 from stepdown.trial import ScenarioParams
 
 ALPHA = 0.05
@@ -37,17 +37,24 @@ def main():
     header = f"{'scenario':>16} {'proc':>6} {'EM':>7} {'P(rej H1)':>10} " \
              f"{'P(rej H2)':>10} {'P(rej H3)':>10} {'FWE':>7}"
     print(f"{reps} replicates per cell\n\n{header}")
+    procedures = ("H", "Mult", "MultH")
+    specs = [
+        ScenarioSpec(
+            params=params,
+            schedule=SCHEDULE,
+            procedure=procedure,
+            alpha=ALPHA,
+            replicates=reps,
+            master_seed=1,
+        )
+        for params in GRID
+        for procedure in procedures
+    ]
+    # One run draws each block of replicates once for every cell.
+    summaries = iter(run_scenario_parallel(specs, critical=critical))
     for params in GRID:
-        for procedure in ("H", "Mult", "MultH"):
-            spec = ScenarioSpec(
-                params=params,
-                schedule=SCHEDULE,
-                procedure=procedure,
-                alpha=ALPHA,
-                replicates=reps,
-                master_seed=1,
-            )
-            s = run_scenario(spec, critical=None if procedure == "H" else critical)
+        for procedure in procedures:
+            s = next(summaries)
             fwe = "NA" if s.fwe is None else f"{100 * s.fwe:6.2f}%"
             print(f"{params.label():>16} {procedure:>6} {s.em:7.2f} "
                   f"{100 * s.p_reject(0):9.2f}% {100 * s.p_reject(1):9.2f}% "

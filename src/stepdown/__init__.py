@@ -46,14 +46,13 @@ from .procedures import (
     CLOSED,
     HOLM,
     MULT,
-    ProcedureVariant,
     holm_closed,
     holm_fixed,
     run_multistage,
     run_multistage_batch,
     stage_levels,
 )
-from .trial import RngStream, ScenarioParams, generate_batch, generate_paths
+from .trial import RngStream, ScenarioParams, generate_paths
 
 __version__ = "0.1.0"
 
@@ -88,7 +87,6 @@ __all__ = [
     "CLOSED",
     "HOLM",
     "MULT",
-    "ProcedureVariant",
     "holm_closed",
     "holm_fixed",
     "run_multistage",
@@ -96,7 +94,6 @@ __all__ = [
     "stage_levels",
     "RngStream",
     "ScenarioParams",
-    "generate_batch",
     "generate_paths",
     "__version__",
 ]

@@ -238,7 +238,9 @@ class CriticalFunction:
     values.  Values must be non-increasing in the level at every
     analysis: smaller crossing probabilities demand higher boundaries.
     ``constants`` records the scalar boundary multiplier per level when
-    the table came from calibration.
+    the table came from calibration.  A table supplied from outside is
+    ``CriticalFunction(schedule, shape, table)``, the schedule given as a
+    SampleSchedule or a sequence of sizes.
     """
 
     schedule: SampleSchedule
@@ -274,16 +276,6 @@ class CriticalFunction:
             object.__setattr__(
                 self, "constants", {float(r): float(c) for r, c in self.constants.items()}
             )
-
-    @classmethod
-    def from_table(
-        cls,
-        schedule: SampleSchedule | Sequence[int],
-        table: Mapping[float, Sequence[float]],
-        shape: str = "custom",
-    ) -> "CriticalFunction":
-        """Wrap externally supplied critical values (no calibration)."""
-        return cls(schedule=schedule, shape=shape, table=table)
 
     def _find_level(self, rho: float) -> float:
         rho = float(rho)

@@ -64,7 +64,7 @@ from .paulson import (
     run_paulson_direct,
     simulate_observations,
 )
-from .procedures import RULES, ProcedureVariant, run_multistage, stage_levels
+from .procedures import RULES, run_multistage, stage_levels
 from .trial import ScenarioParams, check_seed
 
 WORKERS_ENV = "STEPDOWN_WORKERS"
@@ -323,7 +323,7 @@ def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction
     shapes = {row[3].strip() for row in rows}
     shape = shapes.pop() if len(shapes) == 1 else "custom"
     try:
-        return CriticalFunction.from_table(analyses, table, shape=shape)
+        return CriticalFunction(analyses, shape, table)
     except ValueError as exc:
         raise ValueError(f"{exc} in {path}") from None
 
@@ -366,30 +366,28 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
                 f"calibrate it with rho = {level!r}"
             ) from None
 
-    result = run_multistage(paths, family, schedule, critical, alpha, ProcedureVariant(rule))
+    result = run_multistage(paths, family, schedule, critical, alpha, rule)
     rows = zip(labels, result.decisions, result.decision_stage, result.endpoint_final_n)
     _write_rows(values["out"], ("hypothesis", "decision", "stage", "final_n"), rows)
 
 
-def _summary_row(summary: SimulationSummary) -> tuple[object, ...]:
-    fwe = summary.fwe
-    fwe_se = summary.fwe_se
-    return (
-        summary.spec.label,
-        summary.spec.procedure,
-        summary.em,
-        summary.em_se,
-        summary.p_reject(0),
-        summary.p_reject_se(0),
-        summary.p_reject(1),
-        summary.p_reject_se(1),
-        summary.p_reject(2),
-        summary.p_reject_se(2),
-        "NA" if fwe is None else fwe,
-        "NA" if fwe_se is None else fwe_se,
-        summary.replicates,
-        summary.spec.master_seed,
-    )
+# The simulate CSV: one (column, value of a summary) pair per column.
+_SUMMARY_COLUMNS: tuple[tuple[str, Callable[[SimulationSummary], object]], ...] = (
+    ("scenario", lambda s: s.spec.label),
+    ("procedure", lambda s: s.spec.procedure),
+    ("EM", lambda s: s.em),
+    ("se_EM", lambda s: s.em_se),
+    ("prej1", lambda s: s.p_reject(0)),
+    ("se1", lambda s: s.p_reject_se(0)),
+    ("prej2", lambda s: s.p_reject(1)),
+    ("se2", lambda s: s.p_reject_se(1)),
+    ("prej3", lambda s: s.p_reject(2)),
+    ("se3", lambda s: s.p_reject_se(2)),
+    ("fwe", lambda s: "NA" if s.fwe is None else s.fwe),
+    ("se_fwe", lambda s: "NA" if s.fwe_se is None else s.fwe_se),
+    ("replicates", lambda s: s.replicates),
+    ("seed", lambda s: s.spec.master_seed),
+)
 
 
 def _cmd_simulate(values: dict[str, Any]) -> None:
@@ -416,27 +414,8 @@ def _cmd_simulate(values: dict[str, Any]) -> None:
         else None
     )
     summaries = run_scenario_parallel(specs, workers=values["workers"], critical=critical)
-    rows = [_summary_row(summary) for summary in summaries]
-    _write_rows(
-        values["out"],
-        (
-            "scenario",
-            "procedure",
-            "EM",
-            "se_EM",
-            "prej1",
-            "se1",
-            "prej2",
-            "se2",
-            "prej3",
-            "se3",
-            "fwe",
-            "se_fwe",
-            "replicates",
-            "seed",
-        ),
-        rows,
-    )
+    rows = [[value(summary) for _, value in _SUMMARY_COLUMNS] for summary in summaries]
+    _write_rows(values["out"], [name for name, _ in _SUMMARY_COLUMNS], rows)
 
 
 def _cmd_paulson(values: dict[str, Any]) -> None:

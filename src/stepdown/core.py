@@ -184,14 +184,11 @@ class StatisticPaths:
     """Test statistics for every hypothesis at every analysis size.
 
     ``values[i, j]`` is the statistic for hypothesis ``i`` at the j-th
-    analysis.  ``sums`` optionally records the raw cumulative sums the
-    statistics were computed from, for consumers that need the original
-    scale (for instance exact tail probabilities of a count).
+    analysis.
     """
 
     analyses: tuple[int, ...]
     values: np.ndarray
-    sums: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         analyses = tuple(int(n) for n in self.analyses)
@@ -208,11 +205,6 @@ class StatisticPaths:
             raise ValueError("statistic values must not be NaN")
         object.__setattr__(self, "analyses", analyses)
         object.__setattr__(self, "values", values)
-        if self.sums is not None:
-            sums = np.asarray(self.sums, dtype=float)
-            if sums.shape != values.shape:
-                raise ValueError("sums must match the shape of values")
-            object.__setattr__(self, "sums", sums)
 
     @property
     def k(self) -> int:

@@ -47,7 +47,6 @@ from .core import HypothesisFamily, SampleSchedule
 from .procedures import (
     HOLM,
     MULT,
-    ProcedureVariant,
     holm_fixed,
     run_multistage,
     run_multistage_batch,
@@ -69,7 +68,7 @@ __all__ = [
 
 PROCEDURES = ("H", "Mult", "MultH")
 
-_VARIANTS: dict[str, ProcedureVariant] = {
+_VARIANTS: dict[str, str] = {
     "Mult": MULT,
     "MultH": HOLM,
 }
@@ -91,7 +90,7 @@ def block_replicates(schedule: SampleSchedule) -> int:
 
 def needed_levels(procedures: Iterable[str], alpha: float) -> tuple[float, ...]:
     """Boundary levels the named procedures look up, tightest first."""
-    rules = {_VARIANTS[proc].rule for proc in procedures if proc != "H"}
+    rules = {_VARIANTS[proc] for proc in procedures if proc != "H"}
     return tuple(sorted({x for rule in rules for x in stage_levels(rule, alpha, _FAMILY.k)}))
 
 

@@ -18,7 +18,6 @@ boundary level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ from .core import (
 )
 
 __all__ = [
-    "ProcedureVariant",
+    "RULES",
     "HOLM",
     "MULT",
     "CLOSED",
@@ -49,27 +48,13 @@ __all__ = [
 RULES = ("holm", "mult", "closed")
 
 
-@dataclass(frozen=True)
-class ProcedureVariant:
-    """How stage levels are chosen.
-
-    ``holm`` divides alpha by the count of still-active hypotheses,
-    tightening further within a stage as rejections accumulate.  ``mult``
-    uses the fixed fraction alpha / k at every stage, k being the
-    original family size.  ``closed`` tests at plain alpha and relies on
-    implied acceptances; it requires a family flagged closed_monotone.
-    """
-
-    rule: str = "holm"
-
-    def __post_init__(self) -> None:
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}; expected one of {RULES}")
-
-
-HOLM = ProcedureVariant("holm")
-MULT = ProcedureVariant("mult")
-CLOSED = ProcedureVariant("closed")
+# The stage-level rules.  ``holm`` divides alpha by the count of
+# still-active hypotheses, tightening further within a stage as
+# rejections accumulate.  ``mult`` uses the fixed fraction alpha / k at
+# every stage, k being the original family size.  ``closed`` tests at
+# plain alpha and relies on implied acceptances; it requires a family
+# flagged closed_monotone.
+HOLM, MULT, CLOSED = RULES
 
 
 def holm_fixed(p_values: Sequence[float] | np.ndarray, alpha: float) -> np.ndarray:
@@ -150,7 +135,9 @@ def _stage_level(rule: str, alpha: float, active_size: int, k_total: int) -> flo
         return alpha / k_total
     if rule == "closed":
         return alpha
-    return alpha / active_size
+    if rule == "holm":
+        return alpha / active_size
+    raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
 
 
 def stage_levels(rule: str, alpha: float, k: int) -> tuple[float, ...]:
@@ -184,13 +171,13 @@ def _check_run(
     schedule: SampleSchedule,
     critical: CriticalFunction,
     alpha: float,
-    variant: ProcedureVariant,
+    rule: str,
 ) -> float:
     """The input checks both multistage engines make; returns alpha."""
     alpha = check_alpha(alpha)
     if tuple(critical.schedule.analyses) != schedule.analyses:
         raise ValueError("critical function and schedule disagree on the analysis sizes")
-    if variant.rule == "closed" and not family.closed_monotone:
+    if rule == "closed" and not family.closed_monotone:
         raise ValueError("the closed variant requires a family flagged closed_monotone")
     return alpha
 
@@ -201,7 +188,7 @@ def run_multistage(
     schedule: SampleSchedule,
     critical: CriticalFunction,
     alpha: float,
-    variant: ProcedureVariant = HOLM,
+    rule: str = "holm",
 ) -> TrialResult:
     """Run the full multistage step-down procedure on one set of paths.
 
@@ -224,9 +211,9 @@ def run_multistage(
         paths: Statistics for every hypothesis at every analysis.
         family: The hypothesis family, including containment structure.
         schedule: Allowed analysis sizes; must match the paths.
-        critical: Critical values covering every level the variant uses.
+        critical: Critical values covering every level the rule uses.
         alpha: Familywise error level.
-        variant: Stage-level rule.
+        rule: Stage-level rule, one of ``RULES``.
 
     Returns:
         A TrialResult with decisions, stages, per-endpoint final sizes,
@@ -236,12 +223,12 @@ def run_multistage(
         raise ValueError(f"paths cover {paths.k} hypotheses, family has {family.k}")
     if paths.analyses != tuple(schedule.analyses):
         raise ValueError("paths and schedule disagree on the analysis sizes")
-    alpha = _check_run(family, schedule, critical, alpha, variant)
+    alpha = _check_run(family, schedule, critical, alpha, rule)
 
     k = family.k
     analyses = paths.analyses
     last = len(analyses) - 1
-    bounds = _stage_bounds(critical, variant.rule, alpha, k)
+    bounds = _stage_bounds(critical, rule, alpha, k)
     values = paths.values.tolist()
     contains = family.contains_complement
     decision_stage = [0] * k
@@ -281,7 +268,7 @@ def run_multistage(
         records.append(StageRecord(stage, n_j, tuple(active), tuple(ordered), tuple(stage_rej)))
         rejected.extend(stage_rej)
         decided = set(stage_rej)
-        if variant.rule == "closed":
+        if rule == "closed":
             # Implied acceptances: anything containing the complement of
             # a hypothesis just rejected is accepted on the spot.
             decided.update(b for b in active if any(contains[r][b] for r in stage_rej))
@@ -315,7 +302,7 @@ def run_multistage_batch(
     schedule: SampleSchedule,
     critical: CriticalFunction,
     alpha: float,
-    variant: ProcedureVariant = HOLM,
+    rule: str = "holm",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the multistage procedure on many replicates at once.
 
@@ -331,9 +318,9 @@ def run_multistage_batch(
         values: Statistics of shape ``(R, k, len(schedule))``.
         family: The hypothesis family, including containment structure.
         schedule: Allowed analysis sizes.
-        critical: Critical values covering every level the variant uses.
+        critical: Critical values covering every level the rule uses.
         alpha: Familywise error level.
-        variant: Stage-level rule.
+        rule: Stage-level rule, one of ``RULES``.
 
     Returns:
         ``(rejected, final_n)``, each of shape ``(R, k)``: True where a
@@ -346,13 +333,13 @@ def run_multistage_batch(
         raise ValueError(f"values must have shape (R, {k}, {n_looks}), got {values.shape}")
     if np.isnan(values).any():
         raise ValueError("statistic values must not be NaN")
-    alpha = _check_run(family, schedule, critical, alpha, variant)
+    alpha = _check_run(family, schedule, critical, alpha, rule)
 
     reps = values.shape[0]
     analyses = np.asarray(schedule.analyses)
     # Row 0 pads the lookup for positions past m, which the rank mask
     # below excludes.
-    bounds = np.asarray(_stage_bounds(critical, variant.rule, alpha, k))
+    bounds = np.asarray(_stage_bounds(critical, rule, alpha, k))
     contains = np.asarray(family.contains_complement, dtype=bool)
     rank = np.arange(k)
 
@@ -390,7 +377,7 @@ def run_multistage_batch(
         np.put_along_axis(stage_rej, order, np.logical_and.accumulate(passed, axis=1), axis=1)
 
         decided = stage_rej.copy()
-        if variant.rule == "closed":
+        if rule == "closed":
             # Implied acceptances of this stage's rejections.
             decided |= (stage_rej[:, :, None] & contains).any(axis=1)
         rej_now = rej_before | stage_rej

@@ -15,9 +15,9 @@ key word, so no two share a stream.  ``draw_replicates`` draws a range
 of replicates and ``paths_from_draws`` turns the draws into one
 scenario's sums and statistics; the draws do not depend on the
 scenario, so scenarios run on the same seed share them (common random
-numbers).  ``generate_batch`` composes the two for a range of replicates
-and ``generate_paths`` for one.  A replicate's numbers do not depend on
-which function drew it or on what else was drawn with it.
+numbers).  ``generate_paths`` composes the two for one replicate.  A
+replicate's numbers do not depend on which function drew it or on what
+else was drawn with it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "RngStream",
     "check_seed",
     "draw_replicates",
-    "generate_batch",
     "generate_paths",
     "paths_from_draws",
 ]
@@ -216,38 +215,6 @@ def paths_from_draws(
     return sums, values
 
 
-def generate_batch(
-    params: ScenarioParams,
-    schedule: SampleSchedule,
-    master_seed: int,
-    rep_range: tuple[int, int],
-    *,
-    continuity_correction: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate replicates ``lo <= r < hi`` and return their sums and statistics.
-
-    ``draw_replicates`` for the schedule's largest analysis, then
-    ``paths_from_draws``; see those two for the draw contract and the
-    statistics.  A caller simulating several scenarios on the same seed
-    and replicates can draw once and call ``paths_from_draws`` per
-    scenario, with the same result.
-
-    Args:
-        params: True scenario parameters.
-        schedule: Analysis sizes; sampling runs to the largest.
-        master_seed: Master seed in [0, 2**64).
-        rep_range: Half-open range ``(lo, hi)`` of replicate indices.
-        continuity_correction: Applied to the binary statistic.
-
-    Returns:
-        ``(sums, values)``, each of shape ``(hi - lo, 3, len(schedule))``.
-    """
-    z, u = draw_replicates(master_seed, rep_range, schedule.sup)
-    return paths_from_draws(
-        params, schedule, z, u, continuity_correction=continuity_correction
-    )
-
-
 def generate_paths(
     params: ScenarioParams,
     schedule: SampleSchedule,
@@ -257,21 +224,18 @@ def generate_paths(
 ) -> StatisticPaths:
     """Simulate one replicate of the trial and return its statistic paths.
 
-    The one-replicate view of ``generate_batch``: same draws, same sums,
-    same statistics.
+    ``draw_replicates`` for the one replicate, then ``paths_from_draws``:
+    the same statistics a block of replicates gets.
 
     Args:
         params: True scenario parameters.
         schedule: Analysis sizes; sampling runs to the largest.
         stream: Per-replicate random stream.
         continuity_correction: Applied to the binary statistic.
-
-    Returns:
-        StatisticPaths with both the statistics and the raw sums.
     """
     r = stream.replicate
-    sums, values = generate_batch(
-        params, schedule, stream.master_seed, (r, r + 1),
-        continuity_correction=continuity_correction,
+    z, u = draw_replicates(stream.master_seed, (r, r + 1), schedule.sup)
+    _sums, values = paths_from_draws(
+        params, schedule, z, u, continuity_correction=continuity_correction
     )
-    return StatisticPaths(analyses=schedule.analyses, values=values[0], sums=sums[0])
+    return StatisticPaths(analyses=schedule.analyses, values=values[0])

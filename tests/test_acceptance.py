@@ -18,15 +18,9 @@ from scipy.special import ndtr, ndtri
 from stepdown.boundary import CriticalFunction, calibrate_levels, crossing_probability
 from stepdown.cli import main
 from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
-from stepdown.harness import ScenarioSpec, run_scenario
+from stepdown.harness import ScenarioSpec, run_cells
 from stepdown.paulson import PaulsonConfig, paulson_via_stepdown, run_paulson_direct
-from stepdown.procedures import (
-    CLOSED,
-    ProcedureVariant,
-    holm_fixed,
-    run_multistage,
-    run_multistage_batch,
-)
+from stepdown.procedures import CLOSED, HOLM, holm_fixed, run_multistage, run_multistage_batch
 from stepdown.trial import ScenarioParams
 
 ALPHA = 0.05
@@ -84,16 +78,17 @@ def _report(capsys, number, name, failures):
 
 @pytest.fixture(scope="session")
 def sweep():
-    """Run the full grid once: (label, procedure) -> summary, plus timings."""
-    t0 = time.perf_counter()
-    critical = calibrate_levels(SCHEDULE, (ALPHA / 3.0, ALPHA / 2.0, ALPHA), "flat")
-    calibration_seconds = time.perf_counter() - t0
-    summaries = {}
-    h_seconds = 0.0
-    grid_seconds = 0.0
-    for params in GRID + (CORRELATED,):
-        for procedure in ("H", "Mult", "MultH"):
-            spec = ScenarioSpec(
+    """Run the full grid once: (label, procedure) -> summary, plus timings.
+
+    Three ``run_cells`` calls, each drawing every block once for all of
+    its cells: the grid's H cells (criterion 1's budget), its staged
+    cells (with calibration and the H cells, criterion 8's budget), and
+    the correlated scenario, untimed.
+    """
+
+    def cells(scenarios, procedures):
+        return [
+            ScenarioSpec(
                 params=params,
                 schedule=SCHEDULE,
                 procedure=procedure,
@@ -101,20 +96,28 @@ def sweep():
                 replicates=REPS,
                 master_seed=SEED,
             )
-            t0 = time.perf_counter()
-            summary = run_scenario(
-                spec, critical=None if procedure == "H" else critical
-            )
-            elapsed = time.perf_counter() - t0
-            if params.rho12 == 0.0:
-                grid_seconds += elapsed
-                if procedure == "H":
-                    h_seconds += elapsed
-            summaries[(params.label(), procedure)] = summary
+            for params in scenarios
+            for procedure in procedures
+        ]
+
+    def timed(specs):
+        t0 = time.perf_counter()
+        summaries = run_cells(specs, critical=critical)
+        return summaries, time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    critical = calibrate_levels(SCHEDULE, (ALPHA / 3.0, ALPHA / 2.0, ALPHA), "flat")
+    calibration_seconds = time.perf_counter() - t0
+    h_rows, h_seconds = timed(cells(GRID, ("H",)))
+    staged_rows, staged_seconds = timed(cells(GRID, ("Mult", "MultH")))
+    correlated_rows = run_cells(cells((CORRELATED,), ("H", "Mult", "MultH")), critical=critical)
     return {
-        "summaries": summaries,
+        "summaries": {
+            (s.spec.label, s.spec.procedure): s
+            for s in h_rows + staged_rows + correlated_rows
+        },
         "h_seconds": h_seconds,
-        "full_seconds": calibration_seconds + grid_seconds,
+        "full_seconds": calibration_seconds + h_seconds + staged_seconds,
     }
 
 
@@ -285,8 +288,8 @@ def test_criterion_5_single_analysis_equivalence(capsys):
         stats = rng.normal(loc=rng.choice([0.0, 1.5, 3.0], size=k), scale=1.0)
         pvalues = ndtr(-stats)
         levels = [alpha / m for m in range(1, k + 1)]
-        critical = CriticalFunction.from_table(
-            (n,), {level: (float(-ndtri(level)),) for level in levels}
+        critical = CriticalFunction(
+            (n,), "custom", {level: (float(-ndtri(level)),) for level in levels}
         )
         result = run_multistage(
             StatisticPaths((n,), stats.reshape(k, 1)),
@@ -294,7 +297,7 @@ def test_criterion_5_single_analysis_equivalence(capsys):
             SampleSchedule((n,)),
             critical,
             alpha,
-            ProcedureVariant("holm"),
+            HOLM,
         )
         if result.rejected != tuple(bool(b) for b in holm_fixed(pvalues, alpha)):
             mismatches += 1

@@ -1,0 +1,36 @@
+"""The public API: every exported name resolves, and removed wrappers stay out."""
+
+import importlib
+
+import numpy as np
+import pytest
+
+import stepdown
+from stepdown.procedures import CLOSED, HOLM, MULT, RULES
+
+MODULES = ("boundary", "core", "harness", "paulson", "procedures", "trial")
+
+
+@pytest.mark.parametrize("name", ("stepdown",) + tuple(f"stepdown.{m}" for m in MODULES))
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_removed_wrappers_are_gone():
+    modules = [stepdown] + [importlib.import_module(f"stepdown.{m}") for m in MODULES]
+    for removed in ("ProcedureVariant", "generate_batch"):
+        assert not any(hasattr(module, removed) for module in modules), removed
+        assert not any(removed in module.__all__ for module in modules), removed
+    assert not hasattr(stepdown.CriticalFunction, "from_table")
+    paths = stepdown.StatisticPaths((26, 29), np.zeros((1, 2)))
+    assert not hasattr(paths, "sums")
+    with pytest.raises(TypeError):
+        stepdown.StatisticPaths((26, 29), np.zeros((1, 2)), sums=np.zeros((1, 2)))
+
+
+def test_rules_are_plain_strings():
+    assert (HOLM, MULT, CLOSED) == RULES == ("holm", "mult", "closed")
+    assert (stepdown.HOLM, stepdown.MULT, stepdown.CLOSED) == RULES

@@ -1,8 +1,8 @@
 """The block-of-replicates path against its one-replicate references.
 
-``run_scenario`` draws a block of replicates with ``generate_batch`` and
-decides it with ``run_multistage_batch`` or ``holm_fixed`` on a p-value
-matrix.  Each of these must reproduce its one-replicate reference
+``run_scenario`` draws a block of replicates with ``draw_replicates``,
+forms its statistics with ``paths_from_draws``, and decides it with
+``run_multistage_batch`` or ``holm_fixed`` on a p-value matrix.  Each of these must reproduce its one-replicate reference
 exactly, number for number and decision for decision.
 """
 
@@ -26,16 +26,22 @@ from stepdown.harness import (
     run_scenario,
 )
 from stepdown.procedures import (
+    CLOSED,
     HOLM,
     MULT,
     RULES,
-    ProcedureVariant,
     holm_fixed,
     run_multistage,
     run_multistage_batch,
     stage_levels,
 )
-from stepdown.trial import RngStream, ScenarioParams, generate_batch, generate_paths
+from stepdown.trial import (
+    RngStream,
+    ScenarioParams,
+    draw_replicates,
+    generate_paths,
+    paths_from_draws,
+)
 
 ALPHA = 0.05
 SCHED = SampleSchedule((26, 29, 35))
@@ -82,24 +88,25 @@ def reference_counts(spec, rep_range, critical):
     k, sup = 3, spec.schedule.sup
     tail = scipy_stats.binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
     family = HypothesisFamily.simple(k)
-    variant = {"Mult": MULT, "MultH": HOLM}.get(spec.procedure)
+    rule = {"Mult": MULT, "MultH": HOLM}.get(spec.procedure)
     sum_n = sumsq_n = fwe = 0
     counts = [0] * k
     for r in range(*rep_range):
-        paths = generate_paths(
+        sums, values = reference_paths(
             spec.params, spec.schedule, RngStream(spec.master_seed, r),
-            continuity_correction=spec.continuity_correction,
+            spec.continuity_correction,
         )
-        if variant is None:
+        if rule is None:
             p = [
-                0.5 * math.erfc(paths.values[0, -1] / math.sqrt(2.0)),
-                0.5 * math.erfc(paths.values[1, -1] / math.sqrt(2.0)),
-                float(tail[int(round(paths.sums[2, -1]))]),
+                0.5 * math.erfc(values[0, -1] / math.sqrt(2.0)),
+                0.5 * math.erfc(values[1, -1] / math.sqrt(2.0)),
+                float(tail[int(round(sums[2, -1]))]),
             ]
             rejected, total = reference_holm(p, spec.alpha), k * sup
         else:
             result = run_multistage(
-                paths, family, spec.schedule, critical, spec.alpha, variant
+                StatisticPaths(spec.schedule.analyses, values),
+                family, spec.schedule, critical, spec.alpha, rule,
             )
             rejected, total = result.rejected, result.total_measurements
         sum_n += total
@@ -134,8 +141,8 @@ def test_batch_engine_matches_run_multistage(seed, k, looks, rule, ties, infinit
         spots = rng.random(values.shape) < 0.1
         values[spots] = np.where(rng.random(values.shape) < 0.7, np.inf, -np.inf)[spots]
     raw = np.sort(raw, axis=0)[::-1]
-    critical = CriticalFunction.from_table(
-        analyses, {level: tuple(row) for level, row in zip(levels, raw)}
+    critical = CriticalFunction(
+        analyses, "custom", {level: tuple(row) for level, row in zip(levels, raw)}
     )
     relation = rng.random((k, k)) < 0.3
     np.fill_diagonal(relation, False)
@@ -144,13 +151,11 @@ def test_batch_engine_matches_run_multistage(seed, k, looks, rule, ties, infinit
         contains_complement=tuple(tuple(row) for row in relation.tolist()),
         closed_monotone=rule == "closed" or bool(rng.integers(2)),
     )
-    variant = ProcedureVariant(rule)
-
-    rejected, final_n = run_multistage_batch(values, family, schedule, critical, ALPHA, variant)
+    rejected, final_n = run_multistage_batch(values, family, schedule, critical, ALPHA, rule)
     assert rejected.shape == final_n.shape == (len(values), k)
     for r, stats in enumerate(values):
         ref = run_multistage(
-            StatisticPaths(analyses, stats), family, schedule, critical, ALPHA, variant
+            StatisticPaths(analyses, stats), family, schedule, critical, ALPHA, rule
         )
         assert tuple(rejected[r].tolist()) == ref.rejected
         assert tuple(final_n[r].tolist()) == ref.endpoint_final_n
@@ -158,20 +163,19 @@ def test_batch_engine_matches_run_multistage(seed, k, looks, rule, ties, infinit
 
 
 def test_batch_engine_rejects_bad_input():
-    critical = CriticalFunction.from_table(SCHED.analyses, {ALPHA: (2.0, 2.0, 2.0)})
+    critical = CriticalFunction(SCHED.analyses, "custom", {ALPHA: (2.0, 2.0, 2.0)})
     family = HypothesisFamily.simple(2)
-    closed = ProcedureVariant("closed")
     good = np.zeros((4, 2, 3))
     with pytest.raises(ValueError, match="shape"):
-        run_multistage_batch(np.zeros((4, 3, 3)), family, SCHED, critical, ALPHA, closed)
+        run_multistage_batch(np.zeros((4, 3, 3)), family, SCHED, critical, ALPHA, CLOSED)
     with pytest.raises(ValueError, match="NaN"):
-        run_multistage_batch(np.full((4, 2, 3), np.nan), family, SCHED, critical, ALPHA, closed)
+        run_multistage_batch(np.full((4, 2, 3), np.nan), family, SCHED, critical, ALPHA, CLOSED)
     with pytest.raises(ValueError, match="closed_monotone"):
-        run_multistage_batch(good, family, SCHED, critical, ALPHA, closed)
+        run_multistage_batch(good, family, SCHED, critical, ALPHA, CLOSED)
     with pytest.raises(ValueError, match="analysis sizes"):
-        run_multistage_batch(good, family, SampleSchedule((26, 29, 36)), critical, ALPHA, closed)
+        run_multistage_batch(good, family, SampleSchedule((26, 29, 36)), critical, ALPHA, CLOSED)
     with pytest.raises(ValueError, match="alpha"):
-        run_multistage_batch(good, family, SCHED, critical, 1.5, closed)
+        run_multistage_batch(good, family, SCHED, critical, 1.5, CLOSED)
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -182,16 +186,17 @@ def test_batch_engine_rejects_bad_input():
     rho=st.floats(-1.0, 1.0),
     p=st.floats(0.0, 1.0),
 )
-def test_generate_batch_matches_one_replicate_streams(seed, before, after, mu, rho, p):
+def test_paths_from_draws_matches_one_replicate_streams(seed, before, after, mu, rho, p):
     params = ScenarioParams(mu, -mu, p, rho12=rho)
     lo, hi = BLOCK - before, BLOCK + after
-    sums, values = generate_batch(params, SCHED, seed, (lo, hi), continuity_correction=True)
+    z, u = draw_replicates(seed, (lo, hi), SCHED.sup)
+    sums, values = paths_from_draws(params, SCHED, z, u, continuity_correction=True)
     assert sums.shape == values.shape == (hi - lo, 3, len(SCHED))
     for i, r in enumerate(range(lo, hi)):
         stream = RngStream(seed, r)
         paths = generate_paths(params, SCHED, stream, continuity_correction=True)
         ref_sums, ref_values = reference_paths(params, SCHED, stream, True)
-        assert np.array_equal(sums[i], paths.sums) and np.array_equal(sums[i], ref_sums)
+        assert np.array_equal(sums[i], ref_sums)
         assert np.array_equal(values[i], paths.values) and np.array_equal(values[i], ref_values)
 
 

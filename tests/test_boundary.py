@@ -146,8 +146,8 @@ def test_calibrate_obrien_fleming_shape():
     assert crossing_probability(SCHED, b) == pytest.approx(0.05, abs=2e-4)
 
 
-def test_from_table_and_level_lookup():
-    crit = CriticalFunction.from_table(SCHED, {0.05: (2.0, 2.0, 1.9)})
+def test_external_table_and_level_lookup():
+    crit = CriticalFunction(SCHED, "custom", {0.05: (2.0, 2.0, 1.9)})
     assert crit.boundary(0.05)[2] == 1.9
     assert crit.boundary(0.05000000000000001)[0] == 2.0  # tolerant lookup
     with pytest.raises(KeyError):
@@ -156,12 +156,12 @@ def test_from_table_and_level_lookup():
 
 def test_table_must_be_monotone_in_level():
     with pytest.raises(ValueError, match="non-increasing"):
-        CriticalFunction.from_table(SCHED, {0.05: (2.5, 2.5, 2.5), 0.025: (2.0, 2.0, 2.0)})
+        CriticalFunction(SCHED, "custom", {0.05: (2.5, 2.5, 2.5), 0.025: (2.0, 2.0, 2.0)})
 
 
 def test_table_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
-        CriticalFunction.from_table(SCHED, {0.05: (2.0, float("nan"), 1.9)})
+        CriticalFunction(SCHED, "custom", {0.05: (2.0, float("nan"), 1.9)})
     with pytest.raises(ValueError, match="NaN"):
         CriticalFunction(SCHED, "flat", {0.05: (float("nan"),) * 3})
 

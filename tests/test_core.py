@@ -103,8 +103,6 @@ def test_statistic_paths_validation():
         StatisticPaths((26, 29), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="NaN"):
         StatisticPaths((26,), np.array([[np.nan]]))
-    with pytest.raises(ValueError, match="sums"):
-        StatisticPaths((26, 29), np.zeros((1, 2)), sums=np.zeros((1, 3)))
 
 
 def test_stage_record_prefix_invariant():

@@ -8,10 +8,10 @@ from stepdown.procedures import (
     CLOSED,
     HOLM,
     MULT,
-    ProcedureVariant,
     holm_closed,
     holm_fixed,
     run_multistage,
+    run_multistage_batch,
     stage_levels,
 )
 
@@ -21,14 +21,14 @@ SCHED = SampleSchedule((26, 29, 35))
 
 def flat_table(levels_to_value, analyses=(26, 29, 35)):
     table = {rho: tuple(v for _ in analyses) for rho, v in levels_to_value.items()}
-    return CriticalFunction.from_table(analyses, table)
+    return CriticalFunction(analyses, "custom", table)
 
 
 def quantile_critical(alpha, k, analyses=(17,)):
     """Critical values equal to the per-level upper null quantiles."""
     levels = {alpha / (k - j) for j in range(k)} | {alpha / k, alpha}
     table = {rho: tuple(normal_quantile(1.0 - rho) for _ in analyses) for rho in levels}
-    return CriticalFunction.from_table(analyses, table)
+    return CriticalFunction(analyses, "custom", table)
 
 
 def paths_from_stats(stats, analyses=(26, 29, 35)):
@@ -117,11 +117,11 @@ def test_holm_closed_contains_holm_fixed():
         assert np.all(closed[fixed])
 
 
-def first_stage(stats, critical, variant=HOLM, family=None):
+def first_stage(stats, critical, rule=HOLM, family=None):
     """The first stage record of a run on statistics constant across analyses."""
     paths = paths_from_stats(stats)
     family = family or HypothesisFamily.simple(len(stats))
-    return run_multistage(paths, family, SCHED, critical, ALPHA, variant).stages[0]
+    return run_multistage(paths, family, SCHED, critical, ALPHA, rule).stages[0]
 
 
 def test_stage_sample_size_first_crossing():
@@ -193,8 +193,20 @@ def test_stage_rejections_variant_prefix_ordering():
 
 
 def test_variant_validation():
+    crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
     with pytest.raises(ValueError):
-        ProcedureVariant(rule="bonferroni")
+        run_multistage(paths_from_stats([1.0, 2.0, 0.5]), HypothesisFamily.simple(3), SCHED,
+                       crit, ALPHA, "bonferroni")
+
+
+def test_unknown_rule_is_rejected():
+    # Unchecked, an unknown rule would silently read holm's alpha / m levels.
+    with pytest.raises(ValueError, match="unknown rule 'bonferroni'"):
+        stage_levels("bonferroni", ALPHA, 3)
+    crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
+    with pytest.raises(ValueError, match="unknown rule"):
+        run_multistage_batch(np.full((2, 3, 3), 3.0), HypothesisFamily.simple(3), SCHED,
+                             crit, ALPHA, "Holm")
 
 
 def test_stage_levels():

@@ -5,9 +5,28 @@ import pytest
 
 from stepdown.core import SampleSchedule
 from stepdown.harness import ScenarioSpec
-from stepdown.trial import RngStream, ScenarioParams, generate_batch, generate_paths
+from stepdown.trial import (
+    RngStream,
+    ScenarioParams,
+    draw_replicates,
+    generate_paths,
+    paths_from_draws,
+)
 
 SCHED = SampleSchedule((26, 29, 35))
+
+
+def simulate(params, seed, rep_range, schedule=SCHED, **kwargs):
+    """Sums and statistics of replicates lo <= r < hi, each (hi - lo, 3, looks)."""
+    z, u = draw_replicates(seed, rep_range, schedule.sup)
+    return paths_from_draws(params, schedule, z, u, **kwargs)
+
+
+def one_replicate(params, stream, **kwargs):
+    """Sums and statistics of one replicate, each (3, looks)."""
+    r = stream.replicate
+    sums, values = simulate(params, stream.master_seed, (r, r + 1), **kwargs)
+    return sums[0], values[0]
 
 
 def test_scenario_truth_flags():
@@ -32,10 +51,10 @@ def test_scenario_label():
 
 def test_gaussian_statistic():
     # S_n / sqrt(n), recomputed from the recorded sums.
-    paths = generate_paths(ScenarioParams(0.3, -0.2, 0.6), SCHED, RngStream(9, 5))
+    sums, values = one_replicate(ScenarioParams(0.3, -0.2, 0.6), RngStream(9, 5))
     for e in (0, 1):
         for j, n in enumerate(SCHED):
-            assert paths.values[e, j] == pytest.approx(paths.sums[e, j] / math.sqrt(n))
+            assert values[e, j] == pytest.approx(sums[e, j] / math.sqrt(n))
 
 
 def test_binary_statistic():
@@ -49,13 +68,13 @@ def test_binary_statistic():
 
 def test_binary_statistic_continuity_correction():
     params = ScenarioParams(0.0, 0.5, 0.75)
-    plain = generate_paths(params, SCHED, RngStream(4, 2))
-    corrected = generate_paths(params, SCHED, RngStream(4, 2), continuity_correction=True)
+    plain_sums, plain = one_replicate(params, RngStream(4, 2))
+    corrected_sums, corrected = one_replicate(params, RngStream(4, 2), continuity_correction=True)
     ns = np.asarray(SCHED.analyses, dtype=float)
-    assert np.array_equal(plain.sums, corrected.sums)
-    assert np.array_equal(plain.values[:2], corrected.values[:2])
-    assert corrected.values[2] == pytest.approx(plain.values[2] - 0.5 / np.sqrt(ns / 4.0))
-    assert np.all(corrected.values[2] < plain.values[2])
+    assert np.array_equal(plain_sums, corrected_sums)
+    assert np.array_equal(plain[:2], corrected[:2])
+    assert corrected[2] == pytest.approx(plain[2] - 0.5 / np.sqrt(ns / 4.0))
+    assert np.all(corrected[2] < plain[2])
 
 
 def test_rng_stream_validation():
@@ -70,7 +89,9 @@ def test_generate_paths_deterministic():
     a = generate_paths(params, SCHED, RngStream(1, 42))
     b = generate_paths(params, SCHED, RngStream(1, 42))
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.sums, b.sums)
+    a_sums, _ = one_replicate(params, RngStream(1, 42))
+    b_sums, _ = one_replicate(params, RngStream(1, 42))
+    assert np.array_equal(a_sums, b_sums)
     c = generate_paths(params, SCHED, RngStream(1, 43))
     assert not np.array_equal(a.values, c.values)
     d = generate_paths(params, SCHED, RngStream(2, 42))
@@ -82,19 +103,19 @@ def test_generate_paths_consistent_with_compute_statistic():
     # recorded sum: S_n / sqrt(n) for the Gaussian endpoints and
     # (S_n - n/2) / sqrt(n/4) for the binary one.
     params = ScenarioParams(0.3, -0.2, 0.6)
-    paths = generate_paths(params, SCHED, RngStream(9, 5))
+    sums, values = one_replicate(params, RngStream(9, 5))
     for e in range(3):
         for j, n in enumerate(SCHED):
-            s = paths.sums[e, j]
+            s = sums[e, j]
             expect = s / math.sqrt(n) if e < 2 else (s - n / 2.0) / math.sqrt(n / 4.0)
-            assert paths.values[e, j] == pytest.approx(expect)
+            assert values[e, j] == pytest.approx(expect)
 
 
 def test_generate_paths_degenerate_probability():
-    paths = generate_paths(ScenarioParams(0.0, 0.0, 1.0), SCHED, RngStream(3, 0))
-    assert np.array_equal(paths.sums[2], np.array([26.0, 29.0, 35.0]))
-    none = generate_paths(ScenarioParams(0.0, 0.0, 0.0), SCHED, RngStream(3, 0))
-    assert np.array_equal(none.sums[2], np.zeros(3))
+    sums, _ = one_replicate(ScenarioParams(0.0, 0.0, 1.0), RngStream(3, 0))
+    assert np.array_equal(sums[2], np.array([26.0, 29.0, 35.0]))
+    none, _ = one_replicate(ScenarioParams(0.0, 0.0, 0.0), RngStream(3, 0))
+    assert np.array_equal(none[2], np.zeros(3))
 
 
 def test_generate_paths_moments():
@@ -102,13 +123,8 @@ def test_generate_paths_moments():
     # declared parameters at the final analysis.
     params = ScenarioParams(0.5, 0.2, 0.7, rho12=0.75)
     reps = 4000
-    t1 = np.empty(reps)
-    t2 = np.empty(reps)
-    s3 = np.empty(reps)
-    for r in range(reps):
-        paths = generate_paths(params, SCHED, RngStream(123, r))
-        t1[r], t2[r] = paths.values[0, -1], paths.values[1, -1]
-        s3[r] = paths.sums[2, -1]
+    sums, values = simulate(params, 123, (0, reps))
+    t1, t2, s3 = values[:, 0, -1], values[:, 1, -1], sums[:, 2, -1]
     n = 35
     # S_n / sqrt(n) has mean mu * sqrt(n) and unit variance.
     assert t1.mean() == pytest.approx(0.5 * math.sqrt(n), abs=4.0 / math.sqrt(reps))
@@ -157,7 +173,7 @@ def test_every_seed_below_two_to_the_64_has_its_own_stream():
     assert len(draws) == len(seeds)
     params, schedule = ScenarioParams(0.2, 0.0, 0.5), SampleSchedule((5, 9))
     for seed in seeds[2:]:
-        sums, values = generate_batch(params, schedule, seed, (3, 5))
+        sums, values = simulate(params, seed, (3, 5), schedule)
         single = generate_paths(params, schedule, RngStream(seed, 4))
         assert np.array_equal(values[1], single.values)
 
@@ -168,6 +184,6 @@ def test_out_of_range_seeds_are_rejected(seed):
     with pytest.raises(ValueError, match="seed"):
         RngStream(seed, 0)
     with pytest.raises(ValueError, match="seed"):
-        generate_batch(params, schedule, seed, (0, 2))
+        draw_replicates(seed, (0, 2), schedule.sup)
     with pytest.raises(ValueError, match="seed"):
         ScenarioSpec(params=params, schedule=schedule, master_seed=seed)
