@@ -82,12 +82,6 @@ def normal_quantile(q: float) -> float:
     return float(special.ndtri(q))
 
 
-def _as_analyses(schedule: SampleSchedule | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(schedule, SampleSchedule):
-        return schedule.analyses
-    return SampleSchedule(tuple(schedule)).analyses
-
-
 def _check_grid_points(grid_points: int) -> int:
     """Validate an integration grid size before anything is allocated."""
     if not MIN_GRID_POINTS <= grid_points <= MAX_GRID_POINTS:
@@ -98,7 +92,7 @@ def _check_grid_points(grid_points: int) -> int:
 
 
 def _check_levels(levels: Iterable[float]) -> list[float]:
-    """Validate calibration levels before any of them is calibrated.
+    """Validate the levels of a calibration or of a critical table.
 
     Every level must lie strictly in (0, 1), and no two may be so close
     that a CriticalFunction lookup could not tell them apart.
@@ -122,7 +116,7 @@ def shape_multipliers(shape: str, schedule: SampleSchedule | Sequence[int]) -> n
     ``obrien-fleming`` scales by sqrt(n_max / n), making early stopping
     conservative and the final analysis the cheapest.
     """
-    analyses = np.asarray(_as_analyses(schedule), dtype=float)
+    analyses = np.asarray(SampleSchedule(schedule).analyses, dtype=float)
     if shape == "flat":
         return np.ones_like(analyses)
     if shape == "obrien-fleming":
@@ -155,7 +149,7 @@ def crossing_probability(
     Returns:
         The crossing probability in [0, 1].
     """
-    analyses = _as_analyses(schedule)
+    analyses = SampleSchedule(schedule).analyses
     b = np.asarray(boundary, dtype=float)
     if b.shape != (len(analyses),):
         raise ValueError(
@@ -250,15 +244,13 @@ class CriticalFunction:
     grid_points: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.schedule, SampleSchedule):
-            object.__setattr__(self, "schedule", SampleSchedule(tuple(self.schedule)))
+        object.__setattr__(self, "schedule", SampleSchedule(self.schedule))
         table = {float(r): tuple(float(v) for v in vals) for r, vals in self.table.items()}
         if not table:
             raise ValueError("critical table must contain at least one level")
+        _check_levels(table)
         width = len(self.schedule)
         for rho, vals in table.items():
-            if not 0.0 < rho < 1.0:
-                raise ValueError(f"levels must lie strictly in (0, 1), got {rho}")
             if len(vals) != width:
                 raise ValueError(
                     f"level {rho} needs one critical value per analysis ({width}), got {len(vals)}"
@@ -313,8 +305,7 @@ def calibrate_levels(
     """
     _check_grid_points(grid_points)
     levels = _check_levels(dict.fromkeys(float(rho) for rho in levels))
-    if not isinstance(schedule, SampleSchedule):
-        schedule = SampleSchedule(tuple(schedule))
+    schedule = SampleSchedule(schedule)
     g = shape_multipliers(shape, schedule)
     table: dict[float, tuple[float, ...]] = {}
     constants: dict[float, float] = {}

@@ -64,7 +64,7 @@ from .paulson import (
     run_paulson_direct,
     simulate_observations,
 )
-from .procedures import RULES, run_multistage, stage_levels
+from .procedures import RULES, run_multistage
 from .trial import ScenarioParams, check_seed
 
 WORKERS_ENV = "STEPDOWN_WORKERS"
@@ -125,11 +125,20 @@ def _names(text: str) -> tuple[str, ...]:
     return names
 
 
+def _pairs(text: str) -> list[tuple[int, int]]:
+    """1-based ``a>b;...`` pairs as written; ``none`` is no pair."""
+    pairs = text.split(";") if text != "none" else []
+    try:
+        return [(int(a), int(b)) for a, b in (pair.split(">") for pair in pairs)]
+    except ValueError:
+        raise ValueError(f"expected none or pairs a>b;..., got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class Key:
-    """One configuration key, given as a ``--flag`` or a config-file line.
+    """One key, given as a ``--flag`` or a line of a config or family file.
 
-    Both sources go through ``convert``.  A key without a ``default`` must
+    Every source goes through ``convert``.  A key without a ``default`` must
     be given unless it is ``optional``; ``env`` names an environment
     variable that, when set, replaces the default.
     """
@@ -170,16 +179,23 @@ def _resolve(args: argparse.Namespace, keys: Sequence[Key]) -> tuple[dict[str, A
     Returns the converted values and the text of every key that was given
     or has a default: the sidecar records exactly that text.
     """
-    names = {key.name for key in keys}
-    texts: dict[str, str] = {}
-    if args.config:
-        for name, text in parse_kv_text(_read_text(args.config, "config")).items():
-            if name not in names:
-                raise ValueError(f"unknown config key {name!r} for subcommand {args.subcommand!r}")
-            texts[name] = text
+    texts = parse_kv_text(_read_text(args.config, "config")) if args.config else {}
+    unknown = f"unknown config key {{!r}} for subcommand {args.subcommand!r}"
     for key in keys:
         if getattr(args, key.name) is not None:
             texts[key.name] = getattr(args, key.name)
+    return _convert(keys, texts, unknown), texts
+
+
+def _convert(keys: Sequence[Key], texts: dict[str, str], unknown: str) -> dict[str, Any]:
+    """Convert the text of every key; ``texts`` gains each default used.
+
+    A name in ``texts`` that no key declares raises ``unknown.format(name)``.
+    """
+    names = [key.name for key in keys]
+    for name in texts:
+        if name not in names:
+            raise ValueError(unknown.format(name))
     values: dict[str, Any] = {}
     for key in keys:
         source = f"key {key.name!r}"
@@ -193,7 +209,7 @@ def _resolve(args: argparse.Namespace, keys: Sequence[Key]) -> tuple[dict[str, A
             else:
                 raise ValueError(f"missing required key {key.name!r}")
         values[key.name] = key.convert(texts[key.name], source)
-    return values, texts
+    return values
 
 
 def _read_text(path: str, kind: str) -> str:
@@ -328,45 +344,61 @@ def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction
         raise ValueError(f"{exc} in {path}") from None
 
 
+# The keys of the family file ``analyze --family`` reads, converted as
+# the subcommands' keys are.
+_FAMILY_KEYS = (
+    Key("k", "number of hypotheses", _integer, minimum=1),
+    Key("labels", "hypothesis names in family order", _names, optional=True),
+    Key("contains_complement", "pairs a>b: b contains the complement of a", _pairs, default="none"),
+    Key("closed_monotone", "closed family, monotone statistics", _boolean, default="false"),
+)
+
+
+def _read_family(path: str, labels: tuple[str, ...]) -> tuple[HypothesisFamily, tuple[str, ...]]:
+    """The family a file describes, and the statistics' hypotheses in its order.
+
+    A family that sets ``labels`` is matched with the statistics by label,
+    and the hypotheses take its order; one that does not, by position.
+    """
+    text = _read_text(path, "family")
+    try:
+        values = _convert(_FAMILY_KEYS, parse_kv_text(text), "unknown family key {!r}")
+        k, pairs = values["k"], values["contains_complement"]
+        for a, b in pairs:
+            if not (1 <= a <= k and 1 <= b <= k):
+                raise ValueError(f"key 'contains_complement': pair {a}>{b} is out of range for k={k}")
+        rel = [[(a, b) in pairs for b in range(1, k + 1)] for a in range(1, k + 1)]
+        family = HypothesisFamily(k, values.get("labels", ()), rel, values["closed_monotone"])
+        if k != len(labels):
+            raise ValueError(f"family has {k} hypotheses but statistics cover {len(labels)}")
+        if "labels" in values and set(family.labels) != set(labels):
+            raise ValueError(
+                f"family labels {','.join(family.labels)} do not match "
+                f"the statistics hypotheses {','.join(labels)}"
+            )
+    except ValueError as exc:
+        raise ValueError(f"{exc} in family file {path}") from None
+    return family, family.labels if "labels" in values else labels
+
+
 def _cmd_analyze(values: dict[str, Any]) -> None:
     analyses, table = _read_statistics_csv(values["statistics"])
     critical = _read_boundary_csv(values["boundary"], analyses)
     alpha, rule = values["alpha"], values["variant"]
     labels = tuple(table)
     if "family" in values:
-        text = _read_text(values["family"], "family")
-        family = HypothesisFamily.from_text(text)
-        if family.k != len(labels):
-            raise ValueError(
-                f"family has {family.k} hypotheses but statistics cover {len(labels)}"
-            )
-        if parse_kv_text(text).get("labels"):
-            # A family that names its hypotheses is matched by label, and
-            # the hypotheses take the family's order.
-            if set(family.labels) != set(labels):
-                raise ValueError(
-                    f"family labels {','.join(family.labels)} do not match "
-                    f"the statistics hypotheses {','.join(labels)}"
-                )
-            labels = family.labels
+        family, labels = _read_family(values["family"], labels)
+    elif rule == "closed":
+        raise ValueError(
+            "the closed variant requires --family (config key 'family'): a closed_monotone family"
+        )
     else:
         family = HypothesisFamily.simple(len(labels), labels)
     try:
         paths = StatisticPaths(analyses=analyses, values=[table[label] for label in labels])
     except ValueError as exc:
         raise ValueError(f"{exc} in {values['statistics']}") from None
-
-    schedule = SampleSchedule(analyses)
-    for level in stage_levels(rule, alpha, family.k):
-        try:
-            critical.boundary(level)
-        except KeyError:
-            raise ValueError(
-                f"boundary file lacks critical values for level {level!r}; "
-                f"calibrate it with rho = {level!r}"
-            ) from None
-
-    result = run_multistage(paths, family, schedule, critical, alpha, rule)
+    result = run_multistage(paths, family, critical.schedule, critical, alpha, rule)
     rows = zip(labels, result.decisions, result.decision_stage, result.endpoint_final_n)
     _write_rows(values["out"], ("hypothesis", "decision", "stage", "final_n"), rows)
 

@@ -105,48 +105,6 @@ class HypothesisFamily:
         """Indices of hypotheses accepted outright once ``a`` is rejected."""
         return tuple(b for b in range(self.k) if self.contains_complement[a][b])
 
-    @classmethod
-    def from_text(cls, text: str) -> "HypothesisFamily":
-        """Parse ``key = value`` lines: ``k``, and optionally ``labels``,
-        ``contains_complement`` (1-based ``a>b;...`` or ``none``) and
-        ``closed_monotone``.  Unknown keys are rejected."""
-        entries = parse_kv_text(text)
-        known = {"k", "labels", "contains_complement", "closed_monotone"}
-        for key in entries:
-            if key not in known:
-                raise ValueError(f"unknown family key {key!r}")
-        if "k" not in entries:
-            raise ValueError("family text must define k")
-        try:
-            k = int(entries["k"])
-        except ValueError:
-            raise ValueError(f"family size k must be an integer, got {entries['k']!r}") from None
-        labels: tuple[str, ...] = ()
-        if entries.get("labels"):
-            labels = tuple(s.strip() for s in entries["labels"].split(","))
-        rel_text = entries.get("contains_complement", "none").strip()
-        rel = [[False] * k for _ in range(k)]
-        if rel_text and rel_text != "none":
-            for token in rel_text.split(";"):
-                token = token.strip()
-                try:
-                    a_s, b_s = token.split(">")
-                    a, b = int(a_s) - 1, int(b_s) - 1
-                except ValueError:
-                    raise ValueError(f"bad containment pair {token!r}, expected 'a>b'") from None
-                if not (0 <= a < k and 0 <= b < k):
-                    raise ValueError(f"containment pair {token!r} is out of range for k={k}")
-                rel[a][b] = True
-        closed = entries.get("closed_monotone", "false").strip().lower()
-        if closed not in ("true", "false"):
-            raise ValueError(f"closed_monotone must be true or false, got {closed!r}")
-        return cls(
-            k=k,
-            labels=labels,
-            contains_complement=tuple(tuple(row) for row in rel),
-            closed_monotone=closed == "true",
-        )
-
 
 @dataclass(frozen=True)
 class SampleSchedule:
@@ -191,9 +149,7 @@ class StatisticPaths:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        analyses = tuple(int(n) for n in self.analyses)
-        if any(b <= a for a, b in zip(analyses, analyses[1:])) or not analyses:
-            raise ValueError("analyses must be nonempty and strictly increasing")
+        analyses = SampleSchedule(self.analyses).analyses
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[1] != len(analyses):
             raise ValueError(

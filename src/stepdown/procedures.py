@@ -158,11 +158,16 @@ def _stage_bounds(
 
     A stage with m active finds its sample size on row m, and its l-th
     statistic in top-down order must clear row m - l + 1.  The rows are
-    the critical table's own tuples.
+    the critical table's own tuples; a level it lacks raises ValueError.
     """
     rows = [(math.inf,) * len(critical.schedule)]
     for m in range(1, k + 1):
-        rows.append(critical.table[critical._find_level(_stage_level(rule, alpha, m, k))])
+        level = _stage_level(rule, alpha, m, k)
+        try:
+            rows.append(critical.table[critical._find_level(level)])
+        except KeyError:
+            raise ValueError(f"boundary lacks critical values for level {level!r}; "
+                             f"calibrate it with rho = {level!r}") from None
     return rows
 
 

@@ -25,6 +25,8 @@ def test_removed_wrappers_are_gone():
         assert not any(hasattr(module, removed) for module in modules), removed
         assert not any(removed in module.__all__ for module in modules), removed
     assert not hasattr(stepdown.CriticalFunction, "from_table")
+    assert not hasattr(stepdown.HypothesisFamily, "from_text")
+    assert not hasattr(stepdown.boundary, "_as_analyses")
     paths = stepdown.StatisticPaths((26, 29), np.zeros((1, 2)))
     assert not hasattr(paths, "sums")
     with pytest.raises(TypeError):

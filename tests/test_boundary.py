@@ -159,6 +159,16 @@ def test_table_must_be_monotone_in_level():
         CriticalFunction(SCHED, "custom", {0.05: (2.5, 2.5, 2.5), 0.025: (2.0, 2.0, 2.0)})
 
 
+def test_table_levels_are_checked_as_calibration_levels():
+    # Two levels a lookup cannot tell apart would make boundary() pick
+    # one of them silently.
+    twin = math.nextafter(0.05, 1.0)
+    with pytest.raises(ValueError, match=f"levels 0.05 and {twin!r} name the same level"):
+        CriticalFunction(SCHED, "custom", {0.05: (2.0, 2.0, 2.0), twin: (2.0, 2.0, 2.0)})
+    with pytest.raises(ValueError, match="between 0 and 1, got 1.5"):
+        CriticalFunction(SCHED, "custom", {1.5: (2.0, 2.0, 2.0)})
+
+
 def test_table_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         CriticalFunction(SCHED, "custom", {0.05: (2.0, float("nan"), 1.9)})

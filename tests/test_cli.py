@@ -5,13 +5,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stepdown.boundary
 import stepdown.cli
 import stepdown.harness
 from stepdown.boundary import calibrate_levels
 from stepdown.cli import default_table_config, main, parse_scenarios
-from stepdown.core import SampleSchedule, parse_kv_text
+from stepdown.core import HypothesisFamily, SampleSchedule, parse_kv_text
 from stepdown.paulson import (
     PaulsonConfig,
     paulson_via_stepdown,
@@ -690,6 +692,128 @@ def test_analyze_rejects_family_labels_the_statistics_lack(tmp_path, capsys):
     assert _analyze_family(tmp_path, "AB", text) == (2, None)
     assert "family labels A,C do not match" in capsys.readouterr().err
     assert not (tmp_path / "AB-decisions.csv").exists()
+
+
+def test_analyze_family_accepts_config_booleans(tmp_path):
+    text = "k = 2\nlabels = A,B\ncontains_complement = 1>2\nclosed_monotone = {}\n"
+    assert _analyze_family(tmp_path, "AB", text.format("yes")) == _analyze_family(
+        tmp_path, "AB", text.format("true")
+    )
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("k = 2\nbogus = 1\n", "bogus"),
+        ("labels = A,B\n", "k"),
+        ("k = x\n", "k"),
+        ("k = 0\n", "k"),
+        ("k = 2\ncontains_complement = 1-2\n", "contains_complement"),
+        ("k = 2\ncontains_complement = 1>3\n", "contains_complement"),
+        ("k = 2\nclosed_monotone = maybe\n", "closed_monotone"),
+    ],
+)
+def test_analyze_family_errors_name_the_file_and_key(tmp_path, capsys, text, key):
+    assert _analyze_family(tmp_path, "AB", text) == (2, None)
+    err = capsys.readouterr().err
+    assert str(tmp_path / "family.txt") in err
+    assert f"key '{key}'" in err
+    assert not (tmp_path / "AB-decisions.csv").exists()
+
+
+def test_analyze_closed_without_family_names_the_family_key(tmp_path, capsys):
+    paths = _analyze_inputs(tmp_path)
+    out = tmp_path / "d.csv"
+    argv = ["analyze", "--statistics", str(paths["statistics"]), "--boundary",
+            str(paths["boundary"]), "--variant", "closed", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--family" in err and "key 'family'" in err
+    assert not out.exists()
+
+
+def _family(tmp_path, text, labels):
+    path = tmp_path / "family.txt"
+    path.write_text(text)
+    return stepdown.cli._read_family(str(path), labels)[0]
+
+
+def test_family_round_trip(tmp_path):
+    rel = ((False, True), (False, False))
+    fam = HypothesisFamily(
+        k=2, labels=("low dose", "high dose"), contains_complement=rel, closed_monotone=True
+    )
+    text = (
+        "k = 2\nlabels = low dose,high dose\n"
+        "contains_complement = 1>2\nclosed_monotone = true\n"
+    )
+    assert _family(tmp_path, text, fam.labels) == fam
+
+    plain = HypothesisFamily.simple(4)
+    text = "k = 4\nlabels = H1,H2,H3,H4\ncontains_complement = none\nclosed_monotone = false\n"
+    assert _family(tmp_path, text, plain.labels) == plain
+    assert _family(tmp_path, "k = 4\n", plain.labels) == plain
+
+
+def test_family_text_rejects_garbage(tmp_path):
+    with pytest.raises(ValueError, match="unknown family key"):
+        _family(tmp_path, "k = 2\nbogus = 1\n", ("a", "b"))
+    with pytest.raises(ValueError, match="missing required key 'k'"):
+        _family(tmp_path, "labels = a,b\n", ("a", "b"))
+    with pytest.raises(ValueError, match="key 'contains_complement': expected none or pairs"):
+        _family(tmp_path, "k = 2\ncontains_complement = 1-2\n", ("a", "b"))
+    with pytest.raises(ValueError, match="out of range"):
+        _family(tmp_path, "k = 2\ncontains_complement = 1>3\n", ("a", "b"))
+
+
+def _distinct_levels(levels):
+    try:
+        stepdown.boundary._check_levels(levels)
+    except ValueError:
+        return False
+    return True
+
+
+# Large magnitudes, subnormals and both zeros, mixed into the drawn values.
+_EXTREMES = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1.7976931348623157e308, -1e300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    analyses=st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True).map(sorted),
+    levels=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=3).filter(_distinct_levels),
+    values=st.lists(st.sampled_from(_EXTREMES) | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=20, max_size=20),
+)
+@example(analyses=[26, 29, 35], levels=[0.05, 0.025, 5e-324], values=_EXTREMES * 3)
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, analyses, levels, values):
+    cells = iter(values)
+    # Critical values must not increase with the level at any analysis:
+    # sorting each analysis' column keeps every bit pattern.
+    columns = [sorted((next(cells) for _ in levels), reverse=True) for _ in analyses]
+    table = {rho: tuple(col[i] for col in columns) for i, rho in enumerate(sorted(levels))}
+    stats = {h: tuple(next(cells) for _ in analyses) for h in ("H1", "H2")}
+
+    work = tmp_path_factory.mktemp("csv")
+    stepdown.cli._write_rows(
+        work / "b.csv", ("n", "rho", "critical_value", "shape"),
+        [(n, rho, vals[j], "custom") for rho, vals in table.items() for j, n in enumerate(analyses)],
+    )
+    stepdown.cli._write_rows(
+        work / "s.csv", ("hypothesis", "n", "statistic"),
+        [(h, n, vals[j]) for h, vals in stats.items() for j, n in enumerate(analyses)],
+    )
+    read_analyses, read_stats = stepdown.cli._read_statistics_csv(str(work / "s.csv"))
+    critical = stepdown.cli._read_boundary_csv(str(work / "b.csv"), tuple(analyses))
+
+    def hexed(mapping):
+        return [(key, [v.hex() for v in vals]) for key, vals in mapping.items()]
+
+    assert read_analyses == tuple(analyses)
+    assert hexed(read_stats) == hexed(stats)
+    assert [rho.hex() for rho in critical.table] == [rho.hex() for rho in table]
+    assert hexed(critical.table) == hexed(table)
 
 
 def _paulson_bytes(tmp_path, seed):

@@ -52,34 +52,6 @@ def test_implied_acceptances():
     assert fam.implied_acceptances(1) == ()
 
 
-def test_family_round_trip():
-    rel = ((False, True), (False, False))
-    fam = HypothesisFamily(
-        k=2, labels=("low dose", "high dose"), contains_complement=rel, closed_monotone=True
-    )
-    text = (
-        "k = 2\nlabels = low dose,high dose\n"
-        "contains_complement = 1>2\nclosed_monotone = true\n"
-    )
-    assert HypothesisFamily.from_text(text) == fam
-
-    plain = HypothesisFamily.simple(4)
-    text = "k = 4\nlabels = H1,H2,H3,H4\ncontains_complement = none\nclosed_monotone = false\n"
-    assert HypothesisFamily.from_text(text) == plain
-    assert HypothesisFamily.from_text("k = 4\n") == plain
-
-
-def test_family_text_rejects_garbage():
-    with pytest.raises(ValueError, match="unknown family key"):
-        HypothesisFamily.from_text("k = 2\nbogus = 1\n")
-    with pytest.raises(ValueError, match="must define k"):
-        HypothesisFamily.from_text("labels = a,b\n")
-    with pytest.raises(ValueError, match="bad containment pair"):
-        HypothesisFamily.from_text("k = 2\ncontains_complement = 1-2\n")
-    with pytest.raises(ValueError, match="out of range"):
-        HypothesisFamily.from_text("k = 2\ncontains_complement = 1>3\n")
-
-
 def test_schedule_validation():
     sched = SampleSchedule((26, 29, 35))
     assert sched.sup == 35
@@ -103,6 +75,11 @@ def test_statistic_paths_validation():
         StatisticPaths((26, 29), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="NaN"):
         StatisticPaths((26,), np.array([[np.nan]]))
+    # The sizes are checked as a SampleSchedule checks them.
+    with pytest.raises(ValueError, match="analysis sizes must be positive"):
+        StatisticPaths((0, 5), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        StatisticPaths((5, 5), np.zeros((1, 2)))
 
 
 def test_stage_record_prefix_invariant():

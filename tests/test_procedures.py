@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -207,6 +209,17 @@ def test_unknown_rule_is_rejected():
     with pytest.raises(ValueError, match="unknown rule"):
         run_multistage_batch(np.full((2, 3, 3), 3.0), HypothesisFamily.simple(3), SCHED,
                              crit, ALPHA, "Holm")
+
+
+def test_missing_level_is_a_value_error_naming_it():
+    # holm with k = 3 also looks up alpha / 2, which this table lacks.
+    crit = flat_table({ALPHA / 3.0: 2.8, ALPHA: 2.2})
+    family = HypothesisFamily.simple(3)
+    level = re.escape(f"level {ALPHA / 2.0!r}; calibrate it with rho = {ALPHA / 2.0!r}")
+    with pytest.raises(ValueError, match=level):
+        run_multistage(paths_from_stats([1.0, 2.0, 0.5]), family, SCHED, crit, ALPHA)
+    with pytest.raises(ValueError, match=level):
+        run_multistage_batch(np.full((2, 3, 3), 1.0), family, SCHED, crit, ALPHA)
 
 
 def test_stage_levels():
