@@ -50,9 +50,15 @@ _SPAN_SD = 8.0  # grid half-width in standard deviations of S_n
 MIN_GRID_POINTS = 8
 MAX_GRID_POINTS = 4096
 
-# Rows of the transition kernel held in memory at once.  No result
-# depends on it: every block gives the same bits.
+# Rows of the transition kernel held in memory at once.  Not every block
+# gives the same bits: OpenBLAS may round a mat-vec differently with its
+# row count (four-row blocks moved the last bit of a 293-point case that
+# 1- to 293-row blocks agreed on), so a new value needs a bit check.
 _KERNEL_ROWS = 64
+
+# Largest gap calibrate_levels accepts between a level and the crossing
+# probability its boundary achieves on the doubled grid.
+CALIBRATION_TOL = 1e-4
 
 # Levels closer than this are one level to a CriticalFunction lookup.
 _LEVEL_RTOL = 1e-12
@@ -185,8 +191,8 @@ def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: i
     # rows at a time in this buffer, never as a whole N x N matrix.  Each
     # entry is exp(-0.5 * d * d / dn) / scale rounded exactly as in the
     # whole-matrix expression (scaling by -0.5 is exact, so squaring first
-    # changes no bit), and each row's mat-vec sum is unchanged, so the
-    # result is bit-identical; tests compare against the whole matrix.
+    # changes no bit); tests compare against the whole matrix applied in
+    # the same row slices.
     block = np.empty((_KERNEL_ROWS, grid_points))
     for j in range(1, len(analyses)):
         dn = analyses[j] - analyses[j - 1]
@@ -233,15 +239,13 @@ class CriticalFunction:
     analysis: smaller crossing probabilities demand higher boundaries.
     ``constants`` records the scalar boundary multiplier per level when
     the table came from calibration.  A table supplied from outside is
-    ``CriticalFunction(schedule, shape, table)``, the schedule given as a
+    ``CriticalFunction(schedule, table)``, the schedule given as a
     SampleSchedule or a sequence of sizes.
     """
 
     schedule: SampleSchedule
-    shape: str
     table: Mapping[float, tuple[float, ...]]
     constants: Mapping[float, float] | None = None
-    grid_points: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule", SampleSchedule(self.schedule))
@@ -292,16 +296,15 @@ def calibrate_levels(
     shape: str = "flat",
     *,
     grid_points: int = 512,
-    tol: float = 1e-4,
 ) -> CriticalFunction:
     """Calibrate one boundary per level on a common schedule and shape.
 
     Each level rho gets its own root c of crossing_probability(schedule,
     c * g) = rho, verified on a doubled grid (GridError if it misses rho
-    by more than tol), so it does not depend on the other levels.  Every
-    level is validated before any is calibrated.  A level listed twice is
-    calibrated once; two unequal levels a table lookup could not tell
-    apart raise ValueError.
+    by more than CALIBRATION_TOL), so it does not depend on the other
+    levels.  Every level is validated before any is calibrated.  A level
+    listed twice is calibrated once; two unequal levels a table lookup
+    could not tell apart raise ValueError.
     """
     _check_grid_points(grid_points)
     levels = _check_levels(dict.fromkeys(float(rho) for rho in levels))
@@ -312,20 +315,14 @@ def calibrate_levels(
     for rho in levels:
         c = _solve_constant(schedule.analyses, g, rho, grid_points)
         achieved = _crossing_recursion(schedule.analyses, c * g, 2 * grid_points)
-        if abs(achieved - rho) > tol:
+        if abs(achieved - rho) > CALIBRATION_TOL:
             raise GridError(
                 f"calibrated boundary for level {rho} achieves {achieved:.6g} on a doubled "
-                f"grid, off by more than {tol:.1g}; increase grid_points"
+                f"grid, off by more than {CALIBRATION_TOL:.1g}; increase grid_points"
             )
         table[rho] = tuple(float(v) for v in c * g)
         constants[rho] = c
-    return CriticalFunction(
-        schedule=schedule,
-        shape=shape,
-        table=table,
-        constants=constants,
-        grid_points=grid_points,
-    )
+    return CriticalFunction(schedule, table, constants)
 
 
 def _solve_constant(
@@ -336,13 +333,10 @@ def _solve_constant(
     def gap(c: float) -> float:
         return _crossing_recursion(analyses, c * g, grid_points) - rho
 
-    gap_lo, gap_hi = gap(lo), gap(hi)
-    if gap_lo < 0.0 or gap_hi > 0.0:
-        raise CalibrationError(
-            f"crossing probability {rho} is not bracketed by boundary constants in "
-            f"[{lo}, {hi}] (endpoint gaps {gap_lo:.3g}, {gap_hi:.3g})"
-        )
+    # brentq evaluates both ends once and raises unless they bracket a root.
     try:
         return float(optimize.brentq(gap, lo, hi, xtol=1e-10, rtol=1e-12))
-    except Exception as exc:  # pragma: no cover
-        raise CalibrationError(f"root-finding failed for level {rho}: {exc}") from exc
+    except (ValueError, RuntimeError) as exc:
+        raise CalibrationError(
+            f"no boundary constant in [{lo:g}, {hi:g}] calibrates level {rho}: {exc}"
+        ) from None

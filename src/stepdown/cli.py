@@ -282,20 +282,19 @@ def _read_long_csv(
     duplicate: str,
     missing: str,
     analyses: tuple[int, ...] | None = None,
-) -> tuple[tuple[int, ...], dict[Any, tuple[float, ...]], list[list[str]]]:
+) -> tuple[tuple[int, ...], dict[Any, tuple[float, ...]]]:
     """Read a CSV of one value per (key, n) row; ``parse(row)`` returns them.
 
     Every key needs a value at each of ``analyses`` (default: every n in
     the file).  ``duplicate`` and ``missing`` word those errors.  Returns
-    the sizes, each key's values at them by first-seen key, and the rows.
+    the sizes and each key's values at them by first-seen key.
     """
     reader = csv.reader(io.StringIO(_read_text(path, kind), newline=""))
     first = next(reader, None)
     if first is None or tuple(h.strip() for h in first) != header:
         raise ValueError(f"{kind} file {path} must start with header '{','.join(header)}'")
-    rows = [row for row in reader if row]
     cells: dict[Any, dict[int, float]] = {}
-    for row in rows:
+    for row in filter(None, reader):
         if len(row) != len(header):
             raise ValueError(f"{kind} row {row!r} in {path} must have {len(header)} fields")
         try:
@@ -315,31 +314,32 @@ def _read_long_csv(
         if ns:
             raise ValueError(f"{kind} file {path} " + missing.format(key=key, ns=ns))
     table = {key: tuple(per_n[n] for n in analyses) for key, per_n in cells.items()}
-    return analyses, table, rows
+    return analyses, table
 
 
 def _read_statistics_csv(path: str) -> tuple[tuple[int, ...], dict[str, tuple[float, ...]]]:
-    analyses, table, _rows = _read_long_csv(
+    analyses, table = _read_long_csv(
         path, "statistics", ("hypothesis", "n", "statistic"),
         lambda row: (row[0].strip(), int(row[1]), float(row[2])),
         "duplicate statistic for hypothesis {key!r} at n={n}",
         "is missing hypothesis {key!r} at n={ns[0]}",
     )
-    return analyses, table
+    try:
+        return SampleSchedule(analyses).analyses, table
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
 
 
 def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction:
-    _analyses, table, rows = _read_long_csv(
+    _analyses, table = _read_long_csv(
         path, "boundary", ("n", "rho", "critical_value", "shape"),
         lambda row: (float(row[1]), int(row[0]), float(row[2])),
         "duplicate critical value for level {key!r} at n={n}",
         "lacks critical values at n={ns} for level {key}",
         analyses,
     )
-    shapes = {row[3].strip() for row in rows}
-    shape = shapes.pop() if len(shapes) == 1 else "custom"
     try:
-        return CriticalFunction(analyses, shape, table)
+        return CriticalFunction(analyses, table)
     except ValueError as exc:
         raise ValueError(f"{exc} in {path}") from None
 
@@ -388,6 +388,11 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
     labels = tuple(table)
     if "family" in values:
         family, labels = _read_family(values["family"], labels)
+        if rule == "closed" and not family.closed_monotone:
+            raise ValueError(
+                "the closed variant requires key 'closed_monotone' = true "
+                f"in family file {values['family']}"
+            )
     elif rule == "closed":
         raise ValueError(
             "the closed variant requires --family (config key 'family'): a closed_monotone family"

@@ -9,8 +9,8 @@ or machines and merging the pieces reproduces the serial result bit for
 bit.  Each replicate's draws depend only on (master seed, replicate
 index), never on execution order.
 
-Replicates run in blocks, and the cells of a run that share master
-seed, schedule and replicate count run together in one block loop
+Replicates run in blocks, and the cells of a run, which share master
+seed, schedule and replicate count, run together in one block loop
 (``run_cells``).  Each block is drawn once (``draw_replicates``), its
 sums and statistics are computed once per distinct scenario
 (``paths_from_draws``), and one vectorised pass per cell decides it
@@ -29,6 +29,7 @@ a study.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -247,9 +248,14 @@ def merge(a: SimulationSummary, b: SimulationSummary) -> SimulationSummary:
     )
 
 
-def _draw_key(spec: ScenarioSpec) -> tuple[SampleSchedule, int, int]:
-    # Cells with equal keys draw the same numbers for each replicate.
-    return spec.schedule, spec.master_seed, spec.replicates
+def _shared_draws(specs: Sequence[ScenarioSpec]) -> tuple[SampleSchedule, int, int]:
+    """The schedule, master seed and replicate count every cell shares."""
+    keys = {(spec.schedule, spec.master_seed, spec.replicates) for spec in specs}
+    if not keys:
+        raise ValueError("run_cells needs at least one cell")
+    if len(keys) > 1:
+        raise ValueError("cells run together must share schedule, master_seed and replicates")
+    return keys.pop()
 
 
 def run_cells(
@@ -278,12 +284,8 @@ def run_cells(
         One SimulationSummary per cell, in order, each covering exactly
         rep_range.
     """
-    if not specs:
-        raise ValueError("run_cells needs at least one cell")
-    schedule, master_seed, replicates = shared = _draw_key(specs[0])
+    schedule, master_seed, replicates = _shared_draws(specs)
     for spec in specs:
-        if _draw_key(spec) != shared:
-            raise ValueError("cells run together must share schedule, master_seed and replicates")
         if critical is None and spec.procedure != "H":
             raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
     lo, hi = rep_range if rep_range is not None else (0, replicates)
@@ -358,13 +360,6 @@ def run_scenario(
     return summary
 
 
-def _worker_run(
-    args: tuple[list[ScenarioSpec], tuple[int, int], CriticalFunction | None],
-) -> list[SimulationSummary]:
-    specs, rep_range, critical = args
-    return run_cells(specs, rep_range, critical)
-
-
 def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
     """Split range(total) into contiguous near-even nonempty pieces."""
     pieces = max(1, min(pieces, total))
@@ -383,41 +378,28 @@ def run_scenario_parallel(
     workers: int = 1,
     critical: CriticalFunction | None = None,
 ) -> list[SimulationSummary]:
-    """Run scenarios across worker processes and merge each one's pieces.
+    """Run cells that share their draws across worker processes.
 
-    Cells that share ``master_seed``, ``schedule`` and ``replicates``
-    form one group, run together by ``run_cells`` so each block is drawn
-    once for the whole group.  Each group's replicates are split into
-    ``workers`` ranges, and every (group, range) job goes through one
-    pool of at most ``os.cpu_count()`` processes.  The results are
-    bit-identical for any worker count: replicate draws are keyed by
-    index and the merged accumulators are integers.  ``critical`` is as
-    for run_cells and serves every scenario.
+    The cells must share ``master_seed``, ``schedule`` and ``replicates``,
+    as for run_cells; anything else raises ValueError before a pool
+    opens.  The replicates are split into ``workers`` ranges, each run by
+    ``run_cells`` for every cell in one pool of at most
+    ``os.cpu_count()`` processes, and each cell's pieces are merged.  The
+    results are bit-identical for any worker count: replicate draws are
+    keyed by index and the merged accumulators are integers.
+    ``critical`` is as for run_cells and serves every cell.
 
     Returns:
-        One summary per scenario, in order.
+        One summary per cell, in order.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    groups: dict[tuple[SampleSchedule, int, int], list[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(_draw_key(spec), []).append(i)
-    members = list(groups.values())
-    split = [split_ranges(replicates, workers) for _, _, replicates in groups]
-    jobs = [
-        ([specs[i] for i in cells], rng, critical)
-        for cells, ranges in zip(members, split)
-        for rng in ranges
-    ]
+    _, _, replicates = _shared_draws(specs)
+    ranges = split_ranges(replicates, workers)
+    job = functools.partial(run_cells, specs, critical=critical)
     if workers == 1:
-        parts = iter(map(_worker_run, jobs))
+        parts = map(job, ranges)
     else:
-        processes = min(max((len(ranges) for ranges in split), default=1), os.cpu_count() or 1)
-        with multiprocessing.Pool(processes=processes) as pool:
-            parts = iter(pool.map(_worker_run, jobs))
-    summaries: list[SimulationSummary] = [empty_summary(spec) for spec in specs]
-    for cells, ranges in zip(members, split):
-        for _ in ranges:
-            for i, piece in zip(cells, next(parts)):
-                summaries[i] = merge(summaries[i], piece)
-    return summaries
+        with multiprocessing.Pool(processes=min(len(ranges), os.cpu_count() or 1)) as pool:
+            parts = pool.map(job, ranges)
+    return [functools.reduce(merge, pieces) for pieces in zip(*parts)]

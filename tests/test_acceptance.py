@@ -289,7 +289,7 @@ def test_criterion_5_single_analysis_equivalence(capsys):
         pvalues = ndtr(-stats)
         levels = [alpha / m for m in range(1, k + 1)]
         critical = CriticalFunction(
-            (n,), "custom", {level: (float(-ndtri(level)),) for level in levels}
+            (n,), {level: (float(-ndtri(level)),) for level in levels}
         )
         result = run_multistage(
             StatisticPaths((n,), stats.reshape(k, 1)),

@@ -1,6 +1,8 @@
 """The public API: every exported name resolves, and removed wrappers stay out."""
 
+import dataclasses
 import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -27,6 +29,11 @@ def test_removed_wrappers_are_gone():
     assert not hasattr(stepdown.CriticalFunction, "from_table")
     assert not hasattr(stepdown.HypothesisFamily, "from_text")
     assert not hasattr(stepdown.boundary, "_as_analyses")
+    assert not hasattr(stepdown.harness, "_worker_run")
+    assert not hasattr(stepdown.harness, "_draw_key")
+    fields = {field.name for field in dataclasses.fields(stepdown.CriticalFunction)}
+    assert fields == {"schedule", "table", "constants"}
+    assert "tol" not in inspect.signature(stepdown.calibrate_levels).parameters
     paths = stepdown.StatisticPaths((26, 29), np.zeros((1, 2)))
     assert not hasattr(paths, "sums")
     with pytest.raises(TypeError):

@@ -142,7 +142,7 @@ def test_batch_engine_matches_run_multistage(seed, k, looks, rule, ties, infinit
         values[spots] = np.where(rng.random(values.shape) < 0.7, np.inf, -np.inf)[spots]
     raw = np.sort(raw, axis=0)[::-1]
     critical = CriticalFunction(
-        analyses, "custom", {level: tuple(row) for level, row in zip(levels, raw)}
+        analyses, {level: tuple(row) for level, row in zip(levels, raw)}
     )
     relation = rng.random((k, k)) < 0.3
     np.fill_diagonal(relation, False)
@@ -163,7 +163,7 @@ def test_batch_engine_matches_run_multistage(seed, k, looks, rule, ties, infinit
 
 
 def test_batch_engine_rejects_bad_input():
-    critical = CriticalFunction(SCHED.analyses, "custom", {ALPHA: (2.0, 2.0, 2.0)})
+    critical = CriticalFunction(SCHED.analyses, {ALPHA: (2.0, 2.0, 2.0)})
     family = HypothesisFamily.simple(2)
     good = np.zeros((4, 2, 3))
     with pytest.raises(ValueError, match="shape"):

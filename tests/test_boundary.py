@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import stepdown.boundary
 from stepdown.boundary import (
     _SPAN_SD,
+    CalibrationError,
     CriticalFunction,
     GridError,
     _trapezoid_mass,
@@ -147,7 +148,7 @@ def test_calibrate_obrien_fleming_shape():
 
 
 def test_external_table_and_level_lookup():
-    crit = CriticalFunction(SCHED, "custom", {0.05: (2.0, 2.0, 1.9)})
+    crit = CriticalFunction(SCHED, {0.05: (2.0, 2.0, 1.9)})
     assert crit.boundary(0.05)[2] == 1.9
     assert crit.boundary(0.05000000000000001)[0] == 2.0  # tolerant lookup
     with pytest.raises(KeyError):
@@ -156,7 +157,7 @@ def test_external_table_and_level_lookup():
 
 def test_table_must_be_monotone_in_level():
     with pytest.raises(ValueError, match="non-increasing"):
-        CriticalFunction(SCHED, "custom", {0.05: (2.5, 2.5, 2.5), 0.025: (2.0, 2.0, 2.0)})
+        CriticalFunction(SCHED, {0.05: (2.5, 2.5, 2.5), 0.025: (2.0, 2.0, 2.0)})
 
 
 def test_table_levels_are_checked_as_calibration_levels():
@@ -164,16 +165,16 @@ def test_table_levels_are_checked_as_calibration_levels():
     # one of them silently.
     twin = math.nextafter(0.05, 1.0)
     with pytest.raises(ValueError, match=f"levels 0.05 and {twin!r} name the same level"):
-        CriticalFunction(SCHED, "custom", {0.05: (2.0, 2.0, 2.0), twin: (2.0, 2.0, 2.0)})
+        CriticalFunction(SCHED, {0.05: (2.0, 2.0, 2.0), twin: (2.0, 2.0, 2.0)})
     with pytest.raises(ValueError, match="between 0 and 1, got 1.5"):
-        CriticalFunction(SCHED, "custom", {1.5: (2.0, 2.0, 2.0)})
+        CriticalFunction(SCHED, {1.5: (2.0, 2.0, 2.0)})
 
 
 def test_table_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
-        CriticalFunction(SCHED, "custom", {0.05: (2.0, float("nan"), 1.9)})
+        CriticalFunction(SCHED, {0.05: (2.0, float("nan"), 1.9)})
     with pytest.raises(ValueError, match="NaN"):
-        CriticalFunction(SCHED, "flat", {0.05: (float("nan"),) * 3})
+        CriticalFunction(SCHED, {0.05: (float("nan"),) * 3})
 
 
 def test_grid_points_checked_before_integration(monkeypatch):
@@ -190,7 +191,32 @@ def test_grid_points_checked_before_integration(monkeypatch):
 
 def test_grid_error_when_tolerance_unmeetable():
     with pytest.raises(GridError):
-        calibrate_levels(SCHED, [0.05], grid_points=12, tol=1e-6)
+        calibrate_levels(SCHED, [0.05], grid_points=12)
+
+
+def test_unbracketable_level_raises_calibration_error():
+    # Even at c = 10 the recursion floors near 1.9e-14, so no constant in
+    # the bracket reaches this level.
+    with pytest.raises(CalibrationError, match=r"\[-10, 10\] calibrates level 1e-30"):
+        calibrate_levels(SCHED, [1e-30])
+
+
+def test_calibration_evaluates_each_constant_once_per_grid(monkeypatch):
+    # Every level's root search starts from the same bracket ends, so the
+    # boundaries are compared within one level's calibration.
+    calls = []
+    original = stepdown.boundary._crossing_recursion
+
+    def recorded(analyses, b, grid_points):
+        calls.append((tuple(b.tolist()), grid_points))
+        return original(analyses, b, grid_points)
+
+    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", recorded)
+    for rho in (0.05 / 3.0, 0.05 / 2.0, 0.05):
+        calls.clear()
+        calibrate_levels(SCHED, [rho])
+        assert len(set(calls)) == len(calls)
+        assert {grid for _, grid in calls} == {512, 1024}
 
 
 def _no_integration(*args):
@@ -220,16 +246,13 @@ def test_level_listed_twice_is_calibrated_once(monkeypatch):
     assert sorted(crit.table) == [0.025, 0.05]
 
 
-def _matvec_on_one_thread(kernel, vec):
-    # OpenBLAS sums a mat-vec's rows in groups of four, and a threaded
-    # call splits the rows into per-thread chunks whose groups need not
-    # line up with the matrix's, so one whole-matrix call rounds
-    # differently with the BLAS thread count.  A four-row call is one
-    # group, too small to be split, and rounds alike on any thread count.
-    out = np.empty(len(kernel))
-    for start in range(0, len(kernel), 4):
-        np.matmul(kernel[start : start + 4], vec, out=out[start : start + 4])
-    return out
+def _matvec_in_kernel_blocks(kernel, vec):
+    # OpenBLAS may round a mat-vec differently with the number of rows in
+    # the call (four-row calls do) and with the BLAS thread count, so the
+    # whole kernel is applied in the blocked kernel's row slices: the
+    # oracle checks the kernel's fill and bookkeeping, not the BLAS.
+    rows = stepdown.boundary._KERNEL_ROWS
+    return np.concatenate([kernel[i : i + rows] @ vec for i in range(0, len(kernel), rows)])
 
 
 def _reference_recursion(analyses, b, grid_points):
@@ -255,7 +278,7 @@ def _reference_recursion(analyses, b, grid_points):
         diff = new_grid[:, None] - grid[None, :]
         kernel = np.exp(-0.5 * diff * diff / dn) / math.sqrt(2.0 * math.pi * dn)
         w = _trapezoid_weights(grid)
-        dens = _matvec_on_one_thread(kernel, dens * w)
+        dens = _matvec_in_kernel_blocks(kernel, dens * w)
         grid = new_grid
         surviving = _trapezoid_mass(dens, grid)
 
@@ -286,9 +309,10 @@ def _recursion_inputs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_recursion_inputs())
-# A whole-matrix mat-vec split across two BLAS threads rounded this one
-# differently from the blocked kernel.
+# A whole-matrix mat-vec split across two BLAS threads rounded the first
+# differently from the blocked kernel, and four-row mat-vecs the second.
 @example(((11, 26, 27), np.array([7.0, 7.0, 7.0]), 1027))
+@example(((47, 68, 85, 93, 100), np.array([0.0] * 5), 293))
 def test_blocked_recursion_matches_reference(inputs):
     analyses, b, grid_points = inputs
     got = stepdown.boundary._crossing_recursion(analyses, b, grid_points)

@@ -282,6 +282,14 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     assert "p.csv" in capsys.readouterr().err
 
 
+def test_boundary_unbracketable_level_exits_1(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["boundary", "--schedule", "26,29,35", "--rho", "1e-30", "--out", str(out)]) == 1
+    assert "[-10, 10] calibrates level 1e-30" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "b.csv.meta.txt").exists()
+
+
 def test_bundled_study_config():
     path = default_table_config()
     assert os.path.exists(path)
@@ -472,6 +480,21 @@ def test_analyze_reader_errors_name_the_file(tmp_path, capsys, which, how):
             str(paths["boundary"]), "--out", str(out)]
     assert main(argv) == 2
     assert str(paths[which]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_bad_statistics_size_names_the_statistics_file(tmp_path, capsys):
+    # A row at n = 0 is an error of the statistics file, found before the
+    # boundary is read at the statistics' sizes.
+    paths = _analyze_inputs(tmp_path)
+    lines = _READER_INPUTS["statistics"] + ["A,0,9.0", "B,0,9.0"]
+    paths["statistics"].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "d.csv"
+    argv = ["analyze", "--statistics", str(paths["statistics"]), "--boundary",
+            str(paths["boundary"]), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f"analysis sizes must be positive in {paths['statistics']}")
     assert not out.exists()
 
 
@@ -711,12 +734,13 @@ def test_analyze_family_accepts_config_booleans(tmp_path):
         ("k = 2\ncontains_complement = 1-2\n", "contains_complement"),
         ("k = 2\ncontains_complement = 1>3\n", "contains_complement"),
         ("k = 2\nclosed_monotone = maybe\n", "closed_monotone"),
+        ("k = 2\nclosed_monotone = false\n", "closed_monotone"),
     ],
 )
 def test_analyze_family_errors_name_the_file_and_key(tmp_path, capsys, text, key):
     assert _analyze_family(tmp_path, "AB", text) == (2, None)
     err = capsys.readouterr().err
-    assert str(tmp_path / "family.txt") in err
+    assert err.rstrip().endswith(f"in family file {tmp_path / 'family.txt'}")
     assert f"key '{key}'" in err
     assert not (tmp_path / "AB-decisions.csv").exists()
 

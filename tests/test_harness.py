@@ -275,31 +275,23 @@ def test_grouped_run_matches_each_cell_alone(run):
     assert merged == alone
 
 
-def test_run_cells_rejects_cells_that_cannot_share_draws():
-    with pytest.raises(ValueError, match="at least one cell"):
-        run_cells([])
-    for other in (
-        spec_for("H", reps=91),
-        spec_for("H", reps=90, master_seed=2),
-        ScenarioSpec(ScenarioParams(0.0, 0.5, 0.75), SampleSchedule((26, 35)), "H", replicates=90),
-    ):
-        with pytest.raises(ValueError, match="must share"):
-            run_cells([spec_for("H", reps=90), other])
-
-
-def test_parallel_groups_cells_by_seed_and_replicates(monkeypatch):
-    # Cells of different seeds and replicate counts, interleaved, come
-    # back in order, each as if run alone.
+def test_run_cells_rejects_cells_that_cannot_share_draws(monkeypatch):
+    # run_scenario_parallel checks its cells before it opens a pool.
     monkeypatch.setattr(stepdown.harness.multiprocessing, "Pool", _RecordingPool)
-    specs = [
-        spec_for("MultH", reps=70, master_seed=2),
-        spec_for("H", reps=50),
-        spec_for("Mult", reps=70, master_seed=2, params=ScenarioParams(0.4, 0.4, 0.75)),
-        spec_for("MultH", reps=50),
-    ]
-    alone = [run_scenario(spec, critical=CRITICAL) for spec in specs]
-    for workers in (1, 3):
-        assert run_scenario_parallel(specs, workers=workers, critical=CRITICAL) == alone
+    _RecordingPool.sizes = []
+    for run in (run_cells, lambda cells: run_scenario_parallel(cells, workers=2)):
+        with pytest.raises(ValueError, match="at least one cell"):
+            run([])
+        for other in (
+            spec_for("H", reps=91),
+            spec_for("H", reps=90, master_seed=2),
+            ScenarioSpec(
+                ScenarioParams(0.0, 0.5, 0.75), SampleSchedule((26, 35)), "H", replicates=90
+            ),
+        ):
+            with pytest.raises(ValueError, match="must share"):
+                run([spec_for("H", reps=90), other])
+    assert _RecordingPool.sizes == []
 
 
 def test_simulate_draws_each_block_once(tmp_path, monkeypatch):

@@ -23,14 +23,14 @@ SCHED = SampleSchedule((26, 29, 35))
 
 def flat_table(levels_to_value, analyses=(26, 29, 35)):
     table = {rho: tuple(v for _ in analyses) for rho, v in levels_to_value.items()}
-    return CriticalFunction(analyses, "custom", table)
+    return CriticalFunction(analyses, table)
 
 
 def quantile_critical(alpha, k, analyses=(17,)):
     """Critical values equal to the per-level upper null quantiles."""
     levels = {alpha / (k - j) for j in range(k)} | {alpha / k, alpha}
     table = {rho: tuple(normal_quantile(1.0 - rho) for _ in analyses) for rho in levels}
-    return CriticalFunction(analyses, "custom", table)
+    return CriticalFunction(analyses, table)
 
 
 def paths_from_stats(stats, analyses=(26, 29, 35)):
