@@ -4,96 +4,24 @@ The package provides fixed-sample and group-sequential step-down
 procedures, calibration of the critical-value boundaries they test
 against, a three-endpoint trial simulator with a mergeable Monte Carlo
 harness, and a sequential rule classifying a normal mean into ordered
-intervals, implemented two independent ways.
+intervals, implemented two independent ways.  It exports every name in
+its modules' ``__all__``.
 """
 
-from .boundary import (
-    CalibrationError,
-    CriticalFunction,
-    GridError,
-    calibrate_levels,
-    crossing_probability,
-    normal_quantile,
-    shape_multipliers,
-)
-from .core import (
-    HypothesisFamily,
-    SampleSchedule,
-    StageRecord,
-    StatisticPaths,
-    TrialResult,
-)
-from .harness import (
-    PROCEDURES,
-    ScenarioSpec,
-    SimulationSummary,
-    empty_summary,
-    merge,
-    needed_levels,
-    run_scenario,
-    run_scenario_parallel,
-)
-from .paulson import (
-    PaulsonConfig,
-    PaulsonResult,
-    classify_by_mean,
-    classify_paths,
-    paulson_via_stepdown,
-    run_paulson_direct,
-    simulate_observations,
-)
-from .procedures import (
-    CLOSED,
-    HOLM,
-    MULT,
-    holm_closed,
-    holm_fixed,
-    run_multistage,
-    run_multistage_batch,
-    stage_levels,
-)
-from .trial import RngStream, ScenarioParams, generate_paths
+from . import boundary, core, harness, paulson, procedures, trial
+from .boundary import *
+from .core import *
+from .harness import *
+from .paulson import *
+from .procedures import *
+from .trial import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalibrationError",
-    "CriticalFunction",
-    "GridError",
-    "calibrate_levels",
-    "crossing_probability",
-    "normal_quantile",
-    "shape_multipliers",
-    "HypothesisFamily",
-    "SampleSchedule",
-    "StageRecord",
-    "StatisticPaths",
-    "TrialResult",
-    "PROCEDURES",
-    "ScenarioSpec",
-    "SimulationSummary",
-    "empty_summary",
-    "merge",
-    "needed_levels",
-    "run_scenario",
-    "run_scenario_parallel",
-    "PaulsonConfig",
-    "PaulsonResult",
-    "classify_by_mean",
-    "classify_paths",
-    "paulson_via_stepdown",
-    "run_paulson_direct",
-    "simulate_observations",
-    "CLOSED",
-    "HOLM",
-    "MULT",
-    "holm_closed",
-    "holm_fixed",
-    "run_multistage",
-    "run_multistage_batch",
-    "stage_levels",
-    "RngStream",
-    "ScenarioParams",
-    "generate_paths",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += boundary.__all__
+__all__ += core.__all__
+__all__ += harness.__all__
+__all__ += paulson.__all__
+__all__ += procedures.__all__
+__all__ += trial.__all__

@@ -185,7 +185,6 @@ def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: i
         return 1.0
     grid = np.linspace(lo, hi, grid_points)
     dens = np.exp(-0.5 * grid * grid / n1) / math.sqrt(2.0 * math.pi * n1)
-    surviving = _trapezoid_mass(dens, grid)
 
     # The Gaussian transition kernel is filled and applied one block of
     # rows at a time in this buffer, never as a whole N x N matrix.  Each
@@ -214,9 +213,8 @@ def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: i
             rows /= scale
             np.matmul(rows, weighted, out=dens[start:stop])
         grid = new_grid
-        surviving = _trapezoid_mass(dens, grid)
 
-    return min(1.0, max(0.0, 1.0 - surviving))
+    return min(1.0, max(0.0, 1.0 - _trapezoid_mass(dens, grid)))
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:

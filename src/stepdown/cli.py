@@ -49,6 +49,7 @@ from .core import (
     parse_kv_text,
 )
 from .harness import (
+    PROCEDURES,
     ScenarioSpec,
     SimulationSummary,
     needed_levels,
@@ -58,6 +59,7 @@ from .harness import (
 # not called here; they stay bound because bench/tracing.py wraps them on
 # this module.
 from .paulson import (
+    _ROUTES,
     PaulsonConfig,
     classify_paths,
     paulson_via_stepdown,
@@ -299,8 +301,8 @@ def _read_long_csv(
             raise ValueError(f"{kind} row {row!r} in {path} must have {len(header)} fields")
         try:
             key, n, value = parse(row)
-        except ValueError:
-            raise ValueError(f"bad {kind} row {row!r} in {path}") from None
+        except ValueError as exc:
+            raise ValueError(f"bad {kind} row {row!r} in {path}: {exc}") from None
         per_n = cells.setdefault(key, {})
         if n in per_n:
             raise ValueError(f"{duplicate.format(key=key, n=n)} in {path}")
@@ -331,9 +333,18 @@ def _read_statistics_csv(path: str) -> tuple[tuple[int, ...], dict[str, tuple[fl
 
 
 def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction:
+    shapes: dict[float, str] = {}
+
+    def parse(row: list[str]) -> tuple[float, int, float]:
+        rho, shape = float(row[1]), row[3].strip()
+        if shape not in SHAPES:
+            raise ValueError(f"shape {shape!r} is not one of {', '.join(SHAPES)}")
+        if shapes.setdefault(rho, shape) != shape:
+            raise ValueError(f"level {rho} mixes shapes {shapes[rho]} and {shape}")
+        return rho, int(row[0]), float(row[2])
+
     _analyses, table = _read_long_csv(
-        path, "boundary", ("n", "rho", "critical_value", "shape"),
-        lambda row: (float(row[1]), int(row[0]), float(row[2])),
+        path, "boundary", ("n", "rho", "critical_value", "shape"), parse,
         "duplicate critical value for level {key!r} at n={n}",
         "lacks critical values at n={ns} for level {key}",
         analyses,
@@ -521,8 +532,8 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], None], tuple[Key, ...]
         (
             Key("scenarios", "tokens like (0,0,.5) (0,.5,.75,.75)", parse_scenarios),
             # ScenarioSpec rejects an unknown procedure before anything runs.
-            Key("procedures", "comma list from H,Mult,MultH", _names, default="MultH",
-                flag="--procedure"),
+            Key("procedures", "comma list from " + ",".join(PROCEDURES), _names,
+                default="MultH", flag="--procedure"),
             Key("schedule", "analysis sizes", _schedule, default="26,29,35"),
             _ALPHA,
             _SHAPE,
@@ -546,8 +557,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], None], tuple[Key, ...]
             Key("reps", "simulated paths", _integer, default="10000", minimum=1),
             _SEED,
             Key("horizon", "max observations per path", _integer, default="100000", minimum=1),
-            Key("method", "implementation route", choices=("direct", "stepdown"),
-                default="direct"),
+            Key("method", "implementation route", choices=tuple(_ROUTES), default="direct"),
             _OUT,
         ),
     ),

@@ -67,12 +67,12 @@ __all__ = [
     "needed_levels",
 ]
 
-PROCEDURES = ("H", "Mult", "MultH")
-
 _VARIANTS: dict[str, str] = {
     "Mult": MULT,
     "MultH": HOLM,
 }
+
+PROCEDURES = ("H", *_VARIANTS)
 
 # The trial model's three hypotheses carry no containment structure.
 _FAMILY = HypothesisFamily.simple(3)

@@ -28,13 +28,12 @@ Each route's rule is one kernel over a block whose rows are paths and
 whose columns are the paths' next CHUNK observations, with the route's
 state carried per row.  ``classify_paths`` runs it on a group of
 ``GROUP_OBSERVATIONS // CHUNK`` simulated paths per pass, drawing path
-r's ``RngStream`` in CHUNK blocks from one re-keyed Philox bit generator
-and dropping each path as soon as it stops; ``run_paulson_direct`` and
-``paulson_via_stepdown`` are its one-path views, reading one path given
-as a 1-D array.  Either way the blocks are cut CHUNK observations at a
-time from observation 0 and the running sums are ``total +
-cumsum(block)`` per block, so a path gets the same floats, and the same
-decision, alone or in a group.
+r's ``RngStream`` in CHUNK blocks and dropping each path as soon as it
+stops; ``run_paulson_direct`` and ``paulson_via_stepdown`` are its
+one-path views, reading one path given as a 1-D array.  Either way the
+blocks are cut CHUNK observations at a time from observation 0 and the
+running sums are ``total + cumsum(block)`` per block, so a path gets the
+same floats, and the same decision, alone or in a group.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .trial import check_seed, philox
+from .trial import check_seed, restartable
 
 __all__ = [
     "CHUNK",
@@ -332,24 +331,20 @@ def _stream_blocks(
     theta: float, seed: int, first: int
 ) -> Callable[[np.ndarray, int, int], np.ndarray]:
     # Path i of the group reads RngStream(seed, first + i) block by
-    # block: one Philox bit generator, re-keyed with counter 0 for a
-    # path's first block and restored to the state it left for the next.
-    bit_gen = philox(seed, first)
-    rng = np.random.Generator(bit_gen)
-    fresh = bit_gen.state
-    key = fresh["state"]["key"]
+    # block: restarted for its first block, restored to the state it
+    # left for the next.
+    rng, restart = restartable(seed)
     saved: dict[int, dict] = {}
 
     def next_block(live: np.ndarray, count: int, size: int) -> np.ndarray:
         z = np.empty((live.size, size))
         for row, path in enumerate(live.tolist()):
             if count == 0:
-                key[1] = first + path
-                bit_gen.state = fresh
+                restart(first + path)
             else:
-                bit_gen.state = saved[path]
+                rng.bit_generator.state = saved[path]
             rng.standard_normal(out=z[row])
-            saved[path] = bit_gen.state
+            saved[path] = rng.bit_generator.state
         return theta + z
 
     return next_block

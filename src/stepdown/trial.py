@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +51,27 @@ def philox(seed: int, index: int) -> np.random.Philox:
     """The Philox bit generator keyed ``[seed, index]`` as uint64 words, counter 0."""
     # A plain list would send ints of 2**63 and above through float64.
     return np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+
+
+def restartable(seed: int) -> tuple[np.random.Generator, Callable[[int], None]]:
+    """A generator and ``restart(index)``, which moves it to the stream ``[seed, index]``.
+
+    After ``restart(r)`` the generator draws exactly what
+    ``np.random.Generator(philox(seed, r))`` draws, whatever it drew
+    before: the one Philox bit generator is re-keyed to ``[seed, r]``
+    and its counter and output buffer are reset, which is far cheaper
+    than building a bit generator per stream.  Before the first restart
+    it draws the stream ``[seed, 0]``.
+    """
+    bit_gen = philox(seed, 0)
+    fresh = bit_gen.state
+    key = fresh["state"]["key"]
+
+    def restart(index: int) -> None:
+        key[1] = index
+        bit_gen.state = fresh
+
+    return np.random.Generator(bit_gen), restart
 
 
 @dataclass(frozen=True)
@@ -108,13 +130,10 @@ class RngStream:
     replicate]`` and counter 0.  Each replicate owns an independent
     stream regardless of execution order, so splitting replicates across
     workers, re-running a subset, or merging partial runs all reproduce
-    the same draws.  ``draw_replicates`` reproduces the same stream for
-    many replicates by re-keying one Philox bit generator instead of
-    building a generator per replicate; the simulation harness calls it
-    once per block of replicates for all the cells of a run that share
-    the seed.  ``paulson.classify_paths`` re-keys the same way for a
-    group of classification paths, drawing the array
-    ``simulate_observations`` returns for each path a block at a time.
+    the same draws.  ``draw_replicates`` draws the same streams for a
+    block of replicates, and ``paulson.classify_paths`` for a group of
+    classification paths, drawing the array ``simulate_observations``
+    returns for each path a block at a time.
     """
 
     master_seed: int
@@ -137,9 +156,7 @@ def draw_replicates(
     Replicate r draws from ``RngStream(master_seed, r)``, in this order:
     a standard normal matrix for the two Gaussian endpoints, then a row
     of uniforms for the binary endpoint.  The draw order is part of the
-    reproducibility contract.  One Philox bit generator is re-keyed to
-    ``[master_seed, r]`` with counter 0 for each replicate, which yields
-    exactly the draws of ``RngStream(master_seed, r).generator()``.
+    reproducibility contract.
 
     The draws do not depend on the scenario, so one call serves every
     scenario simulated on the same seed and replicates.
@@ -156,14 +173,9 @@ def draw_replicates(
 
     z = np.empty((reps, 2, observations))
     u = np.empty((reps, observations))
-    bit_gen = philox(master_seed, lo)
-    rng = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    key = state["state"]["key"]
+    rng, restart = restartable(master_seed)
     for i in range(reps):
-        # Counter 0 and an empty buffer: a fresh stream keyed [seed, r].
-        key[1] = lo + i
-        bit_gen.state = state
+        restart(lo + i)
         rng.standard_normal(out=z[i])
         rng.random(out=u[i])
     return z, u

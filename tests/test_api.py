@@ -21,6 +21,11 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_package_exports_every_module_all_in_import_order():
+    lists = [importlib.import_module(f"stepdown.{m}").__all__ for m in MODULES]
+    assert stepdown.__all__ == ["__version__"] + [name for names in lists for name in names]
+
+
 def test_removed_wrappers_are_gone():
     modules = [stepdown] + [importlib.import_module(f"stepdown.{m}") for m in MODULES]
     for removed in ("ProcedureVariant", "generate_batch"):

@@ -330,6 +330,11 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepdown", "boundary", "-h"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--schedule" in proc.stdout
 
 
 def test_statistics_csv_validation(tmp_path, capsys):
@@ -409,6 +414,35 @@ def test_boundary_csv_rejects_duplicate_rows(tmp_path, capsys):
     assert code == 2
     assert "duplicate critical value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "shapes, message",
+    [
+        (("banana", "", "flat"), "shape 'banana' is not one of flat, obrien-fleming"),
+        (("flat", "", "flat"), "shape '' is not one of flat, obrien-fleming"),
+        (("flat", "obrien-fleming", "flat"), "level 0.05 mixes shapes flat and obrien-fleming"),
+    ],
+)
+def test_boundary_csv_rejects_unknown_and_mixed_shapes(tmp_path, capsys, shapes, message):
+    rows = "".join(f"{n},0.05,9.0,{shape}\n" for n, shape in zip((26, 29, 35), shapes))
+    code, out = _analyze_with_boundary(tmp_path, rows)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "bound.csv") in err
+    assert message in err
+    assert not out.exists()
+
+
+def test_boundary_csv_levels_may_differ_in_shape(tmp_path):
+    rows = "".join(
+        f"{n},{rho},9.0,{shape}\n"
+        for rho, shape in ((0.05, "flat"), (0.025, "obrien-fleming"))
+        for n in (26, 29, 35)
+    )
+    code, out = _analyze_with_boundary(tmp_path, rows)
+    assert code == 0
+    assert read_csv(out)[1] == ["A", "rejected", "1", "26"]
 
 
 # A valid pair of analyze inputs, two hypotheses and the two levels holm
@@ -822,7 +856,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, analyses, levels, values)
     work = tmp_path_factory.mktemp("csv")
     stepdown.cli._write_rows(
         work / "b.csv", ("n", "rho", "critical_value", "shape"),
-        [(n, rho, vals[j], "custom") for rho, vals in table.items() for j, n in enumerate(analyses)],
+        [(n, rho, vals[j], "flat") for rho, vals in table.items() for j, n in enumerate(analyses)],
     )
     stepdown.cli._write_rows(
         work / "s.csv", ("hypothesis", "n", "statistic"),

@@ -11,6 +11,8 @@ from stepdown.trial import (
     draw_replicates,
     generate_paths,
     paths_from_draws,
+    philox,
+    restartable,
 )
 
 SCHED = SampleSchedule((26, 29, 35))
@@ -187,3 +189,22 @@ def test_out_of_range_seeds_are_rejected(seed):
         draw_replicates(seed, (0, 2), schedule.sup)
     with pytest.raises(ValueError, match="seed"):
         ScenarioSpec(params=params, schedule=schedule, master_seed=seed)
+
+
+@pytest.mark.parametrize(
+    "partial",
+    [lambda rng: rng.random(3), lambda rng: rng.standard_normal(5)],
+    ids=["three-uniforms", "normals"],
+)
+def test_restart_gives_a_fresh_stream_after_a_partial_draw(partial):
+    # Three uniforms leave Philox's four-word output buffer part used.
+    seed = 2**63 + 11
+    rng, restart = restartable(seed)
+    for r in (7, 2, 7):
+        restart(r)
+        partial(rng)
+        restart(r)
+        want = np.random.Generator(philox(seed, r))
+        assert np.array_equal(rng.standard_normal(9), want.standard_normal(9))
+        assert np.array_equal(rng.random(5), want.random(5))
+        assert np.array_equal(rng.integers(0, 2**32, 3), want.integers(0, 2**32, 3))
