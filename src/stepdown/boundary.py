@@ -17,6 +17,17 @@ with its square.  The crossing probability is one minus the surviving
 mass at the final analysis.  Grid error shrinks quadratically in the
 number of points, so doubling the grid gives a practical convergence
 check.
+
+Each constant c is found on the normal-quantile scale: the root of
+z(P(c * g)) - z(rho), where z(q) is the upper-tail quantile -ndtri(q),
+which stays accurate for tiny q.  That gap increases with c and, for one
+look, is c * max(g) - z(rho) up to grid error, so the search starts at
+z(rho) / max(g), takes one Newton step with slope max(g) and then secant
+steps, about five recursions per level.  A bracket from the signs seen
+so far keeps it inside [-10, 10]: a step that leaves the bracket, or an
+infinite gap (a recursion that returns exactly 0 or 1), bisects instead.
+Every level starts afresh, so its constant does not depend on the other
+levels calibrated with it.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .core import SampleSchedule
 
@@ -59,6 +70,9 @@ _KERNEL_ROWS = 64
 # Largest gap calibrate_levels accepts between a level and the crossing
 # probability its boundary achieves on the doubled grid.
 CALIBRATION_TOL = 1e-4
+
+# Root-search steps _solve_constant takes before it gives up on a level.
+_MAX_STEPS = 100
 
 # Levels closer than this are one level to a CriticalFunction lookup.
 _LEVEL_RTOL = 1e-12
@@ -161,6 +175,8 @@ def crossing_probability(
         raise ValueError(
             f"boundary must provide one value per analysis ({len(analyses)}), got shape {b.shape}"
         )
+    if np.isnan(b).any():
+        raise ValueError(f"boundary {b.tolist()} must not contain NaN")
     _check_grid_points(grid_points)
     p = _crossing_recursion(analyses, b, grid_points)
     if tol is not None:
@@ -327,14 +343,49 @@ def _solve_constant(
     analyses: tuple[int, ...], g: np.ndarray, rho: float, grid_points: int
 ) -> float:
     lo, hi = -10.0, 10.0
+    target = -float(special.ndtri(rho))
+    slope = float(np.max(g))
 
     def gap(c: float) -> float:
-        return _crossing_recursion(analyses, c * g, grid_points) - rho
+        # Upper-tail normal quantile of the crossing probability, minus
+        # rho's: increasing in c, +inf where the recursion returns 0 and
+        # -inf where it returns 1.
+        return -float(special.ndtri(_crossing_recursion(analyses, c * g, grid_points))) - target
 
-    # brentq evaluates both ends once and raises unless they bracket a root.
-    try:
-        return float(optimize.brentq(gap, lo, hi, xtol=1e-10, rtol=1e-12))
-    except (ValueError, RuntimeError) as exc:
-        raise CalibrationError(
-            f"no boundary constant in [{lo:g}, {hi:g}] calibrates level {rho}: {exc}"
-        ) from None
+    # [a, b] brackets the root by the signs seen so far; a domain end
+    # counts as a bracket end before it is evaluated, and is evaluated
+    # only when a step would leave the domain there.
+    a, b = lo, hi
+    seen_a = seen_b = False
+    c = min(hi, max(lo, target / slope))
+    last: tuple[float, float] | None = None  # the previous finite (c, gap)
+    for _ in range(_MAX_STEPS):
+        f = gap(c)
+        if f == 0.0:
+            return c
+        if f < 0.0:
+            a, seen_a = c, True
+        else:
+            b, seen_b = c, True
+        if (c == hi and f < 0.0) or (c == lo and f > 0.0):
+            raise CalibrationError(
+                f"no boundary constant in [{lo:g}, {hi:g}] calibrates level {rho}: "
+                f"the crossing probability at c = {c:g} is on the wrong side of it"
+            )
+        if not math.isfinite(f) or (last is not None and f == last[1]):
+            new = 0.5 * (a + b)
+        else:
+            # A Newton step with slope max(g) first, then secant steps.
+            secant = slope if last is None else (f - last[1]) / (c - last[0])
+            new, last = c - f / secant, (c, f)
+        if new <= a:
+            new = 0.5 * (a + b) if seen_a else lo
+        elif new >= b:
+            new = 0.5 * (a + b) if seen_b else hi
+        if abs(new - c) <= 1e-10 + 1e-12 * abs(c):
+            return new
+        c = new
+    raise CalibrationError(
+        f"no boundary constant in [{lo:g}, {hi:g}] calibrates level {rho}: "
+        f"the root search did not settle in {_MAX_STEPS} steps"
+    )

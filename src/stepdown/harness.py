@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .boundary import CriticalFunction, calibrate_levels
 from .core import HypothesisFamily, SampleSchedule
@@ -301,7 +300,11 @@ def run_cells(
         by_paths.setdefault((spec.params, spec.continuity_correction), []).append(i)
     if any(spec.procedure == "H" for spec in specs):
         # Fixed-sample reference: exact one-sided binomial tail for the
-        # binary endpoint, Gaussian tails for the mean endpoints.
+        # binary endpoint, Gaussian tails for the mean endpoints.  Only H
+        # needs scipy.stats, which at module level more than doubled the
+        # time to import the package.
+        from scipy import stats as scipy_stats
+
         tail = scipy_stats.binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
     step = block_replicates(schedule)
     for start in range(lo, hi, step):

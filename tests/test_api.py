@@ -3,11 +3,14 @@
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import stepdown
+from stepdown.cli import main
 from stepdown.procedures import CLOSED, HOLM, MULT, RULES
 
 MODULES = ("boundary", "core", "harness", "paulson", "procedures", "trial")
@@ -48,3 +51,23 @@ def test_removed_wrappers_are_gone():
 def test_rules_are_plain_strings():
     assert (HOLM, MULT, CLOSED) == RULES == ("holm", "mult", "closed")
     assert (stepdown.HOLM, stepdown.MULT, stepdown.CLOSED) == RULES
+
+
+def test_import_loads_neither_scipy_optimize_nor_stats(tmp_path):
+    # Calibration has its own root finder, and scipy.stats is imported only
+    # where the fixed-sample procedure H runs.  The H rows it then writes
+    # are the ones this process, which has scipy.stats loaded, writes.
+    args = ["simulate", "--scenarios", "(0,0,.5) (0,.5,.75,.75)", "--procedure", "H",
+            "--reps", "40", "--seed", "3", "--workers", "1"]
+    fresh = tmp_path / "fresh.csv"
+    script = (
+        "import sys, stepdown\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.stats'))))\n"
+        "from stepdown.cli import main\n"
+        f"sys.exit(main({args + ['--out', str(fresh)]!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert main(args + ["--out", str(tmp_path / "here.csv")]) == 0
+    assert fresh.read_bytes() == (tmp_path / "here.csv").read_bytes()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import stepdown.boundary
 from stepdown.boundary import (
@@ -108,6 +109,24 @@ def test_crossing_requires_full_boundary():
         crossing_probability(SCHED, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("look", range(3))
+def test_crossing_rejects_nan_boundary(look):
+    # A NaN once made the grid NaN, and the clamp to [0, 1] turned the
+    # result into a crossing probability of 0.0.
+    b = [2.0, 2.0, 2.0]
+    b[look] = float("nan")
+    with pytest.raises(ValueError, match=r"boundary \[.*nan.*\] must not contain NaN"):
+        crossing_probability(SCHED, b)
+
+
+def test_crossing_keeps_infinite_boundary_values():
+    # +inf never crosses at that look, -inf always crosses.
+    never = crossing_probability(SCHED, [2.0, math.inf, 2.0])
+    assert never < crossing_probability(SCHED, [2.0, 2.0, 2.0])
+    assert crossing_probability(SCHED, [math.inf] * 3) == pytest.approx(0.0, abs=1e-12)
+    assert crossing_probability(SCHED, [2.0, -math.inf, 2.0]) == 1.0
+
+
 def test_calibrate_single_analysis_matches_quantile():
     # One look reduces calibration to the normal quantile, up to the
     # declared integration tolerance.
@@ -202,8 +221,8 @@ def test_unbracketable_level_raises_calibration_error():
 
 
 def test_calibration_evaluates_each_constant_once_per_grid(monkeypatch):
-    # Every level's root search starts from the same bracket ends, so the
-    # boundaries are compared within one level's calibration.
+    # The root search never steps back to a constant it has evaluated, and
+    # the doubled-grid check evaluates the returned one once.
     calls = []
     original = stepdown.boundary._crossing_recursion
 
@@ -217,6 +236,101 @@ def test_calibration_evaluates_each_constant_once_per_grid(monkeypatch):
         calibrate_levels(SCHED, [rho])
         assert len(set(calls)) == len(calls)
         assert {grid for _, grid in calls} == {512, 1024}
+
+
+def _count_recursions(monkeypatch):
+    grids = []
+    original = stepdown.boundary._crossing_recursion
+
+    def counted(analyses, b, grid_points):
+        grids.append(grid_points)
+        return original(analyses, b, grid_points)
+
+    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", counted)
+    return grids
+
+
+def test_calibration_recursion_budget(monkeypatch):
+    # table1's three levels: brentq made 43 recursions on the grid, the
+    # quantile-scale secant makes 4 per level, and the doubled-grid check
+    # adds one per level.
+    grids = _count_recursions(monkeypatch)
+    calibrate_levels(SCHED, [0.05 / 3.0, 0.05 / 2.0, 0.05])
+    assert grids.count(512) <= 21
+    assert grids.count(1024) == 3
+
+
+def test_level_does_not_depend_on_the_other_levels():
+    for others in ([0.05], [0.05, 0.025], [0.9, 0.001]):
+        for shape in stepdown.boundary.SHAPES:
+            alone = calibrate_levels(SCHED, [0.05 / 3.0], shape)
+            together = calibrate_levels(SCHED, others + [0.05 / 3.0], shape)
+            assert together.table[0.05 / 3.0] == alone.table[0.05 / 3.0]
+            assert together.constants[0.05 / 3.0] == alone.constants[0.05 / 3.0]
+
+
+@pytest.mark.parametrize("shape", stepdown.boundary.SHAPES)
+@pytest.mark.parametrize("rho", [0.9, 0.999])
+def test_calibrate_large_levels_give_negative_constants(shape, rho):
+    crit = calibrate_levels(SCHED, [rho], shape)
+    assert crit.constants[rho] < 0.0
+    b = crit.boundary(rho)
+    assert crossing_probability(SCHED, b, grid_points=1024) == pytest.approx(rho, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "analyses, shape, rho",
+    [
+        # The starting constant z(rho) / max(g) already crosses for certain.
+        ((4, 16), "flat", 1.0 - 1e-12),
+        # A secant step after finite gaps lands where the recursion's
+        # grid error floors the crossing probability at exactly 0.
+        ((2, 50), "obrien-fleming", 1e-8),
+    ],
+)
+def test_solver_bisects_past_an_infinite_gap(analyses, shape, rho):
+    # An infinite gap on the quantile scale must not enter a secant step,
+    # which would hand the recursion a NaN boundary.
+    g = shape_multipliers(shape, analyses)
+    seen = []
+    original = stepdown.boundary._crossing_recursion
+
+    def recorded(analyses, b, grid_points):
+        assert np.isfinite(b).all()
+        seen.append(original(analyses, b, grid_points))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepdown.boundary, "_crossing_recursion", recorded)
+        c = stepdown.boundary._solve_constant(analyses, g, rho, 512)
+    assert {0.0, 1.0} & set(seen)
+    z = -normal_quantile(original(analyses, c * g, 512))
+    assert z == pytest.approx(-normal_quantile(rho), abs=1e-6)
+
+
+@st.composite
+def _calibration_inputs(draw):
+    looks = draw(st.integers(1, 5))
+    first = draw(st.integers(1, 60))
+    steps = draw(st.lists(st.integers(1, 30), min_size=looks - 1, max_size=looks - 1))
+    analyses = tuple(int(n) for n in np.cumsum([first] + steps))
+    g = shape_multipliers(draw(st.sampled_from(stepdown.boundary.SHAPES)), analyses)
+    grid_points = draw(st.integers(256, 1024))
+    rho = draw(st.floats(1e-4, 0.5))
+    return analyses, g, rho, grid_points
+
+
+@settings(max_examples=80, deadline=None)
+@given(_calibration_inputs())
+def test_solver_matches_brentq(inputs):
+    # Both stop within 1e-10 + 1e-12 |c| of the grid's root.
+    analyses, g, rho, grid_points = inputs
+    expected = optimize.brentq(
+        lambda c: stepdown.boundary._crossing_recursion(analyses, c * g, grid_points) - rho,
+        -10.0, 10.0, xtol=1e-10, rtol=1e-12,
+    )
+    got = stepdown.boundary._solve_constant(analyses, g, rho, grid_points)
+    assert abs(got - expected) <= 3e-10
 
 
 def _no_integration(*args):
