@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boundary import CriticalFunction, calibrate_levels
-from .core import HypothesisFamily, SampleSchedule
+from .core import HypothesisFamily, SampleSchedule, check_alpha
 # calibrate_levels, run_multistage and generate_paths are not called here;
 # they stay bound because bench/tracing.py wraps them on this module.  It
 # also wraps run_scenario, which run_scenario_parallel no longer calls, so
@@ -119,7 +119,12 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown procedure {self.procedure!r}; expected one of {PROCEDURES}"
             )
-        if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
+        check_alpha(self.alpha)
+        if (
+            isinstance(self.replicates, bool)
+            or not isinstance(self.replicates, (int, np.integer))
+            or self.replicates < 1
+        ):
             raise ValueError(f"replicates must be a positive integer, got {self.replicates!r}")
         check_seed(self.master_seed)
         if self.schedule.sup > BLOCK_OBSERVATIONS:
@@ -247,6 +252,37 @@ def merge(a: SimulationSummary, b: SimulationSummary) -> SimulationSummary:
     )
 
 
+def _binomial_cutoffs(n: int, levels: Iterable[float]) -> list[int]:
+    """For each level, the smallest count c with P(Bin(n, 1/2) >= c) < level.
+
+    The tail is kept exactly, as the integer 2**n * P(X >= c), and
+    compared with each level's exact ratio, so a count is at or above its
+    cutoff exactly when its one-sided p-value is below the level.  The
+    walk starts at the middle count, whose tail symmetry gives from the
+    central coefficient alone, and moves one count at a time to each
+    cutoff in turn: O(sqrt(n)) steps for levels away from 0 and 1, with
+    no tail for every count.  A cutoff of n + 1 means no count clears.
+    """
+    c = n // 2
+    coef = math.comb(n, c)
+    tail = ((1 << n) + coef * (1 + n % 2)) >> 1
+    cutoffs = []
+    for level in levels:
+        num, den = level.as_integer_ratio()
+        bound = num << n
+        # Step down while the count below clears too, then up until c
+        # clears, stopping at n: a level of at most 2**-n clears no count.
+        while c > 0:
+            below = coef * c // (n - c + 1)
+            if (tail + below) * den >= bound:
+                break
+            c, coef, tail = c - 1, below, tail + below
+        while c < n and tail * den >= bound:
+            c, coef, tail = c + 1, coef * (n - c) // (c + 1), tail - coef
+        cutoffs.append(c if tail * den < bound else n + 1)
+    return cutoffs
+
+
 def _shared_draws(specs: Sequence[ScenarioSpec]) -> tuple[SampleSchedule, int, int]:
     """The schedule, master seed and replicate count every cell shares."""
     keys = {(spec.schedule, spec.master_seed, spec.replicates) for spec in specs}
@@ -298,14 +334,12 @@ def run_cells(
     by_paths: dict[tuple[ScenarioParams, bool], list[int]] = {}
     for i, spec in enumerate(specs):
         by_paths.setdefault((spec.params, spec.continuity_correction), []).append(i)
-    if any(spec.procedure == "H" for spec in specs):
-        # Fixed-sample reference: exact one-sided binomial tail for the
-        # binary endpoint, Gaussian tails for the mean endpoints.  Only H
-        # needs scipy.stats, which at module level more than doubled the
-        # time to import the package.
-        from scipy import stats as scipy_stats
-
-        tail = scipy_stats.binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
+    # H's binary column: the count cutoffs of each Holm level, ascending.
+    cutoffs = {
+        i: np.array(sorted(_binomial_cutoffs(sup, stage_levels(HOLM, spec.alpha, k))))
+        for i, spec in enumerate(specs)
+        if spec.procedure == "H"
+    }
     step = block_replicates(schedule)
     for start in range(lo, hi, step):
         block = (start, min(start + step, hi))
@@ -325,7 +359,12 @@ def run_cells(
                         p[:, e] = [
                             0.5 * math.erfc(t / math.sqrt(2.0)) for t in values[:, e, -1].tolist()
                         ]
-                    p[:, 2] = tail[np.rint(sums[:, 2, -1]).astype(np.int64)]
+                    # A count that clears j of the k levels alpha / m gets
+                    # alpha / (j + 1): Holm compares p-values only with
+                    # those levels, so it decides this value exactly as it
+                    # decides the count's binomial tail.
+                    counts = np.rint(sums[:, 2, -1]).astype(np.int64)
+                    p[:, 2] = spec.alpha / (1 + np.searchsorted(cutoffs[i], counts, side="right"))
                     rejected = holm_fixed(p, spec.alpha)
                     total = np.full(len(values), k * sup, dtype=np.int64)
                 else:

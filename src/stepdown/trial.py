@@ -41,7 +41,9 @@ __all__ = [
 
 
 def check_seed(seed: int) -> int:
-    """Validate a master seed, one Philox key word: 0 <= seed < 2**64."""
+    """Validate a master seed, one Philox key word: an integer, 0 <= seed < 2**64."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return seed

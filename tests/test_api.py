@@ -53,21 +53,44 @@ def test_rules_are_plain_strings():
     assert (stepdown.HOLM, stepdown.MULT, stepdown.CLOSED) == RULES
 
 
-def test_import_loads_neither_scipy_optimize_nor_stats(tmp_path):
-    # Calibration has its own root finder, and scipy.stats is imported only
-    # where the fixed-sample procedure H runs.  The H rows it then writes
-    # are the ones this process, which has scipy.stats loaded, writes.
-    args = ["simulate", "--scenarios", "(0,0,.5) (0,.5,.75,.75)", "--procedure", "H",
-            "--reps", "40", "--seed", "3", "--workers", "1"]
-    fresh = tmp_path / "fresh.csv"
-    script = (
-        "import sys, stepdown\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.stats'))))\n"
-        "from stepdown.cli import main\n"
-        f"sys.exit(main({args + ['--out', str(fresh)]!r}))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "[]"
-    assert main(args + ["--out", str(tmp_path / "here.csv")]) == 0
-    assert fresh.read_bytes() == (tmp_path / "here.csv").read_bytes()
+_NO_SCIPY_RUNS = (
+    ["simulate", "--scenarios", "(0,0,.5) (0,.5,.75,.75)", "--procedure", "H",
+     "--reps", "40", "--seed", "3", "--workers", "1"],
+    ["boundary", "--schedule", "26,29,35", "--rho", "0.05,1e-6", "--shape", "obrien-fleming"],
+)
+
+# Makes any later import of scipy or a scipy submodule raise ImportError.
+_BLOCK_SCIPY = """
+class _BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, _BlockScipy())
+"""
+
+
+def test_runtime_loads_and_needs_no_scipy(tmp_path):
+    # scipy is a test and bench oracle only: a fresh interpreter that runs
+    # H and calibrates boundaries loads no scipy module, and one that
+    # cannot import scipy writes the bytes this process, with scipy
+    # loaded, writes.
+    here = [tmp_path / f"here{i}.csv" for i in range(len(_NO_SCIPY_RUNS))]
+    fresh = [tmp_path / f"fresh{i}.csv" for i in range(len(_NO_SCIPY_RUNS))]
+    for args, out in zip(_NO_SCIPY_RUNS, here):
+        assert main(args + ["--out", str(out)]) == 0
+    runs = [args + ["--out", str(out)] for args, out in zip(_NO_SCIPY_RUNS, fresh)]
+    for prelude in ("", _BLOCK_SCIPY):
+        script = (
+            "import sys\n"
+            + prelude
+            + "import stepdown, stepdown.cli\n"
+            f"for args in {runs!r}:\n"
+            "    if stepdown.cli.main(args) != 0:\n"
+            "        sys.exit(f'{args[0]} failed')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        for got, expected in zip(fresh, here):
+            assert got.read_bytes() == expected.read_bytes()

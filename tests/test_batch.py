@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -249,13 +249,29 @@ def test_run_scenario_across_a_block_boundary_merges(procedure, cut):
 
 
 @pytest.mark.parametrize("procedure", PROCEDURES)
-def test_run_scenario_matches_one_replicate_loop(procedure):
-    spec = straddling_spec(procedure)
-    critical = straddling_critical(procedure)
-    got = run_scenario(spec, SPAN, critical)
+@settings(max_examples=12, deadline=None)
+@given(alpha=st.floats(0.001, 0.45), sup=st.integers(30, 61))
+@example(alpha=ALPHA, sup=SCHED.sup)
+def test_run_scenario_matches_one_replicate_loop(procedure, alpha, sup):
+    # Odd and even sup, and levels below 1/2: no level is then an exact
+    # binomial tail, where binom.sf's rounding, not the tail, decides.
+    schedule = SampleSchedule((26, 29, sup))
+    block = block_replicates(schedule)
+    spec = ScenarioSpec(
+        params=ScenarioParams(0.0, 0.5, 0.75, rho12=0.75),
+        schedule=schedule,
+        procedure=procedure,
+        alpha=alpha,
+        replicates=block + 200,
+        master_seed=3,
+    )
+    levels = needed_levels((procedure,), alpha)
+    critical = calibrate_levels(schedule, levels, "flat") if levels else None
+    span = (block - 120, block + 120)
+    got = run_scenario(spec, span, critical)
     assert (
         got.sum_measurements,
         got.sumsq_measurements,
         got.reject_counts,
         got.fwe_count,
-    ) == reference_counts(spec, SPAN, critical)
+    ) == reference_counts(spec, span, critical)

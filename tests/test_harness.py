@@ -1,7 +1,11 @@
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 import stepdown.harness
 from stepdown.boundary import calibrate_levels
@@ -9,6 +13,7 @@ from stepdown.cli import main as cli_main
 from stepdown.core import SampleSchedule
 from stepdown.harness import (
     ScenarioSpec,
+    _binomial_cutoffs,
     empty_summary,
     merge,
     needed_levels,
@@ -36,8 +41,18 @@ def test_spec_validation():
         spec_for("Bonferroni")
     with pytest.raises(ValueError, match="replicates"):
         spec_for("MultH", reps=0)
+    with pytest.raises(ValueError, match="replicates"):
+        spec_for("H", reps=True)
     with pytest.raises(ValueError, match="unknown procedure"):
         spec_for("MultH-closed")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("procedure", ["H", "MultH"])
+def test_spec_rejects_alpha_outside_the_unit_interval(procedure, alpha):
+    # Checked where the cell is built, before any cutoff or boundary reads it.
+    with pytest.raises(ValueError, match="alpha"):
+        spec_for(procedure, alpha=alpha)
 
 
 def test_needed_levels():
@@ -314,3 +329,48 @@ def test_simulate_draws_each_block_once(tmp_path, monkeypatch):
     assert cli_main(args + ["--out", str(tmp_path / "blocks.csv")]) == 0
     assert calls == [(0, 50), (50, 100), (100, 120)]
     assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+
+
+def exact_tails(n):
+    """2**n * P(Bin(n, 1/2) >= c) for c = 0..n+1, one integer per count."""
+    coefs = [1]
+    for x in range(n):
+        coefs.append(coefs[-1] * (n - x) // (x + 1))
+    return list(accumulate(reversed(coefs)))[::-1] + [0]
+
+
+_LEVELS = st.one_of(
+    st.floats(-12.0, 0.0).map(lambda e: 10.0**e).filter(lambda x: x < 1.0),
+    st.floats(0.5, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2000), levels=st.lists(_LEVELS, min_size=1, max_size=4))
+@example(n=35, levels=[0.05 / 3, 0.025, 0.05])
+@example(n=35, levels=[0.5, 1e-12, 0.75, 0.5000000000000001])
+@example(n=4, levels=[0.9375, 0.5])  # P(X >= 1) = 15/16: a tie below the middle
+def test_binomial_cutoffs_match_binom_sf(n, levels):
+    # The cutoff is exact.  scipy's float tail must decide every count the
+    # same way, except at a level within its rounding of an exact tail on
+    # either side of the cutoff: at n = 35 it rounds P(X >= 18) = 1/2 up
+    # past 0.5000000000000001.
+    tails = exact_tails(n)
+    sf = scipy_stats.binom.sf(np.arange(n + 2) - 1, n, 0.5)
+    cutoffs = _binomial_cutoffs(n, levels)
+    assert len(cutoffs) == len(levels)
+    for level, cutoff in zip(levels, cutoffs):
+        scaled = Fraction(level) * 2**n
+        assert 1 <= cutoff <= n + 1
+        assert tails[cutoff] < scaled <= tails[cutoff - 1]
+        if all(abs(scaled - tails[c]) * 10**12 > scaled for c in (cutoff - 1, cutoff)):
+            assert cutoff == int(np.argmax(sf < level))
+
+
+@pytest.mark.parametrize("n", [131_071, 131_072])
+def test_binomial_cutoffs_at_the_longest_schedule(n):
+    # The longest schedule a ScenarioSpec accepts, at H's levels.
+    levels = (0.05 / 3, 0.025, 0.05)
+    for level, cutoff in zip(levels, _binomial_cutoffs(n, levels)):
+        assert scipy_stats.binom.sf(cutoff - 1, n, 0.5) < level
+        assert scipy_stats.binom.sf(cutoff - 2, n, 0.5) >= level

@@ -7,6 +7,7 @@ from stepdown.core import SampleSchedule
 from stepdown.harness import ScenarioSpec
 from stepdown.trial import (
     RngStream,
+    check_seed,
     ScenarioParams,
     draw_replicates,
     generate_paths,
@@ -189,6 +190,22 @@ def test_out_of_range_seeds_are_rejected(seed):
         draw_replicates(seed, (0, 2), schedule.sup)
     with pytest.raises(ValueError, match="seed"):
         ScenarioSpec(params=params, schedule=schedule, master_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+def test_non_integer_seeds_are_rejected(seed):
+    # 1.5 would otherwise be keyed as 1, sharing that seed's streams.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        check_seed(seed)
+    with pytest.raises(ValueError, match="seed"):
+        RngStream(seed, 0)
+
+
+@pytest.mark.parametrize("seed", [7, np.int64(7), np.uint64(7), np.uint64(2**64 - 1)])
+def test_integer_seeds_of_numpy_types_are_accepted(seed):
+    assert check_seed(seed) == seed
+    want = np.random.Generator(philox(int(seed), 3)).standard_normal(4)
+    assert np.array_equal(RngStream(seed, 3).generator().standard_normal(4), want)
 
 
 @pytest.mark.parametrize(
