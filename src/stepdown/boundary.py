@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import SampleSchedule
+from .core import SampleSchedule, check_integer
 
 __all__ = [
     "CalibrationError",
@@ -107,11 +107,7 @@ def normal_quantile(q: float) -> float:
 
 def _check_grid_points(grid_points: int) -> int:
     """Validate an integration grid size before anything is allocated."""
-    if not MIN_GRID_POINTS <= grid_points <= MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid_points must lie in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}], got {grid_points}"
-        )
-    return grid_points
+    return check_integer(grid_points, "grid_points", MIN_GRID_POINTS, MAX_GRID_POINTS + 1)
 
 
 def _check_levels(levels: Iterable[float]) -> list[float]:

@@ -21,6 +21,7 @@ __all__ = [
     "StageRecord",
     "TrialResult",
     "check_alpha",
+    "check_integer",
     "check_pvalues",
 ]
 
@@ -31,6 +32,22 @@ def check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     return alpha
+
+
+def check_integer(value: int, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """Validate a count, size or index in ``[lo, hi)``, returning it as an int.
+
+    Ints and numpy integers pass; bools and floats, even whole ones, do not.
+    A bound left as None is open."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if hi is not None and not lo <= value < hi:
+        raise ValueError(f"{name} must lie in [{lo}, {'2**64' if hi == 2**64 else hi}), got {value}")
+    if lo is not None and value < lo:
+        rule = "a positive integer" if lo == 1 else f"at least {lo}"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
 
 
 def check_pvalues(p_values: Iterable[float]) -> np.ndarray:
@@ -69,9 +86,7 @@ class HypothesisFamily:
     closed_monotone: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"family size k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", check_integer(self.k, "family size k", 1))
         labels = tuple(self.labels) if self.labels else tuple(f"H{i + 1}" for i in range(self.k))
         if len(labels) != self.k:
             raise ValueError(f"expected {self.k} labels, got {len(labels)}")
@@ -113,10 +128,7 @@ class SampleSchedule:
     analyses: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            analyses = tuple(int(n) for n in self.analyses)
-        except (TypeError, ValueError):
-            raise ValueError("analyses must be integers") from None
+        analyses = tuple(check_integer(n, "analysis size") for n in self.analyses)
         if len(analyses) == 0:
             raise ValueError("a sample schedule needs at least one analysis")
         if any(n < 1 for n in analyses):

@@ -14,12 +14,13 @@ seed, schedule and replicate count, run together in one block loop
 (``run_cells``).  Each block is drawn once (``draw_replicates``), its
 sums and statistics are computed once per distinct scenario
 (``paths_from_draws``), and one vectorised pass per cell decides it
-(``run_multistage_batch`` for the staged procedures, ``holm_fixed`` on a
-p-value matrix for ``H``).  Every replicate gets exactly the numbers and
-decisions of the one-replicate functions ``generate_paths`` and
-``run_multistage``, so neither the block size nor which cells run
-together changes a result; only one block of draws is held at a time.
-``run_scenario`` is the one-cell view of the same loop.
+(``run_multistage_batch`` for the staged procedures, ``holm_fixed`` on
+the exact cutoffs each final value clears for ``H``).  Every replicate
+gets exactly the numbers and decisions of the one-replicate functions
+``generate_paths`` and ``run_multistage``, so neither the block size
+nor which cells run together changes a result; only one block of draws
+is held at a time.  ``run_scenario`` is the one-cell view of the same
+loop.
 
 The staged procedures need a boundary covering their ``needed_levels``,
 passed as ``critical``.  A boundary depends only on the schedule, the
@@ -39,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boundary import CriticalFunction, calibrate_levels
-from .core import HypothesisFamily, SampleSchedule, check_alpha
+from .core import HypothesisFamily, SampleSchedule, check_alpha, check_integer
 # calibrate_levels, run_multistage and generate_paths are not called here;
 # they stay bound because bench/tracing.py wraps them on this module.  It
 # also wraps run_scenario, which run_scenario_parallel no longer calls, so
@@ -99,11 +100,11 @@ class ScenarioSpec:
     """One simulation cell: parameters, procedure, schedule, seed.
 
     ``H`` is the fixed-sample reference: every endpoint runs to the
-    largest analysis and a step-down test is applied to the final
+    largest analysis and Holm's step-down test is applied to the final
     p-values (exact Gaussian tails for the mean endpoints, the exact
     binomial tail for the binary endpoint).  The ``Mult`` and ``MultH``
     procedures are the multistage variants with fixed and step-down stage
-    levels respectively.
+    levels respectively.  Any sequence of sizes serves as ``schedule``.
     """
 
     params: ScenarioParams
@@ -119,13 +120,9 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown procedure {self.procedure!r}; expected one of {PROCEDURES}"
             )
+        object.__setattr__(self, "schedule", SampleSchedule(self.schedule))
         check_alpha(self.alpha)
-        if (
-            isinstance(self.replicates, bool)
-            or not isinstance(self.replicates, (int, np.integer))
-            or self.replicates < 1
-        ):
-            raise ValueError(f"replicates must be a positive integer, got {self.replicates!r}")
+        check_integer(self.replicates, "replicates", 1)
         check_seed(self.master_seed)
         if self.schedule.sup > BLOCK_OBSERVATIONS:
             raise ValueError(
@@ -283,6 +280,19 @@ def _binomial_cutoffs(n: int, levels: Iterable[float]) -> list[int]:
     return cutoffs
 
 
+def _normal_cutoff(level: float) -> float:
+    """The smallest float z with ``0.5 * math.erfc(z / math.sqrt(2.0)) < level``.
+
+    That is a Gaussian statistic's one-sided p-value.  Bisection stops at
+    adjacent ends: a float midpoint of non-adjacent floats lies between.
+    """
+    lo, hi = -40.0, 40.0  # p-values 1.0 and 0.0
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if 0.5 * math.erfc(mid / math.sqrt(2.0)) < level else (mid, hi)
+    return hi
+
+
 def _shared_draws(specs: Sequence[ScenarioSpec]) -> tuple[SampleSchedule, int, int]:
     """The schedule, master seed and replicate count every cell shares."""
     keys = {(spec.schedule, spec.master_seed, spec.replicates) for spec in specs}
@@ -320,26 +330,25 @@ def run_cells(
         rep_range.
     """
     schedule, master_seed, replicates = _shared_draws(specs)
-    for spec in specs:
-        if critical is None and spec.procedure != "H":
-            raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
     lo, hi = rep_range if rep_range is not None else (0, replicates)
-    if not (0 <= lo <= hi <= replicates):
-        raise ValueError(f"rep_range {(lo, hi)} must lie within (0, {replicates})")
+    lo = check_integer(lo, "rep_range start", 0, replicates + 1)
+    hi = check_integer(hi, "rep_range end", lo, replicates + 1)
 
     sup = schedule.sup
-    k = _FAMILY.k
     summaries = [empty_summary(spec) for spec in specs]
     # Cells with the same parameters and correction read the same paths.
+    # Row e of an H cell's table holds endpoint e's cutoff at each Holm
+    # level: for the final statistic, or on the binary row the final count.
     by_paths: dict[tuple[ScenarioParams, bool], list[int]] = {}
+    cutoffs = {}
     for i, spec in enumerate(specs):
         by_paths.setdefault((spec.params, spec.continuity_correction), []).append(i)
-    # H's binary column: the count cutoffs of each Holm level, ascending.
-    cutoffs = {
-        i: np.array(sorted(_binomial_cutoffs(sup, stage_levels(HOLM, spec.alpha, k))))
-        for i, spec in enumerate(specs)
-        if spec.procedure == "H"
-    }
+        if spec.procedure == "H":
+            levels = stage_levels(HOLM, spec.alpha, _FAMILY.k)
+            gaussian = [_normal_cutoff(level) for level in levels]
+            cutoffs[i] = np.array([gaussian, gaussian, _binomial_cutoffs(sup, levels)])
+        elif critical is None:
+            raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
     step = block_replicates(schedule)
     for start in range(lo, hi, step):
         block = (start, min(start + step, hi))
@@ -352,21 +361,12 @@ def run_cells(
             for i in members:
                 spec = specs[i]
                 if spec.procedure == "H":
-                    # math.erfc, not a vectorised erfc that may round
-                    # differently, keeps the bytes of the H rows unchanged.
-                    p = np.empty((len(values), k))
-                    for e in (0, 1):
-                        p[:, e] = [
-                            0.5 * math.erfc(t / math.sqrt(2.0)) for t in values[:, e, -1].tolist()
-                        ]
-                    # A count that clears j of the k levels alpha / m gets
-                    # alpha / (j + 1): Holm compares p-values only with
-                    # those levels, so it decides this value exactly as it
-                    # decides the count's binomial tail.
-                    counts = np.rint(sums[:, 2, -1]).astype(np.int64)
-                    p[:, 2] = spec.alpha / (1 + np.searchsorted(cutoffs[i], counts, side="right"))
-                    rejected = holm_fixed(p, spec.alpha)
-                    total = np.full(len(values), k * sup, dtype=np.int64)
+                    # Holm compares p-values only with the levels alpha / m,
+                    # so a final value clearing j of them gets alpha / (j + 1).
+                    final = np.concatenate([values[:, :2, -1], sums[:, 2:, -1]], axis=1)
+                    cleared = (final[:, :, None] >= cutoffs[i]).sum(axis=2)
+                    rejected = holm_fixed(spec.alpha / (1 + cleared), spec.alpha)
+                    total = np.full(len(values), _FAMILY.k * sup, dtype=np.int64)
                 else:
                     rejected, final_n = run_multistage_batch(
                         values, _FAMILY, schedule, critical, spec.alpha, _VARIANTS[spec.procedure]
@@ -434,8 +434,7 @@ def run_scenario_parallel(
     Returns:
         One summary per cell, in order.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    check_integer(workers, "workers", 1)
     _, _, replicates = _shared_draws(specs)
     ranges = split_ranges(replicates, workers)
     job = functools.partial(run_cells, specs, critical=critical)

@@ -44,6 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import check_integer
 from .trial import check_seed, restartable
 
 __all__ = [
@@ -101,8 +102,7 @@ class PaulsonConfig:
             raise ValueError(
                 f"delta {self.delta} must be smaller than the least threshold gap {min(gaps)}"
             )
-        if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
+        check_integer(self.horizon, "horizon", 1)
 
     @property
     def k(self) -> int:
@@ -135,7 +135,7 @@ def classify_by_mean(mean: float | np.ndarray, thresholds: Sequence[float]) -> i
 
 def simulate_observations(mean: float, horizon: int, generator: np.random.Generator) -> np.ndarray:
     """The first ``horizon`` unit-variance Gaussian observations of a path, one array."""
-    return mean + generator.standard_normal(int(horizon))
+    return mean + generator.standard_normal(check_integer(horizon, "horizon", 1))
 
 
 def _qualification(low: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -369,8 +369,7 @@ def classify_paths(
     if method not in _ROUTES:
         raise ValueError(f"method must be one of {sorted(_ROUTES)}, got {method!r}")
     check_seed(seed)
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
+    check_integer(reps, "reps", 1)
     group = GROUP_OBSERVATIONS // CHUNK
     parts = [
         _decide(

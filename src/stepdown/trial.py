@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SampleSchedule, StatisticPaths
+from .core import SampleSchedule, StatisticPaths, check_integer
 
 __all__ = [
     "ScenarioParams",
@@ -42,11 +42,7 @@ __all__ = [
 
 def check_seed(seed: int) -> int:
     """Validate a master seed, one Philox key word: an integer, 0 <= seed < 2**64."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
+    return check_integer(seed, "seed", 0, 2**64)
 
 
 def philox(seed: int, index: int) -> np.random.Philox:
@@ -143,8 +139,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         check_seed(self.master_seed)
-        if self.replicate < 0:
-            raise ValueError("replicate index must be nonnegative")
+        check_integer(self.replicate, "replicate index", 0)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(philox(self.master_seed, self.replicate))
@@ -167,11 +162,9 @@ def draw_replicates(
         ``(z, u)`` of shapes ``(hi - lo, 2, observations)`` and
         ``(hi - lo, observations)``.
     """
-    lo, hi = rep_range
     check_seed(master_seed)
-    if lo < 0 or hi < lo:
-        raise ValueError(f"{rep_range} must be a range of nonnegative indices")
-    reps = hi - lo
+    lo = check_integer(rep_range[0], "rep_range start", 0)
+    reps = check_integer(rep_range[1], "rep_range end", lo) - lo
 
     z = np.empty((reps, 2, observations))
     u = np.empty((reps, observations))

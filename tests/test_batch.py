@@ -2,8 +2,10 @@
 
 ``run_scenario`` draws a block of replicates with ``draw_replicates``,
 forms its statistics with ``paths_from_draws``, and decides it with
-``run_multistage_batch`` or ``holm_fixed`` on a p-value matrix.  Each of these must reproduce its one-replicate reference
-exactly, number for number and decision for decision.
+``run_multistage_batch``, or for ``H`` with ``holm_fixed`` on the
+statistic cutoffs each replicate clears.  Each of these must reproduce
+its one-replicate reference exactly, number for number and decision for
+decision.
 """
 
 import functools
@@ -250,11 +252,13 @@ def test_run_scenario_across_a_block_boundary_merges(procedure, cut):
 
 @pytest.mark.parametrize("procedure", PROCEDURES)
 @settings(max_examples=12, deadline=None)
-@given(alpha=st.floats(0.001, 0.45), sup=st.integers(30, 61))
-@example(alpha=ALPHA, sup=SCHED.sup)
-def test_run_scenario_matches_one_replicate_loop(procedure, alpha, sup):
+@given(alpha=st.floats(0.001, 0.45), sup=st.integers(30, 61), correction=st.booleans())
+@example(alpha=ALPHA, sup=SCHED.sup, correction=False)
+@example(alpha=ALPHA, sup=SCHED.sup, correction=True)
+def test_run_scenario_matches_one_replicate_loop(procedure, alpha, sup, correction):
     # Odd and even sup, and levels below 1/2: no level is then an exact
     # binomial tail, where binom.sf's rounding, not the tail, decides.
+    # The reference computes H's p-values with math.erfc and binom.sf.
     schedule = SampleSchedule((26, 29, sup))
     block = block_replicates(schedule)
     spec = ScenarioSpec(
@@ -264,6 +268,7 @@ def test_run_scenario_matches_one_replicate_loop(procedure, alpha, sup):
         alpha=alpha,
         replicates=block + 200,
         master_seed=3,
+        continuity_correction=correction,
     )
     levels = needed_levels((procedure,), alpha)
     critical = calibrate_levels(schedule, levels, "flat") if levels else None

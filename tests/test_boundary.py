@@ -201,7 +201,8 @@ def test_grid_points_checked_before_integration(monkeypatch):
         raise AssertionError("the grid size must be checked before integrating")
 
     monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", no_integration)
-    for bad in (3, 7, 4097, 100_000):
+    # 512.5 used to reach numpy and fail with a TypeError.
+    for bad in (3, 7, 4097, 100_000, 512.5, 512.0):
         with pytest.raises(ValueError, match="grid_points"):
             calibrate_levels(SCHED, [0.05], grid_points=bad)
         with pytest.raises(ValueError, match="grid_points"):
@@ -462,3 +463,10 @@ def test_crossing_memory_bounded_at_largest_grid():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_fractional_analysis_sizes_are_refused():
+    # (26.5, 29, 35) used to be truncated to (26, 29, 35), and the
+    # crossing probability returned was the one for 26.
+    with pytest.raises(ValueError, match="analysis size must be an integer, got 26.5"):
+        crossing_probability((26.5, 29, 35), [2.0, 2.0, 2.0])

@@ -8,6 +8,7 @@ from stepdown.core import (
     StatisticPaths,
     TrialResult,
     check_alpha,
+    check_integer,
     check_pvalues,
     parse_int_list,
     parse_kv_text,
@@ -62,6 +63,10 @@ def test_schedule_validation():
         SampleSchedule(())
     with pytest.raises(ValueError, match="positive"):
         SampleSchedule((0, 5))
+    # (26.5, 29, 35) used to be truncated to (26, 29, 35).
+    for bad in ((26.5, 29, 35), (26.0, 29, 35), (True, 29, 35)):
+        with pytest.raises(ValueError, match="analysis size must be an integer"):
+            SampleSchedule(bad)
 
 
 def test_statistic_paths_lookup():
@@ -134,3 +139,38 @@ def test_parse_int_list():
     assert parse_int_list("26, 29,35") == (26, 29, 35)
     with pytest.raises(ValueError):
         parse_int_list("26,x")
+
+
+def test_check_integer_accepts_python_and_numpy_integers():
+    for value in (5, np.int64(5), np.uint8(5)):
+        checked = check_integer(value, "count", 1, 6)
+        assert checked == 5 and type(checked) is int
+    assert check_integer(-3, "shift") == -3
+    assert check_integer(np.uint64(2**64 - 1), "seed", 0, 2**64) == 2**64 - 1
+
+
+@pytest.mark.parametrize("value", [5.0, 5.5, True, False, "5", None, np.float64(5.0)])
+def test_check_integer_refuses_everything_else(value):
+    with pytest.raises(ValueError, match="count must be an integer, got"):
+        check_integer(value, "count", 0)
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi, message",
+    [
+        (0, 1, None, "count must be a positive integer, got 0"),
+        (-1, 0, None, "count must be at least 0, got -1"),
+        (4, 5, None, "count must be at least 5, got 4"),
+        (7, 1, 7, r"count must lie in \[1, 7\), got 7"),
+        (2**64, 0, 2**64, r"count must lie in \[0, 2\*\*64\), got"),
+    ],
+)
+def test_check_integer_names_the_range(value, lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        check_integer(value, "count", lo, hi)
+
+
+def test_schedule_keeps_numpy_sizes_as_ints():
+    schedule = SampleSchedule(np.array([26, 29, 35]))
+    assert schedule == SampleSchedule((26, 29, 35))
+    assert all(type(n) is int for n in schedule)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -14,6 +15,7 @@ from stepdown.core import SampleSchedule
 from stepdown.harness import (
     ScenarioSpec,
     _binomial_cutoffs,
+    _normal_cutoff,
     empty_summary,
     merge,
     needed_levels,
@@ -107,6 +109,27 @@ def test_rep_range_validation():
         run_scenario(spec, rep_range=(50, 150), critical=CRITICAL)
     with pytest.raises(ValueError, match="rep_range"):
         run_scenario(spec, rep_range=(-1, 10), critical=CRITICAL)
+    # (0.5, 2) used to reach numpy and fail with a TypeError.
+    for bad in ((0.5, 2), (0, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match="rep_range"):
+            run_cells([spec], rep_range=bad, critical=CRITICAL)
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, True])
+def test_worker_count_must_be_a_positive_integer(workers):
+    # True used to run one worker, 1.5 to fail with numpy's TypeError.
+    with pytest.raises(ValueError, match="workers"):
+        run_scenario_parallel([spec_for("H", reps=10)], workers=workers)
+
+
+def test_spec_takes_a_schedule_as_a_sequence():
+    params = ScenarioParams(0.0, 0.0, 0.5)
+    spec = ScenarioSpec(params, (26, 29, 35), procedure="H", replicates=50)
+    assert spec == ScenarioSpec(params, SCHED, procedure="H", replicates=50)
+    assert spec.schedule == SCHED
+    assert run_scenario(spec).replicates == 50
+    with pytest.raises(ValueError, match="analysis size"):
+        ScenarioSpec(params, (26.5, 29, 35))
 
 
 def test_merge_identity_and_halves():
@@ -374,3 +397,29 @@ def test_binomial_cutoffs_at_the_longest_schedule(n):
     for level, cutoff in zip(levels, _binomial_cutoffs(n, levels)):
         assert scipy_stats.binom.sf(cutoff - 1, n, 0.5) < level
         assert scipy_stats.binom.sf(cutoff - 2, n, 0.5) >= level
+
+
+def gaussian_p(z):
+    """The one-sided p-value of a Gaussian statistic, as the one-replicate reference has it."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(level=_LEVELS)
+@example(level=0.05 / 3)
+@example(level=0.5)
+@example(level=0.5000000000000001)
+@example(level=1e-12)
+@example(level=0.9999999999999999)
+def test_normal_cutoff_decides_as_the_p_value_does(level):
+    cutoff = _normal_cutoff(level)
+    # Levels above 1/2 are cleared by statistics at or below 0, since
+    # the p-value of 0 is exactly 1/2.
+    assert (cutoff <= 0.0) == (level > 0.5)
+    assert gaussian_p(cutoff) < level <= gaussian_p(math.nextafter(cutoff, -math.inf))
+    below = above = cutoff
+    for _ in range(4096):
+        below = math.nextafter(below, -math.inf)
+        assert not gaussian_p(below) < level
+        above = math.nextafter(above, math.inf)
+        assert gaussian_p(above) < level

@@ -49,6 +49,9 @@ def test_config_validation():
         PaulsonConfig(thresholds=(0.0, 0.5), delta=0.6, critical_value=2.0)
     with pytest.raises(ValueError, match="horizon"):
         PaulsonConfig(thresholds=(0.0,), delta=0.1, critical_value=2.0, horizon=0)
+    # horizon=True used to cap every path at one observation.
+    with pytest.raises(ValueError, match="horizon"):
+        PaulsonConfig(thresholds=(0.0,), delta=0.1, critical_value=2.0, horizon=True)
     cfg = PaulsonConfig(thresholds=(0.0, 1.0), delta=0.1, critical_value=2.0)
     assert cfg.k == 3
 
@@ -295,6 +298,17 @@ def test_classify_paths_rejects_bad_input():
         classify_paths(0.0, config, 1, 0)
     with pytest.raises(ValueError, match="seed"):
         classify_paths(0.0, config, 2**64, 5)
+    # True used to classify one path, 2.5 to fail with numpy's TypeError.
+    for reps in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="reps"):
+            classify_paths(0.0, config, 1, reps)
+
+
+@pytest.mark.parametrize("horizon", [2.5, True])
+def test_simulated_path_length_must_be_an_integer(horizon):
+    # A horizon of 2.5 used to draw a path of 2 observations.
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_observations(0.0, horizon, np.random.default_rng(1))
 
 
 def test_classify_paths_keys_seeds_above_two_to_the_63_apart():

@@ -225,3 +225,17 @@ def test_restart_gives_a_fresh_stream_after_a_partial_draw(partial):
         assert np.array_equal(rng.standard_normal(9), want.standard_normal(9))
         assert np.array_equal(rng.random(5), want.random(5))
         assert np.array_equal(rng.integers(0, 2**32, 3), want.integers(0, 2**32, 3))
+
+
+@pytest.mark.parametrize("replicate", [1.5, 1.0, True])
+def test_replicate_index_must_be_a_nonnegative_integer(replicate):
+    # RngStream(1, 1.5) and RngStream(1, True) used to draw RngStream(1, 1)'s stream.
+    with pytest.raises(ValueError, match="replicate index"):
+        RngStream(1, replicate)
+
+
+@pytest.mark.parametrize("rep_range", [(0.5, 2), (0, 2.5), (-1, 2), (3, 2)])
+def test_draw_replicates_takes_a_range_of_indices(rep_range):
+    # (0.5, 2) used to reach numpy and fail with a TypeError.
+    with pytest.raises(ValueError, match="rep_range"):
+        draw_replicates(1, rep_range, 5)
