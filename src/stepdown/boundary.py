@@ -68,8 +68,10 @@ MAX_GRID_POINTS = 4096
 _KERNEL_ROWS = 64
 
 # Largest gap calibrate_levels accepts between a level and the crossing
-# probability its boundary achieves on the doubled grid.
+# probability its boundary achieves on the doubled grid, absolute and
+# relative to the level (which binds for levels below 1e-2).
 CALIBRATION_TOL = 1e-4
+CALIBRATION_RTOL = 1e-2
 
 # Root-search steps _solve_constant takes before it gives up on a level.
 _MAX_STEPS = 100
@@ -314,10 +316,11 @@ def calibrate_levels(
 
     Each level rho gets its own root c of crossing_probability(schedule,
     c * g) = rho, verified on a doubled grid (GridError if it misses rho
-    by more than CALIBRATION_TOL), so it does not depend on the other
-    levels.  Every level is validated before any is calibrated.  A level
-    listed twice is calibrated once; two unequal levels a table lookup
-    could not tell apart raise ValueError.
+    by more than CALIBRATION_TOL or by more than CALIBRATION_RTOL * rho),
+    so it does not depend on the other levels.  Every level is validated
+    before any is calibrated.  A level listed twice is calibrated once;
+    two unequal levels a table lookup could not tell apart raise
+    ValueError.
     """
     _check_grid_points(grid_points)
     levels = _check_levels(dict.fromkeys(float(rho) for rho in levels))
@@ -328,10 +331,12 @@ def calibrate_levels(
     for rho in levels:
         c = _solve_constant(schedule.analyses, g, rho, grid_points)
         achieved = _crossing_recursion(schedule.analyses, c * g, 2 * grid_points)
-        if abs(achieved - rho) > CALIBRATION_TOL:
+        miss = abs(achieved - rho)
+        if miss > CALIBRATION_TOL or miss > CALIBRATION_RTOL * rho:
             raise GridError(
                 f"calibrated boundary for level {rho} achieves {achieved:.6g} on a doubled "
-                f"grid, off by more than {CALIBRATION_TOL:.1g}; increase grid_points"
+                f"grid, off by {miss:.3g} ({miss / rho:.3g} relative; the limits are "
+                f"{CALIBRATION_TOL:.1g} and {CALIBRATION_RTOL:.1g} relative); increase grid_points"
             )
         table[rho] = tuple(float(v) for v in c * g)
         constants[rho] = c

@@ -25,8 +25,10 @@ horizon is exhausted, the classification falls back to the interval
 containing S_n/n.
 
 Each route's rule is one kernel over a block whose rows are paths and
-whose columns are the paths' next CHUNK observations, with the route's
-state carried per row.  ``classify_paths`` runs it on a group of
+whose columns are the paths' next CHUNK observations.  It returns the
+outcome of every one-sided test at every observation, and both routes
+carry the same state per row: the running sum, and whether each test
+has rejected yet.  ``classify_paths`` runs it on a group of
 ``GROUP_OBSERVATIONS // CHUNK`` simulated paths per pass, drawing path
 r's ``RngStream`` in CHUNK blocks and dropping each path as soon as it
 stops; ``run_paulson_direct`` and ``paulson_via_stepdown`` are its
@@ -138,76 +140,48 @@ def simulate_observations(mean: float, horizon: int, generator: np.random.Genera
     return mean + generator.standard_normal(check_integer(horizon, "horizon", 1))
 
 
-def _qualification(low: np.ndarray, up: np.ndarray) -> np.ndarray:
-    # low[t] and up[t] (shape (k - 1, paths, observations)): the
-    # downward and the upward test at threshold t have rejected by that
-    # observation.  Interval i needs the downward tests below it and the
-    # upward tests above it; returns qual[i], shape (k, paths,
-    # observations).  Both inputs are overwritten with their running
-    # conjunctions.
-    k1 = low.shape[0]
-    for t in range(1, k1):
-        low[t] &= low[t - 1]
-    for t in range(k1 - 2, -1, -1):
-        up[t] &= up[t + 1]
-    qual = np.empty((k1 + 1,) + low.shape[1:], dtype=bool)
-    qual[0] = up[0]
-    np.logical_and(low[:-1], up[1:], out=qual[1:k1])
-    qual[k1] = low[k1 - 1]
-    return qual
+def _fit_times(first: np.ndarray) -> np.ndarray:
+    # first[0, t] and first[1, t] (shape (k - 1, paths)): the block
+    # observation at which the downward and the upward test at threshold
+    # t first rejected, -1 for before the block.  Interval i fits once
+    # the downward tests below it and the upward tests above it have all
+    # rejected; returns that observation per interval, shape (k, paths).
+    low = np.maximum.accumulate(first[0], axis=0)
+    up = np.maximum.accumulate(first[1][::-1], axis=0)[::-1]
+    return np.concatenate([up[:1], np.maximum(low[:-1], up[1:]), low[-1:]])
 
 
-# Each route is a start and a kernel.  start(paths, k - 1) is the state a
-# path carries before its first observation, paths on the last axis.
-# kernel(s, m, carry, config) reads one block for a group of paths, where
-# s[r, j] and m[j] are path r's running sum and observation count at the
-# block's j-th observation and carry is the state before the block, and
-# returns the per-threshold test outcomes that _qualification reads plus
-# the state after the block.
-
-
-def _direct_start(paths: int, k1: int) -> np.ndarray:
-    # The running maximum u_n and minimum v_n before any observation.
-    return np.repeat([[-math.inf], [math.inf]], paths, axis=1)
+# Each route is a kernel.  kernel(s, m, config) reads one block for a
+# group of paths, where s[r, j] and m[j] are path r's running sum and
+# observation count at the block's j-th observation, and returns the
+# downward and the upward outcome of every threshold's test at each of
+# them, shape (k - 1, paths, observations).  A test has rejected by
+# observation n once its outcome held at some m <= n, so both routes
+# carry only a flag per test: u_n >= c exactly when S_m/m - delta/2 -
+# A/m >= c for some m <= n, and v_n <= c likewise.
 
 
 def _direct_kernel(
-    s: np.ndarray, m: np.ndarray, carry: np.ndarray, config: PaulsonConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    th = np.asarray(config.thresholds, dtype=float)
+    s: np.ndarray, m: np.ndarray, config: PaulsonConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    th = np.asarray(config.thresholds, dtype=float)[:, None, None]
     half = config.delta / 2.0
     a = config.critical_value
-    u = np.maximum.accumulate(s / m - half - a / m, axis=1)
-    np.maximum(u, carry[0][:, None], out=u)
-    v = np.minimum.accumulate(s / m + half + a / m, axis=1)
-    np.minimum(v, carry[1][:, None], out=v)
-    low = u >= (th - config.delta)[:, None, None]  # u_n >= theta_t - delta
-    up = v <= (th + config.delta)[:, None, None]  # v_n <= theta_t + delta
-    return low, up, np.stack([u[:, -1], v[:, -1]])
-
-
-def _stepdown_start(paths: int, k1: int) -> np.ndarray:
-    # No downward (row 0) or upward (row 1) test has rejected yet.
-    return np.zeros((2, k1, paths), dtype=bool)
+    # Held at some m <= n: u_n >= theta_t - delta, and v_n <= theta_t + delta.
+    return s / m - half - a / m >= th - config.delta, s / m + half + a / m <= th + config.delta
 
 
 def _stepdown_kernel(
-    s: np.ndarray, m: np.ndarray, carry: np.ndarray, config: PaulsonConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    th = np.asarray(config.thresholds, dtype=float)
+    s: np.ndarray, m: np.ndarray, config: PaulsonConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    th = np.asarray(config.thresholds, dtype=float)[:, None, None]
     half = config.delta / 2.0
     a = config.critical_value
-    low = np.logical_or.accumulate(s - m * (th - half)[:, None, None] >= a, axis=2)
-    low |= carry[0][:, :, None]
-    up = np.logical_or.accumulate(s - m * (th + half)[:, None, None] <= -a, axis=2)
-    up |= carry[1][:, :, None]
-    return low, up, np.stack([low[:, :, -1], up[:, :, -1]])
+    return s - m * (th - half) >= a, s - m * (th + half) <= -a
 
 
-_ROUTES = {
-    "direct": (_direct_start, _direct_kernel),
-    "stepdown": (_stepdown_start, _stepdown_kernel),
-}
+_ROUTES = {"direct": _direct_kernel, "stepdown": _stepdown_kernel}
+
 
 def _decide(
     method: str,
@@ -226,18 +200,19 @@ def _decide(
     every float equals what one path computes on its own.  Returns the
     per-path decision, stopping time and fallback flag.
     """
-    start, kernel = _ROUTES[method]
+    kernel = _ROUTES[method]
     decision = np.empty(paths, dtype=np.int64)
     stop_n = np.empty(paths, dtype=np.int64)
     fallback = np.empty(paths, dtype=bool)
     live = np.arange(paths)
     total = np.zeros(paths)
-    carry = start(paths, len(config.thresholds))
+    rejected = np.zeros((2, len(config.thresholds), paths), dtype=bool)
     count = 0
     while live.size:
         size = min(CHUNK, config.horizon - count)
         block = next_block(live, count, size) if size else np.empty((live.size, 0))
-        if not block.shape[1]:
+        width = block.shape[1]
+        if not width:
             if count == 0:
                 raise ValueError("no observations supplied")
             decision[live] = classify_by_mean(total / count, config.thresholds)
@@ -245,25 +220,28 @@ def _decide(
             fallback[live] = True
             break
         s = total[:, None] + np.cumsum(block, axis=1)
-        m = count + np.arange(1, block.shape[1] + 1, dtype=float)
-        low, up, carry = kernel(s, m, carry, config)
-        qual = _qualification(low, up)
-        hits = qual.any(axis=0)
-        stopped = hits.any(axis=1)
+        m = count + np.arange(1, width + 1, dtype=float)
+        tests = np.stack(kernel(s, m, config))
+        # Where each test first rejects: -1 if it had before this block,
+        # width if it has not yet.
+        first = np.where(rejected, -1, np.where(tests.any(axis=3), tests.argmax(axis=3), width))
+        fits = _fit_times(first)
+        when = fits.min(axis=0)
+        stopped = when < width
         if stopped.any():
-            # A path stops at its first qualifying observation; a pattern
-            # that admits several intervals falls back to S_n/n.
+            # A path stops at its first observation where some interval
+            # fits; several intervals fitting there fall back to S_n/n.
             rows = np.flatnonzero(stopped)
-            t = hits[rows].argmax(axis=1)
-            chosen = qual[:, rows, t]
+            t = when[rows]
+            chosen = fits[:, rows] == t
             tie = chosen.sum(axis=0) != 1
             by_mean = classify_by_mean(s[rows, t] / m[t], config.thresholds)
             decision[live[rows]] = np.where(tie, by_mean, chosen.argmax(axis=0))
             stop_n[live[rows]] = count + 1 + t
             fallback[live[rows]] = tie
         keep = ~stopped
-        live, total, carry = live[keep], s[keep, -1], carry[..., keep]
-        count += block.shape[1]
+        live, total, rejected = live[keep], s[keep, -1], first[:, :, keep] < width
+        count += width
     return decision, stop_n, fallback
 
 
@@ -272,6 +250,8 @@ def _one_path(method: str, observations: np.ndarray, config: PaulsonConfig) -> P
         got = getattr(observations, "shape", type(observations).__name__)
         raise ValueError(f"observations must be a 1-D array, got {got}")
     path = observations.astype(float, copy=False)
+    if not np.isfinite(path[: config.horizon]).all():
+        raise ValueError("observations must be finite")
     decision, stop_n, fallback = _decide(
         method, 1, lambda live, count, size: path[None, count : count + size], config
     )
@@ -294,7 +274,8 @@ def run_paulson_direct(observations: np.ndarray, config: PaulsonConfig) -> Pauls
         config: Thresholds, delta, critical value, horizon.
 
     Raises:
-        ValueError: ``observations`` is not a 1-D array, or is empty.
+        ValueError: ``observations`` is not a 1-D array, is empty, or
+            has a non-finite value among those read.
 
     Returns:
         The classification, its stopping time, and the fallback flag.
@@ -368,6 +349,8 @@ def classify_paths(
     """
     if method not in _ROUTES:
         raise ValueError(f"method must be one of {sorted(_ROUTES)}, got {method!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     check_seed(seed)
     check_integer(reps, "reps", 1)
     group = GROUP_OBSERVATIONS // CHUNK

@@ -17,7 +17,6 @@ boundary level.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -62,9 +61,9 @@ def holm_fixed(p_values: Sequence[float] | np.ndarray, alpha: float) -> np.ndarr
 
     Orders the p-values increasingly and rejects the j-th while it is
     below alpha / (k - j + 1); at the first failure all later hypotheses
-    are accepted.  Ties are processed in index order, which cannot change
-    the rejection set because tied p-values face the tighter threshold
-    first.
+    are accepted.  The decision reads only how many of the levels
+    alpha / m each p-value is below, so tied p-values are rejected or
+    accepted together.
 
     Args:
         p_values: One p-value per hypothesis, shape ``(k,)``, or one row
@@ -78,12 +77,24 @@ def holm_fixed(p_values: Sequence[float] | np.ndarray, alpha: float) -> np.ndarr
     p = check_pvalues(p_values)
     alpha = check_alpha(alpha)
     k = p.shape[-1]
-    order = np.argsort(p, axis=-1, kind="stable")
-    thresholds = alpha / (k - np.arange(k))
-    passed = np.take_along_axis(p, order, axis=-1) < thresholds
-    rejected = np.empty_like(passed)
-    np.put_along_axis(rejected, order, np.logical_and.accumulate(passed, axis=-1), axis=-1)
-    return rejected
+    # How many of the levels alpha / m, m = 1..k, each p-value is below.
+    cleared = k - np.searchsorted(alpha / np.arange(k, 0, -1), p, side="right")
+    return _step_down(cleared, k)
+
+
+def _step_down(cleared: np.ndarray, m: int | np.ndarray) -> np.ndarray:
+    """Step-down rejections of m hypotheses per row, from clearance counts.
+
+    cleared[..., i] is how many of the levels for 1, 2, ... hypotheses,
+    each at least as hard as the last, statistic i clears (-1 if it is
+    not under test).  Rank l (0-based) top down passes when its count is
+    at least m - l; equal counts pass or fail together, so the rejected
+    prefix is every count above m less the prefix's length.
+    """
+    m = np.expand_dims(m, -1)
+    ranked = np.sort(cleared, axis=-1)[..., ::-1]
+    passed = np.logical_and.accumulate(ranked >= m - np.arange(cleared.shape[-1]), axis=-1)
+    return cleared > m - passed.sum(axis=-1, keepdims=True)
 
 
 def holm_closed(
@@ -154,13 +165,15 @@ def stage_levels(rule: str, alpha: float, k: int) -> tuple[float, ...]:
 def _stage_bounds(
     critical: CriticalFunction, rule: str, alpha: float, k: int
 ) -> list[tuple[float, ...]]:
-    """Row m is the stage boundary for m active hypotheses; row 0 is +inf.
+    """Row m - 1 is the stage boundary for m active hypotheses.
 
-    A stage with m active finds its sample size on row m, and its l-th
-    statistic in top-down order must clear row m - l + 1.  The rows are
-    the critical table's own tuples; a level it lacks raises ValueError.
+    A stage with m active finds its sample size on row m - 1, and its
+    l-th statistic (0-based) in top-down order must clear row m - l - 1.
+    The rows are the critical table's own tuples; a level it lacks
+    raises ValueError.  Boundaries do not increase with the level, so
+    the rows do not decrease with m.
     """
-    rows = [(math.inf,) * len(critical.schedule)]
+    rows = []
     for m in range(1, k + 1):
         level = _stage_level(rule, alpha, m, k)
         try:
@@ -247,10 +260,11 @@ def run_multistage(
     # the loop always ends in a break.
     for stage in range(1, k + 1):
         m = len(active)
+        bound = bounds[m - 1]
         # Stage sample size: the first analysis past the previous stage
         # where the top active statistic meets the stage boundary.
         crossings = (
-            j for j in range(col + 1, last + 1) if max(values[i][j] for i in active) >= bounds[m][j]
+            j for j in range(col + 1, last + 1) if max(values[i][j] for i in active) >= bound[j]
         )
         col = next(crossings, None)
         if col is None:
@@ -267,7 +281,7 @@ def run_multistage(
         ordered = sorted(active, key=lambda i: (-values[i][col], i))
         stage_rej: list[int] = []
         for rank, i in enumerate(ordered):
-            if values[i][col] < bounds[m - rank][col]:
+            if values[i][col] < bounds[m - rank - 1][col]:
                 break
             stage_rej.append(i)
         records.append(StageRecord(stage, n_j, tuple(active), tuple(ordered), tuple(stage_rej)))
@@ -313,10 +327,12 @@ def run_multistage_batch(
 
     Replicate r's decisions and final sizes equal those of
     ``run_multistage`` on ``StatisticPaths(schedule.analyses, values[r])``
-    exactly; the stage records are not kept.  Active sets are boolean
-    masks, stage boundaries are looked up by active count, the
-    within-stage order is a stable row-wise sort on (-statistic, index),
-    and a cumulative AND picks the rejected prefix.  The loop runs over
+    exactly; the stage records are not kept.  Each statistic is read
+    once, as the count of ``_stage_bounds`` rows it clears; as the rows
+    do not decrease, it clears the boundary for m active exactly when
+    its count is at least m.  Active sets are boolean masks, a stage
+    crosses when the top active count reaches m, and ``_step_down``
+    picks the rejected prefix from the counts.  The loop runs over
     stages, at most k of them, not over replicates.
 
     Args:
@@ -342,11 +358,9 @@ def run_multistage_batch(
 
     reps = values.shape[0]
     analyses = np.asarray(schedule.analyses)
-    # Row 0 pads the lookup for positions past m, which the rank mask
-    # below excludes.
-    bounds = np.asarray(_stage_bounds(critical, rule, alpha, k))
+    bounds = _stage_bounds(critical, rule, alpha, k)
+    cleared = sum(values >= row for row in bounds)
     contains = np.asarray(family.contains_complement, dtype=bool)
-    rank = np.arange(k)
 
     active = np.ones((reps, k), dtype=bool)
     rejected = np.zeros((reps, k), dtype=bool)
@@ -359,32 +373,26 @@ def run_multistage_batch(
         rows = np.flatnonzero(active.any(axis=1))
         if rows.size == 0:
             break
-        act, val, rej_before = active[rows], values[rows], rejected[rows]
+        act, rej_before = active[rows], rejected[rows]
         m = act.sum(axis=1)
+        # An inactive hypothesis counts -1: it neither crosses nor passes.
+        counts = np.where(act[:, :, None], cleared[rows], -1)
 
         # Stage sample size: the first analysis past the previous stage
         # where some active statistic meets the stage boundary.
-        top = np.where(act[:, :, None], val, -np.inf).max(axis=1)
-        cross = (top >= bounds[m]) & (np.arange(n_looks) > prev_col[rows, None])
+        cross = (counts.max(axis=1) >= m[:, None]) & (np.arange(n_looks) > prev_col[rows, None])
         hit = cross.any(axis=1)
         col = np.where(hit, cross.argmax(axis=1), n_looks - 1)
         n_j = analyses[col]
 
-        # Stage rejections: the longest prefix of the top-down order in
-        # which the l-th statistic clears the boundary for m - l + 1
-        # active hypotheses.  Rows without a crossing reject nothing.
-        stats = val[np.arange(rows.size), :, col]
-        order = np.lexsort((-stats, ~act), axis=1)
-        ranked = np.take_along_axis(stats, order, axis=1)
-        level_row = np.clip(m[:, None] - rank, 0, None)
-        passed = (ranked >= bounds[level_row, col[:, None]]) & (rank < m[:, None]) & hit[:, None]
-        stage_rej = np.empty_like(passed)
-        np.put_along_axis(stage_rej, order, np.logical_and.accumulate(passed, axis=1), axis=1)
+        # Stage rejections.  A row without a crossing reaches its last
+        # analysis with no active count at m, so it rejects nothing.
+        stage_rej = _step_down(counts[np.arange(rows.size), :, col], m)
 
-        decided = stage_rej.copy()
+        decided = stage_rej
         if rule == "closed":
             # Implied acceptances of this stage's rejections.
-            decided |= (stage_rej[:, :, None] & contains).any(axis=1)
+            decided = decided | (stage_rej[:, :, None] & contains).any(axis=1)
         rej_now = rej_before | stage_rej
         remaining = act & ~decided
         covered = (rej_now[:, :, None] & contains).any(axis=1)

@@ -32,6 +32,7 @@ from stepdown.procedures import (
     HOLM,
     MULT,
     RULES,
+    _stage_bounds,
     holm_fixed,
     run_multistage,
     run_multistage_batch,
@@ -162,6 +163,57 @@ def test_batch_engine_matches_run_multistage(seed, k, looks, rule, ties, infinit
         assert tuple(rejected[r].tolist()) == ref.rejected
         assert tuple(final_n[r].tolist()) == ref.endpoint_final_n
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    looks=st.integers(1, 4),
+    rule=st.sampled_from(RULES),
+)
+def test_equal_clearance_counts_get_equal_decisions(seed, k, looks, rule):
+    # Replicates drawn from a few templates: each statistic falls in its
+    # template's gap between distinct boundary values (its left end
+    # included), so replicates of one template clear the same stage
+    # boundaries, in whatever float order their statistics come.
+    rng = np.random.default_rng(seed)
+    analyses = tuple(int(n) for n in np.cumsum(rng.integers(1, 10, size=looks)))
+    schedule = SampleSchedule(analyses)
+    levels = stage_levels(rule, ALPHA, k)
+    raw = np.sort(np.round(rng.uniform(0.5, 3.0, size=(len(levels), looks)) * 2.0) / 2.0, axis=0)
+    critical = CriticalFunction(
+        analyses, {level: tuple(row) for level, row in zip(levels, raw[::-1])}
+    )
+    relation = rng.random((k, k)) < 0.4
+    np.fill_diagonal(relation, False)
+    family = HypothesisFamily(
+        k=k,
+        contains_complement=tuple(tuple(row) for row in relation.tolist()),
+        closed_monotone=rule == "closed" or bool(rng.integers(2)),
+    )
+    rows = np.asarray(_stage_bounds(critical, rule, ALPHA, k))
+    values = np.empty((6 * 20, k, looks))
+    for j in range(looks):
+        ends = np.unique(rows[:, j])
+        # Gap 0 lies below every boundary value; gap g >= 1 starts at
+        # ends[g - 1] and stops short of the next one.
+        left = np.concatenate([[ends[0] - 2.0], ends])
+        width = np.diff(np.concatenate([left, [ends[-1] + 2.0]]))
+        gap = np.repeat(rng.integers(0, len(left), size=(6, k)), 20, axis=0)
+        offset = rng.random(gap.shape) * width[gap]
+        offset[rng.random(gap.shape) < 0.3] = 0.0
+        values[:, :, j] = left[gap] + offset
+    counts = (values[:, :, :, None] >= rows.T[None, None]).sum(axis=3)
+    rejected, final_n = run_multistage_batch(values, family, schedule, critical, ALPHA, rule)
+    by_counts = {}
+    for r, stats in enumerate(values):
+        ref = run_multistage(
+            StatisticPaths(analyses, stats), family, schedule, critical, ALPHA, rule
+        )
+        got = (tuple(rejected[r].tolist()), tuple(final_n[r].tolist()))
+        assert got == (ref.rejected, ref.endpoint_final_n)
+        assert by_counts.setdefault(counts[r].tobytes(), got) == got
 
 
 def test_batch_engine_rejects_bad_input():

@@ -214,6 +214,14 @@ def test_grid_error_when_tolerance_unmeetable():
         calibrate_levels(SCHED, [0.05], grid_points=12)
 
 
+def test_grid_error_when_a_small_level_misses_by_a_large_factor():
+    # On its own doubled grid this boundary crosses with probability
+    # 5.6e-6: within the absolute 1e-4 of the level 1e-6, but 4.6 times
+    # the level off.
+    with pytest.raises(GridError, match=r"off by 4\.59e-06 \(4\.59 relative;"):
+        calibrate_levels(SCHED, [1e-6], grid_points=32)
+
+
 def test_unbracketable_level_raises_calibration_error():
     # Even at c = 10 the recursion floors near 1.9e-14, so no constant in
     # the bracket reaches this level.

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,37 @@ def loop_paths(theta, config, seed, reps, method):
         result = ROUTES[method](observations, config)
         rows.append((result.decision, result.stop_n, result.fallback_used))
     return rows
+
+
+def paper_direct(observations, config):
+    """The direct rule as the paper writes it, one observation at a time.
+
+    u_n is the running maximum of S_m/m - delta/2 - A/m and v_n the
+    running minimum of S_m/m + delta/2 + A/m; the path stops at the
+    first n where (u_n, v_n) fits inside a widened target, and falls
+    back to S_n/n on a tie or at the horizon.  S_n is summed as the
+    package documents it, a CHUNK-observation block at a time onto the
+    sum before the block, so the floats are the routes' own.
+    """
+    th, delta = config.thresholds, config.delta
+    half, a = delta / 2.0, config.critical_value
+    lows = [-math.inf] + [t - delta for t in th]
+    highs = [t + delta for t in th] + [math.inf]
+    u, v = -math.inf, math.inf
+    before = within = 0.0
+    for n, x in enumerate(observations[: config.horizon].tolist(), start=1):
+        within += x
+        s = before + within
+        if n % CHUNK == 0:
+            before, within = s, 0.0
+        u = max(u, s / n - half - a / n)
+        v = min(v, s / n + half + a / n)
+        fits = [i for i, (lo, hi) in enumerate(zip(lows, highs)) if lo <= u and v <= hi]
+        if len(fits) == 1:
+            return PaulsonResult(fits[0], n, False)
+        if fits:
+            break
+    return PaulsonResult(int(classify_by_mean(s / n, th)), n, True)
 
 
 def grouped_rows(theta, config, seed, reps, method):
@@ -167,6 +199,22 @@ def test_routes_take_a_one_dimensional_array_only(route, observations, got):
         ROUTES[route](observations, cfg)
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 7, CHUNK + 3])
+def test_routes_reject_a_non_finite_observation(route, bad, at):
+    # A NaN path used to run to its end and fall back to the top interval.
+    cfg = PaulsonConfig(thresholds=(0.0, 1.0), delta=0.15, critical_value=3.0)
+    path = np.zeros(2 * CHUNK)
+    path[at] = bad
+    with pytest.raises(ValueError, match="observations must be finite"):
+        ROUTES[route](path, cfg)
+    # Only the observations up to the horizon are read.
+    if at:
+        short = PaulsonConfig(thresholds=(0.0, 1.0), delta=0.15, critical_value=3.0, horizon=at)
+        assert ROUTES[route](path, short) == ROUTES[route](path[:at], short)
+
+
 def test_simulate_observations_is_one_array_of_the_stream():
     generator = RngStream(6, 2).generator()
     path = simulate_observations(0.25, 3 * CHUNK + 5, generator)
@@ -302,6 +350,76 @@ def test_classify_paths_rejects_bad_input():
     for reps in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="reps"):
             classify_paths(0.0, config, 1, reps)
+    # A NaN mean used to sample every path to the horizon and return the
+    # top interval with the fallback flag.
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            classify_paths(theta, config, 1, 3)
+
+
+@st.composite
+def paper_rule_cases(draw, stop):
+    """A config and one path that stops at observation ``stop``, runs to
+    the horizon (None), stops on evidence from two blocks ("carry"), or
+    is left to stop where it will ("free")."""
+    theta, config, seed, _reps, _method = draw(path_group_cases())
+    rng = np.random.default_rng(seed)
+    if stop == "free":
+        return rng.normal(theta, 1.0, config.horizon + 3), config, None
+    th = config.thresholds
+    if stop == "carry" and len(th) == 1:
+        th = (th[0], th[0] + 1.0)
+    # With A = 1e4 no target fits for at least 4 * CHUNK observations of
+    # a path held near the thresholds.
+    config = PaulsonConfig(th, config.delta, 1e4, max(config.horizon, 2 * CHUNK))
+    a, half = config.critical_value, config.delta / 2.0
+    if stop == "carry":
+        # Held at c = theta_top - delta/2, a drop of A at n1 pins v_n at
+        # theta_top from then on, which clears the upward test there but
+        # no lower one.  A rise at n2, a later block, lifts u_n to the
+        # threshold below, so only the interval between them fits, and
+        # only with v_n's test remembered from n1's block.
+        n1 = draw(st.integers(1, CHUNK))
+        n2 = draw(st.integers(CHUNK + 1, config.horizon))
+        c = th[-1] - half
+        path = np.full(config.horizon, c) + rng.normal(0.0, 1e-4, config.horizon)
+        path[n1 - 1] -= a
+        path[n2 - 1] += 2 * a + n2 * (th[-2] - th[-1] + 2 * half)
+        return path, config, (len(th) - 1, n2, False)
+    path = rng.normal(th[0], 0.1, config.horizon)
+    if stop is None:
+        return path, config, (None, config.horizon, True)
+    # A jump of 3e4 at the stop lifts u_n above, or drops v_n below,
+    # every widened target there.
+    path[stop - 1] = draw(st.sampled_from([3e4, -3e4]))
+    return path, config, (None, stop, False)
+
+
+@pytest.mark.parametrize("stop", [1, CHUNK - 1, CHUNK, CHUNK + 1, None, "carry", "free"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_both_routes_match_the_paper_direct_rule(stop, data):
+    path, config, expected = data.draw(paper_rule_cases(stop))
+    want = paper_direct(path, config)
+    if expected is not None:
+        decision, stop_n, fallback = expected
+        assert (want.stop_n, want.fallback_used) == (stop_n, fallback)
+        assert decision is None or want.decision == decision
+    assert run_paulson_direct(path, config) == want
+    assert paulson_via_stepdown(path, config) == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(path_group_cases())
+def test_classify_paths_matches_the_paper_direct_rule(case):
+    theta, config, seed, reps, method = case
+    reps = min(reps, 12)
+    want = [
+        paper_direct(simulate_observations(theta, config.horizon, RngStream(seed, r).generator()), config)
+        for r in range(reps)
+    ]
+    rows = grouped_rows(theta, config, seed, reps, method)
+    assert rows == [(w.decision, w.stop_n, w.fallback_used) for w in want]
 
 
 @pytest.mark.parametrize("horizon", [2.5, True])

@@ -10,6 +10,8 @@ from stepdown.procedures import (
     CLOSED,
     HOLM,
     MULT,
+    RULES,
+    _stage_bounds,
     holm_closed,
     holm_fixed,
     run_multistage,
@@ -77,6 +79,20 @@ def test_holm_fixed_monotone_in_alpha():
         small = holm_fixed(p, 0.03)
         large = holm_fixed(p, 0.08)
         assert np.all(large[small])  # rejections only grow with alpha
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_stage_bounds_do_not_decrease_with_the_active_count(rule, k):
+    # The count engine reads a statistic as the number of rows it clears,
+    # which holds only if clearing row m means clearing every row before.
+    rng = np.random.default_rng(k)
+    levels = sorted(set(stage_levels(rule, ALPHA, k)) | {ALPHA / 7, ALPHA / 2})
+    raw = np.sort(np.round(rng.uniform(0.5, 3.0, (len(levels), 3)) * 2.0) / 2.0, axis=0)[::-1]
+    critical = CriticalFunction(SCHED.analyses, dict(zip(levels, map(tuple, raw))))
+    rows = np.asarray(_stage_bounds(critical, rule, ALPHA, k))
+    assert rows.shape == (k, len(SCHED))
+    assert (rows[1:] >= rows[:-1]).all()
 
 
 def test_holm_closed_worked_example():
