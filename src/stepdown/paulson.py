@@ -25,17 +25,20 @@ horizon is exhausted, the classification falls back to the interval
 containing S_n/n.
 
 Each route's rule is one kernel over a block whose rows are paths and
-whose columns are the paths' next CHUNK observations.  It returns the
-outcome of every one-sided test at every observation, and both routes
-carry the same state per row: the running sum, and whether each test
-has rejected yet.  ``classify_paths`` runs it on a group of
-``GROUP_OBSERVATIONS // CHUNK`` simulated paths per pass, drawing path
-r's ``RngStream`` in CHUNK blocks and dropping each path as soon as it
-stops; ``run_paulson_direct`` and ``paulson_via_stepdown`` are its
-one-path views, reading one path given as a 1-D array.  Either way the
-blocks are cut CHUNK observations at a time from observation 0 and the
-running sums are ``total + cumsum(block)`` per block, so a path gets the
-same floats, and the same decision, alone or in a group.
+whose columns are the paths' next observations.  It returns the outcome
+of every one-sided test at every observation, and both routes carry the
+same state per row: the running sum, and whether each test has rejected
+yet.  Blocks end at observations 16, 32, 64, 128 and CHUNK = 256, then
+every CHUNK, so a path that stops early draws little.  ``classify_paths``
+runs the kernel on a group of ``GROUP_OBSERVATIONS // CHUNK`` simulated
+paths per pass, path r drawing its ``RngStream`` block by block on its
+group slot's generator, and drops each path as soon as it stops;
+``run_paulson_direct`` and ``paulson_via_stepdown`` are its one-path
+views, reading one path given as a 1-D array.  Either way the running
+sum at each observation is the sum before its CHUNK-observation block
+plus the ``cumsum`` of that block, carried across the blocks inside it,
+so a path gets the same floats, and the same decision, alone or in a
+group.
 """
 
 from __future__ import annotations
@@ -195,31 +198,37 @@ def _decide(
     ``next_block(live, count, size)`` returns the next ``size``
     observations of the live paths, row i for path live[i], each
     ``count`` observations in; fewer columns (or none) mean the paths
-    ran out.  Blocks are CHUNK observations up to the horizon, and row
-    r's running sum is ``total[r] + cumsum(block[r])`` per block, so
-    every float equals what one path computes on its own.  Returns the
-    per-path decision, stopping time and fallback flag.
+    ran out.  A block is ``min(max(count, 16), CHUNK - count % CHUNK,
+    horizon - count)`` observations: 16, 16, 32, 64 and 128 fill the
+    first CHUNK, whole CHUNKs follow.  Row r's running sum is ``base[r]``,
+    its sum before the current CHUNK, plus ``partial[r]`` and the block's
+    cumsum carried on from it, which is ``cumsum`` of the whole CHUNK bit
+    for bit, so every float equals what one path computes on its own.
+    Returns the per-path decision, stopping time and fallback flag.
     """
     kernel = _ROUTES[method]
     decision = np.empty(paths, dtype=np.int64)
     stop_n = np.empty(paths, dtype=np.int64)
     fallback = np.empty(paths, dtype=bool)
     live = np.arange(paths)
-    total = np.zeros(paths)
+    base, partial = np.zeros(paths), np.zeros(paths)
     rejected = np.zeros((2, len(config.thresholds), paths), dtype=bool)
     count = 0
     while live.size:
-        size = min(CHUNK, config.horizon - count)
+        size = min(max(count, 16), CHUNK - count % CHUNK, config.horizon - count)
         block = next_block(live, count, size) if size else np.empty((live.size, 0))
         width = block.shape[1]
         if not width:
             if count == 0:
                 raise ValueError("no observations supplied")
-            decision[live] = classify_by_mean(total / count, config.thresholds)
+            decision[live] = classify_by_mean((base + partial) / count, config.thresholds)
             stop_n[live] = count
             fallback[live] = True
             break
-        s = total[:, None] + np.cumsum(block, axis=1)
+        # The block's cumsum goes on from the last one's within its
+        # CHUNK, in a new array: block may be a view of the caller's path.
+        within = np.cumsum(np.concatenate([partial[:, None], block], axis=1), axis=1)[:, 1:]
+        s = base[:, None] + within
         m = count + np.arange(1, width + 1, dtype=float)
         tests = np.stack(kernel(s, m, config))
         # Where each test first rejects: -1 if it had before this block,
@@ -240,8 +249,12 @@ def _decide(
             stop_n[live[rows]] = count + 1 + t
             fallback[live[rows]] = tie
         keep = ~stopped
-        live, total, rejected = live[keep], s[keep, -1], first[:, :, keep] < width
+        live, rejected = live[keep], first[:, :, keep] < width
         count += width
+        if count % CHUNK:
+            base, partial = base[keep], within[keep, -1]
+        else:
+            base, partial = s[keep, -1], np.zeros(live.size)
     return decision, stop_n, fallback
 
 
@@ -309,24 +322,19 @@ def paulson_via_stepdown(observations: np.ndarray, config: PaulsonConfig) -> Pau
 
 
 def _stream_blocks(
-    theta: float, seed: int, first: int
+    theta: float, first: int, slots: list[tuple[np.random.Generator, Callable[[int], None]]]
 ) -> Callable[[np.ndarray, int, int], np.ndarray]:
-    # Path i of the group reads RngStream(seed, first + i) block by
-    # block: restarted for its first block, restored to the state it
-    # left for the next.
-    rng, restart = restartable(seed)
-    saved: dict[int, dict] = {}
-
+    # Path i of the group reads RngStream(seed, first + i) on slot i's
+    # generator: restarted for its first block, drawing on for the next.
     def next_block(live: np.ndarray, count: int, size: int) -> np.ndarray:
         z = np.empty((live.size, size))
         for row, path in enumerate(live.tolist()):
+            rng, restart = slots[path]
             if count == 0:
                 restart(first + path)
-            else:
-                rng.bit_generator.state = saved[path]
             rng.standard_normal(out=z[row])
-            saved[path] = rng.bit_generator.state
-        return theta + z
+        z += theta
+        return z
 
     return next_block
 
@@ -341,8 +349,11 @@ def classify_paths(
     ``method`` ("direct" or "stepdown"), so row r equals what
     ``run_paulson_direct`` or ``paulson_via_stepdown`` returns on that
     stream.  Paths are decided ``GROUP_OBSERVATIONS // CHUNK`` at a time,
-    one block of each live path's next observations per pass, so memory
-    does not grow with ``reps``.
+    one block of each live path's next observations per pass (16 to
+    CHUNK of them, as ``_decide`` cuts them), so memory does not grow
+    with ``reps``.  Each slot of a group has one generator, built once
+    per call: restarted on stream r when path r takes the slot, it draws
+    on from there for the path's later blocks.
 
     Returns:
         ``(decision, stop_n, fallback_used)``, one entry per path.
@@ -354,13 +365,9 @@ def classify_paths(
     check_seed(seed)
     check_integer(reps, "reps", 1)
     group = GROUP_OBSERVATIONS // CHUNK
+    slots = [restartable(seed) for _ in range(min(group, reps))]
     parts = [
-        _decide(
-            method,
-            min(group, reps - first),
-            _stream_blocks(theta, seed, first),
-            config,
-        )
+        _decide(method, min(group, reps - first), _stream_blocks(theta, first, slots), config)
         for first in range(0, reps, group)
     ]
     return tuple(np.concatenate(column) for column in zip(*parts))

@@ -130,8 +130,10 @@ class RngStream:
     workers, re-running a subset, or merging partial runs all reproduce
     the same draws.  ``draw_replicates`` draws the same streams for a
     block of replicates, and ``paulson.classify_paths`` for a group of
-    classification paths, drawing the array ``simulate_observations``
-    returns for each path a block at a time.
+    classification paths: each path draws the array
+    ``simulate_observations`` returns a block at a time (16, 16, 32, 64
+    and 128 observations, then 256 at a time) on its group slot's
+    generator, restarted on its stream when the path begins.
     """
 
     master_seed: int

@@ -308,6 +308,12 @@ def path_group_cases(draw):
 @given(path_group_cases())
 @example((0.0, PaulsonConfig((0.0, 1.0), 0.02, 40.0, horizon=2 * CHUNK), 5, GROUP + 1, "direct"))
 @example((0.0, PaulsonConfig((0.0, 1.0), 0.02, 40.0, horizon=2 * CHUNK), 5, GROUP + 1, "stepdown"))
+@example((0.5, PaulsonConfig((0.0, 1.0), 0.15, 4.0, horizon=17), 3, GROUP + 1, "direct"))
+@example((0.5, PaulsonConfig((0.0, 1.0), 0.15, 4.0, horizon=17), 3, GROUP + 1, "stepdown"))
+@example((0.45, PaulsonConfig((0.0, 1.0), 0.05, 8.0, horizon=129), 4, GROUP + 1, "direct"))
+@example((0.45, PaulsonConfig((0.0, 1.0), 0.05, 8.0, horizon=129), 4, GROUP + 1, "stepdown"))
+@example((0.0, PaulsonConfig((0.0, 1.0), 0.02, 40.0, horizon=CHUNK + 17), 5, GROUP + 1, "direct"))
+@example((0.0, PaulsonConfig((0.0, 1.0), 0.02, 40.0, horizon=CHUNK + 17), 5, GROUP + 1, "stepdown"))
 def test_classify_paths_matches_one_path_loop(case):
     theta, config, seed, reps, method = case
     assert grouped_rows(theta, config, seed, reps, method) == loop_paths(
@@ -395,7 +401,10 @@ def paper_rule_cases(draw, stop):
     return path, config, (None, stop, False)
 
 
-@pytest.mark.parametrize("stop", [1, CHUNK - 1, CHUNK, CHUNK + 1, None, "carry", "free"])
+@pytest.mark.parametrize(
+    "stop",
+    [1, 15, 16, 17, 31, 32, 33, 127, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1, None, "carry", "free"],
+)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_both_routes_match_the_paper_direct_rule(stop, data):
@@ -407,6 +416,21 @@ def test_both_routes_match_the_paper_direct_rule(stop, data):
         assert decision is None or want.decision == decision
     assert run_paulson_direct(path, config) == want
     assert paulson_via_stepdown(path, config) == want
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("stop", [17, 300, None])
+def test_routes_leave_their_input_alone(route, stop):
+    # The routes read the caller's array a block at a time and carry each
+    # block's running sum into the next; none of that may be written back.
+    config = PaulsonConfig((0.0, 1.0), 0.15, 1e4, horizon=2 * CHUNK)
+    path = np.random.default_rng(8).normal(0.0, 0.1, config.horizon)
+    if stop is not None:
+        path[stop - 1] = 3e4
+    before = path.copy()
+    result = ROUTES[route](path, config)
+    assert (result.stop_n, result.fallback_used) == (stop or config.horizon, stop is None)
+    assert np.array_equal(path, before)
 
 
 @settings(max_examples=15, deadline=None)
