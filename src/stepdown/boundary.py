@@ -7,16 +7,19 @@ numerical integration over the walk's Markov transitions.  Calibration
 root-finds the scalar c so that the boundary c * g(n) is crossed with a
 prescribed probability, where g encodes the boundary shape.
 
-The integration works on the sum scale.  At each analysis the density of
-S_n restricted to {not yet crossed} is carried on a uniform grid spanning
-eight standard deviations either side of zero and propagated through the
-Gaussian increment to the next analysis with trapezoidal weights.  The
-propagation fills and applies the transition kernel block by block, a
-fixed number of rows at a time, so memory grows with the grid size, not
-with its square.  The crossing probability is one minus the surviving
-mass at the final analysis.  Grid error shrinks quadratically in the
-number of points, so doubling the grid gives a practical convergence
-check.
+The integration works on the sum scale (Armitage, McPherson & Rowe 1969;
+Jennison & Turnbull 2000, ch. 19).  At each analysis the density of S_n
+restricted to {not yet crossed} is carried on a uniform grid from eight
+standard deviations below zero up to the boundary (at most eight above)
+and propagated through the Gaussian increment to the next analysis with
+trapezoidal weights.  Every look's grid has one spacing h, the narrowest
+look's span over grid_points - 1, and ends on its threshold node, so the
+transition kernel depends only on the difference of node indices: one
+vector of exponentials per look, applied as a convolution.  No grid holds
+more than _GRID_CAP * grid_points points; a wider look widens h instead.
+The crossing probability is one minus the surviving mass at the final
+analysis.  Grid error shrinks quadratically in h, so doubling the grid
+gives a practical convergence check.
 
 Each constant c is found on the normal-quantile scale: the root of
 z(P(c * g)) - z(rho), where z(q) is the upper-tail quantile
@@ -55,17 +58,12 @@ SHAPES = ("flat", "obrien-fleming")
 
 _SPAN_SD = 8.0  # grid half-width in standard deviations of S_n
 
-# Grid-size limits.  The doubled-grid check integrates on 2 * grid_points
-# points; its largest buffer is one (_KERNEL_ROWS, 2 * grid_points) float64
-# kernel block, 4 MiB at the upper limit.
+# Grid-size limits, in points on the narrowest look's grid, and the cap on
+# any look's points as a multiple of them: at most 65,536 points, and a
+# 1 MiB kernel vector, for the doubled-grid check at the upper limit.
 MIN_GRID_POINTS = 8
 MAX_GRID_POINTS = 4096
-
-# Rows of the transition kernel held in memory at once.  Not every block
-# gives the same bits: OpenBLAS may round a mat-vec differently with its
-# row count (four-row blocks moved the last bit of a 293-point case that
-# 1- to 293-row blocks agreed on), so a new value needs a bit check.
-_KERNEL_ROWS = 64
+_GRID_CAP = 8
 
 # Largest gap calibrate_levels accepts between a level and the crossing
 # probability its boundary achieves on the doubled grid, absolute and
@@ -161,8 +159,9 @@ def crossing_probability(
     Args:
         schedule: Analysis sizes n_1 < ... < n_J.
         boundary: Standardized critical values b_1, ..., b_J.
-        grid_points: Points per integration grid.  Error shrinks
-            quadratically, so 512 is ample for four-decimal work.
+        grid_points: Points on the narrowest look's grid, whose spacing
+            every look shares.  Error shrinks quadratically, so 512 is
+            ample for four-decimal work.
         tol: If given, recompute at twice the grid and require the two
             answers to agree within tol, returning the finer one.
             Raises GridError otherwise.
@@ -191,58 +190,50 @@ def crossing_probability(
     return p
 
 
+def _look_grids(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> tuple | None:
+    """The common spacing h and each look's grid on the sum scale.
+
+    Look j's grid runs from its threshold node (or the span's top) down by
+    h to within one step of -_SPAN_SD sd, floor(span_j / h) + 1 points; a
+    1e-9 relative slack in the quotient keeps the narrowest look's
+    grid_points.  None when a look's span is empty: the walk crosses there.
+    """
+    sd = np.sqrt(np.asarray(analyses, dtype=float))
+    tops = np.minimum(b * sd, _SPAN_SD * sd)
+    spans = tops + _SPAN_SD * sd
+    if not (spans > 0.0).all():
+        return None
+    h = max(spans.min() / (grid_points - 1), spans.max() / (_GRID_CAP * grid_points - 1))
+    counts = np.floor(spans / h * (1.0 + 1e-9)).astype(int) + 1
+    return h, [top - h * np.arange(m - 1, -1, -1) for top, m in zip(tops, counts)]
+
+
 def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> float:
     # Survival density of S_n on {walk below the boundary so far},
     # propagated analysis to analysis on the sum scale.
-    thresholds = b * np.sqrt(np.asarray(analyses, dtype=float))
-
-    n1 = analyses[0]
-    lo, hi = -_SPAN_SD * math.sqrt(n1), min(thresholds[0], _SPAN_SD * math.sqrt(n1))
-    if hi <= lo:
+    grids = _look_grids(analyses, b, grid_points)
+    if grids is None:
         return 1.0
-    grid = np.linspace(lo, hi, grid_points)
-    dens = np.exp(-0.5 * grid * grid / n1) / math.sqrt(2.0 * math.pi * n1)
-
-    # The Gaussian transition kernel is filled and applied one block of
-    # rows at a time in this buffer, never as a whole N x N matrix.  Each
-    # entry is exp(-0.5 * d * d / dn) / scale rounded exactly as in the
-    # whole-matrix expression (scaling by -0.5 is exact, so squaring first
-    # changes no bit); tests compare against the whole matrix applied in
-    # the same row slices.
-    block = np.empty((_KERNEL_ROWS, grid_points))
+    h, grids = grids
+    n1 = analyses[0]
+    dens = np.exp(-0.5 * grids[0] * grids[0] / n1) / math.sqrt(2.0 * math.pi * n1)
     for j in range(1, len(analyses)):
         dn = analyses[j] - analyses[j - 1]
-        lo = -_SPAN_SD * math.sqrt(analyses[j])
-        hi = min(thresholds[j], _SPAN_SD * math.sqrt(analyses[j]))
-        if hi <= lo:
-            return 1.0
-        new_grid = np.linspace(lo, hi, grid_points)
-        weighted = dens * _trapezoid_weights(grid)
-        scale = math.sqrt(2.0 * math.pi * dn)
-        for start in range(0, grid_points, _KERNEL_ROWS):
-            stop = min(start + _KERNEL_ROWS, grid_points)
-            rows = block[: stop - start]
-            np.subtract(new_grid[start:stop, None], grid[None, :], out=rows)
-            np.square(rows, out=rows)
-            rows *= -0.5
-            rows /= dn
-            np.exp(rows, out=rows)
-            rows /= scale
-            np.matmul(rows, weighted, out=dens[start:stop])
-        grid = new_grid
-
-    return min(1.0, max(0.0, 1.0 - _trapezoid_mass(dens, grid)))
+        old, new = grids[j - 1], grids[j]
+        # Node differences new[i] - old[k] = (new top - old top)
+        # + (i - k + len(old) - len(new)) * h depend on i - k alone, so the
+        # Gaussian kernel is one vector over the len(old) + len(new) - 1
+        # differences, applied by a "valid" convolution.
+        d = (new[-1] - old[-1]) + h * np.arange(1 - len(new), len(old))
+        kernel = np.exp(-0.5 * d * d / dn) / math.sqrt(2.0 * math.pi * dn)
+        dens = np.convolve(kernel, dens * _trapezoid_weights(len(old), h), "valid")
+    return min(1.0, max(0.0, 1.0 - float(dens @ _trapezoid_weights(len(dens), h))))
 
 
-def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    h = grid[1] - grid[0]
-    w = np.full(grid.shape, h)
+def _trapezoid_weights(count: int, h: float) -> np.ndarray:
+    w = np.full(count, h)
     w[0] = w[-1] = h / 2.0
     return w
-
-
-def _trapezoid_mass(dens: np.ndarray, grid: np.ndarray) -> float:
-    return float(dens @ _trapezoid_weights(grid))
 
 
 @dataclass(frozen=True)
@@ -252,15 +243,17 @@ class CriticalFunction:
     ``table`` maps each calibrated level to its per-analysis critical
     values.  Values must be non-increasing in the level at every
     analysis: smaller crossing probabilities demand higher boundaries.
-    ``constants`` records the scalar boundary multiplier per level when
-    the table came from calibration.  A table supplied from outside is
-    ``CriticalFunction(schedule, table)``, the schedule given as a
-    SampleSchedule or a sequence of sizes.
+    When the table came from calibration, ``constants`` records the scalar
+    boundary multiplier per level and ``achieved`` the crossing probability
+    each boundary achieves on the doubled grid.  A table supplied from
+    outside is ``CriticalFunction(schedule, table)``, the schedule given as
+    a SampleSchedule or a sequence of sizes.
     """
 
     schedule: SampleSchedule
     table: Mapping[float, tuple[float, ...]]
     constants: Mapping[float, float] | None = None
+    achieved: Mapping[float, float] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule", SampleSchedule(self.schedule))
@@ -283,10 +276,10 @@ class CriticalFunction:
                     "critical values must be non-increasing in the level at every analysis"
                 )
         object.__setattr__(self, "table", table)
-        if self.constants is not None:
-            object.__setattr__(
-                self, "constants", {float(r): float(c) for r, c in self.constants.items()}
-            )
+        for name in ("constants", "achieved"):
+            if getattr(self, name) is not None:
+                per_level = {float(r): float(v) for r, v in getattr(self, name).items()}
+                object.__setattr__(self, name, per_level)
 
     def _find_level(self, rho: float) -> float:
         rho = float(rho)
@@ -317,7 +310,8 @@ def calibrate_levels(
     Each level rho gets its own root c of crossing_probability(schedule,
     c * g) = rho, verified on a doubled grid (GridError if it misses rho
     by more than CALIBRATION_TOL or by more than CALIBRATION_RTOL * rho),
-    so it does not depend on the other levels.  Every level is validated
+    so it does not depend on the other levels.  grid_points counts the
+    points on the narrowest look's grid.  Every level is validated
     before any is calibrated.  A level listed twice is calibrated once;
     two unequal levels a table lookup could not tell apart raise
     ValueError.
@@ -328,19 +322,20 @@ def calibrate_levels(
     g = shape_multipliers(shape, schedule)
     table: dict[float, tuple[float, ...]] = {}
     constants: dict[float, float] = {}
+    achieved: dict[float, float] = {}
     for rho in levels:
         c = _solve_constant(schedule.analyses, g, rho, grid_points)
-        achieved = _crossing_recursion(schedule.analyses, c * g, 2 * grid_points)
-        miss = abs(achieved - rho)
+        p = achieved[rho] = _crossing_recursion(schedule.analyses, c * g, 2 * grid_points)
+        miss = abs(p - rho)
         if miss > CALIBRATION_TOL or miss > CALIBRATION_RTOL * rho:
             raise GridError(
-                f"calibrated boundary for level {rho} achieves {achieved:.6g} on a doubled "
+                f"calibrated boundary for level {rho} achieves {p:.6g} on a doubled "
                 f"grid, off by {miss:.3g} ({miss / rho:.3g} relative; the limits are "
                 f"{CALIBRATION_TOL:.1g} and {CALIBRATION_RTOL:.1g} relative); increase grid_points"
             )
         table[rho] = tuple(float(v) for v in c * g)
         constants[rho] = c
-    return CriticalFunction(schedule, table, constants)
+    return CriticalFunction(schedule, table, constants, achieved)
 
 
 def _solve_constant(

@@ -8,7 +8,8 @@ its default all derive from that declaration, so a key accepts the same
 text and fails with the same message either way.  Every run writes its
 resolved configuration next to the output file (``<out>.meta.txt``):
 each key as given, or its default when it has one, so any result can be
-reproduced from its sidecar alone.
+reproduced from its sidecar alone.  ``boundary`` adds ``achieved``: each
+level's crossing probability on the doubled grid, in ``rho`` order.
 
 Exit status: 0 on success, 2 for configuration errors (bad keys, bad
 values, malformed input files), 1 for runtime failures (calibration
@@ -265,7 +266,7 @@ def default_table_config() -> str:
     return str(resources.files("stepdown").joinpath("configs/table1.cfg"))
 
 
-def _cmd_boundary(values: dict[str, Any]) -> None:
+def _cmd_boundary(values: dict[str, Any]) -> dict[str, str]:
     schedule, levels, shape = values["schedule"], values["rho"], values["shape"]
     critical = calibrate_levels(schedule, levels, shape, grid_points=values["grid"])
     rows = [
@@ -274,6 +275,7 @@ def _cmd_boundary(values: dict[str, Any]) -> None:
         for n, value in zip(schedule.analyses, critical.boundary(rho))
     ]
     _write_rows(values["out"], ("n", "rho", "critical_value", "shape"), rows)
+    return {"achieved": ",".join(fmt(critical.achieved[rho]) for rho in levels)}
 
 
 def _read_long_csv(
@@ -489,16 +491,16 @@ def _cmd_paulson(values: dict[str, Any]) -> None:
 _OUT = Key("out", "output CSV path")
 _ALPHA = Key("alpha", "familywise level", lambda text: check_alpha(_number(text)), default="0.05")
 _SHAPE = Key("shape", "boundary shape", choices=SHAPES, default="flat")
-_GRID = Key(
-    "grid", "integration grid points", lambda text: _check_grid_points(_integer(text)), default="512"
-)
+_GRID = Key("grid", "integration points on the narrowest look's grid",
+            lambda text: _check_grid_points(_integer(text)), default="512")
 _SEED = Key("seed", "master seed in [0, 2**64)", lambda text: check_seed(_integer(text)),
             default="1")
 
 # Subcommand -> (help, handler, keys).  The handlers look the package
 # functions they call up as module globals at call time, so a tracer can
-# wrap them on this module.
-COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], None], tuple[Key, ...]]] = {
+# wrap them on this module.  A handler may return what the run found, for
+# the sidecar.
+COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], dict | None], tuple[Key, ...]]] = {
     "boundary": (
         "calibrate group-sequential critical values to CSV",
         _cmd_boundary,
@@ -587,8 +589,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     _help, handler, keys = COMMANDS[args.subcommand]
     try:
         values, texts = _resolve(args, keys)
-        handler(values)
-        _write_sidecar(values["out"], args.subcommand, texts)
+        found = handler(values) or {}
+        _write_sidecar(values["out"], args.subcommand, {**texts, **found})
     except ValueError as exc:
         print(f"stepdown {args.subcommand}: {exc}", file=sys.stderr)
         return 2

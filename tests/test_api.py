@@ -40,7 +40,7 @@ def test_removed_wrappers_are_gone():
     assert not hasattr(stepdown.harness, "_worker_run")
     assert not hasattr(stepdown.harness, "_draw_key")
     fields = {field.name for field in dataclasses.fields(stepdown.CriticalFunction)}
-    assert fields == {"schedule", "table", "constants"}
+    assert fields == {"schedule", "table", "constants", "achieved"}
     assert "tol" not in inspect.signature(stepdown.calibrate_levels).parameters
     paths = stepdown.StatisticPaths((26, 29), np.zeros((1, 2)))
     assert not hasattr(paths, "sums")

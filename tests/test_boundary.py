@@ -9,11 +9,13 @@ from scipy import optimize
 
 import stepdown.boundary
 from stepdown.boundary import (
+    _GRID_CAP,
     _SPAN_SD,
+    MAX_GRID_POINTS,
     CalibrationError,
     CriticalFunction,
     GridError,
-    _trapezoid_mass,
+    _look_grids,
     _trapezoid_weights,
     calibrate_levels,
     crossing_probability,
@@ -71,9 +73,10 @@ def test_crossing_unreachable_boundary():
 
 def test_crossing_regression_lock():
     # Frozen from this integrator at the default grid and confirmed by a
-    # seeded 10^6-path Monte Carlo oracle (0.037447, within 0.7 SE).
+    # seeded 10^6-path Monte Carlo oracle (0.037447, within 0.7 SE) and by
+    # the multivariate normal CDF (0.0373044).
     p = crossing_probability(SCHED, [2.0, 2.0, 2.0])
-    assert p == pytest.approx(0.037315952346552494, abs=1e-12)
+    assert p == pytest.approx(0.03731470415587557, abs=1e-12)
 
 
 def test_crossing_monte_carlo_oracle():
@@ -141,7 +144,7 @@ def test_calibrate_multi_look_inflates_constant():
     c = crit.constants[0.05]
     assert c > 1.644854
     # Regression lock for the default grid.
-    assert c == pytest.approx(1.864814768565878, abs=1e-10)
+    assert c == pytest.approx(1.8648004893690355, abs=1e-10)
 
 
 def test_calibrate_hits_target_level():
@@ -150,6 +153,9 @@ def test_calibrate_hits_target_level():
     for rho in levels:
         achieved = crossing_probability(SCHED, crit.boundary(rho))
         assert achieved == pytest.approx(rho, abs=2e-4)
+        # The doubled-grid check's value is kept per level.
+        doubled = crossing_probability(SCHED, crit.boundary(rho), grid_points=1024)
+        assert crit.achieved[rho] == doubled
 
 
 def test_calibrated_boundary_monotone_in_level():
@@ -216,14 +222,14 @@ def test_grid_error_when_tolerance_unmeetable():
 
 def test_grid_error_when_a_small_level_misses_by_a_large_factor():
     # On its own doubled grid this boundary crosses with probability
-    # 5.6e-6: within the absolute 1e-4 of the level 1e-6, but 4.6 times
+    # 3.2e-9: within the absolute 1e-4 of the level 1e-6, but 0.997 of
     # the level off.
-    with pytest.raises(GridError, match=r"off by 4\.59e-06 \(4\.59 relative;"):
+    with pytest.raises(GridError, match=r"off by 9\.97e-07 \(0\.997 relative;"):
         calibrate_levels(SCHED, [1e-6], grid_points=32)
 
 
 def test_unbracketable_level_raises_calibration_error():
-    # Even at c = 10 the recursion floors near 1.9e-14, so no constant in
+    # Even at c = 10 the recursion floors near 3.4e-15, so no constant in
     # the bracket reaches this level.
     with pytest.raises(CalibrationError, match=r"\[-10, 10\] calibrates level 1e-30"):
         calibrate_levels(SCHED, [1e-30])
@@ -293,8 +299,9 @@ def test_calibrate_large_levels_give_negative_constants(shape, rho):
         # The starting constant z(rho) / max(g) already crosses for certain.
         ((4, 16), "flat", 1.0 - 1e-12),
         # A secant step after finite gaps lands where the recursion's
-        # grid error floors the crossing probability at exactly 0.
-        ((2, 50), "obrien-fleming", 2e-8),
+        # grid error floors the crossing probability at exactly 0: there
+        # a grid step is 0.82 sd of the one-observation increment.
+        ((700, 701), "flat", 1e-8),
     ],
 )
 def test_solver_bisects_past_an_infinite_gap(analyses, shape, rho):
@@ -369,43 +376,28 @@ def test_level_listed_twice_is_calibrated_once(monkeypatch):
     assert sorted(crit.table) == [0.025, 0.05]
 
 
-def _matvec_in_kernel_blocks(kernel, vec):
-    # OpenBLAS may round a mat-vec differently with the number of rows in
-    # the call (four-row calls do) and with the BLAS thread count, so the
-    # whole kernel is applied in the blocked kernel's row slices: the
-    # oracle checks the kernel's fill and bookkeeping, not the BLAS.
-    rows = stepdown.boundary._KERNEL_ROWS
-    return np.concatenate([kernel[i : i + rows] @ vec for i in range(0, len(kernel), rows)])
-
-
 def _reference_recursion(analyses, b, grid_points):
-    # The whole-matrix propagation: each transition builds the full
-    # N x N kernel before the mat-vec.  Oracle for the blocked kernel.
-    thresholds = b * np.sqrt(np.asarray(analyses, dtype=float))
-
-    n1 = analyses[0]
-    lo, hi = -_SPAN_SD * math.sqrt(n1), min(thresholds[0], _SPAN_SD * math.sqrt(n1))
-    if hi <= lo:
+    # The whole-matrix propagation on the recursion's grids: each
+    # transition fills the full kernel from the explicit node differences
+    # new[i] - old[k] before one mat-vec.  Oracle for the convolution.
+    grids = _look_grids(analyses, b, grid_points)
+    if grids is None:
         return 1.0
-    grid = np.linspace(lo, hi, grid_points)
-    dens = np.exp(-0.5 * grid * grid / n1) / math.sqrt(2.0 * math.pi * n1)
-    surviving = _trapezoid_mass(dens, grid)
-
+    h, grids = grids
+    n1 = analyses[0]
+    dens = np.exp(-0.5 * grids[0] * grids[0] / n1) / math.sqrt(2.0 * math.pi * n1)
     for j in range(1, len(analyses)):
         dn = analyses[j] - analyses[j - 1]
-        lo = -_SPAN_SD * math.sqrt(analyses[j])
-        hi = min(thresholds[j], _SPAN_SD * math.sqrt(analyses[j]))
-        if hi <= lo:
-            return 1.0
-        new_grid = np.linspace(lo, hi, grid_points)
-        diff = new_grid[:, None] - grid[None, :]
+        diff = grids[j][:, None] - grids[j - 1][None, :]
         kernel = np.exp(-0.5 * diff * diff / dn) / math.sqrt(2.0 * math.pi * dn)
-        w = _trapezoid_weights(grid)
-        dens = _matvec_in_kernel_blocks(kernel, dens * w)
-        grid = new_grid
-        surviving = _trapezoid_mass(dens, grid)
+        dens = kernel @ (dens * _trapezoid_weights(len(grids[j - 1]), h))
+    return min(1.0, max(0.0, 1.0 - float(dens @ _trapezoid_weights(len(dens), h))))
 
-    return min(1.0, max(0.0, 1.0 - surviving))
+
+# The convolution and the oracle sum in different orders, and the oracle's
+# differences are rounded from the nodes, so they agree to a few ulps of 1:
+# at most 3.5 in 6,000 random inputs.
+_ORACLE_ULPS = 8
 
 
 # Standardized boundary constants: at or below -_SPAN_SD the grid is empty
@@ -419,37 +411,61 @@ _constants = st.one_of(
 
 
 @st.composite
-def _recursion_inputs(draw):
+def _recursion_inputs(draw, max_grid=2100):
     looks = draw(st.integers(1, 6))
     first = draw(st.integers(1, 60))
     steps = draw(st.lists(st.integers(1, 30), min_size=looks - 1, max_size=looks - 1))
     analyses = tuple(int(n) for n in np.cumsum([first] + steps))
     shape = draw(st.sampled_from(stepdown.boundary.SHAPES))
     b = draw(_constants) * shape_multipliers(shape, analyses)
-    grid_points = draw(st.one_of(st.integers(8, 2100), st.sampled_from([63, 64, 65, 513, 2047])))
+    grid_points = draw(st.one_of(st.integers(8, max_grid), st.sampled_from([63, 64, 65, 257])))
     return analyses, b, grid_points
 
 
 @settings(max_examples=80, deadline=None)
-@given(_recursion_inputs())
-# A whole-matrix mat-vec split across two BLAS threads rounded the first
-# differently from the blocked kernel, and four-row mat-vecs the second.
+# Whole kernels stay below 50 MB: grids of at most 8 * 300 points.
+@given(_recursion_inputs(max_grid=300))
 @example(((11, 26, 27), np.array([7.0, 7.0, 7.0]), 1027))
 @example(((47, 68, 85, 93, 100), np.array([0.0] * 5), 293))
 def test_blocked_recursion_matches_reference(inputs):
     analyses, b, grid_points = inputs
     got = stepdown.boundary._crossing_recursion(analyses, b, grid_points)
-    assert got == _reference_recursion(analyses, b, grid_points)
+    assert abs(got - _reference_recursion(analyses, b, grid_points)) <= _ORACLE_ULPS * 2.0**-52
 
 
-# _reference_recursion's output at grids too large to rebuild in a test
-# run: the whole kernel needs 0.5 GB of temporaries at 4096 points and
-# 2 GB at 8192.
+@settings(max_examples=200, deadline=None)
+@given(_recursion_inputs())
+def test_look_grids_share_one_spacing(inputs):
+    analyses, b, grid_points = inputs
+    grids = _look_grids(analyses, b, grid_points)
+    sd = np.sqrt(np.asarray(analyses, dtype=float))
+    tops = np.minimum(b * sd, _SPAN_SD * sd)
+    if grids is None:
+        assert (tops <= -_SPAN_SD * sd).any()
+        return
+    h, grids = grids
+    counts = [len(grid) for grid in grids]
+    assert max(counts) <= _GRID_CAP * grid_points
+    assert max(counts) == _GRID_CAP * grid_points or min(counts) == grid_points
+    for grid, top, low in zip(grids, tops, -_SPAN_SD * sd):
+        # Each grid ends on its top node and steps down by h to within
+        # one step of -_SPAN_SD sd.
+        assert grid[-1] == top
+        assert np.allclose(np.diff(grid), h, rtol=1e-9, atol=0.0)
+        assert low - 1e-9 * (top - low) <= grid[0] < low + h
+    # The doubled-grid check always integrates at a finer spacing.
+    assert _look_grids(analyses, b, 2 * grid_points)[0] < h
+
+
+# The recursion's output at grids too large for a whole-kernel oracle in a
+# test run, checked to 1 ulp against the explicit-difference oracle applied
+# 256 rows at a time.  The multivariate normal CDF gives 0.0234732 and
+# 0.0205714.
 _LARGE_GRID_REFERENCE = [
-    ((26, 29, 35), "flat", 2.2, 4096, 0.023473578034041598),
-    ((26, 29, 35), "flat", 2.2, 8192, 0.023473487397143056),
-    ((20, 31, 44, 60), "obrien-fleming", 2.1, 4096, 0.02057713180840215),
-    ((20, 31, 44, 60), "obrien-fleming", 2.1, 8192, 0.020577076143065476),
+    ((26, 29, 35), "flat", 2.2, 4096, 0.023473563778389273),
+    ((26, 29, 35), "flat", 2.2, 8192, 0.02347348383422254),
+    ((20, 31, 44, 60), "obrien-fleming", 2.1, 4096, 0.020577094667839968),
+    ((20, 31, 44, 60), "obrien-fleming", 2.1, 8192, 0.020577066860347992),
 ]
 
 
@@ -461,16 +477,55 @@ def test_blocked_recursion_matches_reference_on_large_grids(
     assert stepdown.boundary._crossing_recursion(analyses, b, grid_points) == expected
 
 
-def test_crossing_memory_bounded_at_largest_grid():
-    # The doubled-grid check integrates on 8192 points; a whole kernel
-    # there would be 512 MB, a block of kernel rows is 4 MiB.
+def _peak_traced_bytes(analyses, b):
     tracemalloc.start()
     try:
-        crossing_probability(SCHED, [2.2] * 3, grid_points=4096, tol=1e-4)
-        _, peak = tracemalloc.get_traced_memory()
+        crossing_probability(analyses, b, grid_points=MAX_GRID_POINTS, tol=1e-4)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+
+def test_crossing_memory_bounded_at_largest_grid():
+    # The doubled-grid check integrates on 8192 points a look; the kernel
+    # is one vector of fewer than twice that many differences.
+    assert _peak_traced_bytes(SCHED, [2.2] * 3) < 16 * 2**20
+
+
+@pytest.mark.parametrize("analyses", [(1, 10000), (1, 100, 10000)])
+def test_capped_grids_stay_bounded_and_refine(analyses):
+    # The widest look spans 100 times the first, so the cap binds: the
+    # widest grid holds _GRID_CAP times grid_points, and the doubled-grid
+    # check still halves the spacing.
+    b = np.full(len(analyses), 2.2)
+    assert _peak_traced_bytes(analyses, b) < 16 * 2**20
+    h, grids = _look_grids(analyses, b, MAX_GRID_POINTS)
+    h_fine, fine = _look_grids(analyses, b, 2 * MAX_GRID_POINTS)
+    assert len(grids[-1]) == _GRID_CAP * MAX_GRID_POINTS
+    assert len(fine[-1]) == 2 * _GRID_CAP * MAX_GRID_POINTS
+    assert h_fine < h
+
+
+@st.composite
+def _root_inputs(draw):
+    analyses, g, rho, grid_points = draw(_calibration_inputs())
+    return analyses, g, 10.0 ** draw(st.floats(-5.0, -2.0)), grid_points
+
+
+@settings(max_examples=40, deadline=None)
+@given(_root_inputs())
+def test_crossing_does_not_increase_in_small_steps_of_the_constant(inputs):
+    # The trapezoid weights take h as computed from the spans: rebuilt
+    # from two nodes near -_SPAN_SD sd, it rounds differently as c moves,
+    # and P(c) rose and fell by 4e-13 over 1e-10 steps of c, more than a
+    # step's fall at these levels.
+    analyses, g, rho, grid_points = inputs
+    root = stepdown.boundary._solve_constant(analyses, g, rho, grid_points)
+    ps = [
+        stepdown.boundary._crossing_recursion(analyses, (root + k * 1e-10) * g, grid_points)
+        for k in range(-5, 6)
+    ]
+    assert all(later <= earlier for earlier, later in zip(ps, ps[1:]))
 
 
 def test_fractional_analysis_sizes_are_refused():

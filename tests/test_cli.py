@@ -65,6 +65,9 @@ def test_boundary_subcommand(tmp_path):
     assert meta["subcommand"] == "boundary"
     assert meta["shape"] == "flat"
     assert meta["grid"] == "512"
+    # Each level's crossing probability on the doubled grid, in rho order.
+    achieved = [float(v) for v in meta["achieved"].split(",")]
+    assert achieved == [critical.achieved[0.05], critical.achieved[0.025]]
 
 
 def _write_boundary(tmp_path, rho, name="bound.csv"):
