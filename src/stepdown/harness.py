@@ -13,14 +13,15 @@ Replicates run in blocks, and the cells of a run, which share master
 seed, schedule and replicate count, run together in one block loop
 (``run_cells``).  Each block is drawn once (``draw_replicates``), its
 sums and statistics are computed once per distinct scenario
-(``paths_from_draws``), and one vectorised pass per cell decides it
-(``run_multistage_batch`` for the staged procedures, ``holm_fixed`` on
-the exact cutoffs each final value clears for ``H``).  Every replicate
-gets exactly the numbers and decisions of the one-replicate functions
-``generate_paths`` and ``run_multistage``, so neither the block size
-nor which cells run together changes a result; only one block of draws
-is held at a time.  ``run_scenario`` is the one-cell view of the same
-loop.
+(``paths_from_draws``), and one vectorised pass per cell decides it:
+``run_multistage_batch`` for the staged procedures, and for ``H`` the
+step-down rule of ``holm_fixed`` on how many of the exact Holm cutoffs
+each final value clears.  Every replicate gets exactly the numbers and
+decisions of the one-replicate functions ``generate_paths`` and
+``run_multistage``, or of ``holm_fixed`` on its final p-values, so
+neither the block size nor which cells run together changes a result;
+only one block of draws is held at a time.  ``run_scenario`` is the
+one-cell view of the same loop.
 
 The staged procedures need a boundary covering their ``needed_levels``,
 passed as ``critical``.  A boundary depends only on the schedule, the
@@ -41,13 +42,14 @@ import numpy as np
 
 from .boundary import CriticalFunction, calibrate_levels
 from .core import HypothesisFamily, SampleSchedule, check_alpha, check_integer
-# calibrate_levels, run_multistage and generate_paths are not called here;
-# they stay bound because bench/tracing.py wraps them on this module.  It
-# also wraps run_scenario, which run_scenario_parallel no longer calls, so
-# a traced `stepdown simulate` reports 0 calls and replicates for it.
+# calibrate_levels, holm_fixed, run_multistage and generate_paths are not
+# called here; they stay bound because bench/tracing.py wraps them on this
+# module.  It also wraps run_scenario, which run_scenario_parallel no longer
+# calls, so a traced `stepdown simulate` reports 0 calls and replicates for it.
 from .procedures import (
     HOLM,
     MULT,
+    _step_down,
     holm_fixed,
     run_multistage,
     run_multistage_batch,
@@ -337,16 +339,18 @@ def run_cells(
     sup = schedule.sup
     summaries = [empty_summary(spec) for spec in specs]
     # Cells with the same parameters and correction read the same paths.
-    # Row e of an H cell's table holds endpoint e's cutoff at each Holm
-    # level: for the final statistic, or on the binary row the final count.
+    # H cells with the same alpha share one cutoff table, whose row e holds
+    # endpoint e's cutoff at each Holm level: for the final statistic, or
+    # on the binary row the final count.
     by_paths: dict[tuple[ScenarioParams, bool], list[int]] = {}
-    cutoffs = {}
+    cutoffs: dict[float, np.ndarray] = {}
     for i, spec in enumerate(specs):
         by_paths.setdefault((spec.params, spec.continuity_correction), []).append(i)
         if spec.procedure == "H":
-            levels = stage_levels(HOLM, spec.alpha, _FAMILY.k)
-            gaussian = [_normal_cutoff(level) for level in levels]
-            cutoffs[i] = np.array([gaussian, gaussian, _binomial_cutoffs(sup, levels)])
+            if spec.alpha not in cutoffs:
+                levels = stage_levels(HOLM, spec.alpha, _FAMILY.k)
+                gaussian = [_normal_cutoff(level) for level in levels]
+                cutoffs[spec.alpha] = np.array([gaussian, gaussian, _binomial_cutoffs(sup, levels)])
         elif critical is None:
             raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
     step = block_replicates(schedule)
@@ -362,10 +366,10 @@ def run_cells(
                 spec = specs[i]
                 if spec.procedure == "H":
                     # Holm compares p-values only with the levels alpha / m,
-                    # so a final value clearing j of them gets alpha / (j + 1).
+                    # so how many of them a final value clears decides it.
                     final = np.concatenate([values[:, :2, -1], sums[:, 2:, -1]], axis=1)
-                    cleared = (final[:, :, None] >= cutoffs[i]).sum(axis=2)
-                    rejected = holm_fixed(spec.alpha / (1 + cleared), spec.alpha)
+                    cleared = (final[:, :, None] >= cutoffs[spec.alpha]).sum(axis=2)
+                    rejected = _step_down(cleared, _FAMILY.k)
                     total = np.full(len(values), _FAMILY.k * sup, dtype=np.int64)
                 else:
                     rejected, final_n = run_multistage_batch(

@@ -330,10 +330,12 @@ def run_multistage_batch(
     exactly; the stage records are not kept.  Each statistic is read
     once, as the count of ``_stage_bounds`` rows it clears; as the rows
     do not decrease, it clears the boundary for m active exactly when
-    its count is at least m.  Active sets are boolean masks, a stage
-    crosses when the top active count reaches m, and ``_step_down``
-    picks the rejected prefix from the counts.  The loop runs over
-    stages, at most k of them, not over replicates.
+    its count is at least m.  The loop walks the analyses in order, as
+    the procedure samples them.  At each one, the replicates whose top
+    active count reaches their own m end a stage there, and
+    ``_step_down`` picks their rejected prefix from the counts; its
+    first rank passes exactly when that count reaches m, so a stage
+    ends where it rejects something.
 
     Args:
         values: Statistics of shape ``(R, k, len(schedule))``.
@@ -357,51 +359,40 @@ def run_multistage_batch(
     alpha = _check_run(family, schedule, critical, alpha, rule)
 
     reps = values.shape[0]
-    analyses = np.asarray(schedule.analyses)
     bounds = _stage_bounds(critical, rule, alpha, k)
-    cleared = sum(values >= row for row in bounds)
+    # Column-major, as is active: numpy reduces an (R, k) array over k
+    # several times faster when its columns, not its rows, are contiguous.
+    cleared = np.asfortranarray(sum(values >= row for row in bounds))
     contains = np.asarray(family.contains_complement, dtype=bool)
 
-    active = np.ones((reps, k), dtype=bool)
+    active = np.ones((reps, k), dtype=bool, order="F")
+    m = np.full(reps, k)
     rejected = np.zeros((reps, k), dtype=bool)
-    final_n = np.zeros((reps, k), dtype=np.int64)
-    prev_col = np.full(reps, -1)
+    # Survivors of the last analysis are accepted there.
+    final_n = np.full((reps, k), schedule.sup, dtype=np.int64)
 
-    # A replicate stays in the loop while it has active hypotheses; every
-    # stage that does not stop rejects at least one, so k stages suffice.
-    for _ in range(k):
-        rows = np.flatnonzero(active.any(axis=1))
+    for j, n_j in enumerate(schedule.analyses):
+        # An inactive hypothesis counts -1: it neither crosses nor passes,
+        # and a stopped replicate, with m = 0, never qualifies again.
+        counts = np.where(active, cleared[:, :, j], -1)
+        rows = np.flatnonzero(counts.max(axis=1) >= m)
         if rows.size == 0:
-            break
-        act, rej_before = active[rows], rejected[rows]
-        m = act.sum(axis=1)
-        # An inactive hypothesis counts -1: it neither crosses nor passes.
-        counts = np.where(act[:, :, None], cleared[rows], -1)
-
-        # Stage sample size: the first analysis past the previous stage
-        # where some active statistic meets the stage boundary.
-        cross = (counts.max(axis=1) >= m[:, None]) & (np.arange(n_looks) > prev_col[rows, None])
-        hit = cross.any(axis=1)
-        col = np.where(hit, cross.argmax(axis=1), n_looks - 1)
-        n_j = analyses[col]
-
-        # Stage rejections.  A row without a crossing reaches its last
-        # analysis with no active count at m, so it rejects nothing.
-        stage_rej = _step_down(counts[np.arange(rows.size), :, col], m)
-
+            continue
+        act = active[rows]
+        stage_rej = _step_down(counts[rows], m[rows])
         decided = stage_rej
         if rule == "closed":
             # Implied acceptances of this stage's rejections.
-            decided = decided | (stage_rej[:, :, None] & contains).any(axis=1)
-        rej_now = rej_before | stage_rej
+            decided = decided | ((stage_rej @ contains) & act)
+        rej_now = rejected[rows] | stage_rej
         remaining = act & ~decided
-        covered = (rej_now[:, :, None] & contains).any(axis=1)
-        stop = ~hit | (col == n_looks - 1) | ~(remaining & ~covered).any(axis=1)
-        # Decided hypotheses freeze at n_j; on a stop, so do the survivors.
-        settle = (act & decided) | (remaining & stop[:, None])
-        final_n[rows] = np.where(settle, n_j[:, None], final_n[rows])
+        # The run stops when every survivor contains the complement of a
+        # rejected hypothesis; decided hypotheses and, on a stop, the
+        # survivors freeze at n_j.
+        stop = ~(remaining & ~(rej_now @ contains)).any(axis=1)
+        final_n[rows] = np.where(decided | (stop[:, None] & act), n_j, final_n[rows])
         rejected[rows] = rej_now
         active[rows] = remaining & ~stop[:, None]
-        prev_col[rows] = col
+        m[rows] = active[rows].sum(axis=1)
 
     return rejected, final_n

@@ -2,10 +2,12 @@
 
 ``run_scenario`` draws a block of replicates with ``draw_replicates``,
 forms its statistics with ``paths_from_draws``, and decides it with
-``run_multistage_batch``, or for ``H`` with ``holm_fixed`` on the
-statistic cutoffs each replicate clears.  Each of these must reproduce
-its one-replicate reference exactly, number for number and decision for
-decision.
+``run_multistage_batch``, which walks the analyses and settles each
+replicate's stages where they end, or for ``H`` with the step-down rule
+on how many of the statistic cutoffs each replicate clears.  Each of
+these must reproduce its one-replicate reference exactly, number for
+number and decision for decision: ``run_multistage`` for the staged
+procedures, Holm's rule on exact p-values for ``H``.
 """
 
 import functools
@@ -123,7 +125,7 @@ def reference_counts(spec, rep_range, critical):
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(1, 5),
-    looks=st.integers(1, 4),
+    looks=st.integers(1, 12),
     rule=st.sampled_from(RULES),
     ties=st.booleans(),
     infinite=st.booleans(),

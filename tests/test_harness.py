@@ -313,6 +313,12 @@ def test_grouped_run_matches_each_cell_alone(run):
     assert merged == alone
 
 
+def test_h_cells_with_different_alphas_keep_their_own_cutoffs():
+    # run_cells builds one H cutoff table per distinct alpha.
+    cells = [spec_for("H", alpha=alpha) for alpha in (0.05, 0.2, 0.05)]
+    assert run_cells(cells) == [run_scenario(cell) for cell in cells]
+
+
 def test_run_cells_rejects_cells_that_cannot_share_draws(monkeypatch):
     # run_scenario_parallel checks its cells before it opens a pool.
     monkeypatch.setattr(stepdown.harness.multiprocessing, "Pool", _RecordingPool)
