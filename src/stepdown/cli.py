@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -566,7 +567,9 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], dict | None], tuple[Ke
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``stepdown`` parser, built once per process from the static ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="stepdown",
         description=(

@@ -13,15 +13,16 @@ Replicates run in blocks, and the cells of a run, which share master
 seed, schedule and replicate count, run together in one block loop
 (``run_cells``).  Each block is drawn once (``draw_replicates``), its
 sums and statistics are computed once per distinct scenario
-(``paths_from_draws``), and one vectorised pass per cell decides it:
-``run_multistage_batch`` for the staged procedures, and for ``H`` the
-step-down rule of ``holm_fixed`` on how many of the exact Holm cutoffs
-each final value clears.  Every replicate gets exactly the numbers and
-decisions of the one-replicate functions ``generate_paths`` and
-``run_multistage``, or of ``holm_fixed`` on its final p-values, so
-neither the block size nor which cells run together changes a result;
-only one block of draws is held at a time.  ``run_scenario`` is the
-one-cell view of the same loop.
+(``paths_from_draws``).  ``H`` applies ``holm_fixed``'s rule to how
+many exact Holm cutoffs each final value clears.  The staged cells count
+each statistic once against the union of their boundary rows and decide
+each distinct row of counts in the block once per (rule, alpha), with
+the count engine of ``run_multistage_batch``.  Every replicate gets
+exactly the numbers and decisions of the one-replicate functions
+``generate_paths`` and ``run_multistage``, or of ``holm_fixed`` on its
+final p-values, so neither the block size nor which cells run together
+changes a result; only one block of draws is held at a time.
+``run_scenario`` is the one-cell view of the same loop.
 
 The staged procedures need a boundary covering their ``needed_levels``,
 passed as ``critical``.  A boundary depends only on the schedule, the
@@ -49,10 +50,12 @@ from .core import HypothesisFamily, SampleSchedule, check_alpha, check_integer
 from .procedures import (
     HOLM,
     MULT,
+    _check_run,
+    _decide_counts,
+    _stage_bounds,
     _step_down,
     holm_fixed,
     run_multistage,
-    run_multistage_batch,
     stage_levels,
 )
 from .trial import ScenarioParams, check_seed, draw_replicates, generate_paths, paths_from_draws
@@ -295,6 +298,28 @@ def _normal_cutoff(level: float) -> float:
     return hi
 
 
+def _clearance_lookups(
+    critical: CriticalFunction, schedule: SampleSchedule, keys: Iterable[tuple[str, float]]
+) -> tuple[np.ndarray, dict[tuple[str, float], np.ndarray]]:
+    """The union of the ``(rule, alpha)`` keys' ``_stage_bounds`` rows, and a lookup per key.
+
+    Sorted, the union rows run from the largest level to the smallest and
+    do not decrease, so a statistic clears a prefix of them.  Its union
+    count u decides every key: the key's row m - 1 is union row i(m),
+    cleared exactly when u > i(m), and ``lookup[u]`` counts those m.
+    """
+    bounds = {}
+    for rule, alpha in keys:
+        _check_run(_FAMILY, schedule, critical, alpha, rule)
+        bounds[rule, alpha] = _stage_bounds(critical, rule, alpha, _FAMILY.k)
+    union = sorted({row for rows in bounds.values() for row in rows})
+    u = np.arange(len(union) + 1)[:, None]
+    return np.array(union), {
+        key: (u > [union.index(row) for row in rows]).sum(axis=1).astype(np.int8)
+        for key, rows in bounds.items()
+    }
+
+
 def _shared_draws(specs: Sequence[ScenarioSpec]) -> tuple[SampleSchedule, int, int]:
     """The schedule, master seed and replicate count every cell shares."""
     keys = {(spec.schedule, spec.master_seed, spec.replicates) for spec in specs}
@@ -315,8 +340,9 @@ def run_cells(
     The cells must share ``master_seed``, ``schedule`` and
     ``replicates``, so replicate r draws the same numbers in each.  Each
     block of replicates is drawn once; sums and statistics are computed
-    once per distinct ``(params, continuity_correction)``, and every
-    cell's procedure decides the block from them.
+    once per distinct ``(params, continuity_correction)``, and the staged
+    cells decide each distinct row of boundary counts once per ``(rule,
+    alpha)``, as equal counts get equal decisions.
 
     Args:
         specs: The cells to simulate, at least one.
@@ -341,11 +367,14 @@ def run_cells(
     # Cells with the same parameters and correction read the same paths.
     # H cells with the same alpha share one cutoff table, whose row e holds
     # endpoint e's cutoff at each Holm level: for the final statistic, or
-    # on the binary row the final count.
+    # on the binary row the final count.  Staged cells are listed under
+    # their (rule, alpha) with the index of their group.
     by_paths: dict[tuple[ScenarioParams, bool], list[int]] = {}
     cutoffs: dict[float, np.ndarray] = {}
+    staged: dict[tuple[str, float], list[tuple[int, int]]] = {}
     for i, spec in enumerate(specs):
-        by_paths.setdefault((spec.params, spec.continuity_correction), []).append(i)
+        group = (spec.params, spec.continuity_correction)
+        by_paths.setdefault(group, []).append(i)
         if spec.procedure == "H":
             if spec.alpha not in cutoffs:
                 levels = stage_levels(HOLM, spec.alpha, _FAMILY.k)
@@ -353,41 +382,62 @@ def run_cells(
                 cutoffs[spec.alpha] = np.array([gaussian, gaussian, _binomial_cutoffs(sup, levels)])
         elif critical is None:
             raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
+        else:
+            cell = (i, list(by_paths).index(group))
+            staged.setdefault((_VARIANTS[spec.procedure], spec.alpha), []).append(cell)
+    if staged:
+        union, lookups = _clearance_lookups(critical, schedule, staged)
+        dtype = np.min_scalar_type(len(union))
+        contains = np.asarray(_FAMILY.contains_complement, dtype=bool)
     step = block_replicates(schedule)
     for start in range(lo, hi, step):
         block = (start, min(start + step, hi))
+        reps = block[1] - block[0]
         z, u = draw_replicates(master_seed, block, sup)
+        results: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # rejected, measurements
+        pooled = []
         for (params, correction), members in by_paths.items():
             sums, values = paths_from_draws(
                 params, schedule, z, u, continuity_correction=correction
             )
-            truth = np.asarray(params.truth)
             for i in members:
-                spec = specs[i]
-                if spec.procedure == "H":
+                if specs[i].procedure == "H":
                     # Holm compares p-values only with the levels alpha / m,
                     # so how many of them a final value clears decides it.
                     final = np.concatenate([values[:, :2, -1], sums[:, 2:, -1]], axis=1)
-                    cleared = (final[:, :, None] >= cutoffs[spec.alpha]).sum(axis=2)
-                    rejected = _step_down(cleared, _FAMILY.k)
-                    total = np.full(len(values), _FAMILY.k * sup, dtype=np.int64)
-                else:
-                    rejected, final_n = run_multistage_batch(
-                        values, _FAMILY, schedule, critical, spec.alpha, _VARIANTS[spec.procedure]
-                    )
-                    total = final_n.sum(axis=1)
-                summaries[i] = merge(
-                    summaries[i],
-                    SimulationSummary(
-                        spec=spec,
-                        rep_ranges=(block,),
-                        replicates=len(total),
-                        sum_measurements=int(total.sum()),
-                        sumsq_measurements=int((total * total).sum()),
-                        reject_counts=tuple(int(c) for c in rejected.sum(axis=0)),
-                        fwe_count=int((rejected & truth).any(axis=1).sum()),
-                    ),
+                    cleared = (final[:, :, None] >= cutoffs[specs[i].alpha]).sum(axis=2)
+                    results[i] = _step_down(cleared, _FAMILY.k), np.full(reps, _FAMILY.k * sup)
+            if staged:
+                counts = sum((values >= row for row in union), np.zeros(values.shape, dtype))
+                pooled.append(counts.reshape(reps, -1))
+        if staged:
+            # Each distinct row of union counts is decided once per (rule,
+            # alpha); a cell reads its group's rows through the inverse.
+            codes = np.concatenate(pooled)
+            void = codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel()
+            _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
+            distinct = codes[first].reshape(-1, _FAMILY.k, len(schedule))
+            for key, cells in staged.items():
+                rejected, final_n = _decide_counts(
+                    lookups[key][distinct], contains, schedule.analyses, False
                 )
+                for i, g in cells:
+                    rows = inverse[g * reps:(g + 1) * reps]
+                    results[i] = rejected[rows], final_n[rows].sum(axis=1)
+        for i, spec in enumerate(specs):
+            rejected, total = results[i]
+            summaries[i] = merge(
+                summaries[i],
+                SimulationSummary(
+                    spec=spec,
+                    rep_ranges=(block,),
+                    replicates=reps,
+                    sum_measurements=int(total.sum()),
+                    sumsq_measurements=int((total * total).sum()),
+                    reject_counts=tuple(int(c) for c in rejected.sum(axis=0)),
+                    fwe_count=int((rejected & spec.params.truth).any(axis=1).sum()),
+                ),
+            )
     return summaries
 
 

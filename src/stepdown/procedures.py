@@ -327,15 +327,10 @@ def run_multistage_batch(
 
     Replicate r's decisions and final sizes equal those of
     ``run_multistage`` on ``StatisticPaths(schedule.analyses, values[r])``
-    exactly; the stage records are not kept.  Each statistic is read
-    once, as the count of ``_stage_bounds`` rows it clears; as the rows
-    do not decrease, it clears the boundary for m active exactly when
-    its count is at least m.  The loop walks the analyses in order, as
-    the procedure samples them.  At each one, the replicates whose top
-    active count reaches their own m end a stage there, and
-    ``_step_down`` picks their rejected prefix from the counts; its
-    first rank passes exactly when that count reaches m, so a stage
-    ends where it rejects something.
+    exactly; the stage records are not kept.  This is the float entry
+    to the count engine ``_decide_counts``: each statistic is read once,
+    as the count of ``_stage_bounds`` rows it clears, and the engine
+    decides from those counts alone.
 
     Args:
         values: Statistics of shape ``(R, k, len(schedule))``.
@@ -358,20 +353,37 @@ def run_multistage_batch(
         raise ValueError("statistic values must not be NaN")
     alpha = _check_run(family, schedule, critical, alpha, rule)
 
-    reps = values.shape[0]
     bounds = _stage_bounds(critical, rule, alpha, k)
+    cleared = sum(values >= row for row in bounds)
+    contains = np.asarray(family.contains_complement, dtype=bool)
+    return _decide_counts(cleared, contains, schedule.analyses, rule == "closed")
+
+
+def _decide_counts(
+    cleared: np.ndarray, contains: np.ndarray, analyses: Sequence[int], closed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The multistage decisions of R replicates from their clearance counts.
+
+    cleared[r, i, j] counts the ``_stage_bounds`` rows statistic i of
+    replicate r clears at analysis j; as the rows do not decrease, it
+    clears the boundary for m active exactly when its count reaches m.
+    The loop walks the analyses.  At each, the replicates whose top active
+    count reaches their own m end a stage, and ``_step_down`` picks their
+    rejected prefix; its first rank passes exactly when that count reaches
+    m, so a stage ends where it rejects something.  ``closed`` adds the
+    implied acceptances of ``contains``.  Equal counts decide equally.
+    """
+    reps, k = cleared.shape[:2]
     # Column-major, as is active: numpy reduces an (R, k) array over k
     # several times faster when its columns, not its rows, are contiguous.
-    cleared = np.asfortranarray(sum(values >= row for row in bounds))
-    contains = np.asarray(family.contains_complement, dtype=bool)
-
+    cleared = np.asfortranarray(cleared)
     active = np.ones((reps, k), dtype=bool, order="F")
     m = np.full(reps, k)
     rejected = np.zeros((reps, k), dtype=bool)
     # Survivors of the last analysis are accepted there.
-    final_n = np.full((reps, k), schedule.sup, dtype=np.int64)
+    final_n = np.full((reps, k), analyses[-1], dtype=np.int64)
 
-    for j, n_j in enumerate(schedule.analyses):
+    for j, n_j in enumerate(analyses):
         # An inactive hypothesis counts -1: it neither crosses nor passes,
         # and a stopped replicate, with m = 0, never qualifies again.
         counts = np.where(active, cleared[:, :, j], -1)
@@ -381,7 +393,7 @@ def run_multistage_batch(
         act = active[rows]
         stage_rej = _step_down(counts[rows], m[rows])
         decided = stage_rej
-        if rule == "closed":
+        if closed:
             # Implied acceptances of this stage's rejections.
             decided = decided | ((stage_rej @ contains) & act)
         rej_now = rejected[rows] | stage_rej

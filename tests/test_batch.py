@@ -1,13 +1,14 @@
 """The block-of-replicates path against its one-replicate references.
 
 ``run_scenario`` draws a block of replicates with ``draw_replicates``,
-forms its statistics with ``paths_from_draws``, and decides it with
-``run_multistage_batch``, which walks the analyses and settles each
-replicate's stages where they end, or for ``H`` with the step-down rule
-on how many of the statistic cutoffs each replicate clears.  Each of
-these must reproduce its one-replicate reference exactly, number for
-number and decision for decision: ``run_multistage`` for the staged
-procedures, Holm's rule on exact p-values for ``H``.
+forms its statistics with ``paths_from_draws``, and decides it with the
+count engine of ``run_multistage_batch``, which walks the analyses and
+settles each replicate's stages where they end, or for ``H`` with the
+step-down rule on how many of the statistic cutoffs each replicate
+clears.  Each of these must reproduce its one-replicate reference
+exactly, number for number and decision for decision:
+``run_multistage`` for the staged procedures, Holm's rule on exact
+p-values for ``H``.
 """
 
 import functools

@@ -340,6 +340,42 @@ def test_module_entry_point(tmp_path):
     assert "--schedule" in proc.stdout
 
 
+def test_one_parser_serves_every_run_in_a_process(tmp_path, monkeypatch, capsys):
+    # main reuses one parser; after a bad flag, each run must still give
+    # the exit code, output and files of a fresh interpreter.
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ["simulate", "--bogus", "1"],
+        ["boundary", "--schedule", "26,29,35", "--rho", "0.05,0.025", "--out", "b.csv"],
+        ["simulate", "--scenarios", "(0,.5,.75) (0,0,.5)", "--procedure", "H,Mult,MultH",
+         "--reps", "300", "--out", "s.csv"],
+        ["simulate", "--help"],
+    ]
+    src = os.path.dirname(os.path.dirname(stepdown.cli.__file__))
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": src}
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    same.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(same)
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "stepdown", *argv], cwd=fresh, capture_output=True,
+            text=True, env=env,
+        )
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert stepdown.cli.build_parser() is stepdown.cli.build_parser()
+    names = sorted(path.name for path in fresh.iterdir())
+    assert names == sorted(path.name for path in same.iterdir())
+    assert names == ["b.csv", "b.csv.meta.txt", "s.csv", "s.csv.meta.txt"]
+    for name in names:
+        assert (same / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_statistics_csv_validation(tmp_path, capsys):
     bound = _write_boundary(tmp_path, "0.05")
     bad = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
+import functools
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import stepdown.harness
-from stepdown.boundary import calibrate_levels
+from stepdown.boundary import CriticalFunction, calibrate_levels
 from stepdown.cli import main as cli_main
-from stepdown.core import SampleSchedule
+from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
 from stepdown.harness import (
     ScenarioSpec,
     _binomial_cutoffs,
+    _clearance_lookups,
     _normal_cutoff,
     empty_summary,
     merge,
@@ -24,7 +26,8 @@ from stepdown.harness import (
     run_scenario_parallel,
     split_ranges,
 )
-from stepdown.trial import ScenarioParams
+from stepdown.procedures import HOLM, MULT, _stage_bounds, run_multistage
+from stepdown.trial import ScenarioParams, draw_replicates, paths_from_draws
 
 SCHED = SampleSchedule((26, 29, 35))
 # Covers the levels of both staged procedures at the default alpha.
@@ -317,6 +320,113 @@ def test_h_cells_with_different_alphas_keep_their_own_cutoffs():
     # run_cells builds one H cutoff table per distinct alpha.
     cells = [spec_for("H", alpha=alpha) for alpha in (0.05, 0.2, 0.05)]
     assert run_cells(cells) == [run_scenario(cell) for cell in cells]
+
+
+@functools.cache
+def _calibrated(looks, shape):
+    """A boundary on ``looks`` analyses covering both staged procedures at alphas 0.05 and 0.1."""
+    schedule = SampleSchedule(tuple(range(6, 6 + 4 * looks, 4)))
+    levels = sorted({x for alpha in (0.05, 0.1) for x in needed_levels(("Mult", "MultH"), alpha)})
+    return calibrate_levels(schedule, levels, shape)
+
+
+def _one_replicate_summary(spec, critical):
+    """A staged cell's accumulators from run_multistage, one replicate at a time."""
+    rule = {"Mult": MULT, "MultH": HOLM}[spec.procedure]
+    z, u = draw_replicates(spec.master_seed, (0, spec.replicates), spec.schedule.sup)
+    _, values = paths_from_draws(
+        spec.params, spec.schedule, z, u, continuity_correction=spec.continuity_correction
+    )
+    totals, counts, fwe = [], [0, 0, 0], 0
+    for stats in values:
+        result = run_multistage(
+            StatisticPaths(spec.schedule.analyses, stats), HypothesisFamily.simple(3),
+            spec.schedule, critical, spec.alpha, rule,
+        )
+        totals.append(result.total_measurements)
+        counts = [c + x for c, x in zip(counts, result.rejected)]
+        fwe += any(x and t for x, t in zip(result.rejected, spec.params.truth))
+    return sum(totals), sum(t * t for t in totals), tuple(counts), fwe
+
+
+_STAGED_CELLS = [
+    (procedure, alpha, params, correction)
+    for procedure in ("Mult", "MultH")
+    for alpha in (0.05, 0.1)
+    for params in _CELL_PARAMS
+    for correction in (False, True)
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells=st.lists(st.sampled_from(_STAGED_CELLS), min_size=1, max_size=6, unique=True),
+    looks=st.integers(1, 12),
+    shape=st.sampled_from(("flat", "obrien-fleming")),
+    seed=st.integers(1, 2**32),
+)
+# Both alphas under MultH give five union rows; at twelve looks their
+# counts would need 6 ** 36 > 2 ** 63 codes if packed into one integer.
+@example(
+    cells=[("MultH", 0.05, _CELL_PARAMS[1], False), ("MultH", 0.1, _CELL_PARAMS[2], True),
+           ("Mult", 0.1, _CELL_PARAMS[3], False)],
+    looks=12, shape="flat", seed=7,
+)
+def test_pooled_staged_cells_match_each_cell_and_one_replicate_loop(cells, looks, shape, seed):
+    # Staged cells of both rules and alphas, decided together from one
+    # pooled set of distinct clearance codes, equal each cell run alone
+    # and the one-replicate engine.
+    critical = _calibrated(looks, shape)
+    specs = [
+        ScenarioSpec(params, critical.schedule, procedure, alpha, 60, seed, correction)
+        for procedure, alpha, params, correction in cells
+    ]
+    keys = {({"Mult": MULT, "MultH": HOLM}[spec.procedure], spec.alpha) for spec in specs}
+    if {(HOLM, 0.05), (HOLM, 0.1)} <= keys and looks >= 9:
+        union, _ = _clearance_lookups(critical, critical.schedule, keys)
+        assert (len(union) + 1) ** (3 * looks) > 2**63
+    pooled = run_cells(specs, critical=critical)
+    assert pooled == [run_scenario(spec, critical=critical) for spec in specs]
+    for spec, summary in zip(specs, pooled):
+        assert _one_replicate_summary(spec, critical) == (
+            summary.sum_measurements, summary.sumsq_measurements,
+            summary.reject_counts, summary.fwe_count,
+        )
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_union_lookup_gives_each_rules_clearance_count(tied):
+    # Statistics sit exactly on boundary entries, one ulp to either side,
+    # or at infinity; with ``tied`` two levels share one boundary tuple.
+    rng = np.random.default_rng(2201)
+    schedule = SampleSchedule((10, 20, 30, 40))
+    levels = (0.05 / 3, 0.025, 0.1 / 3, 0.05, 0.1)
+    rows = np.sort(np.round(rng.uniform(1.0, 3.0, (len(levels), 4)) * 4) / 4, axis=0)[::-1]
+    if tied:
+        rows[2] = rows[1]
+    critical = CriticalFunction(schedule, dict(zip(levels, map(tuple, rows))))
+    entries = np.concatenate([rows, np.nextafter(rows, np.inf), np.nextafter(rows, -np.inf)])
+    values = entries[rng.integers(len(entries), size=(400, 3, 4)), np.arange(4)]
+    values[rng.random(values.shape) < 0.05] = np.inf
+    values[rng.random(values.shape) < 0.05] = -np.inf
+    keys = [(rule, alpha) for rule in (MULT, HOLM) for alpha in (0.05, 0.1)]
+    for size in range(1, len(keys) + 1):
+        for chosen in combinations(keys, size):
+            union, lookups = _clearance_lookups(critical, schedule, chosen)
+            assert (np.diff(union, axis=0) >= 0).all()
+            counts = sum(values >= row for row in union)
+            for rule, alpha in chosen:
+                expected = sum(values >= row for row in _stage_bounds(critical, rule, alpha, 3))
+                np.testing.assert_array_equal(lookups[rule, alpha][counts], expected)
+
+
+def test_a_missing_level_raises_before_any_block_is_drawn(monkeypatch):
+    # MultH at 0.1 needs levels this boundary lacks.
+    monkeypatch.setattr(stepdown.harness, "draw_replicates", None)
+    with pytest.raises(ValueError, match="boundary lacks critical values for level"):
+        run_cells([spec_for("Mult"), spec_for("MultH", alpha=0.1)], critical=CRITICAL)
+    with pytest.raises(ValueError, match="disagree on the analysis sizes"):
+        run_cells([spec_for("Mult")], critical=_calibrated(3, "flat"))
 
 
 def test_run_cells_rejects_cells_that_cannot_share_draws(monkeypatch):
