@@ -11,17 +11,20 @@ index), never on execution order.
 
 Replicates run in blocks, and the cells of a run, which share master
 seed, schedule and replicate count, run together in one block loop
-(``run_cells``).  Each block is drawn once (``draw_replicates``), its
-sums and statistics are computed once per distinct scenario
-(``paths_from_draws``).  ``H`` applies ``holm_fixed``'s rule to how
-many exact Holm cutoffs each final value clears.  The staged cells count
-each statistic once against the union of their boundary rows and decide
-each distinct row of counts in the block once per (rule, alpha), with
-the count engine of ``run_multistage_batch``.  Every replicate gets
-exactly the numbers and decisions of the one-replicate functions
-``generate_paths`` and ``run_multistage``, or of ``holm_fixed`` on its
-final p-values, so neither the block size nor which cells run together
-changes a result; only one block of draws is held at a time.
+(``run_cells``).  Each block is drawn once (``draw_replicates``).  Each
+endpoint reads only its own parameters, so its sums and statistic are
+formed once per distinct endpoint key (``endpoint_from_draws``), not
+once per scenario: table1's 8 scenarios read 10 keys, not 24.  ``H``
+applies ``holm_fixed``'s rule to how many exact Holm cutoffs each final
+value clears, counted once per key and alpha.  The staged cells count
+each key's statistic once against the union of their boundary rows,
+assemble each scenario's rows of counts from those, and decide each
+distinct row in the block once per (rule, alpha), with the count engine
+of ``run_multistage_batch``.  Every replicate gets exactly the numbers
+and decisions of the one-replicate functions ``generate_paths`` and
+``run_multistage``, or of ``holm_fixed`` on its final p-values, so
+neither the block size nor which cells run together changes a result;
+only one block of draws and its paths are held at a time.
 ``run_scenario`` is the one-cell view of the same loop.
 
 The staged procedures need a boundary covering their ``needed_levels``,
@@ -58,7 +61,14 @@ from .procedures import (
     run_multistage,
     stage_levels,
 )
-from .trial import ScenarioParams, check_seed, draw_replicates, generate_paths, paths_from_draws
+from .trial import (
+    ScenarioParams,
+    check_seed,
+    draw_replicates,
+    endpoint_from_draws,
+    endpoint_keys,
+    generate_paths,
+)
 
 __all__ = [
     "PROCEDURES",
@@ -320,6 +330,11 @@ def _clearance_lookups(
     }
 
 
+def _final(key: tuple, sums: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """What ``H`` compares with an endpoint's cutoffs: the final statistic, or the final count."""
+    return (sums if key[0] == 2 else values)[:, -1]
+
+
 def _shared_draws(specs: Sequence[ScenarioSpec]) -> tuple[SampleSchedule, int, int]:
     """The schedule, master seed and replicate count every cell shares."""
     keys = {(spec.schedule, spec.master_seed, spec.replicates) for spec in specs}
@@ -339,10 +354,13 @@ def run_cells(
 
     The cells must share ``master_seed``, ``schedule`` and
     ``replicates``, so replicate r draws the same numbers in each.  Each
-    block of replicates is drawn once; sums and statistics are computed
-    once per distinct ``(params, continuity_correction)``, and the staged
-    cells decide each distinct row of boundary counts once per ``(rule,
-    alpha)``, as equal counts get equal decisions.
+    block of replicates is drawn once.  Sums and statistics are formed
+    once per distinct endpoint key (``trial.endpoint_keys``: the mean,
+    the correlation and mean, or the rate and correction), and counted
+    once per key against the ``H`` cutoffs and the staged cells' union
+    boundary rows.  The staged cells decide each distinct row of boundary
+    counts once per ``(rule, alpha)``, as equal counts get equal
+    decisions; only groups a staged cell reads are counted and pooled.
 
     Args:
         specs: The cells to simulate, at least one.
@@ -364,62 +382,70 @@ def run_cells(
 
     sup = schedule.sup
     summaries = [empty_summary(spec) for spec in specs]
-    # Cells with the same parameters and correction read the same paths.
-    # H cells with the same alpha share one cutoff table, whose row e holds
-    # endpoint e's cutoff at each Holm level: for the final statistic, or
-    # on the binary row the final count.  Staged cells are listed under
-    # their (rule, alpha) with the index of their group.
-    by_paths: dict[tuple[ScenarioParams, bool], list[int]] = {}
+    # A cell's group is the three endpoint keys of its parameters and
+    # correction; each key's path is formed once per block.  H cells with
+    # the same alpha share one cutoff table, whose row e holds endpoint e's
+    # cutoff at each Holm level: for the final statistic, or on the binary
+    # row the final count.  Each (key, alpha) an H cell reads is counted
+    # once.  Staged cells are listed under their (rule, alpha) with their
+    # group's index in the pool; only pooled keys meet the union rows.
+    groups = [endpoint_keys(spec.params, spec.continuity_correction) for spec in specs]
     cutoffs: dict[float, np.ndarray] = {}
+    held: set[tuple[tuple, float]] = set()
+    pooled: dict[tuple, int] = {}
     staged: dict[tuple[str, float], list[tuple[int, int]]] = {}
     for i, spec in enumerate(specs):
-        group = (spec.params, spec.continuity_correction)
-        by_paths.setdefault(group, []).append(i)
         if spec.procedure == "H":
             if spec.alpha not in cutoffs:
                 levels = stage_levels(HOLM, spec.alpha, _FAMILY.k)
                 gaussian = [_normal_cutoff(level) for level in levels]
                 cutoffs[spec.alpha] = np.array([gaussian, gaussian, _binomial_cutoffs(sup, levels)])
+            held.update((key, spec.alpha) for key in groups[i])
         elif critical is None:
             raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
         else:
-            cell = (i, list(by_paths).index(group))
+            cell = (i, pooled.setdefault(groups[i], len(pooled)))
             staged.setdefault((_VARIANTS[spec.procedure], spec.alpha), []).append(cell)
     if staged:
         union, lookups = _clearance_lookups(critical, schedule, staged)
         dtype = np.min_scalar_type(len(union))
         contains = np.asarray(_FAMILY.contains_complement, dtype=bool)
+    formed = dict.fromkeys(key for group in groups for key in group)
+    counted = dict.fromkeys(key for group in pooled for key in group)
     step = block_replicates(schedule)
     for start in range(lo, hi, step):
         block = (start, min(start + step, hi))
         reps = block[1] - block[0]
         z, u = draw_replicates(master_seed, block, sup)
+        paths = {key: endpoint_from_draws(key, schedule, z, u) for key in formed}
         results: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # rejected, measurements
-        pooled = []
-        for (params, correction), members in by_paths.items():
-            sums, values = paths_from_draws(
-                params, schedule, z, u, continuity_correction=correction
-            )
-            for i in members:
-                if specs[i].procedure == "H":
-                    # Holm compares p-values only with the levels alpha / m,
-                    # so how many of them a final value clears decides it.
-                    final = np.concatenate([values[:, :2, -1], sums[:, 2:, -1]], axis=1)
-                    cleared = (final[:, :, None] >= cutoffs[specs[i].alpha]).sum(axis=2)
-                    results[i] = _step_down(cleared, _FAMILY.k), np.full(reps, _FAMILY.k * sup)
-            if staged:
-                counts = sum((values >= row for row in union), np.zeros(values.shape, dtype))
-                pooled.append(counts.reshape(reps, -1))
+        # Holm compares p-values only with the levels alpha / m, so how
+        # many of them a final value clears decides an H cell.
+        cleared = {
+            (key, alpha): (_final(key, *paths[key])[:, None] >= cutoffs[alpha][key[0]]).sum(axis=1)
+            for key, alpha in held
+        }
+        for i, spec in enumerate(specs):
+            if spec.procedure == "H":
+                by_endpoint = np.stack([cleared[key, spec.alpha] for key in groups[i]], axis=1)
+                results[i] = _step_down(by_endpoint, _FAMILY.k), np.full(reps, _FAMILY.k * sup)
         if staged:
             # Each distinct row of union counts is decided once per (rule,
             # alpha); a cell reads its group's rows through the inverse.
-            codes = np.concatenate(pooled)
+            counts = {}
+            for key in counted:
+                values = paths[key][1]
+                counts[key] = sum((values >= row for row in union), np.zeros(values.shape, dtype))
+            codes = np.empty((len(pooled), reps, _FAMILY.k, len(schedule)), dtype)
+            for g, group in enumerate(pooled):
+                np.stack([counts[key] for key in group], axis=1, out=codes[g])
+            codes = codes.reshape(len(pooled) * reps, -1)
             void = codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel()
             _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
             distinct = codes[first].reshape(-1, _FAMILY.k, len(schedule))
-            for key, cells in staged.items():
+            for rule_alpha, cells in staged.items():
                 rejected, final_n = _decide_counts(
-                    lookups[key][distinct], contains, schedule.analyses, False
+                    lookups[rule_alpha][distinct], contains, schedule.analyses, False
                 )
                 for i, g in cells:
                     rows = inverse[g * reps:(g + 1) * reps]

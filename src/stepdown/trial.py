@@ -12,12 +12,15 @@ normal approximation for the binary one).
 Replicate r of a run with master seed s draws from its own Philox
 stream keyed ``[s, r]`` (``RngStream``); each seed in [0, 2**64) is one
 key word, so no two share a stream.  ``draw_replicates`` draws a range
-of replicates and ``paths_from_draws`` turns the draws into one
-scenario's sums and statistics; the draws do not depend on the
-scenario, so scenarios run on the same seed share them (common random
-numbers).  ``generate_paths`` composes the two for one replicate.  A
-replicate's numbers do not depend on which function drew it or on what
-else was drawn with it.
+of replicates; the draws do not depend on the scenario, so scenarios
+run on the same seed share them (common random numbers).
+``endpoint_from_draws`` is the one definition of an endpoint's sums and
+statistic.  It reads only that endpoint's parameters, its key in
+``endpoint_keys``, so scenarios that share a mean, a correlation or a
+success rate share that endpoint's path.  ``paths_from_draws`` stacks
+the three endpoints of one scenario, and ``generate_paths`` composes
+the draw and the paths for one replicate.  A replicate's numbers do not
+depend on which function drew it or on what else was drawn with it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ __all__ = [
     "RngStream",
     "check_seed",
     "draw_replicates",
+    "endpoint_from_draws",
+    "endpoint_keys",
     "generate_paths",
     "paths_from_draws",
 ]
@@ -178,6 +183,64 @@ def draw_replicates(
     return z, u
 
 
+def endpoint_keys(params: ScenarioParams, continuity_correction: bool) -> tuple[tuple, ...]:
+    """The three endpoints' keys: each endpoint's index and the parameters it reads.
+
+    ``(0, mu1)``, ``(1, rho12, mu2)`` and ``(2, p, continuity_correction)``.
+    Scenarios that share a key share that endpoint's sums and statistic
+    (``endpoint_from_draws``).
+    """
+    return (
+        (0, params.mu1),
+        (1, params.rho12, params.mu2),
+        (2, params.p, continuity_correction),
+    )
+
+
+def endpoint_from_draws(
+    key: tuple, schedule: SampleSchedule, z: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Turn ``draw_replicates`` output into one endpoint's sums and statistic.
+
+    ``key`` is one of ``endpoint_keys``.  The first Gaussian endpoint is
+    ``z0 + mu1``, the second ``rho * z0 + sqrt(1 - rho**2) * z1 + mu2``,
+    and the binary endpoint's successes are ``u < p``; the cumulative
+    sums are recorded at every analysis size.  Every step runs element
+    by element and row by row, so each replicate's numbers equal what a
+    one-replicate call computes.
+
+    The statistic is computed from the recorded sums alone, so
+    recomputation from the stored sums reproduces the paths exactly.
+    The Gaussian endpoints' statistic is S_n / sqrt(n).  The binary
+    endpoint's is (S_n - n/2) / sqrt(n/4), the count centered and scaled
+    under success probability one half; the continuity correction
+    subtracts another half success before scaling.
+
+    Returns:
+        ``(sums, values)``, each of shape ``(replicates, len(schedule))``.
+    """
+    cols = np.asarray(schedule.analyses, dtype=int) - 1
+    ns = np.asarray(schedule.analyses, dtype=float)
+    if key[0] == 2:
+        _, p, continuity_correction = key
+        x = (u < p).astype(float)
+    elif key[0] == 1:
+        _, rho, mu2 = key
+        x = rho * z[:, 0]
+        x += math.sqrt(1.0 - rho * rho) * z[:, 1]
+        x += mu2
+    else:
+        x = z[:, 0] + key[1]
+    # In place: with a second (replicates, observations) array for the
+    # running sums, one endpoint of 3,744 x 35 took 1.3 ms, against 0.65
+    # ms in place (2-core host); the sums are the same.
+    sums = np.cumsum(x, axis=1, out=x)[:, cols]
+    if key[0] < 2:
+        return sums, sums / np.sqrt(ns)
+    shift = 0.5 if continuity_correction else 0.0
+    return sums, (sums - ns / 2.0 - shift) / np.sqrt(ns / 4.0)
+
+
 def paths_from_draws(
     params: ScenarioParams,
     schedule: SampleSchedule,
@@ -188,40 +251,14 @@ def paths_from_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Turn ``draw_replicates`` output into sums and statistics for one scenario.
 
-    The Gaussian rows go through the correlation factor and the mean
-    shift, the uniforms become successes ``u < p``, and the cumulative
-    sums are recorded at every analysis size.  Every step runs element
-    by element and row by row, so each replicate's numbers equal what a
-    one-replicate call computes.
-
-    The statistics are computed from the recorded sums alone, so
-    recomputation from the stored sums reproduces the paths exactly.
-    The Gaussian endpoints' statistic is S_n / sqrt(n).  The binary
-    endpoint's is (S_n - n/2) / sqrt(n/4), the count centered and scaled
-    under success probability one half; the optional continuity
-    correction subtracts another half success before scaling.
+    The three endpoints' ``endpoint_from_draws`` results, stacked.
 
     Returns:
         ``(sums, values)``, each of shape ``(replicates, 3, len(schedule))``.
     """
-    rho = params.rho12
-    x1 = z[:, 0] + params.mu1
-    x2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1] + params.mu2
-    x3 = (u < params.p).astype(float)
-
-    cols = np.asarray(schedule.analyses, dtype=int) - 1
-    sums = np.empty((len(z), 3, len(schedule)), dtype=float)
-    sums[:, 0] = np.cumsum(x1, axis=1)[:, cols]
-    sums[:, 1] = np.cumsum(x2, axis=1)[:, cols]
-    sums[:, 2] = np.cumsum(x3, axis=1)[:, cols]
-
-    ns = np.asarray(schedule.analyses, dtype=float)
-    values = np.empty_like(sums)
-    values[:, 0] = sums[:, 0] / np.sqrt(ns)
-    values[:, 1] = sums[:, 1] / np.sqrt(ns)
-    shift = 0.5 if continuity_correction else 0.0
-    values[:, 2] = (sums[:, 2] - ns / 2.0 - shift) / np.sqrt(ns / 4.0)
-    return sums, values
+    keys = endpoint_keys(params, continuity_correction)
+    sums, values = zip(*(endpoint_from_draws(key, schedule, z, u) for key in keys))
+    return np.stack(sums, axis=1), np.stack(values, axis=1)
 
 
 def generate_paths(

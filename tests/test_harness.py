@@ -11,8 +11,9 @@ from scipy import stats as scipy_stats
 
 import stepdown.harness
 from stepdown.boundary import CriticalFunction, calibrate_levels
+from stepdown.cli import default_table_config, parse_scenarios
 from stepdown.cli import main as cli_main
-from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
+from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths, parse_kv_text
 from stepdown.harness import (
     ScenarioSpec,
     _binomial_cutoffs,
@@ -468,6 +469,90 @@ def test_simulate_draws_each_block_once(tmp_path, monkeypatch):
     assert cli_main(args + ["--out", str(tmp_path / "blocks.csv")]) == 0
     assert calls == [(0, 50), (50, 100), (100, 120)]
     assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+
+
+def test_simulate_forms_each_endpoint_once_per_block(tmp_path, monkeypatch):
+    # table1's 8 scenarios read 3 first means, 5 (correlation, second
+    # mean) pairs and 2 rates: 10 endpoint paths per block, not 8 x 3.
+    args = ["simulate", "--config", default_table_config(), "--reps", "600", "--workers", "1"]
+    assert cli_main(args + ["--out", str(tmp_path / "whole.csv")]) == 0
+    calls = []
+    original = stepdown.harness.endpoint_from_draws
+
+    def counted(key, schedule, z, u):
+        calls.append((len(z), key))
+        return original(key, schedule, z, u)
+
+    monkeypatch.setattr(stepdown.harness, "endpoint_from_draws", counted)
+    assert cli_main(args + ["--out", str(tmp_path / "once.csv")]) == 0
+    assert len(calls) == 10
+    assert len({key for _, key in calls}) == 10
+    assert sorted(key[0] for _, key in calls) == [0] * 3 + [1] * 5 + [2] * 2
+
+    calls.clear()
+    monkeypatch.setattr(stepdown.harness, "BLOCK_OBSERVATIONS", 35 * 250)
+    assert cli_main(args + ["--out", str(tmp_path / "blocks.csv")]) == 0
+    assert [reps for reps, _ in calls] == [250] * 10 + [250] * 10 + [100] * 10
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "once.csv").read_bytes() == whole
+    assert (tmp_path / "blocks.csv").read_bytes() == whole
+
+
+def test_h_groups_stay_out_of_the_staged_pool(monkeypatch):
+    # Eight H cells on table1's scenarios and one MultH cell: only the
+    # MultH cell's group is counted and pooled, so at most its replicates
+    # reach the engine.
+    with open(default_table_config()) as fh:
+        scenarios = parse_scenarios(parse_kv_text(fh.read())["scenarios"])
+    cells = [spec_for("H", reps=600, params=params) for params in scenarios]
+    cells.append(spec_for("MultH", reps=600, params=ScenarioParams(0.4, 0.4, 0.75)))
+    rows = []
+    original = stepdown.harness._decide_counts
+
+    def spied(counts, *args):
+        rows.append(len(counts))
+        return original(counts, *args)
+
+    monkeypatch.setattr(stepdown.harness, "_decide_counts", spied)
+    together = run_cells(cells, critical=CRITICAL)
+    assert len(rows) == 1 and 0 < rows[0] <= 600
+    assert together == [run_scenario(cell, critical=CRITICAL) for cell in cells]
+
+
+# Pairs of cells that differ in one endpoint's parameters only: the same
+# first mean and rate but another second mean, the same second mean but
+# another correlation, the same rate but another correction.
+_ONE_SHARED = [
+    (ScenarioParams(0.4, 0.0, 0.75), False),
+    (ScenarioParams(0.4, 0.5, 0.75), False),
+    (ScenarioParams(0.0, 0.5, 0.5), False),
+    (ScenarioParams(0.0, 0.5, 0.5, 0.75), False),
+    (ScenarioParams(0.0, 0.0, 0.75), False),
+    (ScenarioParams(0.0, 0.0, 0.75), True),
+]
+
+
+@pytest.mark.parametrize("procedure", ["H", "Mult", "MultH"])
+def test_cells_sharing_one_endpoint_keep_the_others_apart(procedure):
+    # A path memo keyed without the second mean, the correlation or the
+    # correction would hand one of each pair the other's endpoint.
+    specs = [
+        spec_for(procedure, reps=300, params=params, continuity_correction=correction)
+        for params, correction in _ONE_SHARED
+    ]
+    together = run_cells(specs, critical=CRITICAL)
+    assert together == [run_scenario(spec, critical=CRITICAL) for spec in specs]
+    accumulators = [
+        (s.sum_measurements, s.sumsq_measurements, s.reject_counts, s.fwe_count)
+        for s in together
+    ]
+    # H reads the binary endpoint's count, which the correction does not move.
+    pairs = list(zip(accumulators[::2], accumulators[1::2]))
+    for a, b in pairs[:2] if procedure == "H" else pairs:
+        assert a != b
+    if procedure != "H":
+        for spec, summary in zip(specs, accumulators):
+            assert _one_replicate_summary(spec, CRITICAL) == summary
 
 
 def exact_tails(n):
