@@ -196,14 +196,16 @@ def _look_grids(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> t
     Look j's grid runs from its threshold node (or the span's top) down by
     h to within one step of -_SPAN_SD sd, floor(span_j / h) + 1 points; a
     1e-9 relative slack in the quotient keeps the narrowest look's
-    grid_points.  None when a look's span is empty: the walk crosses there.
+    grid_points.  None when a look's span is empty, or h falls below the
+    float spacing of the nodes, whose magnitudes reach _SPAN_SD sd of the
+    last look: the walk crosses there but for a mass below float resolution.
     """
     sd = np.sqrt(np.asarray(analyses, dtype=float))
     tops = np.minimum(b * sd, _SPAN_SD * sd)
     spans = tops + _SPAN_SD * sd
-    if not (spans > 0.0).all():
-        return None
     h = max(spans.min() / (grid_points - 1), spans.max() / (_GRID_CAP * grid_points - 1))
+    if not (spans > 0.0).all() or h < np.spacing(_SPAN_SD * sd[-1]):
+        return None
     counts = np.floor(spans / h * (1.0 + 1e-9)).astype(int) + 1
     return h, [top - h * np.arange(m - 1, -1, -1) for top, m in zip(tops, counts)]
 
@@ -382,6 +384,10 @@ def _solve_constant(
             # A Newton step with slope max(g) first, then secant steps.
             secant = slope if last is None else (f - last[1]) / (c - last[0])
             new, last = c - f / secant, (c, f)
+        if new == c:
+            # A step that rounds back onto c, already a bracket end, has
+            # converged; clamping it would bisect the bracket afresh.
+            return c
         if new <= a:
             new = 0.5 * (a + b) if seen_a else lo
         elif new >= b:

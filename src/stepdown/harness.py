@@ -16,16 +16,19 @@ endpoint reads only its own parameters, so its sums and statistic are
 formed once per distinct endpoint key (``endpoint_from_draws``), not
 once per scenario: table1's 8 scenarios read 10 keys, not 24.  ``H``
 applies ``holm_fixed``'s rule to how many exact Holm cutoffs each final
-value clears, counted once per key and alpha.  The staged cells count
-each key's statistic once against the union of their boundary rows,
-assemble each scenario's rows of counts from those, and decide each
-distinct row in the block once per (rule, alpha), with the count engine
-of ``run_multistage_batch``.  Every replicate gets exactly the numbers
-and decisions of the one-replicate functions ``generate_paths`` and
-``run_multistage``, or of ``holm_fixed`` on its final p-values, so
-neither the block size nor which cells run together changes a result;
-only one block of draws and its paths are held at a time.
-``run_scenario`` is the one-cell view of the same loop.
+value clears, counted once per key and alpha, and reads the rejected set
+of those counts from one table.  The staged cells count each key's
+statistic once against the union of their boundary rows, and each look
+of a replicate reads its next active set, rejections and frozen
+endpoints from one table of ``run_multistage_batch``'s look step over
+every active set and every count per endpoint.  Each cell tallies its
+rejected sets and measurements over the blocks and builds its summary
+once.  Every replicate gets exactly the numbers and decisions of the
+one-replicate functions ``generate_paths`` and ``run_multistage``, or of
+``holm_fixed`` on its final p-values, so neither the block size nor
+which cells run together changes a result; only one block of draws and
+its paths are held at a time.  ``run_scenario`` is the one-cell view of
+the same loop.
 
 The staged procedures need a boundary covering their ``needed_levels``,
 passed as ``critical``.  A boundary depends only on the schedule, the
@@ -54,7 +57,7 @@ from .procedures import (
     HOLM,
     MULT,
     _check_run,
-    _decide_counts,
+    _look_step,
     _stage_bounds,
     _step_down,
     holm_fixed,
@@ -335,6 +338,72 @@ def _final(key: tuple, sums: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (sums if key[0] == 2 else values)[:, -1]
 
 
+# A symbol writes one count in 0..k per endpoint as a number in base k + 1,
+# endpoint i on digit i; a set of endpoints is a number with endpoint i on bit i.
+_BASE = _FAMILY.k + 1
+_SYMBOLS = _BASE**_FAMILY.k
+
+
+def _digits(symbols: np.ndarray) -> np.ndarray:
+    """Each symbol's counts, one column per endpoint."""
+    return symbols[:, None] // _BASE ** np.arange(_FAMILY.k) % _BASE
+
+
+def _bits(sets: np.ndarray) -> np.ndarray:
+    """Each (R, k) boolean row as a set number."""
+    return sets @ (1 << np.arange(_FAMILY.k))
+
+
+def _transitions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_look_step`` on every pair of an active set a and a symbol s of rule counts.
+
+    Row a * _SYMBOLS + s holds the next active set, times _SYMBOLS so that
+    a symbol adds onto it; the set rejected at the look; and how many
+    endpoints freeze at it.  A stage's decision reads only the active set
+    and the counts, so the table serves every ``(rule, alpha)``.
+    """
+    contains = np.asarray(_FAMILY.contains_complement, dtype=bool)
+    # Without containment a rejection accepts nothing by implication and
+    # never stops a run early, so the active set alone is a replicate's state.
+    assert not contains.any()
+    index = np.arange(2**_FAMILY.k * _SYMBOLS)
+    active = (index[:, None] // _SYMBOLS >> np.arange(_FAMILY.k) & 1).astype(bool)
+    # Nothing rejected before: the step's rejections are those of this look.
+    nothing = np.zeros_like(active)
+    rows, rej_now, frozen_now, remaining = _look_step(
+        _digits(index % _SYMBOLS), active, nothing, active.sum(axis=1), contains, False
+    )
+    after, rejected, frozen = index - index % _SYMBOLS, np.zeros_like(index), np.zeros_like(index)
+    after[rows] = _bits(remaining) * _SYMBOLS
+    rejected[rows] = _bits(rej_now)
+    frozen[rows] = frozen_now.sum(axis=1)
+    return after, rejected, frozen
+
+
+def _walk(
+    table: tuple[np.ndarray, np.ndarray, np.ndarray], symbols: np.ndarray, analyses: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk replicates through ``_transitions``: their rejected sets and total measurements.
+
+    symbols[r, j] is replicate r's symbol at look j.  Every replicate
+    starts with all k endpoints active; the decisions and totals are
+    those of ``_decide_counts`` on the counts the symbols write.
+    """
+    after, rejected_now, frozen = table
+    last = analyses[-1]
+    state = np.full(len(symbols), (2**_FAMILY.k - 1) * _SYMBOLS)
+    rejected = np.zeros(len(symbols), dtype=np.intp)
+    # Every endpoint runs to the last look unless it freezes at an earlier
+    # look n_j, which saves it last - n_j measurements.
+    total = np.full(len(symbols), _FAMILY.k * last, dtype=np.int64)
+    for j, n_j in enumerate(analyses):
+        row = state + symbols[:, j]
+        rejected |= rejected_now[row]
+        total -= frozen[row] * (last - n_j)
+        state = after[row]
+    return rejected, total
+
+
 def _shared_draws(specs: Sequence[ScenarioSpec]) -> tuple[SampleSchedule, int, int]:
     """The schedule, master seed and replicate count every cell shares."""
     keys = {(spec.schedule, spec.master_seed, spec.replicates) for spec in specs}
@@ -358,9 +427,11 @@ def run_cells(
     once per distinct endpoint key (``trial.endpoint_keys``: the mean,
     the correlation and mean, or the rate and correction), and counted
     once per key against the ``H`` cutoffs and the staged cells' union
-    boundary rows.  The staged cells decide each distinct row of boundary
-    counts once per ``(rule, alpha)``, as equal counts get equal
-    decisions; only groups a staged cell reads are counted and pooled.
+    boundary rows.  Every cell is then decided by table lookup: ``H``
+    reads ``_step_down``'s rejected set for its symbol of Holm counts,
+    and a staged cell walks its symbols of rule counts look by look
+    through ``_transitions``.  Each cell tallies its rejected sets and
+    measurements over the blocks and builds its summary once.
 
     Args:
         specs: The cells to simulate, at least one.
@@ -380,91 +451,93 @@ def run_cells(
     lo = check_integer(lo, "rep_range start", 0, replicates + 1)
     hi = check_integer(hi, "rep_range end", lo, replicates + 1)
 
-    sup = schedule.sup
-    summaries = [empty_summary(spec) for spec in specs]
-    # A cell's group is the three endpoint keys of its parameters and
-    # correction; each key's path is formed once per block.  H cells with
-    # the same alpha share one cutoff table, whose row e holds endpoint e's
-    # cutoff at each Holm level: for the final statistic, or on the binary
-    # row the final count.  Each (key, alpha) an H cell reads is counted
-    # once.  Staged cells are listed under their (rule, alpha) with their
-    # group's index in the pool; only pooled keys meet the union rows.
+    k, sup = _FAMILY.k, schedule.sup
+    # A cell is decided by its rule (None for H), its alpha and its group:
+    # the three endpoint keys of its parameters and correction, each key's
+    # path formed once per block.  H cells with the same alpha share one
+    # cutoff table, whose row e holds endpoint e's cutoff at each Holm
+    # level: for the final statistic, or on the binary row the final count.
+    # Each (key, alpha) an H cell reads is counted once, and each key a
+    # staged cell reads is counted once against the union rows.
     groups = [endpoint_keys(spec.params, spec.continuity_correction) for spec in specs]
+    decisions = [
+        (_VARIANTS.get(spec.procedure), spec.alpha, group) for spec, group in zip(specs, groups)
+    ]
     cutoffs: dict[float, np.ndarray] = {}
-    held: set[tuple[tuple, float]] = set()
-    pooled: dict[tuple, int] = {}
-    staged: dict[tuple[str, float], list[tuple[int, int]]] = {}
-    for i, spec in enumerate(specs):
+    for spec in specs:
         if spec.procedure == "H":
             if spec.alpha not in cutoffs:
-                levels = stage_levels(HOLM, spec.alpha, _FAMILY.k)
+                levels = stage_levels(HOLM, spec.alpha, k)
                 gaussian = [_normal_cutoff(level) for level in levels]
                 cutoffs[spec.alpha] = np.array([gaussian, gaussian, _binomial_cutoffs(sup, levels)])
-            held.update((key, spec.alpha) for key in groups[i])
         elif critical is None:
             raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
-        else:
-            cell = (i, pooled.setdefault(groups[i], len(pooled)))
-            staged.setdefault((_VARIANTS[spec.procedure], spec.alpha), []).append(cell)
+    held = {(key, alpha) for rule, alpha, group in decisions if rule is None for key in group}
+    staged = dict.fromkeys((rule, alpha) for rule, alpha, _ in decisions if rule is not None)
+    if held:
+        # The rejected set of every symbol of Holm counts.
+        holm = _bits(_step_down(_digits(np.arange(_SYMBOLS)), k))
     if staged:
         union, lookups = _clearance_lookups(critical, schedule, staged)
         dtype = np.min_scalar_type(len(union))
-        contains = np.asarray(_FAMILY.contains_complement, dtype=bool)
+        # Row e: endpoint e's union count gives digit e of the rule's symbol.
+        digits = {key: lookups[key] * _BASE ** np.arange(k)[:, None] for key in staged}
+        table = _transitions()
     formed = dict.fromkeys(key for group in groups for key in group)
-    counted = dict.fromkeys(key for group in pooled for key in group)
+    counted = dict.fromkeys(key for rule, _, group in decisions if rule for key in group)
+    # Per cell, across blocks: how many replicates rejected each set, and
+    # the sum and sum of squares of their total measurements.
+    tallies = [[[0] * 2**k, 0, 0] for _ in specs]
     step = block_replicates(schedule)
     for start in range(lo, hi, step):
-        block = (start, min(start + step, hi))
-        reps = block[1] - block[0]
-        z, u = draw_replicates(master_seed, block, sup)
+        reps = min(start + step, hi) - start
+        z, u = draw_replicates(master_seed, (start, start + reps), sup)
         paths = {key: endpoint_from_draws(key, schedule, z, u) for key in formed}
-        results: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # rejected, measurements
         # Holm compares p-values only with the levels alpha / m, so how
         # many of them a final value clears decides an H cell.
         cleared = {
-            (key, alpha): (_final(key, *paths[key])[:, None] >= cutoffs[alpha][key[0]]).sum(axis=1)
+            (key, alpha): _BASE ** key[0]
+            * (_final(key, *paths[key])[:, None] >= cutoffs[alpha][key[0]]).sum(axis=1)
             for key, alpha in held
         }
-        for i, spec in enumerate(specs):
-            if spec.procedure == "H":
-                by_endpoint = np.stack([cleared[key, spec.alpha] for key in groups[i]], axis=1)
-                results[i] = _step_down(by_endpoint, _FAMILY.k), np.full(reps, _FAMILY.k * sup)
-        if staged:
-            # Each distinct row of union counts is decided once per (rule,
-            # alpha); a cell reads its group's rows through the inverse.
-            counts = {}
-            for key in counted:
-                values = paths[key][1]
-                counts[key] = sum((values >= row for row in union), np.zeros(values.shape, dtype))
-            codes = np.empty((len(pooled), reps, _FAMILY.k, len(schedule)), dtype)
-            for g, group in enumerate(pooled):
-                np.stack([counts[key] for key in group], axis=1, out=codes[g])
-            codes = codes.reshape(len(pooled) * reps, -1)
-            void = codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel()
-            _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
-            distinct = codes[first].reshape(-1, _FAMILY.k, len(schedule))
-            for rule_alpha, cells in staged.items():
-                rejected, final_n = _decide_counts(
-                    lookups[rule_alpha][distinct], contains, schedule.analyses, False
-                )
-                for i, g in cells:
-                    rows = inverse[g * reps:(g + 1) * reps]
-                    results[i] = rejected[rows], final_n[rows].sum(axis=1)
-        for i, spec in enumerate(specs):
-            rejected, total = results[i]
-            summaries[i] = merge(
-                summaries[i],
-                SimulationSummary(
-                    spec=spec,
-                    rep_ranges=(block,),
-                    replicates=reps,
-                    sum_measurements=int(total.sum()),
-                    sumsq_measurements=int((total * total).sum()),
-                    reject_counts=tuple(int(c) for c in rejected.sum(axis=0)),
-                    fwe_count=int((rejected & spec.params.truth).any(axis=1).sum()),
-                ),
-            )
-    return summaries
+        counts = {}
+        for key in counted:
+            values = paths[key][1]
+            counts[key] = sum((values >= row for row in union), np.zeros(values.shape, dtype))
+        results = {}  # per decision: rejected sets, total measurements
+        for rule, alpha, group in dict.fromkeys(decisions):
+            if rule is None:
+                rejected = holm[sum(cleared[key, alpha] for key in group)]
+                results[rule, alpha, group] = rejected, np.full(reps, k * sup)
+            else:
+                symbols = sum(digits[rule, alpha][key[0], counts[key]] for key in group)
+                results[rule, alpha, group] = _walk(table, symbols, schedule.analyses)
+        for tally, decision in zip(tallies, decisions):
+            rejected, total = results[decision]
+            sets = np.bincount(rejected, minlength=2**k).tolist()
+            tally[0] = [a + b for a, b in zip(tally[0], sets)]
+            tally[1] += int(total.sum())
+            tally[2] += int((total * total).sum())
+    return [_summary(spec, (lo, hi), *tally) for spec, tally in zip(specs, tallies)]
+
+
+def _summary(
+    spec: ScenarioSpec, rep_range: tuple[int, int], sets: list[int], total: int, square: int
+) -> SimulationSummary:
+    """A cell's summary of rep_range from how many replicates rejected each set."""
+    lo, hi = rep_range
+    truth = _bits(np.array(spec.params.truth))
+    return SimulationSummary(
+        spec=spec,
+        rep_ranges=(rep_range,) if hi > lo else (),
+        replicates=hi - lo,
+        sum_measurements=total,
+        sumsq_measurements=square,
+        reject_counts=tuple(
+            sum(n for s, n in enumerate(sets) if s >> i & 1) for i in range(_FAMILY.k)
+        ),
+        fwe_count=sum(n for s, n in enumerate(sets) if s & truth),
+    )
 
 
 def run_scenario(

@@ -367,11 +367,9 @@ def _decide_counts(
     cleared[r, i, j] counts the ``_stage_bounds`` rows statistic i of
     replicate r clears at analysis j; as the rows do not decrease, it
     clears the boundary for m active exactly when its count reaches m.
-    The loop walks the analyses.  At each, the replicates whose top active
-    count reaches their own m end a stage, and ``_step_down`` picks their
-    rejected prefix; its first rank passes exactly when that count reaches
-    m, so a stage ends where it rejects something.  ``closed`` adds the
-    implied acceptances of ``contains``.  Equal counts decide equally.
+    The loop walks the analyses, taking one ``_look_step`` at each, and
+    freezes the endpoints it decides at that analysis.  Equal counts
+    decide equally.
     """
     reps, k = cleared.shape[:2]
     # Column-major, as is active: numpy reduces an (R, k) array over k
@@ -384,27 +382,52 @@ def _decide_counts(
     final_n = np.full((reps, k), analyses[-1], dtype=np.int64)
 
     for j, n_j in enumerate(analyses):
-        # An inactive hypothesis counts -1: it neither crosses nor passes,
-        # and a stopped replicate, with m = 0, never qualifies again.
-        counts = np.where(active, cleared[:, :, j], -1)
-        rows = np.flatnonzero(counts.max(axis=1) >= m)
-        if rows.size == 0:
+        step = _look_step(cleared[:, :, j], active, rejected, m, contains, closed)
+        if step is None:
             continue
-        act = active[rows]
-        stage_rej = _step_down(counts[rows], m[rows])
-        decided = stage_rej
-        if closed:
-            # Implied acceptances of this stage's rejections.
-            decided = decided | ((stage_rej @ contains) & act)
-        rej_now = rejected[rows] | stage_rej
-        remaining = act & ~decided
-        # The run stops when every survivor contains the complement of a
-        # rejected hypothesis; decided hypotheses and, on a stop, the
-        # survivors freeze at n_j.
-        stop = ~(remaining & ~(rej_now @ contains)).any(axis=1)
-        final_n[rows] = np.where(decided | (stop[:, None] & act), n_j, final_n[rows])
+        rows, rej_now, frozen, remaining = step
+        final_n[rows] = np.where(frozen, n_j, final_n[rows])
         rejected[rows] = rej_now
-        active[rows] = remaining & ~stop[:, None]
-        m[rows] = active[rows].sum(axis=1)
+        active[rows] = remaining
+        m[rows] = remaining.sum(axis=1)
 
     return rejected, final_n
+
+
+def _look_step(
+    cleared: np.ndarray, active: np.ndarray, rejected: np.ndarray, m: np.ndarray,
+    contains: np.ndarray, closed: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """One look of the multistage walk over R replicates.
+
+    cleared[r, i] is statistic i's count at the look; active and rejected
+    are the (R, k) sets before it, m the active counts.  The rows whose
+    top active count reaches their own m end a stage, and ``_step_down``
+    picks their rejected prefix; its first rank passes exactly when that
+    count reaches m, so a stage ends where it rejects something.
+    ``closed`` adds the implied acceptances of ``contains``.
+
+    Returns:
+        ``(rows, rejected, frozen, active)``: the rows that end a stage,
+        their rejections after the look, the hypotheses that freeze at
+        it, and their active set after it; None if no row ends a stage.
+    """
+    # An inactive hypothesis counts -1: it neither crosses nor passes,
+    # and a stopped replicate, with m = 0, never qualifies again.
+    counts = np.where(active, cleared, -1)
+    rows = np.flatnonzero(counts.max(axis=1) >= m)
+    if rows.size == 0:
+        return None
+    act = active[rows]
+    stage_rej = _step_down(counts[rows], m[rows])
+    decided = stage_rej
+    if closed:
+        # Implied acceptances of this stage's rejections.
+        decided = decided | ((stage_rej @ contains) & act)
+    rej_now = rejected[rows] | stage_rej
+    remaining = act & ~decided
+    # The run stops when every survivor contains the complement of a
+    # rejected hypothesis; decided hypotheses and, on a stop, the
+    # survivors freeze here.
+    stop = ~(remaining & ~(rej_now @ contains)).any(axis=1)
+    return rows, rej_now, decided | (stop[:, None] & act), remaining & ~stop[:, None]

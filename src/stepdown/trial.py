@@ -68,6 +68,9 @@ def restartable(seed: int) -> tuple[np.random.Generator, Callable[[int], None]]:
     """
     bit_gen = philox(seed, 0)
     fresh = bit_gen.state
+    # As plain ints, not uint64 arrays, the state sets about twice as fast.
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
 
     def restart(index: int) -> None:
@@ -176,10 +179,10 @@ def draw_replicates(
     z = np.empty((reps, 2, observations))
     u = np.empty((reps, observations))
     rng, restart = restartable(master_seed)
-    for i in range(reps):
-        restart(lo + i)
-        rng.standard_normal(out=z[i])
-        rng.random(out=u[i])
+    for r, z_r, u_r in zip(range(lo, lo + reps), z, u):
+        restart(r)
+        rng.standard_normal(out=z_r)
+        rng.random(out=u_r)
     return z, u
 
 

@@ -275,6 +275,19 @@ def test_calibration_recursion_budget(monkeypatch):
     assert grids.count(1024) == 3
 
 
+def test_solver_stops_on_a_step_that_does_not_move(monkeypatch):
+    # At (23, 33, 46) O'Brien-Fleming the converged secant step rounds back
+    # onto c, a bracket end; clamping it bisected [c, 10] from scratch,
+    # 40 recursions where 6 settle the level.
+    grids = _count_recursions(monkeypatch)
+    analyses = (23, 33, 46)
+    g = shape_multipliers("obrien-fleming", analyses)
+    c = stepdown.boundary._solve_constant(analyses, g, 0.025, 512)
+    assert len(grids) <= 8
+    p = stepdown.boundary._crossing_recursion(analyses, c * g, 512)
+    assert -normal_quantile(p) == pytest.approx(-normal_quantile(0.025), abs=1e-9)
+
+
 def test_level_does_not_depend_on_the_other_levels():
     for others in ([0.05], [0.05, 0.025], [0.9, 0.001]):
         for shape in stepdown.boundary.SHAPES:
@@ -435,13 +448,21 @@ def test_blocked_recursion_matches_reference(inputs):
 
 @settings(max_examples=200, deadline=None)
 @given(_recursion_inputs())
+# A span of 8.9e-16 on one look: its nodes all rounded to -8.0.
+@example(((1,), np.array([-7.999999999999999]), 8))
 def test_look_grids_share_one_spacing(inputs):
     analyses, b, grid_points = inputs
     grids = _look_grids(analyses, b, grid_points)
     sd = np.sqrt(np.asarray(analyses, dtype=float))
     tops = np.minimum(b * sd, _SPAN_SD * sd)
-    if grids is None:
-        assert (tops <= -_SPAN_SD * sd).any()
+    spans = tops + _SPAN_SD * sd
+    # An empty span, or a spacing below the float spacing of the nodes.
+    empty = (spans <= 0.0).any() or max(
+        spans.min() / (grid_points - 1), spans.max() / (_GRID_CAP * grid_points - 1)
+    ) < np.spacing(_SPAN_SD * sd[-1])
+    assert (grids is None) == empty
+    if empty:
+        assert stepdown.boundary._crossing_recursion(analyses, b, grid_points) == 1.0
         return
     h, grids = grids
     counts = [len(grid) for grid in grids]

@@ -19,6 +19,8 @@ from stepdown.harness import (
     _binomial_cutoffs,
     _clearance_lookups,
     _normal_cutoff,
+    _transitions,
+    _walk,
     empty_summary,
     merge,
     needed_levels,
@@ -27,7 +29,7 @@ from stepdown.harness import (
     run_scenario_parallel,
     split_ranges,
 )
-from stepdown.procedures import HOLM, MULT, _stage_bounds, run_multistage
+from stepdown.procedures import HOLM, MULT, _decide_counts, _stage_bounds, run_multistage
 from stepdown.trial import ScenarioParams, draw_replicates, paths_from_draws
 
 SCHED = SampleSchedule((26, 29, 35))
@@ -367,16 +369,17 @@ _STAGED_CELLS = [
     seed=st.integers(1, 2**32),
 )
 # Both alphas under MultH give five union rows; at twelve looks their
-# counts would need 6 ** 36 > 2 ** 63 codes if packed into one integer.
+# counts would need 6 ** 36 > 2 ** 63 codes if packed into one integer,
+# while each look's symbol stays one of 4 ** 3.
 @example(
     cells=[("MultH", 0.05, _CELL_PARAMS[1], False), ("MultH", 0.1, _CELL_PARAMS[2], True),
            ("Mult", 0.1, _CELL_PARAMS[3], False)],
     looks=12, shape="flat", seed=7,
 )
 def test_pooled_staged_cells_match_each_cell_and_one_replicate_loop(cells, looks, shape, seed):
-    # Staged cells of both rules and alphas, decided together from one
-    # pooled set of distinct clearance codes, equal each cell run alone
-    # and the one-replicate engine.
+    # Staged cells of both rules and alphas, counted together against one
+    # set of union rows and walked through one transition table, equal
+    # each cell run alone and the one-replicate engine.
     critical = _calibrated(looks, shape)
     specs = [
         ScenarioSpec(params, critical.schedule, procedure, alpha, 60, seed, correction)
@@ -393,6 +396,57 @@ def test_pooled_staged_cells_match_each_cell_and_one_replicate_loop(cells, looks
             summary.sum_measurements, summary.sumsq_measurements,
             summary.reject_counts, summary.fwe_count,
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    looks=st.integers(1, 12),
+    rule=st.sampled_from((HOLM, MULT)),
+    alpha=st.sampled_from((0.05, 0.1)),
+    reps=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_walk_matches_the_count_engine(looks, rule, alpha, reps, seed):
+    # Random union counts through the rule's lookup; replicate 0 clears
+    # every row at every look, so it stops at the first, and replicate 1
+    # clears none, so it runs to the last.
+    critical = _calibrated(looks, "flat")
+    analyses = critical.schedule.analyses
+    union, lookups = _clearance_lookups(critical, critical.schedule, [(rule, alpha)])
+    codes = np.random.default_rng(seed).integers(0, len(union) + 1, size=(reps, 3, looks))
+    codes[0], codes[1] = len(union), 0
+    counts = lookups[rule, alpha][codes]
+    rejected, final_n = _decide_counts(counts, np.zeros((3, 3), dtype=bool), analyses, False)
+    # Endpoint i's count is digit i of the symbol in base k + 1 = 4.
+    symbols = (counts.astype(np.intp) * [[1], [4], [16]]).sum(axis=1)
+    walked, total = _walk(_transitions(), symbols, analyses)
+    assert walked.tolist() == (rejected @ [1, 2, 4]).tolist()
+    assert total.tolist() == final_n.sum(axis=1).tolist()
+    assert walked[0] == 7 and total[0] == 3 * analyses[0]
+    assert walked[1] == 0 and total[1] == 3 * analyses[-1]
+
+
+def test_many_small_blocks_give_the_one_block_csv(tmp_path, monkeypatch):
+    # Each cell tallies its rejected sets and measurements across blocks
+    # and builds its summary once: 86 blocks of at most 7 replicates give
+    # the bytes of one block of 600.
+    args = [
+        "simulate", "--config", default_table_config(), "--reps", "600", "--workers", "1",
+        "--continuity-correction", "true",
+    ]
+    assert cli_main(args + ["--out", str(tmp_path / "one.csv")]) == 0
+    calls = []
+    original = stepdown.harness.draw_replicates
+
+    def counted(master_seed, rep_range, observations):
+        calls.append(rep_range[1] - rep_range[0])
+        return original(master_seed, rep_range, observations)
+
+    monkeypatch.setattr(stepdown.harness, "draw_replicates", counted)
+    monkeypatch.setattr(stepdown.harness, "BLOCK_OBSERVATIONS", 35 * 7)
+    assert cli_main(args + ["--out", str(tmp_path / "many.csv")]) == 0
+    assert calls == [7] * 85 + [5]
+    assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -500,20 +554,20 @@ def test_simulate_forms_each_endpoint_once_per_block(tmp_path, monkeypatch):
 
 def test_h_groups_stay_out_of_the_staged_pool(monkeypatch):
     # Eight H cells on table1's scenarios and one MultH cell: only the
-    # MultH cell's group is counted and pooled, so at most its replicates
-    # reach the engine.
+    # MultH cell's group is counted and walked, so at most its replicates
+    # reach the table walk.
     with open(default_table_config()) as fh:
         scenarios = parse_scenarios(parse_kv_text(fh.read())["scenarios"])
     cells = [spec_for("H", reps=600, params=params) for params in scenarios]
     cells.append(spec_for("MultH", reps=600, params=ScenarioParams(0.4, 0.4, 0.75)))
     rows = []
-    original = stepdown.harness._decide_counts
+    original = stepdown.harness._walk
 
-    def spied(counts, *args):
-        rows.append(len(counts))
-        return original(counts, *args)
+    def spied(table, symbols, *args):
+        rows.append(len(symbols))
+        return original(table, symbols, *args)
 
-    monkeypatch.setattr(stepdown.harness, "_decide_counts", spied)
+    monkeypatch.setattr(stepdown.harness, "_walk", spied)
     together = run_cells(cells, critical=CRITICAL)
     assert len(rows) == 1 and 0 < rows[0] <= 600
     assert together == [run_scenario(cell, critical=CRITICAL) for cell in cells]

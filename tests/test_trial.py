@@ -215,16 +215,17 @@ def test_integer_seeds_of_numpy_types_are_accepted(seed):
 )
 def test_restart_gives_a_fresh_stream_after_a_partial_draw(partial):
     # Three uniforms leave Philox's four-word output buffer part used.
-    seed = 2**63 + 11
-    rng, restart = restartable(seed)
-    for r in (7, 2, 7):
-        restart(r)
-        partial(rng)
-        restart(r)
-        want = np.random.Generator(philox(seed, r))
-        assert np.array_equal(rng.standard_normal(9), want.standard_normal(9))
-        assert np.array_equal(rng.random(5), want.random(5))
-        assert np.array_equal(rng.integers(0, 2**32, 3), want.integers(0, 2**32, 3))
+    # Seeds of 2**63 and above fill the key word's top bit.
+    for seed in (1, 2**63, 2**63 + 11, 2**64 - 1):
+        rng, restart = restartable(seed)
+        for r in (7, 2, 7):
+            restart(r)
+            partial(rng)
+            restart(r)
+            want = np.random.Generator(philox(seed, r))
+            assert np.array_equal(rng.standard_normal(9), want.standard_normal(9))
+            assert np.array_equal(rng.random(5), want.random(5))
+            assert np.array_equal(rng.integers(0, 2**32, 3), want.integers(0, 2**32, 3))
 
 
 @pytest.mark.parametrize("replicate", [1.5, 1.0, True])
