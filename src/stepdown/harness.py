@@ -14,21 +14,22 @@ seed, schedule and replicate count, run together in one block loop
 (``run_cells``).  Each block is drawn once (``draw_replicates``).  Each
 endpoint reads only its own parameters, so its sums and statistic are
 formed once per distinct endpoint key (``endpoint_from_draws``), not
-once per scenario: table1's 8 scenarios read 10 keys, not 24.  ``H``
-applies ``holm_fixed``'s rule to how many exact Holm cutoffs each final
-value clears, counted once per key and alpha, and reads the rejected set
-of those counts from one table.  The staged cells count each key's
-statistic once against the union of their boundary rows, and each look
-of a replicate reads its next active set, rejections and frozen
-endpoints from one table of ``run_multistage_batch``'s look step over
-every active set and every count per endpoint.  Each cell tallies its
-rejected sets and measurements over the blocks and builds its summary
-once.  Every replicate gets exactly the numbers and decisions of the
-one-replicate functions ``generate_paths`` and ``run_multistage``, or of
-``holm_fixed`` on its final p-values, so neither the block size nor
-which cells run together changes a result; only one block of draws and
-its paths are held at a time.  ``run_scenario`` is the one-cell view of
-the same loop.
+once per scenario: table1's 8 scenarios read 10 keys, not 24.  Every
+cell is decided by one walk through one table of
+``run_multistage_batch``'s look step over every active set and every
+count per endpoint: each look of a replicate reads its next active set,
+rejections and frozen endpoints from it.  A staged cell walks the
+schedule, counting each key's statistic once per rule and alpha against
+the rule's boundary rows.  ``H`` is the one-look case, as Holm's test is
+the one-look special case of the multistage procedure: it walks the last
+analysis alone, counting how many exact Holm cutoffs each final value
+clears.  Each cell tallies its rejected sets and measurements over the
+blocks and builds its summary once.  Every replicate gets exactly the
+numbers and decisions of the one-replicate functions ``generate_paths``
+and ``run_multistage``, or of ``holm_fixed`` on its final p-values, so
+neither the block size nor which cells run together changes a result;
+only one block of draws and its paths are held at a time.
+``run_scenario`` is the one-cell view of the same loop.
 
 The staged procedures need a boundary covering their ``needed_levels``,
 passed as ``critical``.  A boundary depends only on the schedule, the
@@ -59,7 +60,6 @@ from .procedures import (
     _check_run,
     _look_step,
     _stage_bounds,
-    _step_down,
     holm_fixed,
     run_multistage,
     stage_levels,
@@ -311,31 +311,9 @@ def _normal_cutoff(level: float) -> float:
     return hi
 
 
-def _clearance_lookups(
-    critical: CriticalFunction, schedule: SampleSchedule, keys: Iterable[tuple[str, float]]
-) -> tuple[np.ndarray, dict[tuple[str, float], np.ndarray]]:
-    """The union of the ``(rule, alpha)`` keys' ``_stage_bounds`` rows, and a lookup per key.
-
-    Sorted, the union rows run from the largest level to the smallest and
-    do not decrease, so a statistic clears a prefix of them.  Its union
-    count u decides every key: the key's row m - 1 is union row i(m),
-    cleared exactly when u > i(m), and ``lookup[u]`` counts those m.
-    """
-    bounds = {}
-    for rule, alpha in keys:
-        _check_run(_FAMILY, schedule, critical, alpha, rule)
-        bounds[rule, alpha] = _stage_bounds(critical, rule, alpha, _FAMILY.k)
-    union = sorted({row for rows in bounds.values() for row in rows})
-    u = np.arange(len(union) + 1)[:, None]
-    return np.array(union), {
-        key: (u > [union.index(row) for row in rows]).sum(axis=1).astype(np.int8)
-        for key, rows in bounds.items()
-    }
-
-
 def _final(key: tuple, sums: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """What ``H`` compares with an endpoint's cutoffs: the final statistic, or the final count."""
-    return (sums if key[0] == 2 else values)[:, -1]
+    """``H``'s one look at an endpoint: the final statistic, or the final count, as a column."""
+    return (sums if key[0] == 2 else values)[:, -1:]
 
 
 # A symbol writes one count in 0..k per endpoint as a number in base k + 1,
@@ -425,13 +403,14 @@ def run_cells(
     ``replicates``, so replicate r draws the same numbers in each.  Each
     block of replicates is drawn once.  Sums and statistics are formed
     once per distinct endpoint key (``trial.endpoint_keys``: the mean,
-    the correlation and mean, or the rate and correction), and counted
-    once per key against the ``H`` cutoffs and the staged cells' union
-    boundary rows.  Every cell is then decided by table lookup: ``H``
-    reads ``_step_down``'s rejected set for its symbol of Holm counts,
-    and a staged cell walks its symbols of rule counts look by look
-    through ``_transitions``.  Each cell tallies its rejected sets and
-    measurements over the blocks and builds its summary once.
+    the correlation and mean, or the rate and correction).  Every cell is
+    then decided by one ``_walk`` through ``_transitions``, the same
+    table for every cell: a staged cell walks the schedule with each
+    key's counts of its rule's boundary rows, and ``H`` walks the last
+    analysis alone with each key's count of Holm cutoffs.  Counts are
+    formed once per key and (procedure, alpha) in a block.  Each cell
+    tallies its rejected sets and measurements over the blocks and builds
+    its summary once.
 
     Args:
         specs: The cells to simulate, at least one.
@@ -452,39 +431,33 @@ def run_cells(
     hi = check_integer(hi, "rep_range end", lo, replicates + 1)
 
     k, sup = _FAMILY.k, schedule.sup
-    # A cell is decided by its rule (None for H), its alpha and its group:
-    # the three endpoint keys of its parameters and correction, each key's
-    # path formed once per block.  H cells with the same alpha share one
-    # cutoff table, whose row e holds endpoint e's cutoff at each Holm
-    # level: for the final statistic, or on the binary row the final count.
-    # Each (key, alpha) an H cell reads is counted once, and each key a
-    # staged cell reads is counted once against the union rows.
+    # A cell is decided by its procedure, its alpha and its group: the
+    # three endpoint keys of its parameters and correction, each key's path
+    # formed once per block.  Each (procedure, alpha) walks its looks with
+    # one array of rows per endpoint; a value's count is how many it
+    # clears.  A staged procedure walks the schedule against its rule's
+    # _stage_bounds rows, and H the last analysis against the exact cutoffs
+    # at each Holm level.
     groups = [endpoint_keys(spec.params, spec.continuity_correction) for spec in specs]
-    decisions = [
-        (_VARIANTS.get(spec.procedure), spec.alpha, group) for spec, group in zip(specs, groups)
-    ]
-    cutoffs: dict[float, np.ndarray] = {}
-    for spec in specs:
-        if spec.procedure == "H":
-            if spec.alpha not in cutoffs:
-                levels = stage_levels(HOLM, spec.alpha, k)
-                gaussian = [_normal_cutoff(level) for level in levels]
-                cutoffs[spec.alpha] = np.array([gaussian, gaussian, _binomial_cutoffs(sup, levels)])
+    decisions = [(spec.procedure, spec.alpha, group) for spec, group in zip(specs, groups)]
+    walks = {}
+    for procedure, alpha, _ in decisions:
+        if (procedure, alpha) in walks:
+            continue
+        if procedure == "H":
+            levels = stage_levels(HOLM, alpha, k)
+            gaussian = [_normal_cutoff(level) for level in levels]
+            rows = np.array([gaussian, gaussian, _binomial_cutoffs(sup, levels)])[..., None]
+            walks[procedure, alpha] = (sup,), rows
         elif critical is None:
-            raise ValueError(f"procedure {spec.procedure!r} needs a calibrated boundary (critical)")
-    held = {(key, alpha) for rule, alpha, group in decisions if rule is None for key in group}
-    staged = dict.fromkeys((rule, alpha) for rule, alpha, _ in decisions if rule is not None)
-    if held:
-        # The rejected set of every symbol of Holm counts.
-        holm = _bits(_step_down(_digits(np.arange(_SYMBOLS)), k))
-    if staged:
-        union, lookups = _clearance_lookups(critical, schedule, staged)
-        dtype = np.min_scalar_type(len(union))
-        # Row e: endpoint e's union count gives digit e of the rule's symbol.
-        digits = {key: lookups[key] * _BASE ** np.arange(k)[:, None] for key in staged}
-        table = _transitions()
+            raise ValueError(f"procedure {procedure!r} needs a calibrated boundary (critical)")
+        else:
+            rule = _VARIANTS[procedure]
+            _check_run(_FAMILY, schedule, critical, alpha, rule)
+            rows = np.array(_stage_bounds(critical, rule, alpha, k))
+            walks[procedure, alpha] = schedule.analyses, [rows] * k
+    table = _transitions()
     formed = dict.fromkeys(key for group in groups for key in group)
-    counted = dict.fromkeys(key for rule, _, group in decisions if rule for key in group)
     # Per cell, across blocks: how many replicates rejected each set, and
     # the sum and sum of squares of their total measurements.
     tallies = [[[0] * 2**k, 0, 0] for _ in specs]
@@ -493,25 +466,19 @@ def run_cells(
         reps = min(start + step, hi) - start
         z, u = draw_replicates(master_seed, (start, start + reps), sup)
         paths = {key: endpoint_from_draws(key, schedule, z, u) for key in formed}
-        # Holm compares p-values only with the levels alpha / m, so how
-        # many of them a final value clears decides an H cell.
-        cleared = {
-            (key, alpha): _BASE ** key[0]
-            * (_final(key, *paths[key])[:, None] >= cutoffs[alpha][key[0]]).sum(axis=1)
-            for key, alpha in held
-        }
-        counts = {}
-        for key in counted:
-            values = paths[key][1]
-            counts[key] = sum((values >= row for row in union), np.zeros(values.shape, dtype))
+        # Each key's counts, as digit key[0] of the symbols, are formed once
+        # per (procedure, alpha) that reads them.
+        digits = {}
         results = {}  # per decision: rejected sets, total measurements
-        for rule, alpha, group in dict.fromkeys(decisions):
-            if rule is None:
-                rejected = holm[sum(cleared[key, alpha] for key in group)]
-                results[rule, alpha, group] = rejected, np.full(reps, k * sup)
-            else:
-                symbols = sum(digits[rule, alpha][key[0], counts[key]] for key in group)
-                results[rule, alpha, group] = _walk(table, symbols, schedule.analyses)
+        for procedure, alpha, group in dict.fromkeys(decisions):
+            looks, rows = walks[procedure, alpha]
+            for key in group:
+                if (key, procedure, alpha) not in digits:
+                    values = _final(key, *paths[key]) if procedure == "H" else paths[key][1]
+                    count = sum(values >= row for row in rows[key[0]])
+                    digits[key, procedure, alpha] = _BASE ** key[0] * count
+            symbols = sum(digits[key, procedure, alpha] for key in group)
+            results[procedure, alpha, group] = _walk(table, symbols, looks)
         for tally, decision in zip(tallies, decisions):
             rejected, total = results[decision]
             sets = np.bincount(rejected, minlength=2**k).tolist()

@@ -69,7 +69,7 @@ sys.meta_path.insert(0, _BlockScipy())
 """
 
 
-def test_runtime_loads_and_needs_no_scipy(tmp_path):
+def test_runtime_loads_and_needs_no_scipy(tmp_path, src_env):
     # scipy is a test and bench oracle only: a fresh interpreter that runs
     # H and calibrates boundaries loads no scipy module, and one that
     # cannot import scipy writes the bytes this process, with scipy
@@ -89,7 +89,9 @@ def test_runtime_loads_and_needs_no_scipy(tmp_path):
             "        sys.exit(f'{args[0]} failed')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
         for got, expected in zip(fresh, here):

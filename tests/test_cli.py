@@ -321,7 +321,7 @@ def test_bundled_study_config():
     assert rhos.count(0.75) == 1  # one correlated case
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, src_env):
     out = tmp_path / "p.csv"
     proc = subprocess.run(
         [
@@ -344,11 +344,13 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     proc = subprocess.run(
-        [sys.executable, "-m", "stepdown", "boundary", "-h"], capture_output=True, text=True
+        [sys.executable, "-m", "stepdown", "boundary", "-h"],
+        capture_output=True, text=True, env=src_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "--schedule" in proc.stdout

@@ -4,7 +4,6 @@ The demos call the public API the way a user would, so a change that
 breaks one of them breaks a documented entry point.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,16 +17,12 @@ ARGS = {"study_sweep.py": ["300"]}
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+def test_demo_runs(script, src_env):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script), *ARGS.get(script, [])],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,7 @@
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import stepdown.harness
-from stepdown.boundary import CriticalFunction, calibrate_levels
+from stepdown.boundary import calibrate_levels
 from stepdown.cli import default_table_config, parse_scenarios
 from stepdown.cli import main as cli_main
 from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths, parse_kv_text
 from stepdown.harness import (
     ScenarioSpec,
+    _SYMBOLS,
     _binomial_cutoffs,
-    _clearance_lookups,
+    _bits,
+    _digits,
     _normal_cutoff,
     _transitions,
     _walk,
@@ -29,8 +31,10 @@ from stepdown.harness import (
     run_scenario_parallel,
     split_ranges,
 )
-from stepdown.procedures import HOLM, MULT, _decide_counts, _stage_bounds, run_multistage
-from stepdown.trial import ScenarioParams, draw_replicates, paths_from_draws
+from stepdown.procedures import (
+    HOLM, MULT, _decide_counts, _stage_bounds, _step_down, run_multistage,
+)
+from stepdown.trial import ScenarioParams, draw_replicates, endpoint_keys, paths_from_draws
 
 SCHED = SampleSchedule((26, 29, 35))
 # Covers the levels of both staged procedures at the default alpha.
@@ -325,6 +329,35 @@ def test_h_cells_with_different_alphas_keep_their_own_cutoffs():
     assert run_cells(cells) == [run_scenario(cell) for cell in cells]
 
 
+def test_holm_is_the_all_active_row_of_the_transition_table():
+    # Every symbol of Holm counts: the look step with all three endpoints
+    # active rejects what holm_fixed's _step_down rejects, and one look at
+    # the last analysis measures every endpoint in full.
+    symbols = np.arange(_SYMBOLS)
+    table = _transitions()
+    holm = _bits(_step_down(_digits(symbols), 3))
+    assert table[1][7 * _SYMBOLS + symbols].tolist() == holm.tolist()
+    rejected, total = _walk(table, symbols[:, None], (35,))
+    assert rejected.tolist() == holm.tolist()
+    assert total.tolist() == [3 * 35] * _SYMBOLS
+
+
+@pytest.mark.parametrize("correction", [False, True])
+def test_h_ignores_the_interim_looks(correction):
+    # Draws depend only on the last analysis, and H reads only its values.
+    params = ScenarioParams(0.0, 0.5, 0.75, 0.5)
+    staged, single = (
+        run_scenario(ScenarioSpec(params, looks, "H", 0.05, 700, 11, correction))
+        for looks in ((26, 29, 35), (35,))
+    )
+    assert all(staged.reject_counts) and staged.fwe_count > 0
+    assert staged.reject_counts == single.reject_counts
+    assert staged.fwe_count == single.fwe_count
+    assert (staged.sum_measurements, staged.sumsq_measurements) == (
+        single.sum_measurements, single.sumsq_measurements,
+    )
+
+
 @functools.cache
 def _calibrated(looks, shape):
     """A boundary on ``looks`` analyses covering both staged procedures at alphas 0.05 and 0.1."""
@@ -368,27 +401,23 @@ _STAGED_CELLS = [
     shape=st.sampled_from(("flat", "obrien-fleming")),
     seed=st.integers(1, 2**32),
 )
-# Both alphas under MultH give five union rows; at twelve looks their
-# counts would need 6 ** 36 > 2 ** 63 codes if packed into one integer,
-# while each look's symbol stays one of 4 ** 3.
+# Twelve looks under both rules and both alphas: a replicate's counts
+# would need 4 ** 36 > 2 ** 63 codes if packed into one integer, while
+# each look's symbol stays one of 4 ** 3.
 @example(
     cells=[("MultH", 0.05, _CELL_PARAMS[1], False), ("MultH", 0.1, _CELL_PARAMS[2], True),
            ("Mult", 0.1, _CELL_PARAMS[3], False)],
     looks=12, shape="flat", seed=7,
 )
 def test_pooled_staged_cells_match_each_cell_and_one_replicate_loop(cells, looks, shape, seed):
-    # Staged cells of both rules and alphas, counted together against one
-    # set of union rows and walked through one transition table, equal
-    # each cell run alone and the one-replicate engine.
+    # Staged cells of both rules and alphas, each counted against its own
+    # rule's rows and walked through one transition table, equal each cell
+    # run alone and the one-replicate engine.
     critical = _calibrated(looks, shape)
     specs = [
         ScenarioSpec(params, critical.schedule, procedure, alpha, 60, seed, correction)
         for procedure, alpha, params, correction in cells
     ]
-    keys = {({"Mult": MULT, "MultH": HOLM}[spec.procedure], spec.alpha) for spec in specs}
-    if {(HOLM, 0.05), (HOLM, 0.1)} <= keys and looks >= 9:
-        union, _ = _clearance_lookups(critical, critical.schedule, keys)
-        assert (len(union) + 1) ** (3 * looks) > 2**63
     pooled = run_cells(specs, critical=critical)
     assert pooled == [run_scenario(spec, critical=critical) for spec in specs]
     for spec, summary in zip(specs, pooled):
@@ -407,15 +436,21 @@ def test_pooled_staged_cells_match_each_cell_and_one_replicate_loop(cells, looks
     seed=st.integers(0, 2**32 - 1),
 )
 def test_table_walk_matches_the_count_engine(looks, rule, alpha, reps, seed):
-    # Random union counts through the rule's lookup; replicate 0 clears
+    # Statistics on a boundary entry, one ulp to either side of one, or at
+    # infinity, counted against the rule's own rows; replicate 0 clears
     # every row at every look, so it stops at the first, and replicate 1
     # clears none, so it runs to the last.
     critical = _calibrated(looks, "flat")
     analyses = critical.schedule.analyses
-    union, lookups = _clearance_lookups(critical, critical.schedule, [(rule, alpha)])
-    codes = np.random.default_rng(seed).integers(0, len(union) + 1, size=(reps, 3, looks))
-    codes[0], codes[1] = len(union), 0
-    counts = lookups[rule, alpha][codes]
+    bounds = np.array(_stage_bounds(critical, rule, alpha, 3))
+    entries = np.concatenate([
+        bounds, np.nextafter(bounds, np.inf), np.nextafter(bounds, -np.inf),
+        np.full((2, looks), [[np.inf], [-np.inf]]),
+    ])
+    rng = np.random.default_rng(seed)
+    values = entries[rng.integers(len(entries), size=(reps, 3, looks)), np.arange(looks)]
+    values[0], values[1] = np.inf, -np.inf
+    counts = sum(values >= row for row in bounds)
     rejected, final_n = _decide_counts(counts, np.zeros((3, 3), dtype=bool), analyses, False)
     # Endpoint i's count is digit i of the symbol in base k + 1 = 4.
     symbols = (counts.astype(np.intp) * [[1], [4], [16]]).sum(axis=1)
@@ -447,32 +482,6 @@ def test_many_small_blocks_give_the_one_block_csv(tmp_path, monkeypatch):
     assert cli_main(args + ["--out", str(tmp_path / "many.csv")]) == 0
     assert calls == [7] * 85 + [5]
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-
-
-@pytest.mark.parametrize("tied", [False, True])
-def test_union_lookup_gives_each_rules_clearance_count(tied):
-    # Statistics sit exactly on boundary entries, one ulp to either side,
-    # or at infinity; with ``tied`` two levels share one boundary tuple.
-    rng = np.random.default_rng(2201)
-    schedule = SampleSchedule((10, 20, 30, 40))
-    levels = (0.05 / 3, 0.025, 0.1 / 3, 0.05, 0.1)
-    rows = np.sort(np.round(rng.uniform(1.0, 3.0, (len(levels), 4)) * 4) / 4, axis=0)[::-1]
-    if tied:
-        rows[2] = rows[1]
-    critical = CriticalFunction(schedule, dict(zip(levels, map(tuple, rows))))
-    entries = np.concatenate([rows, np.nextafter(rows, np.inf), np.nextafter(rows, -np.inf)])
-    values = entries[rng.integers(len(entries), size=(400, 3, 4)), np.arange(4)]
-    values[rng.random(values.shape) < 0.05] = np.inf
-    values[rng.random(values.shape) < 0.05] = -np.inf
-    keys = [(rule, alpha) for rule in (MULT, HOLM) for alpha in (0.05, 0.1)]
-    for size in range(1, len(keys) + 1):
-        for chosen in combinations(keys, size):
-            union, lookups = _clearance_lookups(critical, schedule, chosen)
-            assert (np.diff(union, axis=0) >= 0).all()
-            counts = sum(values >= row for row in union)
-            for rule, alpha in chosen:
-                expected = sum(values >= row for row in _stage_bounds(critical, rule, alpha, 3))
-                np.testing.assert_array_equal(lookups[rule, alpha][counts], expected)
 
 
 def test_a_missing_level_raises_before_any_block_is_drawn(monkeypatch):
@@ -553,23 +562,46 @@ def test_simulate_forms_each_endpoint_once_per_block(tmp_path, monkeypatch):
 
 
 def test_h_groups_stay_out_of_the_staged_pool(monkeypatch):
-    # Eight H cells on table1's scenarios and one MultH cell: only the
-    # MultH cell's group is counted and walked, so at most its replicates
-    # reach the table walk.
+    # Eight H cells on table1's scenarios and one MultH cell: each H
+    # decision walks the last analysis alone, the MultH one walks the
+    # schedule, and only the MultH cell's keys are counted against its rows.
     with open(default_table_config()) as fh:
         scenarios = parse_scenarios(parse_kv_text(fh.read())["scenarios"])
+    staged = ScenarioParams(0.4, 0.4, 0.75)
     cells = [spec_for("H", reps=600, params=params) for params in scenarios]
-    cells.append(spec_for("MultH", reps=600, params=ScenarioParams(0.4, 0.4, 0.75)))
-    rows = []
-    original = stepdown.harness._walk
+    cells.append(spec_for("MultH", reps=600, params=staged))
+    walks, compared = [], []
 
-    def spied(table, symbols, *args):
-        rows.append(len(symbols))
-        return original(table, symbols, *args)
+    class Path(np.ndarray):
+        """A statistic path that logs its key and each row width it is compared with."""
 
-    monkeypatch.setattr(stepdown.harness, "_walk", spied)
+        def __array_finalize__(self, obj):
+            self.key = getattr(obj, "key", None)
+
+        def __ge__(self, row):
+            compared.append((self.key, np.shape(row)[-1]))
+            return np.asarray(self) >= row
+
+    walk, form = stepdown.harness._walk, stepdown.harness.endpoint_from_draws
+
+    def spied_walk(table, symbols, looks):
+        walks.append((len(symbols), tuple(looks)))
+        return walk(table, symbols, looks)
+
+    def spied_form(key, *args):
+        sums, values = form(key, *args)
+        values = values.view(Path)
+        values.key = key
+        return sums, values
+
+    monkeypatch.setattr(stepdown.harness, "_walk", spied_walk)
+    monkeypatch.setattr(stepdown.harness, "endpoint_from_draws", spied_form)
     together = run_cells(cells, critical=CRITICAL)
-    assert len(rows) == 1 and 0 < rows[0] <= 600
+    assert walks == [(600, (35,))] * 8 + [(600, SCHED.analyses)]
+    # Three stage rows per key, each as wide as the schedule.
+    against_rows = [key for key, width in compared if width == len(SCHED)]
+    assert sorted(against_rows, key=repr) == sorted(endpoint_keys(staged, False) * 3, key=repr)
+    monkeypatch.undo()
     assert together == [run_scenario(cell, critical=CRITICAL) for cell in cells]
 
 
