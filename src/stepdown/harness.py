@@ -9,24 +9,20 @@ or machines and merging the pieces reproduces the serial result bit for
 bit.  Each replicate's draws depend only on (master seed, replicate
 index), never on execution order.
 
-Replicates run in blocks, and the cells of a run, which share master
-seed, schedule and replicate count, run together in one block loop
-(``run_cells``).  Each block is drawn once (``draw_replicates``).  Each
-endpoint reads only its own parameters, so its sums and statistic are
-formed once per distinct endpoint key (``endpoint_from_draws``), not
-once per scenario: table1's 8 scenarios read 10 keys, not 24.  Every
-cell is decided by one walk through one table of
-``run_multistage_batch``'s look step over every active set and every
-count per endpoint: each look of a replicate reads its next active set,
-rejections and frozen endpoints from it.  A staged cell walks the
-schedule, counting each key's statistic once per rule and alpha against
-the rule's boundary rows.  ``H`` is the one-look case, as Holm's test is
-the one-look special case of the multistage procedure: it walks the last
-analysis alone, counting how many exact Holm cutoffs each final value
-clears.  Each cell tallies its rejected sets and measurements over the
-blocks and builds its summary once.  Every replicate gets exactly the
-numbers and decisions of the one-replicate functions ``generate_paths``
-and ``run_multistage``, or of ``holm_fixed`` on its final p-values, so
+The cells of a run, which share master seed, schedule and replicate
+count, run together in one loop over blocks of replicates
+(``run_cells``).  Blocks end on multiples of ``KEY_BLOCK``, so each
+draws one key block of per-look increments (``draw_replicates``), and
+each distinct endpoint key's sums and statistic are formed once per
+block (``endpoint_from_draws``): table1's 8 scenarios read 10 keys, not
+24.  Every cell is decided by one walk through one table of
+``run_multistage_batch``'s look step (``_transitions``): a staged cell
+walks the schedule with each key's count of its rule's boundary rows,
+and ``H``, as Holm's test is the one-look special case of the
+multistage procedure, walks the last analysis alone with each key's
+count of exact Holm cutoffs.  Every replicate gets exactly the numbers
+and decisions of the one-replicate functions ``generate_paths`` and
+``run_multistage``, or of ``holm_fixed`` on its final p-values, so
 neither the block size nor which cells run together changes a result;
 only one block of draws and its paths are held at a time.
 ``run_scenario`` is the one-cell view of the same loop.
@@ -65,6 +61,7 @@ from .procedures import (
     stage_levels,
 )
 from .trial import (
+    KEY_BLOCK,
     ScenarioParams,
     check_seed,
     draw_replicates,
@@ -85,26 +82,17 @@ __all__ = [
     "needed_levels",
 ]
 
-_VARIANTS: dict[str, str] = {
-    "Mult": MULT,
-    "MultH": HOLM,
-}
+_VARIANTS: dict[str, str] = {"Mult": MULT, "MultH": HOLM}
 
 PROCEDURES = ("H", *_VARIANTS)
 
 # The trial model's three hypotheses carry no containment structure.
 _FAMILY = HypothesisFamily.simple(3)
 
-# Observations drawn per endpoint in one block of replicates: 3,744
-# replicates on a 35-observation schedule, about 7 MB of draws.  It is
-# also the longest schedule a ScenarioSpec accepts, so a block always
-# holds a whole replicate and its memory stays bounded.
-BLOCK_OBSERVATIONS = 1 << 17
-
-
-def block_replicates(schedule: SampleSchedule) -> int:
-    """Replicates per block for a schedule; results do not depend on it."""
-    return max(1, BLOCK_OBSERVATIONS // schedule.sup)
+# The longest schedule a ScenarioSpec accepts bounds each binomial table and
+# H's cutoffs; its looks bound a block's draws (KEY_BLOCK rows a look) to 3 MB.
+MAX_OBSERVATIONS = 1 << 17
+MAX_LOOKS = MAX_OBSERVATIONS // KEY_BLOCK
 
 
 def needed_levels(procedures: Iterable[str], alpha: float) -> tuple[float, ...]:
@@ -142,10 +130,11 @@ class ScenarioSpec:
         check_alpha(self.alpha)
         check_integer(self.replicates, "replicates", 1)
         check_seed(self.master_seed)
-        if self.schedule.sup > BLOCK_OBSERVATIONS:
+        if self.schedule.sup > MAX_OBSERVATIONS or len(self.schedule) > MAX_LOOKS:
             raise ValueError(
-                f"schedule {','.join(map(str, self.schedule))} runs to {self.schedule.sup} "
-                f"observations per endpoint; at most {BLOCK_OBSERVATIONS} can be simulated"
+                f"schedule {','.join(map(str, self.schedule))} has {len(self.schedule)} looks "
+                f"and runs to {self.schedule.sup} observations per endpoint; at most "
+                f"{MAX_LOOKS} looks and {MAX_OBSERVATIONS} observations can be simulated"
             )
 
     @property
@@ -298,6 +287,7 @@ def _binomial_cutoffs(n: int, levels: Iterable[float]) -> list[int]:
     return cutoffs
 
 
+@functools.cache
 def _normal_cutoff(level: float) -> float:
     """The smallest float z with ``0.5 * math.erfc(z / math.sqrt(2.0)) < level``.
 
@@ -309,11 +299,6 @@ def _normal_cutoff(level: float) -> float:
         mid = (lo + hi) / 2
         lo, hi = (lo, mid) if 0.5 * math.erfc(mid / math.sqrt(2.0)) < level else (mid, hi)
     return hi
-
-
-def _final(key: tuple, sums: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``H``'s one look at an endpoint: the final statistic, or the final count, as a column."""
-    return (sums if key[0] == 2 else values)[:, -1:]
 
 
 # A symbol writes one count in 0..k per endpoint as a number in base k + 1,
@@ -332,13 +317,15 @@ def _bits(sets: np.ndarray) -> np.ndarray:
     return sets @ (1 << np.arange(_FAMILY.k))
 
 
+@functools.cache
 def _transitions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_look_step`` on every pair of an active set a and a symbol s of rule counts.
 
     Row a * _SYMBOLS + s holds the next active set, times _SYMBOLS so that
     a symbol adds onto it; the set rejected at the look; and how many
     endpoints freeze at it.  A stage's decision reads only the active set
-    and the counts, so the table serves every ``(rule, alpha)``.
+    and the counts, so the table serves every ``(rule, alpha)``.  Built
+    once per process; its arrays are read-only.
     """
     contains = np.asarray(_FAMILY.contains_complement, dtype=bool)
     # Without containment a rejection accepts nothing by implication and
@@ -355,6 +342,8 @@ def _transitions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     after[rows] = _bits(remaining) * _SYMBOLS
     rejected[rows] = _bits(rej_now)
     frozen[rows] = frozen_now.sum(axis=1)
+    for column in (after, rejected, frozen):
+        column.flags.writeable = False
     return after, rejected, frozen
 
 
@@ -401,16 +390,10 @@ def run_cells(
 
     The cells must share ``master_seed``, ``schedule`` and
     ``replicates``, so replicate r draws the same numbers in each.  Each
-    block of replicates is drawn once.  Sums and statistics are formed
-    once per distinct endpoint key (``trial.endpoint_keys``: the mean,
-    the correlation and mean, or the rate and correction).  Every cell is
-    then decided by one ``_walk`` through ``_transitions``, the same
-    table for every cell: a staged cell walks the schedule with each
-    key's counts of its rule's boundary rows, and ``H`` walks the last
-    analysis alone with each key's count of Holm cutoffs.  Counts are
-    formed once per key and (procedure, alpha) in a block.  Each cell
-    tallies its rejected sets and measurements over the blocks and builds
-    its summary once.
+    block is drawn once, each endpoint key (``trial.endpoint_keys``) is
+    formed once per block and counted once per (procedure, alpha), and
+    each cell tallies its rejected sets and measurements over the blocks
+    and builds its summary once.
 
     Args:
         specs: The cells to simulate, at least one.
@@ -431,13 +414,9 @@ def run_cells(
     hi = check_integer(hi, "rep_range end", lo, replicates + 1)
 
     k, sup = _FAMILY.k, schedule.sup
-    # A cell is decided by its procedure, its alpha and its group: the
-    # three endpoint keys of its parameters and correction, each key's path
-    # formed once per block.  Each (procedure, alpha) walks its looks with
-    # one array of rows per endpoint; a value's count is how many it
-    # clears.  A staged procedure walks the schedule against its rule's
-    # _stage_bounds rows, and H the last analysis against the exact cutoffs
-    # at each Holm level.
+    # A cell is decided by its procedure, its alpha and its group, the
+    # three endpoint keys.  Each (procedure, alpha) walks its looks with one
+    # array of rows per endpoint; a value's count is how many rows it clears.
     groups = [endpoint_keys(spec.params, spec.continuity_correction) for spec in specs]
     decisions = [(spec.procedure, spec.alpha, group) for spec, group in zip(specs, groups)]
     walks = {}
@@ -461,10 +440,10 @@ def run_cells(
     # Per cell, across blocks: how many replicates rejected each set, and
     # the sum and sum of squares of their total measurements.
     tallies = [[[0] * 2**k, 0, 0] for _ in specs]
-    step = block_replicates(schedule)
-    for start in range(lo, hi, step):
-        reps = min(start + step, hi) - start
-        z, u = draw_replicates(master_seed, (start, start + reps), sup)
+    # Blocks end on multiples of KEY_BLOCK, so each draws one key block.
+    cuts = sorted({lo, *range(lo - lo % KEY_BLOCK + KEY_BLOCK, hi, KEY_BLOCK), hi})
+    for start, stop in zip(cuts, cuts[1:]):
+        z, u = draw_replicates(master_seed, (start, stop), len(schedule))
         paths = {key: endpoint_from_draws(key, schedule, z, u) for key in formed}
         # Each key's counts, as digit key[0] of the symbols, are formed once
         # per (procedure, alpha) that reads them.
@@ -474,7 +453,9 @@ def run_cells(
             looks, rows = walks[procedure, alpha]
             for key in group:
                 if (key, procedure, alpha) not in digits:
-                    values = _final(key, *paths[key]) if procedure == "H" else paths[key][1]
+                    sums, values = paths[key]
+                    if procedure == "H":  # its one look: the final statistic or count
+                        values = (sums if key[0] == 2 else values)[:, -1:]
                     count = sum(values >= row for row in rows[key[0]])
                     digits[key, procedure, alpha] = _BASE ** key[0] * count
             symbols = sum(digits[key, procedure, alpha] for key in group)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
+from scipy.stats import binom, multivariate_normal
 
 from stepdown.boundary import CriticalFunction, calibrate_levels, crossing_probability
 from stepdown.cli import main
@@ -112,6 +113,7 @@ def sweep():
     staged_rows, staged_seconds = timed(cells(GRID, ("Mult", "MultH")))
     correlated_rows = run_cells(cells((CORRELATED,), ("H", "Mult", "MultH")), critical=critical)
     return {
+        "critical": critical,
         "summaries": {
             (s.spec.label, s.spec.procedure): s
             for s in h_rows + staged_rows + correlated_rows
@@ -275,6 +277,133 @@ def test_criterion_4_power_and_cost_ordering(sweep, capsys):
                 f"EM(step-down) {multh.em:.2f} beyond noise"
             )
     _report(capsys, 4, "power and sample-cost ordering", failures)
+
+
+# The oracle's bound on |MC - exact| / SE, fixed before any result was
+# seen: Bonferroni at 1e-3 overall over about 100 comparisons.
+ORACLE_Z = 4.4
+ORACLE_QMC_SEED = 20110710
+
+
+def _walk_below(analyses, upper):
+    """P(S_n / sqrt(n) < upper at every look) for a driftless unit-variance walk."""
+    n = np.asarray(analyses, dtype=float)
+    if n.size == 1:
+        return float(ndtr(upper[0]))
+    cov = np.sqrt(np.minimum.outer(n, n) / np.maximum.outer(n, n))
+    mvn = multivariate_normal(mean=np.zeros(n.size), cov=cov)
+    return float(mvn.cdf(upper, rng=np.random.default_rng(ORACLE_QMC_SEED)))
+
+
+def _gaussian_survival(mu, bound):
+    """P(a mean-mu endpoint has not crossed ``bound`` by look j), for each j."""
+    looks = SCHEDULE.analyses
+    upper = np.asarray(bound) - mu * np.sqrt(np.asarray(looks, dtype=float))
+    return [_walk_below(looks[: j + 1], upper[: j + 1]) for j in range(len(looks))]
+
+
+def _binary_survival(p, bound):
+    """The same for the binary endpoint, by an exact DP over the success count."""
+    mass, prev, survive = np.ones(1), 0, []
+    for n, b in zip(SCHEDULE.analyses, bound):
+        mass = np.convolve(mass, binom.pmf(np.arange(n - prev + 1), n - prev, p))
+        z = (np.arange(mass.size) - n / 2.0) / np.sqrt(n / 4.0)
+        mass = np.where(z >= b, 0.0, mass)
+        survive.append(float(mass.sum()))
+        prev = n
+    return survive
+
+
+def _stopping(survive):
+    """P(cross), E[N] and Var[N] for an endpoint measured until it first crosses."""
+    n = np.asarray(SCHEDULE.analyses, dtype=float)
+    stop = -np.diff(np.concatenate(([1.0], survive)))
+    stop[-1] += survive[-1]
+    mean = float(stop @ n)
+    return 1.0 - survive[-1], mean, float(stop @ (n - mean) ** 2)
+
+
+def _holm_digit_masses(params):
+    """Per endpoint, P(the final p-value lies below exactly d of H's Holm levels), d = 0..3."""
+    levels = (ALPHA, ALPHA / 2.0, ALPHA / 3.0)
+    sup = SCHEDULE.sup
+    null_tail = binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
+    below = []  # P(p < level) per endpoint and level
+    for mu in (params.mu1, params.mu2):
+        below.append([float(ndtr(mu * np.sqrt(sup) + ndtri(level))) for level in levels])
+    cutoffs = [int(np.argmax(null_tail < level)) for level in levels]
+    below.append([float(binom.sf(c - 1, sup, params.p)) for c in cutoffs])
+    return [-np.diff([1.0] + row + [0.0]) for row in below]
+
+
+def _holm_exact(params):
+    """Exact P(rej Hi) and FWE of H on independent endpoints: a sum over 64 digit triples."""
+    masses = _holm_digit_masses(params)
+    p_reject, fwe = [0.0] * 3, 0.0
+    for digits in np.ndindex(4, 4, 4):
+        weight = float(np.prod([m[d] for m, d in zip(masses, digits)]))
+        # Rank r of the ascending p-values is rejected below alpha / (3 - r).
+        order = sorted(range(3), key=lambda i: -digits[i])
+        rejected = set()
+        for rank, i in enumerate(order):
+            if digits[i] < 3 - rank:
+                break
+            rejected.add(i)
+        for i in rejected:
+            p_reject[i] += weight
+        fwe += weight * any(params.truth[i] for i in rejected)
+    return p_reject, fwe
+
+
+def _mult_exact(params, bound):
+    """Exact P(rej Hi), FWE, E[total] and Var[total] of Mult on independent endpoints.
+
+    Mult tests each endpoint on its own against the alpha/3 row at every
+    look, and an endpoint is measured until it is rejected.
+    """
+    ends = [
+        _stopping(_gaussian_survival(params.mu1, bound)),
+        _stopping(_gaussian_survival(params.mu2, bound)),
+        _stopping(_binary_survival(params.p, bound)),
+    ]
+    p_reject = [end[0] for end in ends]
+    fwe = 1.0 - np.prod([1.0 - p for p, true in zip(p_reject, params.truth) if true])
+    return p_reject, fwe, sum(end[1] for end in ends), sum(end[2] for end in ends)
+
+
+def test_oracle_uncorrelated_h_and_mult_rows(sweep, capsys):
+    # Every P(rej Hi), FWE and Mult EM of the uncorrelated rows against
+    # exact values from per-endpoint tails and crossing probabilities,
+    # computed apart from the package.
+    failures, worst = [], 0.0
+
+    def compare(tag, got, exact, sd):
+        nonlocal worst
+        z = abs(got - exact) / (sd / np.sqrt(REPS))
+        worst = max(worst, z)
+        if z > ORACLE_Z:
+            failures.append(f"{tag}: got {got:.5f}, exact {exact:.5f}, |z| = {z:.1f}")
+
+    def compare_probability(tag, got, exact):
+        compare(tag, got, exact, np.sqrt(exact * (1.0 - exact)))
+
+    bound = sweep["critical"].boundary(ALPHA / 3.0)
+    for params in GRID:
+        label = params.label()
+        h = sweep["summaries"][(label, "H")]
+        mult = sweep["summaries"][(label, "Mult")]
+        h_reject, h_fwe = _holm_exact(params)
+        m_reject, m_fwe, m_em, m_var = _mult_exact(params, bound)
+        for i in range(3):
+            compare_probability(f"{label} H P(rej H{i + 1})", h.p_reject(i), h_reject[i])
+            compare_probability(f"{label} Mult P(rej H{i + 1})", mult.p_reject(i), m_reject[i])
+        if any(params.truth):
+            compare_probability(f"{label} H FWE", h.fwe, h_fwe)
+            compare_probability(f"{label} Mult FWE", mult.fwe, m_fwe)
+        compare(f"{label} Mult EM", mult.em, m_em, np.sqrt(m_var))
+    with capsys.disabled():
+        print(f"[acceptance oracle] largest |z| = {worst:.2f} of bound {ORACLE_Z}")
+    _report(capsys, "oracle", "exact uncorrelated H and Mult rows", failures)
 
 
 def test_criterion_5_single_analysis_equivalence(capsys):

@@ -25,7 +25,6 @@ from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
 from stepdown.harness import (
     PROCEDURES,
     ScenarioSpec,
-    block_replicates,
     merge,
     needed_levels,
     run_scenario,
@@ -42,30 +41,37 @@ from stepdown.procedures import (
     stage_levels,
 )
 from stepdown.trial import (
+    KEY_BLOCK,
     RngStream,
     ScenarioParams,
     draw_replicates,
     generate_paths,
     paths_from_draws,
+    philox,
 )
 
 ALPHA = 0.05
 SCHED = SampleSchedule((26, 29, 35))
-BLOCK = block_replicates(SCHED)
 
 
 def reference_paths(params, schedule, stream, continuity_correction):
     """The draw contract for one replicate, written out step by step."""
-    n_max = schedule.sup
-    rng = stream.generator()
-    z = rng.standard_normal((2, n_max))
-    rho = params.rho12
-    x1 = z[0] + params.mu1
-    x2 = rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1] + params.mu2
-    x3 = (rng.random(n_max) < params.p).astype(float)
-    cols = np.asarray(schedule.analyses) - 1
-    sums = np.stack([np.cumsum(x1)[cols], np.cumsum(x2)[cols], np.cumsum(x3)[cols]])
+    looks = len(schedule)
+    block, row = divmod(stream.replicate, KEY_BLOCK)
+    rng = np.random.Generator(philox(stream.master_seed, block))
+    z = rng.standard_normal((KEY_BLOCK, 2, looks))[row]
+    u = rng.random((KEY_BLOCK, looks))[row]
     ns = np.asarray(schedule.analyses, dtype=float)
+    dn = np.diff(ns, prepend=0.0)
+    rho = params.rho12
+    x1 = np.sqrt(dn) * z[0] + params.mu1 * dn
+    x2 = np.sqrt(dn) * (rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]) + params.mu2 * dn
+    # The Bin(dn, p) count a uniform inverts to: how many cdf values lie at or below it.
+    x3 = [
+        float((scipy_stats.binom.cdf(np.arange(n), n, params.p) <= x).sum())
+        for n, x in zip(dn.astype(int), u)
+    ]
+    sums = np.stack([np.cumsum(x1), np.cumsum(x2), np.cumsum(x3)])
     shift = 0.5 if continuity_correction else 0.0
     values = np.stack(
         [
@@ -245,8 +251,8 @@ def test_batch_engine_rejects_bad_input():
 )
 def test_paths_from_draws_matches_one_replicate_streams(seed, before, after, mu, rho, p):
     params = ScenarioParams(mu, -mu, p, rho12=rho)
-    lo, hi = BLOCK - before, BLOCK + after
-    z, u = draw_replicates(seed, (lo, hi), SCHED.sup)
+    lo, hi = KEY_BLOCK - before, KEY_BLOCK + after
+    z, u = draw_replicates(seed, (lo, hi), len(SCHED))
     sums, values = paths_from_draws(params, SCHED, z, u, continuity_correction=True)
     assert sums.shape == values.shape == (hi - lo, 3, len(SCHED))
     for i, r in enumerate(range(lo, hi)):
@@ -280,12 +286,12 @@ def straddling_spec(procedure):
         params=ScenarioParams(0.0, 0.5, 0.75, rho12=0.75),
         schedule=SCHED,
         procedure=procedure,
-        replicates=BLOCK + 200,
+        replicates=KEY_BLOCK + 200,
         master_seed=3,
     )
 
 
-SPAN = (BLOCK - 120, BLOCK + 120)
+SPAN = (KEY_BLOCK - 120, KEY_BLOCK + 120)
 
 
 @functools.cache
@@ -315,19 +321,18 @@ def test_run_scenario_matches_one_replicate_loop(procedure, alpha, sup, correcti
     # binomial tail, where binom.sf's rounding, not the tail, decides.
     # The reference computes H's p-values with math.erfc and binom.sf.
     schedule = SampleSchedule((26, 29, sup))
-    block = block_replicates(schedule)
     spec = ScenarioSpec(
         params=ScenarioParams(0.0, 0.5, 0.75, rho12=0.75),
         schedule=schedule,
         procedure=procedure,
         alpha=alpha,
-        replicates=block + 200,
+        replicates=KEY_BLOCK + 200,
         master_seed=3,
         continuity_correction=correction,
     )
     levels = needed_levels((procedure,), alpha)
     critical = calibrate_levels(schedule, levels, "flat") if levels else None
-    span = (block - 120, block + 120)
+    span = (KEY_BLOCK - 120, KEY_BLOCK + 120)
     got = run_scenario(spec, span, critical)
     assert (
         got.sum_measurements,

@@ -450,6 +450,9 @@ def test_blocked_recursion_matches_reference(inputs):
 @given(_recursion_inputs())
 # A span of 8.9e-16 on one look: its nodes all rounded to -8.0.
 @example(((1,), np.array([-7.999999999999999]), 8))
+# Spans of 1e-8 and 1e-10: h is a few float spacings of the nodes and above.
+@example(((1,), np.array([-7.99999999]), 8))
+@example(((1,), np.array([-7.9999999999]), 8))
 def test_look_grids_share_one_spacing(inputs):
     analyses, b, grid_points = inputs
     grids = _look_grids(analyses, b, grid_points)
@@ -465,6 +468,9 @@ def test_look_grids_share_one_spacing(inputs):
         assert stepdown.boundary._crossing_recursion(analyses, b, grid_points) == 1.0
         return
     h, grids = grids
+    # Each node is top - h * i, rounded once at its own magnitude, so a step
+    # can be off by a few float spacings of the largest node, -_SPAN_SD sd.
+    atol = 4.0 * np.spacing(_SPAN_SD * sd[-1])
     counts = [len(grid) for grid in grids]
     assert max(counts) <= _GRID_CAP * grid_points
     assert max(counts) == _GRID_CAP * grid_points or min(counts) == grid_points
@@ -472,7 +478,7 @@ def test_look_grids_share_one_spacing(inputs):
         # Each grid ends on its top node and steps down by h to within
         # one step of -_SPAN_SD sd.
         assert grid[-1] == top
-        assert np.allclose(np.diff(grid), h, rtol=1e-9, atol=0.0)
+        assert np.allclose(np.diff(grid), h, rtol=1e-9, atol=atol)
         assert low - 1e-9 * (top - low) <= grid[0] < low + h
     # The doubled-grid check always integrates at a finer spacing.
     assert _look_grids(analyses, b, 2 * grid_points)[0] < h

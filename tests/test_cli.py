@@ -177,15 +177,16 @@ def test_simulate_worker_invariance(tmp_path):
 
 
 def test_simulate_byte_lock(tmp_path):
-    # Frozen from `simulate --config table1.cfg --reps 3745 --seed 1`: one
-    # full block of 3,744 replicates plus a one-replicate block.  Any
-    # change to the random-stream contract or to how paths are formed or
-    # decided that moves a byte must re-pin this hash and say why.
+    # Frozen from `simulate --config table1.cfg --reps 3745 --seed 1`: three
+    # full key blocks of 1,024 replicates and part of a fourth, drawn as
+    # per-look increments.  Any change to the random-stream contract or to
+    # how paths are formed or decided that moves a byte must re-pin this
+    # hash and say why.
     out = tmp_path / "t1.csv"
     args = ["simulate", "--config", default_table_config(), "--reps", "3745", "--seed", "1"]
     assert main(args + ["--workers", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5ba3d5e88fe45f18e6114578c3a19d2090c9be9c248e28948b7984c9b14373cf"
+        "605ff85ad8219d37414185880f8ed86ee409aa99a20d844f822c630b71df627c"
     )
 
 

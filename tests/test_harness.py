@@ -15,6 +15,8 @@ from stepdown.cli import default_table_config, parse_scenarios
 from stepdown.cli import main as cli_main
 from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths, parse_kv_text
 from stepdown.harness import (
+    MAX_LOOKS,
+    MAX_OBSERVATIONS,
     ScenarioSpec,
     _SYMBOLS,
     _binomial_cutoffs,
@@ -57,6 +59,28 @@ def test_spec_validation():
         spec_for("H", reps=True)
     with pytest.raises(ValueError, match="unknown procedure"):
         spec_for("MultH-closed")
+
+
+def test_spec_bounds_the_looks_and_the_observations():
+    # A block holds KEY_BLOCK replicates' increments at every look, and the
+    # binomial tables run to the last analysis.
+    params = ScenarioParams(0.0, 0.0, 0.5)
+    longest = ScenarioSpec(params, tuple(range(1, MAX_LOOKS + 1)), "H", replicates=20)
+    assert run_scenario(longest).sum_measurements == 20 * 3 * MAX_LOOKS
+    with pytest.raises(ValueError, match=f"at most {MAX_LOOKS} looks"):
+        ScenarioSpec(params, tuple(range(1, MAX_LOOKS + 2)), "H")
+    with pytest.raises(ValueError, match=f"and {MAX_OBSERVATIONS} observations"):
+        ScenarioSpec(params, (MAX_OBSERVATIONS + 1,), "H")
+    ScenarioSpec(params, (MAX_OBSERVATIONS,), "H")
+
+
+def test_per_process_tables_are_built_once_and_read_only():
+    assert _transitions() is _transitions()
+    assert not any(column.flags.writeable for column in _transitions())
+    first = _normal_cutoff(0.025)
+    hits = _normal_cutoff.cache_info().hits
+    assert _normal_cutoff(0.025) == first == _normal_cutoff.__wrapped__(0.025)
+    assert _normal_cutoff.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
@@ -303,7 +327,7 @@ def _grouped_runs(draw):
     cuts = sorted(draw(st.sets(st.integers(1, 89), max_size=5)))
     pieces = list(zip([0] + cuts, cuts + [90]))
     order = draw(st.permutations(range(len(pieces))))
-    block = draw(st.sampled_from([35 * 7, 35 * 32, stepdown.harness.BLOCK_OBSERVATIONS]))
+    block = draw(st.sampled_from([7, 32, stepdown.harness.KEY_BLOCK]))
     return cells, pieces, order, block
 
 
@@ -311,11 +335,12 @@ def _grouped_runs(draw):
 @given(_grouped_runs())
 def test_grouped_run_matches_each_cell_alone(run):
     # Cells run together over any partition of the replicates, merged in
-    # any order and at any block size, give each cell's own summary.
+    # any order and stepping any number of replicates per block, give each
+    # cell's own summary.
     cells, pieces, order, block = run
     alone = [run_scenario(cell, critical=CRITICAL) for cell in cells]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stepdown.harness, "BLOCK_OBSERVATIONS", block)
+        patch.setattr(stepdown.harness, "KEY_BLOCK", block)
         parts = [run_cells(cells, pieces[i], CRITICAL) for i in order]
     merged = [empty_summary(cell) for cell in cells]
     for part in parts:
@@ -343,18 +368,27 @@ def test_holm_is_the_all_active_row_of_the_transition_table():
 
 
 @pytest.mark.parametrize("correction", [False, True])
-def test_h_ignores_the_interim_looks(correction):
-    # Draws depend only on the last analysis, and H reads only its values.
+def test_h_ignores_the_interim_looks(correction, monkeypatch):
+    # H reads only each endpoint's final value: with every interim sum and
+    # statistic moved to +inf, where it would clear any boundary, H's
+    # counts stay the same.
     params = ScenarioParams(0.0, 0.5, 0.75, 0.5)
-    staged, single = (
-        run_scenario(ScenarioSpec(params, looks, "H", 0.05, 700, 11, correction))
-        for looks in ((26, 29, 35), (35,))
-    )
-    assert all(staged.reject_counts) and staged.fwe_count > 0
-    assert staged.reject_counts == single.reject_counts
-    assert staged.fwe_count == single.fwe_count
-    assert (staged.sum_measurements, staged.sumsq_measurements) == (
-        single.sum_measurements, single.sumsq_measurements,
+    spec = ScenarioSpec(params, (26, 29, 35), "H", 0.05, 700, 11, correction)
+    plain = run_scenario(spec)
+    form = stepdown.harness.endpoint_from_draws
+
+    def interim_at_infinity(*args):
+        sums, values = form(*args)
+        sums[:, :-1] = values[:, :-1] = np.inf
+        return sums, values
+
+    monkeypatch.setattr(stepdown.harness, "endpoint_from_draws", interim_at_infinity)
+    moved = run_scenario(spec)
+    assert all(plain.reject_counts) and plain.fwe_count > 0
+    assert plain.reject_counts == moved.reject_counts
+    assert plain.fwe_count == moved.fwe_count
+    assert (plain.sum_measurements, plain.sumsq_measurements) == (
+        moved.sum_measurements, moved.sumsq_measurements,
     )
 
 
@@ -369,7 +403,7 @@ def _calibrated(looks, shape):
 def _one_replicate_summary(spec, critical):
     """A staged cell's accumulators from run_multistage, one replicate at a time."""
     rule = {"Mult": MULT, "MultH": HOLM}[spec.procedure]
-    z, u = draw_replicates(spec.master_seed, (0, spec.replicates), spec.schedule.sup)
+    z, u = draw_replicates(spec.master_seed, (0, spec.replicates), len(spec.schedule))
     _, values = paths_from_draws(
         spec.params, spec.schedule, z, u, continuity_correction=spec.continuity_correction
     )
@@ -464,7 +498,8 @@ def test_table_walk_matches_the_count_engine(looks, rule, alpha, reps, seed):
 def test_many_small_blocks_give_the_one_block_csv(tmp_path, monkeypatch):
     # Each cell tallies its rejected sets and measurements across blocks
     # and builds its summary once: 86 blocks of at most 7 replicates give
-    # the bytes of one block of 600.
+    # the bytes of one block of 600.  Stepping 7 replicates at a time
+    # changes the blocks run_cells steps, not the key blocks drawn.
     args = [
         "simulate", "--config", default_table_config(), "--reps", "600", "--workers", "1",
         "--continuity-correction", "true",
@@ -473,12 +508,12 @@ def test_many_small_blocks_give_the_one_block_csv(tmp_path, monkeypatch):
     calls = []
     original = stepdown.harness.draw_replicates
 
-    def counted(master_seed, rep_range, observations):
+    def counted(master_seed, rep_range, looks):
         calls.append(rep_range[1] - rep_range[0])
-        return original(master_seed, rep_range, observations)
+        return original(master_seed, rep_range, looks)
 
     monkeypatch.setattr(stepdown.harness, "draw_replicates", counted)
-    monkeypatch.setattr(stepdown.harness, "BLOCK_OBSERVATIONS", 35 * 7)
+    monkeypatch.setattr(stepdown.harness, "KEY_BLOCK", 7)
     assert cli_main(args + ["--out", str(tmp_path / "many.csv")]) == 0
     assert calls == [7] * 85 + [5]
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
@@ -523,12 +558,12 @@ def test_simulate_draws_each_block_once(tmp_path, monkeypatch):
     calls = []
     original = stepdown.harness.draw_replicates
 
-    def counted(master_seed, rep_range, observations):
+    def counted(master_seed, rep_range, looks):
         calls.append(rep_range)
-        return original(master_seed, rep_range, observations)
+        return original(master_seed, rep_range, looks)
 
     monkeypatch.setattr(stepdown.harness, "draw_replicates", counted)
-    monkeypatch.setattr(stepdown.harness, "BLOCK_OBSERVATIONS", 35 * 50)
+    monkeypatch.setattr(stepdown.harness, "KEY_BLOCK", 50)
     assert cli_main(args + ["--out", str(tmp_path / "blocks.csv")]) == 0
     assert calls == [(0, 50), (50, 100), (100, 120)]
     assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
@@ -553,7 +588,7 @@ def test_simulate_forms_each_endpoint_once_per_block(tmp_path, monkeypatch):
     assert sorted(key[0] for _, key in calls) == [0] * 3 + [1] * 5 + [2] * 2
 
     calls.clear()
-    monkeypatch.setattr(stepdown.harness, "BLOCK_OBSERVATIONS", 35 * 250)
+    monkeypatch.setattr(stepdown.harness, "KEY_BLOCK", 250)
     assert cli_main(args + ["--out", str(tmp_path / "blocks.csv")]) == 0
     assert [reps for reps, _ in calls] == [250] * 10 + [250] * 10 + [100] * 10
     whole = (tmp_path / "whole.csv").read_bytes()

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from stepdown.core import SampleSchedule
 from stepdown.harness import ScenarioSpec
 from stepdown.trial import (
+    KEY_BLOCK,
     RngStream,
+    _binomial_cdf,
     check_seed,
     ScenarioParams,
     draw_replicates,
@@ -21,7 +24,7 @@ SCHED = SampleSchedule((26, 29, 35))
 
 def simulate(params, seed, rep_range, schedule=SCHED, **kwargs):
     """Sums and statistics of replicates lo <= r < hi, each (hi - lo, 3, looks)."""
-    z, u = draw_replicates(seed, rep_range, schedule.sup)
+    z, u = draw_replicates(seed, rep_range, len(schedule))
     return paths_from_draws(params, schedule, z, u, **kwargs)
 
 
@@ -187,7 +190,7 @@ def test_out_of_range_seeds_are_rejected(seed):
     with pytest.raises(ValueError, match="seed"):
         RngStream(seed, 0)
     with pytest.raises(ValueError, match="seed"):
-        draw_replicates(seed, (0, 2), schedule.sup)
+        draw_replicates(seed, (0, 2), len(schedule))
     with pytest.raises(ValueError, match="seed"):
         ScenarioSpec(params=params, schedule=schedule, master_seed=seed)
 
@@ -240,3 +243,45 @@ def test_draw_replicates_takes_a_range_of_indices(rep_range):
     # (0.5, 2) used to reach numpy and fail with a TypeError.
     with pytest.raises(ValueError, match="rep_range"):
         draw_replicates(1, rep_range, 5)
+
+
+@pytest.mark.parametrize(
+    "rep_range", [(0, 1), (5, 9), (KEY_BLOCK - 3, KEY_BLOCK + 2), (1, 2 * KEY_BLOCK + 1)]
+)
+def test_a_replicate_reads_its_row_of_its_key_block(rep_range):
+    # Key block b draws (KEY_BLOCK, 2, looks) normals, then (KEY_BLOCK,
+    # looks) uniforms; replicate r reads row r % KEY_BLOCK of block r // KEY_BLOCK.
+    seed, looks = 2**63 + 5, 4
+    z, u = draw_replicates(seed, rep_range, looks)
+    for i, r in enumerate(range(*rep_range)):
+        rng = np.random.Generator(philox(seed, r // KEY_BLOCK))
+        assert np.array_equal(z[i], rng.standard_normal((KEY_BLOCK, 2, looks))[r % KEY_BLOCK])
+        assert np.array_equal(u[i], rng.random((KEY_BLOCK, looks))[r % KEY_BLOCK])
+
+
+@pytest.mark.parametrize("n", [1, 3, 26, 35, 1000, 131_072])
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 0.5, 0.75, 1.0 - 1e-9, 1.0])
+def test_binomial_cdf_matches_scipy(n, p):
+    cdf = _binomial_cdf(n, p)
+    assert cdf.shape == (n,) and not cdf.flags.writeable
+    assert np.allclose(cdf, scipy_stats.binom.cdf(np.arange(n), n, p), rtol=1e-12, atol=1e-14)
+
+
+def simulate_counts(p, u, schedule):
+    """The binary endpoint's success counts at each look for the uniforms u."""
+    z = np.zeros((len(u), 2, len(schedule)))
+    sums, _ = paths_from_draws(ScenarioParams(0.0, 0.0, p), schedule, z, u)
+    return sums[:, 2]
+
+
+def test_binary_counts_rise_with_the_success_rate():
+    # Common random numbers: one uniform never gives fewer successes at a
+    # higher rate, and rates 0 and 1 give none and every one.
+    u = np.random.default_rng(5).random((2000, 1))
+    schedule = SampleSchedule((6,))
+    counts = [
+        simulate_counts(p, u, schedule) for p in (0.0, 0.1, 0.3, 0.5, 0.5000001, 0.75, 0.9, 1.0)
+    ]
+    assert counts[0].max() == 0 and counts[-1].min() == 6
+    for low, high in zip(counts, counts[1:]):
+        assert np.all(low <= high)
