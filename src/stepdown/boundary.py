@@ -200,13 +200,15 @@ def _look_grids(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> t
     float spacing of the nodes, whose magnitudes reach _SPAN_SD sd of the
     last look: the walk crosses there but for a mass below float resolution.
     """
-    sd = np.sqrt(np.asarray(analyses, dtype=float))
-    tops = np.minimum(b * sd, _SPAN_SD * sd)
-    spans = tops + _SPAN_SD * sd
-    h = max(spans.min() / (grid_points - 1), spans.max() / (_GRID_CAP * grid_points - 1))
-    if not (spans > 0.0).all() or h < np.spacing(_SPAN_SD * sd[-1]):
+    # Per-look scalars as plain floats: the same IEEE operations as
+    # numpy's, without an array call each.
+    sd = [math.sqrt(n) for n in analyses]
+    tops = [min(bound * s, _SPAN_SD * s) for bound, s in zip(b.tolist(), sd)]
+    spans = [top + _SPAN_SD * s for top, s in zip(tops, sd)]
+    h = max(min(spans) / (grid_points - 1), max(spans) / (_GRID_CAP * grid_points - 1))
+    if min(spans) <= 0.0 or h < math.ulp(_SPAN_SD * sd[-1]):
         return None
-    counts = np.floor(spans / h * (1.0 + 1e-9)).astype(int) + 1
+    counts = [math.floor(span / h * (1.0 + 1e-9)) + 1 for span in spans]
     return h, [top - h * np.arange(m - 1, -1, -1) for top, m in zip(tops, counts)]
 
 

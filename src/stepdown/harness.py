@@ -14,17 +14,22 @@ count, run together in one loop over blocks of replicates
 (``run_cells``).  Blocks end on multiples of ``KEY_BLOCK``, so each
 draws one key block of per-look increments (``draw_replicates``), and
 each distinct endpoint key's sums and statistic are formed once per
-block (``endpoint_from_draws``): table1's 8 scenarios read 10 keys, not
-24.  Every cell is decided by one walk through one table of
-``run_multistage_batch``'s look step (``_transitions``): a staged cell
-walks the schedule with each key's count of its rule's boundary rows,
-and ``H``, as Holm's test is the one-look special case of the
-multistage procedure, walks the last analysis alone with each key's
-count of exact Holm cutoffs.  Every replicate gets exactly the numbers
-and decisions of the one-replicate functions ``generate_paths`` and
-``run_multistage``, or of ``holm_fixed`` on its final p-values, so
-neither the block size nor which cells run together changes a result;
-only one block of draws and its paths are held at a time.
+block, one row per look (``endpoint_from_draws``): table1's 8 scenarios
+read 10 keys, not 24.  Each (procedure, alpha) counts the keys its cells
+read once per block and walks all its groups, the distinct endpoint-key
+triples of its cells, side by side through one table of
+``run_multistage_batch``'s look step (``_transitions``): table1 makes 3
+walks a block, not 24.  A staged walk steps the schedule with each key's
+count of its rule's boundary rows, and ``H``, as Holm's test is the
+one-look special case of the multistage procedure, walks the last
+analysis alone with each key's count of exact Holm cutoffs.  One offset
+bincount per walk gives each group's rejected sets, and every cell's
+summary is built from them at once with bit masks.  Every replicate gets
+exactly the numbers and decisions of the one-replicate functions
+``generate_paths`` and ``run_multistage``, or of ``holm_fixed`` on its
+final p-values, so neither the block size nor which cells run together
+changes a result; only one block of draws and its paths are held at a
+time, and a walk holds at most ``_WALK_WIDTH`` replicate columns.
 ``run_scenario`` is the one-cell view of the same loop.
 
 The staged procedures need a boundary covering their ``needed_levels``,
@@ -93,6 +98,9 @@ _FAMILY = HypothesisFamily.simple(3)
 # H's cutoffs; its looks bound a block's draws (KEY_BLOCK rows a look) to 3 MB.
 MAX_OBSERVATIONS = 1 << 17
 MAX_LOOKS = MAX_OBSERVATIONS // KEY_BLOCK
+# Replicates of one or more groups that one walk holds: a block's symbols
+# take at most 4 MB, at MAX_LOOKS looks in int16.
+_WALK_WIDTH = 16 * KEY_BLOCK
 
 
 def needed_levels(procedures: Iterable[str], alpha: float) -> tuple[float, ...]:
@@ -352,19 +360,19 @@ def _walk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk replicates through ``_transitions``: their rejected sets and total measurements.
 
-    symbols[r, j] is replicate r's symbol at look j.  Every replicate
+    symbols[j, r] is replicate r's symbol at look j.  Every replicate
     starts with all k endpoints active; the decisions and totals are
     those of ``_decide_counts`` on the counts the symbols write.
     """
     after, rejected_now, frozen = table
     last = analyses[-1]
-    state = np.full(len(symbols), (2**_FAMILY.k - 1) * _SYMBOLS)
-    rejected = np.zeros(len(symbols), dtype=np.intp)
+    state = np.full(symbols.shape[1], (2**_FAMILY.k - 1) * _SYMBOLS)
+    rejected = np.zeros(symbols.shape[1], dtype=np.intp)
     # Every endpoint runs to the last look unless it freezes at an earlier
     # look n_j, which saves it last - n_j measurements.
-    total = np.full(len(symbols), _FAMILY.k * last, dtype=np.int64)
-    for j, n_j in enumerate(analyses):
-        row = state + symbols[:, j]
+    total = np.full(symbols.shape[1], _FAMILY.k * last, dtype=np.int64)
+    for n_j, look in zip(analyses, symbols):
+        row = state + look
         rejected |= rejected_now[row]
         total -= frozen[row] * (last - n_j)
         state = after[row]
@@ -392,8 +400,10 @@ def run_cells(
     ``replicates``, so replicate r draws the same numbers in each.  Each
     block is drawn once, each endpoint key (``trial.endpoint_keys``) is
     formed once per block and counted once per (procedure, alpha), and
-    each cell tallies its rejected sets and measurements over the blocks
-    and builds its summary once.
+    each (procedure, alpha) decides the block for all its groups in one
+    walk, or in slices of at most ``_WALK_WIDTH`` replicate columns.  Each
+    distinct decision tallies its rejected sets and measurements over the
+    blocks, and the summaries are built once, together.
 
     Args:
         specs: The cells to simulate, at least one.
@@ -415,77 +425,74 @@ def run_cells(
 
     k, sup = _FAMILY.k, schedule.sup
     # A cell is decided by its procedure, its alpha and its group, the
-    # three endpoint keys.  Each (procedure, alpha) walks its looks with one
-    # array of rows per endpoint; a value's count is how many rows it clears.
+    # three endpoint keys.  Each (procedure, alpha) counts the keys of its
+    # groups against one array of rows per endpoint, a value's count being
+    # how many rows it clears, and walks its looks with its groups side by side.
     groups = [endpoint_keys(spec.params, spec.continuity_correction) for spec in specs]
-    decisions = [(spec.procedure, spec.alpha, group) for spec, group in zip(specs, groups)]
-    walks = {}
-    for procedure, alpha, _ in decisions:
-        if (procedure, alpha) in walks:
-            continue
+    members = {}
+    for spec, group in zip(specs, groups):
+        members.setdefault((spec.procedure, spec.alpha), {}).setdefault(group)
+    walks = []
+    for (procedure, alpha), walk_groups in members.items():
         if procedure == "H":
             levels = stage_levels(HOLM, alpha, k)
             gaussian = [_normal_cutoff(level) for level in levels]
-            rows = np.array([gaussian, gaussian, _binomial_cutoffs(sup, levels)])[..., None]
-            walks[procedure, alpha] = (sup,), rows
+            looks, rows = (sup,), [gaussian, gaussian, _binomial_cutoffs(sup, levels)]
         elif critical is None:
             raise ValueError(f"procedure {procedure!r} needs a calibrated boundary (critical)")
         else:
             rule = _VARIANTS[procedure]
             _check_run(_FAMILY, schedule, critical, alpha, rule)
-            rows = np.array(_stage_bounds(critical, rule, alpha, k))
-            walks[procedure, alpha] = schedule.analyses, [rows] * k
+            looks, rows = schedule.analyses, [_stage_bounds(critical, rule, alpha, k)] * k
+        keys = list(dict.fromkeys(key for group in walk_groups for key in group))
+        columns = np.array([[keys.index(key) for key in group] for group in walk_groups])
+        rows = np.array(rows).reshape(k, k, len(looks), 1)  # endpoint, row, look
+        walks.append((procedure == "H", looks, rows, keys, columns))
+    # Each (procedure, alpha, group) decision's row of the tallies, in walk order.
+    place = {d: row for row, d in enumerate((w, g) for w in members for g in members[w])}
     table = _transitions()
     formed = dict.fromkeys(key for group in groups for key in group)
-    # Per cell, across blocks: how many replicates rejected each set, and
-    # the sum and sum of squares of their total measurements.
-    tallies = [[[0] * 2**k, 0, 0] for _ in specs]
+    # Per row, across blocks: how many replicates rejected each set, then
+    # the sum and the sum of squares of their total measurements, as ints.
+    tallies = np.zeros((len(place), 2**k + 2), dtype=object)
     # Blocks end on multiples of KEY_BLOCK, so each draws one key block.
     cuts = sorted({lo, *range(lo - lo % KEY_BLOCK + KEY_BLOCK, hi, KEY_BLOCK), hi})
     for start, stop in zip(cuts, cuts[1:]):
         z, u = draw_replicates(master_seed, (start, stop), len(schedule))
         paths = {key: endpoint_from_draws(key, schedule, z, u) for key in formed}
-        # Each key's counts, as digit key[0] of the symbols, are formed once
-        # per (procedure, alpha) that reads them.
-        digits = {}
-        results = {}  # per decision: rejected sets, total measurements
-        for procedure, alpha, group in dict.fromkeys(decisions):
-            looks, rows = walks[procedure, alpha]
-            for key in group:
-                if (key, procedure, alpha) not in digits:
-                    sums, values = paths[key]
-                    if procedure == "H":  # its one look: the final statistic or count
-                        values = (sums if key[0] == 2 else values)[:, -1:]
-                    count = sum(values >= row for row in rows[key[0]])
-                    digits[key, procedure, alpha] = _BASE ** key[0] * count
-            symbols = sum(digits[key, procedure, alpha] for key in group)
-            results[procedure, alpha, group] = _walk(table, symbols, looks)
-        for tally, decision in zip(tallies, decisions):
-            rejected, total = results[decision]
-            sets = np.bincount(rejected, minlength=2**k).tolist()
-            tally[0] = [a + b for a, b in zip(tally[0], sets)]
-            tally[1] += int(total.sum())
-            tally[2] += int((total * total).sum())
-    return [_summary(spec, (lo, hi), *tally) for spec, tally in zip(specs, tallies)]
-
-
-def _summary(
-    spec: ScenarioSpec, rep_range: tuple[int, int], sets: list[int], total: int, square: int
-) -> SimulationSummary:
-    """A cell's summary of rep_range from how many replicates rejected each set."""
-    lo, hi = rep_range
-    truth = _bits(np.array(spec.params.truth))
-    return SimulationSummary(
-        spec=spec,
-        rep_ranges=(rep_range,) if hi > lo else (),
-        replicates=hi - lo,
-        sum_measurements=total,
-        sumsq_measurements=square,
-        reject_counts=tuple(
-            sum(n for s, n in enumerate(sets) if s >> i & 1) for i in range(_FAMILY.k)
-        ),
-        fwe_count=sum(n for s, n in enumerate(sets) if s & truth),
-    )
+        block = []
+        for final, looks, rows, keys, columns in walks:
+            # digits[j, q]: key q's count at look j, as digit key[0] of a symbol.
+            digits = np.empty((len(looks), len(keys), stop - start), dtype=np.int16)
+            for q, key in enumerate(keys):
+                sums, values = paths[key]
+                if final:  # H's one look: the final statistic or count
+                    values = (sums if key[0] == 2 else values)[-1:]
+                count = (values >= rows[key[0]]).sum(axis=0, dtype=np.int16)
+                digits[:, q] = count * _BASE ** key[0]
+            # A walk holds at most _WALK_WIDTH replicates of its groups.
+            width = max(1, _WALK_WIDTH // (stop - start))
+            for part in np.split(columns, range(width, len(columns), width)):
+                symbols = digits[:, part[:, 0]]
+                for i in range(1, k):
+                    symbols += digits[:, part[:, i]]
+                rejected, total = _walk(table, symbols.reshape(len(looks), -1), looks)
+                # One bincount: group g's sets are counted from g << k on.
+                rejected |= np.arange(len(part)).repeat(stop - start) << k
+                sets = np.bincount(rejected, minlength=len(part) << k).reshape(len(part), -1)
+                total = total.reshape(len(part), -1)
+                block.append(np.column_stack([sets, total.sum(1), (total * total).sum(1)]))
+        tallies += np.concatenate(block).astype(object)
+    tallies = tallies[[place[(s.procedure, s.alpha), group] for s, group in zip(specs, groups)]]
+    # Endpoint i was rejected in the sets with bit i set, and a true
+    # endpoint in the sets that meet the cell's true set.
+    sets, every_set = tallies[:, : 2**k], np.arange(2**k)
+    rejects = sets @ (every_set[:, None] >> np.arange(k) & 1)
+    truth = _bits(np.array([spec.params.truth for spec in specs]))[:, None]
+    fwe = (sets * (every_set & truth > 0)).sum(axis=1)
+    ranges = ((lo, hi),) if hi > lo else ()
+    counts = zip(tallies[:, -2], tallies[:, -1], map(tuple, rejects.tolist()), fwe.tolist())
+    return [SimulationSummary(spec, ranges, hi - lo, *count) for spec, count in zip(specs, counts)]
 
 
 def run_scenario(

@@ -16,11 +16,12 @@ stream keyed ``[s, r // KEY_BLOCK]`` (``draw_replicates``).  Each seed in
 [0, 2**64) is one key word, so no two share a stream.  The draws do not
 depend on the scenario, so scenarios run on the same seed share them
 (common random numbers).  ``endpoint_from_draws`` is the one definition
-of an endpoint's sums and statistic.  It reads only that endpoint's
-parameters, its key in ``endpoint_keys``, so scenarios that share a
-mean, a correlation or a success rate share that endpoint's path.
-``paths_from_draws`` stacks the three endpoints of one scenario, and
-``generate_paths`` composes the draw and the paths for one replicate.
+of an endpoint's sums and statistic, one row per look.  It reads only
+that endpoint's parameters, its key in ``endpoint_keys``, so scenarios
+that share a mean, a correlation or a success rate share that endpoint's
+path.  ``paths_from_draws`` stacks the three endpoints of one scenario
+replicate by replicate, and ``generate_paths`` composes the draw and the
+paths for one replicate.
 A replicate's numbers do not depend on which function drew it or on
 what else was drawn with it.
 """
@@ -233,7 +234,8 @@ def endpoint_from_draws(
     sqrt(1 - rho**2) * z1) + mu2 * dn``, and the binary endpoint's is a
     Bin(dn, p) count, the uniform inverted through its cumulative
     distribution (``_binomial_cdf``); the sums cumulate the increments
-    over the looks.  Every step runs element by element and row by row,
+    over the looks, one in-place row add a look, which gives the
+    sequential sums of ``np.cumsum``.  Every step runs element by element,
     so each replicate's numbers equal what a one-replicate call computes.
 
     The statistic is computed from the recorded sums alone, so
@@ -244,25 +246,29 @@ def endpoint_from_draws(
     subtracts another half success before scaling.
 
     Returns:
-        ``(sums, values)``, each of shape ``(replicates, len(schedule))``.
+        ``(sums, values)``, each of shape ``(len(schedule), replicates)``:
+        one contiguous row per look.
     """
     analyses = schedule.analyses
     steps = [n - m for m, n in zip((0, *analyses), analyses)]
-    ns, dn = np.asarray(analyses, dtype=float), np.asarray(steps, dtype=float)
+    ns, dn = np.asarray(analyses, dtype=float)[:, None], np.asarray(steps, dtype=float)[:, None]
+    x = np.empty((len(steps), len(u)))
     if key[0] == 2:
         _, p, continuity_correction = key
-        x = np.empty_like(u)
         for j, step in enumerate(steps):
-            x[:, j] = np.searchsorted(_binomial_cdf(step, p), u[:, j], side="right")
+            x[j] = np.searchsorted(_binomial_cdf(step, p), u[:, j], side="right")
     elif key[0] == 1:
         _, rho, mu2 = key
-        x = rho * z[:, 0]
-        x += math.sqrt(1.0 - rho * rho) * z[:, 1]
+        np.multiply(rho, z[:, 0].T, out=x)
+        x += math.sqrt(1.0 - rho * rho) * z[:, 1].T
         x *= np.sqrt(dn)
         x += mu2 * dn
     else:
-        x = z[:, 0] * np.sqrt(dn) + key[1] * dn
-    sums = np.cumsum(x, axis=1, out=x)
+        np.multiply(z[:, 0].T, np.sqrt(dn), out=x)
+        x += key[1] * dn
+    sums = x
+    for j in range(1, len(sums)):  # in place, in np.cumsum's order
+        sums[j] += sums[j - 1]
     if key[0] < 2:
         return sums, sums / np.sqrt(ns)
     shift = 0.5 if continuity_correction else 0.0
@@ -279,14 +285,15 @@ def paths_from_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Turn ``draw_replicates`` output into sums and statistics for one scenario.
 
-    The three endpoints' ``endpoint_from_draws`` results, stacked.
+    The three endpoints' ``endpoint_from_draws`` results, stacked
+    replicate by replicate.
 
     Returns:
         ``(sums, values)``, each of shape ``(replicates, 3, len(schedule))``.
     """
     keys = endpoint_keys(params, continuity_correction)
     sums, values = zip(*(endpoint_from_draws(key, schedule, z, u) for key in keys))
-    return np.stack(sums, axis=1), np.stack(values, axis=1)
+    return np.stack([s.T for s in sums], axis=1), np.stack([v.T for v in values], axis=1)
 
 
 def generate_paths(

@@ -484,6 +484,65 @@ def test_look_grids_share_one_spacing(inputs):
     assert _look_grids(analyses, b, 2 * grid_points)[0] < h
 
 
+def _array_look_grids(analyses, b, grid_points):
+    # _look_grids with every per-look scalar as a numpy array operation,
+    # as the package computed them before they became plain floats.
+    sd = np.sqrt(np.asarray(analyses, dtype=float))
+    tops = np.minimum(b * sd, _SPAN_SD * sd)
+    spans = tops + _SPAN_SD * sd
+    h = max(spans.min() / (grid_points - 1), spans.max() / (_GRID_CAP * grid_points - 1))
+    if not (spans > 0.0).all() or h < np.spacing(_SPAN_SD * sd[-1]):
+        return None
+    counts = np.floor(spans / h * (1.0 + 1e-9)).astype(int) + 1
+    return h, [top - h * np.arange(m - 1, -1, -1) for top, m in zip(tops, counts)]
+
+
+def _array_recursion(analyses, b, grid_points):
+    # The recursion on _array_look_grids, step for step.
+    grids = _array_look_grids(analyses, b, grid_points)
+    if grids is None:
+        return 1.0
+    h, grids = grids
+    n1 = analyses[0]
+    dens = np.exp(-0.5 * grids[0] * grids[0] / n1) / math.sqrt(2.0 * math.pi * n1)
+    for j in range(1, len(analyses)):
+        dn = analyses[j] - analyses[j - 1]
+        old, new = grids[j - 1], grids[j]
+        d = (new[-1] - old[-1]) + h * np.arange(1 - len(new), len(old))
+        kernel = np.exp(-0.5 * d * d / dn) / math.sqrt(2.0 * math.pi * dn)
+        dens = np.convolve(kernel, dens * _trapezoid_weights(len(old), h), "valid")
+    return min(1.0, max(0.0, 1.0 - float(dens @ _trapezoid_weights(len(dens), h))))
+
+
+@st.composite
+def _scalar_inputs(draw):
+    looks = draw(st.integers(1, 6))
+    first = draw(st.integers(1, 60))
+    steps = draw(st.lists(st.integers(1, 30), min_size=looks - 1, max_size=looks - 1))
+    analyses = tuple(int(n) for n in np.cumsum([first] + steps))
+    b = np.array(draw(st.lists(st.floats(-9.0, 9.0), min_size=looks, max_size=looks)))
+    return analyses, b, draw(st.integers(8, 1024))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalar_inputs())
+@example(((1,), np.array([-7.999999999999999]), 8))
+@example(((1,), np.array([-7.99999999]), 8))
+@example(((26, 29, 35), np.array([9.0, -0.0, 2.2]), 1024))
+def test_plain_float_scalars_match_the_array_arithmetic(inputs):
+    # Plain floats and numpy's element-wise operations round alike, so the
+    # grids and the crossing probability are the same bits.
+    analyses, b, grid_points = inputs
+    grids = _look_grids(analyses, b, grid_points)
+    reference = _array_look_grids(analyses, b, grid_points)
+    assert (grids is None) == (reference is None)
+    if grids is not None:
+        assert grids[0] == reference[0]
+        assert all(np.array_equal(a, r) for a, r in zip(grids[1], reference[1], strict=True))
+    got = stepdown.boundary._crossing_recursion(analyses, b, grid_points)
+    assert got == _array_recursion(analyses, b, grid_points)
+
+
 # The recursion's output at grids too large for a whole-kernel oracle in a
 # test run, checked to 1 ulp against the explicit-difference oracle applied
 # 256 rows at a time.  The multivariate normal CDF gives 0.0234732 and

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import stepdown.harness
-from stepdown.boundary import calibrate_levels
+from stepdown.boundary import CriticalFunction, calibrate_levels
 from stepdown.cli import default_table_config, parse_scenarios
 from stepdown.cli import main as cli_main
 from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths, parse_kv_text
@@ -34,7 +35,7 @@ from stepdown.harness import (
     split_ranges,
 )
 from stepdown.procedures import (
-    HOLM, MULT, _decide_counts, _stage_bounds, _step_down, run_multistage,
+    HOLM, MULT, _decide_counts, _stage_bounds, _step_down, holm_fixed, run_multistage,
 )
 from stepdown.trial import ScenarioParams, draw_replicates, endpoint_keys, paths_from_draws
 
@@ -362,7 +363,7 @@ def test_holm_is_the_all_active_row_of_the_transition_table():
     table = _transitions()
     holm = _bits(_step_down(_digits(symbols), 3))
     assert table[1][7 * _SYMBOLS + symbols].tolist() == holm.tolist()
-    rejected, total = _walk(table, symbols[:, None], (35,))
+    rejected, total = _walk(table, symbols[None], (35,))
     assert rejected.tolist() == holm.tolist()
     assert total.tolist() == [3 * 35] * _SYMBOLS
 
@@ -379,7 +380,7 @@ def test_h_ignores_the_interim_looks(correction, monkeypatch):
 
     def interim_at_infinity(*args):
         sums, values = form(*args)
-        sums[:, :-1] = values[:, :-1] = np.inf
+        sums[:-1] = values[:-1] = np.inf
         return sums, values
 
     monkeypatch.setattr(stepdown.harness, "endpoint_from_draws", interim_at_infinity)
@@ -419,9 +420,39 @@ def _one_replicate_summary(spec, critical):
     return sum(totals), sum(t * t for t in totals), tuple(counts), fwe
 
 
+def _holm_fixed_summary(spec):
+    """An H cell's accumulators from holm_fixed on exact final p-values, one replicate at a time.
+
+    The Gaussian p-values are ``0.5 * erfc(z / sqrt(2))``; the binary one
+    is the exact tail P(Bin(n, 1/2) >= S_n), a float without rounding
+    while n stays below 53.
+    """
+    z, u = draw_replicates(spec.master_seed, (0, spec.replicates), len(spec.schedule))
+    sums, values = paths_from_draws(
+        spec.params, spec.schedule, z, u, continuity_correction=spec.continuity_correction
+    )
+    n = spec.schedule.sup
+    assert n < 53
+    tails = exact_tails(n)
+    counts, fwe = [0, 0, 0], 0
+    for (z1, z2, _), count in zip(values[:, :, -1].tolist(), sums[:, 2, -1].tolist()):
+        p_values = [0.5 * math.erfc(z / math.sqrt(2.0)) for z in (z1, z2)]
+        rejected = holm_fixed(p_values + [tails[int(count)] / 2**n], spec.alpha).tolist()
+        counts = [c + x for c, x in zip(counts, rejected)]
+        fwe += any(x and t for x, t in zip(rejected, spec.params.truth))
+    each = 3 * n  # every endpoint runs to the last analysis
+    return spec.replicates * each, spec.replicates * each * each, tuple(counts), fwe
+
+
 _STAGED_CELLS = [
     (procedure, alpha, params, correction)
     for procedure in ("Mult", "MultH")
+    for alpha in (0.05, 0.1)
+    for params in _CELL_PARAMS
+    for correction in (False, True)
+]
+_H_CELLS = [
+    ("H", alpha, params, correction)
     for alpha in (0.05, 0.1)
     for params in _CELL_PARAMS
     for correction in (False, True)
@@ -461,6 +492,37 @@ def test_pooled_staged_cells_match_each_cell_and_one_replicate_loop(cells, looks
         )
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    h_cells=st.lists(st.sampled_from(_H_CELLS), min_size=1, max_size=6, unique=True),
+    staged=st.lists(st.sampled_from(_STAGED_CELLS), max_size=2, unique=True),
+    looks=st.integers(1, 12),
+    seed=st.integers(1, 2**32),
+)
+@example(
+    h_cells=[("H", 0.05, _CELL_PARAMS[0], False), ("H", 0.1, _CELL_PARAMS[2], True),
+             ("H", 0.05, _CELL_PARAMS[3], True), ("H", 0.1, _CELL_PARAMS[3], False)],
+    staged=[("MultH", 0.1, _CELL_PARAMS[1], False)],
+    looks=3, seed=11,
+)
+def test_pooled_h_cells_match_each_cell_and_holm_fixed(h_cells, staged, looks, seed):
+    # H cells at both alphas, each alpha's groups walked side by side and
+    # beside staged cells, equal each cell run alone and holm_fixed on each
+    # replicate's exact final p-values.
+    critical = _calibrated(looks, "flat")
+    specs = [
+        ScenarioSpec(params, critical.schedule, procedure, alpha, 60, seed, correction)
+        for procedure, alpha, params, correction in h_cells + staged
+    ]
+    pooled = run_cells(specs, critical=critical)
+    assert pooled == [run_scenario(spec, critical=critical) for spec in specs]
+    for spec, summary in zip(specs[: len(h_cells)], pooled):
+        assert _holm_fixed_summary(spec) == (
+            summary.sum_measurements, summary.sumsq_measurements,
+            summary.reject_counts, summary.fwe_count,
+        )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     looks=st.integers(1, 12),
@@ -488,7 +550,7 @@ def test_table_walk_matches_the_count_engine(looks, rule, alpha, reps, seed):
     rejected, final_n = _decide_counts(counts, np.zeros((3, 3), dtype=bool), analyses, False)
     # Endpoint i's count is digit i of the symbol in base k + 1 = 4.
     symbols = (counts.astype(np.intp) * [[1], [4], [16]]).sum(axis=1)
-    walked, total = _walk(_transitions(), symbols, analyses)
+    walked, total = _walk(_transitions(), symbols.T, analyses)
     assert walked.tolist() == (rejected @ [1, 2, 4]).tolist()
     assert total.tolist() == final_n.sum(axis=1).tolist()
     assert walked[0] == 7 and total[0] == 3 * analyses[0]
@@ -517,6 +579,34 @@ def test_many_small_blocks_give_the_one_block_csv(tmp_path, monkeypatch):
     assert cli_main(args + ["--out", str(tmp_path / "many.csv")]) == 0
     assert calls == [7] * 85 + [5]
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_a_block_of_many_groups_holds_bounded_memory():
+    # 100 groups (5 x 5 x 4 scenarios) of one MultH decision, 128 looks and
+    # one key block of 1,024 replicates.  Walking the groups together must
+    # not make the block's memory grow with them: the peak stays within
+    # 1.77 times the bytes of the block's formed paths.  One walk per group
+    # reached 1.772 on this call, and one unsliced walk of all 100 groups 3.17.
+    looks, reps = MAX_LOOKS, stepdown.harness.KEY_BLOCK
+    schedule = tuple(range(10, 10 * (looks + 1), 10))
+    levels = needed_levels(("MultH",), 0.05)
+    critical = CriticalFunction(schedule, {level: (3.0 - 10 * level,) * looks for level in levels})
+    cells = [
+        ScenarioSpec(ScenarioParams(mu1, mu2, p), schedule, "MultH", 0.05, reps, 3)
+        for mu1 in (0.0, 0.1, 0.2, 0.3, 0.4)
+        for mu2 in (0.0, 0.1, 0.2, 0.3, 0.4)
+        for p in (0.5, 0.6, 0.7, 0.8)
+    ]
+    keys = {key for cell in cells for key in endpoint_keys(cell.params, False)}
+    paths = len(keys) * 2 * looks * reps * np.dtype(float).itemsize  # sums and values
+    run_cells(cells, (0, 1), critical)  # the per-process tables, built outside the trace
+    tracemalloc.start()
+    try:
+        run_cells(cells, critical=critical)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.77 * paths
 
 
 def test_a_missing_level_raises_before_any_block_is_drawn(monkeypatch):
@@ -597,9 +687,9 @@ def test_simulate_forms_each_endpoint_once_per_block(tmp_path, monkeypatch):
 
 
 def test_h_groups_stay_out_of_the_staged_pool(monkeypatch):
-    # Eight H cells on table1's scenarios and one MultH cell: each H
-    # decision walks the last analysis alone, the MultH one walks the
-    # schedule, and only the MultH cell's keys are counted against its rows.
+    # Eight H cells on table1's scenarios and one MultH cell: the eight H
+    # groups walk the last analysis alone, side by side, the MultH one walks
+    # the schedule, and only the MultH cell's keys are counted against its rows.
     with open(default_table_config()) as fh:
         scenarios = parse_scenarios(parse_kv_text(fh.read())["scenarios"])
     staged = ScenarioParams(0.4, 0.4, 0.75)
@@ -608,19 +698,19 @@ def test_h_groups_stay_out_of_the_staged_pool(monkeypatch):
     walks, compared = [], []
 
     class Path(np.ndarray):
-        """A statistic path that logs its key and each row width it is compared with."""
+        """A statistic path that logs its key and the shape of the rows it is compared with."""
 
         def __array_finalize__(self, obj):
             self.key = getattr(obj, "key", None)
 
-        def __ge__(self, row):
-            compared.append((self.key, np.shape(row)[-1]))
-            return np.asarray(self) >= row
+        def __ge__(self, rows):
+            compared.append((self.key, np.shape(rows)))
+            return np.asarray(self) >= rows
 
     walk, form = stepdown.harness._walk, stepdown.harness.endpoint_from_draws
 
     def spied_walk(table, symbols, looks):
-        walks.append((len(symbols), tuple(looks)))
+        walks.append((symbols.shape[1], tuple(looks)))
         return walk(table, symbols, looks)
 
     def spied_form(key, *args):
@@ -632,9 +722,11 @@ def test_h_groups_stay_out_of_the_staged_pool(monkeypatch):
     monkeypatch.setattr(stepdown.harness, "_walk", spied_walk)
     monkeypatch.setattr(stepdown.harness, "endpoint_from_draws", spied_form)
     together = run_cells(cells, critical=CRITICAL)
-    assert walks == [(600, (35,))] * 8 + [(600, SCHED.analyses)]
-    # Three stage rows per key, each as wide as the schedule.
-    against_rows = [key for key, width in compared if width == len(SCHED)]
+    assert walks == [(8 * 600, (35,)), (600, SCHED.analyses)]
+    # Three stage rows per key, each with one entry per look of the schedule.
+    against_rows = [
+        key for key, shape in compared if shape[1] == len(SCHED) for _ in range(shape[0])
+    ]
     assert sorted(against_rows, key=repr) == sorted(endpoint_keys(staged, False) * 3, key=repr)
     monkeypatch.undo()
     assert together == [run_scenario(cell, critical=CRITICAL) for cell in cells]
