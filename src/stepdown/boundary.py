@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -78,8 +77,6 @@ _MAX_STEPS = 100
 _LEVEL_RTOL = 1e-12
 _LEVEL_ATOL = 1e-15
 
-_STANDARD_NORMAL = NormalDist()
-
 
 class CalibrationError(RuntimeError):
     """Root-finding for a boundary constant failed."""
@@ -102,7 +99,10 @@ def normal_quantile(q: float) -> float:
     q = float(q)
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile argument must lie strictly in (0, 1), got {q}")
-    return _STANDARD_NORMAL.inv_cdf(q)
+    # Imported on use: statistics adds about 5 ms to `import stepdown`.
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(q)
 
 
 def _check_grid_points(grid_points: int) -> int:
@@ -251,7 +251,8 @@ class CriticalFunction:
     boundary multiplier per level and ``achieved`` the crossing probability
     each boundary achieves on the doubled grid.  A table supplied from
     outside is ``CriticalFunction(schedule, table)``, the schedule given as
-    a SampleSchedule or a sequence of sizes.
+    a SampleSchedule or a sequence of sizes.  The table is read, never
+    changed, after construction.
     """
 
     schedule: SampleSchedule
@@ -280,6 +281,9 @@ class CriticalFunction:
                     "critical values must be non-increasing in the level at every analysis"
                 )
         object.__setattr__(self, "table", table)
+        # The stage rows procedures._stage_bounds builds from the table,
+        # per (rule, alpha, k).
+        object.__setattr__(self, "_stage_rows", {})
         for name in ("constants", "achieved"):
             if getattr(self, name) is not None:
                 per_level = {float(r): float(v) for r, v in getattr(self, name).items()}

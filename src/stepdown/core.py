@@ -9,6 +9,8 @@ independent of any concrete parameter space or trial model.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -78,6 +80,9 @@ class HypothesisFamily:
     intersection and that the statistics used with it are ordered along
     the containment relation.  Operations specific to closed families
     refuse to run without the flag.
+
+    ``_implied[a]`` holds ``implied_acceptances(a)`` as an int bitmask,
+    bit b set when b is accepted once a is rejected.
     """
 
     k: int
@@ -110,6 +115,8 @@ class HypothesisFamily:
                 )
         object.__setattr__(self, "contains_complement", rel)
         object.__setattr__(self, "closed_monotone", bool(self.closed_monotone))
+        implied = tuple(sum(1 << b for b, x in enumerate(row) if x) for row in rel)
+        object.__setattr__(self, "_implied", implied)
 
     @classmethod
     def simple(cls, k: int, labels: Iterable[str] | None = None) -> "HypothesisFamily":
@@ -149,6 +156,19 @@ class SampleSchedule:
         return self.analyses[-1]
 
 
+_PLAIN_INT = frozenset({int})
+
+
+@functools.lru_cache(maxsize=256)
+def _int_schedule(analyses: tuple[int, ...]) -> tuple[int, ...]:
+    """SampleSchedule's checks on a tuple of plain ints, made once per tuple.
+
+    Only plain-int tuples may reach the memo: (26.0, 29.0, 35.0) equals
+    (26, 29, 35) as a key but fails the checks.
+    """
+    return SampleSchedule(analyses).analyses
+
+
 @dataclass(frozen=True, eq=False)
 class StatisticPaths:
     """Test statistics for every hypothesis at every analysis size.
@@ -161,7 +181,11 @@ class StatisticPaths:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        analyses = SampleSchedule(self.analyses).analyses
+        analyses = self.analyses
+        if type(analyses) is tuple and {*map(type, analyses)} == _PLAIN_INT:
+            analyses = _int_schedule(analyses)
+        else:
+            analyses = SampleSchedule(analyses).analyses
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[1] != len(analyses):
             raise ValueError(
@@ -169,7 +193,8 @@ class StatisticPaths:
             )
         if values.shape[0] < 1:
             raise ValueError("paths must cover at least one hypothesis")
-        if np.any(np.isnan(values)):
+        # min propagates NaN; a sum would turn inf + -inf into NaN.
+        if math.isnan(values.min()):
             raise ValueError("statistic values must not be NaN")
         object.__setattr__(self, "analyses", analyses)
         object.__setattr__(self, "values", values)
@@ -220,9 +245,9 @@ class TrialResult:
         k = len(self.rejected)
         if not (len(self.decision_stage) == len(self.endpoint_final_n) == k):
             raise ValueError("per-hypothesis fields must have equal length")
-        if any(s < 1 for s in self.decision_stage):
+        if k and min(self.decision_stage) < 1:
             raise ValueError("decision stages are 1-based")
-        if any(n < 1 for n in self.endpoint_final_n):
+        if k and min(self.endpoint_final_n) < 1:
             raise ValueError("final sample sizes must be positive")
 
     @property

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -371,11 +370,13 @@ def _walk(
     # Every endpoint runs to the last look unless it freezes at an earlier
     # look n_j, which saves it last - n_j measurements.
     total = np.full(symbols.shape[1], _FAMILY.k * last, dtype=np.int64)
-    for n_j, look in zip(analyses, symbols):
+    for n_j, look in zip(analyses[:-1], symbols[:-1]):
         row = state + look
         rejected |= rejected_now[row]
         total -= frozen[row] * (last - n_j)
         state = after[row]
+    # At the last look nothing freezes early and no state follows.
+    rejected |= rejected_now[state + symbols[-1]]
     return rejected, total
 
 
@@ -549,6 +550,9 @@ def run_scenario_parallel(
     if workers == 1:
         parts = map(job, ranges)
     else:
+        # Imported on use: a serial run, and `import stepdown`, need no pool.
+        import multiprocessing
+
         with multiprocessing.Pool(processes=min(len(ranges), os.cpu_count() or 1)) as pool:
             parts = pool.map(job, ranges)
     return [functools.reduce(merge, pieces) for pieces in zip(*parts)]

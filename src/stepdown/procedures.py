@@ -164,23 +164,29 @@ def stage_levels(rule: str, alpha: float, k: int) -> tuple[float, ...]:
 
 def _stage_bounds(
     critical: CriticalFunction, rule: str, alpha: float, k: int
-) -> list[tuple[float, ...]]:
+) -> tuple[tuple[float, ...], ...]:
     """Row m - 1 is the stage boundary for m active hypotheses.
 
     A stage with m active finds its sample size on row m - 1, and its
     l-th statistic (0-based) in top-down order must clear row m - l - 1.
     The rows are the critical table's own tuples; a level it lacks
     raises ValueError.  Boundaries do not increase with the level, so
-    the rows do not decrease with m.
+    the rows do not decrease with m.  Each critical function keeps the
+    rows it has built, per (rule, alpha, k); a lookup that fails is
+    made again on the next call.
     """
-    rows = []
-    for m in range(1, k + 1):
-        level = _stage_level(rule, alpha, m, k)
-        try:
-            rows.append(critical.table[critical._find_level(level)])
-        except KeyError:
-            raise ValueError(f"boundary lacks critical values for level {level!r}; "
-                             f"calibrate it with rho = {level!r}") from None
+    key = (rule, alpha, k)
+    rows = critical._stage_rows.get(key)
+    if rows is None:
+        found = []
+        for m in range(1, k + 1):
+            level = _stage_level(rule, alpha, m, k)
+            try:
+                found.append(critical.table[critical._find_level(level)])
+            except KeyError:
+                raise ValueError(f"boundary lacks critical values for level {level!r}; "
+                                 f"calibrate it with rho = {level!r}") from None
+        rows = critical._stage_rows[key] = tuple(found)
     return rows
 
 
@@ -223,7 +229,10 @@ def run_multistage(
     This is the one-trial engine, a plain loop over Python floats; for
     a block of replicates ``run_multistage_batch`` makes the same
     decisions.  Both read their boundaries from one ``_stage_bounds``
-    table.
+    table, which ``critical`` keeps per (rule, alpha, k) once built.  The
+    containment relation is read as the family's implied-acceptance
+    bitmasks, so the implied acceptances and the stop test are OR and
+    AND on ints, and a call rebuilds nothing that is fixed between calls.
 
     Args:
         paths: Statistics for every hypothesis at every analysis.
@@ -247,13 +256,19 @@ def run_multistage(
     analyses = paths.analyses
     last = len(analyses) - 1
     bounds = _stage_bounds(critical, rule, alpha, k)
-    values = paths.values.tolist()
-    contains = family.contains_complement
+    # columns[j][i]: statistic i at analysis j.
+    columns = paths.values.T.tolist()
+    # Bit b of implied[a] is set when rejecting a accepts b; covered is
+    # the union over every hypothesis rejected so far.
+    implied = family._implied
+    closed = rule == CLOSED
+    covered = 0
+    rejected = [False] * k
     decision_stage = [0] * k
     final_n = [0] * k
     records: list[StageRecord] = []
-    rejected: list[int] = []
     active = list(range(k))
+    alive = (1 << k) - 1  # active as a bitmask
     col = -1
 
     # Every stage that does not stop rejects at least one hypothesis, so
@@ -263,13 +278,14 @@ def run_multistage(
         bound = bounds[m - 1]
         # Stage sample size: the first analysis past the previous stage
         # where the top active statistic meets the stage boundary.
-        crossings = (
-            j for j in range(col + 1, last + 1) if max(values[i][j] for i in active) >= bound[j]
-        )
-        col = next(crossings, None)
-        if col is None:
+        for col in range(col + 1, last + 1):
+            column = columns[col]
+            if max([column[i] for i in active]) >= bound[col]:
+                break
+        else:
             # No remaining analysis produces a crossing: accept the
-            # survivors once the schedule is exhausted.
+            # survivors once the schedule is exhausted.  This break
+            # leaves the stage loop.
             n_j, remaining = analyses[last], active
             break
         n_j = analyses[col]
@@ -277,26 +293,35 @@ def run_multistage(
         # Stage rejections: the longest prefix of the top-down order in
         # which the l-th statistic clears the boundary for m - l + 1
         # active hypotheses.  The top statistic made the crossing, so
-        # the prefix is nonempty.
-        ordered = sorted(active, key=lambda i: (-values[i][col], i))
+        # the prefix is nonempty.  The sort is stable and active is
+        # increasing, so ties go to the lower index.
+        ordered = sorted(active, key=column.__getitem__, reverse=True)
         stage_rej: list[int] = []
         for rank, i in enumerate(ordered):
-            if values[i][col] < bounds[m - rank - 1][col]:
+            if column[i] < bounds[m - rank - 1][col]:
                 break
             stage_rej.append(i)
         records.append(StageRecord(stage, n_j, tuple(active), tuple(ordered), tuple(stage_rej)))
-        rejected.extend(stage_rej)
-        decided = set(stage_rej)
-        if rule == "closed":
+        decided = implied_now = 0
+        for i in stage_rej:
+            rejected[i] = True
+            decided |= 1 << i
+            implied_now |= implied[i]
+        covered |= implied_now
+        if closed:
             # Implied acceptances: anything containing the complement of
             # a hypothesis just rejected is accepted on the spot.
-            decided.update(b for b in active if any(contains[r][b] for r in stage_rej))
-        for i in decided:
-            decision_stage[i] = stage
-            final_n[i] = n_j
+            decided |= implied_now
+        remaining = []
+        for i in active:
+            if decided >> i & 1:
+                decision_stage[i] = stage
+                final_n[i] = n_j
+            else:
+                remaining.append(i)
+        alive &= ~decided
 
-        remaining = [i for i in active if i not in decided]
-        if col == last or all(any(contains[r][b] for r in rejected) for b in remaining):
+        if col == last or not alive & ~covered:
             break
         active = remaining
 
@@ -308,7 +333,7 @@ def run_multistage(
         final_n[i] = n_j
 
     return TrialResult(
-        rejected=tuple(i in rejected for i in range(k)),
+        rejected=tuple(rejected),
         decision_stage=tuple(decision_stage),
         endpoint_final_n=tuple(final_n),
         stages=tuple(records),

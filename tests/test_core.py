@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepdown.core import (
     HypothesisFamily,
@@ -53,6 +57,17 @@ def test_implied_acceptances():
     assert fam.implied_acceptances(1) == ()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda k: st.lists(st.lists(st.booleans(), min_size=k, max_size=k), min_size=k, max_size=k)
+))
+def test_implied_bitmasks_match_implied_acceptances(rows):
+    rel = tuple(tuple(x and a != b for b, x in enumerate(row)) for a, row in enumerate(rows))
+    fam = HypothesisFamily(k=len(rel), contains_complement=rel)
+    for a in range(fam.k):
+        assert fam._implied[a] == sum(1 << b for b in fam.implied_acceptances(a))
+
+
 def test_schedule_validation():
     sched = SampleSchedule((26, 29, 35))
     assert sched.sup == 35
@@ -87,6 +102,41 @@ def test_statistic_paths_validation():
         StatisticPaths((5, 5), np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize(
+    "accepted, bad",
+    [
+        ((26, 29, 35), (26.0, 29.0, 35.0)),
+        ((1, 29, 35), (True, 29, 35)),
+        ((26, 29, 35), (np.float64(26.0), 29, 35)),
+        ((26, 29, 35), ([26], 29, 35)),
+    ],
+)
+def test_statistic_paths_refuse_sizes_equal_to_accepted_ones(accepted, bad):
+    # Plain-int schedules are checked once and then remembered; a schedule
+    # that compares equal to a remembered one must still be checked.
+    StatisticPaths(accepted, np.zeros((2, 3)))
+    with pytest.raises(ValueError) as caught:
+        SampleSchedule(bad)
+    with pytest.raises(ValueError, match=re.escape(str(caught.value))):
+        StatisticPaths(bad, np.zeros((2, 3)))
+
+
+def test_statistic_paths_keep_plain_int_sizes():
+    for sizes in ((26, 29, 35), [26, 29, 35], (np.int64(26), 29, 35), np.array([26, 29, 35])):
+        paths = StatisticPaths(sizes, np.zeros((1, 3)))
+        assert paths.analyses == (26, 29, 35)
+        assert all(type(n) is int for n in paths.analyses)
+
+
+@pytest.mark.parametrize("spot", [(i, j) for i in range(3) for j in range(3)])
+def test_statistic_paths_find_nan_anywhere(spot):
+    values = np.array([[1.0, np.inf, -np.inf], [0.0, -0.0, 2.0], [np.inf, -np.inf, 3.0]])
+    assert StatisticPaths((26, 29, 35), values).k == 3
+    values[spot] = np.nan
+    with pytest.raises(ValueError, match="statistic values must not be NaN"):
+        StatisticPaths((26, 29, 35), values)
+
+
 def test_stage_record_prefix_invariant():
     rec = StageRecord(stage=1, n=26, active=(0, 1, 2), ordered=(2, 0, 1), rejected=(2,))
     assert rec.rejected == (2,)
@@ -106,6 +156,13 @@ def test_trial_result_accounting():
     assert res.total_measurements == 96
     with pytest.raises(ValueError, match="equal length"):
         TrialResult(rejected=(True,), decision_stage=(1, 1), endpoint_final_n=(26,))
+    with pytest.raises(ValueError, match="equal length"):
+        TrialResult(rejected=(True, False), decision_stage=(1, 1), endpoint_final_n=(26,))
+    with pytest.raises(ValueError, match="decision stages are 1-based"):
+        TrialResult(rejected=(True, False), decision_stage=(1, 0), endpoint_final_n=(26, 35))
+    with pytest.raises(ValueError, match="final sample sizes must be positive"):
+        TrialResult(rejected=(True, False), decision_stage=(1, 2), endpoint_final_n=(0, 35))
+    assert TrialResult(rejected=(), decision_stage=(), endpoint_final_n=()).total_measurements == 0
 
 
 def test_check_alpha():

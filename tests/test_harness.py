@@ -1,5 +1,6 @@
 import functools
 import math
+import multiprocessing
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -254,7 +255,7 @@ class _RecordingPool:
 
 
 def test_pool_size_bounded_by_cpu_count(monkeypatch):
-    monkeypatch.setattr(stepdown.harness.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(stepdown.harness.os, "cpu_count", lambda: 3)
     _RecordingPool.sizes = []
     spec = spec_for("H", reps=100)
@@ -272,7 +273,7 @@ def test_simulate_opens_one_pool_per_run(tmp_path, monkeypatch):
         "--reps", "30", "--seed", "4",
     ]
     assert cli_main(args + ["--workers", "1", "--out", str(tmp_path / "w1.csv")]) == 0
-    monkeypatch.setattr(stepdown.harness.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(stepdown.harness.os, "cpu_count", lambda: 8)
     _RecordingPool.sizes = []
     assert cli_main(args + ["--workers", "3", "--out", str(tmp_path / "w3.csv")]) == 0
@@ -620,7 +621,7 @@ def test_a_missing_level_raises_before_any_block_is_drawn(monkeypatch):
 
 def test_run_cells_rejects_cells_that_cannot_share_draws(monkeypatch):
     # run_scenario_parallel checks its cells before it opens a pool.
-    monkeypatch.setattr(stepdown.harness.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     _RecordingPool.sizes = []
     for run in (run_cells, lambda cells: run_scenario_parallel(cells, workers=2)):
         with pytest.raises(ValueError, match="at least one cell"):

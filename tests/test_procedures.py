@@ -232,10 +232,27 @@ def test_missing_level_is_a_value_error_naming_it():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA: 2.2})
     family = HypothesisFamily.simple(3)
     level = re.escape(f"level {ALPHA / 2.0!r}; calibrate it with rho = {ALPHA / 2.0!r}")
-    with pytest.raises(ValueError, match=level):
-        run_multistage(paths_from_stats([1.0, 2.0, 0.5]), family, SCHED, crit, ALPHA)
+    # A failed lookup is not kept: a second call raises the same error.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=level):
+            run_multistage(paths_from_stats([1.0, 2.0, 0.5]), family, SCHED, crit, ALPHA)
+    assert crit._stage_rows == {}
     with pytest.raises(ValueError, match=level):
         run_multistage_batch(np.full((2, 3, 3), 1.0), family, SCHED, crit, ALPHA)
+
+
+def test_stage_rows_belong_to_their_critical_function():
+    # Equal levels, different values: each table decides with its own rows,
+    # whichever is used first.
+    paths = paths_from_stats([2.5, 1.0])
+    family = HypothesisFamily(k=2, closed_monotone=True)
+    for low_first in (True, False):
+        low, high = flat_table({ALPHA: 2.0}), flat_table({ALPHA: 3.0})
+        order = [(low, (True, False)), (high, (False, False))]
+        for crit, want in (order if low_first else order[::-1]) * 2:
+            assert run_multistage(paths, family, SCHED, crit, ALPHA, CLOSED).rejected == want
+        assert _stage_bounds(low, CLOSED, ALPHA, 2) == ((2.0,) * 3,) * 2
+        assert _stage_bounds(high, CLOSED, ALPHA, 2) == ((3.0,) * 3,) * 2
 
 
 def test_stage_levels():
