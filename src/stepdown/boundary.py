@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -251,8 +252,10 @@ class CriticalFunction:
     boundary multiplier per level and ``achieved`` the crossing probability
     each boundary achieves on the doubled grid.  A table supplied from
     outside is ``CriticalFunction(schedule, table)``, the schedule given as
-    a SampleSchedule or a sequence of sizes.  The table is read, never
-    changed, after construction.
+    a SampleSchedule or a sequence of sizes.  After construction
+    ``table``, ``constants`` and ``achieved`` are read-only mappings, so
+    the checks made here hold for the object's life; pickling rebuilds it
+    through the constructor.
     """
 
     schedule: SampleSchedule
@@ -280,14 +283,20 @@ class CriticalFunction:
                 raise ValueError(
                     "critical values must be non-increasing in the level at every analysis"
                 )
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", MappingProxyType(table))
         # The stage rows procedures._stage_bounds builds from the table,
         # per (rule, alpha, k).
         object.__setattr__(self, "_stage_rows", {})
         for name in ("constants", "achieved"):
             if getattr(self, name) is not None:
                 per_level = {float(r): float(v) for r, v in getattr(self, name).items()}
-                object.__setattr__(self, name, per_level)
+                object.__setattr__(self, name, MappingProxyType(per_level))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: send plain dicts and rerun the
+        # constructor's checks on arrival.
+        maps = (None if m is None else dict(m) for m in (self.table, self.constants, self.achieved))
+        return type(self), (self.schedule, *maps)
 
     def _find_level(self, rho: float) -> float:
         rho = float(rho)

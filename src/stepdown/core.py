@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -204,51 +204,82 @@ class StatisticPaths:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple("StageRecord", [
+    ("stage", int),
+    ("n", int),
+    ("active", tuple[int, ...]),
+    ("ordered", tuple[int, ...]),
+    ("rejected", tuple[int, ...]),
+])):
     """What one executed stage saw and decided.
 
     ``ordered`` lists the active hypotheses by descending statistic at
     the stage sample size; ``rejected`` is the prefix of that order the
     stage rejected (always at least one hypothesis).
+
+    An immutable named tuple: every construction, ``_replace`` and
+    unpickling included, runs the checks.
     """
 
-    stage: int
-    n: int
-    active: tuple[int, ...]
-    ordered: tuple[int, ...]
-    rejected: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.rejected) < 1:
+    def __new__(
+        cls,
+        stage: int,
+        n: int,
+        active: tuple[int, ...],
+        ordered: tuple[int, ...],
+        rejected: tuple[int, ...],
+    ) -> "StageRecord":
+        if len(rejected) < 1:
             raise ValueError("an executed stage must reject at least one hypothesis")
-        if self.rejected != self.ordered[: len(self.rejected)]:
+        if rejected != ordered[: len(rejected)]:
             raise ValueError("rejections must form a prefix of the stage ordering")
+        return tuple.__new__(cls, (stage, n, active, ordered, rejected))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "StageRecord":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple("TrialResult", [
+    ("rejected", tuple[bool, ...]),
+    ("decision_stage", tuple[int, ...]),
+    ("endpoint_final_n", tuple[int, ...]),
+    ("stages", tuple[StageRecord, ...]),
+])):
     """Final decisions of a multistage run.
 
     ``decision_stage[i]`` is the stage at which hypothesis ``i`` was
     decided and ``endpoint_final_n[i]`` the sample size its data stream
     had reached at that moment; a decided hypothesis is never re-tested,
     so its stream stops growing there.
+
+    An immutable named tuple: every construction, ``_replace`` and
+    unpickling included, runs the checks.
     """
 
-    rejected: tuple[bool, ...]
-    decision_stage: tuple[int, ...]
-    endpoint_final_n: tuple[int, ...]
-    stages: tuple[StageRecord, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k = len(self.rejected)
-        if not (len(self.decision_stage) == len(self.endpoint_final_n) == k):
+    def __new__(
+        cls,
+        rejected: tuple[bool, ...],
+        decision_stage: tuple[int, ...],
+        endpoint_final_n: tuple[int, ...],
+        stages: tuple[StageRecord, ...] = (),
+    ) -> "TrialResult":
+        k = len(rejected)
+        if not (len(decision_stage) == len(endpoint_final_n) == k):
             raise ValueError("per-hypothesis fields must have equal length")
-        if k and min(self.decision_stage) < 1:
+        if k and min(decision_stage) < 1:
             raise ValueError("decision stages are 1-based")
-        if k and min(self.endpoint_final_n) < 1:
+        if k and min(endpoint_final_n) < 1:
             raise ValueError("final sample sizes must be positive")
+        return tuple.__new__(cls, (rejected, decision_stage, endpoint_final_n, stages))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "TrialResult":
+        return cls(*iterable)
 
     @property
     def decisions(self) -> tuple[str, ...]:

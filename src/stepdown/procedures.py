@@ -199,7 +199,7 @@ def _check_run(
 ) -> float:
     """The input checks both multistage engines make; returns alpha."""
     alpha = check_alpha(alpha)
-    if tuple(critical.schedule.analyses) != schedule.analyses:
+    if critical.schedule.analyses != schedule.analyses:
         raise ValueError("critical function and schedule disagree on the analysis sizes")
     if rule == "closed" and not family.closed_monotone:
         raise ValueError("the closed variant requires a family flagged closed_monotone")
@@ -246,13 +246,13 @@ def run_multistage(
         A TrialResult with decisions, stages, per-endpoint final sizes,
         and a record of each executed stage.
     """
-    if paths.k != family.k:
-        raise ValueError(f"paths cover {paths.k} hypotheses, family has {family.k}")
-    if paths.analyses != tuple(schedule.analyses):
+    k = family.k
+    if len(paths.values) != k:
+        raise ValueError(f"paths cover {paths.k} hypotheses, family has {k}")
+    if paths.analyses != schedule.analyses:
         raise ValueError("paths and schedule disagree on the analysis sizes")
     alpha = _check_run(family, schedule, critical, alpha, rule)
 
-    k = family.k
     analyses = paths.analyses
     last = len(analyses) - 1
     bounds = _stage_bounds(critical, rule, alpha, k)
@@ -267,7 +267,7 @@ def run_multistage(
     decision_stage = [0] * k
     final_n = [0] * k
     records: list[StageRecord] = []
-    active = list(range(k))
+    active = tuple(range(k))
     alive = (1 << k) - 1  # active as a bitmask
     col = -1
 
@@ -277,16 +277,17 @@ def run_multistage(
         m = len(active)
         bound = bounds[m - 1]
         # Stage sample size: the first analysis past the previous stage
-        # where the top active statistic meets the stage boundary.
+        # where the top active statistic meets the stage boundary.  Only
+        # the first stage has all k active.
         for col in range(col + 1, last + 1):
             column = columns[col]
-            if max([column[i] for i in active]) >= bound[col]:
+            if max(column if m == k else [column[i] for i in active]) >= bound[col]:
                 break
         else:
             # No remaining analysis produces a crossing: accept the
             # survivors once the schedule is exhausted.  This break
             # leaves the stage loop.
-            n_j, remaining = analyses[last], active
+            n_j = analyses[last]
             break
         n_j = analyses[col]
 
@@ -295,13 +296,12 @@ def run_multistage(
         # active hypotheses.  The top statistic made the crossing, so
         # the prefix is nonempty.  The sort is stable and active is
         # increasing, so ties go to the lower index.
-        ordered = sorted(active, key=column.__getitem__, reverse=True)
-        stage_rej: list[int] = []
-        for rank, i in enumerate(ordered):
-            if column[i] < bounds[m - rank - 1][col]:
-                break
-            stage_rej.append(i)
-        records.append(StageRecord(stage, n_j, tuple(active), tuple(ordered), tuple(stage_rej)))
+        ordered = tuple(sorted(active, key=column.__getitem__, reverse=True))
+        rank = 1
+        while rank < m and column[ordered[rank]] >= bounds[m - rank - 1][col]:
+            rank += 1
+        stage_rej = ordered[:rank]
+        records.append(StageRecord(stage, n_j, active, ordered, stage_rej))
         decided = implied_now = 0
         for i in stage_rej:
             rejected[i] = True
@@ -312,6 +312,9 @@ def run_multistage(
             # Implied acceptances: anything containing the complement of
             # a hypothesis just rejected is accepted on the spot.
             decided |= implied_now
+        alive &= ~decided
+        if col == last or not alive & ~covered:
+            break
         remaining = []
         for i in active:
             if decided >> i & 1:
@@ -319,25 +322,17 @@ def run_multistage(
                 final_n[i] = n_j
             else:
                 remaining.append(i)
-        alive &= ~decided
-
-        if col == last or not alive & ~covered:
-            break
-        active = remaining
+        active = tuple(remaining)
 
     # The run stops: the schedule is exhausted, nothing survives, or
     # every survivor contains the complement of a rejected hypothesis.
-    # The survivors are accepted where it stops.
-    for i in remaining:
+    # What the last stage decided freezes there, and the survivors are
+    # accepted there.
+    for i in active:
         decision_stage[i] = stage
         final_n[i] = n_j
 
-    return TrialResult(
-        rejected=tuple(rejected),
-        decision_stage=tuple(decision_stage),
-        endpoint_final_n=tuple(final_n),
-        stages=tuple(records),
-    )
+    return TrialResult(tuple(rejected), tuple(decision_stage), tuple(final_n), tuple(records))
 
 
 def run_multistage_batch(

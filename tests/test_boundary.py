@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -200,6 +201,25 @@ def test_table_rejects_nan():
         CriticalFunction(SCHED, {0.05: (2.0, float("nan"), 1.9)})
     with pytest.raises(ValueError, match="NaN"):
         CriticalFunction(SCHED, {0.05: (float("nan"),) * 3})
+
+
+def test_table_is_read_only_and_pickles_through_the_constructor():
+    crit = calibrate_levels(SCHED, [0.05, 0.025])
+    for mapping in (crit.table, crit.constants, crit.achieved):
+        with pytest.raises(TypeError):
+            mapping[0.025] = (9.0, 9.0, 9.0)
+    copy = pickle.loads(pickle.dumps(crit))
+    assert copy == crit
+    assert copy.table == crit.table and list(copy.table) == list(crit.table)
+    assert copy.constants == crit.constants and copy.achieved == crit.achieved
+    with pytest.raises(TypeError):
+        copy.table[0.05] = (float("nan"),) * 3
+    outside = CriticalFunction(SCHED, {0.05: (2.0, 2.0, 1.9)})
+    assert pickle.loads(pickle.dumps(outside)) == outside
+    # Unpickling reruns the constructor's checks.
+    object.__setattr__(outside, "table", {0.05: (float("nan"),) * 3})
+    with pytest.raises(ValueError, match="NaN"):
+        pickle.loads(pickle.dumps(outside))
 
 
 def test_grid_points_checked_before_integration(monkeypatch):

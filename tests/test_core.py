@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -163,6 +164,67 @@ def test_trial_result_accounting():
     with pytest.raises(ValueError, match="final sample sizes must be positive"):
         TrialResult(rejected=(True, False), decision_stage=(1, 2), endpoint_final_n=(0, 35))
     assert TrialResult(rejected=(), decision_stage=(), endpoint_final_n=()).total_measurements == 0
+
+
+RECORD = StageRecord(stage=1, n=26, active=(0, 1, 2), ordered=(2, 0, 1), rejected=(2,))
+RESULT = TrialResult(
+    rejected=(False, False, True),
+    decision_stage=(2, 2, 1),
+    endpoint_final_n=(35, 35, 26),
+    stages=(RECORD,),
+)
+
+
+def test_records_are_immutable():
+    for record, field in ((RECORD, "n"), (RESULT, "stages")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_records_construct_alike_by_position_and_keyword():
+    assert StageRecord(1, 26, (0, 1, 2), (2, 0, 1), (2,)) == RECORD
+    assert TrialResult((False, False, True), (2, 2, 1), (35, 35, 26), (RECORD,)) == RESULT
+    assert TrialResult((True,), (1,), (26,)).stages == ()
+    assert TrialResult(rejected=(True,), decision_stage=(1,), endpoint_final_n=(26,)).stages == ()
+
+
+def test_equal_fields_give_equal_records_and_hashes():
+    twin = StageRecord(stage=1, n=26, active=(0, 1, 2), ordered=(2, 0, 1), rejected=(2,))
+    assert twin == RECORD and hash(twin) == hash(RECORD)
+    other = TrialResult((False, False, True), (2, 2, 1), (35, 35, 26), (twin,))
+    assert other == RESULT and hash(other) == hash(RESULT)
+    assert RECORD != StageRecord(1, 29, (0, 1, 2), (2, 0, 1), (2,))
+    assert RESULT != RESULT._replace(stages=())
+    # Records are tuples: they iterate, index and equal the plain tuple.
+    assert RECORD == (1, 26, (0, 1, 2), (2, 0, 1), (2,)) and RECORD[1] == 26
+    assert tuple(RESULT) == RESULT[:3] + ((RECORD,),)
+
+
+def test_record_repr():
+    assert repr(RECORD) == (
+        "StageRecord(stage=1, n=26, active=(0, 1, 2), ordered=(2, 0, 1), rejected=(2,))"
+    )
+    assert repr(TrialResult((True,), (1,), (26,))) == (
+        "TrialResult(rejected=(True,), decision_stage=(1,), endpoint_final_n=(26,), stages=())"
+    )
+
+
+def test_record_copies_rerun_the_checks():
+    for record in (RECORD, RESULT):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+    # Bypass the checks to build records they would refuse.
+    bad_stage = tuple.__new__(StageRecord, (1, 26, (0, 1), (0, 1), (1,)))
+    bad_result = tuple.__new__(TrialResult, ((True,), (0,), (26,), ()))
+    for bad, message in ((bad_stage, "prefix"), (bad_result, "1-based")):
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(pickle.dumps(bad))
+    with pytest.raises(ValueError, match="at least one"):
+        RECORD._replace(rejected=())
+    with pytest.raises(ValueError, match="equal length"):
+        RESULT._replace(decision_stage=(1,))
 
 
 def test_check_alpha():

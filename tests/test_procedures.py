@@ -380,6 +380,37 @@ def test_run_multistage_closed_requires_flag():
         )
 
 
+def _bad_input(**change):
+    crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
+    call = dict(paths=paths_from_stats([1.0, 2.0, 0.5]), family=HypothesisFamily.simple(3),
+                schedule=SCHED, critical=crit, alpha=ALPHA, rule=HOLM)
+    return {**call, **change}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"paths": paths_from_stats([1.0, 2.0])}, "paths cover 2 hypotheses, family has 3"),
+        ({"family": HypothesisFamily.simple(4)}, "paths cover 3 hypotheses, family has 4"),
+        ({"paths": paths_from_stats([1.0, 2.0, 0.5], (26, 29, 36))},
+         "paths and schedule disagree on the analysis sizes"),
+        ({"schedule": SampleSchedule((26, 35)), "paths": paths_from_stats([1.0, 2.0, 0.5], (26, 35))},
+         "critical function and schedule disagree on the analysis sizes"),
+        ({"rule": CLOSED}, "the closed variant requires a family flagged closed_monotone"),
+        ({"alpha": 1.0}, "alpha must lie strictly between 0 and 1, got 1.0"),
+        ({"alpha": 0.0}, "alpha must lie strictly between 0 and 1, got 0.0"),
+        ({"alpha": 0.1}, "boundary lacks critical values for level 0.1; calibrate it with rho = 0.1"),
+        ({"critical": flat_table({ALPHA / 3.0: 2.8, ALPHA: 2.2})},
+         "boundary lacks critical values for level 0.025"),
+    ],
+    ids=["fewer-paths", "larger-family", "paths-schedule", "critical-schedule", "closed-flag",
+         "alpha-1", "alpha-0", "missing-alpha", "missing-level"],
+)
+def test_run_multistage_names_each_rejected_input(change, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_multistage(**_bad_input(**change))
+
+
 def test_single_analysis_matches_holm_fixed():
     # With one analysis and quantile boundaries, the multistage run is
     # Holm's procedure expressed through statistics instead of p-values.
