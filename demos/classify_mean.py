@@ -39,7 +39,10 @@ def main():
     print(f"\noperating characteristics ({reps} paths per mean):")
     print(f"{'mean':>6} {'below 0':>9} {'between':>9} {'above 1':>9} {'avg n':>8}")
     for theta in (-0.3, 0.0, 0.2, 0.5, 0.8, 1.0, 1.3):
-        # Path r draws from the Philox stream keyed [13, r].
+        # Seed 13: each group of 128 paths deals its passes from the
+        # Philox stream keyed [13, the group's first path].  Every mean
+        # gives a path the same first 16 normals; later ones depend on
+        # which of the group's paths are still sampling.
         decision, stop_n, _fallback = classify_paths(theta, config, 13, reps)
         freq = np.bincount(decision, minlength=config.k) / reps
         print(f"{theta:6.2f} {freq[0]:9.3f} {freq[1]:9.3f} {freq[2]:9.3f} "

@@ -31,8 +31,8 @@ same state per row: the running sum, and whether each test has rejected
 yet.  Blocks end at observations 16, 32, 64, 128 and CHUNK = 256, then
 every CHUNK, so a path that stops early draws little.  ``classify_paths``
 runs the kernel on a group of ``GROUP_OBSERVATIONS // CHUNK`` simulated
-paths per pass, path r drawing its ``RngStream`` block by block on its
-group slot's generator, and drops each path as soon as it stops;
+paths per pass, dealing each pass's normals to the group's live paths
+from one keyed Philox draw, and drops each path as soon as it stops;
 ``run_paulson_direct`` and ``paulson_via_stepdown`` are its one-path
 views, reading one path given as a 1-D array.  Either way the running
 sum at each observation is the sum before its CHUNK-observation block
@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import check_integer
-from .trial import check_seed, restartable
+from .trial import check_seed, philox
 
 __all__ = [
     "CHUNK",
@@ -322,17 +322,13 @@ def paulson_via_stepdown(observations: np.ndarray, config: PaulsonConfig) -> Pau
 
 
 def _stream_blocks(
-    theta: float, first: int, slots: list[tuple[np.random.Generator, Callable[[int], None]]]
+    theta: float, seed: int, first: int
 ) -> Callable[[np.ndarray, int, int], np.ndarray]:
-    # Path i of the group reads RngStream(seed, first + i) on slot i's
-    # generator: restarted for its first block, drawing on for the next.
+    # The pass at observation count c is one draw from the Philox stream
+    # keyed [seed, first] at counter [0, c, 0, 0]; row i is the next
+    # block of the group's i-th live path.
     def next_block(live: np.ndarray, count: int, size: int) -> np.ndarray:
-        z = np.empty((live.size, size))
-        for row, path in enumerate(live.tolist()):
-            rng, restart = slots[path]
-            if count == 0:
-                restart(first + path)
-            rng.standard_normal(out=z[row])
+        z = np.random.Generator(philox(seed, first, count)).standard_normal((live.size, size))
         z += theta
         return z
 
@@ -344,16 +340,20 @@ def classify_paths(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify ``reps`` simulated paths with true mean ``theta``.
 
-    Path r observes ``simulate_observations(theta, config.horizon,
-    RngStream(seed, r).generator())`` and is decided by the route
-    ``method`` ("direct" or "stepdown"), so row r equals what
-    ``run_paulson_direct`` or ``paulson_via_stepdown`` returns on that
-    stream.  Paths are decided ``GROUP_OBSERVATIONS // CHUNK`` at a time,
-    one block of each live path's next observations per pass (16 to
-    CHUNK of them, as ``_decide`` cuts them), so memory does not grow
-    with ``reps``.  Each slot of a group has one generator, built once
-    per call: restarted on stream r when path r takes the slot, it draws
-    on from there for the path's later blocks.
+    Paths are decided by the route ``method`` ("direct" or "stepdown")
+    in groups of ``GROUP_OBSERVATIONS // CHUNK``, one block of each live
+    path's next observations per pass (16 to CHUNK of them, as
+    ``_decide`` cuts them), so memory does not grow with ``reps``.  The
+    group whose first path is ``first`` deals the pass that starts at
+    observation count c: it draws ``standard_normal((live, size))`` from
+    ``Generator(philox(seed, first, c))``, the Philox stream keyed
+    ``[seed, first]`` at counter ``[0, c, 0, 0]``, adds ``theta``, and
+    hands row i to its i-th live path by index.  So a path's
+    observations depend only on the seed, its index, ``theta``, the rule
+    and the lower-indexed paths of its group, and the rows for ``reps``
+    paths begin with the rows for fewer.  Row r is what
+    ``run_paulson_direct`` or ``paulson_via_stepdown`` returns on path
+    r's observations.
 
     Returns:
         ``(decision, stop_n, fallback_used)``, one entry per path.
@@ -365,9 +365,8 @@ def classify_paths(
     check_seed(seed)
     check_integer(reps, "reps", 1)
     group = GROUP_OBSERVATIONS // CHUNK
-    slots = [restartable(seed) for _ in range(min(group, reps))]
     parts = [
-        _decide(method, min(group, reps - first), _stream_blocks(theta, first, slots), config)
+        _decide(method, min(group, reps - first), _stream_blocks(theta, seed, first), config)
         for first in range(0, reps, group)
     ]
     return tuple(np.concatenate(column) for column in zip(*parts))

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,34 +58,12 @@ def check_seed(seed: int) -> int:
     return check_integer(seed, "seed", 0, 2**64)
 
 
-def philox(seed: int, index: int) -> np.random.Philox:
-    """The Philox bit generator keyed ``[seed, index]`` as uint64 words, counter 0."""
+def philox(seed: int, index: int, step: int = 0) -> np.random.Philox:
+    """The Philox bit generator keyed ``[seed, index]`` as uint64 words,
+    at counter ``[0, step, 0, 0]``."""
     # A plain list would send ints of 2**63 and above through float64.
-    return np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-
-
-def restartable(seed: int) -> tuple[np.random.Generator, Callable[[int], None]]:
-    """A generator and ``restart(index)``, which moves it to the stream ``[seed, index]``.
-
-    After ``restart(r)`` the generator draws exactly what
-    ``np.random.Generator(philox(seed, r))`` draws, whatever it drew
-    before: the one Philox bit generator is re-keyed to ``[seed, r]``
-    and its counter and output buffer are reset, which is far cheaper
-    than building a bit generator per stream.  Before the first restart
-    it draws the stream ``[seed, 0]``.
-    """
-    bit_gen = philox(seed, 0)
-    fresh = bit_gen.state
-    # As plain ints, not uint64 arrays, the state sets about twice as fast.
-    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
-    fresh["buffer"] = fresh["buffer"].tolist()
-    key = fresh["state"]["key"]
-
-    def restart(index: int) -> None:
-        key[1] = index
-        bit_gen.state = fresh
-
-    return np.random.Generator(bit_gen), restart
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=[0, step, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -141,10 +118,10 @@ class ScenarioParams:
 class RngStream:
     """The Philox stream keyed ``[master_seed, replicate]``, counter 0.
 
-    Paulson path r reads stream r (``paulson.classify_paths``), a block
-    at a time, restarted on it when the path begins.  A trial replicate
-    reads a row of a key block instead (``draw_replicates``), and
-    ``generate_paths`` takes an ``RngStream`` as the replicate's name.
+    A trial replicate reads a row of a key block (``draw_replicates``),
+    and ``generate_paths`` takes an ``RngStream`` as the replicate's
+    name.  No simulated Paulson path reads it: ``paulson.classify_paths``
+    deals each pass of a group of paths from one keyed draw.
     """
 
     master_seed: int

@@ -15,13 +15,10 @@ import stepdown.harness
 from stepdown.boundary import calibrate_levels
 from stepdown.cli import default_table_config, main, parse_scenarios
 from stepdown.core import HypothesisFamily, SampleSchedule, parse_kv_text
-from stepdown.paulson import (
-    PaulsonConfig,
-    paulson_via_stepdown,
-    run_paulson_direct,
-    simulate_observations,
-)
-from stepdown.trial import RngStream, ScenarioParams
+from stepdown.paulson import PaulsonConfig
+from stepdown.trial import ScenarioParams
+
+from paulson_replay import dealt_paths
 
 
 def read_csv(path):
@@ -176,6 +173,33 @@ def test_simulate_worker_invariance(tmp_path):
     assert meta["reps"] == "120"
 
 
+def test_workers_default_comes_from_the_environment(tmp_path, monkeypatch, capsys):
+    # STEPDOWN_WORKERS replaces the default worker count and the sidecar
+    # records the count used; --workers overrides the variable.
+    seen = []
+    run = stepdown.cli.run_scenario_parallel
+
+    def recording(specs, **kwargs):
+        seen.append(kwargs["workers"])
+        return run(specs, **kwargs)
+
+    monkeypatch.setattr(stepdown.cli, "run_scenario_parallel", recording)
+    monkeypatch.setenv("STEPDOWN_WORKERS", "2")
+    args = ["simulate", "--scenarios", "(0,.65,.5)", "--procedure", "MultH", "--reps", "40"]
+    assert main(args + ["--out", str(tmp_path / "env.csv")]) == 0
+    assert main(args + ["--workers", "1", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert seen == [2, 1]
+    assert parse_kv_text((tmp_path / "env.csv.meta.txt").read_text())["workers"] == "2"
+    assert parse_kv_text((tmp_path / "flag.csv.meta.txt").read_text())["workers"] == "1"
+    assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+    monkeypatch.setenv("STEPDOWN_WORKERS", "0")
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "zero.csv")]) == 2
+    assert "STEPDOWN_WORKERS: must be at least 1, got 0" in capsys.readouterr().err
+    assert seen == [2, 1] and not (tmp_path / "zero.csv").exists()
+
+
 def test_simulate_byte_lock(tmp_path):
     # Frozen from `simulate --config table1.cfg --reps 3745 --seed 1`: three
     # full key blocks of 1,024 replicates and part of a fourth, drawn as
@@ -251,19 +275,17 @@ def test_paulson_methods_agree(tmp_path):
 def test_paulson_writes_the_one_path_loops_bytes(tmp_path, method):
     # 130 paths cross a path-group boundary; at a mean on a threshold,
     # horizon 300 makes some of them fall back after a partial second
-    # block.
+    # block.  The rows are the test-side replay's: each pass dealt to the
+    # live paths, each path decided by the paper's rule.
     config = PaulsonConfig((0.0, 1.0), 0.05, 20.0, horizon=300)
     theta, seed, reps = 0.0, 4, 130
-    route = run_paulson_direct if method == "direct" else paulson_via_stepdown
     lines = ["decision,stop_n,fallback_used"]
     counts = [0] * config.k
     stop_total = 0
-    for r in range(reps):
-        observations = simulate_observations(theta, config.horizon, RngStream(seed, r).generator())
-        result = route(observations, config)
-        lines.append(f"{result.decision},{result.stop_n},{str(result.fallback_used).lower()}")
-        counts[result.decision] += 1
-        stop_total += result.stop_n
+    for decision, stop_n, fallback in dealt_paths(theta, config, seed, reps)[0]:
+        lines.append(f"{decision},{stop_n},{str(fallback).lower()}")
+        counts[decision] += 1
+        stop_total += stop_n
     freqs = ";".join(repr(c / reps) for c in counts)
     lines.append(f"summary,{stop_total / reps!r},{freqs}")
     assert any(line.endswith(",300,true") for line in lines)

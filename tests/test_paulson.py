@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stepdown.paulson import (
     CHUNK,
-    GROUP_OBSERVATIONS,
     PaulsonConfig,
     PaulsonResult,
     classify_by_mean,
@@ -19,49 +18,13 @@ from stepdown.paulson import (
 )
 from stepdown.trial import RngStream
 
+from paulson_replay import GROUP, dealt_paths, paper_direct
+
 ROUTES = {"direct": run_paulson_direct, "stepdown": paulson_via_stepdown}
-GROUP = GROUP_OBSERVATIONS // CHUNK  # paths classify_paths decides per pass
 
 
-def loop_paths(theta, config, seed, reps, method):
-    """The oracle for classify_paths: each path drawn and decided on its own."""
-    rows = []
-    for r in range(reps):
-        observations = simulate_observations(theta, config.horizon, RngStream(seed, r).generator())
-        result = ROUTES[method](observations, config)
-        rows.append((result.decision, result.stop_n, result.fallback_used))
-    return rows
-
-
-def paper_direct(observations, config):
-    """The direct rule as the paper writes it, one observation at a time.
-
-    u_n is the running maximum of S_m/m - delta/2 - A/m and v_n the
-    running minimum of S_m/m + delta/2 + A/m; the path stops at the
-    first n where (u_n, v_n) fits inside a widened target, and falls
-    back to S_n/n on a tie or at the horizon.  S_n is summed as the
-    package documents it, a CHUNK-observation block at a time onto the
-    sum before the block, so the floats are the routes' own.
-    """
-    th, delta = config.thresholds, config.delta
-    half, a = delta / 2.0, config.critical_value
-    lows = [-math.inf] + [t - delta for t in th]
-    highs = [t + delta for t in th] + [math.inf]
-    u, v = -math.inf, math.inf
-    before = within = 0.0
-    for n, x in enumerate(observations[: config.horizon].tolist(), start=1):
-        within += x
-        s = before + within
-        if n % CHUNK == 0:
-            before, within = s, 0.0
-        u = max(u, s / n - half - a / n)
-        v = min(v, s / n + half + a / n)
-        fits = [i for i, (lo, hi) in enumerate(zip(lows, highs)) if lo <= u and v <= hi]
-        if len(fits) == 1:
-            return PaulsonResult(fits[0], n, False)
-        if fits:
-            break
-    return PaulsonResult(int(classify_by_mean(s / n, th)), n, True)
+def replay_rows(theta, config, seed, reps):
+    return dealt_paths(theta, config, seed, reps)[0]
 
 
 def grouped_rows(theta, config, seed, reps, method):
@@ -316,9 +279,7 @@ def path_group_cases(draw):
 @example((0.0, PaulsonConfig((0.0, 1.0), 0.02, 40.0, horizon=CHUNK + 17), 5, GROUP + 1, "stepdown"))
 def test_classify_paths_matches_one_path_loop(case):
     theta, config, seed, reps, method = case
-    assert grouped_rows(theta, config, seed, reps, method) == loop_paths(
-        theta, config, seed, reps, method
-    )
+    assert grouped_rows(theta, config, seed, reps, method) == replay_rows(theta, config, seed, reps)
 
 
 @pytest.mark.parametrize("method", sorted(ROUTES))
@@ -336,7 +297,7 @@ def test_classify_paths_matches_one_path_loop(case):
 def test_classify_paths_fallbacks_across_a_group_boundary(method, config, theta, fallback):
     reps = GROUP + 3
     rows = grouped_rows(theta, config, 11, reps, method)
-    assert rows == loop_paths(theta, config, 11, reps, method)
+    assert rows == replay_rows(theta, config, 11, reps)
     horizon_hits = sum(f and n == config.horizon for _d, n, f in rows)
     tie_hits = sum(f and n < config.horizon for _d, n, f in rows)
     assert (horizon_hits if fallback == "horizon" else tie_hits) > 0
@@ -436,12 +397,14 @@ def test_routes_leave_their_input_alone(route, stop):
 @settings(max_examples=15, deadline=None)
 @given(path_group_cases())
 def test_classify_paths_matches_the_paper_direct_rule(case):
+    # Row r is what either one-path route, and the paper's rule, decide
+    # on the observations path r was dealt.
     theta, config, seed, reps, method = case
     reps = min(reps, 12)
-    want = [
-        paper_direct(simulate_observations(theta, config.horizon, RngStream(seed, r).generator()), config)
-        for r in range(reps)
-    ]
+    _rows, observations = dealt_paths(theta, config, seed, reps)
+    want = [paper_direct(path, config) for path in observations]
+    for route in ROUTES.values():
+        assert [route(path, config) for path in observations] == want
     rows = grouped_rows(theta, config, seed, reps, method)
     assert rows == [(w.decision, w.stop_n, w.fallback_used) for w in want]
 
@@ -456,7 +419,7 @@ def test_simulated_path_length_must_be_an_integer(horizon):
 def test_classify_paths_keys_seeds_above_two_to_the_63_apart():
     config = PaulsonConfig((0.0, 1.0), 0.15, 3.0, horizon=2 * CHUNK)
     rows = [grouped_rows(0.5, config, seed, 12, "direct") for seed in (2**63, 2**63 + 1, 2**64 - 1)]
-    assert rows[0] == loop_paths(0.5, config, 2**63, 12, "direct")
+    assert rows[0] == replay_rows(0.5, config, 2**63, 12)
     assert rows[0] != rows[1] and rows[2] != grouped_rows(0.5, config, 0, 12, "direct")
 
 
@@ -474,6 +437,21 @@ def test_classify_paths_memory_does_not_grow_with_reps():
             tracemalloc.stop()
         peaks.append(peak)
     # Ten times the paths: only the 17-byte-a-path results may add to
-    # the working set of one group.
-    assert peaks[1] < 1.25 * peaks[0]
+    # the working set of one group.  33 bytes a path is the growth a
+    # 1.25 ratio allowed on a 357 kB peak at 300 paths: 0.25 of it over
+    # 2,700 more paths.
+    assert peaks[1] - peaks[0] < 33 * (3000 - 300)
     assert peaks[1] < 8 * 2**20
+
+
+@pytest.mark.parametrize("method", sorted(ROUTES))
+def test_classify_paths_rows_do_not_depend_on_later_paths(method):
+    # A path's observations depend on its group's lower-indexed paths
+    # only, so the rows for fewer paths begin the rows for more, also
+    # across a group boundary.
+    config = PaulsonConfig((0.0, 1.0), 0.05, 20.0, horizon=2 * CHUNK + 40)
+    rows = grouped_rows(0.0, config, 7, 2 * GROUP + 5, method)
+    stops = sorted(n for _d, n, _f in rows)
+    assert stops[0] < 64 and stops[-2] > CHUNK
+    for reps in (1, GROUP - 1, GROUP, GROUP + 1, GROUP + 37, 2 * GROUP):
+        assert grouped_rows(0.0, config, 7, reps, method) == rows[:reps]

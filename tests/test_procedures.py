@@ -117,6 +117,24 @@ def test_holm_closed_implied_acceptance():
     assert rej.tolist() == [True, False]
 
 
+def test_holm_closed_differs_from_the_one_look_closed_walk():
+    # Why holm_closed stays beside run_multistage: it tests one
+    # hypothesis at a time, so rejecting H1 accepts H2, which contains
+    # H1's complement, before H2 is tested.  A multistage stage rejects
+    # the whole qualifying prefix of its order at once and applies the
+    # implied acceptances after it, so on one look at the exact quantile
+    # the closed walk rejects both.
+    rel = ((False, True), (False, False))
+    fam = HypothesisFamily(k=2, contains_complement=rel, closed_monotone=True)
+    p = [0.001, 0.002]
+    assert holm_closed(p, ALPHA, fam).tolist() == [True, False]
+    critical = quantile_critical(ALPHA, 2)
+    assert critical.boundary(ALPHA).tolist() == [normal_quantile(1.0 - ALPHA)]
+    paths = StatisticPaths((17,), np.array([[normal_quantile(1.0 - q)] for q in p]))
+    result = run_multistage(paths, fam, SampleSchedule((17,)), critical, ALPHA, CLOSED)
+    assert result.rejected == (True, True)
+
+
 def test_holm_closed_requires_flag():
     fam = HypothesisFamily.simple(2)
     with pytest.raises(ValueError, match="closed_monotone"):

@@ -16,7 +16,6 @@ from stepdown.trial import (
     generate_paths,
     paths_from_draws,
     philox,
-    restartable,
 )
 
 SCHED = SampleSchedule((26, 29, 35))
@@ -209,26 +208,6 @@ def test_integer_seeds_of_numpy_types_are_accepted(seed):
     assert check_seed(seed) == seed
     want = np.random.Generator(philox(int(seed), 3)).standard_normal(4)
     assert np.array_equal(RngStream(seed, 3).generator().standard_normal(4), want)
-
-
-@pytest.mark.parametrize(
-    "partial",
-    [lambda rng: rng.random(3), lambda rng: rng.standard_normal(5)],
-    ids=["three-uniforms", "normals"],
-)
-def test_restart_gives_a_fresh_stream_after_a_partial_draw(partial):
-    # Three uniforms leave Philox's four-word output buffer part used.
-    # Seeds of 2**63 and above fill the key word's top bit.
-    for seed in (1, 2**63, 2**63 + 11, 2**64 - 1):
-        rng, restart = restartable(seed)
-        for r in (7, 2, 7):
-            restart(r)
-            partial(rng)
-            restart(r)
-            want = np.random.Generator(philox(seed, r))
-            assert np.array_equal(rng.standard_normal(9), want.standard_normal(9))
-            assert np.array_equal(rng.random(5), want.random(5))
-            assert np.array_equal(rng.integers(0, 2**32, 3), want.integers(0, 2**32, 3))
 
 
 @pytest.mark.parametrize("replicate", [1.5, 1.0, True])
