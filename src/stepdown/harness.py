@@ -78,7 +78,6 @@ __all__ = [
     "PROCEDURES",
     "ScenarioSpec",
     "SimulationSummary",
-    "empty_summary",
     "run_cells",
     "run_scenario",
     "run_scenario_parallel",
@@ -214,19 +213,6 @@ def _binomial_se(count: int, n: int) -> float:
         return math.nan
     phat = count / n
     return math.sqrt(phat * (1.0 - phat) / n)
-
-
-def empty_summary(spec: ScenarioSpec) -> SimulationSummary:
-    """The merge identity for a scenario."""
-    return SimulationSummary(
-        spec=spec,
-        rep_ranges=(),
-        replicates=0,
-        sum_measurements=0,
-        sumsq_measurements=0,
-        reject_counts=(0, 0, 0),
-        fwe_count=0,
-    )
 
 
 def _normalize_ranges(ranges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -417,7 +403,7 @@ def run_cells(
 
     Returns:
         One SimulationSummary per cell, in order, each covering exactly
-        rep_range.
+        rep_range.  An empty range gives each cell's merge identity.
     """
     schedule, master_seed, replicates = _shared_draws(specs)
     lo, hi = rep_range if rep_range is not None else (0, replicates)

@@ -19,11 +19,10 @@ depend on the scenario, so scenarios run on the same seed share them
 of an endpoint's sums and statistic, one row per look.  It reads only
 that endpoint's parameters, its key in ``endpoint_keys``, so scenarios
 that share a mean, a correlation or a success rate share that endpoint's
-path.  ``paths_from_draws`` stacks the three endpoints of one scenario
-replicate by replicate, and ``generate_paths`` composes the draw and the
-paths for one replicate.
-A replicate's numbers do not depend on which function drew it or on
-what else was drawn with it.
+path.  ``generate_paths`` is one replicate's draw and its three
+endpoints' statistics, as ``harness.run_cells`` forms them a block of
+replicates at a time.  A replicate's numbers do not depend on which
+function drew it or on what else was drawn with it.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "endpoint_from_draws",
     "endpoint_keys",
     "generate_paths",
-    "paths_from_draws",
 ]
 
 
@@ -252,27 +250,6 @@ def endpoint_from_draws(
     return sums, (sums - ns / 2.0 - shift) / np.sqrt(ns / 4.0)
 
 
-def paths_from_draws(
-    params: ScenarioParams,
-    schedule: SampleSchedule,
-    z: np.ndarray,
-    u: np.ndarray,
-    *,
-    continuity_correction: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Turn ``draw_replicates`` output into sums and statistics for one scenario.
-
-    The three endpoints' ``endpoint_from_draws`` results, stacked
-    replicate by replicate.
-
-    Returns:
-        ``(sums, values)``, each of shape ``(replicates, 3, len(schedule))``.
-    """
-    keys = endpoint_keys(params, continuity_correction)
-    sums, values = zip(*(endpoint_from_draws(key, schedule, z, u) for key in keys))
-    return np.stack([s.T for s in sums], axis=1), np.stack([v.T for v in values], axis=1)
-
-
 def generate_paths(
     params: ScenarioParams,
     schedule: SampleSchedule,
@@ -282,11 +259,11 @@ def generate_paths(
 ) -> StatisticPaths:
     """One replicate's statistic paths: replicate ``stream.replicate`` of
     ``stream.master_seed`` through ``draw_replicates`` and
-    ``paths_from_draws``, the same statistics a block of replicates gets.
+    ``endpoint_from_draws`` on its three ``endpoint_keys``, the same
+    statistics a block of replicates gets.
     """
     r = stream.replicate
     z, u = draw_replicates(stream.master_seed, (r, r + 1), len(schedule))
-    _sums, values = paths_from_draws(
-        params, schedule, z, u, continuity_correction=continuity_correction
-    )
-    return StatisticPaths(analyses=schedule.analyses, values=values[0])
+    keys = endpoint_keys(params, continuity_correction)
+    values = np.stack([endpoint_from_draws(key, schedule, z, u)[1][:, 0] for key in keys])
+    return StatisticPaths(analyses=schedule.analyses, values=values)

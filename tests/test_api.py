@@ -31,7 +31,7 @@ def test_package_exports_every_module_all_in_import_order():
 
 def test_removed_wrappers_are_gone():
     modules = [stepdown] + [importlib.import_module(f"stepdown.{m}") for m in MODULES]
-    for removed in ("ProcedureVariant", "generate_batch"):
+    for removed in ("ProcedureVariant", "generate_batch", "paths_from_draws", "empty_summary"):
         assert not any(hasattr(module, removed) for module in modules), removed
         assert not any(removed in module.__all__ for module in modules), removed
     assert not hasattr(stepdown.CriticalFunction, "from_table")

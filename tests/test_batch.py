@@ -1,14 +1,15 @@
 """The block-of-replicates path against its one-replicate references.
 
 ``run_scenario`` draws a block of replicates with ``draw_replicates``,
-forms its statistics with ``paths_from_draws``, and decides it with the
-count engine of ``run_multistage_batch``, which walks the analyses and
-settles each replicate's stages where they end, or for ``H`` with the
-step-down rule on how many of the statistic cutoffs each replicate
-clears.  Each of these must reproduce its one-replicate reference
-exactly, number for number and decision for decision:
-``run_multistage`` for the staged procedures, Holm's rule on exact
-p-values for ``H``.
+forms each endpoint's sums and statistics with ``endpoint_from_draws``,
+and decides the block by walking each replicate's counts of cleared
+boundary rows through the look-step table ``harness._transitions``: at
+every analysis for the staged procedures, at the last one alone with
+the exact Holm cutoffs for ``H``.  ``run_multistage_batch`` decides a
+block of replicates for any family.  Each of these must reproduce its
+one-replicate reference exactly, number for number and decision for
+decision: ``run_multistage`` for the staged procedures and the batch
+engine, Holm's rule on exact p-values for ``H``.
 """
 
 import functools
@@ -45,8 +46,9 @@ from stepdown.trial import (
     RngStream,
     ScenarioParams,
     draw_replicates,
+    endpoint_from_draws,
+    endpoint_keys,
     generate_paths,
-    paths_from_draws,
     philox,
 )
 
@@ -249,18 +251,21 @@ def test_batch_engine_rejects_bad_input():
     rho=st.floats(-1.0, 1.0),
     p=st.floats(0.0, 1.0),
 )
-def test_paths_from_draws_matches_one_replicate_streams(seed, before, after, mu, rho, p):
+def test_endpoint_from_draws_matches_one_replicate_streams(seed, before, after, mu, rho, p):
     params = ScenarioParams(mu, -mu, p, rho12=rho)
     lo, hi = KEY_BLOCK - before, KEY_BLOCK + after
     z, u = draw_replicates(seed, (lo, hi), len(SCHED))
-    sums, values = paths_from_draws(params, SCHED, z, u, continuity_correction=True)
-    assert sums.shape == values.shape == (hi - lo, 3, len(SCHED))
+    forms = [endpoint_from_draws(key, SCHED, z, u) for key in endpoint_keys(params, True)]
+    for sums, values in forms:
+        assert sums.shape == values.shape == (len(SCHED), hi - lo)
     for i, r in enumerate(range(lo, hi)):
         stream = RngStream(seed, r)
         paths = generate_paths(params, SCHED, stream, continuity_correction=True)
         ref_sums, ref_values = reference_paths(params, SCHED, stream, True)
-        assert np.array_equal(sums[i], ref_sums)
-        assert np.array_equal(values[i], paths.values) and np.array_equal(values[i], ref_values)
+        for e, (sums, values) in enumerate(forms):
+            assert np.array_equal(sums[:, i], ref_sums[e])
+            assert np.array_equal(values[:, i], paths.values[e])
+            assert np.array_equal(values[:, i], ref_values[e])
 
 
 @settings(max_examples=100, deadline=None)

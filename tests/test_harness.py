@@ -27,7 +27,6 @@ from stepdown.harness import (
     _normal_cutoff,
     _transitions,
     _walk,
-    empty_summary,
     merge,
     needed_levels,
     run_cells,
@@ -38,7 +37,7 @@ from stepdown.harness import (
 from stepdown.procedures import (
     HOLM, MULT, _decide_counts, _stage_bounds, _step_down, holm_fixed, run_multistage,
 )
-from stepdown.trial import ScenarioParams, draw_replicates, endpoint_keys, paths_from_draws
+from stepdown.trial import ScenarioParams, draw_replicates, endpoint_from_draws, endpoint_keys
 
 SCHED = SampleSchedule((26, 29, 35))
 # Covers the levels of both staged procedures at the default alpha.
@@ -177,8 +176,24 @@ def test_merge_identity_and_halves():
     merged = merge(left, right)
     assert merged == full  # integer accumulators make this exact
 
-    with_identity = merge(full, empty_summary(spec))
+    [identity] = run_cells([spec], (0, 0), CRITICAL)
+    with_identity = merge(full, identity)
     assert with_identity == full
+
+
+def test_an_empty_range_is_the_merge_identity():
+    # run_cells on an empty range covers no replicate and counts nothing,
+    # so merging it on either side leaves a summary as it was.
+    cells = [spec_for(procedure, reps=200) for procedure in ("H", "Mult", "MultH")]
+    for cell, identity in zip(cells, run_cells(cells, (0, 0), CRITICAL)):
+        assert identity.spec == cell
+        assert identity.rep_ranges == () and identity.replicates == 0
+        assert identity.reject_counts == (0, 0, 0)
+        assert (identity.sum_measurements, identity.sumsq_measurements) == (0, 0)
+        assert identity.fwe_count == 0
+        summary = run_scenario(cell, (40, 170), CRITICAL)
+        assert merge(identity, summary) == summary
+        assert merge(summary, identity) == summary
 
 
 def test_merge_rejects_mismatched_specs():
@@ -344,7 +359,7 @@ def test_grouped_run_matches_each_cell_alone(run):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stepdown.harness, "KEY_BLOCK", block)
         parts = [run_cells(cells, pieces[i], CRITICAL) for i in order]
-    merged = [empty_summary(cell) for cell in cells]
+    merged = run_cells(cells, (0, 0), CRITICAL)
     for part in parts:
         merged = [merge(a, b) for a, b in zip(merged, part)]
     assert merged == alone
@@ -406,11 +421,10 @@ def _one_replicate_summary(spec, critical):
     """A staged cell's accumulators from run_multistage, one replicate at a time."""
     rule = {"Mult": MULT, "MultH": HOLM}[spec.procedure]
     z, u = draw_replicates(spec.master_seed, (0, spec.replicates), len(spec.schedule))
-    _, values = paths_from_draws(
-        spec.params, spec.schedule, z, u, continuity_correction=spec.continuity_correction
-    )
+    keys = endpoint_keys(spec.params, spec.continuity_correction)
+    values = np.stack([endpoint_from_draws(key, spec.schedule, z, u)[1] for key in keys])
     totals, counts, fwe = [], [0, 0, 0], 0
-    for stats in values:
+    for stats in values.transpose(2, 0, 1):
         result = run_multistage(
             StatisticPaths(spec.schedule.analyses, stats), HypothesisFamily.simple(3),
             spec.schedule, critical, spec.alpha, rule,
@@ -429,14 +443,13 @@ def _holm_fixed_summary(spec):
     while n stays below 53.
     """
     z, u = draw_replicates(spec.master_seed, (0, spec.replicates), len(spec.schedule))
-    sums, values = paths_from_draws(
-        spec.params, spec.schedule, z, u, continuity_correction=spec.continuity_correction
-    )
+    keys = endpoint_keys(spec.params, spec.continuity_correction)
+    (_, v1), (_, v2), (s3, _) = (endpoint_from_draws(key, spec.schedule, z, u) for key in keys)
     n = spec.schedule.sup
     assert n < 53
     tails = exact_tails(n)
     counts, fwe = [0, 0, 0], 0
-    for (z1, z2, _), count in zip(values[:, :, -1].tolist(), sums[:, 2, -1].tolist()):
+    for z1, z2, count in zip(v1[-1].tolist(), v2[-1].tolist(), s3[-1].tolist()):
         p_values = [0.5 * math.erfc(z / math.sqrt(2.0)) for z in (z1, z2)]
         rejected = holm_fixed(p_values + [tails[int(count)] / 2**n], spec.alpha).tolist()
         counts = [c + x for c, x in zip(counts, rejected)]

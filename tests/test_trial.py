@@ -13,18 +13,22 @@ from stepdown.trial import (
     check_seed,
     ScenarioParams,
     draw_replicates,
+    endpoint_from_draws,
+    endpoint_keys,
     generate_paths,
-    paths_from_draws,
     philox,
 )
 
 SCHED = SampleSchedule((26, 29, 35))
 
 
-def simulate(params, seed, rep_range, schedule=SCHED, **kwargs):
-    """Sums and statistics of replicates lo <= r < hi, each (hi - lo, 3, looks)."""
+def simulate(params, seed, rep_range, schedule=SCHED, continuity_correction=False):
+    """Sums and statistics of replicates lo <= r < hi, each (hi - lo, 3, looks):
+    the three endpoints' ``endpoint_from_draws`` rows, stacked."""
     z, u = draw_replicates(seed, rep_range, len(schedule))
-    return paths_from_draws(params, schedule, z, u, **kwargs)
+    keys = endpoint_keys(params, continuity_correction)
+    sums, values = zip(*(endpoint_from_draws(key, schedule, z, u) for key in keys))
+    return np.stack(sums).transpose(2, 0, 1), np.stack(values).transpose(2, 0, 1)
 
 
 def one_replicate(params, stream, **kwargs):
@@ -249,8 +253,9 @@ def test_binomial_cdf_matches_scipy(n, p):
 def simulate_counts(p, u, schedule):
     """The binary endpoint's success counts at each look for the uniforms u."""
     z = np.zeros((len(u), 2, len(schedule)))
-    sums, _ = paths_from_draws(ScenarioParams(0.0, 0.0, p), schedule, z, u)
-    return sums[:, 2]
+    key = endpoint_keys(ScenarioParams(0.0, 0.0, p), False)[2]
+    sums, _ = endpoint_from_draws(key, schedule, z, u)
+    return sums.T
 
 
 def test_binary_counts_rise_with_the_success_rate():
