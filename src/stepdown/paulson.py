@@ -34,11 +34,9 @@ runs the kernel on a group of ``GROUP_OBSERVATIONS // CHUNK`` simulated
 paths per pass, dealing each pass's normals to the group's live paths
 from one keyed Philox draw, and drops each path as soon as it stops;
 ``run_paulson_direct`` and ``paulson_via_stepdown`` are its one-path
-views, reading one path given as a 1-D array.  Either way the running
-sum at each observation is the sum before its CHUNK-observation block
-plus the ``cumsum`` of that block, carried across the blocks inside it,
-so a path gets the same floats, and the same decision, alone or in a
-group.
+views, reading one path given as a 1-D array.  Either way S_n is the
+paper's sequential sum S_{n-1} + x_n, one observation at a time, so a
+path gets the same floats, and the same decision, alone or in a group.
 """
 
 from __future__ import annotations
@@ -198,37 +196,34 @@ def _decide(
     ``next_block(live, count, size)`` returns the next ``size``
     observations of the live paths, row i for path live[i], each
     ``count`` observations in; fewer columns (or none) mean the paths
-    ran out.  A block is ``min(max(count, 16), CHUNK - count % CHUNK,
-    horizon - count)`` observations: 16, 16, 32, 64 and 128 fill the
-    first CHUNK, whole CHUNKs follow.  Row r's running sum is ``base[r]``,
-    its sum before the current CHUNK, plus ``partial[r]`` and the block's
-    cumsum carried on from it, which is ``cumsum`` of the whole CHUNK bit
-    for bit, so every float equals what one path computes on its own.
-    Returns the per-path decision, stopping time and fallback flag.
+    ran out.  A block is ``min(max(count, 16), CHUNK, horizon - count)``
+    observations: 16, 16, 32, 64 and 128 fill the first CHUNK, whole
+    CHUNKs follow.  Row r's running sum S_n is ``total[r]`` plus the
+    block's observations added one at a time, the paper's sequential
+    sum.  Returns the per-path decision, stopping time and fallback flag.
     """
     kernel = _ROUTES[method]
     decision = np.empty(paths, dtype=np.int64)
     stop_n = np.empty(paths, dtype=np.int64)
     fallback = np.empty(paths, dtype=bool)
     live = np.arange(paths)
-    base, partial = np.zeros(paths), np.zeros(paths)
+    total = np.zeros(paths)
     rejected = np.zeros((2, len(config.thresholds), paths), dtype=bool)
     count = 0
     while live.size:
-        size = min(max(count, 16), CHUNK - count % CHUNK, config.horizon - count)
+        size = min(max(count, 16), CHUNK, config.horizon - count)
         block = next_block(live, count, size) if size else np.empty((live.size, 0))
         width = block.shape[1]
         if not width:
             if count == 0:
                 raise ValueError("no observations supplied")
-            decision[live] = classify_by_mean((base + partial) / count, config.thresholds)
+            decision[live] = classify_by_mean(total / count, config.thresholds)
             stop_n[live] = count
             fallback[live] = True
             break
-        # The block's cumsum goes on from the last one's within its
-        # CHUNK, in a new array: block may be a view of the caller's path.
-        within = np.cumsum(np.concatenate([partial[:, None], block], axis=1), axis=1)[:, 1:]
-        s = base[:, None] + within
+        # The cumsum goes on from the running sum, in a new array: block
+        # may be a view of the caller's path.
+        s = np.cumsum(np.concatenate([total[:, None], block], axis=1), axis=1)[:, 1:]
         m = count + np.arange(1, width + 1, dtype=float)
         tests = np.stack(kernel(s, m, config))
         # Where each test first rejects: -1 if it had before this block,
@@ -249,12 +244,8 @@ def _decide(
             stop_n[live[rows]] = count + 1 + t
             fallback[live[rows]] = tie
         keep = ~stopped
-        live, rejected = live[keep], first[:, :, keep] < width
+        live, rejected, total = live[keep], first[:, :, keep] < width, s[keep, -1]
         count += width
-        if count % CHUNK:
-            base, partial = base[keep], within[keep, -1]
-        else:
-            base, partial = s[keep, -1], np.zeros(live.size)
     return decision, stop_n, fallback
 
 
@@ -351,7 +342,8 @@ def classify_paths(
     hands row i to its i-th live path by index.  So a path's
     observations depend only on the seed, its index, ``theta``, the rule
     and the lower-indexed paths of its group, and the rows for ``reps``
-    paths begin with the rows for fewer.  Row r is what
+    paths begin with the rows for fewer.  Each path's S_n is summed one
+    observation at a time, as the paper writes it, so row r is what
     ``run_paulson_direct`` or ``paulson_via_stepdown`` returns on path
     r's observations.
 

@@ -20,9 +20,8 @@ class PaperDirect:
     u_n is the running maximum of S_m/m - delta/2 - A/m and v_n the
     running minimum of S_m/m + delta/2 + A/m; the path stops at the
     first n where (u_n, v_n) fits inside a widened target, and falls
-    back to S_n/n on a tie or at the horizon.  S_n is summed as the
-    package documents it, a CHUNK-observation block at a time onto the
-    sum before the block, so the floats are the routes' own.
+    back to S_n/n on a tie or at the horizon.  This is the paper's rule
+    as written: S_n = S_{n-1} + x_n, one observation at a time.
     """
 
     def __init__(self, config):
@@ -30,18 +29,14 @@ class PaperDirect:
         self.config = config
         lows = [-math.inf] + [t - delta for t in th]
         self.targets = list(zip(lows, [t + delta for t in th] + [math.inf]))
-        self.n, self.u, self.v = 0, -math.inf, math.inf
-        self.before = self.within = self.s = 0.0
+        self.n, self.s, self.u, self.v = 0, 0.0, -math.inf, math.inf
 
     def observe(self, x):
         """Take the next observation; the result once the path stops, else None."""
         config = self.config
         half, a = config.delta / 2.0, config.critical_value
         n = self.n = self.n + 1
-        self.within += x
-        s = self.s = self.before + self.within
-        if n % CHUNK == 0:
-            self.before, self.within = s, 0.0
+        s = self.s = self.s + x
         self.u = max(self.u, s / n - half - a / n)
         self.v = min(self.v, s / n + half + a / n)
         fits = [i for i, (lo, hi) in enumerate(self.targets) if lo <= self.u and self.v <= hi]
@@ -89,7 +84,7 @@ def dealt_paths(theta, config, seed, reps):
         count = 0
         while None in results:
             live = [i for i, result in enumerate(results) if result is None]
-            size = min(max(count, 16), CHUNK - count % CHUNK, config.horizon - count)
+            size = min(max(count, 16), CHUNK, config.horizon - count)
             rng = np.random.Generator(np.random.Philox(key=key, counter=[0, count, 0, 0]))
             block = theta + rng.standard_normal((len(live), size))
             for i, row in zip(live, block.tolist()):

@@ -3,7 +3,7 @@ import math
 import multiprocessing
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -569,6 +569,42 @@ def test_table_walk_matches_the_count_engine(looks, rule, alpha, reps, seed):
     assert total.tolist() == final_n.sum(axis=1).tolist()
     assert walked[0] == 7 and total[0] == 3 * analyses[0]
     assert walked[1] == 0 and total[1] == 3 * analyses[-1]
+
+
+@pytest.mark.parametrize("rule, sequences", [(HOLM, 64**2), (MULT, 8**2)])
+def test_table_walk_matches_the_scalar_engine_on_every_two_look_sequence(rule, sequences):
+    # Every joint count sequence of two looks, each statistic placed
+    # strictly between the rule's rows that give its count: the table
+    # walk and run_multistage, which never calls _look_step, decide alike.
+    # Mult's rows are one boundary, so its counts are 0 or 3 only.
+    critical = _calibrated(2, "flat")
+    analyses = critical.schedule.analyses
+    rows = np.array(_stage_bounds(critical, rule, 0.05, 3))
+    # values[j][c]: a look-j statistic whose count is c.
+    values = []
+    for j in range(2):
+        edges = [-math.inf, *rows[:, j].tolist(), math.inf]
+        look = {}
+        for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if lo < hi:
+                x = hi - 1.0 if lo == -math.inf else lo + 1.0 if hi == math.inf else (lo + hi) / 2
+                assert lo < x < hi
+                look[c] = x
+        values.append(look)
+    per_look = [list(product(*[sorted(look)] * 3)) for look in values]
+    digits = list(product(*per_look))
+    assert len(digits) == sequences
+    # Endpoint i's count is digit i of the symbol in base k + 1 = 4.
+    symbols = (np.array(digits) * [1, 4, 16]).sum(axis=2).T
+    walked, total = _walk(_transitions(), symbols, analyses)
+    family = HypothesisFamily.simple(3)
+    for seq, got, measured in zip(digits, walked.tolist(), total.tolist()):
+        stats = np.array([[values[j][c] for j, c in enumerate(counts)] for counts in zip(*seq)])
+        result = run_multistage(
+            StatisticPaths(analyses, stats), family, critical.schedule, critical, 0.05, rule
+        )
+        assert got == _bits(np.array(result.rejected))
+        assert measured == result.total_measurements
 
 
 def test_many_small_blocks_give_the_one_block_csv(tmp_path, monkeypatch):

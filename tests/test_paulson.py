@@ -114,6 +114,20 @@ def test_horizon_fallback():
     assert paulson_via_stepdown(path, cfg) == res
 
 
+def test_running_sum_is_the_sequential_sum():
+    # S_n is S_{n-1} + x_n, one observation at a time.  The threshold is
+    # that sum's mean, so the horizon's S_n/n falls on it and the tie
+    # goes to the lower interval; a sum taken in another order can land
+    # an ulp above it.
+    path = np.full(300, 0.3)
+    s = 0.0
+    for x in path.tolist():
+        s += x
+    cfg = PaulsonConfig(thresholds=(s / 300,), delta=0.1, critical_value=1e9, horizon=300)
+    for route in ROUTES.values():
+        assert route(path, cfg) == PaulsonResult(decision=0, stop_n=300, fallback_used=True)
+
+
 def test_exhausted_observations_fall_back():
     cfg = PaulsonConfig(thresholds=(0.0,), delta=0.1, critical_value=1e6)
     res = run_paulson_direct(np.full(30, 2.0), cfg)
