@@ -225,12 +225,12 @@ def _read_text(path: str, kind: str) -> str:
         raise ValueError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
-def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    # Each row builder formats its own fields, by fmt or an equivalent.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_sidecar(out_path: str, subcommand: str, resolved: dict[str, str]) -> None:
@@ -271,7 +271,7 @@ def _cmd_boundary(values: dict[str, Any]) -> dict[str, str]:
     schedule, levels, shape = values["schedule"], values["rho"], values["shape"]
     critical = calibrate_levels(schedule, levels, shape, grid_points=values["grid"])
     rows = [
-        (n, float(rho), float(value), shape)
+        (fmt(n), fmt(float(rho)), fmt(float(value)), shape)
         for rho in levels
         for n, value in zip(schedule.analyses, critical.boundary(rho))
     ]
@@ -418,7 +418,8 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
     except ValueError as exc:
         raise ValueError(f"{exc} in {values['statistics']}") from None
     result = run_multistage(paths, family, critical.schedule, critical, alpha, rule)
-    rows = zip(labels, result.decisions, result.decision_stage, result.endpoint_final_n)
+    columns = (labels, result.decisions, result.decision_stage, result.endpoint_final_n)
+    rows = zip(*(map(fmt, column) for column in columns))
     _write_rows(values["out"], ("hypothesis", "decision", "stage", "final_n"), rows)
 
 
@@ -465,7 +466,7 @@ def _cmd_simulate(values: dict[str, Any]) -> None:
         else None
     )
     summaries = run_scenario_parallel(specs, workers=values["workers"], critical=critical)
-    rows = [[value(summary) for _, value in _SUMMARY_COLUMNS] for summary in summaries]
+    rows = [[fmt(value(summary)) for _, value in _SUMMARY_COLUMNS] for summary in summaries]
     _write_rows(values["out"], [name for name, _ in _SUMMARY_COLUMNS], rows)
 
 
@@ -480,12 +481,14 @@ def _cmd_paulson(values: dict[str, Any]) -> None:
     decision, stop_n, fallback = classify_paths(
         values["theta"], config, values["seed"], reps, values["method"]
     )
-    rows: list[tuple[object, ...]] = list(
-        zip(decision.tolist(), stop_n.tolist(), fallback.tolist())
+    # Each column formatted once, as fmt would: ints by str, flags by lookup.
+    flag = ("false", "true").__getitem__
+    rows = list(
+        zip(map(str, decision.tolist()), map(str, stop_n.tolist()), map(flag, fallback.tolist()))
     )
     counts = np.bincount(decision, minlength=config.k)
     freqs = ";".join(repr(int(counts[i]) / reps) for i in range(config.k))
-    rows.append(("summary", int(stop_n.sum()) / reps, freqs))
+    rows.append(("summary", fmt(int(stop_n.sum()) / reps), freqs))
     _write_rows(values["out"], ("decision", "stop_n", "fallback_used"), rows)
 
 

@@ -25,18 +25,22 @@ horizon is exhausted, the classification falls back to the interval
 containing S_n/n.
 
 Each route's rule is one kernel over a block whose rows are paths and
-whose columns are the paths' next observations.  It returns the outcome
-of every one-sided test at every observation, and both routes carry the
-same state per row: the running sum, and whether each test has rejected
-yet.  Blocks end at observations 16, 32, 64, 128 and CHUNK = 256, then
-every CHUNK, so a path that stops early draws little.  ``classify_paths``
-runs the kernel on a group of ``GROUP_OBSERVATIONS // CHUNK`` simulated
-paths per pass, dealing each pass's normals to the group's live paths
-from one keyed Philox draw, and drops each path as soon as it stops;
-``run_paulson_direct`` and ``paulson_via_stepdown`` are its one-path
-views, reading one path given as a 1-D array.  Either way S_n is the
-paper's sequential sum S_{n-1} + x_n, one observation at a time, so a
-path gets the same floats, and the same decision, alone or in a group.
+whose columns are the paths' next observations.  It writes the outcome
+of every one-sided test at every observation into a flag array it is
+handed, and both routes carry the same state per row: the running sum,
+and whether each test has rejected yet.  Blocks end at observations 16,
+32, 64, 128 and CHUNK = 256, then every CHUNK, so a path that stops
+early draws little.  ``classify_paths`` runs the kernel on a group of
+``GROUP_OBSERVATIONS // CHUNK`` simulated paths per pass, dealing each
+pass's normals to the group's live paths from one keyed Philox draw, and
+drops each path as soon as it stops; ``run_paulson_direct`` and
+``paulson_via_stepdown`` are its one-path views, reading one path given
+as a 1-D array.  Each call makes its block, work and flag buffers once,
+sized for its widest group and block, and every pass of every group
+draws, sums and tests inside views of them, so a pass allocates nothing
+of the block's size.  Either way S_n is the paper's sequential sum
+S_{n-1} + x_n, one observation at a time, so a path gets the same
+floats, and the same decision, alone or in a group.
 """
 
 from __future__ import annotations
@@ -152,57 +156,85 @@ def _fit_times(first: np.ndarray) -> np.ndarray:
     return np.concatenate([up[:1], np.maximum(low[:-1], up[1:]), low[-1:]])
 
 
-# Each route is a kernel.  kernel(s, m, config) reads one block for a
-# group of paths, where s[r, j] and m[j] are path r's running sum and
-# observation count at the block's j-th observation, and returns the
-# downward and the upward outcome of every threshold's test at each of
-# them, shape (k - 1, paths, observations).  A test has rejected by
-# observation n once its outcome held at some m <= n, so both routes
-# carry only a flag per test: u_n >= c exactly when S_m/m - delta/2 -
-# A/m >= c for some m <= n, and v_n <= c likewise.
+# Each route is a kernel.  kernel(s, m, config, tests, work) reads one
+# block for a group of paths, where s[r, j] and m[j] are path r's running
+# sum and observation count at the block's j-th observation, and writes
+# the downward and the upward outcome of every threshold's test at each
+# of them into tests, shape (2, k - 1, paths, observations); work holds
+# two float arrays of s's shape for its intermediates.  A test has
+# rejected by observation n once its outcome held at some m <= n, so both
+# routes carry only a flag per test: u_n >= c exactly when S_m/m -
+# delta/2 - A/m >= c for some m <= n, and v_n <= c likewise.
 
 
 def _direct_kernel(
-    s: np.ndarray, m: np.ndarray, config: PaulsonConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    th = np.asarray(config.thresholds, dtype=float)[:, None, None]
+    s: np.ndarray, m: np.ndarray, config: PaulsonConfig, tests: np.ndarray, work: np.ndarray
+) -> None:
+    u, v = work
     half = config.delta / 2.0
-    a = config.critical_value
+    margin = config.critical_value / m
+    # u = (S_m/m - delta/2) - A/m and v = (S_m/m + delta/2) + A/m, rounded
+    # in this order: a decision at a rounding tie depends on it.
+    np.divide(s, m, out=u)
+    np.add(u, half, out=v)
+    v += margin
+    u -= half
+    u -= margin
     # Held at some m <= n: u_n >= theta_t - delta, and v_n <= theta_t + delta.
-    return s / m - half - a / m >= th - config.delta, s / m + half + a / m <= th + config.delta
+    for t, theta in enumerate(config.thresholds):
+        np.greater_equal(u, theta - config.delta, out=tests[0, t])
+        np.less_equal(v, theta + config.delta, out=tests[1, t])
 
 
 def _stepdown_kernel(
-    s: np.ndarray, m: np.ndarray, config: PaulsonConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    th = np.asarray(config.thresholds, dtype=float)[:, None, None]
+    s: np.ndarray, m: np.ndarray, config: PaulsonConfig, tests: np.ndarray, work: np.ndarray
+) -> None:
+    stat = work[0]
     half = config.delta / 2.0
     a = config.critical_value
-    return s - m * (th - half) >= a, s - m * (th + half) <= -a
+    for t, theta in enumerate(config.thresholds):
+        np.subtract(s, m * (theta - half), out=stat)
+        np.greater_equal(stat, a, out=tests[0, t])
+        np.subtract(s, m * (theta + half), out=stat)
+        np.less_equal(stat, -a, out=tests[1, t])
 
 
 _ROUTES = {"direct": _direct_kernel, "stepdown": _stepdown_kernel}
 
 
+def _buffers(paths: int, config: PaulsonConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pass buffers for groups of up to ``paths`` paths: three float
+    rows (the block, then the kernel's two work arrays) and the test
+    outcomes, each flat so that a pass views its leading entries as one
+    C-contiguous array of the pass's shape."""
+    cells = paths * min(CHUNK, config.horizon)
+    return np.empty((3, cells)), np.empty(2 * len(config.thresholds) * cells, dtype=bool)
+
+
 def _decide(
     method: str,
     paths: int,
-    next_block: Callable[[np.ndarray, int, int], np.ndarray],
+    next_block: Callable[[int, np.ndarray], int],
     config: PaulsonConfig,
+    buffers: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide a group of paths by one route, one block of observations
     per pass, dropping each path once it stops.
 
-    ``next_block(live, count, size)`` returns the next ``size``
-    observations of the live paths, row i for path live[i], each
-    ``count`` observations in; fewer columns (or none) mean the paths
-    ran out.  A block is ``min(max(count, 16), CHUNK, horizon - count)``
-    observations: 16, 16, 32, 64 and 128 fill the first CHUNK, whole
-    CHUNKs follow.  Row r's running sum S_n is ``total[r]`` plus the
-    block's observations added one at a time, the paper's sequential
-    sum.  Returns the per-path decision, stopping time and fallback flag.
+    ``next_block(count, out)`` writes the next observations of the live
+    paths, each ``count`` observations in, into ``out`` (shape ``(live,
+    size)``), row i for the i-th live path, and returns how many columns
+    it filled; fewer (or none) mean the paths ran out.  A block is
+    ``min(max(count, 16), CHUNK, horizon - count)`` observations: 16, 16,
+    32, 64 and 128 fill the first CHUNK, whole CHUNKs follow.  Every pass
+    runs inside ``buffers`` (from ``_buffers`` for at least ``paths``
+    paths), which the caller may share between groups.  Row r's running
+    sum S_n is ``total[r]`` plus the block's observations added one at a
+    time, the paper's sequential sum.  Returns the per-path decision,
+    stopping time and fallback flag.
     """
     kernel = _ROUTES[method]
+    floats, flags = buffers
     decision = np.empty(paths, dtype=np.int64)
     stop_n = np.empty(paths, dtype=np.int64)
     fallback = np.empty(paths, dtype=bool)
@@ -212,8 +244,8 @@ def _decide(
     count = 0
     while live.size:
         size = min(max(count, 16), CHUNK, config.horizon - count)
-        block = next_block(live, count, size) if size else np.empty((live.size, 0))
-        width = block.shape[1]
+        block = floats[0, : live.size * size].reshape(live.size, size)
+        width = next_block(count, block) if size else 0
         if not width:
             if count == 0:
                 raise ValueError("no observations supplied")
@@ -221,11 +253,13 @@ def _decide(
             stop_n[live] = count
             fallback[live] = True
             break
-        # The cumsum goes on from the running sum, in a new array: block
-        # may be a view of the caller's path.
-        s = np.cumsum(np.concatenate([total[:, None], block], axis=1), axis=1)[:, 1:]
+        # The cumsum goes on from the running sum, in place.
+        s = block[:, :width]
+        s[:, 0] += total
+        np.cumsum(s, axis=1, out=s)
         m = count + np.arange(1, width + 1, dtype=float)
-        tests = np.stack(kernel(s, m, config))
+        tests = flags[: rejected.size * width].reshape(rejected.shape + (width,))
+        kernel(s, m, config, tests, floats[1:, : s.size].reshape(2, live.size, width))
         # Where each test first rejects: -1 if it had before this block,
         # width if it has not yet.
         first = np.where(rejected, -1, np.where(tests.any(axis=3), tests.argmax(axis=3), width))
@@ -256,9 +290,14 @@ def _one_path(method: str, observations: np.ndarray, config: PaulsonConfig) -> P
     path = observations.astype(float, copy=False)
     if not np.isfinite(path[: config.horizon]).all():
         raise ValueError("observations must be finite")
-    decision, stop_n, fallback = _decide(
-        method, 1, lambda live, count, size: path[None, count : count + size], config
-    )
+
+    # Copies the slice, so the caller's array is never written.
+    def next_block(count: int, out: np.ndarray) -> int:
+        got = path[count : count + out.shape[1]]
+        out[0, : got.size] = got
+        return got.size
+
+    decision, stop_n, fallback = _decide(method, 1, next_block, config, _buffers(1, config))
     return PaulsonResult(int(decision[0]), int(stop_n[0]), bool(fallback[0]))
 
 
@@ -312,16 +351,22 @@ def paulson_via_stepdown(observations: np.ndarray, config: PaulsonConfig) -> Pau
     return _one_path("stepdown", observations, config)
 
 
-def _stream_blocks(
-    theta: float, seed: int, first: int
-) -> Callable[[np.ndarray, int, int], np.ndarray]:
+def _stream_blocks(theta: float, seed: int, first: int) -> Callable[[int, np.ndarray], int]:
     # The pass at observation count c is one draw from the Philox stream
     # keyed [seed, first] at counter [0, c, 0, 0]; row i is the next
-    # block of the group's i-th live path.
-    def next_block(live: np.ndarray, count: int, size: int) -> np.ndarray:
-        z = np.random.Generator(philox(seed, first, count)).standard_normal((live.size, size))
-        z += theta
-        return z
+    # block of the group's i-th live path.  One bit generator serves every
+    # pass: restoring its fresh state with the pass's counter word also
+    # discards the words the last draw left in its four-word buffer.
+    bits = philox(seed, first)
+    draw = np.random.Generator(bits).standard_normal
+    state = bits.state
+
+    def next_block(count: int, out: np.ndarray) -> int:
+        state["state"]["counter"][1] = count
+        bits.state = state
+        draw(out=out)
+        out += theta
+        return out.shape[1]
 
     return next_block
 
@@ -357,8 +402,15 @@ def classify_paths(
     check_seed(seed)
     check_integer(reps, "reps", 1)
     group = GROUP_OBSERVATIONS // CHUNK
-    parts = [
-        _decide(method, min(group, reps - first), _stream_blocks(theta, seed, first), config)
-        for first in range(0, reps, group)
-    ]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    buffers = _buffers(min(group, reps), config)
+    # Each group's rows go straight into the results, so the buffers and
+    # one copy of the results are all a call holds.
+    results = (
+        np.empty(reps, dtype=np.int64), np.empty(reps, dtype=np.int64), np.empty(reps, dtype=bool)
+    )
+    for first in range(0, reps, group):
+        paths = min(group, reps - first)
+        rows = _decide(method, paths, _stream_blocks(theta, seed, first), config, buffers)
+        for column, part in zip(results, rows):
+            column[first : first + paths] = part
+    return results

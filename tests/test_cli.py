@@ -214,6 +214,35 @@ def test_simulate_byte_lock(tmp_path):
     )
 
 
+@pytest.mark.parametrize("method", ["direct", "stepdown"])
+@pytest.mark.parametrize(
+    "regime, digest",
+    [
+        (
+            ["--thresholds", "0.0,1.0", "--delta", "0.02", "--critical-value", "40.0",
+             "--theta", "0.0"],
+            "7934a73db8009e72128fb9c72c18b3e06b0ba1d4db05cb255dc7f08b8cf1e4f5",
+        ),
+        (
+            ["--thresholds", "0.0,1.0,2.0", "--delta", "0.15", "--critical-value", "3.0",
+             "--theta", "1.5"],
+            "00b9748254c93bc05b41b5798dd9d124f37bbd858f25272041351bc030349130",
+        ),
+    ],
+    ids=["long", "short"],
+)
+def test_paulson_byte_lock(tmp_path, method, regime, digest):
+    # Frozen from `paulson --reps 300 --seed 1` on the benchmark's long
+    # (multi-CHUNK) and short regimes: three path groups, the last one
+    # partial.  Any change to the random-stream contract, the block cuts
+    # or the summation that moves a byte must re-pin these hashes and
+    # say why.
+    out = tmp_path / "p.csv"
+    argv = ["paulson", *regime, "--reps", "300", "--seed", "1", "--method", method]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_simulate_rejects_bad_input(tmp_path, capsys):
     base = ["simulate", "--scenarios", "(0,0,.5)", "--out", str(tmp_path / "x.csv")]
     assert main(base + ["--procedure", "Bonf"]) == 2
@@ -932,13 +961,15 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, analyses, levels, values)
     stats = {h: tuple(next(cells) for _ in analyses) for h in ("H1", "H2")}
 
     work = tmp_path_factory.mktemp("csv")
+    fmt = stepdown.cli.fmt
     stepdown.cli._write_rows(
         work / "b.csv", ("n", "rho", "critical_value", "shape"),
-        [(n, rho, vals[j], "flat") for rho, vals in table.items() for j, n in enumerate(analyses)],
+        [(fmt(n), fmt(rho), fmt(vals[j]), "flat")
+         for rho, vals in table.items() for j, n in enumerate(analyses)],
     )
     stepdown.cli._write_rows(
         work / "s.csv", ("hypothesis", "n", "statistic"),
-        [(h, n, vals[j]) for h, vals in stats.items() for j, n in enumerate(analyses)],
+        [(h, fmt(n), fmt(vals[j])) for h, vals in stats.items() for j, n in enumerate(analyses)],
     )
     read_analyses, read_stats = stepdown.cli._read_statistics_csv(str(work / "s.csv"))
     critical = stepdown.cli._read_boundary_csv(str(work / "b.csv"), tuple(analyses))

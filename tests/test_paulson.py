@@ -10,13 +10,14 @@ from stepdown.paulson import (
     CHUNK,
     PaulsonConfig,
     PaulsonResult,
+    _stream_blocks,
     classify_by_mean,
     classify_paths,
     paulson_via_stepdown,
     run_paulson_direct,
     simulate_observations,
 )
-from stepdown.trial import RngStream
+from stepdown.trial import RngStream, philox
 
 from paulson_replay import GROUP, dealt_paths, paper_direct
 
@@ -435,6 +436,23 @@ def test_classify_paths_keys_seeds_above_two_to_the_63_apart():
     rows = [grouped_rows(0.5, config, seed, 12, "direct") for seed in (2**63, 2**63 + 1, 2**64 - 1)]
     assert rows[0] == replay_rows(0.5, config, 2**63, 12)
     assert rows[0] != rows[1] and rows[2] != grouped_rows(0.5, config, 0, 12, "direct")
+
+
+def test_stream_blocks_reuse_one_generator_as_fresh_ones():
+    # One bit generator serves all of a group's passes.  Each pass must
+    # draw what a generator built for it would, also after a draw that
+    # left part of Philox's four-word buffer unread.
+    theta, seed, first = 0.25, 2**63 + 5, GROUP
+    next_block = _stream_blocks(theta, seed, first)
+    unread = []
+    for count, live, size in [(0, 3, 17), (17, 2, 16), (0, 3, 17)]:
+        fresh = philox(seed, first, count)
+        want = np.random.Generator(fresh).standard_normal((live, size)) + theta
+        unread.append(4 - fresh.state["buffer_pos"])
+        out = np.empty((live, size))
+        assert next_block(count, out) == size
+        assert np.array_equal(out, want)
+    assert unread[0] > 0
 
 
 def test_classify_paths_memory_does_not_grow_with_reps():
