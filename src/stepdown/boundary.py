@@ -15,7 +15,10 @@ and propagated through the Gaussian increment to the next analysis with
 trapezoidal weights.  Every look's grid has one spacing h, the narrowest
 look's span over grid_points - 1, and ends on its threshold node, so the
 transition kernel depends only on the difference of node indices: one
-vector of exponentials per look, applied as a convolution.  No grid holds
+vector of exponentials per look, applied as a convolution.  That
+convolution is one real FFT circular convolution, at least as long as the
+kernel, so that its wrap-around misses every output kept, at the cost of
+about one ulp of 1 per look against direct summation.  No grid holds
 more than _GRID_CAP * grid_points points; a wider look widens h instead.
 The crossing probability is one minus the surviving mass at the final
 analysis.  Grid error shrinks quadratically in h, so doubling the grid
@@ -35,6 +38,7 @@ depend on the other levels calibrated with it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -64,6 +68,17 @@ _SPAN_SD = 8.0  # grid half-width in standard deviations of S_n
 MIN_GRID_POINTS = 8
 MAX_GRID_POINTS = 4096
 _GRID_CAP = 8
+
+# Transform lengths 2^a 3^b 5^c, on which numpy's FFT is fastest, up to
+# 2^17, the next above the longest kernel: two looks of 2 * _GRID_CAP *
+# MAX_GRID_POINTS points.
+_FFT_SIZES = sorted(
+    2**a * 3**b * 5**c
+    for a in range(18)
+    for b in range(11)
+    for c in range(8)
+    if 2**a * 3**b * 5**c <= 2**17
+)
 
 # Largest gap calibrate_levels accepts between a level and the crossing
 # probability its boundary achieves on the doubled grid, absolute and
@@ -192,7 +207,7 @@ def crossing_probability(
 
 
 def _look_grids(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> tuple | None:
-    """The common spacing h and each look's grid on the sum scale.
+    """The common spacing h and each look's top node and point count.
 
     Look j's grid runs from its threshold node (or the span's top) down by
     h to within one step of -_SPAN_SD sd, floor(span_j / h) + 1 points; a
@@ -209,8 +224,7 @@ def _look_grids(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> t
     h = max(min(spans) / (grid_points - 1), max(spans) / (_GRID_CAP * grid_points - 1))
     if min(spans) <= 0.0 or h < math.ulp(_SPAN_SD * sd[-1]):
         return None
-    counts = [math.floor(span / h * (1.0 + 1e-9)) + 1 for span in spans]
-    return h, [top - h * np.arange(m - 1, -1, -1) for top, m in zip(tops, counts)]
+    return h, tops, [math.floor(span / h * (1.0 + 1e-9)) + 1 for span in spans]
 
 
 def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> float:
@@ -219,26 +233,42 @@ def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: i
     grids = _look_grids(analyses, b, grid_points)
     if grids is None:
         return 1.0
-    h, grids = grids
+    h, tops, counts = grids
     n1 = analyses[0]
-    dens = np.exp(-0.5 * grids[0] * grids[0] / n1) / math.sqrt(2.0 * math.pi * n1)
+    x = tops[0] - h * np.arange(counts[0] - 1, -1, -1)
+    dens = np.exp(-0.5 * x * x / n1) / math.sqrt(2.0 * math.pi * n1)
     for j in range(1, len(analyses)):
         dn = analyses[j] - analyses[j - 1]
-        old, new = grids[j - 1], grids[j]
-        # Node differences new[i] - old[k] = (new top - old top)
-        # + (i - k + len(old) - len(new)) * h depend on i - k alone, so the
-        # Gaussian kernel is one vector over the len(old) + len(new) - 1
-        # differences, applied by a "valid" convolution.
-        d = (new[-1] - old[-1]) + h * np.arange(1 - len(new), len(old))
+        old, new = counts[j - 1], counts[j]
+        # Node differences x_j[i] - x_{j-1}[k] = (top_j - top_{j-1})
+        # + (i - k + old - new) * h, for old and new points on the two
+        # looks, depend on i - k alone, so the Gaussian kernel is one
+        # vector over the old + new - 1 differences, applied by a "valid"
+        # convolution.
+        d = (tops[j] - tops[j - 1]) + h * np.arange(1 - new, old)
         kernel = np.exp(-0.5 * d * d / dn) / math.sqrt(2.0 * math.pi * dn)
-        dens = np.convolve(kernel, dens * _trapezoid_weights(len(old), h), "valid")
-    return min(1.0, max(0.0, 1.0 - float(dens @ _trapezoid_weights(len(dens), h))))
+        dens = _valid_convolution(kernel, _trapezoid(dens, h))
+    return min(1.0, max(0.0, 1.0 - float(_trapezoid(dens, h).sum())))
 
 
-def _trapezoid_weights(count: int, h: float) -> np.ndarray:
-    w = np.full(count, h)
-    w[0] = w[-1] = h / 2.0
-    return w
+def _valid_convolution(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    """np.convolve(kernel, signal, "valid") for a kernel at least as long
+    as the signal, by one real FFT circular convolution of at least
+    len(kernel) points: its wrap-around reaches only the outputs below
+    len(signal) - 1, which "valid" drops."""
+    size = _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, len(kernel))]
+    # np.fft is an attribute numpy loads on first access: importing
+    # numpy.fft at module level would load it on every `import stepdown`.
+    spectrum = np.fft.rfft(kernel, size) * np.fft.rfft(signal, size)
+    return np.fft.irfft(spectrum, size)[len(signal) - 1 : len(kernel)]
+
+
+def _trapezoid(dens: np.ndarray, h: float) -> np.ndarray:
+    """Weight a density on a grid of spacing h by the trapezoid rule, in
+    place: h at inner nodes, h / 2 at each end (a one-node grid's once)."""
+    dens *= h
+    dens[:: max(len(dens) - 1, 1)] *= 0.5
+    return dens
 
 
 @dataclass(frozen=True)

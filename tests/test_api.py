@@ -100,8 +100,15 @@ def test_runtime_loads_and_needs_no_scipy(tmp_path, src_env):
 
 def test_import_loads_neither_multiprocessing_nor_statistics(src_env):
     # Each is imported where it is used: multiprocessing by a run with
-    # more than one worker, statistics by normal_quantile.
-    script = "import sys, stepdown\nprint(sorted({'multiprocessing', 'statistics'} & set(sys.modules)))\n"
+    # more than one worker, statistics by normal_quantile, and numpy.fft,
+    # unless numpy itself loads it (numpy before 2.0 does), by the
+    # boundary recursion.
+    script = (
+        "import sys, numpy\n"
+        "lazy = {'numpy.fft'} - set(sys.modules)\n"
+        "import stepdown\n"
+        "print(sorted(({'multiprocessing', 'statistics'} | lazy) & set(sys.modules)))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -17,7 +17,7 @@ from stepdown.boundary import (
     CriticalFunction,
     GridError,
     _look_grids,
-    _trapezoid_weights,
+    _valid_convolution,
     calibrate_levels,
     crossing_probability,
     normal_quantile,
@@ -331,10 +331,16 @@ def test_calibrate_large_levels_give_negative_constants(shape, rho):
     [
         # The starting constant z(rho) / max(g) already crosses for certain.
         ((4, 16), "flat", 1.0 - 1e-12),
-        # A secant step after finite gaps lands where the recursion's
-        # grid error floors the crossing probability at exactly 0: there
-        # a grid step is 0.82 sd of the one-observation increment.
+        # After finite gaps a secant step meets a plateau, where rounding
+        # leaves the gap unchanged, and the solver bisects a bracket whose
+        # top is still the domain's 10: at the midpoint, c = 7.8, the
+        # recursion's grid error floors the crossing probability at
+        # exactly 0, where a grid step is over 0.8 sd of the increment.
+        # Found by a search over flat (n, n + d), n = 100, 150, ..., 1550,
+        # d = 1, 2, 3, at levels 1e-7 to 1e-12: these two meet the 0 under
+        # both the FFT and the direct convolution.
         ((700, 701), "flat", 1e-8),
+        ((1500, 1502), "flat", 1e-8),
     ],
 )
 def test_solver_bisects_past_an_infinite_gap(analyses, shape, rho):
@@ -409,6 +415,17 @@ def test_level_listed_twice_is_calibrated_once(monkeypatch):
     assert sorted(crit.table) == [0.025, 0.05]
 
 
+def _trapezoid_weights(count, h):
+    w = np.full(count, h)
+    w[0] = w[-1] = h / 2.0
+    return w
+
+
+def _grid_nodes(h, tops, counts):
+    # Each look's nodes, from its top node down by h.
+    return [top - h * np.arange(m - 1, -1, -1) for top, m in zip(tops, counts)]
+
+
 def _reference_recursion(analyses, b, grid_points):
     # The whole-matrix propagation on the recursion's grids: each
     # transition fills the full kernel from the explicit node differences
@@ -416,7 +433,7 @@ def _reference_recursion(analyses, b, grid_points):
     grids = _look_grids(analyses, b, grid_points)
     if grids is None:
         return 1.0
-    h, grids = grids
+    h, grids = grids[0], _grid_nodes(*grids)
     n1 = analyses[0]
     dens = np.exp(-0.5 * grids[0] * grids[0] / n1) / math.sqrt(2.0 * math.pi * n1)
     for j in range(1, len(analyses)):
@@ -427,9 +444,10 @@ def _reference_recursion(analyses, b, grid_points):
     return min(1.0, max(0.0, 1.0 - float(dens @ _trapezoid_weights(len(dens), h))))
 
 
-# The convolution and the oracle sum in different orders, and the oracle's
-# differences are rounded from the nodes, so they agree to a few ulps of 1:
-# at most 3.5 in 6,000 random inputs.
+# The FFT convolution and the oracle sum in different orders, and the
+# oracle's differences are rounded from the nodes, so they agree to a few
+# ulps of 1: at most 6.0 in 5,000 random inputs, where the direct
+# convolution came within 5.0.
 _ORACLE_ULPS = 8
 
 
@@ -487,11 +505,12 @@ def test_look_grids_share_one_spacing(inputs):
     if empty:
         assert stepdown.boundary._crossing_recursion(analyses, b, grid_points) == 1.0
         return
-    h, grids = grids
+    h, tops, counts = grids
+    grids = _grid_nodes(h, tops, counts)
     # Each node is top - h * i, rounded once at its own magnitude, so a step
     # can be off by a few float spacings of the largest node, -_SPAN_SD sd.
     atol = 4.0 * np.spacing(_SPAN_SD * sd[-1])
-    counts = [len(grid) for grid in grids]
+    assert counts == [len(grid) for grid in grids]
     assert max(counts) <= _GRID_CAP * grid_points
     assert max(counts) == _GRID_CAP * grid_points or min(counts) == grid_points
     for grid, top, low in zip(grids, tops, -_SPAN_SD * sd):
@@ -514,24 +533,33 @@ def _array_look_grids(analyses, b, grid_points):
     if not (spans > 0.0).all() or h < np.spacing(_SPAN_SD * sd[-1]):
         return None
     counts = np.floor(spans / h * (1.0 + 1e-9)).astype(int) + 1
-    return h, [top - h * np.arange(m - 1, -1, -1) for top, m in zip(tops, counts)]
+    return h, tops, counts
+
+
+def _kernel_recursion(
+    analyses, b, grid_points, look_grids=_look_grids, transition=_valid_convolution
+):
+    # The recursion with its per-look scalars from look_grids and each
+    # "valid" convolution taken by transition.
+    grids = look_grids(analyses, b, grid_points)
+    if grids is None:
+        return 1.0
+    h, tops, counts = grids
+    n1 = analyses[0]
+    x = tops[0] - h * np.arange(counts[0] - 1, -1, -1)
+    dens = np.exp(-0.5 * x * x / n1) / math.sqrt(2.0 * math.pi * n1)
+    for j in range(1, len(analyses)):
+        dn = analyses[j] - analyses[j - 1]
+        old, new = counts[j - 1], counts[j]
+        d = (tops[j] - tops[j - 1]) + h * np.arange(1 - new, old)
+        kernel = np.exp(-0.5 * d * d / dn) / math.sqrt(2.0 * math.pi * dn)
+        dens = transition(kernel, dens * _trapezoid_weights(old, h))
+    return min(1.0, max(0.0, 1.0 - float((dens * _trapezoid_weights(len(dens), h)).sum())))
 
 
 def _array_recursion(analyses, b, grid_points):
     # The recursion on _array_look_grids, step for step.
-    grids = _array_look_grids(analyses, b, grid_points)
-    if grids is None:
-        return 1.0
-    h, grids = grids
-    n1 = analyses[0]
-    dens = np.exp(-0.5 * grids[0] * grids[0] / n1) / math.sqrt(2.0 * math.pi * n1)
-    for j in range(1, len(analyses)):
-        dn = analyses[j] - analyses[j - 1]
-        old, new = grids[j - 1], grids[j]
-        d = (new[-1] - old[-1]) + h * np.arange(1 - len(new), len(old))
-        kernel = np.exp(-0.5 * d * d / dn) / math.sqrt(2.0 * math.pi * dn)
-        dens = np.convolve(kernel, dens * _trapezoid_weights(len(old), h), "valid")
-    return min(1.0, max(0.0, 1.0 - float(dens @ _trapezoid_weights(len(dens), h))))
+    return _kernel_recursion(analyses, b, grid_points, look_grids=_array_look_grids)
 
 
 @st.composite
@@ -558,19 +586,71 @@ def test_plain_float_scalars_match_the_array_arithmetic(inputs):
     assert (grids is None) == (reference is None)
     if grids is not None:
         assert grids[0] == reference[0]
-        assert all(np.array_equal(a, r) for a, r in zip(grids[1], reference[1], strict=True))
+        assert grids[1] == reference[1].tolist()
+        assert grids[2] == reference[2].tolist()
     got = stepdown.boundary._crossing_recursion(analyses, b, grid_points)
     assert got == _array_recursion(analyses, b, grid_points)
 
 
+def _direct_convolution(kernel, weighted):
+    # The form the FFT replaced: len(weighted) multiply-adds per output.
+    return np.convolve(kernel, weighted, "valid")
+
+
+def _transition_gaps(analyses, b, grid_points):
+    # The recursion by direct convolution, with each of its transitions
+    # also taken by the FFT from the same input.  Returns its crossing
+    # probability and, per transition, the trapezoid-weighted L1 distance
+    # between the two outputs, which bounds how far any event's
+    # probability moves there.  The FFT's error is relative to the mass
+    # of the whole convolution, h * sum(kernel) * sum(|input|), so the
+    # distance is taken over that mass where it exceeds 1: on a grid so
+    # coarse that a step spans several sd of the increment, a sampled
+    # kernel's mass reaches 5 ((32, 33) at grid 8, h = 12.9).
+    grids = _look_grids(analyses, b, grid_points)
+    gaps = []
+
+    def both(kernel, weighted):
+        h = grids[0]
+        direct = _direct_convolution(kernel, weighted)
+        fft = _valid_convolution(kernel, weighted)
+        gap = np.abs(fft - direct) @ _trapezoid_weights(len(direct), h)
+        gaps.append(float(gap) / max(1.0, h * float(kernel.sum() * np.abs(weighted).sum())))
+        return direct
+
+    return _kernel_recursion(analyses, b, grid_points, transition=both), gaps
+
+
+_MANY_LOOKS = tuple(range(1, 129))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_recursion_inputs())
+@example((_MANY_LOOKS, np.full(128, 3.0), 512))
+@example((_MANY_LOOKS, 2.0 * shape_multipliers("obrien-fleming", _MANY_LOOKS), 256))
+# The 8x point cap binds on every transition: grids of 32,768 points.
+@example(((1, 10000, 10001, 10002, 10003), np.full(5, 2.2), 4096))
+@example(((3, 4, 5, 6, 7), 4.0 * shape_multipliers("obrien-fleming", (3, 4, 5, 6, 7)), 8))
+@example(((32, 33), np.array([7.971254759233056, 7.84954906632079]), 8))
+def test_fft_transition_matches_the_direct_convolution(inputs):
+    analyses, b, grid_points = inputs
+    direct, gaps = _transition_gaps(analyses, b, grid_points)
+    assert max(gaps, default=0.0) <= _ORACLE_ULPS * 2.0**-52
+    # End to end the transitions' differences add up: at 128 looks the
+    # two forms' crossing probabilities differ by 8 to 15 ulps of 1.
+    if len(analyses) <= 6:
+        got = stepdown.boundary._crossing_recursion(analyses, b, grid_points)
+        assert abs(got - direct) <= _ORACLE_ULPS * 2.0**-52
+
+
 # The recursion's output at grids too large for a whole-kernel oracle in a
-# test run, checked to 1 ulp against the explicit-difference oracle applied
-# 256 rows at a time.  The multivariate normal CDF gives 0.0234732 and
-# 0.0205714.
+# test run, checked against the explicit-difference oracle applied 256 rows
+# at a time: they differ by 1.5, 0.5, 0.5 and 1.0 ulps of 1 (96, 32, 32 and
+# 64 ulps of P).  The multivariate normal CDF gives 0.0234732 and 0.0205714.
 _LARGE_GRID_REFERENCE = [
-    ((26, 29, 35), "flat", 2.2, 4096, 0.023473563778389273),
-    ((26, 29, 35), "flat", 2.2, 8192, 0.02347348383422254),
-    ((20, 31, 44, 60), "obrien-fleming", 2.1, 4096, 0.020577094667839968),
+    ((26, 29, 35), "flat", 2.2, 4096, 0.02347356377838905),
+    ((26, 29, 35), "flat", 2.2, 8192, 0.02347348383422243),
+    ((20, 31, 44, 60), "obrien-fleming", 2.1, 4096, 0.020577094667839635),
     ((20, 31, 44, 60), "obrien-fleming", 2.1, 8192, 0.020577066860347992),
 ]
 
@@ -605,10 +685,10 @@ def test_capped_grids_stay_bounded_and_refine(analyses):
     # check still halves the spacing.
     b = np.full(len(analyses), 2.2)
     assert _peak_traced_bytes(analyses, b) < 16 * 2**20
-    h, grids = _look_grids(analyses, b, MAX_GRID_POINTS)
-    h_fine, fine = _look_grids(analyses, b, 2 * MAX_GRID_POINTS)
-    assert len(grids[-1]) == _GRID_CAP * MAX_GRID_POINTS
-    assert len(fine[-1]) == 2 * _GRID_CAP * MAX_GRID_POINTS
+    h, _, counts = _look_grids(analyses, b, MAX_GRID_POINTS)
+    h_fine, _, fine = _look_grids(analyses, b, 2 * MAX_GRID_POINTS)
+    assert counts[-1] == _GRID_CAP * MAX_GRID_POINTS
+    assert fine[-1] == 2 * _GRID_CAP * MAX_GRID_POINTS
     assert h_fine < h
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from operator import ge, le
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from stepdown.paulson import (
     CHUNK,
     PaulsonConfig,
     PaulsonResult,
+    _ROUTES,
     _stream_blocks,
     classify_by_mean,
     classify_paths,
@@ -487,3 +489,49 @@ def test_classify_paths_rows_do_not_depend_on_later_paths(method):
     assert stops[0] < 64 and stops[-2] > CHUNK
     for reps in (1, GROUP - 1, GROUP, GROUP + 1, GROUP + 37, 2 * GROUP):
         assert grouped_rows(0.0, config, 7, reps, method) == rows[:reps]
+
+
+def _one_sided_statistics(s, m, config):
+    # Each route's one-sided statistic at its one threshold, as Python
+    # floats rounded in the documented order and in a reordering of it,
+    # with the comparison that rejects and its bound, per (route, side).
+    (theta,), half, a = config.thresholds, config.delta / 2.0, config.critical_value
+    return {
+        ("direct", 0): ((s / m - half) - a / m, (s / m - a / m) - half, ge, theta - config.delta),
+        ("direct", 1): ((s / m + half) + a / m, (s / m + a / m) + half, le, theta + config.delta),
+        ("stepdown", 0): (s - m * (theta - half), (s - m * theta) + m * half, ge, a),
+        ("stepdown", 1): (s - m * (theta + half), (s - m * theta) - m * half, le, -a),
+    }
+
+
+def _rounding_ties(config, route, side, count=4):
+    # The first count (s, m) where the two orders of a test's statistic
+    # straddle its bound, searched over m = 1, 2, ... and the 33 floats
+    # around the side's real tie, s = a + m (theta - delta/2) for the
+    # downward test and m (theta + delta/2) - a for the upward one.
+    (theta,), half, a = config.thresholds, config.delta / 2.0, config.critical_value
+    found = []
+    for m in range(1, 1000):
+        tie = a + m * (theta - half) if side == 0 else m * (theta + half) - a
+        for k in range(-16, 17):
+            s = tie + k * math.ulp(tie)
+            doc, alt, rejects, bound = _one_sided_statistics(s, float(m), config)[route, side]
+            if rejects(doc, bound) != rejects(alt, bound):
+                found.append((s, float(m)))
+                if len(found) == count:
+                    return found
+    raise AssertionError(f"{route} side {side}: only {len(found)} rounding ties found")
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_kernels_round_in_the_documented_order(route, side):
+    # The same-bytes claims for the routes rest on each kernel's rounding
+    # order, which moves a decision only at a tie: at ties, each kernel's
+    # flags follow the documented order, not the reordering.
+    config = PaulsonConfig(thresholds=(0.3,), delta=0.2, critical_value=2.7)
+    for s, m in _rounding_ties(config, route, side):
+        doc, alt, rejects, bound = _one_sided_statistics(s, m, config)[route, side]
+        tests = np.empty((2, 1, 1, 1), dtype=bool)
+        _ROUTES[route](np.array([[s]]), np.array([m]), config, tests, np.empty((2, 1, 1)))
+        assert tests[side, 0, 0, 0] == rejects(doc, bound) != rejects(alt, bound)
