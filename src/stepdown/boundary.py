@@ -18,11 +18,16 @@ transition kernel depends only on the difference of node indices: one
 vector of exponentials per look, applied as a convolution.  That
 convolution is one real FFT circular convolution, at least as long as the
 kernel, so that its wrap-around misses every output kept, at the cost of
-about one ulp of 1 per look against direct summation.  No grid holds
-more than _GRID_CAP * grid_points points; a wider look widens h instead.
-The crossing probability is one minus the surviving mass at the final
-analysis.  Grid error shrinks quadratically in h, so doubling the grid
-gives a practical convergence check.
+about one ulp of 1 per look against direct summation; kernel and weighted
+density share one zero-filled buffer, transformed by a single rfft call.
+No grid holds more than _GRID_CAP * grid_points points; a wider look
+widens h instead.  The crossing probability is one minus the surviving
+mass at the final analysis.  Grid error shrinks quadratically in h, so
+doubling the grid gives a practical convergence check.  Boundaries whose
+looks have equal point counts, as a flat boundary's do at constants
+inside the span up to rounding, run as one recursion with a row each;
+numpy computes each row as it would the row alone, so the bits do not
+depend on the other rows.
 
 Each constant c is found on the normal-quantile scale: the root of
 z(P(c * g)) - z(rho), where z(q) is the upper-tail quantile
@@ -32,7 +37,10 @@ search starts at z(rho) / max(g), takes one Newton step with slope max(g)
 and then secant steps, about five recursions per level.  A bracket from
 the signs seen so far keeps it inside [-10, 10]: a step that leaves the
 bracket, or an infinite gap (a recursion that returns exactly 0 or 1),
-bisects instead.  Every level starts afresh, so its constant does not
+bisects instead.  The levels' searches step together: each step
+evaluates every pending constant as a row of one batched recursion, and
+one more call checks every level on the doubled grid.  Each search sees
+the probabilities it would see alone, so a level's constant does not
 depend on the other levels calibrated with it.
 """
 
@@ -42,7 +50,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Generator, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -228,14 +236,43 @@ def _look_grids(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> t
 
 
 def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> float:
+    """The crossing probability of one boundary: one row of _crossing_rows."""
+    return _crossing_rows(analyses, b[np.newaxis], grid_points)[0]
+
+
+def _crossing_rows(
+    analyses: tuple[int, ...], bounds: np.ndarray, grid_points: int
+) -> list[float]:
+    """The crossing probability of each row of a (rows, looks) boundary array.
+
+    Rows whose looks have equal point counts share every array length and
+    transform size, so they run as one recursion with h and the tops as
+    columns; numpy computes each row of it as it would the row alone.  A
+    row with no grid crosses for certain.
+    """
+    probabilities = [1.0] * len(bounds)
+    groups: dict[tuple[int, ...], list] = {}
+    for i, b in enumerate(bounds):
+        grids = _look_grids(analyses, b, grid_points)
+        if grids is not None:
+            h, tops, counts = grids
+            groups.setdefault(tuple(counts), []).append((i, h, tops))
+    for counts, rows in groups.items():
+        indices, hs, tops = zip(*rows)
+        h = np.array(hs)[:, np.newaxis]
+        for i, p in zip(indices, _group_recursion(analyses, h, np.array(tops), counts)):
+            probabilities[i] = p
+    return probabilities
+
+
+def _group_recursion(
+    analyses: tuple[int, ...], h: np.ndarray, tops: np.ndarray, counts: tuple[int, ...]
+) -> list[float]:
     # Survival density of S_n on {walk below the boundary so far},
-    # propagated analysis to analysis on the sum scale.
-    grids = _look_grids(analyses, b, grid_points)
-    if grids is None:
-        return 1.0
-    h, tops, counts = grids
+    # propagated analysis to analysis on the sum scale, one row per
+    # boundary: h is a column, tops has one column per look.
     n1 = analyses[0]
-    x = tops[0] - h * np.arange(counts[0] - 1, -1, -1)
+    x = tops[:, :1] - h * np.arange(counts[0] - 1, -1, -1)
     dens = np.exp(-0.5 * x * x / n1) / math.sqrt(2.0 * math.pi * n1)
     for j in range(1, len(analyses)):
         dn = analyses[j] - analyses[j - 1]
@@ -245,29 +282,40 @@ def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: i
         # looks, depend on i - k alone, so the Gaussian kernel is one
         # vector over the old + new - 1 differences, applied by a "valid"
         # convolution.
-        d = (tops[j] - tops[j - 1]) + h * np.arange(1 - new, old)
-        kernel = np.exp(-0.5 * d * d / dn) / math.sqrt(2.0 * math.pi * dn)
+        kernel = (tops[:, j : j + 1] - tops[:, j - 1 : j]) + h * np.arange(1 - new, old)
+        kernel *= -0.5 * kernel
+        kernel /= dn
+        np.exp(kernel, out=kernel)
+        kernel /= math.sqrt(2.0 * math.pi * dn)
         dens = _valid_convolution(kernel, _trapezoid(dens, h))
-    return min(1.0, max(0.0, 1.0 - float(_trapezoid(dens, h).sum())))
+    mass = _trapezoid(dens, h).sum(axis=-1)
+    return [min(1.0, max(0.0, 1.0 - m)) for m in mass.tolist()]
 
 
 def _valid_convolution(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    """np.convolve(kernel, signal, "valid") for a kernel at least as long
-    as the signal, by one real FFT circular convolution of at least
-    len(kernel) points: its wrap-around reaches only the outputs below
-    len(signal) - 1, which "valid" drops."""
-    size = _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, len(kernel))]
+    """np.convolve(kernel, signal, "valid") along the last axis, for a
+    kernel at least as long as the signal, by one real FFT circular
+    convolution of at least the kernel's length: its wrap-around reaches
+    only the outputs below len(signal) - 1, which "valid" drops.  Kernel
+    and signal are written into one zero-filled (2, ..., size) buffer, so
+    a single rfft call transforms both."""
+    width, length = kernel.shape[-1], signal.shape[-1]
+    size = _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, width)]
+    stacked = np.zeros((2, *kernel.shape[:-1], size))
+    stacked[0, ..., :width] = kernel
+    stacked[1, ..., :length] = signal
     # np.fft is an attribute numpy loads on first access: importing
     # numpy.fft at module level would load it on every `import stepdown`.
-    spectrum = np.fft.rfft(kernel, size) * np.fft.rfft(signal, size)
-    return np.fft.irfft(spectrum, size)[len(signal) - 1 : len(kernel)]
+    spectra = np.fft.rfft(stacked)
+    return np.fft.irfft(spectra[0] * spectra[1], size)[..., length - 1 : width]
 
 
-def _trapezoid(dens: np.ndarray, h: float) -> np.ndarray:
-    """Weight a density on a grid of spacing h by the trapezoid rule, in
-    place: h at inner nodes, h / 2 at each end (a one-node grid's once)."""
+def _trapezoid(dens: np.ndarray, h: float | np.ndarray) -> np.ndarray:
+    """Weight densities on grids of spacing h along the last axis by the
+    trapezoid rule, in place: h at inner nodes, h / 2 at each end (a
+    one-node grid's once)."""
     dens *= h
-    dens[:: max(len(dens) - 1, 1)] *= 0.5
+    dens[..., :: max(dens.shape[-1] - 1, 1)] *= 0.5
     return dens
 
 
@@ -367,12 +415,16 @@ def calibrate_levels(
     levels = _check_levels(dict.fromkeys(float(rho) for rho in levels))
     schedule = SampleSchedule(schedule)
     g = shape_multipliers(shape, schedule)
-    table: dict[float, tuple[float, ...]] = {}
-    constants: dict[float, float] = {}
-    achieved: dict[float, float] = {}
-    for rho in levels:
-        c = _solve_constant(schedule.analyses, g, rho, grid_points)
-        p = achieved[rho] = _crossing_recursion(schedule.analyses, c * g, 2 * grid_points)
+    results = _solve_constants(schedule.analyses, g, levels, grid_points)
+    # Every level's doubled-grid check in one call; then the levels are
+    # checked in input order, so the first to fail raises its own error.
+    found = {rho: c for rho, c in zip(levels, results) if not isinstance(c, CalibrationError)}
+    doubled = np.multiply.outer(list(found.values()), g)
+    achieved = dict(zip(found, _crossing_rows(schedule.analyses, doubled, 2 * grid_points)))
+    for rho, c in zip(levels, results):
+        if isinstance(c, CalibrationError):
+            raise c
+        p = achieved[rho]
         miss = abs(p - rho)
         if miss > CALIBRATION_TOL or miss > CALIBRATION_RTOL * rho:
             raise GridError(
@@ -380,29 +432,44 @@ def calibrate_levels(
                 f"grid, off by {miss:.3g} ({miss / rho:.3g} relative; the limits are "
                 f"{CALIBRATION_TOL:.1g} and {CALIBRATION_RTOL:.1g} relative); increase grid_points"
             )
-        table[rho] = tuple(float(v) for v in c * g)
-        constants[rho] = c
-    return CriticalFunction(schedule, table, constants, achieved)
+    table = {rho: tuple(float(v) for v in c * g) for rho, c in found.items()}
+    return CriticalFunction(schedule, table, found, achieved)
 
 
-def _solve_constant(
-    analyses: tuple[int, ...], g: np.ndarray, rho: float, grid_points: int
-) -> float:
+def _solve_constants(
+    analyses: tuple[int, ...], g: np.ndarray, levels: Sequence[float], grid_points: int
+) -> list[float | CalibrationError]:
+    """Each level's constant, or the CalibrationError its search raised.
+
+    The levels' root searches step together: each step evaluates every
+    pending constant as one row of a single _crossing_rows call.
+    """
+    slope = float(np.max(g))
+    searches = [_solve_constant(slope, rho) for rho in levels]
+    results: list[float | CalibrationError] = [math.nan] * len(levels)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        rows = np.multiply.outer(list(pending.values()), g)
+        for i, p in zip(list(pending), _crossing_rows(analyses, rows, grid_points)):
+            try:
+                pending[i] = searches[i].send(p)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del pending[i]
+            except CalibrationError as error:
+                results[i] = error
+                del pending[i]
+    return results
+
+
+def _solve_constant(slope: float, rho: float) -> Generator[float, float, float]:
+    """The root search for one level's constant c, given slope = max(g).
+
+    Yields each constant to evaluate and is sent the crossing probability
+    of c * g there; returns the root, or raises CalibrationError.
+    """
     lo, hi = -10.0, 10.0
     target = -normal_quantile(rho)
-    slope = float(np.max(g))
-
-    def gap(c: float) -> float:
-        # Upper-tail normal quantile of the crossing probability, minus
-        # rho's: increasing in c, +inf where the recursion returns 0 and
-        # -inf where it returns 1.
-        p = _crossing_recursion(analyses, c * g, grid_points)
-        if p == 0.0:
-            return math.inf
-        if p == 1.0:
-            return -math.inf
-        return -normal_quantile(p) - target
-
     # [a, b] brackets the root by the signs seen so far; a domain end
     # counts as a bracket end before it is evaluated, and is evaluated
     # only when a step would leave the domain there.
@@ -411,7 +478,16 @@ def _solve_constant(
     c = min(hi, max(lo, target / slope))
     last: tuple[float, float] | None = None  # the previous finite (c, gap)
     for _ in range(_MAX_STEPS):
-        f = gap(c)
+        p = yield c
+        # The gap: upper-tail normal quantile of the crossing probability,
+        # minus rho's; increasing in c, +inf where the recursion returns 0
+        # and -inf where it returns 1.
+        if p == 0.0:
+            f = math.inf
+        elif p == 1.0:
+            f = -math.inf
+        else:
+            f = -normal_quantile(p) - target
         if f == 0.0:
             return c
         if f < 0.0:

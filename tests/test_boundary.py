@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -226,7 +227,7 @@ def test_grid_points_checked_before_integration(monkeypatch):
     def no_integration(*args):
         raise AssertionError("the grid size must be checked before integrating")
 
-    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", no_integration)
+    monkeypatch.setattr(stepdown.boundary, "_crossing_rows", no_integration)
     # 512.5 used to reach numpy and fail with a TypeError.
     for bad in (3, 7, 4097, 100_000, 512.5, 512.0):
         with pytest.raises(ValueError, match="grid_points"):
@@ -259,13 +260,13 @@ def test_calibration_evaluates_each_constant_once_per_grid(monkeypatch):
     # The root search never steps back to a constant it has evaluated, and
     # the doubled-grid check evaluates the returned one once.
     calls = []
-    original = stepdown.boundary._crossing_recursion
+    original = stepdown.boundary._crossing_rows
 
-    def recorded(analyses, b, grid_points):
-        calls.append((tuple(b.tolist()), grid_points))
-        return original(analyses, b, grid_points)
+    def recorded(analyses, bounds, grid_points):
+        calls.extend((tuple(b), grid_points) for b in bounds.tolist())
+        return original(analyses, bounds, grid_points)
 
-    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", recorded)
+    monkeypatch.setattr(stepdown.boundary, "_crossing_rows", recorded)
     for rho in (0.05 / 3.0, 0.05 / 2.0, 0.05):
         calls.clear()
         calibrate_levels(SCHED, [rho])
@@ -274,15 +275,24 @@ def test_calibration_evaluates_each_constant_once_per_grid(monkeypatch):
 
 
 def _count_recursions(monkeypatch):
+    # Each row of a _crossing_rows call counts as one recursion.
     grids = []
-    original = stepdown.boundary._crossing_recursion
+    original = stepdown.boundary._crossing_rows
 
-    def counted(analyses, b, grid_points):
-        grids.append(grid_points)
-        return original(analyses, b, grid_points)
+    def counted(analyses, bounds, grid_points):
+        grids.extend([grid_points] * len(bounds))
+        return original(analyses, bounds, grid_points)
 
-    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", counted)
+    monkeypatch.setattr(stepdown.boundary, "_crossing_rows", counted)
     return grids
+
+
+def _solve(analyses, g, rho, grid_points):
+    # One level's root search, driven as calibrate_levels drives it.
+    (c,) = stepdown.boundary._solve_constants(analyses, g, [rho], grid_points)
+    if isinstance(c, CalibrationError):
+        raise c
+    return c
 
 
 def test_calibration_recursion_budget(monkeypatch):
@@ -295,6 +305,21 @@ def test_calibration_recursion_budget(monkeypatch):
     assert grids.count(1024) == 3
 
 
+def test_calibration_steps_the_levels_together(monkeypatch):
+    # table1's three levels settle in four steps each, so their searches
+    # make four calls of three rows on the grid and one on the doubled grid.
+    calls = []
+    original = stepdown.boundary._crossing_rows
+
+    def recorded(analyses, bounds, grid_points):
+        calls.append((grid_points, len(bounds)))
+        return original(analyses, bounds, grid_points)
+
+    monkeypatch.setattr(stepdown.boundary, "_crossing_rows", recorded)
+    calibrate_levels(SCHED, [0.05 / 3.0, 0.05 / 2.0, 0.05])
+    assert calls == [(512, 3)] * 4 + [(1024, 3)]
+
+
 def test_solver_stops_on_a_step_that_does_not_move(monkeypatch):
     # At (23, 33, 46) O'Brien-Fleming the converged secant step rounds back
     # onto c, a bracket end; clamping it bisected [c, 10] from scratch,
@@ -302,19 +327,44 @@ def test_solver_stops_on_a_step_that_does_not_move(monkeypatch):
     grids = _count_recursions(monkeypatch)
     analyses = (23, 33, 46)
     g = shape_multipliers("obrien-fleming", analyses)
-    c = stepdown.boundary._solve_constant(analyses, g, 0.025, 512)
+    c = _solve(analyses, g, 0.025, 512)
     assert len(grids) <= 8
     p = stepdown.boundary._crossing_recursion(analyses, c * g, 512)
     assert -normal_quantile(p) == pytest.approx(-normal_quantile(0.025), abs=1e-9)
 
 
 def test_level_does_not_depend_on_the_other_levels():
-    for others in ([0.05], [0.05, 0.025], [0.9, 0.001]):
+    # The searches step together, so a level shares its calls with others;
+    # [0.9, 0.05, 1e-6] take different numbers of steps.
+    cases = ([0.05], [0.05, 0.025], [0.9, 0.001], [0.9, 0.05, 1e-6])
+    for grid_points, others in itertools.product([512, 768], cases):
         for shape in stepdown.boundary.SHAPES:
-            alone = calibrate_levels(SCHED, [0.05 / 3.0], shape)
-            together = calibrate_levels(SCHED, others + [0.05 / 3.0], shape)
+            alone = calibrate_levels(SCHED, [0.05 / 3.0], shape, grid_points=grid_points)
+            together = calibrate_levels(
+                SCHED, others + [0.05 / 3.0], shape, grid_points=grid_points
+            )
+            for rho in others:
+                on_its_own = calibrate_levels(SCHED, [rho], shape, grid_points=grid_points)
+                assert together.constants[rho] == on_its_own.constants[rho]
+                assert together.achieved[rho] == on_its_own.achieved[rho]
             assert together.table[0.05 / 3.0] == alone.table[0.05 / 3.0]
             assert together.constants[0.05 / 3.0] == alone.constants[0.05 / 3.0]
+            assert together.achieved[0.05 / 3.0] == alone.achieved[0.05 / 3.0]
+
+
+@pytest.mark.parametrize(
+    "levels, error, message",
+    [
+        # 1e-9 comes first, so its doubled-grid check's error is the one raised.
+        ([1e-9, 1e-30], GridError, r"level 1e-09 achieves 8\.9858e-10 on a doubled grid"),
+        ([1e-30, 1e-9], CalibrationError, r"\[-10, 10\] calibrates level 1e-30"),
+    ],
+)
+def test_first_failing_level_in_input_order_raises(levels, error, message):
+    # Each level's search runs to its end, and the levels are then checked
+    # in the order given, as when they were calibrated one after another.
+    with pytest.raises(error, match=message):
+        calibrate_levels(SCHED, levels, grid_points=64)
 
 
 @pytest.mark.parametrize("shape", stepdown.boundary.SHAPES)
@@ -348,18 +398,19 @@ def test_solver_bisects_past_an_infinite_gap(analyses, shape, rho):
     # which would hand the recursion a NaN boundary.
     g = shape_multipliers(shape, analyses)
     seen = []
-    original = stepdown.boundary._crossing_recursion
+    original = stepdown.boundary._crossing_rows
 
-    def recorded(analyses, b, grid_points):
-        assert np.isfinite(b).all()
-        seen.append(original(analyses, b, grid_points))
-        return seen[-1]
+    def recorded(analyses, bounds, grid_points):
+        assert np.isfinite(bounds).all()
+        probabilities = original(analyses, bounds, grid_points)
+        seen.extend(probabilities)
+        return probabilities
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stepdown.boundary, "_crossing_recursion", recorded)
-        c = stepdown.boundary._solve_constant(analyses, g, rho, 512)
+        mp.setattr(stepdown.boundary, "_crossing_rows", recorded)
+        c = _solve(analyses, g, rho, 512)
     assert {0.0, 1.0} & set(seen)
-    z = -normal_quantile(original(analyses, c * g, 512))
+    z = -normal_quantile(stepdown.boundary._crossing_recursion(analyses, c * g, 512))
     assert z == pytest.approx(-normal_quantile(rho), abs=1e-6)
 
 
@@ -384,7 +435,7 @@ def test_solver_matches_brentq(inputs):
         lambda c: stepdown.boundary._crossing_recursion(analyses, c * g, grid_points) - rho,
         -10.0, 10.0, xtol=1e-10, rtol=1e-12,
     )
-    got = stepdown.boundary._solve_constant(analyses, g, rho, grid_points)
+    got = _solve(analyses, g, rho, grid_points)
     assert abs(got - expected) <= 3e-10
 
 
@@ -393,7 +444,7 @@ def _no_integration(*args):
 
 
 def test_levels_checked_before_integration(monkeypatch):
-    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", _no_integration)
+    monkeypatch.setattr(stepdown.boundary, "_crossing_rows", _no_integration)
     with pytest.raises(ValueError, match="between 0 and 1, got 2.0"):
         calibrate_levels(SCHED, [0.05, 2.0])
     twin = 0.05 * (1.0 + 1e-13)
@@ -405,9 +456,9 @@ def test_level_listed_twice_is_calibrated_once(monkeypatch):
     calls = []
     original = stepdown.boundary._solve_constant
 
-    def counted(analyses, g, rho, grid_points):
+    def counted(slope, rho):
         calls.append(rho)
-        return original(analyses, g, rho, grid_points)
+        return original(slope, rho)
 
     monkeypatch.setattr(stepdown.boundary, "_solve_constant", counted)
     crit = calibrate_levels(SCHED, [0.05, 0.025, 0.05])
@@ -592,6 +643,41 @@ def test_plain_float_scalars_match_the_array_arithmetic(inputs):
     assert got == _array_recursion(analyses, b, grid_points)
 
 
+@st.composite
+def _stacked_inputs(draw):
+    # A stack of boundaries on one schedule: two flat rows inside the span,
+    # whose looks have equal point counts, an O'Brien-Fleming row, a row at
+    # or below -_SPAN_SD with no grid, a row with one infinite entry, and
+    # rows of any constant and shape, in any order.
+    analyses, _, grid_points = draw(_recursion_inputs(max_grid=600))
+    flat = shape_multipliers("flat", analyses)
+    inside = st.floats(-7.5, 7.5)
+    rows = [draw(inside) * flat, draw(inside) * flat]
+    rows.append(draw(inside) * shape_multipliers("obrien-fleming", analyses))
+    rows.append(draw(st.floats(-12.0, -_SPAN_SD)) * flat)
+    infinite = draw(inside) * flat
+    infinite[draw(st.integers(0, len(analyses) - 1))] = draw(st.sampled_from([math.inf, -math.inf]))
+    rows.append(infinite)
+    for _ in range(draw(st.integers(0, 3))):
+        shape = draw(st.sampled_from(stepdown.boundary.SHAPES))
+        rows.append(draw(_constants) * shape_multipliers(shape, analyses))
+    return analyses, np.array(draw(st.permutations(rows))), grid_points
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacked_inputs())
+def test_stacked_rows_match_each_row_alone(inputs):
+    # Rows with equal point counts run as one recursion; each row's value
+    # is the same bits as its own recursion's, the package's and the
+    # test-side one-row form alike.
+    analyses, bounds, grid_points = inputs
+    got = stepdown.boundary._crossing_rows(analyses, bounds, grid_points)
+    assert got == [
+        stepdown.boundary._crossing_recursion(analyses, b, grid_points) for b in bounds
+    ]
+    assert got == [_kernel_recursion(analyses, b, grid_points) for b in bounds]
+
+
 def _direct_convolution(kernel, weighted):
     # The form the FFT replaced: len(weighted) multiply-adds per output.
     return np.convolve(kernel, weighted, "valid")
@@ -706,7 +792,7 @@ def test_crossing_does_not_increase_in_small_steps_of_the_constant(inputs):
     # and P(c) rose and fell by 4e-13 over 1e-10 steps of c, more than a
     # step's fall at these levels.
     analyses, g, rho, grid_points = inputs
-    root = stepdown.boundary._solve_constant(analyses, g, rho, grid_points)
+    root = _solve(analyses, g, rho, grid_points)
     ps = [
         stepdown.boundary._crossing_recursion(analyses, (root + k * 1e-10) * g, grid_points)
         for k in range(-5, 6)

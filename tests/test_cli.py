@@ -485,7 +485,7 @@ def test_boundary_checks_every_level_first(tmp_path, capsys, monkeypatch, rho, m
     def no_integration(*args):
         raise AssertionError("every level must be checked before integrating")
 
-    monkeypatch.setattr(stepdown.boundary, "_crossing_recursion", no_integration)
+    monkeypatch.setattr(stepdown.boundary, "_crossing_rows", no_integration)
     out = tmp_path / "b.csv"
     code = main(["boundary", "--schedule", "26,29,35", "--rho", rho, "--out", str(out)])
     assert code == 2
