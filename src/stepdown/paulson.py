@@ -30,17 +30,20 @@ of every one-sided test at every observation into a flag array it is
 handed, and both routes carry the same state per row: the running sum,
 and whether each test has rejected yet.  Blocks end at observations 16,
 32, 64, 128 and CHUNK = 256, then every CHUNK, so a path that stops
-early draws little.  ``classify_paths`` runs the kernel on a group of
-``GROUP_OBSERVATIONS // CHUNK`` simulated paths per pass, dealing each
-pass's normals to the group's live paths from one keyed Philox draw, and
-drops each path as soon as it stops; ``run_paulson_direct`` and
+early draws little.  ``classify_paths`` deals its simulated paths in
+groups of ``GROUP_OBSERVATIONS // CHUNK``, each group's block from one
+keyed Philox draw, and decides a wave of ``WAVE`` groups side by side:
+at each block the wave's live paths are cut, at group boundaries, into
+runs that fill the pass buffers, and each run is one kernel pass.  A
+path is dropped as soon as it stops.  ``run_paulson_direct`` and
 ``paulson_via_stepdown`` are its one-path views, reading one path given
 as a 1-D array.  Each call makes its block, work and flag buffers once,
-sized for its widest group and block, and every pass of every group
-draws, sums and tests inside views of them, so a pass allocates nothing
-of the block's size.  Either way S_n is the paper's sequential sum
-S_{n-1} + x_n, one observation at a time, so a path gets the same
-floats, and the same decision, alone or in a group.
+sized for one group's widest block, and every pass draws, sums and
+tests inside views of them, so a pass allocates nothing of the block's
+size.  Either way S_n is the paper's sequential sum S_{n-1} + x_n, one
+observation at a time, and every step acts on each row alone, so a path
+gets the same floats, and the same decision, alone, in its group or
+beside other groups.
 """
 
 from __future__ import annotations
@@ -67,8 +70,12 @@ __all__ = [
 ]
 
 CHUNK = 256  # observations processed per vectorized block
-# Observations classify_paths decides per pass: 128 paths of one CHUNK.
+# Observations in a classify_paths pass buffer, and in a group's widest
+# block: 128 paths of one CHUNK.
 GROUP_OBSERVATIONS = 2**15
+# Groups classify_paths decides side by side, as one wave.  Each wave
+# holds its paths' running state, so this bounds a call's memory.
+WAVE = 8
 
 
 @dataclass(frozen=True)
@@ -151,35 +158,41 @@ def _fit_times(first: np.ndarray) -> np.ndarray:
     # t first rejected, -1 for before the block.  Interval i fits once
     # the downward tests below it and the upward tests above it have all
     # rejected; returns that observation per interval, shape (k, paths).
+    # Given whether each test is still unrejected instead, it returns
+    # whether each interval is still blocked.
     low = np.maximum.accumulate(first[0], axis=0)
     up = np.maximum.accumulate(first[1][::-1], axis=0)[::-1]
     return np.concatenate([up[:1], np.maximum(low[:-1], up[1:]), low[-1:]])
 
 
 # Each route is a kernel.  kernel(s, m, config, tests, work) reads one
-# block for a group of paths, where s[r, j] and m[j] are path r's running
-# sum and observation count at the block's j-th observation, and writes
-# the downward and the upward outcome of every threshold's test at each
-# of them into tests, shape (2, k - 1, paths, observations); work holds
-# two float arrays of s's shape for its intermediates.  A test has
-# rejected by observation n once its outcome held at some m <= n, so both
-# routes carry only a flag per test: u_n >= c exactly when S_m/m -
-# delta/2 - A/m >= c for some m <= n, and v_n <= c likewise.
+# block of paths, where s[r, j] and m[j] are path r's running sum and
+# observation count at the block's j-th observation, and writes the
+# downward and the upward outcome of every threshold's test at each of
+# them into tests, shape (2, k - 1, paths, observations); work holds
+# three float arrays of s's shape for its intermediates.  A kernel copies
+# each per-observation term into a work array of s's shape before
+# combining it with s: broadcast from one row, numpy would instead copy
+# it into a buffer of its own, up to 64 kB a call.  A test has rejected
+# by observation n once its outcome held at some m <= n, so both routes
+# carry only a flag per test: u_n >= c exactly when S_m/m - delta/2 - A/m
+# >= c for some m <= n, and v_n <= c likewise.
 
 
 def _direct_kernel(
     s: np.ndarray, m: np.ndarray, config: PaulsonConfig, tests: np.ndarray, work: np.ndarray
 ) -> None:
-    u, v = work
+    u, v, spread = work
     half = config.delta / 2.0
-    margin = config.critical_value / m
     # u = (S_m/m - delta/2) - A/m and v = (S_m/m + delta/2) + A/m, rounded
     # in this order: a decision at a rounding tie depends on it.
-    np.divide(s, m, out=u)
+    np.copyto(spread, m)
+    np.divide(s, spread, out=u)
     np.add(u, half, out=v)
-    v += margin
+    np.copyto(spread, config.critical_value / m)
+    v += spread
     u -= half
-    u -= margin
+    u -= spread
     # Held at some m <= n: u_n >= theta_t - delta, and v_n <= theta_t + delta.
     for t, theta in enumerate(config.thresholds):
         np.greater_equal(u, theta - config.delta, out=tests[0, t])
@@ -189,13 +202,15 @@ def _direct_kernel(
 def _stepdown_kernel(
     s: np.ndarray, m: np.ndarray, config: PaulsonConfig, tests: np.ndarray, work: np.ndarray
 ) -> None:
-    stat = work[0]
+    stat, spread = work[:2]
     half = config.delta / 2.0
     a = config.critical_value
     for t, theta in enumerate(config.thresholds):
-        np.subtract(s, m * (theta - half), out=stat)
+        np.copyto(spread, m * (theta - half))
+        np.subtract(s, spread, out=stat)
         np.greater_equal(stat, a, out=tests[0, t])
-        np.subtract(s, m * (theta + half), out=stat)
+        np.copyto(spread, m * (theta + half))
+        np.subtract(s, spread, out=stat)
         np.less_equal(stat, -a, out=tests[1, t])
 
 
@@ -203,49 +218,116 @@ _ROUTES = {"direct": _direct_kernel, "stepdown": _stepdown_kernel}
 
 
 def _buffers(paths: int, config: PaulsonConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pass buffers for groups of up to ``paths`` paths: three float
-    rows (the block, then the kernel's two work arrays) and the test
+    """Pass buffers for groups of up to ``paths`` paths: four float
+    rows (the block, then the kernel's three work arrays) and the test
     outcomes, each flat so that a pass views its leading entries as one
     C-contiguous array of the pass's shape."""
     cells = paths * min(CHUNK, config.horizon)
-    return np.empty((3, cells)), np.empty(2 * len(config.thresholds) * cells, dtype=bool)
+    return np.empty((4, cells)), np.empty(2 * len(config.thresholds) * cells, dtype=bool)
+
+
+def _runs(live: np.ndarray, group: int, paths: int, rows: int) -> list[list[tuple[int, int, int]]]:
+    # Cuts a wave's live paths (ascending indices below ``paths``) at
+    # group boundaries into runs of at most ``rows`` of them: each run
+    # takes groups in index order until the next would not fit.  A run
+    # lists (first path, first row, end row) for each of its groups that
+    # has live paths, rows counted in ``live``.
+    ends = np.searchsorted(live, range(group, paths + group, group)).tolist()
+    runs, begin = [], 0
+    for start, end in zip(range(0, paths, group), ends):
+        if end > begin:
+            if not runs or end - runs[-1][0][1] > rows:
+                runs.append([])
+            runs[-1].append((start, begin, end))
+            begin = end
+    return runs
 
 
 def _decide(
     method: str,
-    paths: int,
-    next_block: Callable[[int, np.ndarray], int],
+    group: int,
+    next_block: Callable[[int, int, np.ndarray], int],
     config: PaulsonConfig,
     buffers: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decide a group of paths by one route, one block of observations
-    per pass, dropping each path once it stops.
+    results: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Decide a wave of paths by one route, its groups of ``group``
+    paths side by side, one block of observations per count, dropping
+    each path once it stops.
 
-    ``next_block(count, out)`` writes the next observations of the live
-    paths, each ``count`` observations in, into ``out`` (shape ``(live,
-    size)``), row i for the i-th live path, and returns how many columns
-    it filled; fewer (or none) mean the paths ran out.  A block is
-    ``min(max(count, 16), CHUNK, horizon - count)`` observations: 16, 16,
-    32, 64 and 128 fill the first CHUNK, whole CHUNKs follow.  Every pass
-    runs inside ``buffers`` (from ``_buffers`` for at least ``paths``
-    paths), which the caller may share between groups.  Row r's running
-    sum S_n is ``total[r]`` plus the block's observations added one at a
-    time, the paper's sequential sum.  Returns the per-path decision,
-    stopping time and fallback flag.
+    A block is ``min(max(count, 16), CHUNK, horizon - count)``
+    observations: 16, 16, 32, 64 and 128 fill the first CHUNK, whole
+    CHUNKs follow.  At each count the live paths are cut into runs of
+    whole groups that fill ``buffers`` (``_runs``; the buffers come from
+    ``_buffers`` for at least one group, and the caller may share them
+    between waves), and each run is one pass.  In it, ``next_block(first,
+    count, out)`` writes the next observations of the live paths of the
+    group whose first path is ``first``, each ``count`` observations in,
+    into ``out``, that group's rows of the block (shape ``(live, size)``),
+    row i for its i-th live path, and returns how many columns it filled;
+    fewer (or none) mean the paths ran out, and every group of a wave
+    fills as many.  One cumsum, one kernel call and one round of stop
+    bookkeeping then cover the run's rows.  Row r's running sum S_n is
+    ``total[r]`` plus the block's observations added one at a time, the
+    paper's sequential sum, and every step acts on each row alone, so a
+    path's floats do not depend on the rows beside it.  ``results`` are
+    the wave's decision, stopping time and fallback arrays, written in
+    place.
     """
     kernel = _ROUTES[method]
     floats, flags = buffers
-    decision = np.empty(paths, dtype=np.int64)
-    stop_n = np.empty(paths, dtype=np.int64)
-    fallback = np.empty(paths, dtype=bool)
+    decision, stop_n, fallback = results
+    paths = decision.size
     live = np.arange(paths)
     total = np.zeros(paths)
     rejected = np.zeros((2, len(config.thresholds), paths), dtype=bool)
     count = 0
     while live.size:
         size = min(max(count, 16), CHUNK, config.horizon - count)
-        block = floats[0, : live.size * size].reshape(live.size, size)
-        width = next_block(count, block) if size else 0
+        runs = _runs(live, group, paths, floats.shape[1] // size) if size else []
+        m = count + np.arange(1, size + 1, dtype=float)
+        keep = np.empty(live.size, dtype=bool)
+        width = 0
+        for run in runs:
+            begin, end = run[0][1], run[-1][2]
+            block = floats[0, : (end - begin) * size].reshape(end - begin, size)
+            for start, lo, hi in run:
+                width = next_block(start, count, block[lo - begin : hi - begin])
+            if not width:
+                break
+            # The cumsum goes on from the running sum, in place.
+            s = block[:, :width]
+            s[:, 0] += total[begin:end]
+            np.cumsum(s, axis=1, out=s)
+            done = rejected[:, :, begin:end]
+            tests = flags[: done.size * width].reshape(done.shape + (width,))
+            kernel(s, m[:width], config, tests, floats[1:, : s.size].reshape(3, end - begin, width))
+            # A test has rejected by the block's end if it had before it
+            # or does in it, and a path stops in the block exactly when
+            # some interval fits at its end.
+            hit = tests.any(axis=3)
+            hit |= done
+            _fit_times(~hit).all(axis=0, out=keep[begin:end])
+            stops = np.flatnonzero(~keep[begin:end])
+            # Only a stopping row needs where each test first rejected:
+            # -1 if before the block, width if not yet.  It stops at its
+            # first observation where some interval fits, and falls back
+            # to S_n/n if several fit there.  The rows are taken a group
+            # at a time, so these arrays stay the size of one group's.
+            for part in range(0, stops.size, group):
+                rows = stops[part : part + group]
+                found = np.where(hit.take(rows, 2), tests.take(rows, 2).argmax(axis=3), width)
+                fits = _fit_times(np.where(done.take(rows, 2), -1, found))
+                t = fits.min(axis=0)
+                chosen = fits == t
+                tie = chosen.sum(axis=0) != 1
+                by_mean = classify_by_mean(s[rows, t] / m[t], config.thresholds)
+                index = live[begin:end][rows]
+                decision[index] = np.where(tie, by_mean, chosen.argmax(axis=0))
+                stop_n[index] = count + 1 + t
+                fallback[index] = tie
+            done[...] = hit
+            total[begin:end] = s[:, -1]
         if not width:
             if count == 0:
                 raise ValueError("no observations supplied")
@@ -253,34 +335,8 @@ def _decide(
             stop_n[live] = count
             fallback[live] = True
             break
-        # The cumsum goes on from the running sum, in place.
-        s = block[:, :width]
-        s[:, 0] += total
-        np.cumsum(s, axis=1, out=s)
-        m = count + np.arange(1, width + 1, dtype=float)
-        tests = flags[: rejected.size * width].reshape(rejected.shape + (width,))
-        kernel(s, m, config, tests, floats[1:, : s.size].reshape(2, live.size, width))
-        # Where each test first rejects: -1 if it had before this block,
-        # width if it has not yet.
-        first = np.where(rejected, -1, np.where(tests.any(axis=3), tests.argmax(axis=3), width))
-        fits = _fit_times(first)
-        when = fits.min(axis=0)
-        stopped = when < width
-        if stopped.any():
-            # A path stops at its first observation where some interval
-            # fits; several intervals fitting there fall back to S_n/n.
-            rows = np.flatnonzero(stopped)
-            t = when[rows]
-            chosen = fits[:, rows] == t
-            tie = chosen.sum(axis=0) != 1
-            by_mean = classify_by_mean(s[rows, t] / m[t], config.thresholds)
-            decision[live[rows]] = np.where(tie, by_mean, chosen.argmax(axis=0))
-            stop_n[live[rows]] = count + 1 + t
-            fallback[live[rows]] = tie
-        keep = ~stopped
-        live, rejected, total = live[keep], first[:, :, keep] < width, s[keep, -1]
+        live, rejected, total = live[keep], rejected.compress(keep, 2), total[keep]
         count += width
-    return decision, stop_n, fallback
 
 
 def _one_path(method: str, observations: np.ndarray, config: PaulsonConfig) -> PaulsonResult:
@@ -292,12 +348,14 @@ def _one_path(method: str, observations: np.ndarray, config: PaulsonConfig) -> P
         raise ValueError("observations must be finite")
 
     # Copies the slice, so the caller's array is never written.
-    def next_block(count: int, out: np.ndarray) -> int:
+    def next_block(_first: int, count: int, out: np.ndarray) -> int:
         got = path[count : count + out.shape[1]]
         out[0, : got.size] = got
         return got.size
 
-    decision, stop_n, fallback = _decide(method, 1, next_block, config, _buffers(1, config))
+    results = (np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64), np.empty(1, dtype=bool))
+    _decide(method, 1, next_block, config, _buffers(1, config), results)
+    decision, stop_n, fallback = results
     return PaulsonResult(int(decision[0]), int(stop_n[0]), bool(fallback[0]))
 
 
@@ -309,7 +367,7 @@ def run_paulson_direct(observations: np.ndarray, config: PaulsonConfig) -> Pauls
     time (u_n, v_n) fits inside a widened target interval.  If several
     targets fit at that moment, or the horizon runs out, the decision
     falls back to the interval containing S_n/n.  This is the one-path
-    view of the kernel ``classify_paths`` runs over a group of paths.
+    view of the kernel ``classify_paths`` runs over many paths at once.
 
     Args:
         observations: The path, a 1-D array; only its first ``horizon``
@@ -337,8 +395,8 @@ def paulson_via_stepdown(observations: np.ndarray, config: PaulsonConfig) -> Pau
     every downward test below it and every upward test above it
     rejected.  A pattern admitting several intervals at that moment, or
     an exhausted horizon, falls back to the S_n/n classification.  This
-    is the one-path view of the kernel ``classify_paths`` runs over a
-    group of paths.
+    is the one-path view of the kernel ``classify_paths`` runs over many
+    paths at once.
 
     Args:
         observations: The path, a 1-D array, as for run_paulson_direct.
@@ -351,17 +409,20 @@ def paulson_via_stepdown(observations: np.ndarray, config: PaulsonConfig) -> Pau
     return _one_path("stepdown", observations, config)
 
 
-def _stream_blocks(theta: float, seed: int, first: int) -> Callable[[int, np.ndarray], int]:
-    # The pass at observation count c is one draw from the Philox stream
-    # keyed [seed, first] at counter [0, c, 0, 0]; row i is the next
-    # block of the group's i-th live path.  One bit generator serves every
-    # pass: restoring its fresh state with the pass's counter word also
+def _stream_blocks(theta: float, seed: int, first: int) -> Callable[[int, int, np.ndarray], int]:
+    # Deals the wave whose first path is ``first``: the group whose first
+    # path is first + start draws its block at observation count c from
+    # the Philox stream keyed [seed, first + start] at counter [0, c, 0,
+    # 0]; row i is the next block of the group's i-th live path.  One bit
+    # generator serves every group and count: restoring its fresh state
+    # with the group's key word and the count's counter word also
     # discards the words the last draw left in its four-word buffer.
     bits = philox(seed, first)
     draw = np.random.Generator(bits).standard_normal
     state = bits.state
 
-    def next_block(count: int, out: np.ndarray) -> int:
+    def next_block(start: int, count: int, out: np.ndarray) -> int:
+        state["state"]["key"][1] = first + start
         state["state"]["counter"][1] = count
         bits.state = state
         draw(out=out)
@@ -376,21 +437,25 @@ def classify_paths(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify ``reps`` simulated paths with true mean ``theta``.
 
-    Paths are decided by the route ``method`` ("direct" or "stepdown")
-    in groups of ``GROUP_OBSERVATIONS // CHUNK``, one block of each live
-    path's next observations per pass (16 to CHUNK of them, as
-    ``_decide`` cuts them), so memory does not grow with ``reps``.  The
-    group whose first path is ``first`` deals the pass that starts at
-    observation count c: it draws ``standard_normal((live, size))`` from
+    Paths are decided by the route ``method`` ("direct" or "stepdown"),
+    one block of each live path's next observations at a time (16 to
+    CHUNK of them, as ``_decide`` cuts them).  The paths are dealt in
+    groups of ``GROUP_OBSERVATIONS // CHUNK``: the group whose first
+    path is ``first`` deals the block that starts at observation count c
+    by drawing ``standard_normal((live, size))`` from
     ``Generator(philox(seed, first, c))``, the Philox stream keyed
-    ``[seed, first]`` at counter ``[0, c, 0, 0]``, adds ``theta``, and
-    hands row i to its i-th live path by index.  So a path's
+    ``[seed, first]`` at counter ``[0, c, 0, 0]``, adding ``theta``, and
+    handing row i to its i-th live path by index.  So a path's
     observations depend only on the seed, its index, ``theta``, the rule
     and the lower-indexed paths of its group, and the rows for ``reps``
-    paths begin with the rows for fewer.  Each path's S_n is summed one
-    observation at a time, as the paper writes it, so row r is what
-    ``run_paulson_direct`` or ``paulson_via_stepdown`` returns on path
-    r's observations.
+    paths begin with the rows for fewer.  A wave of ``WAVE`` groups is
+    decided side by side: at each count its groups' draws fill one
+    block, in runs of whole groups that fit the call's buffers (one
+    group's widest block), and one cumsum and one kernel call cover each
+    run.  Memory grows with one wave and the results, not with ``reps``.
+    Each path's S_n is summed one observation at a time, as the paper
+    writes it, so row r is what ``run_paulson_direct`` or
+    ``paulson_via_stepdown`` returns on path r's observations.
 
     Returns:
         ``(decision, stop_n, fallback_used)``, one entry per path.
@@ -403,14 +468,13 @@ def classify_paths(
     check_integer(reps, "reps", 1)
     group = GROUP_OBSERVATIONS // CHUNK
     buffers = _buffers(min(group, reps), config)
-    # Each group's rows go straight into the results, so the buffers and
-    # one copy of the results are all a call holds.
+    # Each wave's rows go straight into the results, so the buffers, one
+    # wave's running state and one copy of the results are all a call
+    # holds.
     results = (
         np.empty(reps, dtype=np.int64), np.empty(reps, dtype=np.int64), np.empty(reps, dtype=bool)
     )
-    for first in range(0, reps, group):
-        paths = min(group, reps - first)
-        rows = _decide(method, paths, _stream_blocks(theta, seed, first), config, buffers)
-        for column, part in zip(results, rows):
-            column[first : first + paths] = part
+    for first in range(0, reps, WAVE * group):
+        rows = tuple(column[first : first + WAVE * group] for column in results)
+        _decide(method, group, _stream_blocks(theta, seed, first), config, buffers, rows)
     return results

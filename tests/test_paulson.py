@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stepdown import paulson
 from stepdown.paulson import (
     CHUNK,
+    WAVE,
     PaulsonConfig,
     PaulsonResult,
     _ROUTES,
@@ -441,18 +443,19 @@ def test_classify_paths_keys_seeds_above_two_to_the_63_apart():
 
 
 def test_stream_blocks_reuse_one_generator_as_fresh_ones():
-    # One bit generator serves all of a group's passes.  Each pass must
-    # draw what a generator built for it would, also after a draw that
-    # left part of Philox's four-word buffer unread.
+    # One bit generator serves all of a wave's groups and passes.  Each
+    # pass must draw what a generator built for its group and count
+    # would, also after a draw that left part of Philox's four-word
+    # buffer unread, and after a pass of another group.
     theta, seed, first = 0.25, 2**63 + 5, GROUP
     next_block = _stream_blocks(theta, seed, first)
     unread = []
-    for count, live, size in [(0, 3, 17), (17, 2, 16), (0, 3, 17)]:
-        fresh = philox(seed, first, count)
+    for start, count, live, size in [(0, 0, 3, 17), (GROUP, 17, 2, 16), (0, 0, 3, 17)]:
+        fresh = philox(seed, first + start, count)
         want = np.random.Generator(fresh).standard_normal((live, size)) + theta
         unread.append(4 - fresh.state["buffer_pos"])
         out = np.empty((live, size))
-        assert next_block(count, out) == size
+        assert next_block(start, count, out) == size
         assert np.array_equal(out, want)
     assert unread[0] > 0
 
@@ -489,6 +492,90 @@ def test_classify_paths_rows_do_not_depend_on_later_paths(method):
     assert stops[0] < 64 and stops[-2] > CHUNK
     for reps in (1, GROUP - 1, GROUP, GROUP + 1, GROUP + 37, 2 * GROUP):
         assert grouped_rows(0.0, config, 7, reps, method) == rows[:reps]
+
+
+@pytest.mark.parametrize("horizon", [100, 4 * CHUNK])
+@pytest.mark.parametrize("method", sorted(ROUTES))
+def test_classify_paths_matches_the_replay_across_wave_boundaries(method, horizon):
+    # classify_paths decides a wave of groups side by side and the
+    # replay one group at a time, so its rows for n paths are the first
+    # n of its rows for more.  Horizon 100 ends inside the block from 64
+    # to 128, and some paths run out there.
+    config = PaulsonConfig((0.0, 1.0), 0.1, 8.0, horizon=horizon)
+    wave = WAVE * GROUP
+    want = replay_rows(0.05, config, 7, 2 * wave + 5)
+    assert max(n for _d, n, _f in want) > 64
+    assert (horizon == 100) == any(f and n == horizon for _d, n, f in want)
+    for reps in (wave - 1, wave, wave + 1, 2 * wave + 5):
+        assert grouped_rows(0.05, config, 7, reps, method) == want[:reps]
+
+
+def _block_counts(horizon):
+    # The observation counts at which blocks start, as _decide cuts them.
+    counts = [0]
+    while counts[-1] < horizon:
+        count = counts[-1]
+        counts.append(count + min(max(count, 16), CHUNK, horizon - count))
+    return counts[:-1]
+
+
+@pytest.mark.parametrize(
+    "config, theta",
+    [
+        # Paths that thin out over several blocks.
+        (PaulsonConfig((0.0, 1.0), 0.02, 40.0, horizon=4 * CHUNK + 40), 0.0),
+        # Most paths stop in the first block.
+        (PaulsonConfig((0.0, 1.0, 2.0), 0.15, 3.0, horizon=100), 1.5),
+    ],
+)
+def test_classify_paths_fills_each_pass_to_its_buffers(monkeypatch, config, theta):
+    # Records each pass: the draws of its groups, then its kernel call.
+    passes, draws = [], []
+    stream, kernel = paulson._stream_blocks, _ROUTES["direct"]
+
+    def recording_stream(mean, seed, first):
+        next_block = stream(mean, seed, first)
+
+        def record(start, count, out):
+            draws.append((first + start, count) + out.shape)
+            return next_block(start, count, out)
+
+        return record
+
+    def recording_kernel(s, *args):
+        passes.append((draws[:], s.shape))
+        draws.clear()
+        kernel(s, *args)
+
+    monkeypatch.setattr(paulson, "_stream_blocks", recording_stream)
+    monkeypatch.setitem(_ROUTES, "direct", recording_kernel)
+    reps = WAVE * GROUP + 300
+    _decision, stop_n, _fallback = classify_paths(theta, config, 5, reps, "direct")
+    cells = min(GROUP, reps) * min(CHUNK, config.horizon)
+    # Every block fits the buffers, and its rows are its groups' draws.
+    for run, (rows, width) in passes:
+        assert rows * width <= cells
+        assert sum(live for _first, _count, live, _size in run) == rows
+        assert {size for _first, _count, _live, size in run} == {width}
+    # Each group with live paths at a count draws once then, for all of
+    # them: a path is live at count c while its stopping time is past c.
+    drawn = [(first, count, live) for run, _shape in passes for first, count, live, _size in run]
+    live_groups = [
+        (first, count, int((stop_n[first : first + GROUP] > count).sum()))
+        for first in range(0, reps, GROUP)
+        for count in _block_counts(config.horizon)
+    ]
+    assert sorted(drawn) == [entry for entry in live_groups if entry[2]]
+    # A run ends only where its wave's next group at that count would
+    # not fit beside it.
+    cut = 0
+    for (run, (rows, width)), (after, _shape) in zip(passes, passes[1:]):
+        first, count, live, _size = after[0]
+        if count == run[0][1] and first // (WAVE * GROUP) == run[0][0] // (WAVE * GROUP):
+            assert first > run[-1][0]
+            assert (rows + live) * width > cells
+            cut += 1
+    assert cut and any(len(run) > 1 for run, _shape in passes)
 
 
 def _one_sided_statistics(s, m, config):
@@ -533,5 +620,5 @@ def test_kernels_round_in_the_documented_order(route, side):
     for s, m in _rounding_ties(config, route, side):
         doc, alt, rejects, bound = _one_sided_statistics(s, m, config)[route, side]
         tests = np.empty((2, 1, 1, 1), dtype=bool)
-        _ROUTES[route](np.array([[s]]), np.array([m]), config, tests, np.empty((2, 1, 1)))
+        _ROUTES[route](np.array([[s]]), np.array([m]), config, tests, np.empty((3, 1, 1)))
         assert tests[side, 0, 0, 0] == rejects(doc, bound) != rejects(alt, bound)
