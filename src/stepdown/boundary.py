@@ -79,7 +79,10 @@ _GRID_CAP = 8
 
 # Transform lengths 2^a 3^b 5^c, on which numpy's FFT is fastest, up to
 # 2^17, the next above the longest kernel: two looks of 2 * _GRID_CAP *
-# MAX_GRID_POINTS points.
+# MAX_GRID_POINTS points.  The table stays: the next power of two lost
+# all 8 paired 3 s bench/run.py runs of calibrate (1,247-1,531
+# norm_ops_per_s against 1,543-1,778) and of sweep (2.77-2.88M against
+# 3.09-3.26M) on a 2-core host.
 _FFT_SIZES = sorted(
     2**a * 3**b * 5**c
     for a in range(18)
@@ -298,7 +301,8 @@ def _valid_convolution(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     convolution of at least the kernel's length: its wrap-around reaches
     only the outputs below len(signal) - 1, which "valid" drops.  Kernel
     and signal are written into one zero-filled (2, ..., size) buffer, so
-    a single rfft call transforms both."""
+    a single rfft call transforms both.  Two calls give the same bits but
+    ran calibrate slower, so the one stacked call is kept for speed."""
     width, length = kernel.shape[-1], signal.shape[-1]
     size = _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, width)]
     stacked = np.zeros((2, *kernel.shape[:-1], size))

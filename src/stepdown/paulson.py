@@ -36,20 +36,21 @@ keyed Philox draw, and decides a wave of ``WAVE`` groups side by side:
 at each block the wave's live paths are cut, at group boundaries, into
 runs that fill the pass buffers, and each run is one kernel pass.  A
 path is dropped as soon as it stops.  ``run_paulson_direct`` and
-``paulson_via_stepdown`` are its one-path views, reading one path given
-as a 1-D array.  Each call makes its block, work and flag buffers once,
-sized for one group's widest block, and every pass draws, sums and
-tests inside views of them, so a pass allocates nothing of the block's
-size.  Either way S_n is the paper's sequential sum S_{n-1} + x_n, one
-observation at a time, and every step acts on each row alone, so a path
-gets the same floats, and the same decision, alone, in its group or
-beside other groups.
+``paulson_via_stepdown`` are its one-path views on a 1-D array: each
+reads at most ``min(horizon, len(observations))`` observations and
+falls back to S_n/n there.  Each call makes its block, work and flag
+buffers once, sized for one group's widest block, and every pass
+draws, sums and tests inside views of them, so a pass allocates nothing
+of the block's size.  Either way S_n is the paper's sequential sum
+S_{n-1} + x_n, one observation at a time, and every step acts on each
+row alone, so a path gets the same floats, and the same decision,
+alone, in its group or beside other groups.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,14 +247,15 @@ def _runs(live: np.ndarray, group: int, paths: int, rows: int) -> list[list[tupl
 def _decide(
     method: str,
     group: int,
-    next_block: Callable[[int, int, np.ndarray], int],
+    next_block: Callable[[int, int, np.ndarray], None],
     config: PaulsonConfig,
     buffers: tuple[np.ndarray, np.ndarray],
     results: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:
     """Decide a wave of paths by one route, its groups of ``group``
     paths side by side, one block of observations per count, dropping
-    each path once it stops.
+    each path once it stops: where some interval first fits, or at the
+    horizon, where it falls back to S_n/n.
 
     A block is ``min(max(count, 16), CHUNK, horizon - count)``
     observations: 16, 16, 32, 64 and 128 fill the first CHUNK, whole
@@ -264,15 +266,13 @@ def _decide(
     count, out)`` writes the next observations of the live paths of the
     group whose first path is ``first``, each ``count`` observations in,
     into ``out``, that group's rows of the block (shape ``(live, size)``),
-    row i for its i-th live path, and returns how many columns it filled;
-    fewer (or none) mean the paths ran out, and every group of a wave
-    fills as many.  One cumsum, one kernel call and one round of stop
-    bookkeeping then cover the run's rows.  Row r's running sum S_n is
-    ``total[r]`` plus the block's observations added one at a time, the
-    paper's sequential sum, and every step acts on each row alone, so a
-    path's floats do not depend on the rows beside it.  ``results`` are
-    the wave's decision, stopping time and fallback arrays, written in
-    place.
+    row i for its i-th live path, and fills every column.  One cumsum,
+    one kernel call and one round of stop bookkeeping then cover the
+    run's rows.  Row r's running sum S_n is ``total[r]`` plus the block's
+    observations added one at a time, the paper's sequential sum, and
+    every step acts on each row alone, so a path's floats do not depend
+    on the rows beside it.  ``results`` are the wave's decision,
+    stopping time and fallback arrays, written in place.
     """
     kernel = _ROUTES[method]
     floats, flags = buffers
@@ -282,26 +282,21 @@ def _decide(
     total = np.zeros(paths)
     rejected = np.zeros((2, len(config.thresholds), paths), dtype=bool)
     count = 0
-    while live.size:
+    while live.size and count < config.horizon:
         size = min(max(count, 16), CHUNK, config.horizon - count)
-        runs = _runs(live, group, paths, floats.shape[1] // size) if size else []
         m = count + np.arange(1, size + 1, dtype=float)
         keep = np.empty(live.size, dtype=bool)
-        width = 0
-        for run in runs:
+        for run in _runs(live, group, paths, floats.shape[1] // size):
             begin, end = run[0][1], run[-1][2]
-            block = floats[0, : (end - begin) * size].reshape(end - begin, size)
+            s = floats[0, : (end - begin) * size].reshape(end - begin, size)
             for start, lo, hi in run:
-                width = next_block(start, count, block[lo - begin : hi - begin])
-            if not width:
-                break
+                next_block(start, count, s[lo - begin : hi - begin])
             # The cumsum goes on from the running sum, in place.
-            s = block[:, :width]
             s[:, 0] += total[begin:end]
             np.cumsum(s, axis=1, out=s)
             done = rejected[:, :, begin:end]
-            tests = flags[: done.size * width].reshape(done.shape + (width,))
-            kernel(s, m[:width], config, tests, floats[1:, : s.size].reshape(3, end - begin, width))
+            tests = flags[: done.size * size].reshape(done.shape + (size,))
+            kernel(s, m, config, tests, floats[1:, : s.size].reshape(3, end - begin, size))
             # A test has rejected by the block's end if it had before it
             # or does in it, and a path stops in the block exactly when
             # some interval fits at its end.
@@ -310,13 +305,13 @@ def _decide(
             _fit_times(~hit).all(axis=0, out=keep[begin:end])
             stops = np.flatnonzero(~keep[begin:end])
             # Only a stopping row needs where each test first rejected:
-            # -1 if before the block, width if not yet.  It stops at its
+            # -1 if before the block, size if not yet.  It stops at its
             # first observation where some interval fits, and falls back
             # to S_n/n if several fit there.  The rows are taken a group
             # at a time, so these arrays stay the size of one group's.
             for part in range(0, stops.size, group):
                 rows = stops[part : part + group]
-                found = np.where(hit.take(rows, 2), tests.take(rows, 2).argmax(axis=3), width)
+                found = np.where(hit.take(rows, 2), tests.take(rows, 2).argmax(axis=3), size)
                 fits = _fit_times(np.where(done.take(rows, 2), -1, found))
                 t = fits.min(axis=0)
                 chosen = fits == t
@@ -328,30 +323,28 @@ def _decide(
                 fallback[index] = tie
             done[...] = hit
             total[begin:end] = s[:, -1]
-        if not width:
-            if count == 0:
-                raise ValueError("no observations supplied")
-            decision[live] = classify_by_mean(total / count, config.thresholds)
-            stop_n[live] = count
-            fallback[live] = True
-            break
         live, rejected, total = live[keep], rejected.compress(keep, 2), total[keep]
-        count += width
+        count += size
+    decision[live] = classify_by_mean(total / count, config.thresholds)
+    stop_n[live] = count
+    fallback[live] = True
 
 
 def _one_path(method: str, observations: np.ndarray, config: PaulsonConfig) -> PaulsonResult:
     if not isinstance(observations, np.ndarray) or observations.ndim != 1:
         got = getattr(observations, "shape", type(observations).__name__)
         raise ValueError(f"observations must be a 1-D array, got {got}")
-    path = observations.astype(float, copy=False)
-    if not np.isfinite(path[: config.horizon]).all():
+    path = observations[: config.horizon].astype(float, copy=False)
+    if not path.size:
+        raise ValueError("no observations supplied")
+    if not np.isfinite(path).all():
         raise ValueError("observations must be finite")
+    # A short path's horizon is its length: it falls back to S_n/n there.
+    config = replace(config, horizon=path.size)
 
     # Copies the slice, so the caller's array is never written.
-    def next_block(_first: int, count: int, out: np.ndarray) -> int:
-        got = path[count : count + out.shape[1]]
-        out[0, : got.size] = got
-        return got.size
+    def next_block(_first: int, count: int, out: np.ndarray) -> None:
+        out[0] = path[count : count + out.shape[1]]
 
     results = (np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64), np.empty(1, dtype=bool))
     _decide(method, 1, next_block, config, _buffers(1, config), results)
@@ -370,13 +363,15 @@ def run_paulson_direct(observations: np.ndarray, config: PaulsonConfig) -> Pauls
     view of the kernel ``classify_paths`` runs over many paths at once.
 
     Args:
-        observations: The path, a 1-D array; only its first ``horizon``
-            observations are read.
+        observations: The path, a 1-D array.  At most
+            ``min(horizon, len(observations))`` observations are read,
+            and a path still undecided there falls back to S_n/n.
         config: Thresholds, delta, critical value, horizon.
 
     Raises:
-        ValueError: ``observations`` is not a 1-D array, is empty, or
-            has a non-finite value among those read.
+        ValueError: ``observations`` is not a 1-D array, is empty ("no
+            observations supplied"), or has a non-finite value among
+            those read.
 
     Returns:
         The classification, its stopping time, and the fallback flag.
@@ -409,7 +404,7 @@ def paulson_via_stepdown(observations: np.ndarray, config: PaulsonConfig) -> Pau
     return _one_path("stepdown", observations, config)
 
 
-def _stream_blocks(theta: float, seed: int, first: int) -> Callable[[int, int, np.ndarray], int]:
+def _stream_blocks(theta: float, seed: int, first: int) -> Callable[[int, int, np.ndarray], None]:
     # Deals the wave whose first path is ``first``: the group whose first
     # path is first + start draws its block at observation count c from
     # the Philox stream keyed [seed, first + start] at counter [0, c, 0,
@@ -421,13 +416,12 @@ def _stream_blocks(theta: float, seed: int, first: int) -> Callable[[int, int, n
     draw = np.random.Generator(bits).standard_normal
     state = bits.state
 
-    def next_block(start: int, count: int, out: np.ndarray) -> int:
+    def next_block(start: int, count: int, out: np.ndarray) -> None:
         state["state"]["key"][1] = first + start
         state["state"]["counter"][1] = count
         bits.state = state
         draw(out=out)
         out += theta
-        return out.shape[1]
 
     return next_block
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from operator import ge, le
 
 import numpy as np
@@ -137,6 +138,18 @@ def test_exhausted_observations_fall_back():
     cfg = PaulsonConfig(thresholds=(0.0,), delta=0.1, critical_value=1e6)
     res = run_paulson_direct(np.full(30, 2.0), cfg)
     assert res == PaulsonResult(decision=1, stop_n=30, fallback_used=True)
+    # A path shorter than the horizon ends at its own length, also on a
+    # block edge (16, 32, 256), as under a horizon of that length.  With
+    # A = 1e6 every path runs out; with A = 8 the longer ones stop first.
+    rng = np.random.default_rng(11)
+    for critical_value in (1e6, 8.0):
+        cfg = PaulsonConfig(thresholds=(0.0, 1.0), delta=0.1, critical_value=critical_value)
+        for length in (1, 15, 16, 17, 32, 33, 255, 256, 257, 300):
+            path = rng.normal(0.5, size=length)
+            want = paper_direct(path, cfg)
+            assert critical_value == 8.0 or (want.stop_n, want.fallback_used) == (length, True)
+            for route in ROUTES.values():
+                assert route(path, cfg) == route(path, replace(cfg, horizon=length)) == want
 
 
 def test_no_observations_is_an_error():
@@ -455,7 +468,7 @@ def test_stream_blocks_reuse_one_generator_as_fresh_ones():
         want = np.random.Generator(fresh).standard_normal((live, size)) + theta
         unread.append(4 - fresh.state["buffer_pos"])
         out = np.empty((live, size))
-        assert next_block(start, count, out) == size
+        next_block(start, count, out)
         assert np.array_equal(out, want)
     assert unread[0] > 0
 
