@@ -250,8 +250,10 @@ def _crossing_rows(
 
     Rows whose looks have equal point counts share every array length and
     transform size, so they run as one recursion with h and the tops as
-    columns; numpy computes each row of it as it would the row alone.  A
-    row with no grid crosses for certain.
+    columns; numpy computes each row of it as it would the row alone.
+    O'Brien-Fleming rows on several looks all but never share one: their
+    point counts move with c, as every top scales with it.  A row with no
+    grid crosses for certain.
     """
     probabilities = [1.0] * len(bounds)
     groups: dict[tuple[int, ...], list] = {}
@@ -330,19 +332,18 @@ class CriticalFunction:
     ``table`` maps each calibrated level to its per-analysis critical
     values.  Values must be non-increasing in the level at every
     analysis: smaller crossing probabilities demand higher boundaries.
-    When the table came from calibration, ``constants`` records the scalar
-    boundary multiplier per level and ``achieved`` the crossing probability
-    each boundary achieves on the doubled grid.  A table supplied from
-    outside is ``CriticalFunction(schedule, table)``, the schedule given as
-    a SampleSchedule or a sequence of sizes.  After construction
-    ``table``, ``constants`` and ``achieved`` are read-only mappings, so
-    the checks made here hold for the object's life; pickling rebuilds it
-    through the constructor.
+    When the table came from calibration, a level's boundary constant is
+    its last critical value (both shapes have g = 1 there), and
+    ``achieved`` records the crossing probability each boundary achieves
+    on the doubled grid.  A table supplied from outside is
+    ``CriticalFunction(schedule, table)``, the schedule given as a
+    SampleSchedule or a sequence of sizes.  After construction ``table``
+    and ``achieved`` are read-only mappings, so the checks made here hold
+    for the object's life; pickling rebuilds it through the constructor.
     """
 
     schedule: SampleSchedule
     table: Mapping[float, tuple[float, ...]]
-    constants: Mapping[float, float] | None = None
     achieved: Mapping[float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -369,16 +370,15 @@ class CriticalFunction:
         # The stage rows procedures._stage_bounds builds from the table,
         # per (rule, alpha, k).
         object.__setattr__(self, "_stage_rows", {})
-        for name in ("constants", "achieved"):
-            if getattr(self, name) is not None:
-                per_level = {float(r): float(v) for r, v in getattr(self, name).items()}
-                object.__setattr__(self, name, MappingProxyType(per_level))
+        if self.achieved is not None:
+            achieved = {float(r): float(v) for r, v in self.achieved.items()}
+            object.__setattr__(self, "achieved", MappingProxyType(achieved))
 
     def __reduce__(self):
         # A mappingproxy does not pickle: send plain dicts and rerun the
         # constructor's checks on arrival.
-        maps = (None if m is None else dict(m) for m in (self.table, self.constants, self.achieved))
-        return type(self), (self.schedule, *maps)
+        achieved = None if self.achieved is None else dict(self.achieved)
+        return type(self), (self.schedule, dict(self.table), achieved)
 
     def _find_level(self, rho: float) -> float:
         rho = float(rho)
@@ -437,7 +437,7 @@ def calibrate_levels(
                 f"{CALIBRATION_TOL:.1g} and {CALIBRATION_RTOL:.1g} relative); increase grid_points"
             )
     table = {rho: tuple(float(v) for v in c * g) for rho, c in found.items()}
-    return CriticalFunction(schedule, table, found, achieved)
+    return CriticalFunction(schedule, table, achieved)
 
 
 def _solve_constants(

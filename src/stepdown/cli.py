@@ -76,8 +76,6 @@ WORKERS_ENV = "STEPDOWN_WORKERS"
 
 def fmt(value: object) -> str:
     """Render a CSV field: floats via repr (round-trip exact)."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -425,7 +423,7 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
 
 # The simulate CSV: one (column, value of a summary) pair per column.
 _SUMMARY_COLUMNS: tuple[tuple[str, Callable[[SimulationSummary], object]], ...] = (
-    ("scenario", lambda s: s.spec.label),
+    ("scenario", lambda s: s.spec.params.label()),
     ("procedure", lambda s: s.spec.procedure),
     ("EM", lambda s: s.em),
     ("se_EM", lambda s: s.em_se),
@@ -481,7 +479,7 @@ def _cmd_paulson(values: dict[str, Any]) -> None:
     decision, stop_n, fallback = classify_paths(
         values["theta"], config, values["seed"], reps, values["method"]
     )
-    # Each column formatted once, as fmt would: ints by str, flags by lookup.
+    # Each column formatted once: ints by str, flags as false/true by lookup.
     flag = ("false", "true").__getitem__
     rows = list(
         zip(map(str, decision.tolist()), map(str, stop_n.tolist()), map(flag, fallback.tolist()))

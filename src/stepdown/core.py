@@ -81,8 +81,8 @@ class HypothesisFamily:
     the containment relation.  Operations specific to closed families
     refuse to run without the flag.
 
-    ``_implied[a]`` holds ``implied_acceptances(a)`` as an int bitmask,
-    bit b set when b is accepted once a is rejected.
+    ``_implied[a]`` holds row a of ``contains_complement`` as an int
+    bitmask, bit b set when b is accepted once a is rejected.
     """
 
     k: int
@@ -122,10 +122,6 @@ class HypothesisFamily:
     def simple(cls, k: int, labels: Iterable[str] | None = None) -> "HypothesisFamily":
         """A family with no containment structure."""
         return cls(k=k, labels=tuple(labels) if labels is not None else ())
-
-    def implied_acceptances(self, a: int) -> tuple[int, ...]:
-        """Indices of hypotheses accepted outright once ``a`` is rejected."""
-        return tuple(b for b in range(self.k) if self.contains_complement[a][b])
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ from .core import HypothesisFamily, SampleSchedule, check_alpha, check_integer
 from .procedures import (
     HOLM,
     MULT,
-    _check_run,
     _look_step,
     _stage_bounds,
     holm_fixed,
@@ -143,10 +142,6 @@ class ScenarioSpec:
                 f"{MAX_LOOKS} looks and {MAX_OBSERVATIONS} observations can be simulated"
             )
 
-    @property
-    def label(self) -> str:
-        return self.params.label()
-
 
 @dataclass(frozen=True)
 class SimulationSummary:
@@ -189,13 +184,9 @@ class SimulationSummary:
         return _binomial_se(self.reject_counts[i], self.replicates)
 
     @property
-    def any_true_null(self) -> bool:
-        return any(self.spec.params.truth)
-
-    @property
     def fwe(self) -> float | None:
         """Probability of rejecting a true hypothesis, None if all are false."""
-        if not self.any_true_null:
+        if not any(self.spec.params.truth):
             return None
         if self.replicates == 0:
             return math.nan
@@ -203,7 +194,7 @@ class SimulationSummary:
 
     @property
     def fwe_se(self) -> float | None:
-        if not self.any_true_null:
+        if not any(self.spec.params.truth):
             return None
         return _binomial_se(self.fwe_count, self.replicates)
 
@@ -429,8 +420,8 @@ def run_cells(
             raise ValueError(f"procedure {procedure!r} needs a calibrated boundary (critical)")
         else:
             rule = _VARIANTS[procedure]
-            _check_run(_FAMILY, schedule, critical, alpha, rule)
-            looks, rows = schedule.analyses, [_stage_bounds(critical, rule, alpha, k)] * k
+            rows = [_stage_bounds(_FAMILY, schedule, critical, alpha, rule)] * k
+            looks = schedule.analyses
         keys = list(dict.fromkeys(key for group in walk_groups for key in group))
         columns = np.array([[keys.index(key) for key in group] for group in walk_groups])
         rows = np.array(rows).reshape(k, k, len(looks), 1)  # endpoint, row, look

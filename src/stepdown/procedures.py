@@ -133,9 +133,7 @@ def holm_closed(
         if p[idx] < alpha:
             rejected[idx] = True
             decided[idx] = True
-            for b in family.implied_acceptances(idx):
-                if not decided[b]:
-                    decided[b] = True
+            decided |= family.contains_complement[idx]
         else:
             break
     return rejected
@@ -163,18 +161,29 @@ def stage_levels(rule: str, alpha: float, k: int) -> tuple[float, ...]:
 
 
 def _stage_bounds(
-    critical: CriticalFunction, rule: str, alpha: float, k: int
+    family: HypothesisFamily,
+    schedule: SampleSchedule,
+    critical: CriticalFunction,
+    alpha: float,
+    rule: str,
 ) -> tuple[tuple[float, ...], ...]:
-    """Row m - 1 is the stage boundary for m active hypotheses.
+    """Check a multistage run's inputs; row m - 1 bounds a stage of m active.
 
-    A stage with m active finds its sample size on row m - 1, and its
-    l-th statistic (0-based) in top-down order must clear row m - l - 1.
-    The rows are the critical table's own tuples; a level it lacks
-    raises ValueError.  Boundaries do not increase with the level, so
-    the rows do not decrease with m.  Each critical function keeps the
-    rows it has built, per (rule, alpha, k); a lookup that fails is
-    made again on the next call.
+    The checks, in order: alpha, ``critical``'s analyses against the
+    schedule's, and a closed family for the closed rule.  A stage with m
+    active finds its sample size on row m - 1, and its l-th statistic
+    (0-based) in top-down order must clear row m - l - 1.  The rows are
+    the critical table's own tuples; a level it lacks raises ValueError.
+    They do not decrease with m, as boundaries do not increase with the
+    level.  ``critical`` keeps the rows per (rule, alpha, k); a lookup
+    that fails is made again on the next call.
     """
+    alpha = check_alpha(alpha)
+    if critical.schedule.analyses != schedule.analyses:
+        raise ValueError("critical function and schedule disagree on the analysis sizes")
+    if rule == "closed" and not family.closed_monotone:
+        raise ValueError("the closed variant requires a family flagged closed_monotone")
+    k = family.k
     key = (rule, alpha, k)
     rows = critical._stage_rows.get(key)
     if rows is None:
@@ -188,22 +197,6 @@ def _stage_bounds(
                                  f"calibrate it with rho = {level!r}") from None
         rows = critical._stage_rows[key] = tuple(found)
     return rows
-
-
-def _check_run(
-    family: HypothesisFamily,
-    schedule: SampleSchedule,
-    critical: CriticalFunction,
-    alpha: float,
-    rule: str,
-) -> float:
-    """The input checks both multistage engines make; returns alpha."""
-    alpha = check_alpha(alpha)
-    if critical.schedule.analyses != schedule.analyses:
-        raise ValueError("critical function and schedule disagree on the analysis sizes")
-    if rule == "closed" and not family.closed_monotone:
-        raise ValueError("the closed variant requires a family flagged closed_monotone")
-    return alpha
 
 
 def run_multistage(
@@ -251,11 +244,10 @@ def run_multistage(
         raise ValueError(f"paths cover {paths.k} hypotheses, family has {k}")
     if paths.analyses != schedule.analyses:
         raise ValueError("paths and schedule disagree on the analysis sizes")
-    alpha = _check_run(family, schedule, critical, alpha, rule)
+    bounds = _stage_bounds(family, schedule, critical, alpha, rule)
 
     analyses = paths.analyses
     last = len(analyses) - 1
-    bounds = _stage_bounds(critical, rule, alpha, k)
     # columns[j][i]: statistic i at analysis j.
     columns = paths.values.T.tolist()
     # Bit b of implied[a] is set when rejecting a accepts b; covered is
@@ -371,9 +363,7 @@ def run_multistage_batch(
         raise ValueError(f"values must have shape (R, {k}, {n_looks}), got {values.shape}")
     if np.isnan(values).any():
         raise ValueError("statistic values must not be NaN")
-    alpha = _check_run(family, schedule, critical, alpha, rule)
-
-    bounds = _stage_bounds(critical, rule, alpha, k)
+    bounds = _stage_bounds(family, schedule, critical, alpha, rule)
     cleared = sum(values >= row for row in bounds)
     contains = np.asarray(family.contains_complement, dtype=bool)
     return _decide_counts(cleared, contains, schedule.analyses, rule == "closed")

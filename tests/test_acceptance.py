@@ -115,7 +115,7 @@ def sweep():
     return {
         "critical": critical,
         "summaries": {
-            (s.spec.label, s.spec.procedure): s
+            (s.spec.params.label(), s.spec.procedure): s
             for s in h_rows + staged_rows + correlated_rows
         },
         "h_seconds": h_seconds,

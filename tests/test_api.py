@@ -39,8 +39,12 @@ def test_removed_wrappers_are_gone():
     assert not hasattr(stepdown.boundary, "_as_analyses")
     assert not hasattr(stepdown.harness, "_worker_run")
     assert not hasattr(stepdown.harness, "_draw_key")
+    assert not hasattr(stepdown.procedures, "_check_run")
+    assert not hasattr(stepdown.HypothesisFamily, "implied_acceptances")
+    assert not hasattr(stepdown.ScenarioSpec, "label")
+    assert not hasattr(stepdown.SimulationSummary, "any_true_null")
     fields = {field.name for field in dataclasses.fields(stepdown.CriticalFunction)}
-    assert fields == {"schedule", "table", "constants", "achieved"}
+    assert fields == {"schedule", "table", "achieved"}
     assert "tol" not in inspect.signature(stepdown.calibrate_levels).parameters
     paths = stepdown.StatisticPaths((26, 29), np.zeros((1, 2)))
     assert not hasattr(paths, "sums")

@@ -203,7 +203,7 @@ def test_equal_clearance_counts_get_equal_decisions(seed, k, looks, rule):
         contains_complement=tuple(tuple(row) for row in relation.tolist()),
         closed_monotone=rule == "closed" or bool(rng.integers(2)),
     )
-    rows = np.asarray(_stage_bounds(critical, rule, ALPHA, k))
+    rows = np.asarray(_stage_bounds(family, schedule, critical, ALPHA, rule))
     values = np.empty((6 * 20, k, looks))
     for j in range(looks):
         ends = np.unique(rows[:, j])
@@ -241,6 +241,8 @@ def test_batch_engine_rejects_bad_input():
         run_multistage_batch(good, family, SampleSchedule((26, 29, 36)), critical, ALPHA, CLOSED)
     with pytest.raises(ValueError, match="alpha"):
         run_multistage_batch(good, family, SCHED, critical, 1.5, CLOSED)
+    with pytest.raises(ValueError, match=r"boundary lacks critical values for level 0\.025"):
+        run_multistage_batch(good, family, SCHED, critical, ALPHA, HOLM)
 
 @settings(max_examples=20, deadline=None)
 @given(

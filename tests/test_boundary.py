@@ -136,17 +136,32 @@ def test_calibrate_single_analysis_matches_quantile():
     # One look reduces calibration to the normal quantile, up to the
     # declared integration tolerance.
     crit = calibrate_levels(SampleSchedule((17,)), [0.05])
-    assert crit.constants[0.05] == pytest.approx(1.64485362695147, abs=2e-4)
+    assert crit.table[0.05][-1] == pytest.approx(1.64485362695147, abs=2e-4)
     crit3 = calibrate_levels(SampleSchedule((17,)), [0.05 / 3.0])
-    assert crit3.constants[0.05 / 3.0] == pytest.approx(2.12804523418498, abs=2e-4)
+    assert crit3.table[0.05 / 3.0][-1] == pytest.approx(2.12804523418498, abs=2e-4)
 
 
 def test_calibrate_multi_look_inflates_constant():
     crit = calibrate_levels(SCHED, [0.05])
-    c = crit.constants[0.05]
+    c = crit.table[0.05][-1]
     assert c > 1.644854
     # Regression lock for the default grid.
     assert c == pytest.approx(1.8648004893690355, abs=1e-10)
+
+
+@pytest.mark.parametrize("shape", stepdown.boundary.SHAPES)
+@pytest.mark.parametrize("analyses", [(17,), (26, 29, 35), (20, 28, 37, 50, 66)])
+def test_last_critical_value_is_the_constant(shape, analyses):
+    # Both shapes have g = 1 at the last analysis, so a calibrated row is
+    # its last value times the shape's multipliers, bit for bit: the last
+    # critical value is the level's boundary constant.
+    levels = [0.9, 0.05, 0.01, 1e-3, 1e-4, 1e-5, 1e-6]
+    crit = calibrate_levels(analyses, levels, shape)
+    g = shape_multipliers(shape, analyses)
+    assert g[-1] == 1.0
+    for rho in levels:
+        row = crit.table[rho]
+        assert row == tuple(float(v) for v in row[-1] * g)
 
 
 def test_calibrate_hits_target_level():
@@ -206,13 +221,13 @@ def test_table_rejects_nan():
 
 def test_table_is_read_only_and_pickles_through_the_constructor():
     crit = calibrate_levels(SCHED, [0.05, 0.025])
-    for mapping in (crit.table, crit.constants, crit.achieved):
+    for mapping in (crit.table, crit.achieved):
         with pytest.raises(TypeError):
             mapping[0.025] = (9.0, 9.0, 9.0)
     copy = pickle.loads(pickle.dumps(crit))
     assert copy == crit
     assert copy.table == crit.table and list(copy.table) == list(crit.table)
-    assert copy.constants == crit.constants and copy.achieved == crit.achieved
+    assert copy.achieved == crit.achieved
     with pytest.raises(TypeError):
         copy.table[0.05] = (float("nan"),) * 3
     outside = CriticalFunction(SCHED, {0.05: (2.0, 2.0, 1.9)})
@@ -345,10 +360,10 @@ def test_level_does_not_depend_on_the_other_levels():
             )
             for rho in others:
                 on_its_own = calibrate_levels(SCHED, [rho], shape, grid_points=grid_points)
-                assert together.constants[rho] == on_its_own.constants[rho]
+                assert together.table[rho][-1] == on_its_own.table[rho][-1]
                 assert together.achieved[rho] == on_its_own.achieved[rho]
             assert together.table[0.05 / 3.0] == alone.table[0.05 / 3.0]
-            assert together.constants[0.05 / 3.0] == alone.constants[0.05 / 3.0]
+            assert together.table[0.05 / 3.0][-1] == alone.table[0.05 / 3.0][-1]
             assert together.achieved[0.05 / 3.0] == alone.achieved[0.05 / 3.0]
 
 
@@ -371,7 +386,7 @@ def test_first_failing_level_in_input_order_raises(levels, error, message):
 @pytest.mark.parametrize("rho", [0.9, 0.999])
 def test_calibrate_large_levels_give_negative_constants(shape, rho):
     crit = calibrate_levels(SCHED, [rho], shape)
-    assert crit.constants[rho] < 0.0
+    assert crit.table[rho][-1] < 0.0
     b = crit.boundary(rho)
     assert crossing_probability(SCHED, b, grid_points=1024) == pytest.approx(rho, abs=1e-4)
 

@@ -54,8 +54,8 @@ def test_implied_acceptances():
         (False, False, False),
     )
     fam = HypothesisFamily(k=3, contains_complement=rel, closed_monotone=True)
-    assert fam.implied_acceptances(0) == (1, 2)
-    assert fam.implied_acceptances(1) == ()
+    assert fam.contains_complement[0] == (False, True, True)
+    assert fam.contains_complement[1] == (False, False, False)
 
 
 @settings(max_examples=200, deadline=None)
@@ -66,7 +66,8 @@ def test_implied_bitmasks_match_implied_acceptances(rows):
     rel = tuple(tuple(x and a != b for b, x in enumerate(row)) for a, row in enumerate(rows))
     fam = HypothesisFamily(k=len(rel), contains_complement=rel)
     for a in range(fam.k):
-        assert fam._implied[a] == sum(1 << b for b in fam.implied_acceptances(a))
+        row = fam.contains_complement[a]
+        assert fam._implied[a] == sum(1 << b for b in range(fam.k) if row[b])
 
 
 def test_schedule_validation():

@@ -117,7 +117,7 @@ def test_fwe_none_when_no_true_null():
     s = run_scenario(
         spec_for("MultH", reps=50, params=ScenarioParams(0.5, 0.5, 0.75)), critical=CRITICAL
     )
-    assert not s.any_true_null
+    assert not any(s.spec.params.truth)
     assert s.fwe is None and s.fwe_se is None
 
 
@@ -552,7 +552,8 @@ def test_table_walk_matches_the_count_engine(looks, rule, alpha, reps, seed):
     # clears none, so it runs to the last.
     critical = _calibrated(looks, "flat")
     analyses = critical.schedule.analyses
-    bounds = np.array(_stage_bounds(critical, rule, alpha, 3))
+    family = HypothesisFamily.simple(3)
+    bounds = np.array(_stage_bounds(family, critical.schedule, critical, alpha, rule))
     entries = np.concatenate([
         bounds, np.nextafter(bounds, np.inf), np.nextafter(bounds, -np.inf),
         np.full((2, looks), [[np.inf], [-np.inf]]),
@@ -579,7 +580,8 @@ def test_table_walk_matches_the_scalar_engine_on_every_two_look_sequence(rule, s
     # Mult's rows are one boundary, so its counts are 0 or 3 only.
     critical = _calibrated(2, "flat")
     analyses = critical.schedule.analyses
-    rows = np.array(_stage_bounds(critical, rule, 0.05, 3))
+    family = HypothesisFamily.simple(3)
+    rows = np.array(_stage_bounds(family, critical.schedule, critical, 0.05, rule))
     # values[j][c]: a look-j statistic whose count is c.
     values = []
     for j in range(2):
@@ -597,7 +599,6 @@ def test_table_walk_matches_the_scalar_engine_on_every_two_look_sequence(rule, s
     # Endpoint i's count is digit i of the symbol in base k + 1 = 4.
     symbols = (np.array(digits) * [1, 4, 16]).sum(axis=2).T
     walked, total = _walk(_transitions(), symbols, analyses)
-    family = HypothesisFamily.simple(3)
     for seq, got, measured in zip(digits, walked.tolist(), total.tolist()):
         stats = np.array([[values[j][c] for j, c in enumerate(counts)] for counts in zip(*seq)])
         result = run_multistage(

@@ -90,7 +90,8 @@ def test_stage_bounds_do_not_decrease_with_the_active_count(rule, k):
     levels = sorted(set(stage_levels(rule, ALPHA, k)) | {ALPHA / 7, ALPHA / 2})
     raw = np.sort(np.round(rng.uniform(0.5, 3.0, (len(levels), 3)) * 2.0) / 2.0, axis=0)[::-1]
     critical = CriticalFunction(SCHED.analyses, dict(zip(levels, map(tuple, raw))))
-    rows = np.asarray(_stage_bounds(critical, rule, ALPHA, k))
+    family = HypothesisFamily(k=k, closed_monotone=True)
+    rows = np.asarray(_stage_bounds(family, SCHED, critical, ALPHA, rule))
     assert rows.shape == (k, len(SCHED))
     assert (rows[1:] >= rows[:-1]).all()
 
@@ -269,8 +270,8 @@ def test_stage_rows_belong_to_their_critical_function():
         order = [(low, (True, False)), (high, (False, False))]
         for crit, want in (order if low_first else order[::-1]) * 2:
             assert run_multistage(paths, family, SCHED, crit, ALPHA, CLOSED).rejected == want
-        assert _stage_bounds(low, CLOSED, ALPHA, 2) == ((2.0,) * 3,) * 2
-        assert _stage_bounds(high, CLOSED, ALPHA, 2) == ((3.0,) * 3,) * 2
+        assert _stage_bounds(family, SCHED, low, ALPHA, CLOSED) == ((2.0,) * 3,) * 2
+        assert _stage_bounds(family, SCHED, high, ALPHA, CLOSED) == ((3.0,) * 3,) * 2
 
 
 def test_stage_levels():
