@@ -227,6 +227,10 @@ def run_multistage(
     bitmasks, so the implied acceptances and the stop test are OR and
     AND on ints, and a call rebuilds nothing that is fixed between calls.
 
+    A stage rejects its whole prefix before implied acceptances act, so
+    one stage can reject a hypothesis and one containing its complement;
+    that needs statistics that break the order ``closed_monotone`` asserts.
+
     Args:
         paths: Statistics for every hypothesis at every analysis.
         family: The hypothesis family, including containment structure.
@@ -247,9 +251,18 @@ def run_multistage(
     bounds = _stage_bounds(family, schedule, critical, alpha, rule)
 
     analyses = paths.analyses
-    last = len(analyses) - 1
     # columns[j][i]: statistic i at analysis j.
     columns = paths.values.T.tolist()
+    # Stage 1, the only one with all k active, ends at the first look
+    # where the top statistic crosses; if none does, no stage runs.
+    bound = bounds[k - 1]
+    for col, column in enumerate(columns):
+        if max(column) >= bound[col]:
+            break
+    else:
+        return TrialResult((False,) * k, (1,) * k, (analyses[-1],) * k, ())
+
+    last = len(analyses) - 1
     # Bit b of implied[a] is set when rejecting a accepts b; covered is
     # the union over every hypothesis rejected so far.
     implied = family._implied
@@ -261,33 +274,16 @@ def run_multistage(
     records: list[StageRecord] = []
     active = tuple(range(k))
     alive = (1 << k) - 1  # active as a bitmask
-    col = -1
+    stage, m = 1, k
 
-    # Every stage that does not stop rejects at least one hypothesis, so
-    # the loop always ends in a break.
-    for stage in range(1, k + 1):
-        m = len(active)
-        bound = bounds[m - 1]
-        # Stage sample size: the first analysis past the previous stage
-        # where the top active statistic meets the stage boundary.  Only
-        # the first stage has all k active.
-        for col in range(col + 1, last + 1):
-            column = columns[col]
-            if max(column if m == k else [column[i] for i in active]) >= bound[col]:
-                break
-        else:
-            # No remaining analysis produces a crossing: accept the
-            # survivors once the schedule is exhausted.  This break
-            # leaves the stage loop.
-            n_j = analyses[last]
-            break
+    # Each pass decides the stage that crossed at col.  Every stage that
+    # does not stop rejects something, so the loop ends in a break.
+    while True:
         n_j = analyses[col]
-
         # Stage rejections: the longest prefix of the top-down order in
         # which the l-th statistic clears the boundary for m - l + 1
-        # active hypotheses.  The top statistic made the crossing, so
-        # the prefix is nonempty.  The sort is stable and active is
-        # increasing, so ties go to the lower index.
+        # active; the top one crossed, so it is nonempty.  The sort is
+        # stable and active increasing, so ties go to the lower index.
         ordered = tuple(sorted(active, key=column.__getitem__, reverse=True))
         rank = 1
         while rank < m and column[ordered[rank]] >= bounds[m - rank - 1][col]:
@@ -315,11 +311,25 @@ def run_multistage(
             else:
                 remaining.append(i)
         active = tuple(remaining)
+        stage, m = stage + 1, len(active)
+        bound = bounds[m - 1]
+        # The next stage ends at the first later look where an active
+        # statistic crosses; if none does, the schedule is exhausted.
+        for col in range(col + 1, last + 1):
+            column = columns[col]
+            b = bound[col]
+            for i in active:
+                if column[i] >= b:
+                    break
+            else:
+                continue
+            break
+        else:
+            n_j = analyses[last]
+            break
 
-    # The run stops: the schedule is exhausted, nothing survives, or
-    # every survivor contains the complement of a rejected hypothesis.
-    # What the last stage decided freezes there, and the survivors are
-    # accepted there.
+    # The run stops (see the docstring): what the last stage decided
+    # freezes there, and the survivors are accepted there.
     for i in active:
         decision_stage[i] = stage
         final_n[i] = n_j

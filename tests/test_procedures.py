@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from stepdown.boundary import CriticalFunction, normal_quantile
@@ -18,6 +20,8 @@ from stepdown.procedures import (
     run_multistage_batch,
     stage_levels,
 )
+
+from multistage_replay import replay_multistage
 
 ALPHA = 0.05
 SCHED = SampleSchedule((26, 29, 35))
@@ -464,3 +468,96 @@ def test_rejected_never_retested():
         # Decisions are exhaustive and exclusive.
         assert len(res.decisions) == 3
         assert all(d in ("rejected", "accepted") for d in res.decisions)
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_no_crossing_at_any_look_decides_everything_at_stage_one(rule, k):
+    # Every statistic sits below the loosest row at every look, the
+    # boundary row 2.2 included, so no stage ever runs.
+    crit = flat_table({level: 2.2 for level in stage_levels(rule, ALPHA, k)})
+    values = np.linspace(-1.0, 2.1, 3 * k).reshape(k, 3)
+    family = HypothesisFamily(k=k, closed_monotone=True)
+    res = run_multistage(StatisticPaths(SCHED.analyses, values), family, SCHED, crit, ALPHA, rule)
+    assert res.stages == ()
+    assert res.rejected == (False,) * k
+    assert res.decision_stage == (1,) * k
+    assert res.endpoint_final_n == (SCHED.analyses[-1],) * k
+
+
+def test_rejected_statistic_never_opens_a_later_stage():
+    # H1 is rejected at 26 and its statistic is +inf at every later
+    # look; only the survivors are scanned after stage 1, and they stay
+    # below every rule's loosest boundary, so no second stage runs.
+    crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
+    values = np.array([[3.0, np.inf, np.inf], [2.0, 2.1, 2.1], [0.0, 0.0, 0.0]])
+    paths = StatisticPaths((26, 29, 35), values)
+    for rule in RULES:
+        family = HypothesisFamily(k=3, closed_monotone=True)
+        res = run_multistage(paths, family, SCHED, crit, ALPHA, rule)
+        assert [(rec.stage, rec.n, rec.rejected) for rec in res.stages] == [(1, 26, (0,))]
+        assert res.rejected == (True, False, False)
+        assert res.decision_stage == (1, 2, 2)
+        assert res.endpoint_final_n == (26, 35, 35)
+
+
+def test_statistic_equal_to_its_boundary_crosses():
+    # Stage 1: H1 equals the alpha/3 boundary at 29 and crosses there.
+    # Stage 2: H2 equals the relaxed alpha/2 boundary at 35 and crosses.
+    crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
+    values = np.array([[0.0, 2.8, 0.0], [2.5, 2.5, 2.6], [0.0, 0.0, 0.0]])
+    paths = StatisticPaths((26, 29, 35), values)
+    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA)
+    assert [(rec.stage, rec.n, rec.active, rec.rejected) for rec in res.stages] == [
+        (1, 29, (0, 1, 2), (0,)),
+        (2, 35, (1, 2), (1,)),
+    ]
+    assert res.rejected == (True, True, False)
+    assert res.decision_stage == (1, 2, 2)
+    assert res.endpoint_final_n == (29, 35, 35)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    looks=st.integers(1, 12),
+    rule=st.sampled_from(RULES),
+    ties=st.booleans(),
+    infinite=st.booleans(),
+)
+def test_run_multistage_matches_the_replay(seed, k, looks, rule, ties, infinite):
+    # The whole TrialResult, every stage record included, against the
+    # plain stage loop of tests/multistage_replay.py.  The means spread
+    # so that some replicates never cross and some run several stages.
+    rng = np.random.default_rng(seed)
+    analyses = tuple(int(n) for n in np.cumsum(rng.integers(1, 10, size=looks)))
+    schedule = SampleSchedule(analyses)
+    levels = stage_levels(rule, ALPHA, k)
+    raw = rng.uniform(0.5, 3.0, size=(len(levels), looks))
+    values = rng.normal(rng.uniform(-1.0, 2.5, size=(40, 1, 1)), 1.2, size=(40, k, looks))
+    if ties:
+        # A half-unit grid puts statistics on boundaries and on each other.
+        raw, values = np.round(raw * 2.0) / 2.0, np.round(values * 2.0) / 2.0
+    if infinite:
+        spots = rng.random(values.shape) < 0.1
+        values[spots] = np.where(rng.random(values.shape) < 0.7, np.inf, -np.inf)[spots]
+    raw = np.sort(raw, axis=0)[::-1]
+    critical = CriticalFunction(
+        analyses, {level: tuple(row) for level, row in zip(levels, raw)}
+    )
+    relation = rng.random((k, k)) < 0.3
+    np.fill_diagonal(relation, False)
+    family = HypothesisFamily(
+        k=k,
+        contains_complement=tuple(tuple(row) for row in relation.tolist()),
+        closed_monotone=rule == CLOSED or bool(rng.integers(2)),
+    )
+    for stats in values:
+        paths = StatisticPaths(analyses, stats)
+        got = run_multistage(paths, family, schedule, critical, ALPHA, rule)
+        want = replay_multistage(paths, family, schedule, critical, ALPHA, rule)
+        assert got == want
+        # repr tells an int from a float or a numpy scalar, and a record
+        # from a plain tuple.
+        assert repr(got) == repr(want)
