@@ -205,9 +205,9 @@ def crossing_probability(
     if np.isnan(b).any():
         raise ValueError(f"boundary {b.tolist()} must not contain NaN")
     _check_grid_points(grid_points)
-    p = _crossing_recursion(analyses, b, grid_points)
+    p = _crossing_rows(analyses, b[np.newaxis], grid_points)[0]
     if tol is not None:
-        p_fine = _crossing_recursion(analyses, b, 2 * grid_points)
+        p_fine = _crossing_rows(analyses, b[np.newaxis], 2 * grid_points)[0]
         if abs(p_fine - p) > tol:
             raise GridError(
                 f"grid refinement moved the crossing probability by {abs(p_fine - p):.3g}, "
@@ -236,11 +236,6 @@ def _look_grids(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> t
     if min(spans) <= 0.0 or h < math.ulp(_SPAN_SD * sd[-1]):
         return None
     return h, tops, [math.floor(span / h * (1.0 + 1e-9)) + 1 for span in spans]
-
-
-def _crossing_recursion(analyses: tuple[int, ...], b: np.ndarray, grid_points: int) -> float:
-    """The crossing probability of one boundary: one row of _crossing_rows."""
-    return _crossing_rows(analyses, b[np.newaxis], grid_points)[0]
 
 
 def _crossing_rows(

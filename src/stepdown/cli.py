@@ -333,7 +333,7 @@ def _read_statistics_csv(path: str) -> tuple[tuple[int, ...], dict[str, tuple[fl
         raise ValueError(f"{exc} in {path}") from None
 
 
-def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction:
+def _read_boundary_csv(path: str) -> CriticalFunction:
     shapes: dict[float, str] = {}
 
     def parse(row: list[str]) -> tuple[float, int, float]:
@@ -344,11 +344,10 @@ def _read_boundary_csv(path: str, analyses: tuple[int, ...]) -> CriticalFunction
             raise ValueError(f"level {rho} mixes shapes {shapes[rho]} and {shape}")
         return rho, int(row[0]), float(row[2])
 
-    _analyses, table = _read_long_csv(
+    analyses, table = _read_long_csv(
         path, "boundary", ("n", "rho", "critical_value", "shape"), parse,
         "duplicate critical value for level {key!r} at n={n}",
         "lacks critical values at n={ns} for level {key}",
-        analyses,
     )
     try:
         return CriticalFunction(analyses, table)
@@ -395,7 +394,18 @@ def _read_family(path: str, labels: tuple[str, ...]) -> tuple[HypothesisFamily, 
 
 def _cmd_analyze(values: dict[str, Any]) -> None:
     analyses, table = _read_statistics_csv(values["statistics"])
-    critical = _read_boundary_csv(values["boundary"], analyses)
+    critical = _read_boundary_csv(values["boundary"])
+    # The statistics' looks must be the first looks of the boundary's
+    # schedule: a trial in progress has reached some of them.
+    looks = critical.schedule.analyses
+    for j, n in enumerate(analyses):
+        if j == len(looks) or looks[j] != n:
+            theirs = f"n={looks[j]}" if j < len(looks) else "none"
+            raise ValueError(
+                f"look {j + 1} of statistics file {values['statistics']} is at n={n}, but "
+                f"boundary file {values['boundary']} has {theirs} there; the statistics' "
+                "looks must be the first looks of the boundary's schedule"
+            )
     alpha, rule = values["alpha"], values["variant"]
     labels = tuple(table)
     if "family" in values:
@@ -411,12 +421,19 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
         )
     else:
         family = HypothesisFamily.simple(len(labels), labels)
+    # Looks not reached yet read -inf, which never crosses, so a
+    # hypothesis still under test at the statistics' last look is one
+    # whose stream runs past it: it continues to the next look.
+    pending = (-math.inf,) * (len(looks) - len(analyses))
     try:
-        paths = StatisticPaths(analyses=analyses, values=[table[label] for label in labels])
+        paths = StatisticPaths(looks, [table[label] + pending for label in labels])
     except ValueError as exc:
         raise ValueError(f"{exc} in {values['statistics']}") from None
     result = run_multistage(paths, family, critical.schedule, critical, alpha, rule)
-    columns = (labels, result.decisions, result.decision_stage, result.endpoint_final_n)
+    ongoing = [n > analyses[-1] for n in result.endpoint_final_n]
+    decisions = ["continue" if on else d for on, d in zip(ongoing, result.decisions)]
+    final_n = [looks[len(analyses)] if on else n for on, n in zip(ongoing, result.endpoint_final_n)]
+    columns = (labels, decisions, result.decision_stage, final_n)
     rows = zip(*(map(fmt, column) for column in columns))
     _write_rows(values["out"], ("hypothesis", "decision", "stage", "final_n"), rows)
 
@@ -560,7 +577,8 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], dict | None], tuple[Ke
             Key("theta", "true mean", _number),
             Key("reps", "simulated paths", _integer, default="10000", minimum=1),
             _SEED,
-            Key("horizon", "max observations per path", _integer, default="100000", minimum=1),
+            Key("horizon", "max observations per path; every path stops by ceil(2A/delta), "
+                "or one later at a rounding tie", _integer, default="100000", minimum=1),
             Key("method", "implementation route", choices=tuple(_ROUTES), default="direct"),
             _OUT,
         ),

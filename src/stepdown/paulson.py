@@ -85,8 +85,10 @@ class PaulsonConfig:
 
     ``delta`` widens each target interval; ``critical_value`` scales the
     sampling cost (larger values demand more evidence before stopping).
-    The horizon caps sampling: the stopping time is finite with
-    probability one but unbounded.
+    Every path stops by observation ceil(2A/delta), where (u_n, v_n) is
+    at most 2 delta wide and fits some widened target; where 2A/delta is
+    an integer up to rounding, rounding can take one observation more.
+    So ``horizon`` changes a result only when it is set below that.
     """
 
     thresholds: tuple[float, ...]

@@ -245,7 +245,52 @@ def test_criterion_3_familywise_error_control(sweep, capsys):
                 f"closed family {case} (k={k}, schedule={sched}): "
                 f"FWE {100 * fwe_hat:.2f}% exceeds {100 * (ALPHA + 3 * se):.2f}%"
             )
+
+    # At the global null every rejection is false, and under Mult and
+    # MultH alike the first is the first crossing of the alpha/3 row:
+    # stage 1 has every endpoint active under both.  So both rules have
+    # Mult's exact FWE, which the binary endpoint's spend puts above alpha.
+    null = GRID[0]
+    exact_fwe = _mult_exact(null, sweep["critical"].boundary(ALPHA / 3.0))[1]
+    spend = _binary_null_spend(sweep["critical"])
+    monte_carlo = {rule: sweep["summaries"][(null.label(), rule)].fwe for rule in ("Mult", "MultH")}
+    with capsys.disabled():
+        print(
+            f"[acceptance 3] {null.label()} FWE: exact {100 * exact_fwe:.3f}% under Mult and "
+            f"MultH, Monte Carlo {100 * monte_carlo['Mult']:.3f}% and "
+            f"{100 * monte_carlo['MultH']:.3f}%; alpha {100 * ALPHA:g}%"
+        )
+        print(
+            "[acceptance 3] binary endpoint's exact null spend per level: "
+            + ", ".join(f"{100 * rho:.3f}% -> {100 * p:.3f}%" for rho, p in spend.items())
+        )
     _report(capsys, 3, "familywise error control", failures)
+
+
+# The binary endpoint's exact null spend on table1's schedule, in percent
+# of the levels alpha/3, alpha/2 and alpha, per shape and continuity
+# correction: without the correction the flat rows' spend is 1.17 and
+# 1.09 times their level, the O'Brien-Fleming alpha row's 1.06 times.
+BINARY_NULL_SPEND = {
+    ("flat", False): (1.954, 2.734, 4.753),
+    ("flat", True): (1.074, 1.506, 2.734),
+    ("obrien-fleming", False): (1.074, 2.384, 5.290),
+    ("obrien-fleming", True): (0.952, 1.074, 2.734),
+}
+
+
+def test_binary_endpoint_null_spend(capsys):
+    failures = []
+    for (shape, corrected), want in BINARY_NULL_SPEND.items():
+        critical = calibrate_levels(SCHEDULE, (ALPHA / 3.0, ALPHA / 2.0, ALPHA), shape)
+        spend = _binary_null_spend(critical, 0.5 if corrected else 0.0)
+        for (rho, p), expected in zip(spend.items(), want):
+            if abs(100 * p - expected) > 5e-4:
+                failures.append(f"{shape} at {rho:.5f}: spend {100 * p:.4f}%, want {expected}%")
+            # The continuity correction makes the endpoint conservative.
+            if corrected and p > rho:
+                failures.append(f"{shape} at {rho:.5f}: corrected spend {100 * p:.4f}% exceeds it")
+    _report(capsys, "exact", "binary endpoint's null spend", failures)
 
 
 def test_criterion_4_power_and_cost_ordering(sweep, capsys):
@@ -309,16 +354,29 @@ def _gaussian_survival(mu, bound):
     return [_walk_below(looks[: j + 1], upper[: j + 1]) for j in range(len(looks))]
 
 
-def _binary_survival(p, bound):
-    """The same for the binary endpoint, by an exact DP over the success count."""
+def _binary_survival(p, bound, shift=0.0):
+    """The same for the binary endpoint, by an exact DP over the success count.
+
+    ``shift`` is the continuity correction's half success, or 0.
+    """
     mass, prev, survive = np.ones(1), 0, []
     for n, b in zip(SCHEDULE.analyses, bound):
         mass = np.convolve(mass, binom.pmf(np.arange(n - prev + 1), n - prev, p))
-        z = (np.arange(mass.size) - n / 2.0) / np.sqrt(n / 4.0)
+        z = (np.arange(mass.size) - n / 2.0 - shift) / np.sqrt(n / 4.0)
         mass = np.where(z >= b, 0.0, mass)
         survive.append(float(mass.sum()))
         prev = n
     return survive
+
+
+def _binary_null_spend(critical, shift=0.0):
+    """Per calibrated level, the exact probability that the binary endpoint
+    crosses that level's row at p = 1/2.  The rows are calibrated for a
+    Gaussian walk, and the standardized count only approximates one."""
+    return {
+        rho: 1.0 - _binary_survival(0.5, critical.boundary(rho), shift)[-1]
+        for rho in sorted(critical.table)
+    }
 
 
 def _stopping(survive):

@@ -37,6 +37,7 @@ def test_removed_wrappers_are_gone():
     assert not hasattr(stepdown.CriticalFunction, "from_table")
     assert not hasattr(stepdown.HypothesisFamily, "from_text")
     assert not hasattr(stepdown.boundary, "_as_analyses")
+    assert not hasattr(stepdown.boundary, "_crossing_recursion")
     assert not hasattr(stepdown.harness, "_worker_run")
     assert not hasattr(stepdown.harness, "_draw_key")
     assert not hasattr(stepdown.procedures, "_check_run")

@@ -344,7 +344,7 @@ def test_solver_stops_on_a_step_that_does_not_move(monkeypatch):
     g = shape_multipliers("obrien-fleming", analyses)
     c = _solve(analyses, g, 0.025, 512)
     assert len(grids) <= 8
-    p = stepdown.boundary._crossing_recursion(analyses, c * g, 512)
+    p = crossing_probability(analyses, c * g, grid_points=512)
     assert -normal_quantile(p) == pytest.approx(-normal_quantile(0.025), abs=1e-9)
 
 
@@ -425,7 +425,7 @@ def test_solver_bisects_past_an_infinite_gap(analyses, shape, rho):
         mp.setattr(stepdown.boundary, "_crossing_rows", recorded)
         c = _solve(analyses, g, rho, 512)
     assert {0.0, 1.0} & set(seen)
-    z = -normal_quantile(stepdown.boundary._crossing_recursion(analyses, c * g, 512))
+    z = -normal_quantile(crossing_probability(analyses, c * g, grid_points=512))
     assert z == pytest.approx(-normal_quantile(rho), abs=1e-6)
 
 
@@ -447,7 +447,7 @@ def test_solver_matches_brentq(inputs):
     # Both stop within 1e-10 + 1e-12 |c| of the grid's root.
     analyses, g, rho, grid_points = inputs
     expected = optimize.brentq(
-        lambda c: stepdown.boundary._crossing_recursion(analyses, c * g, grid_points) - rho,
+        lambda c: crossing_probability(analyses, c * g, grid_points=grid_points) - rho,
         -10.0, 10.0, xtol=1e-10, rtol=1e-12,
     )
     got = _solve(analyses, g, rho, grid_points)
@@ -546,7 +546,7 @@ def _recursion_inputs(draw, max_grid=2100):
 @example(((47, 68, 85, 93, 100), np.array([0.0] * 5), 293))
 def test_blocked_recursion_matches_reference(inputs):
     analyses, b, grid_points = inputs
-    got = stepdown.boundary._crossing_recursion(analyses, b, grid_points)
+    got = crossing_probability(analyses, b, grid_points=grid_points)
     assert abs(got - _reference_recursion(analyses, b, grid_points)) <= _ORACLE_ULPS * 2.0**-52
 
 
@@ -569,7 +569,7 @@ def test_look_grids_share_one_spacing(inputs):
     ) < np.spacing(_SPAN_SD * sd[-1])
     assert (grids is None) == empty
     if empty:
-        assert stepdown.boundary._crossing_recursion(analyses, b, grid_points) == 1.0
+        assert crossing_probability(analyses, b, grid_points=grid_points) == 1.0
         return
     h, tops, counts = grids
     grids = _grid_nodes(h, tops, counts)
@@ -654,7 +654,7 @@ def test_plain_float_scalars_match_the_array_arithmetic(inputs):
         assert grids[0] == reference[0]
         assert grids[1] == reference[1].tolist()
         assert grids[2] == reference[2].tolist()
-    got = stepdown.boundary._crossing_recursion(analyses, b, grid_points)
+    got = crossing_probability(analyses, b, grid_points=grid_points)
     assert got == _array_recursion(analyses, b, grid_points)
 
 
@@ -688,7 +688,7 @@ def test_stacked_rows_match_each_row_alone(inputs):
     analyses, bounds, grid_points = inputs
     got = stepdown.boundary._crossing_rows(analyses, bounds, grid_points)
     assert got == [
-        stepdown.boundary._crossing_recursion(analyses, b, grid_points) for b in bounds
+        crossing_probability(analyses, b, grid_points=grid_points) for b in bounds
     ]
     assert got == [_kernel_recursion(analyses, b, grid_points) for b in bounds]
 
@@ -740,7 +740,7 @@ def test_fft_transition_matches_the_direct_convolution(inputs):
     # End to end the transitions' differences add up: at 128 looks the
     # two forms' crossing probabilities differ by 8 to 15 ulps of 1.
     if len(analyses) <= 6:
-        got = stepdown.boundary._crossing_recursion(analyses, b, grid_points)
+        got = crossing_probability(analyses, b, grid_points=grid_points)
         assert abs(got - direct) <= _ORACLE_ULPS * 2.0**-52
 
 
@@ -760,8 +760,10 @@ _LARGE_GRID_REFERENCE = [
 def test_blocked_recursion_matches_reference_on_large_grids(
     analyses, shape, c, grid_points, expected
 ):
+    # 8192 points is the doubled-grid check's grid at MAX_GRID_POINTS,
+    # beyond what crossing_probability takes as grid_points.
     b = c * shape_multipliers(shape, analyses)
-    assert stepdown.boundary._crossing_recursion(analyses, b, grid_points) == expected
+    assert stepdown.boundary._crossing_rows(analyses, b[np.newaxis], grid_points) == [expected]
 
 
 def _peak_traced_bytes(analyses, b):
@@ -809,7 +811,7 @@ def test_crossing_does_not_increase_in_small_steps_of_the_constant(inputs):
     analyses, g, rho, grid_points = inputs
     root = _solve(analyses, g, rho, grid_points)
     ps = [
-        stepdown.boundary._crossing_recursion(analyses, (root + k * 1e-10) * g, grid_points)
+        crossing_probability(analyses, (root + k * 1e-10) * g, grid_points=grid_points)
         for k in range(-5, 6)
     ]
     assert all(later <= earlier for earlier, later in zip(ps, ps[1:]))

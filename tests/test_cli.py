@@ -897,6 +897,89 @@ def test_analyze_closed_without_family_names_the_family_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def _analyze_rows(tmp_path, rows, variant="holm", family=None):
+    """analyze on statistics ``rows`` of (hypothesis, n, statistic) against
+    a boundary at 26, 29, 35 for alpha, alpha/2 and alpha/3: the exit code
+    and, on success, the rows by hypothesis."""
+    bound = tmp_path / "bound3.csv"
+    if not bound.exists():
+        _write_boundary(tmp_path, "0.05,0.025,0.016666666666666666", "bound3.csv")
+    stats = tmp_path / "interim.csv"
+    stats.write_text("hypothesis,n,statistic\n" + "".join(f"{h},{n},{v}\n" for h, n, v in rows))
+    out = tmp_path / "interim-decisions.csv"
+    argv = ["analyze", "--statistics", str(stats), "--boundary", str(bound),
+            "--variant", variant, "--out", str(out)]
+    if family is not None:
+        (tmp_path / "family.txt").write_text(family)
+        argv += ["--family", str(tmp_path / "family.txt")]
+    code = main(argv)
+    return code, ({row[0]: row[1:] for row in read_csv(out)[1:]} if code == 0 else None)
+
+
+def test_analyze_reports_an_interim_look_as_continuing(tmp_path):
+    # At n = 26 of (26, 29, 35) nothing crosses: both hypotheses go on
+    # to the next look, they are not accepted.
+    assert _analyze_rows(tmp_path, [("A", 26, 1.1), ("B", 26, 0.2)]) == (
+        0, {"A": ["continue", "1", "29"], "B": ["continue", "1", "29"]}
+    )
+    # A is rejected at n = 26; B, in stage 2 at n = 29, goes on to 35.
+    rows = [("A", 26, 3.1), ("B", 26, 0.2), ("A", 29, 0.0), ("B", 29, 0.3)]
+    assert _analyze_rows(tmp_path, rows) == (
+        0, {"A": ["rejected", "1", "26"], "B": ["continue", "2", "35"]}
+    )
+
+
+@pytest.mark.parametrize("variant", ["holm", "closed"])
+def test_analyze_keeps_an_implied_acceptance_at_an_interim_look(tmp_path, variant):
+    # Rejecting A accepts B, which contains its complement: under closed
+    # at once, and under holm because no survivor is left to test.
+    family = "k = 2\nlabels = A,B\ncontains_complement = 1>2\nclosed_monotone = true\n"
+    assert _analyze_rows(tmp_path, [("A", 26, 3.1), ("B", 26, 0.2)], variant, family) == (
+        0, {"A": ["rejected", "1", "26"], "B": ["accepted", "1", "26"]}
+    )
+
+
+@pytest.mark.parametrize(
+    "looks, message",
+    [
+        ((26, 35), "look 2 of statistics file {stats} is at n=35, but boundary file {bound} has n=29"),
+        ((29,), "look 1 of statistics file {stats} is at n=29, but boundary file {bound} has n=26"),
+        ((26, 29, 35, 40), "look 4 of statistics file {stats} is at n=40, but boundary file "
+                           "{bound} has none"),
+    ],
+)
+def test_analyze_refuses_looks_off_the_boundary_schedule(tmp_path, capsys, looks, message):
+    code, _ = _analyze_rows(tmp_path, [(h, n, 0.0) for h in "AB" for n in looks])
+    assert code == 2
+    paths = {"stats": tmp_path / "interim.csv", "bound": tmp_path / "bound3.csv"}
+    assert message.format(**paths) in capsys.readouterr().err
+    assert not (tmp_path / "interim-decisions.csv").exists()
+
+
+@pytest.mark.parametrize("variant", ["holm", "mult", "closed"])
+def test_analyze_at_each_look_agrees_with_the_complete_trial(tmp_path, variant):
+    # Cut at look J, a trial keeps every row the complete trial decided
+    # by n_J, and every other hypothesis continues to look J + 1.
+    looks = (26, 29, 35)
+    family = "k = 3\nlabels = A,B,C\ncontains_complement = 1>3\nclosed_monotone = true\n"
+    rng = np.random.default_rng(41)
+    for _ in range(15):
+        stats = {h: rng.normal(1.5, 1.2, size=3).round(2) for h in "ABC"}
+        rows = [(h, n, v) for h, values in stats.items() for n, v in zip(looks, values)]
+        code, complete = _analyze_rows(tmp_path, rows, variant, family)
+        assert code == 0
+        for cut in (1, 2):
+            code, interim = _analyze_rows(
+                tmp_path, [row for row in rows if row[1] <= looks[cut - 1]], variant, family
+            )
+            assert code == 0
+            for h, row in complete.items():
+                if int(row[2]) <= looks[cut - 1]:
+                    assert interim[h] == row
+                else:
+                    assert interim[h][0] == "continue" and interim[h][2] == str(looks[cut])
+
+
 def _family(tmp_path, text, labels):
     path = tmp_path / "family.txt"
     path.write_text(text)
@@ -972,12 +1055,12 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, analyses, levels, values)
         [(h, fmt(n), fmt(vals[j])) for h, vals in stats.items() for j, n in enumerate(analyses)],
     )
     read_analyses, read_stats = stepdown.cli._read_statistics_csv(str(work / "s.csv"))
-    critical = stepdown.cli._read_boundary_csv(str(work / "b.csv"), tuple(analyses))
+    critical = stepdown.cli._read_boundary_csv(str(work / "b.csv"))
 
     def hexed(mapping):
         return [(key, [v.hex() for v in vals]) for key, vals in mapping.items()]
 
-    assert read_analyses == tuple(analyses)
+    assert read_analyses == critical.schedule.analyses == tuple(analyses)
     assert hexed(read_stats) == hexed(stats)
     assert [rho.hex() for rho in critical.table] == [rho.hex() for rho in table]
     assert hexed(critical.table) == hexed(table)

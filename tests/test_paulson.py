@@ -635,3 +635,63 @@ def test_kernels_round_in_the_documented_order(route, side):
         tests = np.empty((2, 1, 1, 1), dtype=bool)
         _ROUTES[route](np.array([[s]]), np.array([m]), config, tests, np.empty((3, 1, 1)))
         assert tests[side, 0, 0, 0] == rejects(doc, bound) != rejects(alt, bound)
+
+
+def _sure_stop(config):
+    # Every path stops by observation ceil(2A/delta): there (u_n, v_n) is
+    # at most 2 delta wide, and an interval that wide fits some widened
+    # target.  Where 2A/delta is an integer up to rounding, the width
+    # bound holds with equality, and rounding can leave the interval
+    # astride a target's end for one observation more (the cases in
+    # test_rounding_can_take_one_observation_past_two_a_over_delta).
+    ratio = 2.0 * config.critical_value / config.delta
+    if math.isclose(ratio, round(ratio), rel_tol=1e-9):
+        return round(ratio) + 1
+    return math.ceil(ratio)
+
+
+@st.composite
+def sure_stop_cases(draw):
+    k1 = draw(st.integers(1, 4))
+    delta = draw(st.one_of(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.3, 0.5]), st.floats(0.02, 0.5)))
+    gaps = draw(st.lists(st.floats(1.05 * delta, 2.0), min_size=k1 - 1, max_size=k1 - 1))
+    thresholds = [draw(st.floats(-2.0, 2.0))]
+    for gap in gaps:
+        thresholds.append(thresholds[-1] + gap)
+    # About half the cases put 2A/delta on an integer, where the bound is tight.
+    critical_value = draw(
+        st.one_of(st.integers(1, 80).map(lambda n: delta * n / 2.0), st.floats(0.05, 8.0))
+    )
+    horizon = draw(st.one_of(st.just(100_000), st.integers(1, 200)))
+    config = PaulsonConfig(tuple(thresholds), delta, critical_value, horizon)
+    # On a threshold or at a widened target's end, where paths stop last.
+    theta = draw(st.sampled_from(thresholds)) + draw(st.sampled_from([0.0, delta, -delta]))
+    return theta, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(sure_stop_cases(), st.integers(0, 2**32), st.sampled_from([0.0, 1e-12, 1.0]))
+def test_every_path_stops_by_two_a_over_delta(case, seed, noise):
+    theta, config = case
+    bound = min(config.horizon, _sure_stop(config))
+    for method in sorted(ROUTES):
+        _decision, stop_n, _fallback = classify_paths(theta, config, seed, 50, method)
+        assert stop_n.max() <= bound
+    # A path with no noise sits exactly on theta, the slowest to decide.
+    path = theta + noise * np.random.default_rng(seed).standard_normal(_sure_stop(config) + 2)
+    for route in ROUTES.values():
+        assert route(path, config).stop_n <= bound
+
+
+@pytest.mark.parametrize(
+    "route, config, theta",
+    [
+        ("direct", PaulsonConfig((-0.8,), 0.1, 0.2), -0.8),
+        ("stepdown", PaulsonConfig((1.0,), 0.05, 0.225), 1.0),
+    ],
+)
+def test_rounding_can_take_one_observation_past_two_a_over_delta(route, config, theta):
+    # 2A/delta is 4 and 9: a constant path on the threshold stops one
+    # observation later, though in exact arithmetic it stops there.
+    ratio = round(2.0 * config.critical_value / config.delta)
+    assert ROUTES[route](np.full(20, theta), config).stop_n == ratio + 1
