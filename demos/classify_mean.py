@@ -4,7 +4,8 @@ Thresholds 0 and 1 split the line into three targets, widened by delta
 on each side.  The demo traces a few individual paths, then estimates
 how often each interval is chosen and how long sampling runs for a
 range of true means, comparing the direct evidence-interval rule with
-its step-down reformulation (the two always agree path by path).  The
+its step-down reformulation (the two agree path by path, except at a
+rounding tie of a one-sided test).  The
 operating characteristics come from ``classify_paths``, which decides
 a group of simulated paths per pass.
 """

@@ -39,7 +39,7 @@ def main():
             [0.40, 0.10, 0.60],   # never convincing
         ]),
     )
-    family = HypothesisFamily.simple(3, labels)
+    family = HypothesisFamily(3, labels)
     critical = calibrate_levels(schedule, (ALPHA / 3.0, ALPHA / 2.0, ALPHA), "flat")
 
     print("step-down thresholds (relax as hypotheses fall):")

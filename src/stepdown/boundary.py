@@ -330,7 +330,9 @@ class CriticalFunction:
     When the table came from calibration, a level's boundary constant is
     its last critical value (both shapes have g = 1 there), and
     ``achieved`` records the crossing probability each boundary achieves
-    on the doubled grid.  A table supplied from outside is
+    on the doubled grid.  On the solve grid that probability is rho to
+    within the root search's tolerance, so ``achieved[rho] - rho`` is the
+    grid-refinement gap.  A table supplied from outside is
     ``CriticalFunction(schedule, table)``, the schedule given as a
     SampleSchedule or a sequence of sizes.  After construction ``table``
     and ``achieved`` are read-only mappings, so the checks made here hold

@@ -9,7 +9,10 @@ text and fails with the same message either way.  Every run writes its
 resolved configuration next to the output file (``<out>.meta.txt``):
 each key as given, or its default when it has one, so any result can be
 reproduced from its sidecar alone.  ``boundary`` adds ``achieved``: each
-level's crossing probability on the doubled grid, in ``rho`` order.
+level's crossing probability on the doubled grid, in ``rho`` order.  On
+the solve grid a calibrated boundary crosses with probability rho to
+within the root search's tolerance, so achieved - rho is the
+grid-refinement gap.
 
 Exit status: 0 on success, 2 for configuration errors (bad keys, bad
 values, malformed input files), 1 for runtime failures (calibration
@@ -284,13 +287,12 @@ def _read_long_csv(
     parse: Callable[[list[str]], tuple[Any, int, float]],
     duplicate: str,
     missing: str,
-    analyses: tuple[int, ...] | None = None,
 ) -> tuple[tuple[int, ...], dict[Any, tuple[float, ...]]]:
     """Read a CSV of one value per (key, n) row; ``parse(row)`` returns them.
 
-    Every key needs a value at each of ``analyses`` (default: every n in
-    the file).  ``duplicate`` and ``missing`` word those errors.  Returns
-    the sizes and each key's values at them by first-seen key.
+    Every key needs a value at every n in the file.  ``duplicate`` and
+    ``missing`` word those errors.  Returns the sizes and each key's
+    values at them by first-seen key.
     """
     reader = csv.reader(io.StringIO(_read_text(path, kind), newline=""))
     first = next(reader, None)
@@ -310,8 +312,7 @@ def _read_long_csv(
         per_n[n] = value
     if not cells:
         raise ValueError(f"{kind} file {path} contains no data rows")
-    if analyses is None:
-        analyses = tuple(sorted({n for per_n in cells.values() for n in per_n}))
+    analyses = tuple(sorted({n for per_n in cells.values() for n in per_n}))
     for key, per_n in cells.items():
         ns = [n for n in analyses if n not in per_n]
         if ns:
@@ -420,7 +421,7 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
             "the closed variant requires --family (config key 'family'): a closed_monotone family"
         )
     else:
-        family = HypothesisFamily.simple(len(labels), labels)
+        family = HypothesisFamily(len(labels), labels)
     # Looks not reached yet read -inf, which never crosses, so a
     # hypothesis still under test at the statistics' last look is one
     # whose stream runs past it: it continues to the next look.

@@ -118,11 +118,6 @@ class HypothesisFamily:
         implied = tuple(sum(1 << b for b, x in enumerate(row) if x) for row in rel)
         object.__setattr__(self, "_implied", implied)
 
-    @classmethod
-    def simple(cls, k: int, labels: Iterable[str] | None = None) -> "HypothesisFamily":
-        """A family with no containment structure."""
-        return cls(k=k, labels=tuple(labels) if labels is not None else ())
-
 
 @dataclass(frozen=True)
 class SampleSchedule:
@@ -194,10 +189,6 @@ class StatisticPaths:
             raise ValueError("statistic values must not be NaN")
         object.__setattr__(self, "analyses", analyses)
         object.__setattr__(self, "values", values)
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
 
 
 class StageRecord(NamedTuple("StageRecord", [

@@ -89,7 +89,7 @@ _VARIANTS: dict[str, str] = {"Mult": MULT, "MultH": HOLM}
 PROCEDURES = ("H", *_VARIANTS)
 
 # The trial model's three hypotheses carry no containment structure.
-_FAMILY = HypothesisFamily.simple(3)
+_FAMILY = HypothesisFamily(3)
 
 # The longest schedule a ScenarioSpec accepts bounds each binomial table and
 # H's cutoffs; its looks bound a block's draws (KEY_BLOCK rows a look) to 3 MB.

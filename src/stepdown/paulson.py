@@ -7,7 +7,9 @@ interval fits inside one of the targets, each widened by delta on its
 finite ends: (-inf, theta_1 + delta), (theta_i - delta, theta_{i+1} +
 delta), (theta_{k-1} - delta, inf).
 
-Two implementations are provided and must agree path for path:
+Two implementations are provided.  They agree path for path, except at
+a rounding tie of a one-sided test, where each kernel follows its own
+documented rounding order:
 
 * the direct rule tracks the running maximum u_n of S_m/m - delta/2 - A/m
   and the running minimum v_n of S_m/m + delta/2 + A/m and tests
@@ -18,11 +20,11 @@ Two implementations are provided and must agree path for path:
   S_n - n(theta_t + delta/2) <= -A, and stops when the rejection pattern
   singles out an interval.
 
-The two stopping conditions coincide because dividing the SPRT margin by
-n and rearranging gives exactly the u_n (respectively v_n) comparison.
-When the first qualifying time admits more than one interval, or the
-horizon is exhausted, the classification falls back to the interval
-containing S_n/n.
+The two stopping conditions coincide in exact arithmetic because dividing
+the SPRT margin by n and rearranging gives the u_n (respectively v_n)
+comparison.  When the first qualifying time admits more than one
+interval, or the horizon is exhausted, the classification falls back to
+the interval containing S_n/n.
 
 Each route's rule is one kernel over a block whose rows are paths and
 whose columns are the paths' next observations.  It writes the outcome
@@ -401,7 +403,9 @@ def paulson_via_stepdown(observations: np.ndarray, config: PaulsonConfig) -> Pau
 
     Returns:
         The classification, its stopping time, and the fallback flag;
-        identical to run_paulson_direct on the same observations.
+        run_paulson_direct's on the same observations, except at a
+        rounding tie of a one-sided test, where each kernel follows its
+        own rounding order.
     """
     return _one_path("stepdown", observations, config)
 
@@ -438,15 +442,14 @@ def classify_paths(
     CHUNK of them, as ``_decide`` cuts them).  The paths are dealt in
     groups of ``GROUP_OBSERVATIONS // CHUNK``: the group whose first
     path is ``first`` deals the block that starts at observation count c
-    by drawing ``standard_normal((live, size))`` from
-    ``Generator(philox(seed, first, c))``, the Philox stream keyed
-    ``[seed, first]`` at counter ``[0, c, 0, 0]``, adding ``theta``, and
-    handing row i to its i-th live path by index.  So a path's
-    observations depend only on the seed, its index, ``theta``, the rule
-    and the lower-indexed paths of its group, and the rows for ``reps``
-    paths begin with the rows for fewer.  A wave of ``WAVE`` groups is
-    decided side by side: at each count its groups' draws fill one
-    block, in runs of whole groups that fit the call's buffers (one
+    by drawing ``standard_normal((live, size))`` from the Philox stream
+    keyed ``[seed, first]`` at counter ``[0, c, 0, 0]``, adding
+    ``theta``, and handing row i to its i-th live path by index.  So a
+    path's observations depend only on the seed, its index, ``theta``,
+    the rule and the lower-indexed paths of its group, and the rows for
+    ``reps`` paths begin with the rows for fewer.  A wave of ``WAVE``
+    groups is decided side by side: at each count its groups' draws fill
+    one block, in runs of whole groups that fit the call's buffers (one
     group's widest block), and one cumsum and one kernel call cover each
     run.  Memory grows with one wave and the results, not with ``reps``.
     Each path's S_n is summed one observation at a time, as the paper

@@ -78,7 +78,7 @@ def holm_fixed(p_values: Sequence[float] | np.ndarray, alpha: float) -> np.ndarr
     alpha = check_alpha(alpha)
     k = p.shape[-1]
     # How many of the levels alpha / m, m = 1..k, each p-value is below.
-    cleared = k - np.searchsorted(alpha / np.arange(k, 0, -1), p, side="right")
+    cleared = k - np.searchsorted(stage_levels(HOLM, alpha, k), p, side="right")
     return _step_down(cleared, k)
 
 
@@ -245,7 +245,7 @@ def run_multistage(
     """
     k = family.k
     if len(paths.values) != k:
-        raise ValueError(f"paths cover {paths.k} hypotheses, family has {k}")
+        raise ValueError(f"paths cover {len(paths.values)} hypotheses, family has {k}")
     if paths.analyses != schedule.analyses:
         raise ValueError("paths and schedule disagree on the analysis sizes")
     bounds = _stage_bounds(family, schedule, critical, alpha, rule)
@@ -402,10 +402,9 @@ def _decide_counts(
     final_n = np.full((reps, k), analyses[-1], dtype=np.int64)
 
     for j, n_j in enumerate(analyses):
-        step = _look_step(cleared[:, :, j], active, rejected, m, contains, closed)
-        if step is None:
-            continue
-        rows, rej_now, frozen, remaining = step
+        rows, rej_now, frozen, remaining = _look_step(
+            cleared[:, :, j], active, rejected, m, contains, closed
+        )
         final_n[rows] = np.where(frozen, n_j, final_n[rows])
         rejected[rows] = rej_now
         active[rows] = remaining
@@ -417,7 +416,7 @@ def _decide_counts(
 def _look_step(
     cleared: np.ndarray, active: np.ndarray, rejected: np.ndarray, m: np.ndarray,
     contains: np.ndarray, closed: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One look of the multistage walk over R replicates.
 
     cleared[r, i] is statistic i's count at the look; active and rejected
@@ -430,14 +429,12 @@ def _look_step(
     Returns:
         ``(rows, rejected, frozen, active)``: the rows that end a stage,
         their rejections after the look, the hypotheses that freeze at
-        it, and their active set after it; None if no row ends a stage.
+        it, and their active set after it; all empty if no row ends a stage.
     """
     # An inactive hypothesis counts -1: it neither crosses nor passes,
     # and a stopped replicate, with m = 0, never qualifies again.
     counts = np.where(active, cleared, -1)
     rows = np.flatnonzero(counts.max(axis=1) >= m)
-    if rows.size == 0:
-        return None
     act = active[rows]
     stage_rej = _step_down(counts[rows], m[rows])
     decided = stage_rej

@@ -56,12 +56,11 @@ def check_seed(seed: int) -> int:
     return check_integer(seed, "seed", 0, 2**64)
 
 
-def philox(seed: int, index: int, step: int = 0) -> np.random.Philox:
+def philox(seed: int, index: int) -> np.random.Philox:
     """The Philox bit generator keyed ``[seed, index]`` as uint64 words,
-    at counter ``[0, step, 0, 0]``."""
+    at counter zero."""
     # A plain list would send ints of 2**63 and above through float64.
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Philox(key=key, counter=[0, step, 0, 0])
+    return np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
 
 
 @dataclass(frozen=True)

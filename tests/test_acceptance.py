@@ -487,7 +487,7 @@ def test_criterion_5_single_analysis_equivalence(capsys):
         )
         result = run_multistage(
             StatisticPaths((n,), stats.reshape(k, 1)),
-            HypothesisFamily.simple(k),
+            HypothesisFamily(k),
             SampleSchedule((n,)),
             critical,
             alpha,

@@ -44,11 +44,15 @@ def test_removed_wrappers_are_gone():
     assert not hasattr(stepdown.HypothesisFamily, "implied_acceptances")
     assert not hasattr(stepdown.ScenarioSpec, "label")
     assert not hasattr(stepdown.SimulationSummary, "any_true_null")
+    assert not hasattr(stepdown.HypothesisFamily, "simple")
+    assert "step" not in inspect.signature(stepdown.trial.philox).parameters
+    assert "analyses" not in inspect.signature(stepdown.cli._read_long_csv).parameters
     fields = {field.name for field in dataclasses.fields(stepdown.CriticalFunction)}
     assert fields == {"schedule", "table", "achieved"}
     assert "tol" not in inspect.signature(stepdown.calibrate_levels).parameters
     paths = stepdown.StatisticPaths((26, 29), np.zeros((1, 2)))
     assert not hasattr(paths, "sums")
+    assert not hasattr(paths, "k")
     with pytest.raises(TypeError):
         stepdown.StatisticPaths((26, 29), np.zeros((1, 2)), sums=np.zeros((1, 2)))
 

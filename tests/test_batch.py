@@ -101,7 +101,7 @@ def reference_counts(spec, rep_range, critical):
     """run_scenario's accumulators from one replicate at a time."""
     k, sup = 3, spec.schedule.sup
     tail = scipy_stats.binom.sf(np.arange(sup + 1) - 1, sup, 0.5)
-    family = HypothesisFamily.simple(k)
+    family = HypothesisFamily(k)
     rule = {"Mult": MULT, "MultH": HOLM}.get(spec.procedure)
     sum_n = sumsq_n = fwe = 0
     counts = [0] * k
@@ -229,7 +229,7 @@ def test_equal_clearance_counts_get_equal_decisions(seed, k, looks, rule):
 
 def test_batch_engine_rejects_bad_input():
     critical = CriticalFunction(SCHED.analyses, {ALPHA: (2.0, 2.0, 2.0)})
-    family = HypothesisFamily.simple(2)
+    family = HypothesisFamily(2)
     good = np.zeros((4, 2, 3))
     with pytest.raises(ValueError, match="shape"):
         run_multistage_batch(np.zeros((4, 3, 3)), family, SCHED, critical, ALPHA, CLOSED)

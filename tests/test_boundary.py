@@ -175,6 +175,34 @@ def test_calibrate_hits_target_level():
         assert crit.achieved[rho] == doubled
 
 
+@pytest.mark.parametrize(
+    "analyses, shape, levels",
+    [
+        ((26, 29, 35), "flat", (0.05, 0.025, 0.05 / 3.0)),
+        ((20, 28, 37, 50, 66), "obrien-fleming", (0.05, 1e-6)),
+        ((40,), "flat", (0.05, 1e-6)),
+    ],
+)
+def test_achieved_less_rho_is_the_grid_refinement_gap(analyses, shape, levels):
+    # The root search stops once a step is at most 1e-10 + 1e-12 |c|, so
+    # the constant lies that close to the root on the solve grid, and the
+    # crossing probability moves at most sum_j g_j phi(c g_j) <= sum_j g_j
+    # / sqrt(2 pi) per unit of c; a few ulps of 1 per look cover the
+    # recursion's rounding.  So the solve grid gives rho to within that
+    # bound, and achieved - rho, taken on the doubled grid, is the two
+    # grids' gap to within it.
+    crit = calibrate_levels(analyses, levels, shape)
+    g_sum = float(shape_multipliers(shape, analyses).sum())
+    for rho in levels:
+        row = crit.boundary(rho)
+        bound = g_sum / math.sqrt(2.0 * math.pi) * (1e-10 + 1e-12 * abs(row[-1]))
+        bound += 8 * len(analyses) * 2.0**-52
+        solve = crossing_probability(analyses, row)
+        doubled = crossing_probability(analyses, row, grid_points=1024)
+        assert abs(solve - rho) <= bound
+        assert crit.achieved[rho] == doubled
+
+
 def test_calibrated_boundary_monotone_in_level():
     crit = calibrate_levels(SCHED, [0.05, 0.025, 0.05 / 3.0])
     for j in range(len(SCHED)):

@@ -997,7 +997,7 @@ def test_family_round_trip(tmp_path):
     )
     assert _family(tmp_path, text, fam.labels) == fam
 
-    plain = HypothesisFamily.simple(4)
+    plain = HypothesisFamily(4)
     text = "k = 4\nlabels = H1,H2,H3,H4\ncontains_complement = none\nclosed_monotone = false\n"
     assert _family(tmp_path, text, plain.labels) == plain
     assert _family(tmp_path, "k = 4\n", plain.labels) == plain

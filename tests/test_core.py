@@ -21,7 +21,7 @@ from stepdown.core import (
 
 
 def test_simple_family_is_valid():
-    fam = HypothesisFamily.simple(3)
+    fam = HypothesisFamily(3)
     assert fam.k == 3
     assert fam.labels == ("H1", "H2", "H3")
     assert all(not any(row) for row in fam.contains_complement)
@@ -89,7 +89,7 @@ def test_schedule_validation():
 def test_statistic_paths_lookup():
     values = np.array([[1.0, 2.0, 3.0], [0.5, 0.4, 0.3]])
     paths = StatisticPaths((26, 29, 35), values)
-    assert paths.k == 2
+    assert len(paths.values) == 2
 
 
 def test_statistic_paths_validation():
@@ -133,7 +133,7 @@ def test_statistic_paths_keep_plain_int_sizes():
 @pytest.mark.parametrize("spot", [(i, j) for i in range(3) for j in range(3)])
 def test_statistic_paths_find_nan_anywhere(spot):
     values = np.array([[1.0, np.inf, -np.inf], [0.0, -0.0, 2.0], [np.inf, -np.inf, 3.0]])
-    assert StatisticPaths((26, 29, 35), values).k == 3
+    assert len(StatisticPaths((26, 29, 35), values).values) == 3
     values[spot] = np.nan
     with pytest.raises(ValueError, match="statistic values must not be NaN"):
         StatisticPaths((26, 29, 35), values)

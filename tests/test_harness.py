@@ -426,7 +426,7 @@ def _one_replicate_summary(spec, critical):
     totals, counts, fwe = [], [0, 0, 0], 0
     for stats in values.transpose(2, 0, 1):
         result = run_multistage(
-            StatisticPaths(spec.schedule.analyses, stats), HypothesisFamily.simple(3),
+            StatisticPaths(spec.schedule.analyses, stats), HypothesisFamily(3),
             spec.schedule, critical, spec.alpha, rule,
         )
         totals.append(result.total_measurements)
@@ -552,7 +552,7 @@ def test_table_walk_matches_the_count_engine(looks, rule, alpha, reps, seed):
     # clears none, so it runs to the last.
     critical = _calibrated(looks, "flat")
     analyses = critical.schedule.analyses
-    family = HypothesisFamily.simple(3)
+    family = HypothesisFamily(3)
     bounds = np.array(_stage_bounds(family, critical.schedule, critical, alpha, rule))
     entries = np.concatenate([
         bounds, np.nextafter(bounds, np.inf), np.nextafter(bounds, -np.inf),
@@ -580,7 +580,7 @@ def test_table_walk_matches_the_scalar_engine_on_every_two_look_sequence(rule, s
     # Mult's rows are one boundary, so its counts are 0 or 3 only.
     critical = _calibrated(2, "flat")
     analyses = critical.schedule.analyses
-    family = HypothesisFamily.simple(3)
+    family = HypothesisFamily(3)
     rows = np.array(_stage_bounds(family, critical.schedule, critical, 0.05, rule))
     # values[j][c]: a look-j statistic whose count is c.
     values = []

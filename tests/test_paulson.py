@@ -22,7 +22,7 @@ from stepdown.paulson import (
     run_paulson_direct,
     simulate_observations,
 )
-from stepdown.trial import RngStream, philox
+from stepdown.trial import RngStream
 
 from paulson_replay import GROUP, dealt_paths, paper_direct
 
@@ -464,7 +464,8 @@ def test_stream_blocks_reuse_one_generator_as_fresh_ones():
     next_block = _stream_blocks(theta, seed, first)
     unread = []
     for start, count, live, size in [(0, 0, 3, 17), (GROUP, 17, 2, 16), (0, 0, 3, 17)]:
-        fresh = philox(seed, first + start, count)
+        key = np.array([seed, first + start], dtype=np.uint64)
+        fresh = np.random.Philox(key=key, counter=[0, count, 0, 0])
         want = np.random.Generator(fresh).standard_normal((live, size)) + theta
         unread.append(4 - fresh.state["buffer_pos"])
         out = np.empty((live, size))
@@ -635,6 +636,19 @@ def test_kernels_round_in_the_documented_order(route, side):
         tests = np.empty((2, 1, 1, 1), dtype=bool)
         _ROUTES[route](np.array([[s]]), np.array([m]), config, tests, np.empty((3, 1, 1)))
         assert tests[side, 0, 0, 0] == rejects(doc, bound) != rejects(alt, bound)
+
+
+def test_routes_split_at_a_rounding_tie():
+    # The routes agree path for path except at a rounding tie of a
+    # one-sided test.  Here A = 0.15000000000000002 and, at n = 1, the
+    # direct rule's v_1 = (-0.1 + delta/2) + A rounds to 0.10000000000000002,
+    # above theta + delta, while the step-down statistic -0.1 - delta/2
+    # rounds onto -A, so its upward test rejects one observation sooner.
+    config = PaulsonConfig(thresholds=(0.0,), delta=0.1, critical_value=0.1 * 3 / 2)
+    path = np.full(8, -0.1)
+    assert run_paulson_direct(path, config) == PaulsonResult(0, 2, False)
+    assert paper_direct(path, config) == PaulsonResult(0, 2, False)
+    assert paulson_via_stepdown(path, config) == PaulsonResult(0, 1, False)
 
 
 def _sure_stop(config):

@@ -76,6 +76,26 @@ def test_holm_fixed_tie_broken_by_index():
     assert rej.tolist() == [True, True, False]
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.025, 1 / 60, 0.1, 1e-6, 0.9])
+def test_holm_fixed_on_and_beside_each_level(alpha):
+    # p-values on each Holm level alpha / m and one ulp to either side,
+    # against the step-down loop at the levels alpha / np.arange(k, 0, -1)
+    # written out here: a level one ulp off flips some of these rows.
+    rng = np.random.default_rng(11)
+    for k in range(1, 9):
+        levels = alpha / np.arange(k, 0, -1)
+        assert stage_levels(HOLM, alpha, k) == tuple(levels)
+        spots = np.concatenate([np.nextafter(levels, 0.0), levels, np.nextafter(levels, 1.0)])
+        p = rng.choice(spots, size=(300, k))
+        want = np.zeros(p.shape, dtype=bool)
+        for row, out in zip(p, want):
+            for j, i in enumerate(np.argsort(row, kind="stable")):
+                if not row[i] < levels[j]:
+                    break
+                out[i] = True
+        assert np.array_equal(holm_fixed(p, alpha), want)
+
+
 def test_holm_fixed_monotone_in_alpha():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -141,7 +161,7 @@ def test_holm_closed_differs_from_the_one_look_closed_walk():
 
 
 def test_holm_closed_requires_flag():
-    fam = HypothesisFamily.simple(2)
+    fam = HypothesisFamily(2)
     with pytest.raises(ValueError, match="closed_monotone"):
         holm_closed([0.01, 0.02], ALPHA, fam)
 
@@ -161,7 +181,7 @@ def test_holm_closed_contains_holm_fixed():
 def first_stage(stats, critical, rule=HOLM, family=None):
     """The first stage record of a run on statistics constant across analyses."""
     paths = paths_from_stats(stats)
-    family = family or HypothesisFamily.simple(len(stats))
+    family = family or HypothesisFamily(len(stats))
     return run_multistage(paths, family, SCHED, critical, ALPHA, rule).stages[0]
 
 
@@ -169,7 +189,7 @@ def test_stage_sample_size_first_crossing():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
     values = np.array([[2.9, 0.0, 0.0], [1.0, 1.1, 1.2], [0.0, 0.0, 0.0]])
     paths = StatisticPaths((26, 29, 35), values)
-    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA)
+    res = run_multistage(paths, HypothesisFamily(3), SCHED, crit, ALPHA)
     assert res.stages[0].n == 26
     assert res.stages[0].ordered == (0, 1, 2)
     assert res.stages[0].rejected == (0,)
@@ -179,7 +199,7 @@ def test_stage_sample_size_no_crossing():
     # mult tests every stage at alpha/3, the one level in the table.
     crit = flat_table({ALPHA / 3.0: 2.8})
     paths = paths_from_stats([1.0, 2.0, 0.5])
-    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA, MULT)
+    res = run_multistage(paths, HypothesisFamily(3), SCHED, crit, ALPHA, MULT)
     assert res.stages == ()
     assert res.endpoint_final_n == (35, 35, 35)
 
@@ -191,7 +211,7 @@ def test_stage_sample_size_excludes_prev_n():
     crit = flat_table({ALPHA / 2.0: 2.8, ALPHA: 2.2})
     values = np.array([[0.0, 3.0, 0.0], [2.5, 2.0, 2.7]])
     paths = StatisticPaths((26, 29, 35), values)
-    res = run_multistage(paths, HypothesisFamily.simple(2), SCHED, crit, ALPHA)
+    res = run_multistage(paths, HypothesisFamily(2), SCHED, crit, ALPHA)
     assert [(rec.n, rec.ordered, rec.rejected) for rec in res.stages] == [
         (29, (0, 1), (0,)),
         (35, (1,), (1,)),
@@ -236,7 +256,7 @@ def test_stage_rejections_variant_prefix_ordering():
 def test_variant_validation():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
     with pytest.raises(ValueError):
-        run_multistage(paths_from_stats([1.0, 2.0, 0.5]), HypothesisFamily.simple(3), SCHED,
+        run_multistage(paths_from_stats([1.0, 2.0, 0.5]), HypothesisFamily(3), SCHED,
                        crit, ALPHA, "bonferroni")
 
 
@@ -246,14 +266,14 @@ def test_unknown_rule_is_rejected():
         stage_levels("bonferroni", ALPHA, 3)
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
     with pytest.raises(ValueError, match="unknown rule"):
-        run_multistage_batch(np.full((2, 3, 3), 3.0), HypothesisFamily.simple(3), SCHED,
+        run_multistage_batch(np.full((2, 3, 3), 3.0), HypothesisFamily(3), SCHED,
                              crit, ALPHA, "Holm")
 
 
 def test_missing_level_is_a_value_error_naming_it():
     # holm with k = 3 also looks up alpha / 2, which this table lacks.
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA: 2.2})
-    family = HypothesisFamily.simple(3)
+    family = HypothesisFamily(3)
     level = re.escape(f"level {ALPHA / 2.0!r}; calibrate it with rho = {ALPHA / 2.0!r}")
     # A failed lookup is not kept: a second call raises the same error.
     for _ in range(2):
@@ -299,7 +319,7 @@ def test_run_multistage_hand_trace():
         ]
     )
     paths = StatisticPaths((26, 29, 35), values)
-    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA)
+    res = run_multistage(paths, HypothesisFamily(3), SCHED, crit, ALPHA)
     assert res.decisions == ("accepted", "accepted", "rejected")
     assert res.endpoint_final_n == (35, 35, 26)
     assert res.total_measurements == 96
@@ -311,7 +331,7 @@ def test_run_multistage_hand_trace():
 def test_run_multistage_no_crossing():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
     paths = paths_from_stats([0.1, 0.2, 0.3])
-    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA)
+    res = run_multistage(paths, HypothesisFamily(3), SCHED, crit, ALPHA)
     assert res.decisions == ("accepted", "accepted", "accepted")
     assert res.endpoint_final_n == (35, 35, 35)
     assert res.total_measurements == 105
@@ -322,12 +342,12 @@ def test_run_multistage_single_hypothesis_group_sequential():
     crit = flat_table({ALPHA: 2.2})
     values = np.array([[1.0, 2.3, 0.0]])
     paths = StatisticPaths((26, 29, 35), values)
-    res = run_multistage(paths, HypothesisFamily.simple(1), SCHED, crit, ALPHA)
+    res = run_multistage(paths, HypothesisFamily(1), SCHED, crit, ALPHA)
     assert res.rejected == (True,)
     assert res.endpoint_final_n == (29,)
 
     never = run_multistage(
-        paths_from_stats([1.0]), HypothesisFamily.simple(1), SCHED, crit, ALPHA
+        paths_from_stats([1.0]), HypothesisFamily(1), SCHED, crit, ALPHA
     )
     assert never.rejected == (False,)
     assert never.endpoint_final_n == (35,)
@@ -339,12 +359,12 @@ def test_run_multistage_stepdown_relaxes_levels():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
     values = np.array([[2.9, 1.0, 1.0], [2.0, 2.65, 2.65], [0.0, 0.0, 0.0]])
     paths = StatisticPaths((26, 29, 35), values)
-    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA)
+    res = run_multistage(paths, HypothesisFamily(3), SCHED, crit, ALPHA)
     assert res.rejected == (True, True, False)
     assert res.decision_stage == (1, 2, 3)
     assert res.endpoint_final_n == (26, 29, 35)
 
-    mult = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA, MULT)
+    mult = run_multistage(paths, HypothesisFamily(3), SCHED, crit, ALPHA, MULT)
     assert mult.rejected == (True, False, False)
 
 
@@ -399,13 +419,13 @@ def test_run_multistage_closed_requires_flag():
     crit = flat_table({ALPHA: 2.2})
     with pytest.raises(ValueError, match="closed_monotone"):
         run_multistage(
-            paths_from_stats([1.0]), HypothesisFamily.simple(1), SCHED, crit, ALPHA, CLOSED
+            paths_from_stats([1.0]), HypothesisFamily(1), SCHED, crit, ALPHA, CLOSED
         )
 
 
 def _bad_input(**change):
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
-    call = dict(paths=paths_from_stats([1.0, 2.0, 0.5]), family=HypothesisFamily.simple(3),
+    call = dict(paths=paths_from_stats([1.0, 2.0, 0.5]), family=HypothesisFamily(3),
                 schedule=SCHED, critical=crit, alpha=ALPHA, rule=HOLM)
     return {**call, **change}
 
@@ -414,7 +434,7 @@ def _bad_input(**change):
     "change, message",
     [
         ({"paths": paths_from_stats([1.0, 2.0])}, "paths cover 2 hypotheses, family has 3"),
-        ({"family": HypothesisFamily.simple(4)}, "paths cover 3 hypotheses, family has 4"),
+        ({"family": HypothesisFamily(4)}, "paths cover 3 hypotheses, family has 4"),
         ({"paths": paths_from_stats([1.0, 2.0, 0.5], (26, 29, 36))},
          "paths and schedule disagree on the analysis sizes"),
         ({"schedule": SampleSchedule((26, 35)), "paths": paths_from_stats([1.0, 2.0, 0.5], (26, 35))},
@@ -441,7 +461,7 @@ def test_single_analysis_matches_holm_fixed():
     k = 4
     crit = quantile_critical(ALPHA, k)
     sched = SampleSchedule((17,))
-    fam = HypothesisFamily.simple(k)
+    fam = HypothesisFamily(k)
     for _ in range(2000):
         t = rng.normal(loc=rng.uniform(-1, 3), size=k)
         paths = StatisticPaths((17,), t[:, None])
@@ -454,7 +474,7 @@ def test_single_analysis_matches_holm_fixed():
 def test_rejected_never_retested():
     rng = np.random.default_rng(5)
     crit = flat_table({ALPHA / 3.0: 2.4, ALPHA / 2.0: 2.2, ALPHA: 2.0})
-    fam = HypothesisFamily.simple(3)
+    fam = HypothesisFamily(3)
     for _ in range(500):
         values = rng.normal(scale=1.5, size=(3, 3))
         paths = StatisticPaths((26, 29, 35), values)
@@ -507,7 +527,7 @@ def test_statistic_equal_to_its_boundary_crosses():
     crit = flat_table({ALPHA / 3.0: 2.8, ALPHA / 2.0: 2.6, ALPHA: 2.2})
     values = np.array([[0.0, 2.8, 0.0], [2.5, 2.5, 2.6], [0.0, 0.0, 0.0]])
     paths = StatisticPaths((26, 29, 35), values)
-    res = run_multistage(paths, HypothesisFamily.simple(3), SCHED, crit, ALPHA)
+    res = run_multistage(paths, HypothesisFamily(3), SCHED, crit, ALPHA)
     assert [(rec.stage, rec.n, rec.active, rec.rejected) for rec in res.stages] == [
         (1, 29, (0, 1, 2), (0,)),
         (2, 35, (1, 2), (1,)),
