@@ -16,8 +16,9 @@ grid-refinement gap.
 
 Exit status: 0 on success, 2 for configuration errors (bad keys, bad
 values, malformed input files), 1 for runtime failures (calibration
-breakdown, unwritable output).  Floats are written with ``repr`` so
-parsing the CSV back recovers them bit for bit.
+breakdown, unwritable output).  The csv module writes each float with
+``str``, which equals its ``repr``, so parsing the CSV back recovers it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -75,13 +76,6 @@ from .procedures import RULES, run_multistage
 from .trial import ScenarioParams, check_seed
 
 WORKERS_ENV = "STEPDOWN_WORKERS"
-
-
-def fmt(value: object) -> str:
-    """Render a CSV field: floats via repr (round-trip exact)."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # Key kinds: each converts a key's text and raises ValueError on bad input.
@@ -178,7 +172,8 @@ class Key:
         return "; ".join(notes)
 
 
-def _resolve(args: argparse.Namespace, keys: Sequence[Key]) -> tuple[dict[str, Any], dict[str, str]]:
+def _resolve(args: argparse.Namespace,
+             keys: Sequence[Key]) -> tuple[dict[str, Any], dict[str, str]]:
     """Merge config-file values and flags (flags win), then convert every key.
 
     Returns the converted values and the text of every key that was given
@@ -226,8 +221,8 @@ def _read_text(path: str, kind: str) -> str:
         raise ValueError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
-def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    # Each row builder formats its own fields, by fmt or an equivalent.
+def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    # csv writes each non-string field with str: a float's repr.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -271,13 +266,10 @@ def default_table_config() -> str:
 def _cmd_boundary(values: dict[str, Any]) -> dict[str, str]:
     schedule, levels, shape = values["schedule"], values["rho"], values["shape"]
     critical = calibrate_levels(schedule, levels, shape, grid_points=values["grid"])
-    rows = [
-        (fmt(n), fmt(float(rho)), fmt(float(value)), shape)
-        for rho in levels
-        for n, value in zip(schedule.analyses, critical.boundary(rho))
-    ]
+    rows = [(n, rho, value, shape) for rho in levels
+            for n, value in zip(schedule.analyses, critical.table[rho])]
     _write_rows(values["out"], ("n", "rho", "critical_value", "shape"), rows)
-    return {"achieved": ",".join(fmt(critical.achieved[rho]) for rho in levels)}
+    return {"achieved": ",".join(str(critical.achieved[rho]) for rho in levels)}
 
 
 def _read_long_csv(
@@ -286,13 +278,11 @@ def _read_long_csv(
     header: tuple[str, ...],
     parse: Callable[[list[str]], tuple[Any, int, float]],
     duplicate: str,
-    missing: str,
-) -> tuple[tuple[int, ...], dict[Any, tuple[float, ...]]]:
+) -> tuple[tuple[int, ...], dict[Any, dict[int, float]]]:
     """Read a CSV of one value per (key, n) row; ``parse(row)`` returns them.
 
-    Every key needs a value at every n in the file.  ``duplicate`` and
-    ``missing`` word those errors.  Returns the sizes and each key's
-    values at them by first-seen key.
+    ``duplicate`` words a repeated (key, n).  Returns the sorted sizes of
+    every row, and each key's values by size, by first-seen key.
     """
     reader = csv.reader(io.StringIO(_read_text(path, kind), newline=""))
     first = next(reader, None)
@@ -312,24 +302,17 @@ def _read_long_csv(
         per_n[n] = value
     if not cells:
         raise ValueError(f"{kind} file {path} contains no data rows")
-    analyses = tuple(sorted({n for per_n in cells.values() for n in per_n}))
-    for key, per_n in cells.items():
-        ns = [n for n in analyses if n not in per_n]
-        if ns:
-            raise ValueError(f"{kind} file {path} " + missing.format(key=key, ns=ns))
-    table = {key: tuple(per_n[n] for n in analyses) for key, per_n in cells.items()}
-    return analyses, table
+    return tuple(sorted({n for per_n in cells.values() for n in per_n})), cells
 
 
-def _read_statistics_csv(path: str) -> tuple[tuple[int, ...], dict[str, tuple[float, ...]]]:
-    analyses, table = _read_long_csv(
+def _read_statistics_csv(path: str) -> tuple[tuple[int, ...], dict[str, dict[int, float]]]:
+    analyses, cells = _read_long_csv(
         path, "statistics", ("hypothesis", "n", "statistic"),
         lambda row: (row[0].strip(), int(row[1]), float(row[2])),
         "duplicate statistic for hypothesis {key!r} at n={n}",
-        "is missing hypothesis {key!r} at n={ns[0]}",
     )
     try:
-        return SampleSchedule(analyses).analyses, table
+        return SampleSchedule(analyses).analyses, cells
     except ValueError as exc:
         raise ValueError(f"{exc} in {path}") from None
 
@@ -345,11 +328,15 @@ def _read_boundary_csv(path: str) -> CriticalFunction:
             raise ValueError(f"level {rho} mixes shapes {shapes[rho]} and {shape}")
         return rho, int(row[0]), float(row[2])
 
-    analyses, table = _read_long_csv(
+    analyses, cells = _read_long_csv(
         path, "boundary", ("n", "rho", "critical_value", "shape"), parse,
         "duplicate critical value for level {key!r} at n={n}",
-        "lacks critical values at n={ns} for level {key}",
     )
+    for rho, per_n in cells.items():
+        if ns := [n for n in analyses if n not in per_n]:
+            raise ValueError(f"boundary file {path} lacks critical values at n={ns} "
+                             f"for level {rho}")
+    table = {rho: tuple(per_n[n] for n in analyses) for rho, per_n in cells.items()}
     try:
         return CriticalFunction(analyses, table)
     except ValueError as exc:
@@ -378,7 +365,8 @@ def _read_family(path: str, labels: tuple[str, ...]) -> tuple[HypothesisFamily, 
         k, pairs = values["k"], values["contains_complement"]
         for a, b in pairs:
             if not (1 <= a <= k and 1 <= b <= k):
-                raise ValueError(f"key 'contains_complement': pair {a}>{b} is out of range for k={k}")
+                raise ValueError(f"key 'contains_complement': pair {a}>{b} "
+                                 f"is out of range for k={k}")
         rel = [[(a, b) in pairs for b in range(1, k + 1)] for a in range(1, k + 1)]
         family = HypothesisFamily(k, values.get("labels", ()), rel, values["closed_monotone"])
         if k != len(labels):
@@ -394,7 +382,7 @@ def _read_family(path: str, labels: tuple[str, ...]) -> tuple[HypothesisFamily, 
 
 
 def _cmd_analyze(values: dict[str, Any]) -> None:
-    analyses, table = _read_statistics_csv(values["statistics"])
+    analyses, cells = _read_statistics_csv(values["statistics"])
     critical = _read_boundary_csv(values["boundary"])
     # The statistics' looks must be the first looks of the boundary's
     # schedule: a trial in progress has reached some of them.
@@ -408,7 +396,7 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
                 "looks must be the first looks of the boundary's schedule"
             )
     alpha, rule = values["alpha"], values["variant"]
-    labels = tuple(table)
+    labels = tuple(cells)
     if "family" in values:
         family, labels = _read_family(values["family"], labels)
         if rule == "closed" and not family.closed_monotone:
@@ -422,20 +410,24 @@ def _cmd_analyze(values: dict[str, Any]) -> None:
         )
     else:
         family = HypothesisFamily(len(labels), labels)
-    # Looks not reached yet read -inf, which never crosses, so a
-    # hypothesis still under test at the statistics' last look is one
-    # whose stream runs past it: it continues to the next look.
-    pending = (-math.inf,) * (len(looks) - len(analyses))
+    # A cell the file lacks reads -inf, which never crosses: a look not
+    # reached yet, where a hypothesis still under test continues to the
+    # next look, or a look after its hypothesis's decision, where its
+    # stream may stop.  Any other lacking cell is one the run read.
+    rows = [[cells[label].get(n, -math.inf) for n in looks] for label in labels]
     try:
-        paths = StatisticPaths(looks, [table[label] + pending for label in labels])
+        paths = StatisticPaths(looks, rows)
     except ValueError as exc:
         raise ValueError(f"{exc} in {values['statistics']}") from None
     result = run_multistage(paths, family, critical.schedule, critical, alpha, rule)
+    for label, last in zip(labels, result.endpoint_final_n):
+        if read := [n for n in analyses if n <= last and n not in cells[label]]:
+            raise ValueError(f"statistics file {values['statistics']} is missing "
+                             f"hypothesis {label!r} at n={read[0]}")
     ongoing = [n > analyses[-1] for n in result.endpoint_final_n]
     decisions = ["continue" if on else d for on, d in zip(ongoing, result.decisions)]
     final_n = [looks[len(analyses)] if on else n for on, n in zip(ongoing, result.endpoint_final_n)]
-    columns = (labels, decisions, result.decision_stage, final_n)
-    rows = zip(*(map(fmt, column) for column in columns))
+    rows = zip(labels, decisions, result.decision_stage, final_n)
     _write_rows(values["out"], ("hypothesis", "decision", "stage", "final_n"), rows)
 
 
@@ -482,7 +474,7 @@ def _cmd_simulate(values: dict[str, Any]) -> None:
         else None
     )
     summaries = run_scenario_parallel(specs, workers=values["workers"], critical=critical)
-    rows = [[fmt(value(summary)) for _, value in _SUMMARY_COLUMNS] for summary in summaries]
+    rows = [[value(summary) for _, value in _SUMMARY_COLUMNS] for summary in summaries]
     _write_rows(values["out"], [name for name, _ in _SUMMARY_COLUMNS], rows)
 
 
@@ -497,14 +489,11 @@ def _cmd_paulson(values: dict[str, Any]) -> None:
     decision, stop_n, fallback = classify_paths(
         values["theta"], config, values["seed"], reps, values["method"]
     )
-    # Each column formatted once: ints by str, flags as false/true by lookup.
+    # Flags as false/true by lookup: csv would write True and False.
     flag = ("false", "true").__getitem__
-    rows = list(
-        zip(map(str, decision.tolist()), map(str, stop_n.tolist()), map(flag, fallback.tolist()))
-    )
-    counts = np.bincount(decision, minlength=config.k)
-    freqs = ";".join(repr(int(counts[i]) / reps) for i in range(config.k))
-    rows.append(("summary", fmt(int(stop_n.sum()) / reps), freqs))
+    rows = list(zip(decision.tolist(), stop_n.tolist(), map(flag, fallback.tolist())))
+    freqs = ";".join(str(c / reps) for c in np.bincount(decision, minlength=config.k).tolist())
+    rows.append(("summary", int(stop_n.sum()) / reps, freqs))
     _write_rows(values["out"], ("decision", "stop_n", "fallback_used"), rows)
 
 

@@ -101,13 +101,13 @@ class ScenarioParams:
     def label(self) -> str:
         """Compact scenario tag, e.g. ``(0,0,.5)`` or ``(0,.5,.75,.75)``."""
 
-        def fmt(x: float) -> str:
+        def short(x: float) -> str:
             s = f"{x:g}"
             return s[1:] if s.startswith("0.") else s
 
-        parts = [fmt(self.mu1), fmt(self.mu2), fmt(self.p)]
+        parts = [short(self.mu1), short(self.mu2), short(self.p)]
         if self.rho12 != 0.0:
-            parts.append(fmt(self.rho12))
+            parts.append(short(self.rho12))
         return "(" + ",".join(parts) + ")"
 
 

@@ -47,6 +47,8 @@ def test_removed_wrappers_are_gone():
     assert not hasattr(stepdown.HypothesisFamily, "simple")
     assert "step" not in inspect.signature(stepdown.trial.philox).parameters
     assert "analyses" not in inspect.signature(stepdown.cli._read_long_csv).parameters
+    assert "missing" not in inspect.signature(stepdown.cli._read_long_csv).parameters
+    assert not hasattr(stepdown.cli, "fmt")
     fields = {field.name for field in dataclasses.fields(stepdown.CriticalFunction)}
     assert fields == {"schedule", "table", "achieved"}
     assert "tol" not in inspect.signature(stepdown.calibrate_levels).parameters

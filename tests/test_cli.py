@@ -16,6 +16,7 @@ from stepdown.boundary import calibrate_levels
 from stepdown.cli import default_table_config, main, parse_scenarios
 from stepdown.core import HypothesisFamily, SampleSchedule, parse_kv_text
 from stepdown.paulson import PaulsonConfig
+from stepdown.procedures import RULES
 from stepdown.trial import ScenarioParams
 
 from paulson_replay import dealt_paths
@@ -582,7 +583,8 @@ _BREAK_READER_INPUT = {
     "non-numeric value": lambda lines, which: lines[:2]
     + [_with_field(lines[2], 2, "abc")]
     + lines[3:],
-    "missing cell": lambda lines, which: lines[:-1],
+    # The first data row: a cell that every run reads.
+    "missing cell": lambda lines, which: lines[:1] + lines[2:],
     "no data rows": lambda lines, which: lines[:1],
     "duplicate row": lambda lines, which: lines + [lines[1]],
     "NaN value": lambda lines, which: lines[:2] + [_with_field(lines[2], 2, "nan")] + lines[3:],
@@ -980,6 +982,93 @@ def test_analyze_at_each_look_agrees_with_the_complete_trial(tmp_path, variant):
                     assert interim[h][0] == "continue" and interim[h][2] == str(looks[cut])
 
 
+def test_analyze_reader_input_needs_no_cell_after_a_decision(tmp_path):
+    # Both hypotheses are rejected at n = 26, so the run never reads B at
+    # n = 35, the reader input's last row: without it the output is the same.
+    paths = _analyze_inputs(tmp_path)
+    paths["statistics"].write_text("\n".join(_READER_INPUTS["statistics"][:-1]) + "\n")
+    out = tmp_path / "d.csv"
+    argv = ["analyze", "--statistics", str(paths["statistics"]), "--boundary",
+            str(paths["boundary"]), "--out", str(out)]
+    assert main(argv) == 0
+    assert read_csv(out)[1:] == [["A", "rejected", "1", "26"], ["B", "rejected", "1", "26"]]
+
+
+def test_analyze_takes_a_stream_that_stops_at_its_rejection(tmp_path):
+    # A is rejected at n = 26 and measured no further; B, alone in stage
+    # 2, is rejected at n = 35.  Padding A's stream changes no byte.
+    bound = _write_boundary(tmp_path, "0.05,0.025")
+    stats = tmp_path / "stats.csv"
+    out = tmp_path / "decisions.csv"
+    argv = ["analyze", "--statistics", str(stats), "--boundary", str(bound), "--out", str(out)]
+    b_rows = "B,26,1.2\nB,29,1.4\nB,35,2.1\n"
+    written = []
+    for a_pads in ("", "A,29,0.0\nA,35,0.0\n", "A,29,9.0\nA,35,-9.0\n"):
+        stats.write_text("hypothesis,n,statistic\nA,26,3.1\n" + a_pads + b_rows)
+        assert main(argv) == 0
+        written.append(out.read_bytes())
+    assert read_csv(out)[1:] == [["A", "rejected", "1", "26"], ["B", "rejected", "2", "35"]]
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize(
+    "rows, label, n",
+    [
+        # B, still under test in stage 2, lacks its statistic at n = 29.
+        ([("A", 26, 3.1), ("A", 29, 0.0), ("B", 26, 1.2), ("B", 35, 2.1)], "B", 29),
+        # Every run reads every hypothesis at the first look.
+        ([("A", 26, 3.1), ("A", 29, 3.1), ("B", 29, 1.4)], "B", 26),
+        # B is accepted at n = 35, the last look, which it lacks.
+        ([("A", 26, 0.1), ("A", 29, 0.2), ("A", 35, 0.3), ("B", 26, 0.1), ("B", 29, 0.2)], "B", 35),
+    ],
+)
+def test_analyze_refuses_a_lacking_cell_the_run_reads(tmp_path, capsys, rows, label, n):
+    assert _analyze_rows(tmp_path, rows) == (2, None)
+    stats = tmp_path / "interim.csv"
+    message = f"statistics file {stats} is missing hypothesis {label!r} at n={n}"
+    assert capsys.readouterr().err.rstrip().endswith(message)
+    assert not (tmp_path / "interim-decisions.csv").exists()
+
+
+def test_analyze_keeps_an_implied_acceptance_whose_stream_stops(tmp_path):
+    # Rejecting A at n = 26 accepts B there under closed; B's stream stops,
+    # while C is tested on to n = 35.
+    family = "k = 3\nlabels = A,B,C\ncontains_complement = 1>2\nclosed_monotone = true\n"
+    rows = [("A", 26, 3.1), ("B", 26, 0.2), ("C", 26, 0.1), ("C", 29, 0.2), ("C", 35, 0.3)]
+    assert _analyze_rows(tmp_path, rows, "closed", family) == (
+        0,
+        {"A": ["rejected", "1", "26"], "B": ["accepted", "1", "26"],
+         "C": ["accepted", "2", "35"]},
+    )
+
+
+# Three hypotheses over (26, 29, 35) under every rule, with statistics
+# around the boundaries, so that runs end at every look and stage, and
+# pads of any finite value.
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(RULES),
+    relation=st.sampled_from(["none", "1>3", "2>1"]),
+    values=st.lists(st.floats(-1.0, 4.0), min_size=9, max_size=9),
+    pads=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=9, max_size=9),
+)
+def test_analyze_reads_no_cell_after_its_hypothesis_is_decided(
+    tmp_path_factory, variant, relation, values, pads
+):
+    work = tmp_path_factory.mktemp("frozen")
+    family = f"k = 3\nlabels = A,B,C\ncontains_complement = {relation}\nclosed_monotone = true\n"
+    cells = list(zip([(h, n) for h in "ABC" for n in (26, 29, 35)], values, pads))
+    code, complete = _analyze_rows(work, [(h, n, v) for (h, n), v, _ in cells], variant, family)
+    assert code == 0
+    written = (work / "interim-decisions.csv").read_bytes()
+    decided = {h: int(row[2]) for h, row in complete.items()}
+    kept = [(h, n, v) for (h, n), v, _ in cells if n <= decided[h]]
+    padded = [(h, n, v if n <= decided[h] else pad) for (h, n), v, pad in cells]
+    for rows in (kept, padded):
+        assert _analyze_rows(work, rows, variant, family) == (0, complete)
+        assert (work / "interim-decisions.csv").read_bytes() == written
+
+
 def _family(tmp_path, text, labels):
     path = tmp_path / "family.txt"
     path.write_text(text)
@@ -1043,25 +1132,26 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, analyses, levels, values)
     table = {rho: tuple(col[i] for col in columns) for i, rho in enumerate(sorted(levels))}
     stats = {h: tuple(next(cells) for _ in analyses) for h in ("H1", "H2")}
 
+    # The rows hold plain values, as the handlers write them: Python
+    # floats and ints in the boundary, numpy float64 in the statistics.
     work = tmp_path_factory.mktemp("csv")
-    fmt = stepdown.cli.fmt
     stepdown.cli._write_rows(
         work / "b.csv", ("n", "rho", "critical_value", "shape"),
-        [(fmt(n), fmt(rho), fmt(vals[j]), "flat")
-         for rho, vals in table.items() for j, n in enumerate(analyses)],
+        [(n, rho, vals[j], "flat") for rho, vals in table.items() for j, n in enumerate(analyses)],
     )
     stepdown.cli._write_rows(
         work / "s.csv", ("hypothesis", "n", "statistic"),
-        [(h, fmt(n), fmt(vals[j])) for h, vals in stats.items() for j, n in enumerate(analyses)],
+        [(h, n, np.float64(vals[j])) for h, vals in stats.items() for j, n in enumerate(analyses)],
     )
-    read_analyses, read_stats = stepdown.cli._read_statistics_csv(str(work / "s.csv"))
+    read_analyses, cells = stepdown.cli._read_statistics_csv(str(work / "s.csv"))
     critical = stepdown.cli._read_boundary_csv(str(work / "b.csv"))
 
     def hexed(mapping):
         return [(key, [v.hex() for v in vals]) for key, vals in mapping.items()]
 
     assert read_analyses == critical.schedule.analyses == tuple(analyses)
-    assert hexed(read_stats) == hexed(stats)
+    assert all(list(per_n) == analyses for per_n in cells.values())
+    assert hexed({h: per_n.values() for h, per_n in cells.items()}) == hexed(stats)
     assert [rho.hex() for rho in critical.table] == [rho.hex() for rho in table]
     assert hexed(critical.table) == hexed(table)
 
