@@ -14,6 +14,10 @@ the solve grid a calibrated boundary crosses with probability rho to
 within the root search's tolerance, so achieved - rho is the
 grid-refinement gap.
 
+Every text grammar the package reads lives here: ``key = value`` lines
+(``parse_kv_text``), comma lists (``_items``), containment pairs
+(``_pairs``) and scenario tokens (``parse_scenarios``).
+
 Exit status: 0 on success, 2 for configuration errors (bad keys, bad
 values, malformed input files), 1 for runtime failures (calibration
 breakdown, unwritable output).  The csv module writes each float with
@@ -50,9 +54,6 @@ from .core import (
     SampleSchedule,
     StatisticPaths,
     check_alpha,
-    parse_float_list,
-    parse_int_list,
-    parse_kv_text,
 )
 from .harness import (
     PROCEDURES,
@@ -113,15 +114,22 @@ def _boolean(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _items(text: str, convert: Callable[[str], Any], what: str) -> tuple:
+    """The nonblank items of a comma list, each converted; a refused item fails the list."""
+    try:
+        return tuple(convert(tok) for tok in map(str.strip, text.split(",")) if tok)
+    except ValueError:
+        raise ValueError(f"expected a comma-separated {what} list, got {text!r}") from None
+
+
 def _schedule(text: str) -> SampleSchedule:
-    return SampleSchedule(parse_int_list(text))
+    return SampleSchedule(_items(text, int, "integer"))
 
 
 def _names(text: str) -> tuple[str, ...]:
-    names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    if not names:
-        raise ValueError(f"expected at least one name, got {text!r}")
-    return names
+    if names := _items(text, str, "name"):
+        return names
+    raise ValueError(f"expected at least one name, got {text!r}")
 
 
 def _pairs(text: str) -> list[tuple[int, int]]:
@@ -229,6 +237,27 @@ def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]])
         writer.writerows(rows)
 
 
+def parse_kv_text(text: str) -> dict[str, str]:
+    """Parse flat ``key = value`` lines; ``#`` starts a comment.
+
+    Later occurrences of a key override earlier ones.  Blank lines are
+    ignored.  Lines without ``=`` are rejected.
+    """
+    entries: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ValueError(f"line {lineno}: empty key")
+        entries[key] = value.strip()
+    return entries
+
+
 def _write_sidecar(out_path: str, subcommand: str, resolved: dict[str, str]) -> None:
     lines = [f"subcommand = {subcommand}"]
     lines.extend(f"{key} = {resolved[key]}" for key in sorted(resolved))
@@ -247,7 +276,7 @@ def parse_scenarios(text: str) -> list[ScenarioParams]:
     for token in tokens:
         if not (token.startswith("(") and token.endswith(")")):
             raise ValueError(f"scenario token {token!r} must look like (mu1,mu2,p[,rho12])")
-        fields = parse_float_list(token[1:-1])
+        fields = _items(token[1:-1], float, "numeric")
         if len(fields) not in (3, 4):
             raise ValueError(
                 f"scenario token {token!r} needs 3 or 4 numbers, got {len(fields)}"
@@ -515,11 +544,8 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], dict | None], tuple[Ke
         _cmd_boundary,
         (
             Key("schedule", "analysis sizes, e.g. 26,29,35", _schedule),
-            Key(
-                "rho",
-                "crossing probabilities, e.g. 0.05 or 0.05,0.025",
-                lambda text: _check_levels(parse_float_list(text)),
-            ),
+            Key("rho", "crossing probabilities, e.g. 0.05 or 0.05,0.025",
+                lambda text: _check_levels(_items(text, float, "numeric"))),
             _SHAPE,
             _GRID,
             _OUT,
@@ -561,7 +587,8 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], dict | None], tuple[Ke
         "sequential classification of a normal mean",
         _cmd_paulson,
         (
-            Key("thresholds", "interval cutpoints, e.g. 0,1,2", parse_float_list),
+            Key("thresholds", "interval cutpoints, e.g. 0,1,2",
+                lambda text: _items(text, float, "numeric")),
             Key("delta", "target widening", _number),
             Key("critical_value", "evidence threshold per one-sided test", _number),
             Key("theta", "true mean", _number),

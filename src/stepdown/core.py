@@ -4,7 +4,8 @@ A hypothesis family is abstract here: it knows how many hypotheses there
 are, how they are labelled, and which hypotheses contain the complement
 of which others.  That containment relation is the only structural
 information the step-down machinery ever consults, so these types stay
-independent of any concrete parameter space or trial model.
+independent of any concrete parameter space or trial model.  No text
+is parsed here: the command-line grammars live in ``stepdown.cli``.
 """
 
 from __future__ import annotations
@@ -279,40 +280,3 @@ class TrialResult(NamedTuple("TrialResult", [
     def total_measurements(self) -> int:
         """Measurements consumed across all data streams."""
         return int(sum(self.endpoint_final_n))
-
-
-def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; ``#`` starts a comment.
-
-    Later occurrences of a key override earlier ones.  Blank lines are
-    ignored.  Lines without ``=`` are rejected.
-    """
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ValueError(f"line {lineno}: empty key")
-        entries[key] = value.strip()
-    return entries
-
-
-def parse_int_list(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated integer list like ``26,29,35``."""
-    try:
-        return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
-def parse_float_list(text: str) -> tuple[float, ...]:
-    """Parse a comma-separated float list like ``0.05,0.025``."""
-    try:
-        return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"expected a comma-separated numeric list, got {text!r}") from None

@@ -99,10 +99,12 @@ class ScenarioParams:
         return (self.mu1 <= 0.0, self.mu2 <= 0.0, self.p <= 0.5)
 
     def label(self) -> str:
-        """Compact scenario tag, e.g. ``(0,0,.5)`` or ``(0,.5,.75,.75)``."""
+        """Compact scenario tag, e.g. ``(0,0,.5)`` or ``(0,.5,.75,.75)``.
+
+        A value is ``:g``'s text where that reads back as it, else its ``repr``."""
 
         def short(x: float) -> str:
-            s = f"{x:g}"
+            s = f"{x:g}" if float(f"{x:g}") == x else repr(x)
             return s[1:] if s.startswith("0.") else s
 
         parts = [short(self.mu1), short(self.mu2), short(self.p)]

@@ -49,6 +49,11 @@ def test_removed_wrappers_are_gone():
     assert "analyses" not in inspect.signature(stepdown.cli._read_long_csv).parameters
     assert "missing" not in inspect.signature(stepdown.cli._read_long_csv).parameters
     assert not hasattr(stepdown.cli, "fmt")
+    # The text parsers live in cli, and one reader splits every comma list.
+    for parser in ("parse_kv_text", "parse_int_list", "parse_float_list"):
+        assert not hasattr(stepdown.core, parser), parser
+    assert not hasattr(stepdown.cli, "parse_int_list")
+    assert not hasattr(stepdown.cli, "parse_float_list")
     fields = {field.name for field in dataclasses.fields(stepdown.CriticalFunction)}
     assert fields == {"schedule", "table", "achieved"}
     assert "tol" not in inspect.signature(stepdown.calibrate_levels).parameters

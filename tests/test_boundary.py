@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -240,6 +241,14 @@ def test_table_levels_are_checked_as_calibration_levels():
         CriticalFunction(SCHED, {1.5: (2.0, 2.0, 2.0)})
 
 
+def test_table_needs_a_level_and_a_value_per_analysis():
+    with pytest.raises(ValueError, match="critical table must contain at least one level"):
+        CriticalFunction((26, 29), {})
+    message = "level 0.05 needs one critical value per analysis (2), got 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CriticalFunction((26, 29), {0.05: (2.0,)})
+
+
 def test_table_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         CriticalFunction(SCHED, {0.05: (2.0, float("nan"), 1.9)})
@@ -282,6 +291,9 @@ def test_grid_points_checked_before_integration(monkeypatch):
 def test_grid_error_when_tolerance_unmeetable():
     with pytest.raises(GridError):
         calibrate_levels(SCHED, [0.05], grid_points=12)
+    # On the coarsest grid, doubling the points moves P by 0.0411.
+    with pytest.raises(GridError, match=r"moved the crossing probability by 0\.0411, beyond"):
+        crossing_probability(SCHED, (2.0, 2.0, 2.0), grid_points=8, tol=1e-12)
 
 
 def test_grid_error_when_a_small_level_misses_by_a_large_factor():

@@ -13,8 +13,8 @@ import stepdown.boundary
 import stepdown.cli
 import stepdown.harness
 from stepdown.boundary import calibrate_levels
-from stepdown.cli import default_table_config, main, parse_scenarios
-from stepdown.core import HypothesisFamily, SampleSchedule, parse_kv_text
+from stepdown.cli import default_table_config, main, parse_kv_text, parse_scenarios
+from stepdown.core import HypothesisFamily, SampleSchedule
 from stepdown.paulson import PaulsonConfig
 from stepdown.procedures import RULES
 from stepdown.trial import ScenarioParams
@@ -37,6 +37,23 @@ def test_parse_scenarios():
         parse_scenarios("1,2,3")
     with pytest.raises(ValueError, match="no scenarios"):
         parse_scenarios("  ")
+
+
+def test_labels_keep_the_digits_that_tell_scenarios_apart(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--scenarios", "(0.1234567,0,.5) (0.1234568,0,.5)", "--procedure", "H",
+            "--reps", "10", "--out", str(out)]
+    assert main(argv) == 0
+    assert [row[0] for row in read_csv(out)[1:]] == ["(.1234567,0,.5)", "(.1234568,0,.5)"]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(ScenarioParams, _finite, _finite, st.floats(0.0, 1.0), st.floats(-1.0, 1.0)))
+def test_a_label_reads_back_as_its_scenario(params):
+    assert parse_scenarios(params.label()) == [params]
 
 
 def test_boundary_subcommand(tmp_path):
@@ -757,7 +774,8 @@ def _quick_start_keys(tmp_path, subcommand):
     return {"thresholds": "0,1", "delta": "0.15", "critical_value": "3", "theta": "0.5", "reps": "200"}
 
 
-def _run(tmp_path, subcommand, keys, way, out):
+def _run(tmp_path, subcommand, keys, way, out=None):
+    """Run with ``keys`` given one way, and ``--out out`` unless ``out`` is None."""
     if way == "flags":
         argv = [subcommand]
         for key, value in keys.items():
@@ -766,7 +784,7 @@ def _run(tmp_path, subcommand, keys, way, out):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
         argv = [subcommand, "--config", str(cfg)]
-    return main(argv + ["--out", str(out)])
+    return main(argv + (["--out", str(out)] if out else []))
 
 
 @pytest.mark.parametrize(
@@ -793,6 +811,26 @@ def test_flags_and_config_file_agree(tmp_path, capsys, subcommand, bad_key, bad_
         assert _run(tmp_path, subcommand, {**keys, bad_key: bad_value}, way, bad) == 2
         assert f"key {bad_key!r}: " in capsys.readouterr().err
         assert not bad.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, value, message",
+    [
+        ("boundary", "rho", "0.05,x", "expected a comma-separated numeric list, got '0.05,x'"),
+        ("boundary", "schedule", "26,x", "expected a comma-separated integer list, got '26,x'"),
+        ("simulate", "procedures", ",", "expected at least one name, got ','"),
+        ("paulson", "critical_value", "abc", "expected a finite number, got 'abc'"),
+        ("paulson", "critical_value", "inf", "expected a finite number, got 'inf'"),
+        ("paulson", "out", "", "must not be empty"),
+    ],
+)
+def test_key_errors_quote_the_text(tmp_path, capsys, subcommand, key, value, message):
+    out = tmp_path / "out.csv"
+    keys = {**_quick_start_keys(tmp_path, subcommand), "out": str(out), key: value}
+    for way in ("flags", "config"):
+        assert _run(tmp_path, subcommand, keys, way) == 2
+        assert capsys.readouterr().err == f"stepdown {subcommand}: key {key!r}: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1101,6 +1139,9 @@ def test_family_text_rejects_garbage(tmp_path):
         _family(tmp_path, "k = 2\ncontains_complement = 1-2\n", ("a", "b"))
     with pytest.raises(ValueError, match="out of range"):
         _family(tmp_path, "k = 2\ncontains_complement = 1>3\n", ("a", "b"))
+    message = "family has 3 hypotheses but statistics cover 2 in family file"
+    with pytest.raises(ValueError, match=message):
+        _family(tmp_path, "k = 3\n", ("a", "b"))
 
 
 def _distinct_levels(levels):

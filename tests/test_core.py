@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepdown.cli import _items, parse_kv_text
 from stepdown.core import (
     HypothesisFamily,
     SampleSchedule,
@@ -15,8 +16,6 @@ from stepdown.core import (
     check_alpha,
     check_integer,
     check_pvalues,
-    parse_int_list,
-    parse_kv_text,
 )
 
 
@@ -35,6 +34,12 @@ def test_empty_family_rejected():
 def test_self_complement_rejected():
     rel = ((False, False), (False, True))  # diagonal entry for H2
     with pytest.raises(ValueError, match="own complement"):
+        HypothesisFamily(k=2, contains_complement=rel)
+
+
+@pytest.mark.parametrize("rel", [((False, False),), ((False, False), (False,))])
+def test_relation_must_be_k_by_k(rel):
+    with pytest.raises(ValueError, match="contains_complement must be a k-by-k boolean relation"):
         HypothesisFamily(k=2, contains_complement=rel)
 
 
@@ -97,6 +102,8 @@ def test_statistic_paths_validation():
         StatisticPaths((26, 29), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="NaN"):
         StatisticPaths((26,), np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="paths must cover at least one hypothesis"):
+        StatisticPaths((26, 29), np.zeros((0, 2)))
     # The sizes are checked as a SampleSchedule checks them.
     with pytest.raises(ValueError, match="analysis sizes must be positive"):
         StatisticPaths((0, 5), np.zeros((1, 2)))
@@ -256,9 +263,10 @@ def test_parse_kv_text():
 
 
 def test_parse_int_list():
-    assert parse_int_list("26, 29,35") == (26, 29, 35)
-    with pytest.raises(ValueError):
-        parse_int_list("26,x")
+    assert _items("26, 29,35", int, "integer") == (26, 29, 35)
+    message = "expected a comma-separated integer list, got '26,x'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _items("26,x", int, "integer")
 
 
 def test_check_integer_accepts_python_and_numpy_integers():

@@ -13,9 +13,9 @@ from scipy import stats as scipy_stats
 
 import stepdown.harness
 from stepdown.boundary import CriticalFunction, calibrate_levels
-from stepdown.cli import default_table_config, parse_scenarios
+from stepdown.cli import default_table_config, parse_kv_text, parse_scenarios
 from stepdown.cli import main as cli_main
-from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths, parse_kv_text
+from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
 from stepdown.harness import (
     MAX_LOOKS,
     MAX_OBSERVATIONS,
@@ -194,6 +194,17 @@ def test_an_empty_range_is_the_merge_identity():
         summary = run_scenario(cell, (40, 170), CRITICAL)
         assert merge(identity, summary) == summary
         assert merge(summary, identity) == summary
+
+
+@pytest.mark.parametrize("params, fwe", [((0, 0, 0.5), math.nan), ((0.5, 0.5, 0.75), None)])
+def test_an_empty_summary_has_no_statistics(params, fwe):
+    # No replicate: every statistic is NaN, and FWE is None where no null is true.
+    [empty] = run_cells([spec_for("MultH", params=ScenarioParams(*params))], (0, 0), CRITICAL)
+    stats = [empty.em, empty.em_se, *map(empty.p_reject, range(3)),
+             *map(empty.p_reject_se, range(3))]
+    assert all(math.isnan(value) for value in stats)
+    for value in (empty.fwe, empty.fwe_se):
+        assert value is None if fwe is None else math.isnan(value)
 
 
 def test_merge_rejects_mismatched_specs():

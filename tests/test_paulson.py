@@ -42,6 +42,8 @@ def grouped_rows(theta, config, seed, reps, method):
 def test_config_validation():
     with pytest.raises(ValueError, match="increasing"):
         PaulsonConfig(thresholds=(1.0, 0.0), delta=0.1, critical_value=2.0)
+    with pytest.raises(ValueError, match="at least one threshold is required"):
+        PaulsonConfig(thresholds=(), delta=0.1, critical_value=2.0)
     with pytest.raises(ValueError, match="delta"):
         PaulsonConfig(thresholds=(0.0,), delta=0.0, critical_value=2.0)
     with pytest.raises(ValueError, match="critical_value"):

@@ -166,6 +166,12 @@ def test_holm_closed_requires_flag():
         holm_closed([0.01, 0.02], ALPHA, fam)
 
 
+def test_holm_closed_takes_one_p_value_per_hypothesis():
+    fam = HypothesisFamily(2, closed_monotone=True)
+    with pytest.raises(ValueError, match=re.escape("expected 2 p-values, got shape (1,)")):
+        holm_closed([0.01], ALPHA, fam)
+
+
 def test_holm_closed_contains_holm_fixed():
     # Without containments, testing every step at plain alpha can only
     # reject more than the stepped-down thresholds.
