@@ -114,12 +114,16 @@ def _boolean(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _items(text: str, convert: Callable[[str], Any], what: str) -> tuple:
-    """The nonblank items of a comma list, each converted; a refused item fails the list."""
+def _items(text: str, convert: Callable[[str], Any], what: str, item: str = "") -> tuple:
+    """The nonblank items of a comma list, each converted.  A refused item
+    fails the list, and so does an empty list when ``item`` is given."""
     try:
-        return tuple(convert(tok) for tok in map(str.strip, text.split(",")) if tok)
+        items = tuple(convert(tok) for tok in map(str.strip, text.split(",")) if tok)
     except ValueError:
         raise ValueError(f"expected a comma-separated {what} list, got {text!r}") from None
+    if item and not items:
+        raise ValueError(f"expected at least one {item}, got {text!r}")
+    return items
 
 
 def _schedule(text: str) -> SampleSchedule:
@@ -127,9 +131,7 @@ def _schedule(text: str) -> SampleSchedule:
 
 
 def _names(text: str) -> tuple[str, ...]:
-    if names := _items(text, str, "name"):
-        return names
-    raise ValueError(f"expected at least one name, got {text!r}")
+    return _items(text, str, "name", "name")
 
 
 def _pairs(text: str) -> list[tuple[int, int]]:
@@ -341,6 +343,8 @@ def _read_statistics_csv(path: str) -> tuple[tuple[int, ...], dict[str, dict[int
         "duplicate statistic for hypothesis {key!r} at n={n}",
     )
     try:
+        if "" in cells:
+            raise ValueError("hypothesis labels must be nonempty")
         return SampleSchedule(analyses).analyses, cells
     except ValueError as exc:
         raise ValueError(f"{exc} in {path}") from None
@@ -545,7 +549,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], dict | None], tuple[Ke
         (
             Key("schedule", "analysis sizes, e.g. 26,29,35", _schedule),
             Key("rho", "crossing probabilities, e.g. 0.05 or 0.05,0.025",
-                lambda text: _check_levels(_items(text, float, "numeric"))),
+                lambda text: _check_levels(_items(text, float, "numeric", "number"))),
             _SHAPE,
             _GRID,
             _OUT,
@@ -588,7 +592,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], dict | None], tuple[Ke
         _cmd_paulson,
         (
             Key("thresholds", "interval cutpoints, e.g. 0,1,2",
-                lambda text: _items(text, float, "numeric")),
+                lambda text: _items(text, float, "numeric", "number")),
             Key("delta", "target widening", _number),
             Key("critical_value", "evidence threshold per one-sided test", _number),
             Key("theta", "true mean", _number),

@@ -99,9 +99,8 @@ class HypothesisFamily:
             raise ValueError(f"expected {self.k} labels, got {len(labels)}")
         if len(set(labels)) != self.k:
             raise ValueError("hypothesis labels must be distinct")
-        for lab in labels:
-            if not lab or "," in lab or "\n" in lab:
-                raise ValueError(f"label {lab!r} must be nonempty and free of commas and newlines")
+        if not all(labels):
+            raise ValueError("hypothesis labels must be nonempty")
         object.__setattr__(self, "labels", labels)
 
         if self.contains_complement:

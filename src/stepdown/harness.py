@@ -320,7 +320,7 @@ def _transitions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Nothing rejected before: the step's rejections are those of this look.
     nothing = np.zeros_like(active)
     rows, rej_now, frozen_now, remaining = _look_step(
-        _digits(index % _SYMBOLS), active, nothing, active.sum(axis=1), contains, False
+        _digits(index % _SYMBOLS), active, nothing, contains, False
     )
     after, rejected, frozen = index - index % _SYMBOLS, np.zeros_like(index), np.zeros_like(index)
     after[rows] = _bits(remaining) * _SYMBOLS
@@ -331,16 +331,14 @@ def _transitions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return after, rejected, frozen
 
 
-def _walk(
-    table: tuple[np.ndarray, np.ndarray, np.ndarray], symbols: np.ndarray, analyses: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
+def _walk(symbols: np.ndarray, analyses: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Walk replicates through ``_transitions``: their rejected sets and total measurements.
 
     symbols[j, r] is replicate r's symbol at look j.  Every replicate
     starts with all k endpoints active; the decisions and totals are
     those of ``_decide_counts`` on the counts the symbols write.
     """
-    after, rejected_now, frozen = table
+    after, rejected_now, frozen = _transitions()
     last = analyses[-1]
     state = np.full(symbols.shape[1], (2**_FAMILY.k - 1) * _SYMBOLS)
     rejected = np.zeros(symbols.shape[1], dtype=np.intp)
@@ -428,7 +426,6 @@ def run_cells(
         walks.append((procedure == "H", looks, rows, keys, columns))
     # Each (procedure, alpha, group) decision's row of the tallies, in walk order.
     place = {d: row for row, d in enumerate((w, g) for w in members for g in members[w])}
-    table = _transitions()
     formed = dict.fromkeys(key for group in groups for key in group)
     # Per row, across blocks: how many replicates rejected each set, then
     # the sum and the sum of squares of their total measurements, as ints.
@@ -454,7 +451,7 @@ def run_cells(
                 symbols = digits[:, part[:, 0]]
                 for i in range(1, k):
                     symbols += digits[:, part[:, i]]
-                rejected, total = _walk(table, symbols.reshape(len(looks), -1), looks)
+                rejected, total = _walk(symbols.reshape(len(looks), -1), looks)
                 # One bincount: group g's sets are counted from g << k on.
                 rejected |= np.arange(len(part)).repeat(stop - start) << k
                 sets = np.bincount(rejected, minlength=len(part) << k).reshape(len(part), -1)
@@ -489,16 +486,12 @@ def run_scenario(
 
 
 def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
-    """Split range(total) into contiguous near-even nonempty pieces."""
-    pieces = max(1, min(pieces, total))
-    base, extra = divmod(total, pieces)
-    ranges = []
-    lo = 0
-    for i in range(pieces):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+    """Split range(total) into at most ``pieces`` contiguous nonempty ranges
+    of near-even counts of whole key blocks, so no two draw one block."""
+    blocks = -(-total // KEY_BLOCK)
+    pieces = max(1, min(pieces, blocks))
+    cuts = [min(total, -(-blocks * i // pieces) * KEY_BLOCK) for i in range(pieces + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def run_scenario_parallel(
@@ -510,11 +503,13 @@ def run_scenario_parallel(
 
     The cells must share ``master_seed``, ``schedule`` and ``replicates``,
     as for run_cells; anything else raises ValueError before a pool
-    opens.  The replicates are split into ``workers`` ranges, each run by
-    ``run_cells`` for every cell in one pool of at most
-    ``os.cpu_count()`` processes, and each cell's pieces are merged.  The
-    results are bit-identical for any worker count: replicate draws are
-    keyed by index and the merged accumulators are integers.
+    opens.  The replicates are split into at most ``workers`` ranges of
+    whole key blocks (``split_ranges``), so each block is drawn once.
+    Each range is run by ``run_cells`` for every cell, in one pool of at
+    most ``os.cpu_count()`` processes when there are two or more, and
+    each cell's pieces are merged.  The results are bit-identical for
+    any worker count: replicate draws are keyed by index and the merged
+    accumulators are integers.
     ``critical`` is as for run_cells and serves every cell.
 
     Returns:
@@ -524,7 +519,7 @@ def run_scenario_parallel(
     _, _, replicates = _shared_draws(specs)
     ranges = split_ranges(replicates, workers)
     job = functools.partial(run_cells, specs, critical=critical)
-    if workers == 1:
+    if len(ranges) == 1:
         parts = map(job, ranges)
     else:
         # Imported on use: a serial run, and `import stepdown`, need no pool.

@@ -32,21 +32,22 @@ of every one-sided test at every observation into a flag array it is
 handed, and both routes carry the same state per row: the running sum,
 and whether each test has rejected yet.  Blocks end at observations 16,
 32, 64, 128 and CHUNK = 256, then every CHUNK, so a path that stops
-early draws little.  ``classify_paths`` deals its simulated paths in
-groups of ``GROUP_OBSERVATIONS // CHUNK``, each group's block from one
-keyed Philox draw, and decides a wave of ``WAVE`` groups side by side:
-at each block the wave's live paths are cut, at group boundaries, into
-runs that fill the pass buffers, and each run is one kernel pass.  A
-path is dropped as soon as it stops.  ``run_paulson_direct`` and
-``paulson_via_stepdown`` are its one-path views on a 1-D array: each
-reads at most ``min(horizon, len(observations))`` observations and
-falls back to S_n/n there.  Each call makes its block, work and flag
-buffers once, sized for one group's widest block, and every pass
-draws, sums and tests inside views of them, so a pass allocates nothing
-of the block's size.  Either way S_n is the paper's sequential sum
-S_{n-1} + x_n, one observation at a time, and every step acts on each
-row alone, so a path gets the same floats, and the same decision,
-alone, in its group or beside other groups.
+early draws little.  ``_decide`` runs a route over many paths: it
+allocates the results and its block, work and flag buffers once per
+call, the buffers sized for one group's widest block, and walks the
+paths in waves of ``WAVE`` groups side by side.  At each block a wave's
+live paths are cut, at group boundaries, into runs that fill the
+buffers, and each run is one kernel pass inside views of them, so a pass
+allocates nothing of the block's size.  A path is dropped as soon as it
+stops.  ``classify_paths`` hands it simulated paths, dealt in groups of
+``GROUP_OBSERVATIONS // CHUNK``, each group's block from one keyed
+Philox draw; ``run_paulson_direct`` and ``paulson_via_stepdown`` hand it
+one path, a 1-D array, of which each reads at most ``min(horizon,
+len(observations))`` observations and falls back to S_n/n there.  Either
+way S_n is the paper's sequential sum S_{n-1} + x_n, one observation at
+a time, and every step acts on each row alone, so a path gets the same
+floats, and the same decision, alone, in its group or beside other
+groups.
 """
 
 from __future__ import annotations
@@ -222,15 +223,6 @@ def _stepdown_kernel(
 _ROUTES = {"direct": _direct_kernel, "stepdown": _stepdown_kernel}
 
 
-def _buffers(paths: int, config: PaulsonConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pass buffers for groups of up to ``paths`` paths: four float
-    rows (the block, then the kernel's three work arrays) and the test
-    outcomes, each flat so that a pass views its leading entries as one
-    C-contiguous array of the pass's shape."""
-    cells = paths * min(CHUNK, config.horizon)
-    return np.empty((4, cells)), np.empty(2 * len(config.thresholds) * cells, dtype=bool)
-
-
 def _runs(live: np.ndarray, group: int, paths: int, rows: int) -> list[list[tuple[int, int, int]]]:
     # Cuts a wave's live paths (ascending indices below ``paths``) at
     # group boundaries into runs of at most ``rows`` of them: each run
@@ -253,85 +245,90 @@ def _decide(
     group: int,
     next_block: Callable[[int, int, np.ndarray], None],
     config: PaulsonConfig,
-    buffers: tuple[np.ndarray, np.ndarray],
-    results: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """Decide a wave of paths by one route, its groups of ``group``
-    paths side by side, one block of observations per count, dropping
-    each path once it stops: where some interval first fits, or at the
-    horizon, where it falls back to S_n/n.
+    reps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide ``reps`` paths by one route: ``(decision, stop_n, fallback_used)``.
 
-    A block is ``min(max(count, 16), CHUNK, horizon - count)``
-    observations: 16, 16, 32, 64 and 128 fill the first CHUNK, whole
-    CHUNKs follow.  At each count the live paths are cut into runs of
-    whole groups that fill ``buffers`` (``_runs``; the buffers come from
-    ``_buffers`` for at least one group, and the caller may share them
-    between waves), and each run is one pass.  In it, ``next_block(first,
-    count, out)`` writes the next observations of the live paths of the
-    group whose first path is ``first``, each ``count`` observations in,
-    into ``out``, that group's rows of the block (shape ``(live, size)``),
-    row i for its i-th live path, and fills every column.  One cumsum,
-    one kernel call and one round of stop bookkeeping then cover the
-    run's rows.  Row r's running sum S_n is ``total[r]`` plus the block's
-    observations added one at a time, the paper's sequential sum, and
-    every step acts on each row alone, so a path's floats do not depend
-    on the rows beside it.  ``results`` are the wave's decision,
-    stopping time and fallback arrays, written in place.
+    The paths go in waves of ``WAVE`` groups of ``group`` paths, a wave's
+    groups side by side, one block of observations per count, and a path
+    is dropped once it stops: where some interval first fits, or at the
+    horizon, where it falls back to S_n/n.  A block is ``min(max(count,
+    16), CHUNK, horizon - count)`` observations: 16, 16, 32, 64 and 128
+    fill the first CHUNK, whole CHUNKs follow.
+
+    The call allocates its results and its pass buffers once: four float
+    rows (the block, then the kernel's three work arrays) and the test
+    outcomes, each sized for one group's widest block and flat, so that a
+    pass views its leading entries as one C-contiguous array of its shape.
+    At each count a wave's live paths are cut into runs of whole groups
+    that fill the buffers (``_runs``), and each run is one pass.  In it,
+    ``next_block(first, count, out)`` writes the next observations of the
+    live paths of the group whose first path is ``first``, each ``count``
+    observations in, into ``out``, that group's rows of the block (shape
+    ``(live, size)``), row i for its i-th live path, and fills every
+    column.  One cumsum, one kernel call and one round of stop bookkeeping
+    then cover the run's rows; row r's running sum S_n is ``total[r]``
+    plus the block's observations added one at a time.
     """
     kernel = _ROUTES[method]
-    floats, flags = buffers
-    decision, stop_n, fallback = results
-    paths = decision.size
-    live = np.arange(paths)
-    total = np.zeros(paths)
-    rejected = np.zeros((2, len(config.thresholds), paths), dtype=bool)
-    count = 0
-    while live.size and count < config.horizon:
-        size = min(max(count, 16), CHUNK, config.horizon - count)
-        m = count + np.arange(1, size + 1, dtype=float)
-        keep = np.empty(live.size, dtype=bool)
-        for run in _runs(live, group, paths, floats.shape[1] // size):
-            begin, end = run[0][1], run[-1][2]
-            s = floats[0, : (end - begin) * size].reshape(end - begin, size)
-            for start, lo, hi in run:
-                next_block(start, count, s[lo - begin : hi - begin])
-            # The cumsum goes on from the running sum, in place.
-            s[:, 0] += total[begin:end]
-            np.cumsum(s, axis=1, out=s)
-            done = rejected[:, :, begin:end]
-            tests = flags[: done.size * size].reshape(done.shape + (size,))
-            kernel(s, m, config, tests, floats[1:, : s.size].reshape(3, end - begin, size))
-            # A test has rejected by the block's end if it had before it
-            # or does in it, and a path stops in the block exactly when
-            # some interval fits at its end.
-            hit = tests.any(axis=3)
-            hit |= done
-            _fit_times(~hit).all(axis=0, out=keep[begin:end])
-            stops = np.flatnonzero(~keep[begin:end])
-            # Only a stopping row needs where each test first rejected:
-            # -1 if before the block, size if not yet.  It stops at its
-            # first observation where some interval fits, and falls back
-            # to S_n/n if several fit there.  The rows are taken a group
-            # at a time, so these arrays stay the size of one group's.
-            for part in range(0, stops.size, group):
-                rows = stops[part : part + group]
-                found = np.where(hit.take(rows, 2), tests.take(rows, 2).argmax(axis=3), size)
-                fits = _fit_times(np.where(done.take(rows, 2), -1, found))
-                t = fits.min(axis=0)
-                chosen = fits == t
-                tie = chosen.sum(axis=0) != 1
-                by_mean = classify_by_mean(s[rows, t] / m[t], config.thresholds)
-                index = live[begin:end][rows]
-                decision[index] = np.where(tie, by_mean, chosen.argmax(axis=0))
-                stop_n[index] = count + 1 + t
-                fallback[index] = tie
-            done[...] = hit
-            total[begin:end] = s[:, -1]
-        live, rejected, total = live[keep], rejected.compress(keep, 2), total[keep]
-        count += size
-    decision[live] = classify_by_mean(total / count, config.thresholds)
-    stop_n[live] = count
-    fallback[live] = True
+    cells = min(group, reps) * min(CHUNK, config.horizon)
+    floats, flags = np.empty((4, cells)), np.empty(2 * len(config.thresholds) * cells, dtype=bool)
+    results = tuple(np.empty(reps, dtype=kind) for kind in (np.int64, np.int64, bool))
+    for first in range(0, reps, WAVE * group):
+        # Each wave's rows go straight into the results.
+        decision, stop_n, fallback = (column[first : first + WAVE * group] for column in results)
+        paths = decision.size
+        live = np.arange(paths)
+        total = np.zeros(paths)
+        rejected = np.zeros((2, len(config.thresholds), paths), dtype=bool)
+        count = 0
+        while live.size and count < config.horizon:
+            size = min(max(count, 16), CHUNK, config.horizon - count)
+            m = count + np.arange(1, size + 1, dtype=float)
+            keep = np.empty(live.size, dtype=bool)
+            for run in _runs(live, group, paths, floats.shape[1] // size):
+                begin, end = run[0][1], run[-1][2]
+                s = floats[0, : (end - begin) * size].reshape(end - begin, size)
+                for start, lo, hi in run:
+                    next_block(first + start, count, s[lo - begin : hi - begin])
+                # The cumsum goes on from the running sum, in place.
+                s[:, 0] += total[begin:end]
+                np.cumsum(s, axis=1, out=s)
+                done = rejected[:, :, begin:end]
+                tests = flags[: done.size * size].reshape(done.shape + (size,))
+                kernel(s, m, config, tests, floats[1:, : s.size].reshape(3, end - begin, size))
+                # A test has rejected by the block's end if it had before it
+                # or does in it, and a path stops in the block exactly when
+                # some interval fits at its end.
+                hit = tests.any(axis=3)
+                hit |= done
+                _fit_times(~hit).all(axis=0, out=keep[begin:end])
+                stops = np.flatnonzero(~keep[begin:end])
+                # Only a stopping row needs where each test first rejected:
+                # -1 if before the block, size if not yet.  It stops at its
+                # first observation where some interval fits, and falls back
+                # to S_n/n if several fit there.  The rows are taken a group
+                # at a time, so these arrays stay the size of one group's.
+                for part in range(0, stops.size, group):
+                    rows = stops[part : part + group]
+                    found = np.where(hit.take(rows, 2), tests.take(rows, 2).argmax(axis=3), size)
+                    fits = _fit_times(np.where(done.take(rows, 2), -1, found))
+                    t = fits.min(axis=0)
+                    chosen = fits == t
+                    tie = chosen.sum(axis=0) != 1
+                    by_mean = classify_by_mean(s[rows, t] / m[t], config.thresholds)
+                    index = live[begin:end][rows]
+                    decision[index] = np.where(tie, by_mean, chosen.argmax(axis=0))
+                    stop_n[index] = count + 1 + t
+                    fallback[index] = tie
+                done[...] = hit
+                total[begin:end] = s[:, -1]
+            live, rejected, total = live[keep], rejected.compress(keep, 2), total[keep]
+            count += size
+        decision[live] = classify_by_mean(total / count, config.thresholds)
+        stop_n[live] = count
+        fallback[live] = True
+    return results
 
 
 def _one_path(method: str, observations: np.ndarray, config: PaulsonConfig) -> PaulsonResult:
@@ -350,9 +347,7 @@ def _one_path(method: str, observations: np.ndarray, config: PaulsonConfig) -> P
     def next_block(_first: int, count: int, out: np.ndarray) -> None:
         out[0] = path[count : count + out.shape[1]]
 
-    results = (np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64), np.empty(1, dtype=bool))
-    _decide(method, 1, next_block, config, _buffers(1, config), results)
-    decision, stop_n, fallback = results
+    decision, stop_n, fallback = _decide(method, 1, next_block, config, 1)
     return PaulsonResult(int(decision[0]), int(stop_n[0]), bool(fallback[0]))
 
 
@@ -410,20 +405,20 @@ def paulson_via_stepdown(observations: np.ndarray, config: PaulsonConfig) -> Pau
     return _one_path("stepdown", observations, config)
 
 
-def _stream_blocks(theta: float, seed: int, first: int) -> Callable[[int, int, np.ndarray], None]:
-    # Deals the wave whose first path is ``first``: the group whose first
-    # path is first + start draws its block at observation count c from
-    # the Philox stream keyed [seed, first + start] at counter [0, c, 0,
-    # 0]; row i is the next block of the group's i-th live path.  One bit
-    # generator serves every group and count: restoring its fresh state
-    # with the group's key word and the count's counter word also
-    # discards the words the last draw left in its four-word buffer.
-    bits = philox(seed, first)
+def _stream_blocks(theta: float, seed: int) -> Callable[[int, int, np.ndarray], None]:
+    # The group whose first path is ``first`` draws its block at
+    # observation count c from the Philox stream keyed [seed, first] at
+    # counter [0, c, 0, 0]; row i is the next block of the group's i-th
+    # live path.  One bit generator serves every group and count:
+    # restoring its fresh state with the group's key word and the count's
+    # counter word also discards the words the last draw left in its
+    # four-word buffer.
+    bits = philox(seed, 0)
     draw = np.random.Generator(bits).standard_normal
     state = bits.state
 
-    def next_block(start: int, count: int, out: np.ndarray) -> None:
-        state["state"]["key"][1] = first + start
+    def next_block(first: int, count: int, out: np.ndarray) -> None:
+        state["state"]["key"][1] = first
         state["state"]["counter"][1] = count
         bits.state = state
         draw(out=out)
@@ -447,14 +442,12 @@ def classify_paths(
     ``theta``, and handing row i to its i-th live path by index.  So a
     path's observations depend only on the seed, its index, ``theta``,
     the rule and the lower-indexed paths of its group, and the rows for
-    ``reps`` paths begin with the rows for fewer.  A wave of ``WAVE``
-    groups is decided side by side: at each count its groups' draws fill
-    one block, in runs of whole groups that fit the call's buffers (one
-    group's widest block), and one cumsum and one kernel call cover each
-    run.  Memory grows with one wave and the results, not with ``reps``.
-    Each path's S_n is summed one observation at a time, as the paper
-    writes it, so row r is what ``run_paulson_direct`` or
-    ``paulson_via_stepdown`` returns on path r's observations.
+    ``reps`` paths begin with the rows for fewer.  ``_decide`` takes the
+    groups a wave of ``WAVE`` at a time, so memory grows with one wave
+    and the results, not with ``reps``.  Each path's S_n is summed one
+    observation at a time, as the paper writes it, so row r is what
+    ``run_paulson_direct`` or ``paulson_via_stepdown`` returns on path
+    r's observations.
 
     Returns:
         ``(decision, stop_n, fallback_used)``, one entry per path.
@@ -465,15 +458,5 @@ def classify_paths(
         raise ValueError(f"theta must be finite, got {theta}")
     check_seed(seed)
     check_integer(reps, "reps", 1)
-    group = GROUP_OBSERVATIONS // CHUNK
-    buffers = _buffers(min(group, reps), config)
-    # Each wave's rows go straight into the results, so the buffers, one
-    # wave's running state and one copy of the results are all a call
-    # holds.
-    results = (
-        np.empty(reps, dtype=np.int64), np.empty(reps, dtype=np.int64), np.empty(reps, dtype=bool)
-    )
-    for first in range(0, reps, WAVE * group):
-        rows = tuple(column[first : first + WAVE * group] for column in results)
-        _decide(method, group, _stream_blocks(theta, seed, first), config, buffers, rows)
-    return results
+    next_block = _stream_blocks(theta, seed)
+    return _decide(method, GROUP_OBSERVATIONS // CHUNK, next_block, config, reps)

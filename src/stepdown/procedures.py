@@ -396,35 +396,33 @@ def _decide_counts(
     # several times faster when its columns, not its rows, are contiguous.
     cleared = np.asfortranarray(cleared)
     active = np.ones((reps, k), dtype=bool, order="F")
-    m = np.full(reps, k)
     rejected = np.zeros((reps, k), dtype=bool)
     # Survivors of the last analysis are accepted there.
     final_n = np.full((reps, k), analyses[-1], dtype=np.int64)
 
     for j, n_j in enumerate(analyses):
         rows, rej_now, frozen, remaining = _look_step(
-            cleared[:, :, j], active, rejected, m, contains, closed
+            cleared[:, :, j], active, rejected, contains, closed
         )
         final_n[rows] = np.where(frozen, n_j, final_n[rows])
         rejected[rows] = rej_now
         active[rows] = remaining
-        m[rows] = remaining.sum(axis=1)
 
     return rejected, final_n
 
 
 def _look_step(
-    cleared: np.ndarray, active: np.ndarray, rejected: np.ndarray, m: np.ndarray,
-    contains: np.ndarray, closed: bool,
+    cleared: np.ndarray, active: np.ndarray, rejected: np.ndarray, contains: np.ndarray,
+    closed: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One look of the multistage walk over R replicates.
 
     cleared[r, i] is statistic i's count at the look; active and rejected
-    are the (R, k) sets before it, m the active counts.  The rows whose
-    top active count reaches their own m end a stage, and ``_step_down``
-    picks their rejected prefix; its first rank passes exactly when that
-    count reaches m, so a stage ends where it rejects something.
-    ``closed`` adds the implied acceptances of ``contains``.
+    are the (R, k) sets before it, and m is a row's active count.  The rows
+    whose top active count reaches their own m end a stage, and
+    ``_step_down`` picks their rejected prefix; its first rank passes
+    exactly when that count reaches m, so a stage ends where it rejects
+    something.  ``closed`` adds the implied acceptances of ``contains``.
 
     Returns:
         ``(rows, rejected, frozen, active)``: the rows that end a stage,
@@ -433,6 +431,7 @@ def _look_step(
     """
     # An inactive hypothesis counts -1: it neither crosses nor passes,
     # and a stopped replicate, with m = 0, never qualifies again.
+    m = active.sum(axis=1)
     counts = np.where(active, cleared, -1)
     rows = np.flatnonzero(counts.max(axis=1) >= m)
     act = active[rows]

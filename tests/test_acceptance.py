@@ -16,10 +16,11 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import binom, multivariate_normal
 
+import stepdown.harness
 from stepdown.boundary import CriticalFunction, calibrate_levels, crossing_probability
 from stepdown.cli import main
 from stepdown.core import HypothesisFamily, SampleSchedule, StatisticPaths
-from stepdown.harness import ScenarioSpec, run_cells
+from stepdown.harness import ScenarioSpec, run_cells, split_ranges
 from stepdown.paulson import PaulsonConfig, paulson_via_stepdown, run_paulson_direct
 from stepdown.procedures import CLOSED, HOLM, holm_fixed, run_multistage, run_multistage_batch
 from stepdown.trial import ScenarioParams
@@ -585,8 +586,12 @@ def test_criterion_7_boundary_calibration(capsys):
     _report(capsys, 7, "boundary calibration", failures)
 
 
-def test_criterion_8_determinism(sweep, tmp_path, capsys):
+def test_criterion_8_determinism(sweep, tmp_path, capsys, monkeypatch):
     failures = []
+    # Key blocks of 16 replicates: 2 and 8 workers run 2 and 8 ranges in a pool.
+    monkeypatch.setattr(stepdown.harness, "KEY_BLOCK", 16)
+    if [len(split_ranges(400, w)) for w in (1, 2, 8)] != [1, 2, 8]:
+        failures.append("400 replicates do not split into 1/2/8 ranges")
     base = [
         "simulate",
         "--scenarios",

@@ -311,6 +311,16 @@ def test_unbracketable_level_raises_calibration_error():
         calibrate_levels(SCHED, [1e-30])
 
 
+def test_a_root_search_that_does_not_settle_raises_calibration_error(monkeypatch):
+    # One step cannot settle level 0.05 on this schedule.
+    monkeypatch.setattr(stepdown.boundary, "_MAX_STEPS", 1)
+    with pytest.raises(
+        CalibrationError,
+        match=r"\[-10, 10\] calibrates level 0\.05: the root search did not settle in 1 steps$",
+    ):
+        calibrate_levels(SCHED, [0.05])
+
+
 def test_calibration_evaluates_each_constant_once_per_grid(monkeypatch):
     # The root search never steps back to a constant it has evaluated, and
     # the doubled-grid check evaluates the returned one once.

@@ -127,6 +127,37 @@ def test_analyze_subcommand(tmp_path):
     assert rows[2][1] == "accepted"
 
 
+def test_analyze_round_trips_labels_with_a_comma_and_a_newline(tmp_path):
+    # csv.writer quotes such a label in the output, and csv.reader reads it back.
+    bound = _write_boundary(tmp_path, "0.025,0.05")
+    labels = ["A, 12wk", "B\n24wk"]
+    stats = tmp_path / "stats.csv"
+    with open(stats, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [("hypothesis", "n", "statistic")]
+            + [(label, n, v) for label, v in zip(labels, (3.0, 0.0)) for n in (26, 29, 35)]
+        )
+    out = tmp_path / "decisions.csv"
+    assert main(["analyze", "--statistics", str(stats), "--boundary", str(bound),
+                 "--out", str(out)]) == 0
+    head = 'hypothesis,decision,stage,final_n\n"A, 12wk",rejected,1,26\n'
+    assert out.read_text().startswith(head)
+    assert [row[0] for row in read_csv(out)[1:]] == labels
+
+
+def test_analyze_refuses_an_empty_label_naming_the_file(tmp_path, capsys):
+    bound = _write_boundary(tmp_path, "0.025,0.05")
+    stats = tmp_path / "stats.csv"
+    stats.write_text("hypothesis,n,statistic\n,26,3.0\nB,26,0.0\n")
+    out = tmp_path / "decisions.csv"
+    assert main(["analyze", "--statistics", str(stats), "--boundary", str(bound),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"stepdown analyze: hypothesis labels must be nonempty in {stats}\n"
+    )
+    assert not out.exists()
+
+
 def test_analyze_missing_level(tmp_path, capsys):
     bound = _write_boundary(tmp_path, "0.05")  # holm with k=2 also needs 0.025
     stats = tmp_path / "stats.csv"
@@ -149,7 +180,10 @@ def test_analyze_missing_level(tmp_path, capsys):
     assert "lacks critical values" in capsys.readouterr().err
 
 
-def test_simulate_worker_invariance(tmp_path):
+def test_simulate_worker_invariance(tmp_path, monkeypatch):
+    # Key blocks of 16 replicates: two workers run two ranges in a pool.
+    monkeypatch.setattr(stepdown.harness, "KEY_BLOCK", 16)
+    assert len(stepdown.harness.split_ranges(120, 2)) == 2
     args = [
         "simulate",
         "--scenarios",
@@ -373,6 +407,18 @@ def test_boundary_unbracketable_level_exits_1(tmp_path, capsys):
     out = tmp_path / "b.csv"
     assert main(["boundary", "--schedule", "26,29,35", "--rho", "1e-30", "--out", str(out)]) == 1
     assert "[-10, 10] calibrates level 1e-30" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "b.csv.meta.txt").exists()
+
+
+def test_boundary_unsettled_root_search_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stepdown.boundary, "_MAX_STEPS", 1)
+    out = tmp_path / "b.csv"
+    assert main(["boundary", "--schedule", "26,29,35", "--rho", "0.05", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "stepdown boundary: no boundary constant in [-10, 10] calibrates level 0.05: "
+        "the root search did not settle in 1 steps\n"
+    )
     assert not out.exists()
     assert not (tmp_path / "b.csv.meta.txt").exists()
 
@@ -819,6 +865,8 @@ def test_flags_and_config_file_agree(tmp_path, capsys, subcommand, bad_key, bad_
         ("boundary", "rho", "0.05,x", "expected a comma-separated numeric list, got '0.05,x'"),
         ("boundary", "schedule", "26,x", "expected a comma-separated integer list, got '26,x'"),
         ("simulate", "procedures", ",", "expected at least one name, got ','"),
+        ("boundary", "rho", ",", "expected at least one number, got ','"),
+        ("paulson", "thresholds", ",", "expected at least one number, got ','"),
         ("paulson", "critical_value", "abc", "expected a finite number, got 'abc'"),
         ("paulson", "critical_value", "inf", "expected a finite number, got 'inf'"),
         ("paulson", "out", "", "must not be empty"),

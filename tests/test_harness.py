@@ -237,14 +237,34 @@ def test_partition_invariance():
     assert merged == full
 
 
-def test_split_ranges():
+def test_split_ranges(monkeypatch):
+    # With key blocks of one replicate, any cut falls between key blocks.
+    monkeypatch.setattr(stepdown.harness, "KEY_BLOCK", 1)
     assert split_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
     assert split_ranges(2, 8) == [(0, 1), (1, 2)]
     assert sum(hi - lo for lo, hi in split_ranges(999, 7)) == 999
 
 
+@pytest.mark.parametrize(
+    "replicates, workers",
+    [(1, 4), (1024, 2), (1025, 2), (3 * 1024 + 1, 7), (4096, 1024), (50_000, 2), (50_000, 3)],
+)
+def test_split_ranges_draw_each_key_block_once(replicates, workers):
+    # Ranges cut only between key blocks, so across them each block is drawn once.
+    block = stepdown.harness.KEY_BLOCK
+    blocks = -(-replicates // block)
+    ranges = split_ranges(replicates, workers)
+    assert len(ranges) == min(workers, blocks)
+    assert [lo for lo, _hi in ranges] + [replicates] == [0] + [hi for _lo, hi in ranges]
+    assert all(lo < hi for lo, hi in ranges)
+    drawn = [b for lo, hi in ranges for b in range(lo // block, -(-hi // block))]
+    assert drawn == list(range(blocks))
+
+
 def test_parallel_matches_serial():
-    spec = spec_for("MultH", reps=120)
+    # Three key blocks: a pool runs three ranges.
+    spec = spec_for("MultH", reps=2 * stepdown.harness.KEY_BLOCK + 120)
+    assert len(split_ranges(spec.replicates, 4)) == 3
     serial = run_scenario_parallel([spec], workers=1, critical=CRITICAL)
     parallel = run_scenario_parallel([spec], workers=4, critical=CRITICAL)
     assert serial == parallel
@@ -283,12 +303,18 @@ class _RecordingPool:
 def test_pool_size_bounded_by_cpu_count(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(stepdown.harness.os, "cpu_count", lambda: 3)
+    # Ten key blocks of ten replicates: workers beyond ten add no range.
+    monkeypatch.setattr(stepdown.harness, "KEY_BLOCK", 10)
     _RecordingPool.sizes = []
     spec = spec_for("H", reps=100)
     many = run_scenario_parallel([spec], workers=50_000)
     assert _RecordingPool.sizes == [3]
     assert many == run_scenario_parallel([spec], workers=1)
     run_scenario_parallel([spec], workers=2)
+    assert _RecordingPool.sizes == [3, 2]
+    # One key block is one range, run without a pool.
+    monkeypatch.setattr(stepdown.harness, "KEY_BLOCK", 100)
+    assert run_scenario_parallel([spec], workers=4) == many
     assert _RecordingPool.sizes == [3, 2]
 
 
@@ -301,6 +327,7 @@ def test_simulate_opens_one_pool_per_run(tmp_path, monkeypatch):
     assert cli_main(args + ["--workers", "1", "--out", str(tmp_path / "w1.csv")]) == 0
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(stepdown.harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(stepdown.harness, "KEY_BLOCK", 10)  # three key blocks
     _RecordingPool.sizes = []
     assert cli_main(args + ["--workers", "3", "--out", str(tmp_path / "w3.csv")]) == 0
     assert _RecordingPool.sizes == [3]
@@ -308,7 +335,8 @@ def test_simulate_opens_one_pool_per_run(tmp_path, monkeypatch):
 
 
 def test_worker_count_cannot_change_counts():
-    spec = spec_for("H", reps=90, params=ScenarioParams(0.0, 0.0, 0.5))
+    reps = 2 * stepdown.harness.KEY_BLOCK + 90  # three key blocks, one per worker
+    spec = spec_for("H", reps=reps, params=ScenarioParams(0.0, 0.0, 0.5))
     [one] = run_scenario_parallel([spec], workers=1)
     [three] = run_scenario_parallel([spec], workers=3)
     assert one.reject_counts == three.reject_counts
@@ -390,7 +418,7 @@ def test_holm_is_the_all_active_row_of_the_transition_table():
     table = _transitions()
     holm = _bits(_step_down(_digits(symbols), 3))
     assert table[1][7 * _SYMBOLS + symbols].tolist() == holm.tolist()
-    rejected, total = _walk(table, symbols[None], (35,))
+    rejected, total = _walk(symbols[None], (35,))
     assert rejected.tolist() == holm.tolist()
     assert total.tolist() == [3 * 35] * _SYMBOLS
 
@@ -576,7 +604,7 @@ def test_table_walk_matches_the_count_engine(looks, rule, alpha, reps, seed):
     rejected, final_n = _decide_counts(counts, np.zeros((3, 3), dtype=bool), analyses, False)
     # Endpoint i's count is digit i of the symbol in base k + 1 = 4.
     symbols = (counts.astype(np.intp) * [[1], [4], [16]]).sum(axis=1)
-    walked, total = _walk(_transitions(), symbols.T, analyses)
+    walked, total = _walk(symbols.T, analyses)
     assert walked.tolist() == (rejected @ [1, 2, 4]).tolist()
     assert total.tolist() == final_n.sum(axis=1).tolist()
     assert walked[0] == 7 and total[0] == 3 * analyses[0]
@@ -609,7 +637,7 @@ def test_table_walk_matches_the_scalar_engine_on_every_two_look_sequence(rule, s
     assert len(digits) == sequences
     # Endpoint i's count is digit i of the symbol in base k + 1 = 4.
     symbols = (np.array(digits) * [1, 4, 16]).sum(axis=2).T
-    walked, total = _walk(_transitions(), symbols, analyses)
+    walked, total = _walk(symbols, analyses)
     for seq, got, measured in zip(digits, walked.tolist(), total.tolist()):
         stats = np.array([[values[j][c] for j, c in enumerate(counts)] for counts in zip(*seq)])
         result = run_multistage(
@@ -771,9 +799,9 @@ def test_h_groups_stay_out_of_the_staged_pool(monkeypatch):
 
     walk, form = stepdown.harness._walk, stepdown.harness.endpoint_from_draws
 
-    def spied_walk(table, symbols, looks):
+    def spied_walk(symbols, looks):
         walks.append((symbols.shape[1], tuple(looks)))
-        return walk(table, symbols, looks)
+        return walk(symbols, looks)
 
     def spied_form(key, *args):
         sums, values = form(key, *args)

@@ -458,12 +458,12 @@ def test_classify_paths_keys_seeds_above_two_to_the_63_apart():
 
 
 def test_stream_blocks_reuse_one_generator_as_fresh_ones():
-    # One bit generator serves all of a wave's groups and passes.  Each
+    # One bit generator serves all of a call's groups and passes.  Each
     # pass must draw what a generator built for its group and count
     # would, also after a draw that left part of Philox's four-word
     # buffer unread, and after a pass of another group.
     theta, seed, first = 0.25, 2**63 + 5, GROUP
-    next_block = _stream_blocks(theta, seed, first)
+    next_block = _stream_blocks(theta, seed)
     unread = []
     for start, count, live, size in [(0, 0, 3, 17), (GROUP, 17, 2, 16), (0, 0, 3, 17)]:
         key = np.array([seed, first + start], dtype=np.uint64)
@@ -471,7 +471,7 @@ def test_stream_blocks_reuse_one_generator_as_fresh_ones():
         want = np.random.Generator(fresh).standard_normal((live, size)) + theta
         unread.append(4 - fresh.state["buffer_pos"])
         out = np.empty((live, size))
-        next_block(start, count, out)
+        next_block(first + start, count, out)
         assert np.array_equal(out, want)
     assert unread[0] > 0
 
@@ -549,12 +549,12 @@ def test_classify_paths_fills_each_pass_to_its_buffers(monkeypatch, config, thet
     passes, draws = [], []
     stream, kernel = paulson._stream_blocks, _ROUTES["direct"]
 
-    def recording_stream(mean, seed, first):
-        next_block = stream(mean, seed, first)
+    def recording_stream(mean, seed):
+        next_block = stream(mean, seed)
 
-        def record(start, count, out):
-            draws.append((first + start, count) + out.shape)
-            return next_block(start, count, out)
+        def record(first, count, out):
+            draws.append((first, count) + out.shape)
+            return next_block(first, count, out)
 
         return record
 
