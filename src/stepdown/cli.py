@@ -5,7 +5,8 @@ Four subcommands share one configuration style: an optional flat
 command-line flags.  Unknown keys are rejected.  Each key is declared
 once, in ``COMMANDS``; its flag, its config-file spelling, its checks and
 its default all derive from that declaration, so a key accepts the same
-text and fails with the same message either way.  Every run writes its
+text and fails with the same message either way.  A key is read from
+its flag or the config file and nowhere else.  Every run writes its
 resolved configuration next to the output file (``<out>.meta.txt``):
 each key as given, or its default when it has one, so any result can be
 reproduced from its sidecar alone.  ``boundary`` adds ``achieved``: each
@@ -18,11 +19,12 @@ Every text grammar the package reads lives here: ``key = value`` lines
 (``parse_kv_text``), comma lists (``_items``), containment pairs
 (``_pairs``) and scenario tokens (``parse_scenarios``).
 
-Exit status: 0 on success, 2 for configuration errors (bad keys, bad
-values, malformed input files), 1 for runtime failures (calibration
-breakdown, unwritable output).  The csv module writes each float with
-``str``, which equals its ``repr``, so parsing the CSV back recovers it
-bit for bit.
+The entries are the ``stepdown`` console script and ``python -m
+stepdown``; both call ``main``.  Exit status: 0 on success, 2 for
+configuration errors (bad keys, bad values, malformed input files), 1
+for runtime failures (calibration breakdown, unwritable output).  The
+csv module writes each float with ``str``, which equals its ``repr``, so
+parsing the CSV back recovers it bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import csv
 import functools
 import io
 import math
-import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -76,8 +77,6 @@ from .paulson import (
 from .procedures import RULES, run_multistage
 from .trial import ScenarioParams, check_seed
 
-WORKERS_ENV = "STEPDOWN_WORKERS"
-
 
 # Key kinds: each converts a key's text and raises ValueError on bad input.
 
@@ -93,6 +92,13 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _count(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
 
 
 def _number(text: str) -> float:
@@ -147,9 +153,9 @@ def _pairs(text: str) -> list[tuple[int, int]]:
 class Key:
     """One key, given as a ``--flag`` or a line of a config or family file.
 
-    Every source goes through ``convert``.  A key without a ``default`` must
-    be given unless it is ``optional``; ``env`` names an environment
-    variable that, when set, replaces the default.
+    Either way its text goes through ``convert``, which checks it against
+    ``choices`` and converts it with ``kind``.  A key without a ``default``
+    must be given unless it is ``optional``.
     """
 
     name: str
@@ -157,28 +163,23 @@ class Key:
     kind: Callable[[str], Any] = _text
     default: str | None = None
     choices: tuple[str, ...] = ()
-    minimum: int | None = None
     flag: str = ""
-    env: str = ""
     optional: bool = False
 
-    def convert(self, text: str, source: str) -> Any:
+    def convert(self, text: str) -> Any:
         try:
             if self.choices and text not in self.choices:
                 raise ValueError(f"expected one of {', '.join(self.choices)}, got {text!r}")
-            value = self.kind(text)
-            if self.minimum is not None and value < self.minimum:
-                raise ValueError(f"must be at least {self.minimum}, got {value}")
+            return self.kind(text)
         except ValueError as exc:
-            raise ValueError(f"{source}: {exc}") from None
-        return value
+            raise ValueError(f"key {self.name!r}: {exc}") from None
 
     def describe(self) -> str:
         notes = [self.help]
         if self.choices:
             notes.append("one of " + ", ".join(self.choices))
         if self.default is not None:
-            notes.append("default " + (f"${self.env} or " if self.env else "") + self.default)
+            notes.append("default " + self.default)
         return "; ".join(notes)
 
 
@@ -208,17 +209,14 @@ def _convert(keys: Sequence[Key], texts: dict[str, str], unknown: str) -> dict[s
             raise ValueError(unknown.format(name))
     values: dict[str, Any] = {}
     for key in keys:
-        source = f"key {key.name!r}"
         if key.name not in texts:
-            if key.env in os.environ:
-                texts[key.name], source = os.environ[key.env], key.env
-            elif key.default is not None:
+            if key.default is not None:
                 texts[key.name] = key.default
             elif key.optional:
                 continue
             else:
                 raise ValueError(f"missing required key {key.name!r}")
-        values[key.name] = key.convert(texts[key.name], source)
+        values[key.name] = key.convert(texts[key.name])
     return values
 
 
@@ -379,7 +377,7 @@ def _read_boundary_csv(path: str) -> CriticalFunction:
 # The keys of the family file ``analyze --family`` reads, converted as
 # the subcommands' keys are.
 _FAMILY_KEYS = (
-    Key("k", "number of hypotheses", _integer, minimum=1),
+    Key("k", "number of hypotheses", _count),
     Key("labels", "hypothesis names in family order", _names, optional=True),
     Key("contains_complement", "pairs a>b: b contains the complement of a", _pairs, default="none"),
     Key("closed_monotone", "closed family, monotone statistics", _boolean, default="false"),
@@ -406,8 +404,8 @@ def _read_family(path: str, labels: tuple[str, ...]) -> tuple[HypothesisFamily, 
             raise ValueError(f"family has {k} hypotheses but statistics cover {len(labels)}")
         if "labels" in values and set(family.labels) != set(labels):
             raise ValueError(
-                f"family labels {','.join(family.labels)} do not match "
-                f"the statistics hypotheses {','.join(labels)}"
+                f"family labels {','.join(map(repr, family.labels))} do not match "
+                f"the statistics hypotheses {','.join(map(repr, labels))}"
             )
     except ValueError as exc:
         raise ValueError(f"{exc} in family file {path}") from None
@@ -578,12 +576,12 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], dict | None], tuple[Ke
             Key("schedule", "analysis sizes", _schedule, default="26,29,35"),
             _ALPHA,
             _SHAPE,
-            Key("reps", "replicates per cell", _integer, default="50000", minimum=1),
+            Key("reps", "replicates per cell", _count, default="50000"),
             _SEED,
             _GRID,
             Key("continuity_correction", "half-count correction on the binary endpoint",
                 _boolean, default="false"),
-            Key("workers", "worker processes", _integer, default="1", minimum=1, env=WORKERS_ENV),
+            Key("workers", "worker processes", _count, default="1"),
             _OUT,
         ),
     ),
@@ -596,10 +594,10 @@ COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], dict | None], tuple[Ke
             Key("delta", "target widening", _number),
             Key("critical_value", "evidence threshold per one-sided test", _number),
             Key("theta", "true mean", _number),
-            Key("reps", "simulated paths", _integer, default="10000", minimum=1),
+            Key("reps", "simulated paths", _count, default="10000"),
             _SEED,
             Key("horizon", "max observations per path; every path stops by ceil(2A/delta), "
-                "or one later at a rounding tie", _integer, default="100000", minimum=1),
+                "or one later at a rounding tie", _count, default="100000"),
             Key("method", "implementation route", choices=tuple(_ROUTES), default="direct"),
             _OUT,
         ),
@@ -634,14 +632,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         values, texts = _resolve(args, keys)
         found = handler(values) or {}
         _write_sidecar(values["out"], args.subcommand, {**texts, **found})
-    except ValueError as exc:
+    except (ValueError, OSError, CalibrationError, GridError) as exc:
         print(f"stepdown {args.subcommand}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, CalibrationError, GridError) as exc:
-        print(f"stepdown {args.subcommand}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

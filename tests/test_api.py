@@ -54,6 +54,11 @@ def test_removed_wrappers_are_gone():
         assert not hasattr(stepdown.core, parser), parser
     assert not hasattr(stepdown.cli, "parse_int_list")
     assert not hasattr(stepdown.cli, "parse_float_list")
+    # A key is read from its flag or the config file only, and its kind checks it.
+    key_fields = [field.name for field in dataclasses.fields(stepdown.cli.Key)]
+    assert key_fields == ["name", "help", "kind", "default", "choices", "flag", "optional"]
+    assert list(inspect.signature(stepdown.cli.Key.convert).parameters) == ["self", "text"]
+    assert not hasattr(stepdown.cli, "WORKERS_ENV")
     fields = {field.name for field in dataclasses.fields(stepdown.CriticalFunction)}
     assert fields == {"schedule", "table", "achieved"}
     assert "tol" not in inspect.signature(stepdown.calibrate_levels).parameters

@@ -225,9 +225,9 @@ def test_simulate_worker_invariance(tmp_path, monkeypatch):
     assert meta["reps"] == "120"
 
 
-def test_workers_default_comes_from_the_environment(tmp_path, monkeypatch, capsys):
-    # STEPDOWN_WORKERS replaces the default worker count and the sidecar
-    # records the count used; --workers overrides the variable.
+def test_workers_default_ignores_the_environment(tmp_path, monkeypatch):
+    # STEPDOWN_WORKERS, valid or not, leaves the default of 1 worker, and the
+    # sidecar records the count used; --workers overrides the default.
     seen = []
     run = stepdown.cli.run_scenario_parallel
 
@@ -236,20 +236,16 @@ def test_workers_default_comes_from_the_environment(tmp_path, monkeypatch, capsy
         return run(specs, **kwargs)
 
     monkeypatch.setattr(stepdown.cli, "run_scenario_parallel", recording)
-    monkeypatch.setenv("STEPDOWN_WORKERS", "2")
     args = ["simulate", "--scenarios", "(0,.65,.5)", "--procedure", "MultH", "--reps", "40"]
-    assert main(args + ["--out", str(tmp_path / "env.csv")]) == 0
-    assert main(args + ["--workers", "1", "--out", str(tmp_path / "flag.csv")]) == 0
-    assert seen == [2, 1]
-    assert parse_kv_text((tmp_path / "env.csv.meta.txt").read_text())["workers"] == "2"
-    assert parse_kv_text((tmp_path / "flag.csv.meta.txt").read_text())["workers"] == "1"
-    assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
-
-    monkeypatch.setenv("STEPDOWN_WORKERS", "0")
-    capsys.readouterr()
-    assert main(args + ["--out", str(tmp_path / "zero.csv")]) == 2
-    assert "STEPDOWN_WORKERS: must be at least 1, got 0" in capsys.readouterr().err
-    assert seen == [2, 1] and not (tmp_path / "zero.csv").exists()
+    for value in ("2", "0"):
+        monkeypatch.setenv("STEPDOWN_WORKERS", value)
+        assert main(args + ["--out", str(tmp_path / f"env{value}.csv")]) == 0
+    assert main(args + ["--workers", "2", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert seen == [1, 1, 2]
+    for name, workers in (("env2", "1"), ("env0", "1"), ("flag", "2")):
+        meta = parse_kv_text((tmp_path / f"{name}.csv.meta.txt").read_text())
+        assert meta["workers"] == workers
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
 
 def test_simulate_byte_lock(tmp_path):
@@ -870,6 +866,10 @@ def test_flags_and_config_file_agree(tmp_path, capsys, subcommand, bad_key, bad_
         ("paulson", "critical_value", "abc", "expected a finite number, got 'abc'"),
         ("paulson", "critical_value", "inf", "expected a finite number, got 'inf'"),
         ("paulson", "out", "", "must not be empty"),
+        ("simulate", "reps", "0", "must be at least 1, got 0"),
+        ("simulate", "workers", "0", "must be at least 1, got 0"),
+        ("paulson", "reps", "0", "must be at least 1, got 0"),
+        ("paulson", "horizon", "0", "must be at least 1, got 0"),
     ],
 )
 def test_key_errors_quote_the_text(tmp_path, capsys, subcommand, key, value, message):
@@ -942,8 +942,20 @@ def test_analyze_pairs_an_unnamed_family_by_position(tmp_path):
 def test_analyze_rejects_family_labels_the_statistics_lack(tmp_path, capsys):
     text = "k = 2\nlabels = A,C\nclosed_monotone = true\n"
     assert _analyze_family(tmp_path, "AB", text) == (2, None)
-    assert "family labels A,C do not match" in capsys.readouterr().err
+    assert "family labels 'A','C' do not match" in capsys.readouterr().err
     assert not (tmp_path / "AB-decisions.csv").exists()
+    # Each label is quoted, so one that holds a comma reads as one label.
+    stats = tmp_path / "comma.csv"
+    stats.write_text("hypothesis,n,statistic\n"
+                     + _FAMILY_ROWS["A"].replace("A,", '"A, 12wk",') + _FAMILY_ROWS["B"])
+    family, out = tmp_path / "family.txt", tmp_path / "comma-decisions.csv"
+    assert main(["analyze", "--statistics", str(stats), "--boundary", str(tmp_path / "bound.csv"),
+                 "--variant", "closed", "--family", str(family), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "stepdown analyze: family labels 'A','C' do not match the statistics hypotheses "
+        f"'A, 12wk','B' in family file {family}\n"
+    )
+    assert not out.exists()
 
 
 def test_analyze_family_accepts_config_booleans(tmp_path):
@@ -971,6 +983,9 @@ def test_analyze_family_errors_name_the_file_and_key(tmp_path, capsys, text, key
     err = capsys.readouterr().err
     assert err.rstrip().endswith(f"in family file {tmp_path / 'family.txt'}")
     assert f"key '{key}'" in err
+    if text == "k = 0\n":
+        assert err == ("stepdown analyze: key 'k': must be at least 1, got 0 "
+                       f"in family file {tmp_path / 'family.txt'}\n")
     assert not (tmp_path / "AB-decisions.csv").exists()
 
 
